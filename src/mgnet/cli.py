@@ -5,7 +5,7 @@ Rationals are accepted as 'p/q' strings and emitted exactly; CSV renders a
 decimal when possible plus the exact numerator/denominator columns.
 
 Exit codes: 0 success, 2 invalid parameters (the message names the violated
-precondition), 1 internal failure.
+precondition), 3 `validate` found a violated precondition, 1 internal failure.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def cmd_validate(args) -> int:
     out["n_subnets"] = len(subnets)
     out["masters"] = [s.master for s in subnets]
     _emit(args, json.dumps(out, indent=2) + "\n")
-    return 0
+    return 0 if report.ok else 3
 
 
 def cmd_loads(args) -> int:
@@ -148,21 +148,21 @@ def cmd_sweep(args) -> int:
     rows = []
     for d in _parse_range(args.D_range, args.step):
         try:
-            closed_form(model, Scheme.BOTH_COMP_RX, d, args.L)  # validates D for the model
-            cols: dict[str, Fraction] = {}
-            f = formulas(model, d, args.L)
-            cols["s_max"] = f["s_max"]
-            cols["s_f_both"] = f["s_f_both"]
-            cols["s_s_both"] = f["s_s_both"]
-            cols["mu_r_tx"] = f["mu_r_tx"]
-            cols["mu_r_rx"] = f["mu_r_rx"]
-            cols["mu_s_rx"] = f["mu_s_rx"]
-            if model != SECTORED:
-                cols["mu_t_tx"] = f["mu_t_tx"]
-                cols["mu_t_rx"] = f["mu_t_rx"]
-            rows.append((d, cols))
+            closed_form(model, Scheme.BOTH_COMP_RX, d, 1)  # validates D; formulas checks L
         except ValueError:
             continue
+        cols: dict[str, Fraction] = {}
+        f = formulas(model, d, args.L)
+        cols["s_max"] = f["s_max"]
+        cols["s_f_both"] = f["s_f_both"]
+        cols["s_s_both"] = f["s_s_both"]
+        cols["mu_r_tx"] = f["mu_r_tx"]
+        cols["mu_r_rx"] = f["mu_r_rx"]
+        cols["mu_s_rx"] = f["mu_s_rx"]
+        if model != SECTORED:
+            cols["mu_t_tx"] = f["mu_t_tx"]
+            cols["mu_t_rx"] = f["mu_t_rx"]
+        rows.append((d, cols))
     if not rows:
         raise ValueError("no valid D in the sweep range for this model")
     buf = io.StringIO()

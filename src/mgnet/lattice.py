@@ -12,6 +12,11 @@ Master cells for a subnet spacing ``tau`` form the sublattice
 which is generated by (tau, 2*tau) and (2*tau, tau).  Masters are 2*tau
 apart, every cell lies within tau of one, and the cells at distance
 exactly tau tile the plane into disjoint radius-(tau-1) balls.
+
+``nearest_masters`` is O(1) per cell on both geometries: it scans the
+3 x 3 window of masters around the cell's rounded lattice point.  On a
+torus, a master reached by several wraps (small tori) gives one hit per
+wrap; hits are ordered by canonical master, then by wrap.
 """
 
 from __future__ import annotations
@@ -49,6 +54,30 @@ def is_master(c: Coord, tau: int) -> bool:
     return a % tau == 0 and b % tau == 0 and (a + b) % (3 * tau) == 0
 
 
+def _nearest_on_plane(c: Coord, tau: int) -> tuple[int, list[tuple[Coord, Coord]]]:
+    """Nearest masters on the plane: (distance, [(master, displacement), ...]).
+
+    Master (m + 2n, 2m + n) * tau; (m0, n0) rounds the cell's (m, n).  A master
+    two steps off in m or n is >= 9/4 * tau away, the nearest within tau.
+    """
+    a, b = c
+    t3 = 3 * tau
+    m0 = (2 * (2 * b - a) + t3) // (2 * t3)
+    n0 = (2 * (2 * a - b) + t3) // (2 * t3)
+    best = t3
+    hits: list[tuple[Coord, Coord]] = []
+    for m in (m0 - 1, m0, m0 + 1):
+        for n in (n0 - 1, n0, n0 + 1):
+            ma, mb = (m + 2 * n) * tau, (2 * m + n) * tau
+            da, db = a - ma, b - mb
+            d = max(abs(da), abs(db), abs(da - db))
+            if d < best:
+                best, hits = d, [((ma, mb), (da, db))]
+            elif d == best:
+                hits.append(((ma, mb), (da, db)))
+    return best, hits
+
+
 class PlaneGeometry:
     """Cells of the infinite lattice; master sublattice of spacing ``tau`` everywhere."""
 
@@ -57,22 +86,7 @@ class PlaneGeometry:
 
     def nearest_masters(self, c: Coord, tau: int) -> tuple[int, list[tuple[Coord, Coord]]]:
         """Distance to the master lattice and all (master, displacement) pairs attaining it."""
-        a, b = c
-        m0 = round((2 * b - a) / (3 * tau))
-        n0 = round((2 * a - b) / (3 * tau))
-        best = None
-        hits: list[tuple[Coord, Coord]] = []
-        for dm in (-2, -1, 0, 1, 2):
-            for dn in (-2, -1, 0, 1, 2):
-                m, n = m0 + dm, n0 + dn
-                ma, mb = (m + 2 * n) * tau, (2 * m + n) * tau
-                d = hex_distance(c, (ma, mb))
-                if best is None or d < best:
-                    best, hits = d, [((ma, mb), (a - ma, b - mb))]
-                elif d == best:
-                    hits.append(((ma, mb), (a - ma, b - mb)))
-        assert best is not None
-        return best, hits
+        return _nearest_on_plane(c, tau)
 
 
 @dataclass(frozen=True)
@@ -108,46 +122,24 @@ class TorusGeometry:
         return sorted(reps)
 
     def masters(self) -> list[Coord]:
-        out = sorted({self.canon(c) for c in _lattice_window(self.tau, self.period)})
-        assert len(out) == self.copies**2
+        t, M = self.tau, self.copies
+        out = sorted({self.canon(((m + 2 * n) * t, (2 * m + n) * t))
+                      for m in range(M) for n in range(M)})
+        assert len(out) == M * M
         return out
 
-    def displacements(self, c: Coord, m: Coord) -> tuple[int, list[Coord]]:
-        """Shortest torus displacement(s) from master m to cell c."""
-        mt = self.tau * self.copies
-        da, db = c[0] - m[0], c[1] - m[1]
-        best = None
-        reps: list[Coord] = []
-        for i in (-2, -1, 0, 1, 2):
-            for j in (-2, -1, 0, 1, 2):
-                r = (da - (i + 2 * j) * mt, db - (2 * i + j) * mt)
-                d = max(abs(r[0]), abs(r[1]), abs(r[0] - r[1]))
-                if best is None or d < best:
-                    best, reps = d, [r]
-                elif d == best:
-                    reps.append(r)
-        assert best is not None
-        return best, reps
-
     def nearest_masters(self, c: Coord, tau: int) -> tuple[int, list[tuple[Coord, Coord]]]:
+        """Plane hits with canonical masters, sorted by (master, wrap (i, j)).
+
+        A plane master p is its canonical m plus (i + 2j, 2i + j) * tau * copies.
+        """
         if tau != self.tau:
             raise ValueError(f"torus was built for tau={self.tau}, not tau={tau}")
-        best = None
-        hits: list[tuple[Coord, Coord]] = []
-        for m in self.masters():
-            d, reps = self.displacements(c, m)
-            if best is None or d < best:
-                best, hits = d, [(m, r) for r in reps]
-            elif d == best:
-                hits.extend((m, r) for r in reps)
-        assert best is not None
-        return best, hits
-
-
-def _lattice_window(tau: int, span: int) -> list[Coord]:
-    pts = []
-    for a in range(-span, 2 * span, tau):
-        for b in range(-span, 2 * span, tau):
-            if (a + b) % (3 * tau) == 0:
-                pts.append((a, b))
-    return pts
+        best, plane_hits = _nearest_on_plane(c, tau)
+        keyed = []
+        for p, r in plane_hits:
+            m = self.canon(p)
+            wa, wb = p[0] - m[0], p[1] - m[1]
+            keyed.append((m, (2 * wb - wa) // self.period, (2 * wa - wb) // self.period, r))
+        keyed.sort()
+        return best, [(m, r) for m, _, _, r in keyed]

@@ -104,6 +104,8 @@ def _check_closed_form_args(model: str, scheme: Scheme, D: int) -> None:
 
 def formulas(model: str, D: int, L: int) -> dict[str, Fraction]:
     """All closed-form MG values and prelog requirements of one model at (D, L)."""
+    if L < 1:
+        raise ValueError(f"L={L}: need L >= 1 antennas per cell")
     F = Fraction
     if model == WYNER:
         odd_master = (D // 2 + 1) % 2 == 1

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from mgnet.cli import main
 from mgnet.rationals import ratio_from_json
 
@@ -60,6 +62,33 @@ def test_validate_wyner(capsys):
     doc = json.loads(out)
     assert doc["fast_independent"] and doc["master_reachable"] and doc["subnets_disjoint"]
     assert doc["n_subnets"] == 2
+
+
+def test_validate_failure_exits_3(capsys, monkeypatch):
+    import mgnet.cli
+    from mgnet.validation import ValidationReport
+
+    def failing(net, assoc):
+        return [], ValidationReport(master_reachable=False, violations=[(3, "unreachable")])
+
+    monkeypatch.setattr(mgnet.cli, "validate", failing)
+    code, out, _ = run(capsys, "validate", "--model", "wyner", "--K", "16",
+                       "--D", "6", "--scheme", "both-rx")
+    assert code == 3
+    assert json.loads(out)["violations"] == [{"node": 3, "code": "unreachable"}]
+
+
+@pytest.mark.parametrize("L", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("region", "--model", "wyner", "--D", "4", "--mu-tx", "1", "--mu-rx", "1"),
+    ("closed-form", "--model", "hex", "--D", "8", "--scheme", "both-rx"),
+    ("sweep", "--model", "sectorized", "--D", "2..8"),
+])
+def test_nonpositive_l_exits_2(capsys, argv, L):
+    code, out, err = run(capsys, *argv, "--L", L)
+    assert code == 2
+    assert out == ""
+    assert f"L={L}" in err
 
 
 def test_loads_hex_tiling(capsys):

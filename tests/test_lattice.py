@@ -1,0 +1,58 @@
+"""Nearest-master search against brute-force scans, on the torus and the plane."""
+
+from __future__ import annotations
+
+import pytest
+
+from mgnet.lattice import PlaneGeometry, TorusGeometry, hex_distance, is_master
+
+
+def brute_torus_nearest(geo: TorusGeometry, masters, c):
+    """Every canonical master, every wrap (i, j) in [-2, 2]^2, in that order."""
+    mt = geo.tau * geo.copies
+    best, hits = None, []
+    for m in masters:
+        for i in (-2, -1, 0, 1, 2):
+            for j in (-2, -1, 0, 1, 2):
+                r = (c[0] - m[0] - (i + 2 * j) * mt, c[1] - m[1] - (2 * i + j) * mt)
+                d = hex_distance(r, (0, 0))
+                if best is None or d < best:
+                    best, hits = d, [(m, r)]
+                elif d == best:
+                    hits.append((m, r))
+    return best, hits
+
+
+def brute_plane_nearest(c, tau):
+    """Every master within hex distance 3 tau, ordered by lattice index (m, n)."""
+    near = []
+    for a in range(c[0] - 3 * tau - c[0] % tau, c[0] + 3 * tau + 1, tau):
+        for b in range(c[1] - 3 * tau - c[1] % tau, c[1] + 3 * tau + 1, tau):
+            if is_master((a, b), tau) and hex_distance(c, (a, b)) <= 3 * tau:
+                near.append((hex_distance(c, (a, b)), (2 * b - a, 2 * a - b), (a, b)))
+    best = min(d for d, _, _ in near)
+    hits = [(m, (c[0] - m[0], c[1] - m[1]))
+            for d, _, m in sorted(near) if d == best]
+    return best, hits
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
+def test_torus_nearest_masters_matches_brute_force(tau, copies):
+    geo = TorusGeometry(tau, copies)
+    masters = sorted(x for x in geo.cells() if is_master(x, tau))
+    assert geo.masters() == masters
+    for c in geo.cells():
+        assert geo.nearest_masters(c, tau) == brute_torus_nearest(geo, masters, c), c
+
+
+@pytest.mark.parametrize("tau", range(1, 11))
+def test_plane_nearest_masters_matches_exhaustive_scan(tau):
+    # a 2x2 block of fundamental domains, lattice coordinates (m, n) in
+    # [-1, 1)^2: for even tau it holds the rounding's half-way points -1/2 and +1/2
+    plane = PlaneGeometry()
+    cells = [(a, b) for a in range(-4 * tau, 4 * tau + 1) for b in range(-4 * tau, 4 * tau + 1)
+             if -3 * tau <= 2 * b - a < 3 * tau and -3 * tau <= 2 * a - b < 3 * tau]
+    assert len(cells) == 12 * tau * tau
+    for c in cells:
+        assert plane.nearest_masters(c, tau) == brute_plane_nearest(c, tau), c

@@ -136,6 +136,20 @@ def test_sectorized_oracle_equivalence(D, scheme):
     assert (led.mu_tx, led.mu_rx) == (cf.mu_tx, cf.mu_rx)
 
 
+@pytest.mark.parametrize("model, D, scheme", [
+    (HEX, 8, Scheme.BOTH_COMP_RX),
+    (HEX, 8, Scheme.BOTH_COMP_TX),
+    (SECTORED, 4, Scheme.BOTH_COMP_RX),
+])
+def test_oracle_equivalence_at_scale(model, D, scheme):
+    # 12 x 12 whole subnets: 6912 hex cells, 1728 sectorized cells
+    L = 3
+    net = torus_for(model, D, scheme, L, copies=12)
+    led, _, _ = ledger_for(net, D, scheme)
+    cf = closed_form(model, scheme, D, L)
+    assert (led.mu_tx, led.mu_rx) == (cf.mu_tx, cf.mu_rx)
+
+
 def test_wyner_even_odd_branches():
     # the master's parity switches the Rx ledger between the two numerators
     for D in (2, 4, 6, 8, 10):
