@@ -3,7 +3,8 @@ Wyner-linear, hexagonal and sectorized-hexagonal interference networks
 under mixed-delay cell-association schemes."""
 
 from .association import (Association, Role, Scheme, assign, assign_hex,
-                          assign_sectored, assign_wyner, shifted_mod)
+                          assign_sectored, assign_wyner, check_params,
+                          shifted_mod)
 from .lattice import hex_distance
 from .loads import (ClosedForm, LoadReport, closed_form, finite_prelogs,
                     formulas, mixed_subnet_counts, message_ledger, subnet_sizes)

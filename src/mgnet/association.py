@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass
 
 from .lattice import Coord, is_master
-from .topology import HEX, SECTORED, WYNER, Network, cell_coord
+from .topology import HEX, SECTORED, WYNER, Network
 
 
 class Scheme(str, enum.Enum):
@@ -54,6 +54,28 @@ class Scheme(str, enum.Enum):
         if self in (Scheme.BOTH_COMP_TX, Scheme.SLOW_COMP_TX):
             return "tx"
         return "none"
+
+
+def check_params(model: str, scheme: Scheme, D: int, L: int) -> None:
+    """Raise ValueError unless ``scheme`` runs on ``model`` with D rounds and L antennas.
+
+    The one validity rule of the library: association, closed forms, subnet
+    sizes, regions and the command line all call it.
+    """
+    if L < 1:
+        raise ValueError(f"L={L}: need L >= 1 antennas per cell")
+    if model not in (WYNER, HEX, SECTORED):
+        raise ValueError(f"unknown model {model!r}")
+    if scheme is Scheme.NO_COOP:
+        if D < 0:
+            raise ValueError(f"D={D}: need D >= 0")
+        return
+    if D < 2 or D % 2 != 0:
+        raise ValueError(f"D={D}: cooperative schemes need an even D >= 2")
+    if model == HEX and (D // 2 - 1) % 3 != 0:
+        raise ValueError(f"D={D}: hexagonal schemes need (D/2 - 1) mod 3 == 0")
+    if model == SECTORED and scheme.comp_side == "tx":
+        raise ValueError("the sectorized model only supports CoMP reception")
 
 
 SCHEME_ALIASES = {
@@ -100,21 +122,10 @@ def shifted_mod(x: int, tau: int) -> int:
     return ((x + tau) % (3 * tau)) - tau
 
 
-def _check_d(D: int, scheme: Scheme, *, hex_lattice: bool = False) -> None:
-    if scheme is Scheme.NO_COOP:
-        if D < 0:
-            raise ValueError("D must be >= 0")
-        return
-    if D < 2 or D % 2 != 0:
-        raise ValueError(f"D={D}: cooperative schemes need an even D >= 2")
-    if hex_lattice and (D // 2 - 1) % 3 != 0:
-        raise ValueError(f"D={D}: hexagonal schemes need (D/2 - 1) mod 3 == 0")
-
-
 def assign_wyner(net: Network, D: int, scheme: Scheme) -> Association:
     if net.model != WYNER:
         raise ValueError("assign_wyner needs a Wyner network")
-    _check_d(D, scheme)
+    check_params(WYNER, scheme, D, net.L)
     K = net.n_tx
     roles: dict[int, Role] = {}
     masters: list[int] = []
@@ -150,28 +161,21 @@ def scheme_tau(model: str, scheme: Scheme, D: int) -> int:
 def _hex_layers(net: Network, tau: int):
     """(distance-to-master-lattice, displacement reps) per cell id."""
     geo = net.geometry
-    out = {}
-    for i in net.rx_nodes:
-        c = cell_coord(net, i)
-        out[i] = geo.nearest_masters(c, tau)
-    return out
+    return {i: geo.nearest_masters(net.cell_coords[i], tau) for i in net.rx_nodes}
 
 
 def assign_hex(net: Network, D: int, scheme: Scheme) -> Association:
     if net.model != HEX:
         raise ValueError("assign_hex needs a hexagonal network")
+    check_params(HEX, scheme, D, net.L)
     roles: dict[int, Role] = {}
     if scheme is Scheme.NO_COOP:
-        _check_d(D, scheme)
         for i in net.tx_nodes:
             a, b = net.coords[i]
             roles[i] = Role.FAST if (a + b) % 3 == 0 else Role.SILENT
         return Association(net, scheme, D, roles, ())
 
-    _check_d(D, scheme, hex_lattice=True)
     tau = scheme_tau(HEX, scheme, D)
-    if hasattr(net.geometry, "tau") and net.geometry.tau != tau:
-        raise ValueError(f"torus network has tau={net.geometry.tau}, scheme needs tau={tau}")
     layers = _hex_layers(net, tau)
     masters = []
     for i in net.tx_nodes:
@@ -221,24 +225,19 @@ def assign_sectored(net: Network, D: int, scheme: Scheme,
                     no_coop_kind: str = "W") -> Association:
     if net.model != SECTORED:
         raise ValueError("assign_sectored needs a sectorized network")
-    if scheme.comp_side == "tx":
-        raise ValueError("the sectorized model only supports CoMP reception")
+    check_params(SECTORED, scheme, D, net.L)
     roles: dict[int, Role] = {}
     if scheme is Scheme.NO_COOP:
-        _check_d(D, scheme)
         for t in net.tx_nodes:
             _, kind = net.coords[t]
             roles[t] = Role.FAST if kind == no_coop_kind else Role.SILENT
         return Association(net, scheme, D, roles, ())
 
-    _check_d(D, scheme)
-    tau = D // 2
-    if hasattr(net.geometry, "tau") and net.geometry.tau != tau:
-        raise ValueError(f"torus network has tau={net.geometry.tau}, scheme needs tau={tau}")
+    tau = scheme_tau(SECTORED, scheme, D)
     layers = _hex_layers(net, tau)
     masters = []
     for i in net.rx_nodes:
-        c = cell_coord(net, i)
+        c = net.cell_coords[i]
         dist, hits = layers[i]
         if is_master(c, tau):
             masters.append(i)

@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .association import SCHEME_ALIASES, Scheme, assign, scheme_tau
+from .association import SCHEME_ALIASES, Scheme, assign, check_params, scheme_tau
 from .figures import FIGURES, build_figure
 from .loads import closed_form, finite_prelogs, formulas, message_ledger
 from .rationals import parse_ratio, ratio_to_csv, ratio_to_json
@@ -138,6 +138,8 @@ def cmd_figure(args) -> int:
 
 def _parse_range(spec: str, step: int) -> list[int]:
     if ".." in spec:
+        if step < 1:
+            raise ValueError(f"--step={step}: need a step >= 1")
         lo, hi = spec.split("..")
         return list(range(int(lo), int(hi) + 1, step))
     return [int(spec)]
@@ -148,7 +150,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for d in _parse_range(args.D_range, args.step):
         try:
-            closed_form(model, Scheme.BOTH_COMP_RX, d, 1)  # validates D; formulas checks L
+            check_params(model, Scheme.BOTH_COMP_RX, d, 1)  # D only; formulas checks L
         except ValueError:
             continue
         cols: dict[str, Fraction] = {}

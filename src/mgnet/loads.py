@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .association import Association, Role, Scheme
+from .association import Association, Role, Scheme, check_params
 from .rationals import ratio_to_json
-from .topology import HEX, SECTORED, WYNER, Network
+from .topology import HEX, WYNER, Network
 from .validation import Subnet
 
 
@@ -89,23 +89,9 @@ class ClosedForm:
         }
 
 
-def _check_closed_form_args(model: str, scheme: Scheme, D: int) -> None:
-    if scheme is Scheme.NO_COOP:
-        if D < 0:
-            raise ValueError("D must be >= 0")
-        return
-    if D < 2 or D % 2 != 0:
-        raise ValueError(f"D={D}: cooperative schemes need an even D >= 2")
-    if model == HEX and (D // 2 - 1) % 3 != 0:
-        raise ValueError(f"D={D}: hexagonal schemes need (D/2 - 1) mod 3 == 0")
-    if model == SECTORED and scheme.comp_side == "tx":
-        raise ValueError("the sectorized model only supports CoMP reception")
-
-
 def formulas(model: str, D: int, L: int) -> dict[str, Fraction]:
     """All closed-form MG values and prelog requirements of one model at (D, L)."""
-    if L < 1:
-        raise ValueError(f"L={L}: need L >= 1 antennas per cell")
+    check_params(model, Scheme.NO_COOP, D, L)  # the model and L; any D >= 0
     F = Fraction
     if model == WYNER:
         odd_master = (D // 2 + 1) % 2 == 1
@@ -135,22 +121,20 @@ def formulas(model: str, D: int, L: int) -> dict[str, Fraction]:
             "mu_s_tx": F(L * D * (D + 1), 9 * (D + 2)),
             "mu_s_rx": F(L * D * (D + 1), 9 * (D + 2)),
         }
-    if model == SECTORED:
-        return {
-            "s_nocoop": F(L, 3),
-            "s_max": F(L * (3 * D - 2), 3 * D),
-            "s_f_both": F(L, 3),
-            "s_s_both": F(L * (2 * D - 2), 3 * D),
-            "mu_r_tx": F(L * (D - 1), 3 * D),
-            "mu_r_rx": F(L * (2 * D * D - 5), 9 * D),
-            "mu_s_rx": F(L * (D - 1), 3),
-        }
-    raise ValueError(f"unknown model {model!r}")
+    return {  # sectorized
+        "s_nocoop": F(L, 3),
+        "s_max": F(L * (3 * D - 2), 3 * D),
+        "s_f_both": F(L, 3),
+        "s_s_both": F(L * (2 * D - 2), 3 * D),
+        "mu_r_tx": F(L * (D - 1), 3 * D),
+        "mu_r_rx": F(L * (2 * D * D - 5), 9 * D),
+        "mu_s_rx": F(L * (D - 1), 3),
+    }
 
 
 def closed_form(model: str, scheme: Scheme, D: int, L: int) -> ClosedForm:
     """Asymptotic (MG pair, required prelogs) for one scheme on one model."""
-    _check_closed_form_args(model, scheme, D)
+    check_params(model, scheme, D, L)
     zero = Fraction(0)
     if scheme is Scheme.NO_COOP:
         f = formulas(model, max(D, 2), L)  # no-coop values do not depend on D
@@ -169,14 +153,13 @@ def closed_form(model: str, scheme: Scheme, D: int, L: int) -> ClosedForm:
 
 def mixed_subnet_counts(D: int) -> tuple[int, int]:
     """Fast and slow cells per subnet of the mixed hexagonal association."""
-    if D < 2 or D % 2 != 0 or (D // 2 - 1) % 3 != 0:
-        raise ValueError(f"D={D}: need an even D >= 2 with (D/2 - 1) mod 3 == 0")
+    check_params(HEX, Scheme.BOTH_COMP_RX, D, 1)
     return (D * D // 4 - D // 2 + 1, D * D // 2 - D)
 
 
 def subnet_sizes(model: str, scheme: Scheme, D: int) -> tuple[int, int]:
     """(partition cells used as asymptotic denominator, active members per subnet)."""
-    _check_closed_form_args(model, scheme, D)
+    check_params(model, scheme, D, 1)
     if model == WYNER:
         return (2, 1) if scheme is Scheme.NO_COOP else (D + 2, D + 1)
     if model == HEX:
@@ -303,22 +286,19 @@ def _link_loads(net: Network, assoc: Association, subnets: list[Subnet],
 
     coop = net.rx_coop if assoc.scheme.comp_side != "tx" else net.tx_coop
     use = rx_use if assoc.scheme.comp_side != "tx" else tx_use
+    cell_of = net.cell_of
     for sub in subnets:
         if sub.master is None:
             continue
-        if net.model == SECTORED:
-            hops = {net.tx_cell[k]: g for k, g in sub.gamma.items()}
-            hops[sub.master] = 0
-            unit_cells = [net.tx_cell[k] for k in sub.slow_members]
-        else:
-            hops = dict(sub.gamma)
-            unit_cells = list(sub.slow_members)
+        hops = {cell_of(k): g for k, g in sub.gamma.items()}
+        hops[sub.master] = 0
         parent = {}
         for c, g in hops.items():
             if g == 0:
                 continue
             parent[c] = min(v for v in coop[c] if hops.get(v, 10**9) == g - 1)
-        for c in unit_cells:
+        for k in sub.slow_members:
+            c = cell_of(k)
             while hops[c] > 0:
                 p = parent[c]
                 bump(use, c, p)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .association import Scheme, check_params
 from .loads import formulas
 from .rationals import ratio_to_json
 from .topology import HEX, SECTORED, WYNER
@@ -178,19 +179,12 @@ def alphas_sectored(mu_tx: Fraction, mu_rx: Fraction, D: int, L: int) -> tuple[F
     return alpha1, alpha2
 
 
-def _check_region_args(model: str, D: int, mu_tx: Fraction, mu_rx: Fraction) -> None:
-    if mu_tx < 0 or mu_rx < 0:
-        raise ValueError("prelogs must be nonnegative")
-    if D < 2 or D % 2 != 0:
-        raise ValueError(f"D={D}: need an even D >= 2")
-    if model == HEX and (D // 2 - 1) % 3 != 0:
-        raise ValueError(f"D={D}: hexagonal model needs (D/2 - 1) mod 3 == 0")
-
-
 def achievable_region(model: str, D: int, L: int,
                       mu_tx: Fraction, mu_rx: Fraction) -> MgRegion:
     """Convex hull of all scheme blends affordable at prelog budgets (mu_tx, mu_rx)."""
-    _check_region_args(model, D, mu_tx, mu_rx)
+    if mu_tx < 0 or mu_rx < 0:
+        raise ValueError("prelogs must be nonnegative")
+    check_params(model, Scheme.BOTH_COMP_RX, D, L)
     mu_tx, mu_rx = Fraction(mu_tx), Fraction(mu_rx)
     f = formulas(model, D, L)
     zero = Fraction(0)

@@ -14,6 +14,12 @@
   cooperation stays cell-to-cell (6 neighbours), transmitter cooperation
   follows the sector interference graph (4 neighbours).
 
+Tx nodes are the keys of ``coords``, Rx cells those of ``cell_coords``,
+and ``Network.cell_of`` maps a Tx node to its cell.  In the Wyner and
+hexagonal models a node is its own cell and ``cell_coords`` is the very
+dict ``coords``; in the sectorized model ``coords`` holds (cell coordinate,
+kind) per sector.  Per-cell code uses these two and needs no model branch.
+
 Finite instances come in two flavours: hex-distance balls of a given
 radius (edge effects at the rim) and tori holding M x M whole subnets of a
 given master spacing tau (no edge effects; used by the exact count
@@ -58,7 +64,8 @@ class Network:
     q_tx: int
     q_rx: int
     params: dict = field(default_factory=dict)
-    coords: dict[int, object] = field(default_factory=dict, repr=False)
+    coords: dict[int, object] = field(default_factory=dict, repr=False)  # per Tx node
+    cell_coords: dict[int, Coord] = field(default_factory=dict, repr=False)  # per Rx cell
     tx_cell: dict[int, int] = field(default_factory=dict, repr=False)  # sector -> cell (sectorized)
     cell_sectors: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
     geometry: object | None = field(default=None, repr=False)
@@ -72,6 +79,7 @@ class Network:
         return len(self.rx_nodes)
 
     def cell_of(self, tx: int) -> int:
+        """The Rx cell that Tx node ``tx`` sits in."""
         return self.tx_cell[tx] if self.model == SECTORED else tx
 
     def to_json_dict(self) -> dict:
@@ -119,17 +127,17 @@ def build_wyner(K: int, L: int) -> Network:
     nodes = tuple(range(1, K + 1))
     adj = {k: tuple(n for n in (k - 1, k + 1) if 1 <= n <= K) for k in nodes}
     q = sum(len(v) for v in adj.values())
+    coords = {k: k for k in nodes}
     return Network(
         model=WYNER, L=L, tx_nodes=nodes, rx_nodes=nodes,
         interference=adj, tx_coop=dict(adj), rx_coop=dict(adj),
         q_tx=q, q_rx=q, params={"K": K},
-        coords={k: k for k in nodes},
+        coords=coords, cell_coords=coords,
     )
 
 
-def _hex_from_cells(cells: list[Coord], L: int, canon, params: dict,
-                    geometry) -> Network:
-    index = {c: i for i, c in enumerate(cells)}
+def _cell_adjacency(index: dict[Coord, int], canon) -> dict[int, tuple[int, ...]]:
+    """6-neighbour graph of the cells in ``index`` (canonical coordinate -> id)."""
     adj: dict[int, tuple[int, ...]] = {}
     for c, i in index.items():
         nbrs = []
@@ -138,13 +146,21 @@ def _hex_from_cells(cells: list[Coord], L: int, canon, params: dict,
             if n in index:
                 nbrs.append(index[n])
         adj[i] = tuple(sorted(set(nbrs)))
+    return adj
+
+
+def _hex_from_cells(cells: list[Coord], L: int, canon, params: dict,
+                    geometry) -> Network:
+    index = {c: i for i, c in enumerate(cells)}
+    adj = _cell_adjacency(index, canon)
     q = sum(len(v) for v in adj.values())
     nodes = tuple(range(len(cells)))
+    coords = {i: c for c, i in index.items()}
     return Network(
         model=HEX, L=L, tx_nodes=nodes, rx_nodes=nodes,
         interference=adj, tx_coop=dict(adj), rx_coop=dict(adj),
         q_tx=q, q_rx=q, params=params,
-        coords={i: c for c, i in index.items()},
+        coords=coords, cell_coords=coords,
         geometry=geometry,
     )
 
@@ -197,23 +213,14 @@ def _sectored_from_cells(cells: list[Coord], L: int, canon, params: dict,
             interference[sector_id(i, k)] = tuple(sorted(set(nbrs)))
     q_tx = sum(len(v) for v in interference.values())
 
-    rx_coop: dict[int, tuple[int, ...]] = {}
-    for c, i in index.items():
-        nbrs = []
-        for da, db in NEIGHBOR_STEPS:
-            n = canon((c[0] + da, c[1] + db))
-            if n in index:
-                nbrs.append(index[n])
-        rx_coop[i] = tuple(sorted(set(nbrs)))
+    rx_coop = _cell_adjacency(index, canon)
     q_rx = sum(len(v) for v in rx_coop.values())
-
-    rx_coords = {i: c for c, i in index.items()}
-    coords.update({("cell", i): c for i, c in rx_coords.items()})
     return Network(
         model=SECTORED, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
         interference=interference, tx_coop=dict(interference), rx_coop=rx_coop,
         q_tx=q_tx, q_rx=q_rx, params=params,
-        coords=coords, tx_cell=tx_cell, cell_sectors=cell_sectors,
+        coords=coords, cell_coords={i: c for c, i in index.items()},
+        tx_cell=tx_cell, cell_sectors=cell_sectors,
         geometry=geometry,
     )
 
@@ -232,9 +239,3 @@ def build_sectored_hex_torus(tau: int, copies: int, L: int) -> Network:
     geo = TorusGeometry(tau, copies)
     return _sectored_from_cells(geo.cells(), L, geo.canon,
                                 {"tau": tau, "copies": copies}, geo)
-
-
-def cell_coord(net: Network, rx: int) -> Coord:
-    if net.model == SECTORED:
-        return net.coords[("cell", rx)]
-    return net.coords[rx]

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .association import Association, Role, Scheme
-from .topology import SECTORED, WYNER, Network
+from .topology import WYNER, Network
 
 
 @dataclass
@@ -151,15 +151,16 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], Va
     comps = _components(net, active)
     relaxed = net.model == WYNER or "radius" in net.params
     master_set = set(assoc.masters)
+    # hops run over the cells of the CoMP side; cell_of is the identity but
+    # for the sectorized model, which has CoMP reception only
+    adj = net.tx_coop if assoc.scheme.comp_side == "tx" else net.rx_coop
+    cell_of = net.cell_of
 
     subnets = []
     for comp in comps:
         slow = tuple(k for k in comp if assoc.roles[k] is Role.SLOW)
-        if net.model == SECTORED:
-            cells = {net.tx_cell[k] for k in comp}
-            masters = sorted(cells & master_set)
-        else:
-            masters = sorted(set(comp) & master_set)
+        cells = {cell_of(k) for k in comp}
+        masters = sorted(cells & master_set)
         master = masters[0] if len(masters) == 1 else None
         if len(masters) > 1:
             report.subnets_disjoint = False
@@ -173,16 +174,8 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], Va
 
         gamma: dict[int, int] = {}
         if master is not None:
-            if net.model == SECTORED:
-                coop_cells = {net.tx_cell[k] for k in comp} | {master}
-                hops = _bfs_hops(net.rx_coop, coop_cells, master)
-                for k in comp:
-                    if net.tx_cell[k] in hops:
-                        gamma[k] = hops[net.tx_cell[k]]
-            else:
-                adj = net.tx_coop if assoc.scheme.comp_side == "tx" else net.rx_coop
-                hops = _bfs_hops(adj, set(comp), master)
-                gamma.update(hops)
+            hops = _bfs_hops(adj, cells, master)
+            gamma = {k: hops[c] for k in comp if (c := cell_of(k)) in hops}
             for k in comp:
                 if k not in gamma:
                     report.master_reachable = False

@@ -91,6 +91,15 @@ def test_nonpositive_l_exits_2(capsys, argv, L):
     assert f"L={L}" in err
 
 
+@pytest.mark.parametrize("step", ["0", "-2"])
+def test_sweep_nonpositive_step_exits_2(capsys, step):
+    code, out, err = run(capsys, "sweep", "--model", "wyner", "--L", "3",
+                         "--D", "2..6", "--step", step)
+    assert code == 2
+    assert out == ""
+    assert f"--step={step}" in err
+
+
 def test_loads_hex_tiling(capsys):
     code, out, _ = run(capsys, "loads", "--model", "hex", "--D", "8", "--L", "3",
                        "--scheme", "both-rx", "--tiling", "2x2")

@@ -6,8 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from mgnet import (HEX, SECTORED, WYNER, Role, Scheme, assign, build_hex,
-                   build_hex_torus, build_sectored_hex_torus, build_wyner,
+from mgnet import (HEX, SECTORED, WYNER, Role, Scheme, achievable_region,
+                   assign, build_hex, build_hex_torus, build_sectored_hex,
+                   build_sectored_hex_torus, build_wyner, check_params,
                    closed_form, finite_prelogs, mixed_subnet_counts, message_ledger,
                    subnet_decompose, subnet_sizes, validate)
 from mgnet.association import scheme_tau
@@ -247,3 +248,81 @@ def test_link_loads_positive():
     assert led.max_tx_link_load >= 1
     led0, _, _ = ledger_for(net, 8, Scheme.NO_COOP)
     assert (led0.max_tx_link_load, led0.max_rx_link_load) == (0, 0)
+
+
+def _raises(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
+GRID_D = range(-1, 17)
+GRID_L = (-1, 0, 1, 3)
+# The valid cooperative D in GRID_D per model, written out independently of the library.
+COOP_D = {WYNER: set(range(2, 17, 2)), HEX: {2, 8, 14}, SECTORED: set(range(2, 17, 2))}
+
+
+@pytest.mark.parametrize("model", [WYNER, HEX, SECTORED])
+def test_check_params_table(model):
+    for scheme in ALL_SCHEMES:
+        for D in GRID_D:
+            for L in GRID_L:
+                if scheme is Scheme.NO_COOP:
+                    valid = D >= 0
+                elif model == SECTORED and scheme.comp_side == "tx":
+                    valid = False
+                else:
+                    valid = D in COOP_D[model]
+                assert _raises(check_params, model, scheme, D, L) == (not valid or L < 1), \
+                    (scheme, D, L)
+
+
+@pytest.mark.parametrize("model, net", [
+    (WYNER, build_wyner(16, 1)),
+    (HEX, build_hex(3, 1)),
+    (SECTORED, build_sectored_hex(3, 1)),
+], ids=["wyner", "hex", "sectorized"])
+def test_every_entry_point_follows_check_params(model, net):
+    """Each public entry point accepts exactly the (scheme, D, L) that check_params does."""
+    for scheme in ALL_SCHEMES:
+        for D in GRID_D:
+            rule = _raises(check_params, model, scheme, D, 1)
+            assert _raises(subnet_sizes, model, scheme, D) == rule, (scheme, D)
+            assert _raises(assign, net, D, scheme) == rule, (scheme, D)
+            for L in GRID_L:
+                assert _raises(closed_form, model, scheme, D, L) == \
+                    _raises(check_params, model, scheme, D, L), (scheme, D, L)
+    for D in GRID_D:
+        for L in GRID_L:
+            assert _raises(achievable_region, model, D, L, F(1), F(1)) == \
+                _raises(check_params, model, Scheme.BOTH_COMP_RX, D, L), (D, L)
+        assert _raises(mixed_subnet_counts, D) == \
+            _raises(check_params, HEX, Scheme.BOTH_COMP_RX, D, 1), D
+
+
+LINK_LOAD_CASES = [  # network per scheme, D, [(scheme, (max_tx, max_rx, total subnet hops))]
+    pytest.param(lambda s: build_wyner(16, 3), 6, [
+        (Scheme.BOTH_COMP_RX, (1, 2, 24)), (Scheme.BOTH_COMP_TX, (2, 1, 24)),
+        (Scheme.SLOW_COMP_RX, (0, 3, 24)), (Scheme.SLOW_COMP_TX, (3, 0, 24))], id="wyner"),
+    pytest.param(lambda s: build_hex_torus(scheme_tau(HEX, s, 8), 2, 3), 8, [
+        (Scheme.BOTH_COMP_RX, (1, 7, 336)), (Scheme.BOTH_COMP_TX, (7, 1, 336)),
+        (Scheme.SLOW_COMP_RX, (0, 16, 720)), (Scheme.SLOW_COMP_TX, (16, 0, 720))],
+        id="hex-torus"),
+    pytest.param(lambda s: build_sectored_hex_torus(2, 2, 3), 4, [
+        (Scheme.BOTH_COMP_RX, (1, 3, 144)), (Scheme.SLOW_COMP_RX, (0, 6, 144))],
+        id="sectorized-torus"),
+    pytest.param(lambda s: build_sectored_hex(6, 3), 4, [
+        (Scheme.BOTH_COMP_RX, (1, 3, 348)), (Scheme.SLOW_COMP_RX, (0, 6, 348))],
+        id="sectorized-ball"),
+]
+
+
+@pytest.mark.parametrize("make, D, expected", LINK_LOAD_CASES)
+def test_link_loads_golden(make, D, expected):
+    for scheme, want in expected:
+        net = make(scheme)
+        led, _, subnets = ledger_for(net, D, scheme)
+        total_hops = sum(sum(s.gamma.values()) for s in subnets)
+        assert (led.max_tx_link_load, led.max_rx_link_load, total_hops) == want, scheme

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
-from mgnet import (build_hex, build_hex_torus, build_sectored_hex,
+from mgnet import (SECTORED, build_hex, build_hex_torus, build_sectored_hex,
                    build_sectored_hex_torus, build_wyner, hex_distance)
-from mgnet.topology import SECTOR_RULE, network_from_json_dict
+from mgnet.topology import SECTOR_KINDS, SECTOR_RULE, network_from_json_dict
 
 
 def brute_hexdist(c1, c2):
@@ -33,7 +34,6 @@ def test_wyner_basic():
 
 
 def test_wyner_rejects_bad_args():
-    import pytest
     with pytest.raises(ValueError):
         build_wyner(0, 1)
     with pytest.raises(ValueError):
@@ -164,3 +164,29 @@ def test_network_json_round_trip():
         assert clone.rx_coop == net.rx_coop
         assert (clone.q_tx, clone.q_rx) == (net.q_tx, net.q_rx)
         assert clone.to_json_dict() == net.to_json_dict()
+
+
+FIVE_NETWORKS = {
+    "wyner": lambda: build_wyner(10, 2),
+    "hex-ball": lambda: build_hex(2, 1),
+    "hex-torus": lambda: build_hex_torus(4, 1, 3),
+    "sectorized-ball": lambda: build_sectored_hex(2, 2),
+    "sectorized-torus": lambda: build_sectored_hex_torus(2, 1, 1),
+}
+
+
+@pytest.mark.parametrize("make", FIVE_NETWORKS.values(), ids=FIVE_NETWORKS.keys())
+def test_network_shape(make):
+    net = make()
+    assert list(net.coords) == list(net.tx_nodes)  # Tx coordinates only, no cell keys
+    assert list(net.cell_coords) == list(net.rx_nodes)
+    assert {net.cell_of(t) for t in net.tx_nodes} <= set(net.rx_nodes)
+    if net.model != SECTORED:
+        assert net.cell_coords is net.coords
+        assert all(net.cell_of(t) == t for t in net.tx_nodes)
+        return
+    for i in net.rx_nodes:
+        sectors = net.cell_sectors[i]
+        assert sorted(sectors) == [t for t in net.tx_nodes if net.cell_of(t) == i]
+        assert sorted(net.coords[t][1] for t in sectors) == sorted(SECTOR_KINDS)
+        assert all(net.coords[t][0] == net.cell_coords[i] for t in sectors)
