@@ -6,15 +6,18 @@ decimal when possible plus the exact numerator/denominator columns.
 
 Exit codes: 0 success, 2 invalid parameters (the message names the violated
 precondition), 3 `validate` found a violated precondition, 1 internal failure.
+
+`main` may be called any number of times in one process; every call reuses
+the one parser that `make_parser` builds on first use.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -177,7 +180,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Every `main` call parses with this one object, so callers must not
+    mutate it (add arguments, change defaults).
+    """
     ap = argparse.ArgumentParser(prog="mgnet", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -232,7 +241,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    os.environ.get("MGNET_SEED")  # accepted for harness compatibility; output is deterministic
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)

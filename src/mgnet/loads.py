@@ -92,6 +92,8 @@ class ClosedForm:
 def formulas(model: str, D: int, L: int) -> dict[str, Fraction]:
     """All closed-form MG values and prelog requirements of one model at (D, L)."""
     check_params(model, Scheme.NO_COOP, D, L)  # the model and L; any D >= 0
+    if D == 0 and model != WYNER:
+        raise ValueError(f"D=0: the {model} closed forms divide by D; need D >= 1")
     F = Fraction
     if model == WYNER:
         odd_master = (D // 2 + 1) % 2 == 1

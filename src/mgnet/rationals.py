@@ -25,32 +25,22 @@ def ratio_from_json(obj: dict) -> Fraction:
     return Fraction(obj["num"], obj["den"])
 
 
-def _den_is_decimal(den: int) -> bool:
-    for p in (2, 5):
-        while den % p == 0:
-            den //= p
-    return den == 1
-
-
 def ratio_to_csv(x: Fraction | int) -> str:
     """Exact decimal when the denominator divides a power of 10, else 12 significant digits."""
     f = Fraction(x)
-    if _den_is_decimal(f.denominator):
-        digits = 0
-        den = f.denominator
-        while den % 2 == 0:
-            den //= 2
-            digits += 1
-        den = f.denominator
-        d5 = 0
-        while den % 5 == 0:
-            den //= 5
-            d5 += 1
-        digits = max(digits, d5)
-        scaled = f.numerator * 10**digits // f.denominator
-        if digits == 0:
-            return str(scaled)
-        sign = "-" if scaled < 0 else ""
-        s = str(abs(scaled)).rjust(digits + 1, "0")
-        return f"{sign}{s[:-digits]}.{s[-digits:]}"
-    return f"{float(f):.12g}"
+    den, twos, fives = f.denominator, 0, 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return f"{float(f):.12g}"
+    digits = max(twos, fives)
+    scaled = f.numerator * 10**digits // f.denominator
+    if digits == 0:
+        return str(scaled)
+    sign = "-" if scaled < 0 else ""
+    s = str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{sign}{s[:-digits]}.{s[-digits:]}"

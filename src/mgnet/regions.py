@@ -18,6 +18,7 @@ All geometry is exact rational arithmetic; no tolerances anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -57,29 +58,41 @@ def _cross(o: MgPoint, a: MgPoint, b: MgPoint) -> Fraction:
     return (a.s_f - o.s_f) * (b.s_s - o.s_s) - (a.s_s - o.s_s) * (b.s_f - o.s_f)
 
 
+def _chain(order, xy: list[tuple[int, int]]) -> list[int]:
+    """One monotone-chain pass over integer points; returns the kept indices."""
+    kept: list[int] = []
+    for i in order:
+        x, y = xy[i]
+        while len(kept) >= 2:
+            ox, oy = xy[kept[-2]]
+            ax, ay = xy[kept[-1]]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                break
+            kept.pop()
+        kept.append(i)
+    return kept
+
+
 def convex_hull(points: list[MgPoint]) -> MgRegion:
-    """Monotone-chain hull; collinear boundary points are dropped."""
+    """Monotone-chain hull; collinear boundary points are dropped.
+
+    The orientation tests run on integers: every point is scaled by the lcm
+    of all denominators, which keeps the sort order and every cross-product
+    sign, so the hull is the exact rational one.
+    """
     if not points:
         raise ValueError("need at least one point")
     pts = sorted(set(MgPoint(Fraction(p[0]), Fraction(p[1])) for p in points))
-    if len(pts) == 1:
-        return MgRegion((pts[0],))
-    if len(pts) == 2:
+    if len(pts) <= 2:
         return MgRegion(tuple(pts))
-    lower: list[MgPoint] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[MgPoint] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    xy = [(p.s_f.numerator * (scale // p.s_f.denominator),
+           p.s_s.numerator * (scale // p.s_s.denominator)) for p in pts]
+    idx = range(len(pts))
+    hull = _chain(idx, xy)[:-1] + _chain(reversed(idx), xy)[:-1]
     if len(hull) < 3:  # all points collinear
         return MgRegion((pts[0], pts[-1]))
-    return MgRegion(tuple(hull))
+    return MgRegion(tuple(pts[i] for i in hull))
 
 
 def contains(region: MgRegion, p: MgPoint) -> bool:

@@ -153,6 +153,33 @@ def test_unknown_figure_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once():
+    from mgnet.cli import make_parser
+    assert make_parser() is make_parser()
+
+
+REUSED = [
+    ("region", "--model", "hex", "--D", "8", "--L", "3", "--mu-tx", "5/8", "--mu-rx", "7/4"),
+    ("region", "--model", "sectorized", "--D", "4", "--L", "3",
+     "--mu-tx", "1/2", "--mu-rx", "5/2", "--format", "csv"),
+    ("figure", "--which", "fig8"),
+]
+
+
+def test_parser_reuse_after_rejections_gives_identical_output(capsys):
+    first = [run(capsys, *argv) for argv in REUSED]
+    assert all(code == 0 and out for code, out, _ in first)
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the argument
+        run(capsys, "figure", "--which", "fig99")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert [run(capsys, *argv) for argv in REUSED] == first
+    code, out, err = run(capsys, "region", "--model", "wyner", "--D", "4", "--L", "0",
+                         "--mu-tx", "1", "--mu-rx", "1")  # ValueError, exit 2
+    assert (code, out) == (2, "") and "L=0" in err
+    assert [run(capsys, *argv) for argv in REUSED] == first
+
+
 def test_csv_rendering_rules():
     from mgnet.rationals import ratio_to_csv
     assert ratio_to_csv(F(21, 8)) == "2.625"

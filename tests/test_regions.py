@@ -13,6 +13,7 @@ from mgnet import (HEX, SECTORED, WYNER, HalfPlane, MgPoint, achievable_region,
                    convex_hull, is_subset, outer_bound_wyner,
                    outer_polygon_wyner, region_subset)
 from mgnet.loads import formulas
+from mgnet.regions import _cross
 
 
 def test_alpha_wyner_examples():
@@ -74,6 +75,68 @@ def test_hull_contains_inputs_and_is_idempotent(pts):
     hull = convex_hull(mg)
     assert all(contains(hull, p) for p in mg)
     assert convex_hull(list(hull.vertices)) == hull
+
+
+def _fraction_hull(points):
+    """The monotone chain with Fraction cross products, kept as an oracle."""
+    pts = sorted(set(MgPoint(F(a), F(b)) for a, b in points))
+    if len(pts) <= 2:
+        return tuple(pts)
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    return tuple(hull) if len(hull) >= 3 else (pts[0], pts[-1])
+
+
+big_primes = st.sampled_from([999983, 1000003, 1000033, 2**31 - 1, 2**61 - 1])
+wide = st.one_of(
+    points,
+    st.tuples(st.integers(-10**12, 10**12), big_primes).map(lambda t: F(t[0], t[1])),
+    st.fractions(min_value=-5, max_value=5, max_denominator=10**9),
+)
+point_lists = st.lists(st.tuples(wide, wide), min_size=1, max_size=16)
+
+
+@given(st.one_of(
+    point_lists,
+    # duplicates: every point drawn from a pool of at most three
+    st.lists(st.tuples(points, points), min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)),
+    # collinear: points on one line through a rational base point
+    st.tuples(wide, wide, wide, wide, st.lists(wide, min_size=1, max_size=8)).map(
+        lambda t: [(t[0] + k * t[2], t[1] + k * t[3]) for k in t[4]]),
+))
+def test_hull_equals_fraction_oracle(pts):
+    assert convex_hull([MgPoint(a, b) for a, b in pts]).vertices == _fraction_hull(pts)
+
+
+@pytest.mark.parametrize("pts", [
+    [(F(1, 3), F(-2, 7))],
+    [(F(1, 3), F(-2, 7)), (F(1, 3), F(-2, 7))],
+    [(F(1, 3), F(-2, 7)), (F(-5, 11), F(4, 13))],
+    [(F(0), F(0)), (F(1, 999983), F(1, 1000003)), (F(2, 999983), F(2, 1000003))],
+    [(F(0), F(0)), (F(1, 999983), F(1, 1000003)), (F(1, 1000003), F(1, 999983))],
+])
+def test_hull_equals_fraction_oracle_small_cases(pts):
+    assert convex_hull([MgPoint(a, b) for a, b in pts]).vertices == _fraction_hull(pts)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: formulas(HEX, 0, 3),
+    lambda: formulas(SECTORED, 0, 3),
+    lambda: alphas_hex(F(1), F(1), 0, 3),
+    lambda: alphas_sectored(F(1), F(1), 0, 3),
+])
+def test_d0_closed_forms_raise_value_error(call):
+    with pytest.raises(ValueError, match="D=0"):
+        call()
 
 
 def test_outer_bound_examples():
