@@ -5,7 +5,8 @@ Rationals are accepted as 'p/q' strings and emitted exactly; CSV renders a
 decimal when possible plus the exact numerator/denominator columns.
 
 Exit codes: 0 success, 2 invalid parameters (the message names the violated
-precondition), 3 `validate` found a violated precondition, 1 internal failure.
+precondition), 3 `validate` found a violated precondition or `loads --tiling`
+found a torus ledger that differs from the closed form, 1 internal failure.
 
 `main` may be called any number of times in one process; every call reuses
 the one parser that `make_parser` builds on first use.
@@ -123,7 +124,9 @@ def cmd_loads(args) -> int:
         "exact_match": ledger.mu_tx == cf.mu_tx and ledger.mu_rx == cf.mu_rx,
     }
     _emit(args, json.dumps(out, indent=2) + "\n")
-    return 0
+    # only a torus is free of edge effects; lines and balls differ by design
+    # (wyner ignores --tiling, so ask the network, not the arguments)
+    return 3 if "tau" in net.params and not out["exact_match"] else 0
 
 
 def cmd_closed_form(args) -> int:

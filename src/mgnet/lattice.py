@@ -17,6 +17,14 @@ exactly tau tile the plane into disjoint radius-(tau-1) balls.
 3 x 3 window of masters around the cell's rounded lattice point.  On a
 torus, a master reached by several wraps (small tori) gives one hit per
 wrap; hits are ordered by canonical master, then by wrap.
+
+A torus of M copies of spacing tau identifies cells that differ by
+(i + 2j, 2i + j) * tau * M.  With P = 3 * tau * M, its canonical cells are
+the fundamental domain { 0 <= 2b - a < P, 0 <= 2a - b < P }, which
+``cells()`` enumerates row by row.  ``canon`` reaches it in one exact step:
+subtracting (m + 2n, 2m + n) * tau * M lowers 2b - a by m * P and 2a - b
+by n * P, so m = (2b - a) // P and n = (2a - b) // P land every point in
+the domain.
 """
 
 from __future__ import annotations
@@ -105,21 +113,21 @@ class TorusGeometry:
         return 3 * self.tau * self.copies
 
     def canon(self, c: Coord) -> Coord:
+        """The representative of ``c`` in the fundamental domain."""
         mt = self.tau * self.copies
+        P = 3 * mt
         a, b = c
-        for _ in range(4):
-            m = (2 * b - a) // self.period
-            n = (2 * a - b) // self.period
-            if m == 0 and n == 0:
-                return (a, b)
-            a -= (m + 2 * n) * mt
-            b -= (2 * m + n) * mt
-        raise AssertionError(f"canonicalisation did not converge for {c}")
+        m = (2 * b - a) // P
+        n = (2 * a - b) // P
+        return (a - (m + 2 * n) * mt, b - (2 * m + n) * mt)
 
     def cells(self) -> list[Coord]:
-        reps = {self.canon((a, b)) for a in range(self.period) for b in range(self.period)}
-        assert len(reps) == 3 * self.copies**2 * self.tau**2
-        return sorted(reps)
+        """The fundamental domain, sorted by (a, b)."""
+        P = self.period
+        out = [(a, b) for a in range(P)
+               for b in range(max((a + 1) // 2, 2 * a - P + 1), min(2 * a, (P + a - 1) // 2) + 1)]
+        assert len(out) == 3 * self.copies**2 * self.tau**2
+        return out
 
     def masters(self) -> list[Coord]:
         t, M = self.tau, self.copies
@@ -136,6 +144,9 @@ class TorusGeometry:
         if tau != self.tau:
             raise ValueError(f"torus was built for tau={self.tau}, not tau={tau}")
         best, plane_hits = _nearest_on_plane(c, tau)
+        if len(plane_hits) == 1:  # nothing to order
+            p, r = plane_hits[0]
+            return best, [(self.canon(p), r)]
         keyed = []
         for p, r in plane_hits:
             m = self.canon(p)

@@ -137,14 +137,21 @@ def build_wyner(K: int, L: int) -> Network:
 
 
 def _cell_adjacency(index: dict[Coord, int], canon) -> dict[int, tuple[int, ...]]:
-    """6-neighbour graph of the cells in ``index`` (canonical coordinate -> id)."""
+    """6-neighbour graph of the cells in ``index`` (canonical coordinate -> id).
+
+    Keys are canonical, so a raw neighbour found in ``index`` is already the
+    canonical one; only a step across a torus seam needs ``canon``.
+    """
     adj: dict[int, tuple[int, ...]] = {}
     for c, i in index.items():
         nbrs = []
         for da, db in NEIGHBOR_STEPS:
-            n = canon((c[0] + da, c[1] + db))
-            if n in index:
-                nbrs.append(index[n])
+            n = (c[0] + da, c[1] + db)
+            j = index.get(n)
+            if j is None:
+                j = index.get(canon(n))
+            if j is not None:
+                nbrs.append(j)
         adj[i] = tuple(sorted(set(nbrs)))
     return adj
 
@@ -207,9 +214,13 @@ def _sectored_from_cells(cells: list[Coord], L: int, canon, params: dict,
         for k in SECTOR_KINDS:
             nbrs = []
             for k2, (da, db) in SECTOR_RULE[k]:
-                n = canon((c[0] + da, c[1] + db))
-                if n in index:
-                    nbrs.append(sector_id(index[n], k2))
+                # canonical keys: canon only when the raw cell is off the domain
+                n = (c[0] + da, c[1] + db)
+                j = index.get(n)
+                if j is None:
+                    j = index.get(canon(n))
+                if j is not None:
+                    nbrs.append(sector_id(j, k2))
             interference[sector_id(i, k)] = tuple(sorted(set(nbrs)))
     q_tx = sum(len(v) for v in interference.values())
 

@@ -111,24 +111,24 @@ def fast_noninterference(net: Network, assoc: Association) -> ValidationReport:
     return report
 
 
-def _components(net: Network, active: set[int]) -> list[list[int]]:
-    seen: set[int] = set()
+def _components(net: Network, roles: dict[int, Role]) -> tuple[list[list[int]], dict[int, int]]:
+    """Components of the active interference graph, and each active node's component index."""
+    owner: dict[int, int] = {}
     comps = []
+    adj, silent = net.interference, Role.SILENT
     for start in net.tx_nodes:
-        if start not in active or start in seen:
+        if start in owner or roles[start] is silent:
             continue
+        i = len(comps)
+        owner[start] = i
         comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in net.interference[u]:
-                if v in active and v not in seen:
-                    seen.add(v)
+        for u in comp:  # breadth first: comp grows behind the cursor
+            for v in adj[u]:
+                if v not in owner and roles[v] is not silent:
+                    owner[v] = i
                     comp.append(v)
-                    queue.append(v)
         comps.append(sorted(comp))
-    return comps
+    return comps, owner
 
 
 def _bfs_hops(adj: dict[int, tuple[int, ...]], allowed: set[int], start: int) -> dict[int, int]:
@@ -147,8 +147,8 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], Va
     """Connected components of the active interference graph, with masters and hop counts."""
     _require_same_net(net, assoc)
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
-    active = {k for k in net.tx_nodes if assoc.roles[k] is not Role.SILENT}
-    comps = _components(net, active)
+    roles = assoc.roles
+    comps, owner = _components(net, roles)
     relaxed = net.model == WYNER or "radius" in net.params
     master_set = set(assoc.masters)
     # hops run over the cells of the CoMP side; cell_of is the identity but
@@ -158,7 +158,7 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], Va
 
     subnets = []
     for comp in comps:
-        slow = tuple(k for k in comp if assoc.roles[k] is Role.SLOW)
+        slow = tuple(k for k in comp if roles[k] is Role.SLOW)
         cells = {cell_of(k) for k in comp}
         masters = sorted(cells & master_set)
         master = masters[0] if len(masters) == 1 else None
@@ -183,10 +183,10 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], Va
         subnets.append(Subnet(tuple(comp), master, gamma, slow))
 
     # components never share an interference edge by construction; verify anyway
-    owner = {k: i for i, s in enumerate(subnets) for k in s.members}
-    for k in active:
-        for j in net.interference[k]:
-            if j in active and owner[j] != owner[k]:
+    interference = net.interference
+    for k, i in owner.items():
+        for j in interference[k]:
+            if owner.get(j, i) != i:
                 report.subnets_disjoint = False
                 report.violations.append((k, f"cross-subnet-interference-{j}"))
     return subnets, report

@@ -109,6 +109,34 @@ def test_loads_hex_tiling(capsys):
     assert ratio_from_json(doc["ledger"]["mu_rx"]) == F(7, 4)
 
 
+def test_loads_torus_mismatch_exits_3(capsys, monkeypatch):
+    import dataclasses
+
+    import mgnet.cli
+    real = mgnet.cli.closed_form
+
+    def off_by_one(*args):
+        cf = real(*args)
+        return dataclasses.replace(cf, mu_rx=cf.mu_rx + 1)
+
+    monkeypatch.setattr(mgnet.cli, "closed_form", off_by_one)
+    code, out, _ = run(capsys, "loads", "--model", "sectorized", "--D", "4", "--L", "3",
+                       "--scheme", "both-rx", "--tiling", "2x2")
+    assert code == 3
+    assert json.loads(out)["exact_match"] is False
+
+
+@pytest.mark.parametrize("size", [("--model", "hex", "--D", "8", "--radius", "6"),
+                                  ("--model", "wyner", "--D", "6", "--K", "17"),
+                                  ("--model", "wyner", "--D", "6", "--K", "17",
+                                   "--tiling", "2x2")])
+def test_loads_off_torus_mismatch_exits_0(capsys, size):
+    # edge effects make a ball or line ledger differ by design; wyner ignores --tiling
+    code, out, _ = run(capsys, "loads", *size, "--L", "3", "--scheme", "both-rx")
+    assert code == 0
+    assert json.loads(out)["exact_match"] is False
+
+
 def test_closed_form_command(capsys):
     code, out, _ = run(capsys, "closed-form", "--model", "sectorized", "--D", "4",
                        "--L", "3", "--scheme", "slow-rx")

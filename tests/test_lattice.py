@@ -56,3 +56,47 @@ def test_plane_nearest_masters_matches_exhaustive_scan(tau):
     assert len(cells) == 12 * tau * tau
     for c in cells:
         assert plane.nearest_masters(c, tau) == brute_plane_nearest(c, tau), c
+
+
+def old_canon(geo: TorusGeometry, c):
+    """The iterative wrap that ``canon`` replaced, kept as its reference."""
+    mt = geo.tau * geo.copies
+    P = 3 * mt
+    a, b = c
+    for _ in range(4):
+        m = (2 * b - a) // P
+        n = (2 * a - b) // P
+        if m == 0 and n == 0:
+            return (a, b)
+        a -= (m + 2 * n) * mt
+        b -= (2 * m + n) * mt
+    raise AssertionError(f"canonicalisation did not converge for {c}")
+
+
+def in_domain(geo: TorusGeometry, c):
+    P = geo.period
+    return 0 <= 2 * c[1] - c[0] < P and 0 <= 2 * c[0] - c[1] < P
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3, 4])
+@pytest.mark.parametrize("tau", [1, 2, 3, 4, 5, 6])
+def test_torus_cells_are_the_canonical_square(tau, copies):
+    geo = TorusGeometry(tau, copies)
+    P = geo.period
+    old = sorted({old_canon(geo, (a, b)) for a in range(P) for b in range(P)})
+    assert geo.cells() == old
+    assert all(in_domain(geo, c) and geo.canon(c) == c for c in old)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("tau", [1, 2, 3, 5])
+def test_one_step_canon_matches_iterative_wrap(tau, copies):
+    # points up to 5 periods away on either side, on a stride coprime to P
+    geo = TorusGeometry(tau, copies)
+    R = 5 * geo.period
+    for a in range(-R, R + 1, 7):
+        for b in range(-R, R + 1, 5):
+            c = geo.canon((a, b))
+            assert c == old_canon(geo, (a, b)), (a, b)
+            assert in_domain(geo, c)
+            assert geo.canon(c) == c

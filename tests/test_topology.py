@@ -6,8 +6,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from mgnet import (SECTORED, build_hex, build_hex_torus, build_sectored_hex,
+from mgnet import (HEX, SECTORED, build_hex, build_hex_torus, build_sectored_hex,
                    build_sectored_hex_torus, build_wyner, hex_distance)
+from mgnet.lattice import NEIGHBOR_STEPS, TorusGeometry
 from mgnet.topology import SECTOR_KINDS, SECTOR_RULE, network_from_json_dict
 
 
@@ -154,6 +155,37 @@ def test_sectorized_torus_regular():
     assert net.n_rx == 12 and net.n_tx == 36
     assert all(len(v) == 4 for v in net.interference.values())
     assert net.q_tx == 4 * net.n_tx and net.q_rx == 6 * net.n_rx
+
+
+def reference_torus_json(model, tau, copies, L):
+    """``to_json_dict`` of a torus built with ``canon`` on every neighbour step."""
+    geo = TorusGeometry(tau, copies)
+    index = {c: i for i, c in enumerate(geo.cells())}
+    nbr = lambda c, d: index[geo.canon((c[0] + d[0], c[1] + d[1]))]
+    pairs = lambda adj: [[i, j] for i in sorted(adj) for j in adj[i]]
+    cell_pairs = pairs({i: sorted({nbr(c, d) for d in NEIGHBOR_STEPS}) for c, i in index.items()})
+    if model == HEX:
+        nodes = [{"id": i, "coord": list(c)} for c, i in index.items()]
+        tx_pairs = cell_pairs
+    else:
+        nodes = [{"id": 3 * i + j, "coord": list(c), "kind": k}
+                 for c, i in index.items() for j, k in enumerate(SECTOR_KINDS)]
+        tx_pairs = pairs({3 * i + j: sorted({3 * nbr(c, d) + SECTOR_KINDS.index(k2)
+                                             for k2, d in SECTOR_RULE[k]})
+                          for c, i in index.items() for j, k in enumerate(SECTOR_KINDS)})
+    return {"model": model, "L": L, "params": {"tau": tau, "copies": copies},
+            "nodes": nodes, "interference": tx_pairs, "tx_coop": tx_pairs,
+            "rx_coop": cell_pairs, "q_tx": len(tx_pairs), "q_rx": len(cell_pairs)}
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
+def test_torus_builders_match_canon_on_every_step(tau, copies):
+    # on the 1x1 and 2x2 tori wraps give duplicate neighbours and self-loops
+    assert build_hex_torus(tau, copies, 2).to_json_dict() == \
+        reference_torus_json(HEX, tau, copies, 2)
+    assert build_sectored_hex_torus(tau, copies, 2).to_json_dict() == \
+        reference_torus_json(SECTORED, tau, copies, 2)
 
 
 def test_network_json_round_trip():
