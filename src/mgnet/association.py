@@ -95,12 +95,15 @@ class Role(str, enum.Enum):
 
 @dataclass
 class Association:
-    """Role per Tx node plus the designated master nodes for one scheme."""
+    """Role per Tx node plus the designated master nodes for one scheme.
+
+    ``roles`` is indexed by Tx id; the unused Wyner slot 0 holds None.
+    """
 
     net: Network
     scheme: Scheme
     D: int
-    roles: dict[int, Role]
+    roles: list[Role | None]
     masters: tuple[int, ...]  # Rx ids for CoMP reception, Tx ids for CoMP transmission
 
     def nodes_with(self, role: Role) -> list[int]:
@@ -110,7 +113,7 @@ class Association:
         return {
             "scheme": self.scheme.value,
             "D": self.D,
-            "roles": {str(k): r.value for k, r in sorted(self.roles.items())},
+            "roles": {str(k): self.roles[k].value for k in self.net.tx_nodes},
             "masters": list(self.masters),
         }
 
@@ -127,22 +130,17 @@ def assign_wyner(net: Network, D: int, scheme: Scheme) -> Association:
         raise ValueError("assign_wyner needs a Wyner network")
     check_params(WYNER, scheme, D, net.L)
     K = net.n_tx
-    roles: dict[int, Role] = {}
     masters: list[int] = []
+    # slot 0 is no node; odd nodes are fast where any are, every period-th silent
+    roles: list[Role | None] = [Role.SLOW] * (K + 1)
+    if scheme.mixed or scheme is Scheme.NO_COOP:
+        roles[1::2] = [Role.FAST] * ((K + 1) // 2)
+    period = 2 if scheme is Scheme.NO_COOP else D + 2
+    roles[::period] = [Role.SILENT] * (K // period + 1)
+    roles[0] = None
     if scheme is Scheme.NO_COOP:
-        for k in net.tx_nodes:
-            roles[k] = Role.SILENT if k % 2 == 0 else Role.FAST
         return Association(net, scheme, D, roles, ())
 
-    period = D + 2
-    silent = {j * period for j in range(1, K // period + 1)}
-    for k in net.tx_nodes:
-        if k in silent:
-            roles[k] = Role.SILENT
-        elif scheme.mixed:
-            roles[k] = Role.FAST if k % 2 == 1 else Role.SLOW
-        else:
-            roles[k] = Role.SLOW
     # one master per complete subnet {s+1, ..., s+D+1}; a short tail gets none
     s = 0
     while s + D + 1 <= K:
@@ -160,15 +158,15 @@ def scheme_tau(model: str, scheme: Scheme, D: int) -> int:
 
 def _hex_layers(net: Network, tau: int):
     """(distance-to-master-lattice, displacement reps) per cell id."""
-    geo = net.geometry
-    return {i: geo.nearest_masters(net.cell_coords[i], tau) for i in net.rx_nodes}
+    nearest = net.geometry.nearest_masters
+    return [nearest(c, tau) for c in net.cell_coords]
 
 
 def assign_hex(net: Network, D: int, scheme: Scheme) -> Association:
     if net.model != HEX:
         raise ValueError("assign_hex needs a hexagonal network")
     check_params(HEX, scheme, D, net.L)
-    roles: dict[int, Role] = {}
+    roles: list[Role | None] = [None] * len(net.coords)
     if scheme is Scheme.NO_COOP:
         for i in net.tx_nodes:
             a, b = net.coords[i]
@@ -226,7 +224,7 @@ def assign_sectored(net: Network, D: int, scheme: Scheme,
     if net.model != SECTORED:
         raise ValueError("assign_sectored needs a sectorized network")
     check_params(SECTORED, scheme, D, net.L)
-    roles: dict[int, Role] = {}
+    roles: list[Role | None] = [None] * len(net.coords)
     if scheme is Scheme.NO_COOP:
         for t in net.tx_nodes:
             _, kind = net.coords[t]

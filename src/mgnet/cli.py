@@ -5,7 +5,7 @@ Rationals are accepted as 'p/q' strings and emitted exactly; CSV renders a
 decimal when possible plus the exact numerator/denominator columns.
 
 Exit codes: 0 success, 2 invalid parameters (the message names the violated
-precondition), 3 `validate` found a violated precondition or `loads --tiling`
+precondition, or the size flag that the model does not take), 3 `validate` found a violated precondition or `loads --tiling`
 found a torus ledger that differs from the closed form, 1 internal failure.
 
 `main` may be called any number of times in one process; every call reuses
@@ -45,9 +45,16 @@ def _add_model_size(p: argparse.ArgumentParser) -> None:
 def _build_network(args, scheme: Scheme):
     model = MODELS[args.model]
     if model == WYNER:
+        for flag, value in (("--radius", args.radius), ("--tiling", args.tiling)):
+            if value is not None:
+                raise ValueError(f"the wyner model takes --K, not {flag}")
         if args.K is None:
             raise ValueError("the wyner model needs --K")
         return build_wyner(args.K, args.L)
+    if args.K is not None:
+        raise ValueError(f"the {args.model} model takes --radius or --tiling, not --K")
+    if args.radius is not None and args.tiling is not None:
+        raise ValueError("give --radius or --tiling, not both")
     if args.tiling:
         m = args.tiling.lower().split("x")
         if len(m) != 2 or m[0] != m[1] or not m[0].isdigit():
@@ -125,7 +132,6 @@ def cmd_loads(args) -> int:
     }
     _emit(args, json.dumps(out, indent=2) + "\n")
     # only a torus is free of edge effects; lines and balls differ by design
-    # (wyner ignores --tiling, so ask the network, not the arguments)
     return 3 if "tau" in net.params and not out["exact_match"] else 0
 
 

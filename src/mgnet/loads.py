@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .association import Association, Role, Scheme, check_params
 from .rationals import ratio_to_json
@@ -194,13 +195,21 @@ def message_ledger(net: Network, assoc: Association, subnets: list[Subnet]) -> L
     D, L = assoc.D, net.L
 
     precancel = 0
-    fast_cells: dict[int, set[int]] = {}
+    fast_share = 0
+    # (fast node, its slow interferers, the cells it shares its message with)
+    fast_cells: list[tuple[int, list[int], set[int]]] = []
+    interference, tx_cell = net.interference, net.tx_cell
+    fast, slow = Role.FAST, Role.SLOW
     for k in net.tx_nodes:
-        if roles[k] is Role.FAST:
-            slow_nbrs = [j for j in net.interference[k] if roles[j] is Role.SLOW]
+        if roles[k] is not fast:
+            continue
+        slow_nbrs = [j for j in interference[k] if roles[j] is slow]
+        if slow_nbrs:
+            cells = {tx_cell[j] for j in slow_nbrs}
+            cells.discard(tx_cell[k])
             precancel += len(slow_nbrs)
-            fast_cells[k] = {net.cell_of(j) for j in slow_nbrs} - {net.cell_of(k)}
-    fast_share = sum(len(c) for c in fast_cells.values())
+            fast_share += len(cells)
+            fast_cells.append((k, slow_nbrs, cells))
 
     fanin = 0
     fast_master_saved = 0
@@ -264,46 +273,55 @@ def finite_prelogs(report: LoadReport, net: Network) -> tuple[Fraction, Fraction
     return out[0], out[1]
 
 
+def _edge_offsets(adj: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Directed edge u -> adj[u][i] has index offsets[u] + i; offsets[-1] is the edge count."""
+    return list(accumulate(map(len, adj), initial=0))
+
+
 def _link_loads(net: Network, assoc: Association, subnets: list[Subnet],
-                fast_cells: dict[int, set[int]]) -> tuple[int, int]:
+                fast_cells: list[tuple[int, list[int], set[int]]]) -> tuple[int, int]:
     """Per-link message counts of the un-time-shared schedule (informational).
 
     Quantization traffic is routed along a deterministic shortest-path tree
     (lowest-id parent); CoMP-transmission dedup savings are not modelled.
+    Counters are flat lists indexed by directed edge (see ``_edge_offsets``)
+    of the Tx cooperation graph, which carries the precancelation, and of
+    the Rx cooperation graph, which carries the fast shares.
     """
-    roles = assoc.roles
-    tx_use: dict[tuple[int, int], int] = {}
-    rx_use: dict[tuple[int, int], int] = {}
+    tx_adj, rx_adj = net.tx_coop, net.rx_coop
+    tx_off, rx_off = _edge_offsets(tx_adj), _edge_offsets(rx_adj)
+    tx_use, rx_use = [0] * tx_off[-1], [0] * rx_off[-1]
+    tx_cell = net.tx_cell
 
-    def bump(use, a, b):
-        use[(a, b)] = use.get((a, b), 0) + 1
-
-    for k, cells in fast_cells.items():
-        for j in net.interference[k]:
-            if roles[j] is Role.SLOW:
-                bump(tx_use, j, k)
-        src = net.cell_of(k)
+    for k, slow_nbrs, cells in fast_cells:
+        for j in slow_nbrs:
+            tx_use[tx_off[j] + tx_adj[j].index(k)] += 1
+        src = tx_cell[k]
         for c in cells:
-            bump(rx_use, src, c)
+            rx_use[rx_off[src] + rx_adj[src].index(c)] += 1
 
-    coop = net.rx_coop if assoc.scheme.comp_side != "tx" else net.tx_coop
-    use = rx_use if assoc.scheme.comp_side != "tx" else tx_use
-    cell_of = net.cell_of
+    if assoc.scheme.comp_side == "tx":
+        coop, off, use = tx_adj, tx_off, tx_use
+    else:
+        coop, off, use = rx_adj, rx_off, rx_use
     for sub in subnets:
         if sub.master is None:
             continue
-        hops = {cell_of(k): g for k, g in sub.gamma.items()}
+        hops = {tx_cell[k]: g for k, g in sub.gamma.items()}
         hops[sub.master] = 0
-        parent = {}
-        for c, g in hops.items():
-            if g == 0:
-                continue
-            parent[c] = min(v for v in coop[c] if hops.get(v, 10**9) == g - 1)
+        # slow members in each cell's subtree; each one crosses the cell's
+        # uplink once in and once out
+        below = dict.fromkeys(hops, 0)
         for k in sub.slow_members:
-            c = cell_of(k)
-            while hops[c] > 0:
-                p = parent[c]
-                bump(use, c, p)
-                bump(use, p, c)
-                c = p
-    return (max(tx_use.values(), default=0), max(rx_use.values(), default=0))
+            below[tx_cell[k]] += 1
+        for c in sorted(hops, key=hops.__getitem__, reverse=True):  # leaves first
+            n, g = below[c], hops[c]
+            if not n or not g:
+                continue
+            for i, p in enumerate(coop[c]):
+                if hops.get(p) == g - 1:  # the lowest-id parent: adjacency is sorted
+                    break
+            use[off[c] + i] += n
+            use[off[p] + coop[p].index(c)] += n
+            below[p] += n
+    return max(tx_use, default=0), max(rx_use, default=0)

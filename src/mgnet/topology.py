@@ -14,11 +14,18 @@
   cooperation stays cell-to-cell (6 neighbours), transmitter cooperation
   follows the sector interference graph (4 neighbours).
 
-Tx nodes are the keys of ``coords``, Rx cells those of ``cell_coords``,
-and ``Network.cell_of`` maps a Tx node to its cell.  In the Wyner and
-hexagonal models a node is its own cell and ``cell_coords`` is the very
-dict ``coords``; in the sectorized model ``coords`` holds (cell coordinate,
-kind) per sector.  Per-cell code uses these two and needs no model branch.
+Node ids are dense: every per-node table (``interference``, ``tx_coop``,
+``coords``, ``tx_cell``; ``rx_coop``, ``cell_coords``, ``cell_sectors``
+per Rx cell) is a sequence indexed by the id itself.  Hex and sectorized
+ids run 0..n-1.  Wyner keeps the 1-based cell numbers 1..K of the paper, so
+its tables carry an unused slot 0 (empty adjacency, no role) that is never
+in ``tx_nodes``.  ``Network.cell_of`` is one lookup in ``tx_cell``: the
+identity range for Wyner and hex, where a node is its own cell and
+``cell_coords`` is the very sequence ``coords``; in the sectorized model
+``coords`` holds (cell coordinate, kind) per sector and ``tx_cell`` maps a
+sector to its cell.  Per-cell code uses these and needs no model branch.
+Adjacency is a tuple of sorted tuples, and equal relations share one
+object (``tx_coop is interference`` in every model).
 
 Finite instances come in two flavours: hex-distance balls of a given
 radius (edge effects at the rim) and tori holding M x M whole subnets of a
@@ -28,6 +35,7 @@ oracles).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .lattice import (Coord, NEIGHBOR_STEPS, PlaneGeometry, TorusGeometry,
@@ -58,16 +66,16 @@ class Network:
     L: int
     tx_nodes: tuple[int, ...]
     rx_nodes: tuple[int, ...]
-    interference: dict[int, tuple[int, ...]]  # I_k: tx nodes heard at node k's receiver unit
-    tx_coop: dict[int, tuple[int, ...]]
-    rx_coop: dict[int, tuple[int, ...]]
+    interference: tuple[tuple[int, ...], ...]  # I_k: tx nodes heard at node k's receiver unit
+    tx_coop: tuple[tuple[int, ...], ...]
+    rx_coop: tuple[tuple[int, ...], ...]  # per Rx cell
     q_tx: int
     q_rx: int
     params: dict = field(default_factory=dict)
-    coords: dict[int, object] = field(default_factory=dict, repr=False)  # per Tx node
-    cell_coords: dict[int, Coord] = field(default_factory=dict, repr=False)  # per Rx cell
-    tx_cell: dict[int, int] = field(default_factory=dict, repr=False)  # sector -> cell (sectorized)
-    cell_sectors: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    coords: Sequence = field(default=(), repr=False)  # per Tx node
+    cell_coords: Sequence = field(default=(), repr=False)  # per Rx cell
+    tx_cell: Sequence[int] = field(default=(), repr=False)  # Tx node -> Rx cell
+    cell_sectors: Sequence[tuple[int, ...]] = field(default=(), repr=False)  # sectorized only
     geometry: object | None = field(default=None, repr=False)
 
     @property
@@ -80,7 +88,7 @@ class Network:
 
     def cell_of(self, tx: int) -> int:
         """The Rx cell that Tx node ``tx`` sits in."""
-        return self.tx_cell[tx] if self.model == SECTORED else tx
+        return self.tx_cell[tx]
 
     def to_json_dict(self) -> dict:
         if self.model == SECTORED:
@@ -90,7 +98,7 @@ class Network:
             nodes = [{"id": t, "coord": list(self.coords[t])} for t in self.tx_nodes]
         else:
             nodes = [{"id": t, "coord": t} for t in self.tx_nodes]
-        pairs = lambda adj: [[a, b] for a in sorted(adj) for b in adj[a]]
+        pairs = lambda adj: [[a, b] for a, nbrs in enumerate(adj) for b in nbrs]
         return {
             "model": self.model,
             "L": self.L,
@@ -121,29 +129,36 @@ def network_from_json_dict(obj: dict) -> Network:
 
 
 def build_wyner(K: int, L: int) -> Network:
-    """Linear network with cells 1..K; node k interferes with k-1 and k+1."""
+    """Linear network with cells 1..K; node k interferes with k-1 and k+1.
+
+    Slot 0 of every table is unused, so that a cell's id is its number.
+    """
     if K < 1 or L < 1:
         raise ValueError("K and L must be positive")
-    nodes = tuple(range(1, K + 1))
-    adj = {k: tuple(n for n in (k - 1, k + 1) if 1 <= n <= K) for k in nodes}
-    q = sum(len(v) for v in adj.values())
-    coords = {k: k for k in nodes}
+    ids = range(K + 1)
+    nodes = tuple(ids[1:])
+    if K == 1:
+        adj: tuple[tuple[int, ...], ...] = ((), ())
+    else:  # the neighbour tuples share the int objects of ``nodes``
+        adj = ((), nodes[1:2], *zip(nodes, nodes[2:]), nodes[-2:-1])
+    q = 2 * K - 2
     return Network(
         model=WYNER, L=L, tx_nodes=nodes, rx_nodes=nodes,
-        interference=adj, tx_coop=dict(adj), rx_coop=dict(adj),
+        interference=adj, tx_coop=adj, rx_coop=adj,
         q_tx=q, q_rx=q, params={"K": K},
-        coords=coords, cell_coords=coords,
+        coords=ids, cell_coords=ids, tx_cell=ids,
     )
 
 
-def _cell_adjacency(index: dict[Coord, int], canon) -> dict[int, tuple[int, ...]]:
+def _cell_adjacency(index: dict[Coord, int], canon) -> tuple[tuple[int, ...], ...]:
     """6-neighbour graph of the cells in ``index`` (canonical coordinate -> id).
 
-    Keys are canonical, so a raw neighbour found in ``index`` is already the
-    canonical one; only a step across a torus seam needs ``canon``.
+    ``index`` lists the cells in id order.  Keys are canonical, so a raw
+    neighbour found in ``index`` is already the canonical one; only a step
+    across a torus seam needs ``canon``.
     """
-    adj: dict[int, tuple[int, ...]] = {}
-    for c, i in index.items():
+    adj = []
+    for c in index:
         nbrs = []
         for da, db in NEIGHBOR_STEPS:
             n = (c[0] + da, c[1] + db)
@@ -152,22 +167,21 @@ def _cell_adjacency(index: dict[Coord, int], canon) -> dict[int, tuple[int, ...]
                 j = index.get(canon(n))
             if j is not None:
                 nbrs.append(j)
-        adj[i] = tuple(sorted(set(nbrs)))
-    return adj
+        adj.append(tuple(sorted(set(nbrs))))
+    return tuple(adj)
 
 
 def _hex_from_cells(cells: list[Coord], L: int, canon, params: dict,
                     geometry) -> Network:
-    index = {c: i for i, c in enumerate(cells)}
-    adj = _cell_adjacency(index, canon)
-    q = sum(len(v) for v in adj.values())
-    nodes = tuple(range(len(cells)))
-    coords = {i: c for c, i in index.items()}
+    adj = _cell_adjacency({c: i for i, c in enumerate(cells)}, canon)
+    q = sum(map(len, adj))
+    ids = range(len(cells))
+    nodes = tuple(ids)
     return Network(
         model=HEX, L=L, tx_nodes=nodes, rx_nodes=nodes,
-        interference=adj, tx_coop=dict(adj), rx_coop=dict(adj),
+        interference=adj, tx_coop=adj, rx_coop=adj,
         q_tx=q, q_rx=q, params=params,
-        coords=coords, cell_coords=coords,
+        coords=cells, cell_coords=cells, tx_cell=ids,
         geometry=geometry,
     )
 
@@ -191,47 +205,39 @@ def build_hex_torus(tau: int, copies: int, L: int) -> Network:
 
 def _sectored_from_cells(cells: list[Coord], L: int, canon, params: dict,
                          geometry) -> Network:
+    """Sector ``3 * i + j`` is the ``SECTOR_KINDS[j]`` sector of cell ``i``."""
     index = {c: i for i, c in enumerate(cells)}
     rx_nodes = tuple(range(len(cells)))
-    kind_idx = {k: j for j, k in enumerate(SECTOR_KINDS)}
-
-    def sector_id(cell: int, kind: str) -> int:
-        return 3 * cell + kind_idx[kind]
-
     tx_nodes = tuple(range(3 * len(cells)))
-    coords: dict[int, object] = {}
-    tx_cell: dict[int, int] = {}
-    cell_sectors: dict[int, tuple[int, ...]] = {}
-    for c, i in index.items():
-        ids = tuple(sector_id(i, k) for k in SECTOR_KINDS)
-        cell_sectors[i] = ids
-        for k, t in zip(SECTOR_KINDS, ids):
-            coords[t] = (c, k)
-            tx_cell[t] = i
+    kind_idx = {k: j for j, k in enumerate(SECTOR_KINDS)}
+    rules = [[(kind_idx[k2], da, db) for k2, (da, db) in SECTOR_RULE[k]]
+             for k in SECTOR_KINDS]
 
-    interference: dict[int, tuple[int, ...]] = {}
-    for c, i in index.items():
-        for k in SECTOR_KINDS:
+    interference = []
+    for c in cells:
+        for rule in rules:
             nbrs = []
-            for k2, (da, db) in SECTOR_RULE[k]:
+            for j2, da, db in rule:
                 # canonical keys: canon only when the raw cell is off the domain
                 n = (c[0] + da, c[1] + db)
                 j = index.get(n)
                 if j is None:
                     j = index.get(canon(n))
                 if j is not None:
-                    nbrs.append(sector_id(j, k2))
-            interference[sector_id(i, k)] = tuple(sorted(set(nbrs)))
-    q_tx = sum(len(v) for v in interference.values())
+                    nbrs.append(3 * j + j2)
+            interference.append(tuple(sorted(set(nbrs))))
+    interference = tuple(interference)
+    q_tx = sum(map(len, interference))
 
     rx_coop = _cell_adjacency(index, canon)
-    q_rx = sum(len(v) for v in rx_coop.values())
+    q_rx = sum(map(len, rx_coop))
     return Network(
         model=SECTORED, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
-        interference=interference, tx_coop=dict(interference), rx_coop=rx_coop,
+        interference=interference, tx_coop=interference, rx_coop=rx_coop,
         q_tx=q_tx, q_rx=q_rx, params=params,
-        coords=coords, cell_coords={i: c for c, i in index.items()},
-        tx_cell=tx_cell, cell_sectors=cell_sectors,
+        coords=[(c, k) for c in cells for k in SECTOR_KINDS], cell_coords=cells,
+        tx_cell=[i for i in rx_nodes for _ in SECTOR_KINDS],
+        cell_sectors=[tx_nodes[3 * i:3 * i + 3] for i in rx_nodes],
         geometry=geometry,
     )
 

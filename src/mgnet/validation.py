@@ -18,7 +18,6 @@ reachability check when they lack a master.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .association import Association, Role, Scheme
@@ -101,45 +100,53 @@ def fast_noninterference(net: Network, assoc: Association) -> ValidationReport:
     """No fast Tx may appear in the interference set of a fast node's receiver unit."""
     _require_same_net(net, assoc)
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
+    roles, fast = assoc.roles, Role.FAST
     for k in net.tx_nodes:
-        if assoc.roles[k] is not Role.FAST:
+        if roles[k] is not fast:
             continue
         for j in net.interference[k]:
-            if assoc.roles[j] is Role.FAST:
+            if roles[j] is fast:
                 report.fast_independent = False
                 report.violations.append((k, f"fast-interference-from-{j}"))
     return report
 
 
-def _components(net: Network, roles: dict[int, Role]) -> tuple[list[list[int]], dict[int, int]]:
-    """Components of the active interference graph, and each active node's component index."""
-    owner: dict[int, int] = {}
+def _components(net: Network, roles: list[Role | None]) -> tuple[list[list[int]], list[int | None]]:
+    """Components of the active interference graph, and each Tx id's component index.
+
+    The index is None for silent nodes (and the unused Wyner slot 0).
+    """
+    owner: list[int | None] = [None] * len(roles)
     comps = []
     adj, silent = net.interference, Role.SILENT
     for start in net.tx_nodes:
-        if start in owner or roles[start] is silent:
+        if owner[start] is not None or roles[start] is silent:
             continue
         i = len(comps)
         owner[start] = i
         comp = [start]
         for u in comp:  # breadth first: comp grows behind the cursor
             for v in adj[u]:
-                if v not in owner and roles[v] is not silent:
+                if owner[v] is None and roles[v] is not silent:
                     owner[v] = i
                     comp.append(v)
         comps.append(sorted(comp))
     return comps, owner
 
 
-def _bfs_hops(adj: dict[int, tuple[int, ...]], allowed: set[int], start: int) -> dict[int, int]:
+def _bfs_hops(adj: tuple[tuple[int, ...], ...], allowed: set[int], start: int) -> dict[int, int]:
     hops = {start: 0}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v in allowed and v not in hops:
-                hops[v] = hops[u] + 1
-                queue.append(v)
+    frontier = [start]
+    g = 0
+    while frontier:  # level by level
+        g += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v in allowed and v not in hops:
+                    hops[v] = g
+                    nxt.append(v)
+        frontier = nxt
     return hops
 
 
@@ -151,15 +158,16 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], Va
     comps, owner = _components(net, roles)
     relaxed = net.model == WYNER or "radius" in net.params
     master_set = set(assoc.masters)
-    # hops run over the cells of the CoMP side; cell_of is the identity but
+    # hops run over the cells of the CoMP side; tx_cell is the identity but
     # for the sectorized model, which has CoMP reception only
     adj = net.tx_coop if assoc.scheme.comp_side == "tx" else net.rx_coop
-    cell_of = net.cell_of
+    cell_of = net.tx_cell.__getitem__
+    slow_role = Role.SLOW
 
     subnets = []
     for comp in comps:
-        slow = tuple(k for k in comp if roles[k] is Role.SLOW)
-        cells = {cell_of(k) for k in comp}
+        slow = tuple(k for k in comp if roles[k] is slow_role)
+        cells = set(map(cell_of, comp))
         masters = sorted(cells & master_set)
         master = masters[0] if len(masters) == 1 else None
         if len(masters) > 1:
@@ -184,9 +192,13 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], Va
 
     # components never share an interference edge by construction; verify anyway
     interference = net.interference
-    for k, i in owner.items():
+    for k in net.tx_nodes:
+        i = owner[k]
+        if i is None:
+            continue
         for j in interference[k]:
-            if owner.get(j, i) != i:
+            o = owner[j]
+            if o is not None and o != i:
                 report.subnets_disjoint = False
                 report.violations.append((k, f"cross-subnet-interference-{j}"))
     return subnets, report

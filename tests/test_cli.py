@@ -127,14 +127,32 @@ def test_loads_torus_mismatch_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("size", [("--model", "hex", "--D", "8", "--radius", "6"),
-                                  ("--model", "wyner", "--D", "6", "--K", "17"),
-                                  ("--model", "wyner", "--D", "6", "--K", "17",
-                                   "--tiling", "2x2")])
+                                  ("--model", "wyner", "--D", "6", "--K", "17")])
 def test_loads_off_torus_mismatch_exits_0(capsys, size):
-    # edge effects make a ball or line ledger differ by design; wyner ignores --tiling
+    # edge effects make a ball or line ledger differ by design
     code, out, _ = run(capsys, "loads", *size, "--L", "3", "--scheme", "both-rx")
     assert code == 0
     assert json.loads(out)["exact_match"] is False
+
+
+UNUSED_SIZE_FLAGS = {
+    "wyner-tiling": (("loads", "--model", "wyner", "--D", "6", "--L", "3", "--K", "17",
+                      "--tiling", "2x2"), "--tiling"),
+    "wyner-radius": (("validate", "--model", "wyner", "--D", "6", "--K", "17",
+                      "--radius", "3"), "--radius"),
+    "hex-K": (("validate", "--model", "hex", "--D", "8", "--radius", "3", "--K", "17"), "--K"),
+    "sectorized-K": (("loads", "--model", "sectorized", "--D", "4", "--L", "3",
+                      "--tiling", "2x2", "--K", "17"), "--K"),
+    "hex-radius-and-tiling": (("validate", "--model", "hex", "--D", "8", "--radius", "3",
+                               "--tiling", "2x2"), "--radius or --tiling"),
+}
+
+
+@pytest.mark.parametrize("argv, flag", UNUSED_SIZE_FLAGS.values(), ids=UNUSED_SIZE_FLAGS.keys())
+def test_size_flag_the_model_does_not_use_exits_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, "--scheme", "both-rx")
+    assert (code, out) == (2, "")
+    assert flag in err
 
 
 def test_closed_form_command(capsys):

@@ -326,3 +326,72 @@ def test_link_loads_golden(make, D, expected):
         led, _, subnets = ledger_for(net, D, scheme)
         total_hops = sum(sum(s.gamma.values()) for s in subnets)
         assert (led.max_tx_link_load, led.max_rx_link_load, total_hops) == want, scheme
+
+
+def walk_link_loads(net, assoc, subnets):
+    """Per-path oracle: each slow member walks its lowest-id shortest path to the master.
+
+    A dict keyed by directed link (a, b), bumped once per message and hop,
+    written independently of the edge-indexed counters of the library.
+    """
+    roles = assoc.roles
+    tx_use, rx_use = {}, {}
+
+    def bump(use, a, b):
+        use[(a, b)] = use.get((a, b), 0) + 1
+
+    for k in net.tx_nodes:
+        if roles[k] is not Role.FAST:
+            continue
+        slow = [j for j in net.interference[k] if roles[j] is Role.SLOW]
+        for j in slow:
+            bump(tx_use, j, k)
+        for c in {net.cell_of(j) for j in slow} - {net.cell_of(k)}:
+            bump(rx_use, net.cell_of(k), c)
+
+    tx_side = assoc.scheme.comp_side == "tx"
+    coop, use = (net.tx_coop, tx_use) if tx_side else (net.rx_coop, rx_use)
+    for sub in subnets:
+        if sub.master is None:
+            continue
+        hops = {net.cell_of(k): g for k, g in sub.gamma.items()}
+        hops[sub.master] = 0
+        for k in sub.slow_members:
+            c = net.cell_of(k)
+            while hops[c] > 0:
+                p = min(v for v in coop[c] if hops.get(v, -1) == hops[c] - 1)
+                bump(use, c, p)
+                bump(use, p, c)
+                c = p
+    return max(tx_use.values(), default=0), max(rx_use.values(), default=0)
+
+
+def _oracle_networks(model):
+    """(network, D, scheme) for every valid scheme and D <= 14 on small lines, balls and tori."""
+    for scheme in (SECTOR_SCHEMES if model == SECTORED else ALL_SCHEMES):
+        for D in range(15):
+            if _raises(check_params, model, scheme, D, 1):
+                continue
+            if model == WYNER:
+                for K in range(1, 41):
+                    yield build_wyner(K, 1), D, scheme
+                continue
+            ball_builder = build_hex if model == HEX else build_sectored_hex
+            for radius in range(7):
+                yield ball_builder(radius, 1), D, scheme
+            if scheme.cooperative:
+                for copies in (1, 2):
+                    yield torus_for(model, D, scheme, 1, copies), D, scheme
+
+
+@pytest.mark.parametrize("model", [WYNER, HEX, SECTORED])
+def test_link_loads_match_per_path_walk(model):
+    cases = 0
+    for net, D, scheme in _oracle_networks(model):
+        assoc = assign(net, D, scheme)
+        subnets, _ = validate(net, assoc)
+        led = message_ledger(net, assoc, subnets)
+        assert (led.max_tx_link_load, led.max_rx_link_load) == \
+            walk_link_loads(net, assoc, subnets), (net.params, D, scheme)
+        cases += 1
+    assert cases > 100

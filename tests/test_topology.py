@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import tracemalloc
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from mgnet import (HEX, SECTORED, build_hex, build_hex_torus, build_sectored_hex,
+from mgnet import (HEX, SECTORED, WYNER, build_hex, build_hex_torus, build_sectored_hex,
                    build_sectored_hex_torus, build_wyner, hex_distance)
+from mgnet.association import Scheme, assign, check_params, scheme_tau
 from mgnet.lattice import NEIGHBOR_STEPS, TorusGeometry
 from mgnet.topology import SECTOR_KINDS, SECTOR_RULE, network_from_json_dict
 
@@ -62,13 +67,13 @@ def test_hex_distance_is_a_metric(a, b, c):
 def test_hex_ball_counts():
     net = build_hex(1, 1)
     assert net.n_tx == 7
-    center = [i for i, c in net.coords.items() if c == (0, 0)][0]
+    center = net.coords.index((0, 0))
     assert len(net.interference[center]) == 6
 
     net2 = build_hex(2, 3)
     assert net2.n_tx == 19
     # independent oracle: ordered pairs at hex distance one
-    cells = list(net2.coords.values())
+    cells = [net2.coords[i] for i in net2.tx_nodes]
     pairs = sum(1 for c1 in cells for c2 in cells if c1 != c2 and brute_hexdist(c1, c2) == 1)
     assert pairs == 84
     assert net2.q_rx == 84
@@ -76,24 +81,25 @@ def test_hex_ball_counts():
 
 def test_hex_neighbor_rule():
     net = build_hex(3, 1)
-    idx = {c: i for i, c in net.coords.items()}
+    idx = {c: i for i, c in enumerate(net.coords)}
     assert idx[(1, 1)] in net.interference[idx[(0, 0)]]
     assert idx[(1, -1)] not in net.interference[idx[(0, 0)]]
 
 
 def test_hex_reciprocity_and_degree_bound():
     net = build_hex(3, 1)
-    for k, nbrs in net.interference.items():
+    for k in net.tx_nodes:
+        nbrs = net.interference[k]
         assert len(nbrs) <= 6
         for j in nbrs:
             assert k in net.interference[j]
-    interior = [i for i, c in net.coords.items() if hex_distance(c, (0, 0)) <= 2]
+    interior = [i for i in net.tx_nodes if hex_distance(net.coords[i], (0, 0)) <= 2]
     assert all(len(net.interference[i]) == 6 for i in interior)
 
 
 def test_hex_rotation_symmetry():
     net = build_hex(3, 1)
-    idx = {c: i for i, c in net.coords.items()}
+    idx = {c: i for i, c in enumerate(net.coords)}
     rot = lambda c: (c[1] - c[0], -c[0])
     edges = {(net.coords[a], net.coords[b]) for a in net.tx_nodes for b in net.interference[a]}
     assert {(rot(a), rot(b)) for a, b in edges} == edges
@@ -103,7 +109,7 @@ def test_hex_torus_counts():
     for tau, m in ((2, 1), (4, 1), (4, 2)):
         net = build_hex_torus(tau, m, 1)
         assert net.n_tx == 3 * m * m * tau * tau
-        assert all(len(v) == 6 for v in net.interference.values())
+        assert all(len(net.interference[i]) == 6 for i in net.tx_nodes)
         assert net.q_rx == 6 * net.n_tx
 
 
@@ -147,13 +153,13 @@ def test_sectorized_rx_side():
     # Tx cooperation equals sector interference adjacency
     assert net.tx_coop == net.interference
     # brute-force count of directed interfering-sector pairs
-    assert net.q_tx == sum(len(v) for v in net.interference.values())
+    assert net.q_tx == sum(len(net.interference[t]) for t in net.tx_nodes)
 
 
 def test_sectorized_torus_regular():
     net = build_sectored_hex_torus(2, 1, 1)
     assert net.n_rx == 12 and net.n_tx == 36
-    assert all(len(v) == 4 for v in net.interference.values())
+    assert all(len(net.interference[t]) == 4 for t in net.tx_nodes)
     assert net.q_tx == 4 * net.n_tx and net.q_rx == 6 * net.n_rx
 
 
@@ -210,11 +216,18 @@ FIVE_NETWORKS = {
 @pytest.mark.parametrize("make", FIVE_NETWORKS.values(), ids=FIVE_NETWORKS.keys())
 def test_network_shape(make):
     net = make()
-    assert list(net.coords) == list(net.tx_nodes)  # Tx coordinates only, no cell keys
-    assert list(net.cell_coords) == list(net.rx_nodes)
+    # dense ids: every Tx table has one slot per id, and only Wyner's slot 0 is unused
+    first = 1 if net.model == WYNER else 0
+    assert list(net.tx_nodes) == list(range(first, len(net.coords)))  # Tx coordinates only
+    assert len(net.interference) == len(net.tx_coop) == len(net.tx_cell) == len(net.coords)
+    assert list(net.rx_nodes) == list(range(first, len(net.cell_coords)))
+    assert len(net.rx_coop) == len(net.cell_coords)
     assert {net.cell_of(t) for t in net.tx_nodes} <= set(net.rx_nodes)
+    assert net.tx_coop is net.interference
     if net.model != SECTORED:
         assert net.cell_coords is net.coords
+        assert net.rx_coop is net.interference
+        assert net.tx_cell == range(len(net.coords))
         assert all(net.cell_of(t) == t for t in net.tx_nodes)
         return
     for i in net.rx_nodes:
@@ -222,3 +235,91 @@ def test_network_shape(make):
         assert sorted(sectors) == [t for t in net.tx_nodes if net.cell_of(t) == i]
         assert sorted(net.coords[t][1] for t in sectors) == sorted(SECTOR_KINDS)
         assert all(net.coords[t][0] == net.cell_coords[i] for t in sectors)
+
+
+# sha256 of json.dumps(..., sort_keys=True) of net.to_json_dict() (scheme None) and
+# of assoc.to_json_dict(), recorded when every per-node table was an int-keyed dict
+PIN_D = {"wyner": 4, "hex-ball": 8, "hex-torus": 8, "sectorized-ball": 4, "sectorized-torus": 4}
+JSON_PINS = {
+    ("wyner", None): "20ca8929bda12378f58b6ecd57ec91119530db4bcf6b5dec1f32ec7251c8a696",
+    ("wyner", "BOTH_COMP_RX"): "b04fbb4c358fd07fae718ad82eefb35be149c16f262fcc0506d21e8e07043ace",
+    ("wyner", "BOTH_COMP_TX"): "db8eb7c78e0aca7f973156dfa4646aa3d8aa8ca76aa01fc0efe330f75c0fd69f",
+    ("wyner", "SLOW_COMP_RX"): "9cfdb9405964dd5e9ccbba0cb5961f8c817f9dd53cfeb985d940ee4dff24fb5c",
+    ("wyner", "SLOW_COMP_TX"): "737fe28e9ccc806787519ebefbde7e78f1dc75e7d6d58035bd30bb9c4ca3be44",
+    ("wyner", "NO_COOP"): "730135b772fdd0c6201bcab49686aa08f75f3ebbcb2e7371ab0ca7bbe871ad0c",
+    ("hex-ball", None): "b515acdad45c16df43f8dea3ee53ae490b27ed74f9f5771274352c1a83d8ad49",
+    ("hex-ball", "BOTH_COMP_RX"): "53caf29f4886c2ffdbd121b3ee575a2640236b0bbf326f24a82050ca295dde58",
+    ("hex-ball", "BOTH_COMP_TX"): "7348d01b044a392b874798b9d94fa38b7091a5b8c4263f9339ebcc5b297f96f5",
+    ("hex-ball", "SLOW_COMP_RX"): "87dfa970f3287c2135fa881815aa36a2fa521bc150b72d8117129f2a21e4dcbe",
+    ("hex-ball", "SLOW_COMP_TX"): "1e0fb1699e6894bde9d71f8520af92b7c42f4f3d25ffb6b922e27cae0acc4ed4",
+    ("hex-ball", "NO_COOP"): "dc9bfe73d31fb1efe6f32f161c88909ae285b61fe103219ba1fce8a2a568b373",
+    ("hex-torus", None): "acefdf9d0769e8176a718079a3885329e4525ee43a2fa6bb7061586845f9eed9",
+    ("hex-torus", "BOTH_COMP_RX"): "b659cb9dc6dcfcd15211720907bb54c469b8a1e18edbde5b1996cecc847d4724",
+    ("hex-torus", "BOTH_COMP_TX"): "aeca64e1e1be7b22e66a821d51169d9ada27504341bd3983e73c410ef6380539",
+    ("hex-torus", "NO_COOP"): "0d43782e918b508c31ad256a320dbb55310568b32304c42d0bf66d6d0e105cf5",
+    ("sectorized-ball", None): "959a909c1b6c34607e87421893f1002523c035f26a845931f47ccfcaed28aa4b",
+    ("sectorized-ball", "BOTH_COMP_RX"): "66ab6e225fe1a62a930f3e857113e3c402bc05120a73fa9fb31effc69f1f9437",
+    ("sectorized-ball", "SLOW_COMP_RX"): "1ad3428b203fe639d7177315f191d29e4ccaaaac8205d01fbd29899846d74a20",
+    ("sectorized-ball", "NO_COOP"): "89150c3c341b80264309409d19326e713e720a2a2dfea884dff623127aedb170",
+    ("sectorized-torus", None): "4a8e9f6cd71aa0cb6b2cd730600d1c8e955be338ae71fba3fc3777023f4959ad",
+    ("sectorized-torus", "BOTH_COMP_RX"): "8fc0deb802f1043103681976cc0fb5ada8cc9b4cf4ff95bf7268431fc8292ac7",
+    ("sectorized-torus", "SLOW_COMP_RX"): "ac2dc0c0267294482adaa9911a0dd2b3b42ae2dcc0c8d53c2d31c8fedd30788e",
+    ("sectorized-torus", "NO_COOP"): "5ad0b2a3469ebd926c15199e5d2d0880a05ae25ec42e6a6293da7a7d51c34ea6",
+}
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _pinned_schemes(net, D):
+    """The schemes valid at D on ``net``; a torus only fits the schemes of its own spacing."""
+    for scheme in Scheme:
+        try:
+            check_params(net.model, scheme, D, net.L)
+        except ValueError:
+            continue
+        if "tau" in net.params and scheme.cooperative and \
+                scheme_tau(net.model, scheme, D) != net.params["tau"]:
+            continue
+        yield scheme
+
+
+@pytest.mark.parametrize("name", FIVE_NETWORKS)
+def test_json_is_byte_identical_to_the_dict_tables(name):
+    net = FIVE_NETWORKS[name]()
+    got = {(name, None): _sha(net.to_json_dict())}
+    for scheme in _pinned_schemes(net, PIN_D[name]):
+        got[(name, scheme.name)] = _sha(assign(net, PIN_D[name], scheme).to_json_dict())
+    assert got == {key: pin for key, pin in JSON_PINS.items() if key[0] == name}
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 10, 33])
+def test_wyner_slot_zero_is_no_node(K):
+    net = build_wyner(K, 1)
+    assert net.q_tx == net.q_rx == 2 * K - 2
+    assert net.interference[0] == () and 0 not in net.tx_nodes
+    doc = net.to_json_dict()
+    assert [n["id"] for n in doc["nodes"]] == list(range(1, K + 1))
+    assert all(0 not in pair for key in ("interference", "tx_coop", "rx_coop")
+               for pair in doc[key])
+    assert len(doc["interference"]) == net.q_tx
+    for scheme in Scheme:
+        for D in range(9):
+            if scheme.cooperative and (D < 2 or D % 2):
+                continue
+            assoc = assign(net, D, scheme)
+            assert assoc.roles[0] is None
+            assert list(assoc.to_json_dict()["roles"]) == [str(k) for k in range(1, K + 1)]
+
+
+def test_wyner_build_memory_per_node():
+    n = 100_000
+    tracemalloc.start()
+    try:
+        net = build_wyner(n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.n_tx == n
+    assert peak <= 240 * n, f"{peak / n:.0f} bytes per node"
