@@ -161,13 +161,13 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], Va
     # hops run over the cells of the CoMP side; tx_cell is the identity but
     # for the sectorized model, which has CoMP reception only
     adj = net.tx_coop if assoc.scheme.comp_side == "tx" else net.rx_coop
-    cell_of = net.tx_cell.__getitem__
+    tx_cell = net.tx_cell
     slow_role = Role.SLOW
 
     subnets = []
     for comp in comps:
         slow = tuple(k for k in comp if roles[k] is slow_role)
-        cells = set(map(cell_of, comp))
+        cells = {tx_cell[k] for k in comp}
         masters = sorted(cells & master_set)
         master = masters[0] if len(masters) == 1 else None
         if len(masters) > 1:
@@ -183,7 +183,7 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], Va
         gamma: dict[int, int] = {}
         if master is not None:
             hops = _bfs_hops(adj, cells, master)
-            gamma = {k: hops[c] for k in comp if (c := cell_of(k)) in hops}
+            gamma = {k: hops[c] for k in comp if (c := tx_cell[k]) in hops}
             for k in comp:
                 if k not in gamma:
                     report.master_reachable = False
