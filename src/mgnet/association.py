@@ -21,6 +21,12 @@ The orientation of the per-cell choices is pinned by the requirement that
 fast sectors never interfere and that the per-subnet load counts close
 (see tests); it is the unique such orientation for the sector geometry of
 this model.
+
+In both hex-lattice models a cell's roles, and whether it is a master,
+depend only on its position relative to the master lattice, so they are
+periodic modulo that lattice.  ``assign`` therefore works them out once
+per residue class (3 * tau^2 of them, one ``nearest_masters`` call each)
+and copies the result to every other cell of the class.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .lattice import Coord, is_master
-from .topology import HEX, SECTORED, WYNER, Network
+from .lattice import Coord
+from .topology import HEX, SECTOR_KINDS, SECTORED, WYNER, Network
 
 
 class Scheme(str, enum.Enum):
@@ -156,37 +162,56 @@ def scheme_tau(model: str, scheme: Scheme, D: int) -> int:
     return D // 2
 
 
-def _hex_layers(net: Network, tau: int):
-    """(distance-to-master-lattice, displacement reps) per cell id."""
+def _per_class(net: Network, tau: int, rule) -> tuple[list, list[int]]:
+    """``rule(cell, dist, hits)`` per cell id, evaluated once per master-lattice class.
+
+    Roles repeat with the spacing-tau master lattice.  The map (a, b) ->
+    (2b - a, 2a - b) is injective and sends master (m + 2n, 2m + n) * tau to
+    (3m * tau, 3n * tau), so two cells share the key (2b - a, 2a - b) mod
+    3 * tau exactly when they differ by a master vector, and the key is
+    (0, 0) exactly on masters.  Torus identifications are master vectors,
+    so canonical coordinates give the keys of the plane.  Each of the
+    3 * tau^2 classes costs one ``nearest_masters`` call, on the first cell
+    seen in it.  Returns the rule's value per cell id and the master ids.
+    """
     nearest = net.geometry.nearest_masters
-    return [nearest(c, tau) for c in net.cell_coords]
+    t3 = 3 * tau
+    table: dict[Coord, object] = {}
+    values = []
+    masters = []
+    for i, (a, b) in enumerate(net.cell_coords):
+        key = ((2 * b - a) % t3, (2 * a - b) % t3)
+        value = table.get(key)
+        if value is None:
+            c = (a, b)
+            value = table[key] = rule(c, *nearest(c, tau))
+        values.append(value)
+        if key == (0, 0):
+            masters.append(i)
+    return values, masters
 
 
 def assign_hex(net: Network, D: int, scheme: Scheme) -> Association:
     if net.model != HEX:
         raise ValueError("assign_hex needs a hexagonal network")
     check_params(HEX, scheme, D, net.L)
-    roles: list[Role | None] = [None] * len(net.coords)
     if scheme is Scheme.NO_COOP:
+        roles: list[Role | None] = [None] * len(net.coords)
         for i in net.tx_nodes:
             a, b = net.coords[i]
             roles[i] = Role.FAST if (a + b) % 3 == 0 else Role.SILENT
         return Association(net, scheme, D, roles, ())
 
     tau = scheme_tau(HEX, scheme, D)
-    layers = _hex_layers(net, tau)
-    masters = []
-    for i in net.tx_nodes:
-        a, b = net.coords[i]
-        dist = layers[i][0]
+
+    def role(c: Coord, dist: int, hits) -> Role:
         if dist == tau:
-            roles[i] = Role.SILENT
-        elif scheme.mixed and (a + b) % 3 == 0:
-            roles[i] = Role.FAST
-        else:
-            roles[i] = Role.SLOW
-        if is_master((a, b), tau):
-            masters.append(i)
+            return Role.SILENT
+        if scheme.mixed and (c[0] + c[1]) % 3 == 0:  # a + b is periodic mod 3 too
+            return Role.FAST
+        return Role.SLOW
+
+    roles, masters = _per_class(net, tau, role)  # a hex cell is its own Tx node
     return Association(net, scheme, D, roles, tuple(masters))
 
 
@@ -232,30 +257,26 @@ def assign_sectored(net: Network, D: int, scheme: Scheme,
         return Association(net, scheme, D, roles, ())
 
     tau = scheme_tau(SECTORED, scheme, D)
-    layers = _hex_layers(net, tau)
-    masters = []
-    for i in net.rx_nodes:
-        c = net.cell_coords[i]
-        dist, hits = layers[i]
-        if is_master(c, tau):
-            masters.append(i)
+    active = Role.FAST if scheme.mixed else Role.SLOW
+
+    def sector_roles(c: Coord, dist: int, hits) -> dict[str, Role]:
         if dist < tau:
             fast = None if not scheme.mixed else _sector_fast_kind(hits[0][1])
-            for t in net.cell_sectors[i]:
-                _, kind = net.coords[t]
-                roles[t] = Role.FAST if kind == fast else Role.SLOW
-        else:
-            assert dist == tau, "every cell lies within tau of a master"
-            silenced: set[str] | None = None
-            for _, delta in hits:
-                s = _sector_silenced(delta, tau)
-                if silenced is not None and s != silenced:
-                    raise AssertionError(f"inconsistent layer rules at cell {c}: {silenced} vs {s}")
-                silenced = s
-            active = Role.FAST if scheme.mixed else Role.SLOW
-            for t in net.cell_sectors[i]:
-                _, kind = net.coords[t]
-                roles[t] = Role.SILENT if kind in silenced else active
+            return {k: Role.FAST if k == fast else Role.SLOW for k in SECTOR_KINDS}
+        assert dist == tau, "every cell lies within tau of a master"
+        silenced: set[str] | None = None
+        for _, delta in hits:
+            s = _sector_silenced(delta, tau)
+            if silenced is not None and s != silenced:
+                raise AssertionError(f"inconsistent layer rules at cell {c}: {silenced} vs {s}")
+            silenced = s
+        return {k: Role.SILENT if k in silenced else active for k in SECTOR_KINDS}
+
+    per_cell, masters = _per_class(net, tau, sector_roles)
+    coords = net.coords
+    for i, kind_role in enumerate(per_cell):
+        for t in net.cell_sectors[i]:
+            roles[t] = kind_role[coords[t][1]]
     return Association(net, scheme, D, roles, tuple(masters))
 
 

@@ -44,6 +44,7 @@ def _add_model_size(p: argparse.ArgumentParser) -> None:
 
 def _build_network(args, scheme: Scheme):
     model = MODELS[args.model]
+    check_params(model, scheme, args.D, args.L)
     if model == WYNER:
         for flag, value in (("--radius", args.radius), ("--tiling", args.tiling)):
             if value is not None:

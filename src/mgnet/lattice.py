@@ -16,7 +16,12 @@ exactly tau tile the plane into disjoint radius-(tau-1) balls.
 ``nearest_masters`` is O(1) per cell on both geometries: it scans the
 3 x 3 window of masters around the cell's rounded lattice point.  On a
 torus, a master reached by several wraps (small tori) gives one hit per
-wrap; hits are ordered by canonical master, then by wrap.
+wrap; hits are ordered by canonical master, then by wrap.  Shifting a cell
+by a master vector shifts its nearest masters by that vector and keeps
+the set of displacements (a torus may list them in another order), so a
+rule that reads the distance and that set is periodic modulo the master
+lattice: association evaluates its roles once per residue class (3 * tau^2
+classes; (2b - a, 2a - b) mod 3 * tau names one).
 
 A torus of M copies of spacing tau identifies cells that differ by
 (i + 2j, 2i + j) * tau * M.  With P = 3 * tau * M, its canonical cells are

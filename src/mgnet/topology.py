@@ -112,6 +112,17 @@ class Network:
         }
 
 
+def _need_at_least(**sizes: tuple[int, int]) -> None:
+    """Raise ValueError naming the first size argument below its least value.
+
+    Keyword values are (value, least) pairs; the message reads like
+    ``check_params``: ``copies=0: need copies >= 1``.
+    """
+    for name, (value, least) in sizes.items():
+        if value < least:
+            raise ValueError(f"{name}={value}: need {name} >= {least}")
+
+
 def network_from_json_dict(obj: dict) -> Network:
     """Rebuild a network from its serialized parameters (adjacency is re-derived)."""
     model, L, p = obj["model"], obj["L"], obj["params"]
@@ -133,8 +144,7 @@ def build_wyner(K: int, L: int) -> Network:
 
     Slot 0 of every table is unused, so that a cell's id is its number.
     """
-    if K < 1 or L < 1:
-        raise ValueError("K and L must be positive")
+    _need_at_least(K=(K, 1), L=(L, 1))
     ids = range(K + 1)
     nodes = tuple(ids[1:])
     if K == 1:
@@ -188,16 +198,14 @@ def _hex_from_cells(cells: list[Coord], L: int, canon, params: dict,
 
 def build_hex(radius: int, L: int) -> Network:
     """Hexagonal network on the radius-``radius`` hex ball around the origin."""
-    if radius < 0 or L < 1:
-        raise ValueError("radius must be >= 0 and L >= 1")
+    _need_at_least(radius=(radius, 0), L=(L, 1))
     return _hex_from_cells(ball(radius), L, lambda c: c,
                            {"radius": radius}, PlaneGeometry())
 
 
 def build_hex_torus(tau: int, copies: int, L: int) -> Network:
     """Hexagonal network on a torus of ``copies`` x ``copies`` whole spacing-``tau`` subnets."""
-    if tau < 1 or copies < 1 or L < 1:
-        raise ValueError("tau, copies and L must be positive")
+    _need_at_least(tau=(tau, 1), copies=(copies, 1), L=(L, 1))
     geo = TorusGeometry(tau, copies)
     return _hex_from_cells(geo.cells(), L, geo.canon,
                            {"tau": tau, "copies": copies}, geo)
@@ -244,15 +252,13 @@ def _sectored_from_cells(cells: list[Coord], L: int, canon, params: dict,
 
 def build_sectored_hex(radius: int, L: int) -> Network:
     """Sectorized hexagonal network (3 Tx sectors per cell, one 3L-antenna Rx per cell)."""
-    if radius < 0 or L < 1:
-        raise ValueError("radius must be >= 0 and L >= 1")
+    _need_at_least(radius=(radius, 0), L=(L, 1))
     return _sectored_from_cells(ball(radius), L, lambda c: c,
                                 {"radius": radius}, PlaneGeometry())
 
 
 def build_sectored_hex_torus(tau: int, copies: int, L: int) -> Network:
-    if tau < 1 or copies < 1 or L < 1:
-        raise ValueError("tau, copies and L must be positive")
+    _need_at_least(tau=(tau, 1), copies=(copies, 1), L=(L, 1))
     geo = TorusGeometry(tau, copies)
     return _sectored_from_cells(geo.cells(), L, geo.canon,
                                 {"tau": tau, "copies": copies}, geo)

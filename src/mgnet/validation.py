@@ -167,8 +167,11 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], Va
     subnets = []
     for comp in comps:
         slow = tuple(k for k in comp if roles[k] is slow_role)
-        cells = {tx_cell[k] for k in comp}
-        masters = sorted(cells & master_set)
+        if master_set:
+            cells = {tx_cell[k] for k in comp}
+            masters = sorted(cells & master_set)
+        else:  # no-coop (or no whole subnet): no component can hold a master
+            masters = []
         master = masters[0] if len(masters) == 1 else None
         if len(masters) > 1:
             report.subnets_disjoint = False

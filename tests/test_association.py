@@ -8,9 +8,12 @@ from hypothesis import given
 
 from mgnet import (Role, Scheme, assign, assign_hex, assign_sectored,
                    assign_wyner, build_hex, build_hex_torus,
-                   build_sectored_hex_torus, build_wyner, hex_distance,
-                   shifted_mod)
-from mgnet.lattice import is_master
+                   build_sectored_hex, build_sectored_hex_torus, build_wyner,
+                   check_params, hex_distance, shifted_mod)
+from mgnet.association import (_sector_fast_kind, _sector_silenced,
+                               scheme_tau)
+from mgnet.lattice import TorusGeometry, is_master
+from mgnet.topology import HEX, SECTORED
 
 
 @given(st.integers(-1000, 1000), st.integers(1, 50))
@@ -141,7 +144,7 @@ def test_hex_rejects_unsupported_d():
 
 def test_hex_torus_tau_mismatch_rejected():
     net = build_hex_torus(4, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau=4"):
         assign_hex(net, 8, Scheme.SLOW_COMP_RX)  # needs tau = 5
 
 
@@ -183,3 +186,119 @@ def test_association_json():
     assert doc["scheme"] == "BothCompRx"
     assert doc["roles"]["8"] == "X" and doc["roles"]["1"] == "F" and doc["roles"]["2"] == "S"
     assert doc["masters"] == [4]
+
+
+def reference_roles(net, D, scheme):
+    """Roles and masters by one ``nearest_masters`` call per cell.
+
+    A frozen copy of the per-cell association path, kept as the oracle for
+    the per-class one in ``assign``.
+    """
+    roles = [None] * len(net.coords)
+    if scheme is Scheme.NO_COOP:
+        for t in net.tx_nodes:
+            if net.model == HEX:
+                a, b = net.coords[t]
+                roles[t] = Role.FAST if (a + b) % 3 == 0 else Role.SILENT
+            else:
+                roles[t] = Role.FAST if net.coords[t][1] == "W" else Role.SILENT
+        return roles, ()
+    tau = scheme_tau(net.model, scheme, D)
+    layers = [net.geometry.nearest_masters(c, tau) for c in net.cell_coords]
+    masters = []
+    for i in net.rx_nodes:
+        c = net.cell_coords[i]
+        dist, hits = layers[i]
+        if is_master(c, tau):
+            masters.append(i)
+        if net.model == HEX:
+            if dist == tau:
+                roles[i] = Role.SILENT
+            elif scheme.mixed and (c[0] + c[1]) % 3 == 0:
+                roles[i] = Role.FAST
+            else:
+                roles[i] = Role.SLOW
+            continue
+        if dist < tau:
+            fast = _sector_fast_kind(hits[0][1]) if scheme.mixed else None
+            for t in net.cell_sectors[i]:
+                roles[t] = Role.FAST if net.coords[t][1] == fast else Role.SLOW
+        else:
+            assert dist == tau
+            silenced = {frozenset(_sector_silenced(delta, tau)) for _, delta in hits}
+            assert len(silenced) == 1
+            (silenced,) = silenced
+            for t in net.cell_sectors[i]:
+                kind = net.coords[t][1]
+                if kind in silenced:
+                    roles[t] = Role.SILENT
+                else:
+                    roles[t] = Role.FAST if scheme.mixed else Role.SLOW
+    return roles, tuple(masters)
+
+
+def valid_cases(model, max_D):
+    """(scheme, D) for every scheme the model runs with D <= max_D."""
+    schemes = [Scheme.NO_COOP] + [s for s in Scheme if s.cooperative]
+    for scheme in schemes:
+        for D in range(0 if scheme is Scheme.NO_COOP else 2, max_D + 1, 2):
+            try:
+                check_params(model, scheme, D, 1)
+            except ValueError:
+                continue
+            yield scheme, D
+            if scheme is Scheme.NO_COOP:
+                break
+
+
+def assert_matches_reference(net, scheme, D):
+    a = assign(net, D, scheme)
+    roles, masters = reference_roles(net, D, scheme)
+    assert a.roles == roles, (net.params, scheme, D)
+    assert a.masters == masters, (net.params, scheme, D)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("model,build", [(HEX, build_hex_torus),
+                                         (SECTORED, build_sectored_hex_torus)])
+def test_assign_matches_per_cell_path_on_tori(model, build, tau, copies):
+    net = build(tau, copies, 1)
+    ran = 0
+    for scheme, D in valid_cases(model, 2 * tau + 2):
+        if scheme.cooperative and scheme_tau(model, scheme, D) != tau:
+            continue
+        assert_matches_reference(net, scheme, D)
+        ran += scheme.cooperative
+    # tau = 3 is no hex spacing: D/2 = 3 and D/2 + 1 = 3 both break (D/2 - 1) % 3 == 0
+    assert ran or (model == HEX and tau == 3)
+
+
+@pytest.mark.parametrize("radius", range(16))
+@pytest.mark.parametrize("model,build", [(HEX, build_hex), (SECTORED, build_sectored_hex)])
+def test_assign_matches_per_cell_path_on_balls(model, build, radius):
+    net = build(radius, 1)
+    for scheme, D in valid_cases(model, 2 * radius + 4):
+        assert_matches_reference(net, scheme, D)
+
+
+@pytest.mark.parametrize("model,build,D,scheme", [
+    (HEX, build_hex_torus, 8, Scheme.BOTH_COMP_RX),
+    (HEX, build_hex_torus, 8, Scheme.BOTH_COMP_TX),
+    (SECTORED, build_sectored_hex_torus, 8, Scheme.SLOW_COMP_RX),
+])
+def test_assign_looks_up_each_master_class_once(monkeypatch, model, build, D, scheme):
+    tau = scheme_tau(model, scheme, D)
+    net = build(tau, 6, 1)
+    real = TorusGeometry.nearest_masters
+    calls = []
+
+    def counting(self, c, t):
+        calls.append(c)
+        return real(self, c, t)
+
+    monkeypatch.setattr(TorusGeometry, "nearest_masters", counting)
+    a = assign(net, D, scheme)
+    assert len(calls) <= 3 * tau * tau < net.n_rx
+    monkeypatch.undo()
+    assert (a.roles, a.masters) == reference_roles(net, D, scheme)

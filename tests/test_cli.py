@@ -91,6 +91,23 @@ def test_nonpositive_l_exits_2(capsys, argv, L):
     assert f"L={L}" in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (("validate", "--model", "hex", "--D", "8", "--L", "0", "--radius", "2",
+      "--scheme", "both-rx"), "L=0"),
+    (("loads", "--model", "wyner", "--K", "16", "--D", "5", "--L", "3",
+      "--scheme", "both-rx"), "D=5"),
+    (("loads", "--model", "hex", "--D", "8", "--L", "3", "--scheme", "both-rx",
+      "--tiling", "0x0"), "copies=0"),
+    (("validate", "--model", "sectorized", "--D", "4", "--radius", "-1",
+      "--scheme", "both-rx"), "radius=-1"),
+])
+def test_bad_network_parameters_are_named(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
 @pytest.mark.parametrize("step", ["0", "-2"])
 def test_sweep_nonpositive_step_exits_2(capsys, step):
     code, out, err = run(capsys, "sweep", "--model", "wyner", "--L", "3",

@@ -46,6 +46,20 @@ def test_wyner_rejects_bad_args():
         build_wyner(4, 0)
 
 
+@pytest.mark.parametrize("build,args,message", [
+    (build_wyner, (0, 1), "K=0: need K >= 1"),
+    (build_wyner, (4, 0), "L=0: need L >= 1"),
+    (build_hex, (-1, 1), "radius=-1: need radius >= 0"),
+    (build_sectored_hex, (2, -2), "L=-2: need L >= 1"),
+    (build_hex_torus, (0, 1, 1), "tau=0: need tau >= 1"),
+    (build_hex_torus, (4, 0, 1), "copies=0: need copies >= 1"),
+    (build_sectored_hex_torus, (2, 1, 0), "L=0: need L >= 1"),
+])
+def test_builders_name_the_bad_argument(build, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(*args)
+
+
 def test_hex_distance_examples():
     assert hex_distance((0, 0), (1, 1)) == 1
     assert hex_distance((0, 0), (2, -1)) == 3

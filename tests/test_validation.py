@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from mgnet import (Role, Scheme, Subnet, assign, build_hex_torus,
-                   build_sectored_hex_torus, build_wyner, check_round_split,
-                   fast_noninterference, master_reachability, subnet_decompose,
-                   validate)
+from mgnet import (Role, Scheme, Subnet, ValidationReport, assign, build_hex,
+                   build_hex_torus, build_sectored_hex, build_sectored_hex_torus,
+                   build_wyner, check_round_split, fast_noninterference,
+                   master_reachability, subnet_decompose, validate)
 
 
 def test_round_split():
@@ -150,3 +150,24 @@ def test_wyner_partial_subnet_is_warned_not_failed():
     subnets, rep = validate(net, a)
     assert rep.ok
     assert any(w.startswith("partial-subnet") for w in rep.warnings)
+
+
+@pytest.mark.parametrize("make", [lambda: build_wyner(41, 2), lambda: build_hex(5, 1),
+                                  lambda: build_hex_torus(2, 2, 1),
+                                  lambda: build_sectored_hex(4, 1),
+                                  lambda: build_sectored_hex_torus(3, 2, 1)])
+def test_no_coop_decomposition_is_lone_fast_nodes(make):
+    net = make()
+    a = assign(net, 0, Scheme.NO_COOP)
+    subnets, rep = subnet_decompose(net, a)
+    assert subnets == [Subnet((k,), None, {}, ()) for k in a.nodes_with(Role.FAST)]
+    assert rep == ValidationReport(hop_budget=0)
+
+
+def test_masterless_cooperative_line_warns_per_component():
+    net = build_wyner(6, 1)  # shorter than one whole D=6 subnet
+    a = assign(net, 6, Scheme.BOTH_COMP_RX)
+    assert a.masters == ()
+    subnets, rep = subnet_decompose(net, a)
+    assert subnets == [Subnet((1, 2, 3, 4, 5, 6), None, {}, (2, 4, 6))]
+    assert rep == ValidationReport(hop_budget=2, warnings=["partial-subnet:1"])
