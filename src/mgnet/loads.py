@@ -17,6 +17,10 @@ message counts.  The ledger distinguishes:
   message to its slow neighbours).  The 2-D closed forms do not take this
   saving, so the ledger applies it in the linear model only.
 
+``message_ledger`` also counts the per-link loads, in the same passes: the
+fast-node loop adds each precancel and fast-share message to its link, and
+the per-subnet loop routes the fan-in and fan-out up each subnet's tree.
+
 Average prelogs divide by the idealised directed-link totals (2 per node
 in the linear model, 6 per cell in the hexagonal models, 4 per sector /
 6 per cell in the sectorized one); `finite_prelogs` divides by the actual
@@ -32,7 +36,7 @@ from itertools import accumulate
 from .association import Association, Role, Scheme, check_params
 from .rationals import ratio_to_json
 from .topology import HEX, WYNER, Network
-from .validation import Subnet
+from .validation import Subnet, _own_cells, _require_same_net
 
 
 @dataclass
@@ -189,48 +193,100 @@ def _wyner_q_dedup(D: int, master_role: Role) -> int:
 
 
 def message_ledger(net: Network, assoc: Association, subnets: list[Subnet]) -> LoadReport:
-    """Count every cooperation message of the scheme on this finite network."""
+    """Count every cooperation message of the scheme on this finite network.
+
+    ``subnets`` is what ``subnet_decompose`` returned for this association;
+    where a node is its own cell, each ``gamma`` is read as the cell-hop map
+    in its BFS order.  The per-link maxima are informational: counters are
+    flat lists indexed by directed edge (see ``_edge_offsets``) of the Tx
+    cooperation graph, which carries the precancelation, and of the Rx
+    cooperation graph, which carries the fast shares.  Quantization traffic
+    is routed along a deterministic shortest-path tree (lowest-id parent),
+    and each slow member crosses every uplink of its path once in and once
+    out; the CoMP-transmission dedup savings are not modelled on the links.
+    """
+    _require_same_net(net, assoc)
     roles = assoc.roles
     scheme = assoc.scheme
     D, L = assoc.D, net.L
+    tx_adj, rx_adj = net.tx_coop, net.rx_coop
+    tx_off = _edge_offsets(tx_adj)
+    rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(rx_adj)
+    tx_use, rx_use = [0] * tx_off[-1], [0] * rx_off[-1]
+    interference, tx_cell = net.interference, net.tx_cell
+    fast, slow = Role.FAST, Role.SLOW
 
     precancel = 0
     fast_share = 0
-    # (fast node, its slow interferers, the cells it shares its message with)
-    fast_cells: list[tuple[int, list[int], set[int]]] = []
-    interference, tx_cell = net.interference, net.tx_cell
-    fast, slow = Role.FAST, Role.SLOW
+    # the fast node that last shared its message with each cell: a fast
+    # node shares once per neighbouring cell, never with its own
+    shared_by: list[int | None] = [None] * len(rx_adj)
     for k in net.tx_nodes:
         if roles[k] is not fast:
             continue
-        slow_nbrs = [j for j in interference[k] if roles[j] is slow]
-        if slow_nbrs:
-            cells = {tx_cell[j] for j in slow_nbrs}
-            cells.discard(tx_cell[k])
-            precancel += len(slow_nbrs)
-            fast_share += len(cells)
-            fast_cells.append((k, slow_nbrs, cells))
+        src = tx_cell[k]
+        shared_by[src] = k
+        for j in interference[k]:
+            if roles[j] is not slow:
+                continue
+            precancel += 1
+            tx_use[tx_off[j] + tx_adj[j].index(k)] += 1
+            c = tx_cell[j]
+            if shared_by[c] != k:
+                shared_by[c] = k
+                fast_share += 1
+                rx_use[rx_off[src] + rx_adj[src].index(c)] += 1
 
+    if scheme.comp_side == "tx":
+        coop, off, use = tx_adj, tx_off, tx_use
+    else:
+        coop, off, use = rx_adj, rx_off, rx_use
+    wyner = net.model == WYNER
+    fast_master_saves = scheme is Scheme.BOTH_COMP_RX and wyner
+    own = _own_cells(net)
+    below = [0] * len(rx_adj)  # slow members in a cell's subtree, zeroed after each subnet
     fanin = 0
     fast_master_saved = 0
     q_dedup = 0
     for sub in subnets:
-        fanin += sum(sub.gamma.get(k, 0) for k in sub.slow_members)
-        if sub.master is None or not scheme.cooperative:
+        master, gamma = sub.master, sub.gamma
+        if master is None:  # no master, no hops
             continue
-        if scheme is Scheme.BOTH_COMP_RX and net.model == WYNER \
-                and roles[sub.master] is Role.FAST:
-            fast_master_saved += sum(1 for j in net.interference[sub.master]
-                           if roles[j] is Role.SLOW)
+        for k in sub.slow_members:
+            g = gamma.get(k)
+            if g:
+                fanin += g
+                below[tx_cell[k]] += 1
+        if fast_master_saves and roles[master] is fast:
+            fast_master_saved += sum(1 for j in interference[master] if roles[j] is slow)
         if scheme is Scheme.BOTH_COMP_TX:
-            if net.model == WYNER:
-                q_dedup += _wyner_q_dedup(D, roles[sub.master])
+            if wyner:
+                q_dedup += _wyner_q_dedup(D, roles[master])
             else:
-                tau = D // 2
-                q_dedup += 6 if roles[sub.master] is Role.FAST else 0
+                q_dedup += 6 if roles[master] is fast else 0
                 q_dedup += 2 * sum(1 for k in sub.members
-                                   if roles[k] is Role.FAST
-                                   and 1 <= sub.gamma.get(k, 0) <= tau - 2)
+                                   if roles[k] is fast and 1 <= gamma.get(k, 0) <= D // 2 - 2)
+
+        if own:  # gamma is the cell-hop map, in BFS order
+            hops, order = gamma, reversed(gamma)
+        else:
+            hops = {tx_cell[k]: g for k, g in gamma.items()}
+            hops[master] = 0
+            order = sorted(hops, key=hops.__getitem__, reverse=True)
+        for c in order:  # leaves first
+            n = below[c]
+            if not n:
+                continue
+            below[c] = 0
+            g = hops[c]
+            if not g:  # the master
+                continue
+            for i, p in enumerate(coop[c]):
+                if hops.get(p) == g - 1:  # the lowest-id parent: adjacency is sorted
+                    break
+            use[off[c] + i] += n
+            use[off[p] + coop[p].index(c)] += n
+            below[p] += n
     fanout = fanin
 
     if scheme is Scheme.BOTH_COMP_RX:
@@ -249,7 +305,6 @@ def message_ledger(net: Network, assoc: Association, subnets: list[Subnet]) -> L
     den_tx, den_rx = _asymptotic_denominators(net)
     mu_tx = Fraction(L * tx_total, den_tx) if den_tx else Fraction(0)
     mu_rx = Fraction(L * rx_total, den_rx) if den_rx else Fraction(0)
-    max_tx, max_rx = _link_loads(net, assoc, subnets, fast_cells)
     return LoadReport(
         scheme=scheme, D=D, L=L,
         precancel_msgs=precancel, fast_share_msgs=fast_share,
@@ -257,7 +312,7 @@ def message_ledger(net: Network, assoc: Association, subnets: list[Subnet]) -> L
         q_dedup=q_dedup, fast_master_dedup=fast_master_saved,
         tx_message_total=tx_total, rx_message_total=rx_total,
         mu_tx=mu_tx, mu_rx=mu_rx,
-        max_tx_link_load=max_tx, max_rx_link_load=max_rx,
+        max_tx_link_load=max(tx_use, default=0), max_rx_link_load=max(rx_use, default=0),
         n_subnets=len(subnets),
     )
 
@@ -276,52 +331,3 @@ def finite_prelogs(report: LoadReport, net: Network) -> tuple[Fraction, Fraction
 def _edge_offsets(adj: tuple[tuple[int, ...], ...]) -> list[int]:
     """Directed edge u -> adj[u][i] has index offsets[u] + i; offsets[-1] is the edge count."""
     return list(accumulate(map(len, adj), initial=0))
-
-
-def _link_loads(net: Network, assoc: Association, subnets: list[Subnet],
-                fast_cells: list[tuple[int, list[int], set[int]]]) -> tuple[int, int]:
-    """Per-link message counts of the un-time-shared schedule (informational).
-
-    Quantization traffic is routed along a deterministic shortest-path tree
-    (lowest-id parent); CoMP-transmission dedup savings are not modelled.
-    Counters are flat lists indexed by directed edge (see ``_edge_offsets``)
-    of the Tx cooperation graph, which carries the precancelation, and of
-    the Rx cooperation graph, which carries the fast shares.
-    """
-    tx_adj, rx_adj = net.tx_coop, net.rx_coop
-    tx_off, rx_off = _edge_offsets(tx_adj), _edge_offsets(rx_adj)
-    tx_use, rx_use = [0] * tx_off[-1], [0] * rx_off[-1]
-    tx_cell = net.tx_cell
-
-    for k, slow_nbrs, cells in fast_cells:
-        for j in slow_nbrs:
-            tx_use[tx_off[j] + tx_adj[j].index(k)] += 1
-        src = tx_cell[k]
-        for c in cells:
-            rx_use[rx_off[src] + rx_adj[src].index(c)] += 1
-
-    if assoc.scheme.comp_side == "tx":
-        coop, off, use = tx_adj, tx_off, tx_use
-    else:
-        coop, off, use = rx_adj, rx_off, rx_use
-    for sub in subnets:
-        if sub.master is None:
-            continue
-        hops = {tx_cell[k]: g for k, g in sub.gamma.items()}
-        hops[sub.master] = 0
-        # slow members in each cell's subtree; each one crosses the cell's
-        # uplink once in and once out
-        below = dict.fromkeys(hops, 0)
-        for k in sub.slow_members:
-            below[tx_cell[k]] += 1
-        for c in sorted(hops, key=hops.__getitem__, reverse=True):  # leaves first
-            n, g = below[c], hops[c]
-            if not n or not g:
-                continue
-            for i, p in enumerate(coop[c]):
-                if hops.get(p) == g - 1:  # the lowest-id parent: adjacency is sorted
-                    break
-            use[off[c] + i] += n
-            use[off[p] + coop[p].index(c)] += n
-            below[p] += n
-    return max(tx_use, default=0), max(rx_use, default=0)

@@ -14,17 +14,24 @@ An association is sound when
 Finite line/ball instances may contain clipped subnets at the network rim;
 those are reported as warnings, not violations, and are excluded from the
 reachability check when they lack a master.
+
+One BFS over the active interference graph finds the components and, on the
+edges it already walks, any interference between two of them.  Where a node
+is its own cell (``tx_cell`` is the identity range: Wyner, hex), a
+component's ids are its cells and the hop BFS from its master is ``gamma``
+as it stands; only the sectorized model maps sectors to cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .association import Association, Role, Scheme
 from .topology import WYNER, Network
 
 
-@dataclass
+@dataclass(slots=True)
 class Subnet:
     members: tuple[int, ...]              # active Tx nodes of one component
     master: int | None                    # Rx id (CoMP reception) or Tx id (transmission)
@@ -111,13 +118,19 @@ def fast_noninterference(net: Network, assoc: Association) -> ValidationReport:
     return report
 
 
-def _components(net: Network, roles: list[Role | None]) -> tuple[list[list[int]], list[int | None]]:
-    """Components of the active interference graph, and each Tx id's component index.
+def _components(net: Network, roles: list[Role | None]
+                ) -> tuple[list[tuple[int, ...]], list[tuple[int, str]]]:
+    """Sorted components of the active interference graph, and the cross-component edges.
 
-    The index is None for silent nodes (and the unused Wyner slot 0).
+    The BFS also checks that no component hears another.  An active
+    neighbour outside the component being searched can only belong to an
+    earlier one (a later one would have joined it), so every such edge is
+    seen, from its later end.  The violations come back in node order, then
+    adjacency order.
     """
     owner: list[int | None] = [None] * len(roles)
     comps = []
+    cross = []
     adj, silent = net.interference, Role.SILENT
     for start in net.tx_nodes:
         if owner[start] is not None or roles[start] is silent:
@@ -127,83 +140,92 @@ def _components(net: Network, roles: list[Role | None]) -> tuple[list[list[int]]
         comp = [start]
         for u in comp:  # breadth first: comp grows behind the cursor
             for v in adj[u]:
-                if owner[v] is None and roles[v] is not silent:
-                    owner[v] = i
-                    comp.append(v)
-        comps.append(sorted(comp))
-    return comps, owner
+                o = owner[v]
+                if o is None:
+                    if roles[v] is not silent:
+                        owner[v] = i
+                        comp.append(v)
+                elif o != i:
+                    cross.append((u, f"cross-subnet-interference-{v}"))
+        comp.sort()
+        comps.append(tuple(comp))
+    cross.sort(key=itemgetter(0))  # stable: keeps adjacency order per node
+    return comps, cross
 
 
 def _bfs_hops(adj: tuple[tuple[int, ...], ...], allowed: set[int], start: int) -> dict[int, int]:
+    """Hops from ``start`` within ``allowed``, keyed in BFS order (hops never decrease)."""
     hops = {start: 0}
-    frontier = [start]
-    g = 0
-    while frontier:  # level by level
-        g += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v in allowed and v not in hops:
-                    hops[v] = g
-                    nxt.append(v)
-        frontier = nxt
+    queue = [start]
+    for u in queue:  # queue grows behind the cursor
+        g = hops[u] + 1
+        for v in adj[u]:
+            if v in allowed and v not in hops:
+                hops[v] = g
+                queue.append(v)
     return hops
 
 
+def _own_cells(net: Network) -> bool:
+    """True when every Tx node is its own Rx cell: ``tx_cell`` is the identity range."""
+    t = net.tx_cell
+    return isinstance(t, range) and t.start == 0 and t.step == 1
+
+
 def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], ValidationReport]:
-    """Connected components of the active interference graph, with masters and hop counts."""
+    """Connected components of the active interference graph, with masters and hop counts.
+
+    Where a node is its own cell, ``gamma`` lists the members in BFS order
+    (hops never decrease), which ``message_ledger`` relies on.
+    """
     _require_same_net(net, assoc)
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
     roles = assoc.roles
-    comps, owner = _components(net, roles)
+    comps, cross = _components(net, roles)
     relaxed = net.model == WYNER or "radius" in net.params
     master_set = set(assoc.masters)
-    # hops run over the cells of the CoMP side; tx_cell is the identity but
-    # for the sectorized model, which has CoMP reception only
+    # hops run over the cells of the CoMP side
     adj = net.tx_coop if assoc.scheme.comp_side == "tx" else net.rx_coop
     tx_cell = net.tx_cell
+    own = _own_cells(net)
+    cooperative = assoc.scheme.cooperative
     slow_role = Role.SLOW
 
     subnets = []
     for comp in comps:
         slow = tuple(k for k in comp if roles[k] is slow_role)
         if master_set:
-            cells = {tx_cell[k] for k in comp}
+            cells = set(comp) if own else {tx_cell[k] for k in comp}
             masters = sorted(cells & master_set)
         else:  # no-coop (or no whole subnet): no component can hold a master
-            masters = []
+            masters = ()
         master = masters[0] if len(masters) == 1 else None
         if len(masters) > 1:
             report.subnets_disjoint = False
             report.violations.append((masters[1], "multi-master"))
-        elif not masters and assoc.scheme.cooperative:
+        elif not masters and cooperative:
             if relaxed:
                 report.warnings.append(f"partial-subnet:{comp[0]}")
             else:
                 report.master_reachable = False
                 report.violations.append((comp[0], "no-master"))
 
-        gamma: dict[int, int] = {}
-        if master is not None:
-            hops = _bfs_hops(adj, cells, master)
-            gamma = {k: hops[c] for k in comp if (c := tx_cell[k]) in hops}
-            for k in comp:
-                if k not in gamma:
-                    report.master_reachable = False
-                    report.violations.append((k, "unreachable"))
-        subnets.append(Subnet(tuple(comp), master, gamma, slow))
+        if master is None:
+            gamma = {}
+        else:
+            gamma = _bfs_hops(adj, cells, master)
+            if not own:
+                gamma = {k: gamma[c] for k in comp if (c := tx_cell[k]) in gamma}
+            if len(gamma) < len(comp):
+                for k in comp:
+                    if k not in gamma:
+                        report.master_reachable = False
+                        report.violations.append((k, "unreachable"))
+        subnets.append(Subnet(comp, master, gamma, slow))
 
-    # components never share an interference edge by construction; verify anyway
-    interference = net.interference
-    for k in net.tx_nodes:
-        i = owner[k]
-        if i is None:
-            continue
-        for j in interference[k]:
-            o = owner[j]
-            if o is not None and o != i:
-                report.subnets_disjoint = False
-                report.violations.append((k, f"cross-subnet-interference-{j}"))
+    if cross:
+        report.subnets_disjoint = False
+        report.violations += cross
     return subnets, report
 
 

@@ -395,3 +395,14 @@ def test_link_loads_match_per_path_walk(model):
             walk_link_loads(net, assoc, subnets), (net.params, D, scheme)
         cases += 1
     assert cases > 100
+
+
+@pytest.mark.parametrize("K", [16, 12])
+def test_ledger_rejects_an_association_of_another_network(K):
+    # without the check, K=16 returns mu_rx = 7/8 (not 21/8) and K=12 an IndexError
+    other = build_wyner(16, 3)
+    assoc = assign(other, 6, Scheme.BOTH_COMP_RX)
+    subnets, _ = validate(other, assoc)
+    assert message_ledger(other, assoc, subnets).mu_rx == F(21, 8)
+    with pytest.raises(ValueError, match="different network"):
+        message_ledger(build_wyner(K, 1), assoc, subnets)

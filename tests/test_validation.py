@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from mgnet import (Role, Scheme, Subnet, ValidationReport, assign, build_hex,
-                   build_hex_torus, build_sectored_hex, build_sectored_hex_torus,
-                   build_wyner, check_round_split, fast_noninterference,
-                   master_reachability, subnet_decompose, validate)
+from mgnet import (HEX, Association, Network, Role, Scheme, Subnet, ValidationReport,
+                   assign, build_hex, build_hex_torus, build_sectored_hex,
+                   build_sectored_hex_torus, build_wyner, check_round_split,
+                   fast_noninterference, master_reachability, subnet_decompose,
+                   validate)
 
 
 def test_round_split():
@@ -171,3 +174,60 @@ def test_masterless_cooperative_line_warns_per_component():
     subnets, rep = subnet_decompose(net, a)
     assert subnets == [Subnet((1, 2, 3, 4, 5, 6), None, {}, (2, 4, 6))]
     assert rep == ValidationReport(hop_budget=2, warnings=["partial-subnet:1"])
+
+
+def hand_built(interference, rx_coop, tx_cell):
+    """A hexagonal-model network given by its adjacency alone (no coordinates)."""
+    nodes = tuple(range(len(interference)))
+    return Network(model=HEX, L=1, tx_nodes=nodes, rx_nodes=nodes,
+                   interference=interference, tx_coop=interference, rx_coop=rx_coop,
+                   q_tx=sum(map(len, interference)), q_rx=sum(map(len, rx_coop)),
+                   tx_cell=tx_cell)
+
+
+def test_two_masters_in_one_component():
+    net = build_wyner(8, 1)
+    a = Association(net, Scheme.SLOW_COMP_RX, 6, [None] + [Role.SLOW] * 8, (2, 6))
+    subnets, rep = validate(net, a)
+    assert rep.violations == [(6, "multi-master")]
+    assert not rep.subnets_disjoint and rep.master_reachable
+    assert [(s.members, s.master, s.gamma) for s in subnets] == [(tuple(range(1, 9)), None, {})]
+
+
+def test_whole_torus_subnet_without_master():
+    net = build_hex_torus(4, 1, 1)
+    a = replace(assign(net, 8, Scheme.BOTH_COMP_RX), masters=())
+    _, rep = validate(net, a)
+    assert rep.violations == [(0, "no-master")]
+    assert not rep.master_reachable and rep.warnings == []
+
+
+# tx_cell as the identity range (a node is its own cell) and as a plain list
+@pytest.mark.parametrize("tx_cell", [range(3), [0, 1, 2]], ids=["range", "list"])
+def test_members_without_a_cooperation_path_are_unreachable(tx_cell):
+    net = hand_built(((1,), (0, 2), (1,)), ((), (), ()), tx_cell)
+    a = Association(net, Scheme.SLOW_COMP_RX, 6, [Role.SLOW] * 3, (0,))
+    subnets, rep = subnet_decompose(net, a)
+    assert rep.violations == [(1, "unreachable"), (2, "unreachable")]
+    assert subnets == [Subnet((0, 1, 2), 0, {0: 0}, (0, 1, 2))]
+
+
+def test_one_way_interference_between_components():
+    net = hand_built(((), (0,)), ((), ()), range(2))
+    a = Association(net, Scheme.NO_COOP, 0, [Role.FAST] * 2, ())
+    subnets, rep = validate(net, a)
+    assert rep.violations == [(1, "fast-interference-from-0"),
+                              (1, "cross-subnet-interference-0")]
+    assert [s.members for s in subnets] == [(0,), (1,)]
+    assert not rep.fast_independent and not rep.subnets_disjoint
+
+
+@pytest.mark.parametrize("tx_cell", [range(6), [0, 1, 2, 3, 4, 5]], ids=["range", "list"])
+def test_cross_component_violations_come_in_node_order(tx_cell):
+    # the component {2, 5} is searched before node 3, but 3's edge is listed first
+    net = hand_built(((), (), (5,), (0,), (), (1, 2)), ((),) * 6, tx_cell)
+    a = Association(net, Scheme.NO_COOP, 0, [Role.SLOW] * 6, ())
+    subnets, rep = subnet_decompose(net, a)
+    assert [s.members for s in subnets] == [(0,), (1,), (2, 5), (3,), (4,)]
+    assert rep.violations == [(3, "cross-subnet-interference-0"),
+                              (5, "cross-subnet-interference-1")]
