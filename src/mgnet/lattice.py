@@ -25,11 +25,14 @@ classes; (2b - a, 2a - b) mod 3 * tau names one).
 
 A torus of M copies of spacing tau identifies cells that differ by
 (i + 2j, 2i + j) * tau * M.  With P = 3 * tau * M, its canonical cells are
-the fundamental domain { 0 <= 2b - a < P, 0 <= 2a - b < P }, which
-``cells()`` enumerates row by row.  ``canon`` reaches it in one exact step:
-subtracting (m + 2n, 2m + n) * tau * M lowers 2b - a by m * P and 2a - b
-by n * P, so m = (2b - a) // P and n = (2a - b) // P land every point in
-the domain.
+the fundamental domain { 0 <= 2b - a < P, 0 <= 2a - b < P }.  Both finite
+domains are runs of rows (a, lo, hi), one per a: ``ball_rows`` and
+``TorusGeometry.rows`` give their bounds and ``row_cells`` (behind ``ball``
+and ``cells()``) expands them in (a, b) order.
+
+``canon`` reaches the torus domain in one exact step: subtracting
+(m + 2n, 2m + n) * tau * M lowers 2b - a by m * P and 2a - b by n * P, so
+m = (2b - a) // P and n = (2a - b) // P land every point in the domain.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 Coord = tuple[int, int]
+Row = tuple[int, int, int]  # (a, lo, hi): the cells (a, lo), (a, lo + 1), ..., (a, hi)
 
 NEIGHBOR_STEPS: tuple[Coord, ...] = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 
@@ -52,14 +56,20 @@ def rotate_ccw(c: Coord) -> Coord:
     return (-c[1], c[0] - c[1])
 
 
+def row_cells(rows: list[Row]) -> list[Coord]:
+    """The cells of ``rows`` in row-major order."""
+    return [(a, b) for a, lo, hi in rows for b in range(lo, hi + 1)]
+
+
+def ball_rows(radius: int) -> list[Row]:
+    """Rows of the hex ball of ``radius``: |b| <= radius and |a - b| <= radius."""
+    return [(a, max(-radius, a - radius), min(radius, a + radius))
+            for a in range(-radius, radius + 1)]
+
+
 def ball(radius: int) -> list[Coord]:
     """All cells within hex distance ``radius`` of the origin, row-major order."""
-    cells = [(a, b)
-             for a in range(-radius, radius + 1)
-             for b in range(-radius, radius + 1)
-             if hex_distance((a, b), (0, 0)) <= radius]
-    cells.sort()
-    return cells
+    return row_cells(ball_rows(radius))
 
 
 def is_master(c: Coord, tau: int) -> bool:
@@ -126,11 +136,15 @@ class TorusGeometry:
         n = (2 * a - b) // P
         return (a - (m + 2 * n) * mt, b - (2 * m + n) * mt)
 
+    def rows(self) -> list[Row]:
+        """Rows of the fundamental domain, a = 0 .. period - 1."""
+        P = self.period
+        return [(a, max((a + 1) // 2, 2 * a - P + 1), min(2 * a, (P + a - 1) // 2))
+                for a in range(P)]
+
     def cells(self) -> list[Coord]:
         """The fundamental domain, sorted by (a, b)."""
-        P = self.period
-        out = [(a, b) for a in range(P)
-               for b in range(max((a + 1) // 2, 2 * a - P + 1), min(2 * a, (P + a - 1) // 2) + 1)]
+        out = row_cells(self.rows())
         assert len(out) == 3 * self.copies**2 * self.tau**2
         return out
 

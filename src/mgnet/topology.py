@@ -27,6 +27,14 @@ sector to its cell.  Per-cell code uses these and needs no model branch.
 Adjacency is a tuple of sorted tuples, and equal relations share one
 object (``tx_coop is interference`` in every model).
 
+Hex and sectorized adjacency is written once, by ``_adjacency``, from the
+domain's rows (a, lo, hi) in id order (``lattice.ball_rows``,
+``TorusGeometry.rows``): cell (a, b) has id ``base[a] + b``, so each
+neighbour step of a row's inner cells is one run of ids, and only the few
+cells at a row's ends look up their neighbours one by one, through
+``canon`` where a torus seam wraps them.  No coordinate is looked up in a
+dict.
+
 Finite instances come in two flavours: hex-distance balls of a given
 radius (edge effects at the rim) and tori holding M x M whole subnets of a
 given master spacing tau (no edge effects; used by the exact count
@@ -38,8 +46,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .lattice import (Coord, NEIGHBOR_STEPS, PlaneGeometry, TorusGeometry,
-                      ball)
+from .lattice import (Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows,
+                      row_cells)
 
 WYNER = "WynerLinear"
 HEX = "Hexagonal"
@@ -56,6 +64,14 @@ SECTOR_RULE: dict[str, tuple[tuple[str, Coord], ...]] = {
     "W": (("E", (-1, 0)), ("S", (-1, 0)), ("S", (0, 1)), ("E", (-1, -1))),
     "S": (("E", (0, -1)), ("W", (0, -1)), ("E", (-1, -1)), ("W", (1, 0))),
 }
+
+# The adjacency builder's offset tables: per node kind, the sorted steps
+# (da, db, kind of the neighbour node).  A hex cell is one kind with the six
+# unit steps; SECTOR_RULE gives the three sector kinds.
+_HEX_STEPS = (tuple(sorted((da, db, 0) for da, db in NEIGHBOR_STEPS)),)
+_SECTOR_STEPS = tuple(tuple(sorted((da, db, SECTOR_KINDS.index(k2))
+                                   for k2, (da, db) in SECTOR_RULE[k]))
+                      for k in SECTOR_KINDS)
 
 
 @dataclass
@@ -160,33 +176,78 @@ def build_wyner(K: int, L: int) -> Network:
     )
 
 
-def _cell_adjacency(index: dict[Coord, int], canon) -> tuple[tuple[int, ...], ...]:
-    """6-neighbour graph of the cells in ``index`` (canonical coordinate -> id).
+# Bounds of the pad rows beyond either end of a domain: no b lies in them.
+_NO_LO, _NO_HI = 1 << 62, -(1 << 62)
+# Shortest inner run built from id slices: setting one up costs about as
+# much as looking up four cells one by one.
+_MIN_RUN = 4
 
-    ``index`` lists the cells in id order.  Keys are canonical, so a raw
-    neighbour found in ``index`` is already the canonical one; only a step
-    across a torus seam needs ``canon``.
+
+def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], ...],
+               canon, nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Adjacency of the nodes ``len(kinds) * cell + k`` over the cells of ``rows``.
+
+    ``rows`` lists (a, lo, hi) in id order with consecutive a, so cell
+    (a, b) has id ``base[a] + b``.  Node ``k`` of a cell hears node ``k2``
+    of the cell (da, db) away for each step (da, db, k2) of ``kinds[k]``;
+    the steps are unit hex steps, sorted, so the ids of in-domain
+    neighbours come out sorted.  A row's inner run holds the cells whose
+    six neighbours all lie in the domain; there each step gives one
+    strided slice of ``nodes`` (``nodes[i] == i``) along the run, so the
+    tuples share its int objects.  Only the few cells at either end of a
+    row are looked at one by one: an off-domain neighbour is dropped on the
+    plane (``canon`` None) and canonicalised on a torus, where small tori
+    give duplicate neighbours and self-loops.
     """
-    adj = []
-    for c in index:
-        nbrs = []
-        for da, db in NEIGHBOR_STEPS:
-            n = (c[0] + da, c[1] + db)
-            j = index.get(n)
-            if j is None:
-                j = index.get(canon(n))
-            if j is not None:
-                nbrs.append(j)
-        adj.append(tuple(sorted(set(nbrs))))
+    nk = len(kinds)
+    shift = 1 - rows[0][0]  # row a is at index a + shift, between two pads
+    los, his, bases = [_NO_LO], [_NO_HI], [0]
+    n = 0
+    for _, lo, hi in rows:
+        los.append(lo)
+        his.append(hi)
+        bases.append(n - lo)
+        n += hi - lo + 1
+    los.append(_NO_LO)
+    his.append(_NO_HI)
+    bases.append(0)
+
+    numbered = list(enumerate(kinds))
+    adj: list = [None] * (nk * n)
+    for r, (a, lo, hi) in enumerate(rows, 1):
+        base = bases[r]
+        ends = range(lo, hi + 1)
+        if hi - lo > _MIN_RUN:  # room for a run between the row's end cells
+            bl = max(lo + 1, los[r - 1] + 1, los[r + 1])
+            bh = min(hi - 1, his[r - 1], his[r + 1] - 1)
+            if bh - bl >= _MIN_RUN - 1:
+                for k, steps in numbered:
+                    adj[nk * (base + bl) + k:nk * (base + bh + 1):nk] = zip(*[
+                        nodes[nk * (bases[r + da] + db + bl) + k2:
+                              nk * (bases[r + da] + db + bh + 1):nk]
+                        for da, db, k2 in steps])
+                ends = (*range(lo, bl), *range(bh + 1, hi + 1))
+        for b in ends:
+            for k, steps in numbered:
+                nbrs = []
+                for da, db, k2 in steps:
+                    r2, b2 = r + da, b + db
+                    if los[r2] <= b2 <= his[r2]:
+                        nbrs.append(nodes[nk * (bases[r2] + b2) + k2])
+                    elif canon is not None:
+                        a3, b3 = canon((a + da, b2))
+                        nbrs.append(nodes[nk * (bases[a3 + shift] + b3) + k2])
+                adj[nk * (base + b) + k] = \
+                    tuple(nbrs) if canon is None else tuple(sorted(set(nbrs)))
     return tuple(adj)
 
 
-def _hex_from_cells(cells: list[Coord], L: int, canon, params: dict,
-                    geometry) -> Network:
-    adj = _cell_adjacency({c: i for i, c in enumerate(cells)}, canon)
-    q = sum(map(len, adj))
+def _hex_from_rows(rows: list[Row], L: int, canon, params: dict, geometry) -> Network:
+    cells = row_cells(rows)
     ids = range(len(cells))
     nodes = tuple(ids)
+    adj = _adjacency(rows, _HEX_STEPS, canon, nodes)
+    q = sum(map(len, adj))
     return Network(
         model=HEX, L=L, tx_nodes=nodes, rx_nodes=nodes,
         interference=adj, tx_coop=adj, rx_coop=adj,
@@ -199,45 +260,25 @@ def _hex_from_cells(cells: list[Coord], L: int, canon, params: dict,
 def build_hex(radius: int, L: int) -> Network:
     """Hexagonal network on the radius-``radius`` hex ball around the origin."""
     _need_at_least(radius=(radius, 0), L=(L, 1))
-    return _hex_from_cells(ball(radius), L, lambda c: c,
-                           {"radius": radius}, PlaneGeometry())
+    return _hex_from_rows(ball_rows(radius), L, None, {"radius": radius}, PlaneGeometry())
 
 
 def build_hex_torus(tau: int, copies: int, L: int) -> Network:
     """Hexagonal network on a torus of ``copies`` x ``copies`` whole spacing-``tau`` subnets."""
     _need_at_least(tau=(tau, 1), copies=(copies, 1), L=(L, 1))
     geo = TorusGeometry(tau, copies)
-    return _hex_from_cells(geo.cells(), L, geo.canon,
-                           {"tau": tau, "copies": copies}, geo)
+    return _hex_from_rows(geo.rows(), L, geo.canon, {"tau": tau, "copies": copies}, geo)
 
 
-def _sectored_from_cells(cells: list[Coord], L: int, canon, params: dict,
-                         geometry) -> Network:
+def _sectored_from_rows(rows: list[Row], L: int, canon, params: dict,
+                        geometry) -> Network:
     """Sector ``3 * i + j`` is the ``SECTOR_KINDS[j]`` sector of cell ``i``."""
-    index = {c: i for i, c in enumerate(cells)}
+    cells = row_cells(rows)
     rx_nodes = tuple(range(len(cells)))
     tx_nodes = tuple(range(3 * len(cells)))
-    kind_idx = {k: j for j, k in enumerate(SECTOR_KINDS)}
-    rules = [[(kind_idx[k2], da, db) for k2, (da, db) in SECTOR_RULE[k]]
-             for k in SECTOR_KINDS]
-
-    interference = []
-    for c in cells:
-        for rule in rules:
-            nbrs = []
-            for j2, da, db in rule:
-                # canonical keys: canon only when the raw cell is off the domain
-                n = (c[0] + da, c[1] + db)
-                j = index.get(n)
-                if j is None:
-                    j = index.get(canon(n))
-                if j is not None:
-                    nbrs.append(3 * j + j2)
-            interference.append(tuple(sorted(set(nbrs))))
-    interference = tuple(interference)
+    interference = _adjacency(rows, _SECTOR_STEPS, canon, tx_nodes)
     q_tx = sum(map(len, interference))
-
-    rx_coop = _cell_adjacency(index, canon)
+    rx_coop = _adjacency(rows, _HEX_STEPS, canon, rx_nodes)
     q_rx = sum(map(len, rx_coop))
     return Network(
         model=SECTORED, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
@@ -253,12 +294,12 @@ def _sectored_from_cells(cells: list[Coord], L: int, canon, params: dict,
 def build_sectored_hex(radius: int, L: int) -> Network:
     """Sectorized hexagonal network (3 Tx sectors per cell, one 3L-antenna Rx per cell)."""
     _need_at_least(radius=(radius, 0), L=(L, 1))
-    return _sectored_from_cells(ball(radius), L, lambda c: c,
-                                {"radius": radius}, PlaneGeometry())
+    return _sectored_from_rows(ball_rows(radius), L, None, {"radius": radius},
+                               PlaneGeometry())
 
 
 def build_sectored_hex_torus(tau: int, copies: int, L: int) -> Network:
     _need_at_least(tau=(tau, 1), copies=(copies, 1), L=(L, 1))
     geo = TorusGeometry(tau, copies)
-    return _sectored_from_cells(geo.cells(), L, geo.canon,
-                                {"tau": tau, "copies": copies}, geo)
+    return _sectored_from_rows(geo.rows(), L, geo.canon, {"tau": tau, "copies": copies},
+                               geo)

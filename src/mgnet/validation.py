@@ -230,7 +230,11 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], Va
 
 
 def master_reachability(subnets: list[Subnet], scheme: Scheme, D: int) -> ValidationReport:
-    """Every slow node must reach its subnet master within the scheme's hop budget."""
+    """Every slow node must reach its subnet master within the scheme's hop budget.
+
+    A member with no cooperation path to its master has no ``gamma`` entry;
+    ``subnet_decompose`` reports it as unreachable, so it is skipped here.
+    """
     budget = hop_budget(scheme, D)
     report = ValidationReport(hop_budget=budget)
     for sub in subnets:
@@ -238,10 +242,7 @@ def master_reachability(subnets: list[Subnet], scheme: Scheme, D: int) -> Valida
             continue
         for k in sub.slow_members:
             g = sub.gamma.get(k)
-            if g is None:
-                report.master_reachable = False
-                report.violations.append((k, "unreachable"))
-            elif g > budget:
+            if g is not None and g > budget:
                 report.master_reachable = False
                 report.violations.append((k, f"hop-budget-exceeded-{g}>{budget}"))
     return report

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from mgnet.lattice import PlaneGeometry, TorusGeometry, hex_distance, is_master
+from mgnet.lattice import PlaneGeometry, TorusGeometry, ball, hex_distance, is_master
 
 
 def brute_torus_nearest(geo: TorusGeometry, masters, c):
@@ -56,6 +56,12 @@ def test_plane_nearest_masters_matches_exhaustive_scan(tau):
     assert len(cells) == 12 * tau * tau
     for c in cells:
         assert plane.nearest_masters(c, tau) == brute_plane_nearest(c, tau), c
+
+
+@pytest.mark.parametrize("radius", range(16))
+def test_ball_rows_match_the_filtered_square(radius):
+    square = [(a, b) for a in range(-radius, radius + 1) for b in range(-radius, radius + 1)]
+    assert ball(radius) == sorted(c for c in square if hex_distance(c, (0, 0)) <= radius)
 
 
 def old_canon(geo: TorusGeometry, c):

@@ -13,7 +13,7 @@ from hypothesis import given
 from mgnet import (HEX, SECTORED, WYNER, build_hex, build_hex_torus, build_sectored_hex,
                    build_sectored_hex_torus, build_wyner, hex_distance)
 from mgnet.association import Scheme, assign, check_params, scheme_tau
-from mgnet.lattice import NEIGHBOR_STEPS, TorusGeometry
+from mgnet.lattice import NEIGHBOR_STEPS, TorusGeometry, ball
 from mgnet.topology import SECTOR_KINDS, SECTOR_RULE, network_from_json_dict
 
 
@@ -138,6 +138,8 @@ def test_sector_rule_is_symmetric_and_rotation_invariant():
     for k, items in SECTOR_RULE.items():
         rotated = {(cyc[k2], rot(s)) for k2, s in items}
         assert rotated == set(SECTOR_RULE[cyc[k]])
+    # the builders' inner runs rely on every partner sitting one hex step away
+    assert all(s in NEIGHBOR_STEPS for items in SECTOR_RULE.values() for _, s in items)
 
 
 def test_sectorized_interior_degree_and_cells():
@@ -177,35 +179,83 @@ def test_sectorized_torus_regular():
     assert net.q_tx == 4 * net.n_tx and net.q_rx == 6 * net.n_rx
 
 
-def reference_torus_json(model, tau, copies, L):
-    """``to_json_dict`` of a torus built with ``canon`` on every neighbour step."""
-    geo = TorusGeometry(tau, copies)
-    index = {c: i for i, c in enumerate(geo.cells())}
-    nbr = lambda c, d: index[geo.canon((c[0] + d[0], c[1] + d[1]))]
+def reference_json(model, cells, cell_nbrs, cell_at, params, L):
+    """``to_json_dict`` of a network on ``cells``, built over a coordinate dict.
+
+    ``cell_nbrs(c, index)`` gives the ids of the cells next to cell ``c`` and
+    ``cell_at(c, d, index)`` the id of the cell ``d`` away from it, or None.
+    """
+    index = {c: i for i, c in enumerate(cells)}
     pairs = lambda adj: [[i, j] for i in sorted(adj) for j in adj[i]]
-    cell_pairs = pairs({i: sorted({nbr(c, d) for d in NEIGHBOR_STEPS}) for c, i in index.items()})
+    cell_pairs = pairs({i: sorted(set(cell_nbrs(c, index))) for c, i in index.items()})
     if model == HEX:
         nodes = [{"id": i, "coord": list(c)} for c, i in index.items()]
         tx_pairs = cell_pairs
     else:
         nodes = [{"id": 3 * i + j, "coord": list(c), "kind": k}
                  for c, i in index.items() for j, k in enumerate(SECTOR_KINDS)]
-        tx_pairs = pairs({3 * i + j: sorted({3 * nbr(c, d) + SECTOR_KINDS.index(k2)
-                                             for k2, d in SECTOR_RULE[k]})
+        tx_pairs = pairs({3 * i + j: sorted({3 * n + SECTOR_KINDS.index(k2)
+                                             for k2, d in SECTOR_RULE[k]
+                                             if (n := cell_at(c, d, index)) is not None})
                           for c, i in index.items() for j, k in enumerate(SECTOR_KINDS)})
-    return {"model": model, "L": L, "params": {"tau": tau, "copies": copies},
+    return {"model": model, "L": L, "params": params,
             "nodes": nodes, "interference": tx_pairs, "tx_coop": tx_pairs,
             "rx_coop": cell_pairs, "q_tx": len(tx_pairs), "q_rx": len(cell_pairs)}
 
 
-@pytest.mark.parametrize("copies", [1, 2, 3])
+def reference_torus_json(model, tau, copies, L):
+    """``to_json_dict`` of a torus built with ``canon`` on every neighbour step."""
+    geo = TorusGeometry(tau, copies)
+    at = lambda c, d, index: index[geo.canon((c[0] + d[0], c[1] + d[1]))]
+    return reference_json(model, geo.cells(),
+                          lambda c, index: [at(c, d, index) for d in NEIGHBOR_STEPS], at,
+                          {"tau": tau, "copies": copies}, L)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3, 4])
 @pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
 def test_torus_builders_match_canon_on_every_step(tau, copies):
-    # on the 1x1 and 2x2 tori wraps give duplicate neighbours and self-loops
+    # on the 1x1 and 2x2 tori wraps give duplicate neighbours and self-loops;
+    # small tori have rows with no inner run, large ones rows with a long run
     assert build_hex_torus(tau, copies, 2).to_json_dict() == \
         reference_torus_json(HEX, tau, copies, 2)
     assert build_sectored_hex_torus(tau, copies, 2).to_json_dict() == \
         reference_torus_json(SECTORED, tau, copies, 2)
+
+
+def reference_ball_json(model, radius, L):
+    """``to_json_dict`` of a ball: its cells and neighbours found by ``hex_distance``."""
+    cells = sorted((a, b) for a in range(-radius, radius + 1) for b in range(-radius, radius + 1)
+                   if brute_hexdist((a, b), (0, 0)) <= radius)
+    return reference_json(
+        model, cells,
+        lambda c, index: [i for x, i in index.items() if brute_hexdist(c, x) == 1],
+        lambda c, d, index: index.get((c[0] + d[0], c[1] + d[1])),
+        {"radius": radius}, L)
+
+
+@pytest.mark.parametrize("radius", range(9))
+def test_ball_builders_match_the_coordinate_dict(radius):
+    assert build_hex(radius, 2).to_json_dict() == reference_ball_json(HEX, radius, 2)
+    assert build_sectored_hex(radius, 2).to_json_dict() == \
+        reference_ball_json(SECTORED, radius, 2)
+
+
+@pytest.mark.parametrize("make,domain", [
+    (lambda: build_hex(7, 1), lambda: ball(7)),
+    (lambda: build_sectored_hex(7, 1), lambda: ball(7)),
+    (lambda: build_hex_torus(3, 2, 1), lambda: TorusGeometry(3, 2).cells()),
+    (lambda: build_sectored_hex_torus(3, 2, 1), lambda: TorusGeometry(3, 2).cells()),
+], ids=["hex-ball", "sectorized-ball", "hex-torus", "sectorized-torus"])
+def test_node_tables_follow_the_cell_order(make, domain):
+    net, cells = make(), domain()
+    assert list(net.cell_coords) == cells
+    if net.model == HEX:
+        assert list(net.coords) == cells
+        return
+    assert list(net.coords) == [(c, k) for c in cells for k in SECTOR_KINDS]
+    assert list(net.tx_cell) == [t // 3 for t in range(3 * len(cells))]
+    assert list(net.cell_sectors) == [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(len(cells))]
 
 
 def test_network_json_round_trip():

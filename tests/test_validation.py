@@ -210,6 +210,10 @@ def test_members_without_a_cooperation_path_are_unreachable(tx_cell):
     subnets, rep = subnet_decompose(net, a)
     assert rep.violations == [(1, "unreachable"), (2, "unreachable")]
     assert subnets == [Subnet((0, 1, 2), 0, {0: 0}, (0, 1, 2))]
+    # the merged report names each unreachable member once
+    _, rep = validate(net, a)
+    assert rep.violations == [(1, "unreachable"), (2, "unreachable")]
+    assert not rep.master_reachable
 
 
 def test_one_way_interference_between_components():
