@@ -9,7 +9,6 @@ from .lattice import hex_distance
 from .loads import (ClosedForm, LoadReport, closed_form, finite_prelogs,
                     formulas, mixed_subnet_counts, message_ledger, subnet_sizes)
 from .regions import (HalfPlane, MgPoint, MgRegion, achievable_region,
-                      alpha_wyner, alphas_hex, alphas_sectored,
                       boundary_polyline, contains, convex_hull, is_subset,
                       outer_bound_wyner, outer_polygon_wyner, region_subset)
 from .topology import (HEX, SECTORED, WYNER, Network, build_hex,

@@ -249,8 +249,8 @@ def assign_sectored(net: Network, D: int, scheme: Scheme,
     if net.model != SECTORED:
         raise ValueError("assign_sectored needs a sectorized network")
     check_params(SECTORED, scheme, D, net.L)
-    roles: list[Role | None] = [None] * len(net.coords)
     if scheme is Scheme.NO_COOP:
+        roles: list[Role | None] = [None] * len(net.coords)
         for t in net.tx_nodes:
             _, kind = net.coords[t]
             roles[t] = Role.FAST if kind == no_coop_kind else Role.SILENT
@@ -259,10 +259,11 @@ def assign_sectored(net: Network, D: int, scheme: Scheme,
     tau = scheme_tau(SECTORED, scheme, D)
     active = Role.FAST if scheme.mixed else Role.SLOW
 
-    def sector_roles(c: Coord, dist: int, hits) -> dict[str, Role]:
+    def sector_roles(c: Coord, dist: int, hits) -> tuple[Role, ...]:
+        """The cell's sector roles in ``SECTOR_KINDS`` order."""
         if dist < tau:
             fast = None if not scheme.mixed else _sector_fast_kind(hits[0][1])
-            return {k: Role.FAST if k == fast else Role.SLOW for k in SECTOR_KINDS}
+            return tuple(Role.FAST if k == fast else Role.SLOW for k in SECTOR_KINDS)
         assert dist == tau, "every cell lies within tau of a master"
         silenced: set[str] | None = None
         for _, delta in hits:
@@ -270,13 +271,11 @@ def assign_sectored(net: Network, D: int, scheme: Scheme,
             if silenced is not None and s != silenced:
                 raise AssertionError(f"inconsistent layer rules at cell {c}: {silenced} vs {s}")
             silenced = s
-        return {k: Role.SILENT if k in silenced else active for k in SECTOR_KINDS}
+        return tuple(Role.SILENT if k in silenced else active for k in SECTOR_KINDS)
 
     per_cell, masters = _per_class(net, tau, sector_roles)
-    coords = net.coords
-    for i, kind_role in enumerate(per_cell):
-        for t in net.cell_sectors[i]:
-            roles[t] = kind_role[coords[t][1]]
+    # sector 3 * i + j is the SECTOR_KINDS[j] sector of cell i
+    roles = [role for kind_roles in per_cell for role in kind_roles]
     return Association(net, scheme, D, roles, tuple(masters))
 
 

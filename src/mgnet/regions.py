@@ -1,17 +1,17 @@
 """Achievable multiplexing-gain regions and the linear outer bound.
 
-A region is the convex hull of the MG pairs reachable by time-sharing the
-four schemes.  For prelog budgets below a scheme's requirement the scheme
-runs a fraction alpha of the time (interleaved with the cooperation-free
-scheme or with the slow-only scheme), scaling both its MG contribution and
-its prelog consumption by alpha; the blend coefficients are the clamped
-ratios of available to required prelogs.
-
-Region assembly always includes the blend vertices (they are achievable
-for every budget) and adds the full-scheme vertices whenever the budget
-regime admits them, taking the convex hull of the union.  This keeps the
-region monotone in both budgets and covers budget combinations that fall
-between the named regimes.
+A region is the convex hull of the (fast MG, slow MG) pairs reachable by
+time-sharing the mixed, slow-only and cooperation-free schemes at prelog
+budgets (mu_tx, mu_rx).  One rule serves every model, read from its
+``formulas`` table.  A scheme's share is the largest fraction of time,
+at most 1, that the budgets afford one of its variants: min(1, have/need)
+over the variant's requirements, where a nonpositive requirement never
+binds.  With m the mixed share, the hull takes (0, 0), (s_nc, 0), the
+slow-only point (0, a s_max + (1 - a) s_nc) and the mixed blend
+(m s_f + (1 - m) s_nc, m s_s); at m = 1 it adds (0, s_f + s_s), and at
+m < 1 with a slow-only share of 1 it adds (0, s_max) and the knee
+(m s_f, m s_s + (1 - m) s_max).  The one per-model choice is a: the hex
+slow-only point is scaled by the slow-only share, every other model's by m.
 
 All geometry is exact rational arithmetic; no tolerances anywhere.
 """
@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .association import Scheme, check_params
 from .loads import formulas
 from .rationals import ratio_to_json
-from .topology import HEX, SECTORED, WYNER
+from .topology import HEX, WYNER
 
 
 class MgPoint(NamedTuple):
@@ -118,8 +118,7 @@ def region_subset(inner: MgRegion, outer: MgRegion) -> bool:
 
 def outer_bound_wyner(D: int, L: int) -> list[HalfPlane]:
     """Cap on the fast MG and on the sum MG, plus nonnegativity."""
-    if D < 0:
-        raise ValueError("D must be >= 0")
+    check_params(WYNER, Scheme.NO_COOP, D, L)
     F = Fraction
     return [
         HalfPlane(F(1), F(0), F(L, 2)),
@@ -130,66 +129,36 @@ def outer_bound_wyner(D: int, L: int) -> list[HalfPlane]:
 
 
 def outer_polygon_wyner(D: int, L: int) -> MgRegion:
+    check_params(WYNER, Scheme.NO_COOP, D, L)
     F = Fraction
     c = F(L * (D + 1), D + 2)
     return convex_hull([MgPoint(F(0), F(0)), MgPoint(F(0), c),
                         MgPoint(F(L, 2), c - F(L, 2)), MgPoint(F(L, 2), F(0))])
 
 
-_INF = object()
+# Each scheme's variants as (tx requirement, rx requirement) keys of ``formulas``;
+# None marks a side the variant does not need.
+_MIXED = (("mu_r_tx", "mu_r_rx"), ("mu_t_tx", "mu_t_rx"))
+_SLOW_ONLY = ((None, "mu_s_rx"), ("mu_s_tx", None))
 
 
-def _ratio(avail: Fraction, required: Fraction):
-    """Available/required budget ratio; a nonpositive requirement never binds."""
-    if avail < 0:
-        raise ValueError("prelogs must be nonnegative")
-    if required <= 0:
-        return _INF
-    return Fraction(avail, 1) / required
+def _share(f: dict[str, Fraction], variants, mu_tx: Fraction, mu_rx: Fraction) -> Fraction:
+    """Largest time share (at most 1) the budgets afford any of a scheme's variants.
 
-
-def _fmin(x, y):
-    if x is _INF:
-        return y
-    if y is _INF:
-        return x
-    return min(x, y)
-
-
-def _fmax(x, y):
-    if x is _INF or y is _INF:
-        return _INF
-    return max(x, y)
-
-
-def _clamp01(x) -> Fraction:
-    if x is _INF or x > 1:
-        return Fraction(1)
-    return max(Fraction(0), x)
-
-
-def alpha_wyner(mu_tx: Fraction, mu_rx: Fraction, D: int, L: int) -> Fraction:
-    """Best time-sharing fraction of the mixed scheme affordable at these budgets."""
-    f = formulas(WYNER, D, L)
-    a = _fmin(_ratio(mu_tx, f["mu_r_tx"]), _ratio(mu_rx, f["mu_r_rx"]))
-    b = _fmin(_ratio(mu_tx, f["mu_t_tx"]), _ratio(mu_rx, f["mu_t_rx"]))
-    return _clamp01(_fmax(a, b))
-
-
-def alphas_hex(mu_tx: Fraction, mu_rx: Fraction, D: int, L: int) -> tuple[Fraction, Fraction]:
-    f = formulas(HEX, D, L)
-    a = _fmin(_ratio(mu_tx, f["mu_r_tx"]), _ratio(mu_rx, f["mu_r_rx"]))
-    b = _fmin(_ratio(mu_tx, f["mu_t_tx"]), _ratio(mu_rx, f["mu_t_rx"]))
-    alpha1 = _clamp01(_fmax(a, b))
-    alpha2 = _clamp01(_fmax(_ratio(mu_tx, f["mu_s_tx"]), _ratio(mu_rx, f["mu_s_rx"])))
-    return alpha1, alpha2
-
-
-def alphas_sectored(mu_tx: Fraction, mu_rx: Fraction, D: int, L: int) -> tuple[Fraction, Fraction]:
-    f = formulas(SECTORED, D, L)
-    alpha1 = _clamp01(_ratio(mu_tx, f["mu_r_tx"]))
-    alpha2 = _clamp01(_fmin(_ratio(mu_tx, f["mu_r_tx"]), _ratio(mu_rx, f["mu_r_rx"])))
-    return alpha1, alpha2
+    A variant's share is min(1, have/need) over its requirements; a
+    nonpositive requirement never binds, and a variant whose keys the model
+    lacks gets share 0.
+    """
+    best = Fraction(0)
+    for keys in variants:
+        if any(k is not None and k not in f for k in keys):
+            continue
+        share = Fraction(1)
+        for have, k in zip((mu_tx, mu_rx), keys):
+            if k is not None and f[k] > 0:
+                share = min(share, have / f[k])
+        best = max(best, share)
+    return best
 
 
 def achievable_region(model: str, D: int, L: int,
@@ -200,52 +169,22 @@ def achievable_region(model: str, D: int, L: int,
     check_params(model, Scheme.BOTH_COMP_RX, D, L)
     mu_tx, mu_rx = Fraction(mu_tx), Fraction(mu_rx)
     f = formulas(model, D, L)
-    zero = Fraction(0)
     s_nc, s_max = f["s_nocoop"], f["s_max"]
     s_f, s_s = f["s_f_both"], f["s_s_both"]
-    pts = [MgPoint(zero, zero), MgPoint(s_nc, zero)]
-
-    if model == WYNER:
-        alpha = alpha_wyner(mu_tx, mu_rx, D, L)
-        pts.append(MgPoint(zero, alpha * s_max + (1 - alpha) * s_nc))
-        pts.append(MgPoint(alpha * s_f + (1 - alpha) * s_nc, alpha * s_s))
-        case1 = (mu_rx >= f["mu_r_rx"] and mu_tx >= f["mu_r_tx"]) or \
-                (mu_rx >= f["mu_t_rx"] and mu_tx >= f["mu_t_tx"])
-        case2 = (mu_rx >= f["mu_s_rx"] and mu_tx < f["mu_r_tx"]) or \
-                (mu_tx >= f["mu_s_tx"] and mu_rx < f["mu_t_rx"])
-        if case1:
-            pts += [MgPoint(zero, s_max), MgPoint(s_f, s_s)]
-        if case2:
-            pts += [MgPoint(zero, s_max),
-                    MgPoint(alpha * s_f, alpha * s_s + (1 - alpha) * s_max)]
-    elif model == HEX:
-        alpha1, alpha2 = alphas_hex(mu_tx, mu_rx, D, L)
-        pts.append(MgPoint(zero, alpha2 * s_max + (1 - alpha2) * s_nc))
-        pts.append(MgPoint(alpha1 * s_f + (1 - alpha1) * s_nc, alpha1 * s_s))
-        case1 = (mu_rx >= max(f["mu_r_rx"], f["mu_s_rx"]) and mu_tx >= f["mu_r_tx"]) or \
-                (mu_tx >= max(f["mu_t_tx"], f["mu_s_tx"]) and mu_rx >= f["mu_t_rx"])
-        case2 = (f["mu_r_rx"] <= mu_rx < f["mu_s_rx"] and mu_tx >= f["mu_r_tx"]) or \
-                (f["mu_t_tx"] <= mu_tx < f["mu_s_tx"] and mu_rx >= f["mu_t_rx"])
-        case3 = (mu_rx >= f["mu_s_rx"] and mu_tx < f["mu_r_tx"]) or \
-                (mu_tx >= f["mu_s_tx"] and mu_rx < f["mu_t_rx"])
-        if case1:
-            pts += [MgPoint(zero, s_max), MgPoint(s_f, s_s)]
-        if case2:
-            pts += [MgPoint(zero, s_f + s_s), MgPoint(s_f, s_s)]
-        if case3:
-            pts += [MgPoint(zero, s_max),
-                    MgPoint(alpha1 * s_f, alpha1 * s_s + (1 - alpha1) * s_max)]
-    else:
-        alpha1, alpha2 = alphas_sectored(mu_tx, mu_rx, D, L)
-        pts.append(MgPoint(zero, alpha2 * s_max + (1 - alpha2) * s_nc))
-        pts.append(MgPoint(alpha2 * s_f + (1 - alpha2) * s_nc, alpha2 * s_s))
-        case1 = mu_rx >= f["mu_r_rx"] and mu_tx >= f["mu_r_tx"]
-        case2 = mu_rx >= f["mu_s_rx"] and mu_tx < f["mu_r_tx"]
-        if case1:
-            pts += [MgPoint(zero, s_max), MgPoint(s_f, s_s)]
-        if case2:
-            pts += [MgPoint(zero, s_max),
-                    MgPoint(alpha1 * s_f, alpha1 * s_s + (1 - alpha1) * s_max)]
+    m = _share(f, _MIXED, mu_tx, mu_rx)
+    slow_only = _share(f, _SLOW_ONLY, mu_tx, mu_rx)
+    # The paper scales the hex slow-only point by its own share.  On Wyner and
+    # sectorized s_f + s_s = s_max, so that point is the mixed blend with its
+    # fast data sent as slow.
+    a = slow_only if model == HEX else m
+    zero = Fraction(0)
+    pts = [MgPoint(zero, zero), MgPoint(s_nc, zero),
+           MgPoint(zero, a * s_max + (1 - a) * s_nc),
+           MgPoint(m * s_f + (1 - m) * s_nc, m * s_s)]
+    if m == 1:
+        pts.append(MgPoint(zero, s_f + s_s))
+    elif slow_only == 1:
+        pts += [MgPoint(zero, s_max), MgPoint(m * s_f, m * s_s + (1 - m) * s_max)]
     return convex_hull(pts)
 
 

@@ -15,15 +15,16 @@
   follows the sector interference graph (4 neighbours).
 
 Node ids are dense: every per-node table (``interference``, ``tx_coop``,
-``coords``, ``tx_cell``; ``rx_coop``, ``cell_coords``, ``cell_sectors``
-per Rx cell) is a sequence indexed by the id itself.  Hex and sectorized
-ids run 0..n-1.  Wyner keeps the 1-based cell numbers 1..K of the paper, so
-its tables carry an unused slot 0 (empty adjacency, no role) that is never
-in ``tx_nodes``.  ``Network.cell_of`` is one lookup in ``tx_cell``: the
-identity range for Wyner and hex, where a node is its own cell and
-``cell_coords`` is the very sequence ``coords``; in the sectorized model
-``coords`` holds (cell coordinate, kind) per sector and ``tx_cell`` maps a
-sector to its cell.  Per-cell code uses these and needs no model branch.
+``coords``, ``tx_cell``; ``rx_coop`` and ``cell_coords`` per Rx cell) is a
+sequence indexed by the id itself.  Hex and sectorized ids run 0..n-1.
+Wyner keeps the 1-based cell numbers 1..K of the paper, so its tables carry
+an unused slot 0 (empty adjacency, no role) that is never in ``tx_nodes``.
+``Network.cell_of`` is one lookup in ``tx_cell``: the identity range for
+Wyner and hex, where a node is its own cell and ``cell_coords`` is the very
+sequence ``coords``; in the sectorized model sector ``3 * i + j`` is the
+``SECTOR_KINDS[j]`` sector of cell ``i``, ``coords`` holds (cell
+coordinate, kind) per sector and ``tx_cell`` maps a sector to its cell.
+Per-cell code uses these and needs no model branch.
 Adjacency is a tuple of sorted tuples, and equal relations share one
 object (``tx_coop is interference`` in every model).
 
@@ -91,7 +92,6 @@ class Network:
     coords: Sequence = field(default=(), repr=False)  # per Tx node
     cell_coords: Sequence = field(default=(), repr=False)  # per Rx cell
     tx_cell: Sequence[int] = field(default=(), repr=False)  # Tx node -> Rx cell
-    cell_sectors: Sequence[tuple[int, ...]] = field(default=(), repr=False)  # sectorized only
     geometry: object | None = field(default=None, repr=False)
 
     @property
@@ -286,7 +286,6 @@ def _sectored_from_rows(rows: list[Row], L: int, canon, params: dict,
         q_tx=q_tx, q_rx=q_rx, params=params,
         coords=[(c, k) for c in cells for k in SECTOR_KINDS], cell_coords=cells,
         tx_cell=[i for i in rx_nodes for _ in SECTOR_KINDS],
-        cell_sectors=[tx_nodes[3 * i:3 * i + 3] for i in rx_nodes],
         geometry=geometry,
     )
 

@@ -221,14 +221,14 @@ def reference_roles(net, D, scheme):
             continue
         if dist < tau:
             fast = _sector_fast_kind(hits[0][1]) if scheme.mixed else None
-            for t in net.cell_sectors[i]:
+            for t in range(3 * i, 3 * i + 3):
                 roles[t] = Role.FAST if net.coords[t][1] == fast else Role.SLOW
         else:
             assert dist == tau
             silenced = {frozenset(_sector_silenced(delta, tau)) for _, delta in hits}
             assert len(silenced) == 1
             (silenced,) = silenced
-            for t in net.cell_sectors[i]:
+            for t in range(3 * i, 3 * i + 3):
                 kind = net.coords[t][1]
                 if kind in silenced:
                     roles[t] = Role.SILENT

@@ -1,4 +1,4 @@
-"""Region geometry: hulls, alpha blends, regime vertex sets, outer bound."""
+"""Region geometry: hulls, time shares, regime vertex sets, outer bound."""
 
 from __future__ import annotations
 
@@ -8,47 +8,201 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from mgnet import (HEX, SECTORED, WYNER, HalfPlane, MgPoint, achievable_region,
-                   alpha_wyner, alphas_hex, alphas_sectored, contains,
-                   convex_hull, is_subset, outer_bound_wyner,
-                   outer_polygon_wyner, region_subset)
+from mgnet import (HEX, SECTORED, WYNER, HalfPlane, MgPoint, Scheme,
+                   achievable_region, check_params, contains, convex_hull,
+                   is_subset, outer_bound_wyner, outer_polygon_wyner,
+                   region_subset)
 from mgnet.loads import formulas
-from mgnet.regions import _cross
+from mgnet.regions import _MIXED, _SLOW_ONLY, _cross, _share
 
 
-def test_alpha_wyner_examples():
-    assert alpha_wyner(F(9, 8), F(21, 8), 6, 3) == 1
-    assert alpha_wyner(F(0), F(0), 6, 3) == 0
-    assert alpha_wyner(F(1, 2), F(9, 2), 6, 3) == F(4, 9)
+# --- Oracle: the per-model region assembly the library used to have -------
+# One branch per model with its own budget regimes (case1/2/3) and blend
+# fractions computed through an infinity sentinel.  ``achievable_region``
+# must give the same vertices; the shares must equal these fractions.
+
+_INF = object()
 
 
-def test_alpha_rejects_negative():
-    with pytest.raises(ValueError):
-        alpha_wyner(F(-1), F(1), 6, 3)
+def _ratio(avail, required):
+    if avail < 0:
+        raise ValueError("prelogs must be nonnegative")
+    if required <= 0:
+        return _INF
+    return F(avail, 1) / required
 
 
-def test_alphas_hex_examples():
-    a1, _ = alphas_hex(F(5, 8), F(7, 4), 8, 3)
-    assert a1 == 1
-    _, a2 = alphas_hex(F(1, 10), F(12, 5), 8, 3)
-    assert a2 == 1
-    assert alphas_hex(F(0), F(0), 8, 3) == (0, 0)
+def _fmin(x, y):
+    if x is _INF:
+        return y
+    if y is _INF:
+        return x
+    return min(x, y)
 
 
-def test_alphas_hex_negative_requirement_never_binds():
+def _fmax(x, y):
+    if x is _INF or y is _INF:
+        return _INF
+    return max(x, y)
+
+
+def _clamp01(x):
+    if x is _INF or x > 1:
+        return F(1)
+    return max(F(0), x)
+
+
+def ref_alpha_wyner(mu_tx, mu_rx, D, L):
+    f = formulas(WYNER, D, L)
+    a = _fmin(_ratio(mu_tx, f["mu_r_tx"]), _ratio(mu_rx, f["mu_r_rx"]))
+    b = _fmin(_ratio(mu_tx, f["mu_t_tx"]), _ratio(mu_rx, f["mu_t_rx"]))
+    return _clamp01(_fmax(a, b))
+
+
+def ref_alphas_hex(mu_tx, mu_rx, D, L):
+    f = formulas(HEX, D, L)
+    a = _fmin(_ratio(mu_tx, f["mu_r_tx"]), _ratio(mu_rx, f["mu_r_rx"]))
+    b = _fmin(_ratio(mu_tx, f["mu_t_tx"]), _ratio(mu_rx, f["mu_t_rx"]))
+    alpha1 = _clamp01(_fmax(a, b))
+    alpha2 = _clamp01(_fmax(_ratio(mu_tx, f["mu_s_tx"]), _ratio(mu_rx, f["mu_s_rx"])))
+    return alpha1, alpha2
+
+
+def ref_alphas_sectored(mu_tx, mu_rx, D, L):
+    f = formulas(SECTORED, D, L)
+    alpha1 = _clamp01(_ratio(mu_tx, f["mu_r_tx"]))
+    alpha2 = _clamp01(_fmin(_ratio(mu_tx, f["mu_r_tx"]), _ratio(mu_rx, f["mu_r_rx"])))
+    return alpha1, alpha2
+
+
+def ref_region(model, D, L, mu_tx, mu_rx):
+    if mu_tx < 0 or mu_rx < 0:
+        raise ValueError("prelogs must be nonnegative")
+    check_params(model, Scheme.BOTH_COMP_RX, D, L)
+    mu_tx, mu_rx = F(mu_tx), F(mu_rx)
+    f = formulas(model, D, L)
+    zero = F(0)
+    s_nc, s_max = f["s_nocoop"], f["s_max"]
+    s_f, s_s = f["s_f_both"], f["s_s_both"]
+    pts = [MgPoint(zero, zero), MgPoint(s_nc, zero)]
+    if model == WYNER:
+        alpha = ref_alpha_wyner(mu_tx, mu_rx, D, L)
+        pts.append(MgPoint(zero, alpha * s_max + (1 - alpha) * s_nc))
+        pts.append(MgPoint(alpha * s_f + (1 - alpha) * s_nc, alpha * s_s))
+        case1 = (mu_rx >= f["mu_r_rx"] and mu_tx >= f["mu_r_tx"]) or \
+                (mu_rx >= f["mu_t_rx"] and mu_tx >= f["mu_t_tx"])
+        case2 = (mu_rx >= f["mu_s_rx"] and mu_tx < f["mu_r_tx"]) or \
+                (mu_tx >= f["mu_s_tx"] and mu_rx < f["mu_t_rx"])
+        if case1:
+            pts += [MgPoint(zero, s_max), MgPoint(s_f, s_s)]
+        if case2:
+            pts += [MgPoint(zero, s_max),
+                    MgPoint(alpha * s_f, alpha * s_s + (1 - alpha) * s_max)]
+    elif model == HEX:
+        alpha1, alpha2 = ref_alphas_hex(mu_tx, mu_rx, D, L)
+        pts.append(MgPoint(zero, alpha2 * s_max + (1 - alpha2) * s_nc))
+        pts.append(MgPoint(alpha1 * s_f + (1 - alpha1) * s_nc, alpha1 * s_s))
+        case1 = (mu_rx >= max(f["mu_r_rx"], f["mu_s_rx"]) and mu_tx >= f["mu_r_tx"]) or \
+                (mu_tx >= max(f["mu_t_tx"], f["mu_s_tx"]) and mu_rx >= f["mu_t_rx"])
+        case2 = (f["mu_r_rx"] <= mu_rx < f["mu_s_rx"] and mu_tx >= f["mu_r_tx"]) or \
+                (f["mu_t_tx"] <= mu_tx < f["mu_s_tx"] and mu_rx >= f["mu_t_rx"])
+        case3 = (mu_rx >= f["mu_s_rx"] and mu_tx < f["mu_r_tx"]) or \
+                (mu_tx >= f["mu_s_tx"] and mu_rx < f["mu_t_rx"])
+        if case1:
+            pts += [MgPoint(zero, s_max), MgPoint(s_f, s_s)]
+        if case2:
+            pts += [MgPoint(zero, s_f + s_s), MgPoint(s_f, s_s)]
+        if case3:
+            pts += [MgPoint(zero, s_max),
+                    MgPoint(alpha1 * s_f, alpha1 * s_s + (1 - alpha1) * s_max)]
+    else:
+        alpha1, alpha2 = ref_alphas_sectored(mu_tx, mu_rx, D, L)
+        pts.append(MgPoint(zero, alpha2 * s_max + (1 - alpha2) * s_nc))
+        pts.append(MgPoint(alpha2 * s_f + (1 - alpha2) * s_nc, alpha2 * s_s))
+        case1 = mu_rx >= f["mu_r_rx"] and mu_tx >= f["mu_r_tx"]
+        case2 = mu_rx >= f["mu_s_rx"] and mu_tx < f["mu_r_tx"]
+        if case1:
+            pts += [MgPoint(zero, s_max), MgPoint(s_f, s_s)]
+        if case2:
+            pts += [MgPoint(zero, s_max),
+                    MgPoint(alpha1 * s_f, alpha1 * s_s + (1 - alpha1) * s_max)]
+    return convex_hull(pts)
+
+
+def shares(model, mu_tx, mu_rx, D, L):
+    """(mixed, slow-only) time shares of the library rule."""
+    f = formulas(model, D, L)
+    return _share(f, _MIXED, mu_tx, mu_rx), _share(f, _SLOW_ONLY, mu_tx, mu_rx)
+
+
+def oracle_cases(max_D, Ls):
+    for model in (WYNER, HEX, SECTORED):
+        for D in range(2, max_D + 1):
+            for L in Ls:
+                try:
+                    check_params(model, Scheme.BOTH_COMP_RX, D, L)
+                except ValueError:
+                    continue
+                yield model, D, L
+
+
+@pytest.mark.parametrize("model,D,L", list(oracle_cases(14, (1, 3))))
+def test_region_equals_per_model_oracle(model, D, L):
+    # budgets at and on both sides of every prelog requirement, where a
+    # regime can switch
+    eps = F(1, 1000)
+    budgets = sorted({F(0)} | {v + d for k, v in formulas(model, D, L).items()
+                               if k.startswith("mu_")
+                               for d in (-eps, 0, eps) if v + d >= 0})
+    for mu_tx in budgets:
+        for mu_rx in budgets:
+            assert achievable_region(model, D, L, mu_tx, mu_rx) == \
+                ref_region(model, D, L, mu_tx, mu_rx), (mu_tx, mu_rx)
+
+
+def test_shares_wyner_examples():
+    for mu_tx, mu_rx, alpha in ((F(9, 8), F(21, 8), 1), (F(0), F(0), 0),
+                                (F(1, 2), F(9, 2), F(4, 9))):
+        assert ref_alpha_wyner(mu_tx, mu_rx, 6, 3) == alpha
+        assert shares(WYNER, mu_tx, mu_rx, 6, 3)[0] == alpha
+
+
+def test_shares_hex_examples():
+    for alphas in (ref_alphas_hex, lambda *a: shares(HEX, *a)):
+        a1, _ = alphas(F(5, 8), F(7, 4), 8, 3)
+        assert a1 == 1
+        _, a2 = alphas(F(1, 10), F(12, 5), 8, 3)
+        assert a2 == 1
+        assert alphas(F(0), F(0), 8, 3) == (0, 0)
+
+
+def test_shares_hex_negative_requirement_never_binds():
     # at D=2 the CoMP-transmission prelog formula is negative, so that
     # direction is requirement-free and must not cap the blend
     f = formulas(HEX, 2, 3)
     assert f["mu_t_tx"] < 0
-    a1, _ = alphas_hex(F(1, 100), F(1), 2, 3)
-    assert a1 == 1  # mu_t_rx = 0.185..., mu_rx=1 exceeds it; tx side is free
+    # mu_t_rx = 0.185..., mu_rx=1 exceeds it; tx side is free
+    assert ref_alphas_hex(F(1, 100), F(1), 2, 3)[0] == 1
+    assert _share(f, _MIXED, F(1, 100), F(1)) == 1
+    assert _share(f, (("mu_t_tx", "mu_t_rx"),), F(0), F(1)) == 1
 
 
-def test_alphas_sectored_examples():
-    assert alphas_sectored(F(3, 4), F(9, 4), 4, 3) == (1, 1)
-    a1, a2 = alphas_sectored(F(1, 10), F(3), 4, 3)
-    assert a1 == F(2, 15) and a2 == F(2, 15)
-    assert alphas_sectored(F(0), F(7), 4, 3) == (0, 0)
+def test_share_of_a_variant_the_model_lacks_is_zero():
+    f = formulas(SECTORED, 4, 3)  # no CoMP-transmission keys, no mu_s_tx
+    assert _share(f, (("mu_t_tx", "mu_t_rx"),), F(100), F(100)) == 0
+    assert _share(f, (("mu_s_tx", None),), F(100), F(100)) == 0
+    assert _share(f, _SLOW_ONLY, F(100), F(100)) == 1  # the rx-side variant
+
+
+def test_shares_sectored_examples():
+    tx_only = (("mu_r_tx", None),)  # the oracle's alpha1
+    f = formulas(SECTORED, 4, 3)
+    assert ref_alphas_sectored(F(3, 4), F(9, 4), 4, 3) == (1, 1)
+    assert (_share(f, tx_only, F(3, 4), F(9, 4)), _share(f, _MIXED, F(3, 4), F(9, 4))) == (1, 1)
+    assert ref_alphas_sectored(F(1, 10), F(3), 4, 3) == (F(2, 15), F(2, 15))
+    assert _share(f, tx_only, F(1, 10), F(3)) == _share(f, _MIXED, F(1, 10), F(3)) == F(2, 15)
+    assert ref_alphas_sectored(F(0), F(7), 4, 3) == (0, 0)
+    assert _share(f, tx_only, F(0), F(7)) == _share(f, _MIXED, F(0), F(7)) == 0
 
 
 def test_convex_hull_examples():
@@ -131,8 +285,8 @@ def test_hull_equals_fraction_oracle_small_cases(pts):
 @pytest.mark.parametrize("call", [
     lambda: formulas(HEX, 0, 3),
     lambda: formulas(SECTORED, 0, 3),
-    lambda: alphas_hex(F(1), F(1), 0, 3),
-    lambda: alphas_sectored(F(1), F(1), 0, 3),
+    lambda: achievable_region(HEX, 0, 3, F(1), F(1)),
+    lambda: achievable_region(SECTORED, 0, 3, F(1), F(1)),
 ])
 def test_d0_closed_forms_raise_value_error(call):
     with pytest.raises(ValueError, match="D=0"):
@@ -171,7 +325,8 @@ def test_sum_mg_preserved_along_case2_knee():
     cap = F(L * (D + 1), D + 2)
     for mu_tx in (F(1, 8), F(1, 4), F(1, 2), F(9, 10)):
         region = achievable_region(WYNER, D, L, mu_tx, F(9, 2))
-        alpha = alpha_wyner(mu_tx, F(9, 2), D, L)
+        alpha, _ = shares(WYNER, mu_tx, F(9, 2), D, L)
+        assert alpha == ref_alpha_wyner(mu_tx, F(9, 2), D, L) < 1
         f = formulas(WYNER, D, L)
         knee = MgPoint(alpha * f["s_f_both"],
                        alpha * f["s_s_both"] + (1 - alpha) * f["s_max"])
@@ -234,6 +389,8 @@ def test_region_rejects_bad_args():
         achievable_region(WYNER, 5, 3, F(1), F(1))
     with pytest.raises(ValueError):
         achievable_region(WYNER, 6, 3, F(-1), F(1))
+    with pytest.raises(ValueError):
+        achievable_region(WYNER, 6, 3, F(1), F(-1))
 
 
 def test_sectorized_gap_parameters_still_get_a_region():
@@ -248,16 +405,35 @@ budgets = st.tuples(st.integers(0, 40), st.integers(1, 8)).map(lambda t: F(t[0],
 
 
 @given(budgets, budgets, budgets)
-def test_alpha_clamped_and_monotone(mu_tx, mu_rx, bump):
-    a = alpha_wyner(mu_tx, mu_rx, 6, 3)
-    assert 0 <= a <= 1
-    assert alpha_wyner(mu_tx + bump, mu_rx, 6, 3) >= a
-    assert alpha_wyner(mu_tx, mu_rx + bump, 6, 3) >= a
+def test_shares_clamped_and_monotone(mu_tx, mu_rx, bump):
+    for model, D in ((WYNER, 6), (HEX, 8), (SECTORED, 4)):
+        now = shares(model, mu_tx, mu_rx, D, 3)
+        more_tx = shares(model, mu_tx + bump, mu_rx, D, 3)
+        more_rx = shares(model, mu_tx, mu_rx + bump, D, 3)
+        for a, b, c in zip(now, more_tx, more_rx):
+            assert 0 <= a <= 1
+            assert b >= a and c >= a
 
 
 @given(budgets, budgets)
-def test_hex_alphas_clamped(mu_tx, mu_rx):
-    a1, a2 = alphas_hex(mu_tx, mu_rx, 8, 3)
-    b1, b2 = alphas_sectored(mu_tx, mu_rx, 4, 3)
-    for a in (a1, a2, b1, b2):
-        assert 0 <= a <= 1
+def test_shares_equal_oracle_alphas(mu_tx, mu_rx):
+    a = ref_alpha_wyner(mu_tx, mu_rx, 6, 3)
+    a1, a2 = ref_alphas_hex(mu_tx, mu_rx, 8, 3)
+    b1, b2 = ref_alphas_sectored(mu_tx, mu_rx, 4, 3)
+    for x in (a, a1, a2, b1, b2):
+        assert 0 <= x <= 1
+    assert shares(WYNER, mu_tx, mu_rx, 6, 3)[0] == a
+    assert shares(HEX, mu_tx, mu_rx, 8, 3) == (a1, a2)
+    assert shares(SECTORED, mu_tx, mu_rx, 4, 3)[0] == b2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: outer_polygon_wyner(-1, 3),  # used to give the vertex (3/2, -3/2)
+    lambda: outer_polygon_wyner(-2, 3),  # used to divide by D + 2 = 0
+    lambda: outer_bound_wyner(-1, 3),
+    lambda: outer_bound_wyner(6, 0),
+    lambda: outer_polygon_wyner(6, 0),
+])
+def test_outer_bound_rejects_bad_d_or_l(call):
+    with pytest.raises(ValueError, match="D=-|L=0"):
+        call()

@@ -255,7 +255,10 @@ def test_node_tables_follow_the_cell_order(make, domain):
         return
     assert list(net.coords) == [(c, k) for c in cells for k in SECTOR_KINDS]
     assert list(net.tx_cell) == [t // 3 for t in range(3 * len(cells))]
-    assert list(net.cell_sectors) == [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(len(cells))]
+    for i, c in enumerate(cells):  # sector 3i + j is kind SECTOR_KINDS[j] of cell i
+        sectors = range(3 * i, 3 * i + 3)
+        assert [net.coords[t] for t in sectors] == [(c, k) for k in SECTOR_KINDS]
+        assert [net.tx_cell[t] for t in sectors] == [i, i, i]
 
 
 def test_network_json_round_trip():
@@ -295,8 +298,8 @@ def test_network_shape(make):
         assert all(net.cell_of(t) == t for t in net.tx_nodes)
         return
     for i in net.rx_nodes:
-        sectors = net.cell_sectors[i]
-        assert sorted(sectors) == [t for t in net.tx_nodes if net.cell_of(t) == i]
+        sectors = range(3 * i, 3 * i + 3)
+        assert list(sectors) == [t for t in net.tx_nodes if net.cell_of(t) == i]
         assert sorted(net.coords[t][1] for t in sectors) == sorted(SECTOR_KINDS)
         assert all(net.coords[t][0] == net.cell_coords[i] for t in sectors)
 
