@@ -13,11 +13,17 @@ m < 1 with a slow-only share of 1 it adds (0, s_max) and the knee
 (m s_f, m s_s + (1 - m) s_max).  The one per-model choice is a: the hex
 slow-only point is scaled by the slow-only share, every other model's by m.
 
+A region is assembled in integers: the ``formulas`` table is scaled once
+to numerators over their lcm Q (cached per model, D and L), each share is
+an integer pair, and every candidate point is an integer pair over one
+common denominator.  Fractions are made only for the hull vertices.
+
 All geometry is exact rational arithmetic; no tolerances anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,26 +79,34 @@ def _chain(order, xy: list[tuple[int, int]]) -> list[int]:
     return kept
 
 
+def _hull_region(xy: list[tuple[int, int]], den: int) -> MgRegion:
+    """Hull of integer points, each read as (x/den, y/den).
+
+    Integers over one positive denominator keep the lexicographic order and
+    every cross-product sign of the rationals they stand for, so this is the
+    exact rational hull; Fractions are made only for its vertices.
+    """
+    pts = sorted(set(xy))
+    if len(pts) > 2:
+        idx = range(len(pts))
+        hull = _chain(idx, pts)[:-1] + _chain(reversed(idx), pts)[:-1]
+        # fewer than 3 kept means all points are collinear
+        pts = [pts[i] for i in hull] if len(hull) >= 3 else [pts[0], pts[-1]]
+    return MgRegion(tuple(MgPoint(Fraction(x, den), Fraction(y, den)) for x, y in pts))
+
+
 def convex_hull(points: list[MgPoint]) -> MgRegion:
     """Monotone-chain hull; collinear boundary points are dropped.
 
-    The orientation tests run on integers: every point is scaled by the lcm
-    of all denominators, which keeps the sort order and every cross-product
-    sign, so the hull is the exact rational one.
+    Every point is scaled by the lcm of all denominators and the hull is
+    taken on those integers (``_hull_region``).
     """
     if not points:
         raise ValueError("need at least one point")
-    pts = sorted(set(MgPoint(Fraction(p[0]), Fraction(p[1])) for p in points))
-    if len(pts) <= 2:
-        return MgRegion(tuple(pts))
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
     scale = math.lcm(*(c.denominator for p in pts for c in p))
-    xy = [(p.s_f.numerator * (scale // p.s_f.denominator),
-           p.s_s.numerator * (scale // p.s_s.denominator)) for p in pts]
-    idx = range(len(pts))
-    hull = _chain(idx, xy)[:-1] + _chain(reversed(idx), xy)[:-1]
-    if len(hull) < 3:  # all points collinear
-        return MgRegion((pts[0], pts[-1]))
-    return MgRegion(tuple(pts[i] for i in hull))
+    return _hull_region([(x.numerator * (scale // x.denominator),
+                          y.numerator * (scale // y.denominator)) for x, y in pts], scale)
 
 
 def contains(region: MgRegion, p: MgPoint) -> bool:
@@ -142,23 +156,36 @@ _MIXED = (("mu_r_tx", "mu_r_rx"), ("mu_t_tx", "mu_t_rx"))
 _SLOW_ONLY = ((None, "mu_s_rx"), ("mu_s_tx", None))
 
 
-def _share(f: dict[str, Fraction], variants, mu_tx: Fraction, mu_rx: Fraction) -> Fraction:
+@functools.lru_cache(maxsize=512)
+def _scaled_formulas(model: str, D: int, L: int) -> tuple[int, dict[str, int]]:
+    """``formulas(model, D, L)`` as integer numerators over their lcm Q: (Q, numerators)."""
+    f = formulas(model, D, L)
+    scale = math.lcm(*(v.denominator for v in f.values()))
+    return scale, {k: v.numerator * (scale // v.denominator) for k, v in f.items()}
+
+
+def _share(table: tuple[int, dict[str, int]], variants,
+           tx: tuple[int, int], rx: tuple[int, int]) -> tuple[int, int]:
     """Largest time share (at most 1) the budgets afford any of a scheme's variants.
 
-    A variant's share is min(1, have/need) over its requirements; a
-    nonpositive requirement never binds, and a variant whose keys the model
-    lacks gets share 0.
+    ``table`` is ``_scaled_formulas`` and each budget is an integer pair
+    (n, d) with d > 0; the share comes back as a pair (p, q) with q > 0.  A
+    variant's share is min(1, have/need) over its requirements, where
+    have/need = (n/d) / (t/Q) = nQ/(dt); a nonpositive requirement never
+    binds, and a variant whose keys the model lacks gets share 0.
     """
-    best = Fraction(0)
+    scale, need = table
+    best_p, best_q = 0, 1
     for keys in variants:
-        if any(k is not None and k not in f for k in keys):
+        if any(k is not None and k not in need for k in keys):
             continue
-        share = Fraction(1)
-        for have, k in zip((mu_tx, mu_rx), keys):
-            if k is not None and f[k] > 0:
-                share = min(share, have / f[k])
-        best = max(best, share)
-    return best
+        sp, sq = 1, 1
+        for (n, d), k in zip((tx, rx), keys):
+            if k is not None and need[k] > 0 and n * scale * sq < d * need[k] * sp:
+                sp, sq = n * scale, d * need[k]
+        if sp * best_q > best_p * sq:
+            best_p, best_q = sp, sq
+    return best_p, best_q
 
 
 def achievable_region(model: str, D: int, L: int,
@@ -167,25 +194,27 @@ def achievable_region(model: str, D: int, L: int,
     if mu_tx < 0 or mu_rx < 0:
         raise ValueError("prelogs must be nonnegative")
     check_params(model, Scheme.BOTH_COMP_RX, D, L)
-    mu_tx, mu_rx = Fraction(mu_tx), Fraction(mu_rx)
-    f = formulas(model, D, L)
+    table = _scaled_formulas(model, D, L)
+    scale, f = table
+    tx, rx = mu_tx.as_integer_ratio(), mu_rx.as_integer_ratio()
     s_nc, s_max = f["s_nocoop"], f["s_max"]
     s_f, s_s = f["s_f_both"], f["s_s_both"]
-    m = _share(f, _MIXED, mu_tx, mu_rx)
-    slow_only = _share(f, _SLOW_ONLY, mu_tx, mu_rx)
+    mp, mq = _share(table, _MIXED, tx, rx)
+    slow_only = _share(table, _SLOW_ONLY, tx, rx)
     # The paper scales the hex slow-only point by its own share.  On Wyner and
     # sectorized s_f + s_s = s_max, so that point is the mixed blend with its
     # fast data sent as slow.
-    a = slow_only if model == HEX else m
-    zero = Fraction(0)
-    pts = [MgPoint(zero, zero), MgPoint(s_nc, zero),
-           MgPoint(zero, a * s_max + (1 - a) * s_nc),
-           MgPoint(m * s_f + (1 - m) * s_nc, m * s_s)]
-    if m == 1:
-        pts.append(MgPoint(zero, s_f + s_s))
-    elif slow_only == 1:
-        pts += [MgPoint(zero, s_max), MgPoint(m * s_f, m * s_s + (1 - m) * s_max)]
-    return convex_hull(pts)
+    ap, aq = slow_only if model == HEX else (mp, mq)
+    # every point as integers over mq * aq * scale
+    w = mq * aq
+    pts = [(0, 0), (s_nc * w, 0),
+           (0, (ap * s_max + (aq - ap) * s_nc) * mq),
+           ((mp * s_f + (mq - mp) * s_nc) * aq, mp * s_s * aq)]
+    if mp == mq:
+        pts.append((0, (s_f + s_s) * w))
+    elif slow_only[0] == slow_only[1]:
+        pts += [(0, s_max * w), (mp * s_f * aq, (mp * s_s + (mq - mp) * s_max) * aq)]
+    return _hull_region(pts, w * scale)
 
 
 def boundary_polyline(region: MgRegion) -> list[MgPoint]:

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from mgnet import (HEX, SECTORED, WYNER, HalfPlane, MgPoint, Scheme,
+from mgnet import (HEX, SECTORED, WYNER, HalfPlane, MgPoint, MgRegion, Scheme,
                    achievable_region, check_params, contains, convex_hull,
                    is_subset, outer_bound_wyner, outer_polygon_wyner,
                    region_subset)
 from mgnet.loads import formulas
-from mgnet.regions import _MIXED, _SLOW_ONLY, _cross, _share
+from mgnet.regions import _MIXED, _SLOW_ONLY, _cross, _scaled_formulas, _share
 
 
 # --- Oracle: the per-model region assembly the library used to have -------
@@ -126,13 +128,20 @@ def ref_region(model, D, L, mu_tx, mu_rx):
         if case2:
             pts += [MgPoint(zero, s_max),
                     MgPoint(alpha1 * s_f, alpha1 * s_s + (1 - alpha1) * s_max)]
-    return convex_hull(pts)
+    return MgRegion(_fraction_hull(pts))
+
+
+def share(model, D, L, variants, mu_tx, mu_rx):
+    """The library's integer share rule, read back as a Fraction."""
+    p, q = _share(_scaled_formulas(model, D, L), variants,
+                  mu_tx.as_integer_ratio(), mu_rx.as_integer_ratio())
+    return F(p, q)
 
 
 def shares(model, mu_tx, mu_rx, D, L):
     """(mixed, slow-only) time shares of the library rule."""
-    f = formulas(model, D, L)
-    return _share(f, _MIXED, mu_tx, mu_rx), _share(f, _SLOW_ONLY, mu_tx, mu_rx)
+    return (share(model, D, L, _MIXED, mu_tx, mu_rx),
+            share(model, D, L, _SLOW_ONLY, mu_tx, mu_rx))
 
 
 def oracle_cases(max_D, Ls):
@@ -146,18 +155,30 @@ def oracle_cases(max_D, Ls):
                 yield model, D, L
 
 
-@pytest.mark.parametrize("model,D,L", list(oracle_cases(14, (1, 3))))
+def _is_reduced(x):
+    return type(x) is F and x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+
+
+@pytest.mark.parametrize("model,D,L", list(oracle_cases(14, range(1, 6))))
 def test_region_equals_per_model_oracle(model, D, L):
-    # budgets at and on both sides of every prelog requirement, where a
-    # regime can switch
-    eps = F(1, 1000)
-    budgets = sorted({F(0)} | {v + d for k, v in formulas(model, D, L).items()
-                               if k.startswith("mu_")
-                               for d in (-eps, 0, eps) if v + d >= 0})
-    for mu_tx in budgets:
-        for mu_rx in budgets:
-            assert achievable_region(model, D, L, mu_tx, mu_rx) == \
-                ref_region(model, D, L, mu_tx, mu_rx), (mu_tx, mu_rx)
+    # zero and seeded random budgets with denominators up to 97; at L = 1
+    # and 3 also budgets at and on both sides of every prelog requirement,
+    # where a regime can switch
+    needs = [v for k, v in formulas(model, D, L).items() if k.startswith("mu_")]
+    rng = random.Random(f"{model}-{D}-{L}")
+    top = math.ceil(max(needs)) + 1
+    budgets = {F(0)}
+    for _ in range(8):
+        q = rng.randint(1, 97)
+        budgets.add(F(rng.randint(0, top * q), q))
+    if L in (1, 3):
+        eps = F(1, 1000)
+        budgets |= {v + d for v in needs for d in (-eps, 0, eps) if v + d >= 0}
+    for mu_tx in sorted(budgets):
+        for mu_rx in sorted(budgets):
+            region = achievable_region(model, D, L, mu_tx, mu_rx)
+            assert region == ref_region(model, D, L, mu_tx, mu_rx), (mu_tx, mu_rx)
+            assert all(_is_reduced(c) for p in region.vertices for c in p), region
 
 
 def test_shares_wyner_examples():
@@ -183,26 +204,31 @@ def test_shares_hex_negative_requirement_never_binds():
     assert f["mu_t_tx"] < 0
     # mu_t_rx = 0.185..., mu_rx=1 exceeds it; tx side is free
     assert ref_alphas_hex(F(1, 100), F(1), 2, 3)[0] == 1
-    assert _share(f, _MIXED, F(1, 100), F(1)) == 1
-    assert _share(f, (("mu_t_tx", "mu_t_rx"),), F(0), F(1)) == 1
+    assert share(HEX, 2, 3, _MIXED, F(1, 100), F(1)) == 1
+    assert share(HEX, 2, 3, (("mu_t_tx", "mu_t_rx"),), F(0), F(1)) == 1
 
 
 def test_share_of_a_variant_the_model_lacks_is_zero():
     f = formulas(SECTORED, 4, 3)  # no CoMP-transmission keys, no mu_s_tx
-    assert _share(f, (("mu_t_tx", "mu_t_rx"),), F(100), F(100)) == 0
-    assert _share(f, (("mu_s_tx", None),), F(100), F(100)) == 0
-    assert _share(f, _SLOW_ONLY, F(100), F(100)) == 1  # the rx-side variant
+    assert "mu_t_tx" not in f and "mu_s_tx" not in f
+    assert share(SECTORED, 4, 3, (("mu_t_tx", "mu_t_rx"),), F(100), F(100)) == 0
+    assert share(SECTORED, 4, 3, (("mu_s_tx", None),), F(100), F(100)) == 0
+    assert share(SECTORED, 4, 3, _SLOW_ONLY, F(100), F(100)) == 1  # the rx-side variant
 
 
 def test_shares_sectored_examples():
     tx_only = (("mu_r_tx", None),)  # the oracle's alpha1
-    f = formulas(SECTORED, 4, 3)
+
+    def both(mu_tx, mu_rx):
+        return (share(SECTORED, 4, 3, tx_only, mu_tx, mu_rx),
+                share(SECTORED, 4, 3, _MIXED, mu_tx, mu_rx))
+
     assert ref_alphas_sectored(F(3, 4), F(9, 4), 4, 3) == (1, 1)
-    assert (_share(f, tx_only, F(3, 4), F(9, 4)), _share(f, _MIXED, F(3, 4), F(9, 4))) == (1, 1)
+    assert both(F(3, 4), F(9, 4)) == (1, 1)
     assert ref_alphas_sectored(F(1, 10), F(3), 4, 3) == (F(2, 15), F(2, 15))
-    assert _share(f, tx_only, F(1, 10), F(3)) == _share(f, _MIXED, F(1, 10), F(3)) == F(2, 15)
+    assert both(F(1, 10), F(3)) == (F(2, 15), F(2, 15))
     assert ref_alphas_sectored(F(0), F(7), 4, 3) == (0, 0)
-    assert _share(f, tx_only, F(0), F(7)) == _share(f, _MIXED, F(0), F(7)) == 0
+    assert both(F(0), F(7)) == (0, 0)
 
 
 def test_convex_hull_examples():
