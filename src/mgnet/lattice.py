@@ -51,11 +51,6 @@ def hex_distance(c1: Coord, c2: Coord) -> int:
     return max(abs(da), abs(db), abs(da - db))
 
 
-def rotate_ccw(c: Coord) -> Coord:
-    """Rotate a coordinate by 2*pi/3 about the origin: (a, b) -> (-b, a-b)."""
-    return (-c[1], c[0] - c[1])
-
-
 def row_cells(rows: list[Row]) -> list[Coord]:
     """The cells of ``rows`` in row-major order."""
     return [(a, b) for a, lo, hi in rows for b in range(lo, hi + 1)]

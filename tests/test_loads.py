@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from mgnet import (HEX, SECTORED, WYNER, Role, Scheme, achievable_region,
                    assign, build_hex, build_hex_torus, build_sectored_hex,
@@ -12,6 +14,7 @@ from mgnet import (HEX, SECTORED, WYNER, Role, Scheme, achievable_region,
                    closed_form, finite_prelogs, mixed_subnet_counts, message_ledger,
                    subnet_decompose, subnet_sizes, validate)
 from mgnet.association import scheme_tau
+from mgnet.loads import LoadReport, _check_ledger
 
 ALL_SCHEMES = list(Scheme)
 SECTOR_SCHEMES = [Scheme.BOTH_COMP_RX, Scheme.SLOW_COMP_RX, Scheme.NO_COOP]
@@ -221,7 +224,8 @@ def test_hex_comp_tx_internal_consistency():
         led, _, _ = ledger_for(net, D, Scheme.BOTH_COMP_TX)
         assert led.tx_message_total \
             == 2 * led.fanin_msgs + led.precancel_msgs - led.q_dedup
-        assert led.tx_message_total == (2 * D**3 - 12 * D - 28) // 6
+        assert led.tx_message_total == (2 * D**3 - 12 * D - 28 + (36 if D == 2 else 0)) // 6
+        assert led.tx_message_total >= 0
 
 
 def test_hex_ball_convergence():
@@ -406,3 +410,82 @@ def test_ledger_rejects_an_association_of_another_network(K):
     assert message_ledger(other, assoc, subnets).mu_rx == F(21, 8)
     with pytest.raises(ValueError, match="different network"):
         message_ledger(build_wyner(K, 1), assoc, subnets)
+
+
+# --- Ledger invariants and ledger == closed form over the whole valid grid --
+
+def _sweep_cases():
+    for model in (WYNER, HEX, SECTORED):
+        for scheme in ALL_SCHEMES:
+            for D in range(27):
+                if not _raises(check_params, model, scheme, D, 1):
+                    yield model, scheme, D
+
+
+SWEEP = list(_sweep_cases())
+
+
+def assert_ledger_invariants(led):
+    counts = (led.precancel_msgs, led.fast_share_msgs, led.fanin_msgs, led.fanout_msgs,
+              led.q_dedup, led.fast_master_dedup, led.tx_message_total,
+              led.rx_message_total, led.max_tx_link_load, led.max_rx_link_load)
+    assert min(counts) >= 0, led
+    assert led.q_dedup <= min(led.precancel_msgs, led.fanout_msgs), led
+    assert led.fast_master_dedup <= led.fast_share_msgs, led
+
+
+def check_sweep_case(model, scheme, D, copies, L):
+    """``copies`` whole subnets: an MxM torus, or a line of ``copies`` periods."""
+    if model == WYNER:
+        net = build_wyner(copies * (D + 2), L)
+    else:
+        tau = max(1, scheme_tau(model, scheme, D))  # no-coop has no master lattice
+        build = build_hex_torus if model == HEX else build_sectored_hex_torus
+        net = build(tau, copies, L)
+    led, _, _ = ledger_for(net, D, scheme)
+    assert_ledger_invariants(led)
+    cf = closed_form(model, scheme, D, L)
+    assert (led.mu_tx, led.mu_rx) == (cf.mu_tx, cf.mu_rx), (model, scheme, D, copies)
+
+
+def test_sweep_grid_is_every_valid_case():
+    assert len(SWEEP) == 179
+    assert (HEX, Scheme.BOTH_COMP_TX, 2) in SWEEP
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SWEEP), st.sampled_from((1, 2)), st.integers(1, 5))
+def test_ledger_invariants_and_closed_form_sweep(case, copies, L):
+    check_sweep_case(*case, copies, L)
+
+
+def test_ledger_invariants_and_closed_form_every_case():
+    for case in SWEEP:
+        for copies in (1, 2):
+            check_sweep_case(*case, copies, 1)
+
+
+def test_hex_d2_comp_tx_is_zero_not_negative():
+    led, _, _ = ledger_for(build_hex_torus(1, 2, 3), 2, Scheme.BOTH_COMP_TX)
+    assert (led.q_dedup, led.tx_message_total, led.mu_tx) == (0, 0, 0)
+    assert closed_form(HEX, Scheme.BOTH_COMP_TX, 2, 3).mu_tx == 0
+
+
+def _report(**changes):
+    base = dict(scheme=Scheme.BOTH_COMP_TX, D=8, L=1, precancel_msgs=10, fast_share_msgs=4,
+                fanin_msgs=9, fanout_msgs=9, q_dedup=6, fast_master_dedup=0,
+                tx_message_total=22, rx_message_total=4, mu_tx=F(1), mu_rx=F(1),
+                max_tx_link_load=3, max_rx_link_load=1, n_subnets=1)
+    return LoadReport(**{**base, **changes})
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"tx_message_total": -6}, "tx_message_total=-6 < 0"),
+    ({"q_dedup": 11}, "q_dedup=11 > min"),
+    ({"fanout_msgs": 5}, "q_dedup=6 > min"),
+    ({"fast_master_dedup": 5}, "fast_master_dedup=5 > fast_share_msgs=4"),
+])
+def test_check_ledger_raises_on_a_broken_invariant(changes, message):
+    _check_ledger(_report())  # the base report keeps every invariant
+    with pytest.raises(RuntimeError, match=message):
+        _check_ledger(_report(**changes))
