@@ -171,8 +171,9 @@ def _share(table: tuple[int, dict[str, int]], variants,
     ``table`` is ``_scaled_formulas`` and each budget is an integer pair
     (n, d) with d > 0; the share comes back as a pair (p, q) with q > 0.  A
     variant's share is min(1, have/need) over its requirements, where
-    have/need = (n/d) / (t/Q) = nQ/(dt); a nonpositive requirement never
-    binds, and a variant whose keys the model lacks gets share 0.
+    have/need = (n/d) / (t/Q) = nQ/(dt) for a requirement t/Q; a
+    nonpositive requirement never binds, and a variant whose keys the model
+    lacks gets share 0.
     """
     scale, need = table
     best_p, best_q = 0, 1

@@ -465,12 +465,6 @@ def test_ledger_invariants_and_closed_form_every_case():
             check_sweep_case(*case, copies, 1)
 
 
-def test_hex_d2_comp_tx_is_zero_not_negative():
-    led, _, _ = ledger_for(build_hex_torus(1, 2, 3), 2, Scheme.BOTH_COMP_TX)
-    assert (led.q_dedup, led.tx_message_total, led.mu_tx) == (0, 0, 0)
-    assert closed_form(HEX, Scheme.BOTH_COMP_TX, 2, 3).mu_tx == 0
-
-
 def _report(**changes):
     base = dict(scheme=Scheme.BOTH_COMP_TX, D=8, L=1, precancel_msgs=10, fast_share_msgs=4,
                 fanin_msgs=9, fanout_msgs=9, q_dedup=6, fast_master_dedup=0,
