@@ -156,7 +156,11 @@ _MIXED = (("mu_r_tx", "mu_r_rx"), ("mu_t_tx", "mu_t_rx"))
 _SLOW_ONLY = ((None, "mu_s_rx"), ("mu_s_tx", None))
 
 
-@functools.lru_cache(maxsize=512)
+# Pays off only when one process asks for the same (model, D, L) again, as a
+# batch of region or figure queries does; a one-shot ``mgnet region`` misses
+# once.  128 entries hold twice the 65 keys the query benchmark cycles
+# through (13 values of D over the three models, L 1..5), under 1 kB each.
+@functools.lru_cache(maxsize=128)
 def _scaled_formulas(model: str, D: int, L: int) -> tuple[int, dict[str, int]]:
     """``formulas(model, D, L)`` as integer numerators over their lcm Q: (Q, numerators)."""
     f = formulas(model, D, L)
