@@ -110,7 +110,7 @@ def cmd_validate(args) -> int:
     subnets, report = validate(net, assoc)
     out = report.to_json_dict()
     out["n_subnets"] = len(subnets)
-    out["masters"] = [s.master for s in subnets]
+    out["masters"] = subnets.masters
     _emit(args, json.dumps(out, indent=2) + "\n")
     return 0 if report.ok else 3
 

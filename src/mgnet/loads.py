@@ -20,6 +20,9 @@ message counts.  The ledger distinguishes:
 ``message_ledger`` also counts the per-link loads, in the same passes: the
 fast-node loop adds each precancel and fast-share message to its link, and
 the per-subnet loop routes the fan-in and fan-out up each subnet's tree.
+It reads the columns of ``validation.Subnets`` (members, masters, per-node
+hops, and each subnet's hop search in BFS order with every cell's parent,
+walked leaves first) and builds no per-subnet object.
 
 Average prelogs divide by the idealised directed-link totals (2 per node
 in the linear model, 6 per cell in the hexagonal models, 4 per sector /
@@ -31,12 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 from .association import Association, Role, Scheme, check_params
 from .rationals import ratio_to_json
 from .topology import HEX, WYNER, Network
-from .validation import Subnet, _own_cells, _require_same_net
+from .validation import Subnets, _require_same_net
 
 
 @dataclass
@@ -192,20 +195,23 @@ def _wyner_q_dedup(D: int, master_role: Role) -> int:
     return D // 2 if master_role is Role.FAST else D // 2 - 1
 
 
-def message_ledger(net: Network, assoc: Association, subnets: list[Subnet]) -> LoadReport:
+def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadReport:
     """Count every cooperation message of the scheme on this finite network.
 
-    ``subnets`` is what ``subnet_decompose`` returned for this association;
-    where a node is its own cell, each ``gamma`` is read as the cell-hop map
-    in its BFS order.  The per-link maxima are informational: counters are
-    flat lists indexed by directed edge (see ``_edge_offsets``) of the Tx
-    cooperation graph, which carries the precancelation, and of the Rx
-    cooperation graph, which carries the fast shares.  Quantization traffic
-    is routed along a deterministic shortest-path tree (lowest-id parent),
-    and each slow member crosses every uplink of its path once in and once
-    out; the CoMP-transmission dedup savings are not modelled on the links.
+    ``subnets`` is what ``subnet_decompose`` returned for this association
+    (another association's raises ValueError); the ledger reads its columns
+    and walks each subnet's hop search leaves first.  The per-link maxima
+    are informational: counters are flat lists indexed by directed edge (see
+    ``_edge_offsets``) of the Tx cooperation graph, which carries the
+    precancelation, and of the Rx cooperation graph, which carries the fast
+    shares.  Quantization traffic is routed along a deterministic
+    shortest-path tree (lowest-id parent), and each slow member crosses
+    every uplink of its path once in and once out; the CoMP-transmission
+    dedup savings are not modelled on the links.
     """
     _require_same_net(net, assoc)
+    if getattr(subnets, "assoc", None) is not assoc:
+        raise ValueError("subnets were not decomposed for this association")
     roles = assoc.roles
     scheme = assoc.scheme
     D, L = assoc.D, net.L
@@ -243,18 +249,19 @@ def message_ledger(net: Network, assoc: Association, subnets: list[Subnet]) -> L
         coop, off, use = rx_adj, rx_off, rx_use
     wyner = net.model == WYNER
     fast_master_saves = scheme is Scheme.BOTH_COMP_RX and wyner
-    own = _own_cells(net)
     below = [0] * len(rx_adj)  # slow members in a cell's subtree, zeroed after each subnet
+    members, starts, hop = subnets.members, subnets.starts, subnets.hop
+    order, order_parent = subnets.order, subnets.order_parent
     fanin = 0
     fast_master_saved = 0
     q_dedup = 0
-    for sub in subnets:
-        master, gamma = sub.master, sub.gamma
+    spans = pairwise(subnets.order_starts)  # the hop search of each mastered subnet, in order
+    for i, master in enumerate(subnets.masters):
         if master is None:  # no master, no hops
             continue
-        for k in sub.slow_members:
-            g = gamma.get(k)
-            if g:
+        comp = members[starts[i]:starts[i + 1]]
+        for k in comp:
+            if roles[k] is slow and (g := hop[k]):
                 fanin += g
                 below[tx_cell[k]] += 1
         if fast_master_saves and roles[master] is fast:
@@ -264,27 +271,18 @@ def message_ledger(net: Network, assoc: Association, subnets: list[Subnet]) -> L
                 q_dedup += _wyner_q_dedup(D, roles[master])
             else:
                 q_dedup += 6 if roles[master] is fast else 0
-                q_dedup += 2 * sum(1 for k in sub.members
-                                   if roles[k] is fast and 1 <= gamma.get(k, 0) <= D // 2 - 2)
+                q_dedup += 2 * sum(1 for k in comp
+                                   if roles[k] is fast and 1 <= (hop[k] or 0) <= D // 2 - 2)
 
-        if own:  # gamma is the cell-hop map, in BFS order
-            hops, order = gamma, reversed(gamma)
-        else:
-            hops = {tx_cell[k]: g for k, g in gamma.items()}
-            hops[master] = 0
-            order = sorted(hops, key=hops.__getitem__, reverse=True)
-        for c in order:  # leaves first
+        a, b = next(spans)
+        for c, p in zip(reversed(order[a:b]), reversed(order_parent[a:b])):  # leaves first
             n = below[c]
             if not n:
                 continue
             below[c] = 0
-            g = hops[c]
-            if not g:  # the master
+            if p is None:  # the master
                 continue
-            for i, p in enumerate(coop[c]):
-                if hops.get(p) == g - 1:  # the lowest-id parent: adjacency is sorted
-                    break
-            use[off[c] + i] += n
+            use[off[c] + coop[c].index(p)] += n
             use[off[p] + coop[p].index(c)] += n
             below[p] += n
     fanout = fanin

@@ -16,14 +16,22 @@ those are reported as warnings, not violations, and are excluded from the
 reachability check when they lack a master.
 
 One BFS over the active interference graph finds the components and, on the
-edges it already walks, any interference between two of them.  Where a node
-is its own cell (``tx_cell`` is the identity range: Wyner, hex), a
-component's ids are its cells and the hop BFS from its master is ``gamma``
-as it stands; only the sectorized model maps sectors to cells.
+edges it already walks, any interference between two of them.  A second BFS
+per mastered component counts the cooperation hops from its master over the
+component's cells and gives each cell its lowest-id parent, the next hop of
+its traffic towards the master.  Where a node is its own cell (``tx_cell`` is
+the identity range: Wyner, hex), that search marks the per-node lists
+directly; only the sectorized model maps sectors to cells.
+
+``subnet_decompose`` returns one columnar ``Subnets``, which ``message_ledger``
+and ``master_reachability`` read; indexing it builds a ``Subnet`` view on
+demand, and nothing keeps the views.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -37,6 +45,45 @@ class Subnet:
     master: int | None                    # Rx id (CoMP reception) or Tx id (transmission)
     gamma: dict[int, int]                 # member -> cooperation hops to the master
     slow_members: tuple[int, ...] = ()
+
+
+class Subnets(Sequence):
+    """The components of one association, as columns.
+
+    Component ``i`` is ``members[starts[i]:starts[i + 1]]`` (sorted) with
+    master ``masters[i]`` (None when it has none).  ``hop[k]`` is node k's
+    hop count to its own master, None without a master or a path; members
+    are disjoint, so one per-node list serves every component.  The j-th
+    mastered component's hop search visits the cells
+    ``order[order_starts[j]:order_starts[j + 1]]`` in BFS order (hops never
+    decrease); ``order_parent`` holds each entry's lowest-id neighbour one
+    hop nearer the master in that search (None for the master).  These
+    entries carry their own parents because one sectorized cell can lie in
+    the searches of two components.  ``assoc`` is the association the
+    columns were built from.
+    """
+
+    __slots__ = ("assoc", "members", "starts", "masters", "hop",
+                 "order", "order_parent", "order_starts")
+
+    def __init__(self, assoc: Association, members: list[int], starts: Sequence[int],
+                 masters: list[int | None], hop: list[int | None], order: list[int],
+                 order_parent: list[int | None], order_starts: Sequence[int]) -> None:
+        self.assoc, self.members, self.starts, self.masters = assoc, members, starts, masters
+        self.hop, self.order, self.order_parent = hop, order, order_parent
+        self.order_starts = order_starts
+
+    def __len__(self) -> int:
+        return len(self.masters)
+
+    def __getitem__(self, i: int) -> Subnet:
+        """A ``Subnet`` view of component ``i``, built on each call."""
+        i = range(len(self.masters))[i]  # negative indices; IndexError past the end
+        comp = self.members[self.starts[i]:self.starts[i + 1]]
+        hop, roles = self.hop, self.assoc.roles
+        return Subnet(tuple(comp), self.masters[i],
+                      {k: hop[k] for k in comp if hop[k] is not None},
+                      tuple([k for k in comp if roles[k] is Role.SLOW]))
 
 
 @dataclass
@@ -118,24 +165,34 @@ def fast_noninterference(net: Network, assoc: Association) -> ValidationReport:
     return report
 
 
-def _components(net: Network, roles: list[Role | None]
-                ) -> tuple[list[tuple[int, ...]], list[tuple[int, str]]]:
-    """Sorted components of the active interference graph, and the cross-component edges.
+def _own_cells(net: Network) -> bool:
+    """True when every Tx node is its own Rx cell: ``tx_cell`` is the identity range."""
+    t = net.tx_cell
+    return isinstance(t, range) and t.start == 0 and t.step == 1
 
-    The BFS also checks that no component hears another.  An active
-    neighbour outside the component being searched can only belong to an
-    earlier one (a later one would have joined it), so every such edge is
-    seen, from its later end.  The violations come back in node order, then
-    adjacency order.
+
+def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, ValidationReport]:
+    """Connected components of the active interference graph, with masters and hop counts.
+
+    Components are searched from the lowest unowned active node, in node
+    order.  The search also checks that no component hears another: an
+    active neighbour outside the component being searched can only belong
+    to an earlier one (a later one would have joined it), so every such
+    edge is seen, from its later end.  These violations come last, in node
+    order, then adjacency order.
     """
-    owner: list[int | None] = [None] * len(roles)
-    comps = []
+    _require_same_net(net, assoc)
+    report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
+    roles, silent = assoc.roles, Role.SILENT
+    adj = net.interference
+    owner: list[int | None] = [None] * len(roles)  # node -> its component
+    members: list[int] = []
+    starts = array("q", [0])
     cross = []
-    adj, silent = net.interference, Role.SILENT
     for start in net.tx_nodes:
         if owner[start] is not None or roles[start] is silent:
             continue
-        i = len(comps)
+        i = len(starts) - 1
         owner[start] = i
         comp = [start]
         for u in comp:  # breadth first: comp grows behind the cursor
@@ -148,107 +205,120 @@ def _components(net: Network, roles: list[Role | None]
                 elif o != i:
                     cross.append((u, f"cross-subnet-interference-{v}"))
         comp.sort()
-        comps.append(tuple(comp))
-    cross.sort(key=itemgetter(0))  # stable: keeps adjacency order per node
-    return comps, cross
+        members += comp
+        starts.append(len(members))
 
-
-def _bfs_hops(adj: tuple[tuple[int, ...], ...], allowed: set[int], start: int) -> dict[int, int]:
-    """Hops from ``start`` within ``allowed``, keyed in BFS order (hops never decrease)."""
-    hops = {start: 0}
-    queue = [start]
-    for u in queue:  # queue grows behind the cursor
-        g = hops[u] + 1
-        for v in adj[u]:
-            if v in allowed and v not in hops:
-                hops[v] = g
-                queue.append(v)
-    return hops
-
-
-def _own_cells(net: Network) -> bool:
-    """True when every Tx node is its own Rx cell: ``tx_cell`` is the identity range."""
-    t = net.tx_cell
-    return isinstance(t, range) and t.start == 0 and t.step == 1
-
-
-def subnet_decompose(net: Network, assoc: Association) -> tuple[list[Subnet], ValidationReport]:
-    """Connected components of the active interference graph, with masters and hop counts.
-
-    Where a node is its own cell, ``gamma`` lists the members in BFS order
-    (hops never decrease), which ``message_ledger`` relies on.
-    """
-    _require_same_net(net, assoc)
-    report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
-    roles = assoc.roles
-    comps, cross = _components(net, roles)
-    relaxed = net.model == WYNER or "radius" in net.params
-    master_set = set(assoc.masters)
-    # hops run over the cells of the CoMP side
-    adj = net.tx_coop if assoc.scheme.comp_side == "tx" else net.rx_coop
+    # masters: each component takes its lowest master cell; a second one is a violation
     tx_cell = net.tx_cell
     own = _own_cells(net)
-    cooperative = assoc.scheme.cooperative
-    slow_role = Role.SLOW
-
-    subnets = []
-    for comp in comps:
-        slow = tuple(k for k in comp if roles[k] is slow_role)
-        if master_set:
-            cells = set(comp) if own else {tx_cell[k] for k in comp}
-            masters = sorted(cells & master_set)
-        else:  # no-coop (or no whole subnet): no component can hold a master
-            masters = ()
-        master = masters[0] if len(masters) == 1 else None
-        if len(masters) > 1:
-            report.subnets_disjoint = False
-            report.violations.append((masters[1], "multi-master"))
-        elif not masters and cooperative:
-            if relaxed:
-                report.warnings.append(f"partial-subnet:{comp[0]}")
-            else:
-                report.master_reachable = False
-                report.violations.append((comp[0], "no-master"))
-
-        if master is None:
-            gamma = {}
+    masters: list[int | None] = [None] * (len(starts) - 1)
+    second: dict[int, int] = {}
+    if own:
+        found = ((m, owner[m]) for m in sorted(set(assoc.masters)) if 0 <= m < len(owner))
+    else:
+        master_set = set(assoc.masters)
+        found = sorted({(c, owner[k]) for k in members if (c := tx_cell[k]) in master_set})
+    for m, i in found:
+        if i is None or i in second:
+            continue
+        if masters[i] is None:
+            masters[i] = m
         else:
-            gamma = _bfs_hops(adj, cells, master)
-            if not own:
-                gamma = {k: gamma[c] for k in comp if (c := tx_cell[k]) in gamma}
-            if len(gamma) < len(comp):
-                for k in comp:
-                    if k not in gamma:
-                        report.master_reachable = False
-                        report.violations.append((k, "unreachable"))
-        subnets.append(Subnet(comp, master, gamma, slow))
+            second[i] = m
+            masters[i] = None
+
+    # hops run over the cells of the CoMP side, within the component's cells
+    coop = net.tx_coop if assoc.scheme.comp_side == "tx" else net.rx_coop
+    hop: list[int | None] = [None] * len(roles)
+    if own:  # a cell is its node: the search marks the per-node lists
+        cell_owner, cell_hop = owner, hop
+    else:
+        cell_owner, cell_hop = [None] * len(coop), [None] * len(coop)
+    order: list[int] = []
+    order_parent: list[int | None] = []
+    order_starts = array("q", [0])
+    # a cell's lowest-id parent in the current search; only a master starts one
+    parent: list[int | None] = [None] * len(coop) if assoc.masters else []
+    cooperative = assoc.scheme.cooperative
+    relaxed = net.model == WYNER or "radius" in net.params
+    for i, master in enumerate(masters if cooperative or assoc.masters else ()):
+        a, b = starts[i], starts[i + 1]
+        if master is None:
+            if i in second:
+                report.subnets_disjoint = False
+                report.violations.append((second[i], "multi-master"))
+            elif cooperative:
+                if relaxed:
+                    report.warnings.append(f"partial-subnet:{members[a]}")
+                else:
+                    report.master_reachable = False
+                    report.violations.append((members[a], "no-master"))
+            continue
+        if not own:
+            comp = members[a:b]
+            for k in comp:
+                cell_owner[tx_cell[k]] = i
+        cell_hop[master] = 0
+        parent[master] = None
+        cells = [master]
+        for u in cells:  # breadth first: hops never decrease
+            g = cell_hop[u] + 1
+            for v in coop[u]:
+                if cell_owner[v] == i:
+                    h = cell_hop[v]
+                    if h is None:
+                        cell_hop[v] = g
+                        parent[v] = u
+                        cells.append(v)
+                    elif h == g and u < parent[v]:  # the lowest-id parent
+                        parent[v] = u
+        order += cells
+        order_parent += map(parent.__getitem__, cells)
+        order_starts.append(len(order))
+        if not own:
+            for k in comp:
+                hop[k] = cell_hop[tx_cell[k]]
+            for c in cells:  # a cell may lie in a later component's search too
+                cell_hop[c] = None
+        if not own or len(cells) < b - a:
+            for k in members[a:b]:
+                if hop[k] is None:
+                    report.master_reachable = False
+                    report.violations.append((k, "unreachable"))
 
     if cross:
+        cross.sort(key=itemgetter(0))  # stable: keeps adjacency order per node
         report.subnets_disjoint = False
         report.violations += cross
-    return subnets, report
+    return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts), report
 
 
-def master_reachability(subnets: list[Subnet], scheme: Scheme, D: int) -> ValidationReport:
+def master_reachability(subnets: Sequence[Subnet], scheme: Scheme, D: int) -> ValidationReport:
     """Every slow node must reach its subnet master within the scheme's hop budget.
 
-    A member with no cooperation path to its master has no ``gamma`` entry;
+    A member with no cooperation path to its master has no hop count;
     ``subnet_decompose`` reports it as unreachable, so it is skipped here.
+    ``Subnets`` must come from an association with this scheme and D.
     """
     budget = hop_budget(scheme, D)
     report = ValidationReport(hop_budget=budget)
-    for sub in subnets:
-        if sub.master is None:
-            continue
-        for k in sub.slow_members:
-            g = sub.gamma.get(k)
-            if g is not None and g > budget:
-                report.master_reachable = False
-                report.violations.append((k, f"hop-budget-exceeded-{g}>{budget}"))
+    if isinstance(subnets, Subnets):
+        assoc = subnets.assoc
+        if (assoc.scheme, assoc.D) != (scheme, D):
+            raise ValueError("subnets were not decomposed for this association")
+        hop, roles, slow = subnets.hop, assoc.roles, Role.SLOW
+        over = ((k, g) for k in subnets.members
+                if (g := hop[k]) is not None and g > budget and roles[k] is slow)
+    else:  # Subnet objects built by hand
+        over = ((k, g) for sub in subnets if sub.master is not None for k in sub.slow_members
+                if (g := sub.gamma.get(k)) is not None and g > budget)
+    for k, g in over:
+        report.master_reachable = False
+        report.violations.append((k, f"hop-budget-exceeded-{g}>{budget}"))
     return report
 
 
-def validate(net: Network, assoc: Association) -> tuple[list[Subnet], ValidationReport]:
+def validate(net: Network, assoc: Association) -> tuple[Subnets, ValidationReport]:
     """Run all structural checks and merge the reports."""
     r1 = fast_noninterference(net, assoc)
     subnets, r2 = subnet_decompose(net, assoc)

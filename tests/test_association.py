@@ -9,9 +9,9 @@ from hypothesis import given
 from mgnet import (Role, Scheme, assign, assign_hex, assign_sectored,
                    assign_wyner, build_hex, build_hex_torus,
                    build_sectored_hex, build_sectored_hex_torus, build_wyner,
-                   check_params, hex_distance, shifted_mod)
+                   check_params, hex_distance)
 from mgnet.association import (_sector_fast_kind, _sector_silenced,
-                               scheme_tau)
+                               scheme_tau, shifted_mod)
 from mgnet.lattice import TorusGeometry, is_master
 from mgnet.topology import HEX, SECTORED
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
+from test_topology import FIVE_NETWORKS, PIN_D, _pinned_schemes
 
+from mgnet.association import SCHEME_ALIASES
 from mgnet.cli import main
 from mgnet.rationals import ratio_from_json
 
@@ -66,16 +69,58 @@ def test_validate_wyner(capsys):
 
 def test_validate_failure_exits_3(capsys, monkeypatch):
     import mgnet.cli
-    from mgnet.validation import ValidationReport
+    from mgnet.validation import ValidationReport, subnet_decompose
 
     def failing(net, assoc):
-        return [], ValidationReport(master_reachable=False, violations=[(3, "unreachable")])
+        subnets, _ = subnet_decompose(net, assoc)
+        return subnets, ValidationReport(master_reachable=False, violations=[(3, "unreachable")])
 
     monkeypatch.setattr(mgnet.cli, "validate", failing)
     code, out, _ = run(capsys, "validate", "--model", "wyner", "--K", "16",
                        "--D", "6", "--scheme", "both-rx")
     assert code == 3
     assert json.loads(out)["violations"] == [{"node": 3, "code": "unreachable"}]
+
+
+# sha256 of the `mgnet validate` stdout for each network of FIVE_NETWORKS at PIN_D,
+# recorded when `subnet_decompose` returned one Subnet object per component
+VALIDATE_PINS = {
+    ("wyner", "BOTH_COMP_RX"): "368574c0c17c4c66b2a64aed52fb80c8ac1ea4ccd17d8eee3e6a145434ae3691",
+    ("wyner", "BOTH_COMP_TX"): "368574c0c17c4c66b2a64aed52fb80c8ac1ea4ccd17d8eee3e6a145434ae3691",
+    ("wyner", "SLOW_COMP_RX"): "539e52d1dda1ccef91056130ee46f758876214a3df106612f6d43f03d2628822",
+    ("wyner", "SLOW_COMP_TX"): "539e52d1dda1ccef91056130ee46f758876214a3df106612f6d43f03d2628822",
+    ("wyner", "NO_COOP"): "88a75fc39b1af372a32228b087bf76a2103dc85bce587d36370634fcea0052fc",
+    ("hex-ball", "BOTH_COMP_RX"): "b1f91355200205133ac2ffe6b47f41461a85853f41df4246c98472ae53b1e8d2",
+    ("hex-ball", "BOTH_COMP_TX"): "b1f91355200205133ac2ffe6b47f41461a85853f41df4246c98472ae53b1e8d2",
+    ("hex-ball", "SLOW_COMP_RX"): "62d859e7fc53219dcb5d2921fb80db5aae2337b145c0f34bf40bb64b130d8a84",
+    ("hex-ball", "SLOW_COMP_TX"): "62d859e7fc53219dcb5d2921fb80db5aae2337b145c0f34bf40bb64b130d8a84",
+    ("hex-ball", "NO_COOP"): "d42140aefebc5eacfa996b0b5654dcf4950956277d7a9f17d24884394f4b1430",
+    ("hex-torus", "BOTH_COMP_RX"): "f448a1c8ff0fbaa6631117ad5fb11d10f412eb196dfa363a6f7c30ac7b4ec106",
+    ("hex-torus", "BOTH_COMP_TX"): "f448a1c8ff0fbaa6631117ad5fb11d10f412eb196dfa363a6f7c30ac7b4ec106",
+    ("hex-torus", "NO_COOP"): "4b943cde1e2e1d6de470946222a2138dfc0aea09102c1f62b249fa6e9e7a2fd2",
+    ("sectorized-ball", "BOTH_COMP_RX"): "4e1d06f2fc0c790d843d8e97565f83c42cddc7e2c189dc4b4cdcfd6b010c8f7e",
+    ("sectorized-ball", "SLOW_COMP_RX"): "69cf9c5d3d85741275a8f1e14d827ff8edbfe7d3e97a07276d687a2ce8dd0cc2",
+    ("sectorized-ball", "NO_COOP"): "0b8d723de986d3970a284026b93f310a7569a9bb28736ae714d7fc0b0b6a759d",
+    ("sectorized-torus", "BOTH_COMP_RX"): "4e413f6246d0cdb37fbc7eef122f348e9780485f5d29ec0647b30c7de46b9fca",
+    ("sectorized-torus", "SLOW_COMP_RX"): "215c627f057956e20d69cfd91b8314e0e7ad1796bf49cf6d3bc408fceda7fce5",
+    ("sectorized-torus", "NO_COOP"): "2e5cd31610dd54e47caf32df4c2875ecb9ee68a07eaac16c57f051fa3d8f4364",
+}
+
+
+@pytest.mark.parametrize("name", FIVE_NETWORKS)
+def test_validate_output_is_byte_identical(capsys, monkeypatch, name):
+    import mgnet.cli
+    net = FIVE_NETWORKS[name]()
+    monkeypatch.setattr(mgnet.cli, "_build_network", lambda args, scheme: net)
+    model = {v: k for k, v in mgnet.cli.MODELS.items()}[net.model]
+    alias = {v: k for k, v in SCHEME_ALIASES.items()}
+    got = {}
+    for scheme in _pinned_schemes(net, PIN_D[name]):
+        code, out, _ = run(capsys, "validate", "--model", model, "--D", str(PIN_D[name]),
+                           "--scheme", alias[scheme])
+        assert code == 0
+        got[(name, scheme.name)] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == {key: pin for key, pin in VALIDATE_PINS.items() if key[0] == name}
 
 
 @pytest.mark.parametrize("L", ["0", "-3"])

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from mgnet import (HEX, SECTORED, WYNER, Role, Scheme, achievable_region,
                    assign, build_hex, build_hex_torus, build_sectored_hex,
                    build_sectored_hex_torus, build_wyner, check_params,
-                   closed_form, finite_prelogs, mixed_subnet_counts, message_ledger,
-                   subnet_decompose, subnet_sizes, validate)
+                   closed_form, finite_prelogs, master_reachability,
+                   mixed_subnet_counts, message_ledger, subnet_decompose,
+                   subnet_sizes, validate)
 from mgnet.association import scheme_tau
 
 ALL_SCHEMES = list(Scheme)
@@ -409,6 +410,22 @@ def test_ledger_rejects_an_association_of_another_network(K):
     with pytest.raises(ValueError, match="different network"):
         message_ledger(build_wyner(K, 1), assoc, subnets)
 
+
+
+@pytest.mark.parametrize("scheme, D", [(Scheme.SLOW_COMP_RX, 6), (Scheme.BOTH_COMP_RX, 10)])
+def test_ledger_rejects_subnets_of_another_association(scheme, D):
+    # without the check, the slow-rx subnets give mu_rx = 45/8 and the D=10 ones 33/8
+    net = build_wyner(24, 3)
+    assoc = assign(net, 6, Scheme.BOTH_COMP_RX)
+    own, _ = validate(net, assoc)
+    assert message_ledger(net, assoc, own).mu_rx == F(21, 8)
+    other, _ = validate(net, assign(net, D, scheme))
+    with pytest.raises(ValueError, match="not decomposed for this association"):
+        message_ledger(net, assoc, other)
+    with pytest.raises(ValueError, match="not decomposed for this association"):
+        master_reachability(other, Scheme.BOTH_COMP_RX, 6)
+    with pytest.raises(ValueError, match="not decomposed for this association"):
+        message_ledger(net, assoc, list(own))  # views carry no association
 
 # --- Ledger invariants and ledger == closed form over the whole valid grid --
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+import types
+from collections.abc import Sequence
 from dataclasses import replace
 
 import pytest
 
-from mgnet import (HEX, Association, Network, Role, Scheme, Subnet, ValidationReport,
+import mgnet
+from mgnet import (HEX, Association, Network, Role, Scheme, Subnet, Subnets, ValidationReport,
                    assign, build_hex, build_hex_torus, build_sectored_hex,
                    build_sectored_hex_torus, build_wyner, check_round_split,
                    fast_noninterference, master_reachability, subnet_decompose,
@@ -62,7 +66,7 @@ def test_all_silent_gives_zero_subnets():
     for k in net.tx_nodes:
         a.roles[k] = Role.SILENT
     subnets, _ = subnet_decompose(net, a)
-    assert subnets == []
+    assert list(subnets) == []
 
 
 def test_hex_fast_pairs_exhaustive():
@@ -163,7 +167,7 @@ def test_no_coop_decomposition_is_lone_fast_nodes(make):
     net = make()
     a = assign(net, 0, Scheme.NO_COOP)
     subnets, rep = subnet_decompose(net, a)
-    assert subnets == [Subnet((k,), None, {}, ()) for k in a.nodes_with(Role.FAST)]
+    assert list(subnets) == [Subnet((k,), None, {}, ()) for k in a.nodes_with(Role.FAST)]
     assert rep == ValidationReport(hop_budget=0)
 
 
@@ -172,7 +176,7 @@ def test_masterless_cooperative_line_warns_per_component():
     a = assign(net, 6, Scheme.BOTH_COMP_RX)
     assert a.masters == ()
     subnets, rep = subnet_decompose(net, a)
-    assert subnets == [Subnet((1, 2, 3, 4, 5, 6), None, {}, (2, 4, 6))]
+    assert list(subnets) == [Subnet((1, 2, 3, 4, 5, 6), None, {}, (2, 4, 6))]
     assert rep == ValidationReport(hop_budget=2, warnings=["partial-subnet:1"])
 
 
@@ -209,7 +213,7 @@ def test_members_without_a_cooperation_path_are_unreachable(tx_cell):
     a = Association(net, Scheme.SLOW_COMP_RX, 6, [Role.SLOW] * 3, (0,))
     subnets, rep = subnet_decompose(net, a)
     assert rep.violations == [(1, "unreachable"), (2, "unreachable")]
-    assert subnets == [Subnet((0, 1, 2), 0, {0: 0}, (0, 1, 2))]
+    assert list(subnets) == [Subnet((0, 1, 2), 0, {0: 0}, (0, 1, 2))]
     # the merged report names each unreachable member once
     _, rep = validate(net, a)
     assert rep.violations == [(1, "unreachable"), (2, "unreachable")]
@@ -235,3 +239,56 @@ def test_cross_component_violations_come_in_node_order(tx_cell):
     assert [s.members for s in subnets] == [(0,), (1,), (2, 5), (3,), (4,)]
     assert rep.violations == [(3, "cross-subnet-interference-0"),
                               (5, "cross-subnet-interference-1")]
+
+
+def test_subnets_are_columns_with_views_on_demand():
+    net = build_wyner(16, 1)
+    a = assign(net, 6, Scheme.BOTH_COMP_RX)
+    subnets, _ = subnet_decompose(net, a)
+    assert isinstance(subnets, Sequence) and isinstance(subnets, Subnets)
+    assert subnets.members == list(range(1, 8)) + list(range(9, 16))
+    assert list(subnets.starts) == [0, 7, 14]
+    assert subnets.masters == [4, 12] and subnets.assoc is a
+    assert subnets.hop[1:8] == [3, 2, 1, 0, 1, 2, 3] and subnets.hop[8] is None
+    assert subnets.order[:7] == [4, 3, 5, 2, 6, 1, 7]
+    assert subnets.order_parent[:7] == [None, 4, 4, 3, 5, 2, 6]
+    assert list(subnets.order_starts) == [0, 7, 14]
+    view = subnets[-1]
+    assert view == Subnet(tuple(range(9, 16)), 12, {k: abs(k - 12) for k in range(9, 16)},
+                          (10, 12, 14))
+    assert subnets[1] == view and subnets[1] is not view  # built anew, never kept
+    with pytest.raises(IndexError):
+        subnets[2]
+    # the columns and the views agree on the budget check
+    assert master_reachability(subnets, Scheme.BOTH_COMP_RX, 6) == \
+        master_reachability(list(subnets), Scheme.BOTH_COMP_RX, 6)
+
+
+def test_no_coop_subnets_memory_per_subnet():
+    net = build_wyner(100_000, 1)
+    a = assign(net, 0, Scheme.NO_COOP)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        subnets, _ = subnet_decompose(net, a)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(subnets) == 50_000
+    assert kept <= 90 * len(subnets), f"{kept / len(subnets):.0f} bytes per subnet"
+
+
+def test_package_exports_no_modules():
+    assert len(set(mgnet.__all__)) == len(mgnet.__all__)
+    for name in mgnet.__all__:
+        assert not isinstance(getattr(mgnet, name), types.ModuleType), name
+    assert "Subnets" in mgnet.__all__ and "shifted_mod" not in mgnet.__all__
+
+
+@pytest.mark.parametrize("master", [-1, 3, 99])
+def test_a_master_that_is_no_node_is_no_master(master):
+    net = hand_built(((1,), (0, 2), (1,)), ((1,), (0, 2), (1,)), range(3))
+    a = Association(net, Scheme.SLOW_COMP_RX, 6, [Role.SLOW] * 3, (master,))
+    subnets, rep = subnet_decompose(net, a)
+    assert subnets.masters == [None]
+    assert rep.violations == [(0, "no-master")]
