@@ -19,14 +19,12 @@ from .validation import (Subnet, Subnets, ValidationReport, check_round_split,
 
 __all__ = [
     "Association", "Role", "Scheme", "assign", "assign_hex", "assign_sectored",
-    "assign_wyner", "check_params", "hex_distance",
-    "ClosedForm", "LoadReport", "closed_form", "finite_prelogs", "formulas",
-    "mixed_subnet_counts", "message_ledger", "subnet_sizes",
-    "HalfPlane", "MgPoint", "MgRegion", "achievable_region", "boundary_polyline",
-    "contains", "convex_hull", "is_subset", "outer_bound_wyner",
-    "outer_polygon_wyner", "region_subset",
+    "assign_wyner", "check_params", "hex_distance", "ClosedForm", "LoadReport", "closed_form",
+    "finite_prelogs", "formulas", "mixed_subnet_counts", "message_ledger", "subnet_sizes",
+    "HalfPlane", "MgPoint", "MgRegion", "achievable_region", "boundary_polyline", "contains",
+    "convex_hull", "is_subset", "outer_bound_wyner", "outer_polygon_wyner", "region_subset",
     "HEX", "SECTORED", "WYNER", "Network", "build_hex", "build_hex_torus",
-    "build_sectored_hex", "build_sectored_hex_torus", "build_wyner",
-    "Subnet", "Subnets", "ValidationReport", "check_round_split",
-    "fast_noninterference", "master_reachability", "subnet_decompose", "validate",
+    "build_sectored_hex", "build_sectored_hex_torus", "build_wyner", "Subnet", "Subnets",
+    "ValidationReport", "check_round_split", "fast_noninterference", "master_reachability",
+    "subnet_decompose", "validate",
 ]

@@ -21,11 +21,13 @@ per mastered component counts the cooperation hops from its master over the
 component's cells and gives each cell its lowest-id parent, the next hop of
 its traffic towards the master.  Where a node is its own cell (``tx_cell`` is
 the identity range: Wyner, hex), that search marks the per-node lists
-directly; only the sectorized model maps sectors to cells.
+directly; only the sectorized model maps sectors to cells, through scratch
+lists that are reset after each search.
 
 ``subnet_decompose`` returns one columnar ``Subnets``, which ``message_ledger``
-and ``master_reachability`` read; indexing it builds a ``Subnet`` view on
-demand, and nothing keeps the views.
+and ``master_reachability`` read and require (a list of views carries no
+association); indexing it builds a ``Subnet`` view on demand, with ``gamma``
+in node order, and nothing keeps the views.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class Subnets(Sequence):
     hop nearer the master in that search (None for the master).  These
     entries carry their own parents because one sectorized cell can lie in
     the searches of two components.  ``assoc`` is the association the
-    columns were built from.
+    columns were built from.  Indexing builds a ``Subnet`` view, whose
+    ``gamma`` lists the members in node order (not in BFS order).
     """
 
     __slots__ = ("assoc", "members", "starts", "masters", "hop",
@@ -76,8 +79,11 @@ class Subnets(Sequence):
     def __len__(self) -> int:
         return len(self.masters)
 
-    def __getitem__(self, i: int) -> Subnet:
-        """A ``Subnet`` view of component ``i``, built on each call."""
+    def __getitem__(self, i: int | slice) -> Subnet | list[Subnet]:
+        """A ``Subnet`` view of component ``i``, built on each call, with
+        ``gamma`` in node order; a slice gives a list of views."""
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self.masters))[i]]
         i = range(len(self.masters))[i]  # negative indices; IndexError past the end
         comp = self.members[self.starts[i]:self.starts[i + 1]]
         hop, roles = self.hop, self.assoc.roles
@@ -165,12 +171,6 @@ def fast_noninterference(net: Network, assoc: Association) -> ValidationReport:
     return report
 
 
-def _own_cells(net: Network) -> bool:
-    """True when every Tx node is its own Rx cell: ``tx_cell`` is the identity range."""
-    t = net.tx_cell
-    return isinstance(t, range) and t.start == 0 and t.step == 1
-
-
 def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, ValidationReport]:
     """Connected components of the active interference graph, with masters and hop counts.
 
@@ -210,13 +210,13 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
 
     # masters: each component takes its lowest master cell; a second one is a violation
     tx_cell = net.tx_cell
-    own = _own_cells(net)
+    own = isinstance(tx_cell, range) and tx_cell.start == 0 and tx_cell.step == 1
+    master_set = set(assoc.masters)
     masters: list[int | None] = [None] * (len(starts) - 1)
     second: dict[int, int] = {}
-    if own:
-        found = ((m, owner[m]) for m in sorted(set(assoc.masters)) if 0 <= m < len(owner))
+    if own:  # a master is its own cell's only node
+        found = ((m, owner[m]) for m in sorted(master_set) if 0 <= m < len(owner))
     else:
-        master_set = set(assoc.masters)
         found = sorted({(c, owner[k]) for k in members if (c := tx_cell[k]) in master_set})
     for m, i in found:
         if i is None or i in second:
@@ -238,24 +238,23 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     order_parent: list[int | None] = []
     order_starts = array("q", [0])
     # a cell's lowest-id parent in the current search; only a master starts one
-    parent: list[int | None] = [None] * len(coop) if assoc.masters else []
+    parent: list[int | None] = [None] * len(coop)
     cooperative = assoc.scheme.cooperative
     relaxed = net.model == WYNER or "radius" in net.params
-    for i, master in enumerate(masters if cooperative or assoc.masters else ()):
-        a, b = starts[i], starts[i + 1]
+    for i, master in enumerate(masters if cooperative or master_set else ()):
+        comp = members[starts[i]:starts[i + 1]]
         if master is None:
             if i in second:
                 report.subnets_disjoint = False
                 report.violations.append((second[i], "multi-master"))
             elif cooperative:
                 if relaxed:
-                    report.warnings.append(f"partial-subnet:{members[a]}")
+                    report.warnings.append(f"partial-subnet:{comp[0]}")
                 else:
                     report.master_reachable = False
-                    report.violations.append((members[a], "no-master"))
+                    report.violations.append((comp[0], "no-master"))
             continue
         if not own:
-            comp = members[a:b]
             for k in comp:
                 cell_owner[tx_cell[k]] = i
         cell_hop[master] = 0
@@ -280,8 +279,8 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
                 hop[k] = cell_hop[tx_cell[k]]
             for c in cells:  # a cell may lie in a later component's search too
                 cell_hop[c] = None
-        if not own or len(cells) < b - a:
-            for k in members[a:b]:
+        if not own or len(cells) < len(comp):
+            for k in comp:
                 if hop[k] is None:
                     report.master_reachable = False
                     report.violations.append((k, "unreachable"))
@@ -293,26 +292,23 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts), report
 
 
-def master_reachability(subnets: Sequence[Subnet], scheme: Scheme, D: int) -> ValidationReport:
+def master_reachability(subnets: Subnets, scheme: Scheme, D: int) -> ValidationReport:
     """Every slow node must reach its subnet master within the scheme's hop budget.
 
     A member with no cooperation path to its master has no hop count;
     ``subnet_decompose`` reports it as unreachable, so it is skipped here.
-    ``Subnets`` must come from an association with this scheme and D.
+    ``subnets`` is what ``subnet_decompose`` returned for an association with
+    this scheme and D; anything else raises ValueError.
     """
     budget = hop_budget(scheme, D)
     report = ValidationReport(hop_budget=budget)
-    if isinstance(subnets, Subnets):
-        assoc = subnets.assoc
-        if (assoc.scheme, assoc.D) != (scheme, D):
-            raise ValueError("subnets were not decomposed for this association")
-        hop, roles, slow = subnets.hop, assoc.roles, Role.SLOW
-        over = ((k, g) for k in subnets.members
-                if (g := hop[k]) is not None and g > budget and roles[k] is slow)
-    else:  # Subnet objects built by hand
-        over = ((k, g) for sub in subnets if sub.master is not None for k in sub.slow_members
-                if (g := sub.gamma.get(k)) is not None and g > budget)
-    for k, g in over:
+    assoc = getattr(subnets, "assoc", None)
+    if assoc is None or (assoc.scheme, assoc.D) != (scheme, D):
+        raise ValueError("subnets were not decomposed for this association")
+    hop, roles, slow = subnets.hop, assoc.roles, Role.SLOW
+    for k in subnets.members:
+        if (g := hop[k]) is None or g <= budget or roles[k] is not slow:
+            continue
         report.master_reachable = False
         report.violations.append((k, f"hop-budget-exceeded-{g}>{budget}"))
     return report

@@ -93,8 +93,12 @@ def test_reachability_budgets():
 
 
 def test_budget_zero_fails():
-    sub = Subnet(members=(1, 2), master=1, gamma={1: 0, 2: 1}, slow_members=(2,))
-    rep = master_reachability([sub], Scheme.BOTH_COMP_RX, 2)
+    net = hand_built(((1,), (0,)), ((1,), (0,)), range(2))
+    a = Association(net, Scheme.BOTH_COMP_RX, 2, [Role.FAST, Role.SLOW], (0,))
+    subnets, _ = subnet_decompose(net, a)
+    assert list(subnets) == [Subnet((0, 1), 0, {0: 0, 1: 1}, (1,))]
+    rep = master_reachability(subnets, Scheme.BOTH_COMP_RX, 2)
+    assert rep.violations == [(1, "hop-budget-exceeded-1>0")]
     assert not rep.master_reachable
 
 
@@ -259,8 +263,9 @@ def test_subnets_are_columns_with_views_on_demand():
     assert subnets[1] == view and subnets[1] is not view  # built anew, never kept
     with pytest.raises(IndexError):
         subnets[2]
-    # the columns and the views agree on the budget check
-    assert master_reachability(subnets, Scheme.BOTH_COMP_RX, 6) == \
+    assert subnets[1:] == [view] and subnets[::-1] == list(subnets)[::-1]
+    # the budget check reads the columns; views carry no association
+    with pytest.raises(ValueError, match="not decomposed for this association"):
         master_reachability(list(subnets), Scheme.BOTH_COMP_RX, 6)
 
 
