@@ -8,8 +8,9 @@ Exit codes: 0 success, 2 invalid parameters (the message names the violated
 precondition, or the size flag that the model does not take), 3 `validate` found a violated precondition or `loads --tiling`
 found a torus ledger that differs from the closed form, 1 internal failure.
 
-`main` may be called any number of times in one process; every call reuses
-the one parser that `make_parser` builds on first use.
+`main` may be called any number of times in one process; every call parses
+once, with the subcommand's own parser from the set `make_parser` builds on
+first use, and writes JSON in one pass (`dumps_indent2`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 import io
 import json
 import sys
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .association import SCHEME_ALIASES, Scheme, assign, check_params, scheme_tau
 from .figures import FIGURES, build_figure
@@ -33,6 +34,8 @@ from .topology import (HEX, SECTORED, WYNER, build_hex, build_hex_torus,
 from .validation import validate
 
 MODELS = {"wyner": WYNER, "hex": HEX, "sectorized": SECTORED}
+_SWEEP_COLUMNS = ("s_max", "s_f_both", "s_s_both", "mu_r_tx", "mu_r_rx", "mu_s_rx",
+                  "mu_t_tx", "mu_t_rx")  # CSV order; sectorized formulas lack mu_t_*
 
 
 def _add_model_size(p: argparse.ArgumentParser) -> None:
@@ -71,6 +74,33 @@ def _build_network(args, scheme: Scheme):
     return builder(args.radius, args.L)
 
 
+def dumps_indent2(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2)`` with str dict keys, built in one list
+    (the stdlib's encoder is generator-based pure Python whenever indent is set)."""
+    chunks: list[str] = []
+    _write_json(obj, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(o, newline: str, put) -> None:
+    if isinstance(o, str):
+        put(_quote(o))
+    elif o is None or o is True or o is False:
+        put("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, (dict, list, tuple)) and o:
+        is_dict, inner = isinstance(o, dict), newline + "  "
+        sep = ("{" if is_dict else "[") + inner
+        for item in (o.items() if is_dict else o):
+            put(sep + _quote(item[0]) + ": " if is_dict else sep)
+            _write_json(item[1] if is_dict else item, inner, put)
+            sep = "," + inner
+        put(newline + ("}" if is_dict else "]"))
+    else:  # empty containers, floats; other types raise as json.dumps does
+        put(json.dumps(o))
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -98,8 +128,8 @@ def cmd_region(args) -> int:
     if args.format == "csv":
         _emit(args, _polyline_csv([("region", boundary_polyline(region))]))
     else:
-        _emit(args, json.dumps(region.to_json_dict(model, args.D, args.L, mu_tx, mu_rx),
-                               indent=2) + "\n")
+        _emit(args, dumps_indent2(region.to_json_dict(model, args.D, args.L, mu_tx, mu_rx))
+              + "\n")
     return 0
 
 
@@ -111,7 +141,7 @@ def cmd_validate(args) -> int:
     out = report.to_json_dict()
     out["n_subnets"] = len(subnets)
     out["masters"] = subnets.masters
-    _emit(args, json.dumps(out, indent=2) + "\n")
+    _emit(args, dumps_indent2(out) + "\n")
     return 0 if report.ok else 3
 
 
@@ -131,7 +161,7 @@ def cmd_loads(args) -> int:
         "finite": {"mu_tx": ratio_to_json(fin_tx), "mu_rx": ratio_to_json(fin_rx)},
         "exact_match": ledger.mu_tx == cf.mu_tx and ledger.mu_rx == cf.mu_rx,
     }
-    _emit(args, json.dumps(out, indent=2) + "\n")
+    _emit(args, dumps_indent2(out) + "\n")
     # only a torus is free of edge effects; lines and balls differ by design
     return 3 if "tau" in net.params and not out["exact_match"] else 0
 
@@ -139,7 +169,7 @@ def cmd_loads(args) -> int:
 def cmd_closed_form(args) -> int:
     scheme = SCHEME_ALIASES[args.scheme]
     cf = closed_form(MODELS[args.model], scheme, args.D, args.L)
-    _emit(args, json.dumps(cf.to_json_dict(), indent=2) + "\n")
+    _emit(args, dumps_indent2(cf.to_json_dict()) + "\n")
     return 0
 
 
@@ -166,18 +196,8 @@ def cmd_sweep(args) -> int:
             check_params(model, Scheme.BOTH_COMP_RX, d, 1)  # D only; formulas checks L
         except ValueError:
             continue
-        cols: dict[str, Fraction] = {}
         f = formulas(model, d, args.L)
-        cols["s_max"] = f["s_max"]
-        cols["s_f_both"] = f["s_f_both"]
-        cols["s_s_both"] = f["s_s_both"]
-        cols["mu_r_tx"] = f["mu_r_tx"]
-        cols["mu_r_rx"] = f["mu_r_rx"]
-        cols["mu_s_rx"] = f["mu_s_rx"]
-        if model != SECTORED:
-            cols["mu_t_tx"] = f["mu_t_tx"]
-            cols["mu_t_rx"] = f["mu_t_rx"]
-        rows.append((d, cols))
+        rows.append((d, {k: f[k] for k in _SWEEP_COLUMNS if k in f}))
     if not rows:
         raise ValueError("no valid D in the sweep range for this model")
     buf = io.StringIO()
@@ -194,8 +214,8 @@ def cmd_sweep(args) -> int:
 def make_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
 
-    Every `main` call parses with this one object, so callers must not
-    mutate it (add arguments, change defaults).
+    ``.commands`` maps each subcommand name to its own parser. Every `main` call
+    parses with these objects, so callers must not mutate them (add arguments).
     """
     ap = argparse.ArgumentParser(prog="mgnet", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -247,11 +267,21 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=int, default=2)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
+    ap.commands = sub.choices
     return ap
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """One parse: a known command by its own parser, anything else by the top-level one."""
+    ap = make_parser()
+    sub = ap.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return ap.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:

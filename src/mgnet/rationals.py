@@ -16,9 +16,15 @@ def parse_ratio(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def _num_den(x: Fraction | int) -> tuple[int, int]:
+    """Lowest-terms pair, read off an int or Fraction without re-wrapping it."""
+    f = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return f.numerator, f.denominator
+
+
 def ratio_to_json(x: Fraction | int) -> dict:
-    f = Fraction(x)
-    return {"num": f.numerator, "den": f.denominator}
+    num, den = _num_den(x)
+    return {"num": num, "den": den}
 
 
 def ratio_from_json(obj: dict) -> Fraction:
@@ -27,18 +33,18 @@ def ratio_from_json(obj: dict) -> Fraction:
 
 def ratio_to_csv(x: Fraction | int) -> str:
     """Exact decimal when the denominator divides a power of 10, else 12 significant digits."""
-    f = Fraction(x)
-    den, twos, fives = f.denominator, 0, 0
-    while den % 2 == 0:
-        den //= 2
+    num, den = _num_den(x)
+    rest, twos, fives = den, 0, 0
+    while rest % 2 == 0:
+        rest //= 2
         twos += 1
-    while den % 5 == 0:
-        den //= 5
+    while rest % 5 == 0:
+        rest //= 5
         fives += 1
-    if den != 1:
-        return f"{float(f):.12g}"
+    if rest != 1:
+        return f"{num / den:.12g}"  # float(Fraction) divides the same ints
     digits = max(twos, fives)
-    scaled = f.numerator * 10**digits // f.denominator
+    scaled = num * 10**digits // den
     if digits == 0:
         return str(scaled)
     sign = "-" if scaled < 0 else ""

@@ -222,7 +222,10 @@ def achievable_region(model: str, D: int, L: int,
     return _hull_region(pts, w * scale)
 
 
+_ORIGIN = MgPoint(Fraction(0), Fraction(0))
+
+
 def boundary_polyline(region: MgRegion) -> list[MgPoint]:
     """Upper-right boundary from the vertical-axis intercept down to (s_f_max, 0)."""
-    pts = [p for p in region.vertices if p != MgPoint(Fraction(0), Fraction(0))]
+    pts = [p for p in region.vertices if p != _ORIGIN]
     return sorted(pts, key=lambda p: (p.s_f, -p.s_s))

@@ -6,11 +6,13 @@ import hashlib
 import json
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 from test_topology import FIVE_NETWORKS, PIN_D, _pinned_schemes
 
 from mgnet.association import SCHEME_ALIASES
-from mgnet.cli import main
+from mgnet.cli import dumps_indent2, main
 from mgnet.rationals import ratio_from_json
 
 
@@ -295,3 +297,171 @@ def test_csv_rendering_rules():
     assert ratio_to_csv(F(-7, 4)) == "-1.75"
     assert ratio_to_csv(F(1, 3)) == "0.333333333333"
     assert ratio_to_csv(F(47, 24)) == "1.95833333333"
+
+
+# --- one-pass JSON writer -------------------------------------------------
+
+json_strings = st.text() | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x01\x1f\x7f", "\n\r\t\b\f", "é ü", "  ", "\U0001f600", ""])
+json_leaves = (st.none() | st.booleans() | st.integers()
+               | st.integers(min_value=-10**40, max_value=10**40) | json_strings)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(json_strings, kids, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_json_writer_equals_json_dumps_indent_2(obj):
+    assert dumps_indent2(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{}, [], (), {"a": {}, "b": [], "c": [{}, [[]]]},
+                                 1.5, float("nan"), -(10**400), True])
+def test_json_writer_edge_values(obj):
+    assert dumps_indent2(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_rejects_what_json_dumps_rejects():
+    with pytest.raises(TypeError):
+        json.dumps({"x": F(1, 2)}, indent=2)
+    with pytest.raises(TypeError):
+        dumps_indent2({"x": F(1, 2)})
+
+
+JSON_COMMANDS = {
+    "region": ("region", "--model", "hex", "--D", "8", "--L", "3",
+               "--mu-tx", "5/8", "--mu-rx", "7/4"),
+    "closed-form": ("closed-form", "--model", "sectorized", "--D", "4", "--L", "3",
+                    "--scheme", "slow-rx"),
+    "loads": ("loads", "--model", "hex", "--D", "8", "--L", "3", "--scheme", "both-rx",
+              "--tiling", "2x2"),
+    "validate": ("validate", "--model", "wyner", "--K", "16", "--D", "6",
+                 "--scheme", "both-rx"),
+}
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS.values(), ids=JSON_COMMANDS.keys())
+def test_json_commands_print_json_dumps_indent_2(capsys, monkeypatch, argv):
+    import mgnet.cli
+    written = []
+
+    def recording(obj):
+        written.append(obj)
+        return dumps_indent2(obj)
+
+    monkeypatch.setattr(mgnet.cli, "dumps_indent2", recording)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(written) == 1
+    assert out == json.dumps(written[0], indent=2) + "\n"
+
+
+# --- dispatch: one parse with the subcommand's own parser -----------------
+
+PARSE_CASES = [
+    ("region", "--model", "wyner", "--D", "6", "--L=3", "--mu-tx=9/8", "--mu-rx", "21/8"),
+    ("region", "--format=csv", "--model=hex", "--D=8", "--L=3", "--mu-tx=5/8",
+     "--mu-rx=7/4", "--out", "x.csv"),
+    ("validate", "--model", "wyner", "--K=16", "--D", "6", "--scheme=both-rx"),
+    ("validate", "--model=hex", "--radius=3", "--D=8", "--L=2", "--scheme", "no-coop"),
+    ("loads", "--model", "sectorized", "--tiling=2x2", "--D", "4", "--L", "3",
+     "--scheme", "both-rx"),
+    ("closed-form", "--model=hex", "--D=8", "--L=3", "--scheme=slow-rx", "--out=cf.json"),
+    ("figure", "--which=fig5a"),
+    ("sweep", "--model", "wyner", "--L", "3", "--D=2..10", "--step=4"),
+    ("sweep", "--model=sectorized", "--L=1", "--D", "4"),
+]
+
+
+def test_every_command_has_a_parse_case():
+    from mgnet.cli import make_parser
+    assert {argv[0] for argv in PARSE_CASES} == set(make_parser().commands)
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv))
+def test_parse_equals_top_level_parse(argv):
+    from mgnet.cli import make_parser, parse_args
+    assert vars(parse_args(list(argv))) == vars(make_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["nosuch", "--model", "wyner"]])
+def test_no_or_unknown_command_exits_2_with_top_level_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mgnet [-h]")
+    assert ("invalid choice: 'nosuch'" in err) == bool(argv)
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: mgnet [-h]"),
+                                          (["region", "--help"], "usage: mgnet region"),
+                                          (["sweep", "-h"], "usage: mgnet sweep")])
+def test_help_exits_0(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(usage)
+
+
+def test_unknown_trailing_option_exits_2_with_the_command_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["closed-form", "--model", "hex", "--D", "8", "--L", "3",
+              "--scheme", "both-rx", "--bogus", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mgnet closed-form")
+    assert "mgnet closed-form: error: unrecognized arguments: --bogus 1" in err
+
+
+# --- ratio helpers read Fractions and ints without re-wrapping them -------
+
+def _ratio_to_json_by_fraction(x):
+    f = F(x)
+    return {"num": f.numerator, "den": f.denominator}
+
+
+def _ratio_to_csv_by_fraction(x):
+    f = F(x)
+    den, twos, fives = f.denominator, 0, 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return f"{float(f):.12g}"
+    digits = max(twos, fives)
+    scaled = f.numerator * 10**digits // f.denominator
+    if digits == 0:
+        return str(scaled)
+    sign = "-" if scaled < 0 else ""
+    s = str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{sign}{s[:-digits]}.{s[-digits:]}"
+
+
+decimal_fractions = st.builds(lambda n, a, b: F(n, 2**a * 5**b),
+                              st.integers(-10**15, 10**15), st.integers(0, 30), st.integers(0, 30))
+any_fractions = st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+ratios = (st.booleans() | st.integers(-10**30, 10**30) | st.just(0) | st.just(F(0))
+          | decimal_fractions | any_fractions)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ratios)
+def test_ratio_helpers_match_the_fraction_versions(x):
+    from mgnet.rationals import ratio_to_csv, ratio_to_json
+    got = ratio_to_json(x)
+    assert json.dumps(got) == json.dumps(_ratio_to_json_by_fraction(x))
+    assert ratio_to_csv(x) == _ratio_to_csv_by_fraction(x)
+
+
+@pytest.mark.parametrize("x", [True, False, 0, -3, F(0), F(-7, 4), F(1, 3), F(47, 24),
+                               F(-1, 2**40), F(3, 5**12), F(10**20 + 1, 7), "3/8"])
+def test_ratio_helpers_edge_values(x):
+    from mgnet.rationals import ratio_to_csv, ratio_to_json
+    assert json.dumps(ratio_to_json(x)) == json.dumps(_ratio_to_json_by_fraction(x))
+    assert ratio_to_csv(x) == _ratio_to_csv_by_fraction(x)
