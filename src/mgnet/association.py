@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass
 
 from .lattice import Coord
-from .topology import HEX, SECTOR_KINDS, SECTORED, WYNER, Network
+from .topology import HEX, SECTOR_KINDS, SECTORED, WYNER, Network, _need_at_least
 
 
 class Scheme(str, enum.Enum):
@@ -68,8 +68,7 @@ def check_params(model: str, scheme: Scheme, D: int, L: int) -> None:
     The one validity rule of the library: association, closed forms, subnet
     sizes, regions and the command line all call it.
     """
-    if L < 1:
-        raise ValueError(f"L={L}: need L >= 1 antennas per cell")
+    _need_at_least(L=(L, 1))  # the builders' own rule and message
     if model not in (WYNER, HEX, SECTORED):
         raise ValueError(f"unknown model {model!r}")
     if scheme is Scheme.NO_COOP:
@@ -124,17 +123,7 @@ class Association:
         }
 
 
-def shifted_mod(x: int, tau: int) -> int:
-    """Reduce x modulo 3*tau into the window [-tau, 2*tau)."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    return ((x + tau) % (3 * tau)) - tau
-
-
-def assign_wyner(net: Network, D: int, scheme: Scheme) -> Association:
-    if net.model != WYNER:
-        raise ValueError("assign_wyner needs a Wyner network")
-    check_params(WYNER, scheme, D, net.L)
+def _assign_wyner(net: Network, D: int, scheme: Scheme) -> Association:
     K = net.n_tx
     masters: list[int] = []
     # slot 0 is no node; odd nodes are fast where any are, every period-th silent
@@ -191,10 +180,7 @@ def _per_class(net: Network, tau: int, rule) -> tuple[list, list[int]]:
     return values, masters
 
 
-def assign_hex(net: Network, D: int, scheme: Scheme) -> Association:
-    if net.model != HEX:
-        raise ValueError("assign_hex needs a hexagonal network")
-    check_params(HEX, scheme, D, net.L)
+def _assign_hex(net: Network, D: int, scheme: Scheme) -> Association:
     if scheme is Scheme.NO_COOP:
         roles: list[Role | None] = [None] * len(net.coords)
         for i in net.tx_nodes:
@@ -244,16 +230,12 @@ def _sector_fast_kind(delta: Coord) -> str | None:
     return "E"
 
 
-def assign_sectored(net: Network, D: int, scheme: Scheme,
-                    no_coop_kind: str = "W") -> Association:
-    if net.model != SECTORED:
-        raise ValueError("assign_sectored needs a sectorized network")
-    check_params(SECTORED, scheme, D, net.L)
-    if scheme is Scheme.NO_COOP:
+def _assign_sectored(net: Network, D: int, scheme: Scheme) -> Association:
+    if scheme is Scheme.NO_COOP:  # the W sector of every cell is fast, the rest silent
         roles: list[Role | None] = [None] * len(net.coords)
         for t in net.tx_nodes:
             _, kind = net.coords[t]
-            roles[t] = Role.FAST if kind == no_coop_kind else Role.SILENT
+            roles[t] = Role.FAST if kind == "W" else Role.SILENT
         return Association(net, scheme, D, roles, ())
 
     tau = scheme_tau(SECTORED, scheme, D)
@@ -280,9 +262,7 @@ def assign_sectored(net: Network, D: int, scheme: Scheme,
 
 
 def assign(net: Network, D: int, scheme: Scheme) -> Association:
-    """Model dispatch."""
-    if net.model == WYNER:
-        return assign_wyner(net, D, scheme)
-    if net.model == HEX:
-        return assign_hex(net, D, scheme)
-    return assign_sectored(net, D, scheme)
+    """The one assignment entry point: check (model, scheme, D, L) once, run the model's rule."""
+    check_params(net.model, scheme, D, net.L)
+    rule = {WYNER: _assign_wyner, HEX: _assign_hex, SECTORED: _assign_sectored}[net.model]
+    return rule(net, D, scheme)

@@ -1,7 +1,9 @@
 """Exact cooperation-message accounting and the matching closed-form expressions.
 
 Every conferencing message carries prelog L, so cooperation loads are pure
-message counts.  The ledger distinguishes:
+message counts.  ``SCHEME_KEYS`` names each scheme's (s_f, s_s, mu_tx, mu_rx)
+entries of the ``formulas`` table: ``closed_form`` is one lookup in it, and
+the MG regions read its prelog columns.  The ledger distinguishes:
 
 * precancel_msgs: quantized slow-signal descriptions delivered to fast
   transmitters so they can pre-subtract slow interference;
@@ -38,7 +40,7 @@ from itertools import accumulate, pairwise
 
 from .association import Association, Role, Scheme, check_params
 from .rationals import ratio_to_json
-from .topology import HEX, WYNER, Network
+from .topology import HEX, SECTORED, WYNER, Network
 from .validation import Subnets, _require_same_net
 
 
@@ -62,7 +64,7 @@ class LoadReport:
     n_subnets: int
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "scheme": self.scheme.value, "D": self.D, "L": self.L,
             "precancel_msgs": self.precancel_msgs,
             "fast_share_msgs": self.fast_share_msgs,
@@ -75,7 +77,6 @@ class LoadReport:
             "max_rx_link_load": self.max_rx_link_load,
             "n_subnets": self.n_subnets,
         }
-        return d
 
 
 @dataclass
@@ -142,23 +143,23 @@ def formulas(model: str, D: int, L: int) -> dict[str, Fraction]:
     }
 
 
+# Each scheme's ``formulas`` keys of (s_f, s_s, mu_tx, mu_rx); None reads as 0.
+SCHEME_KEYS: dict[Scheme, tuple[str | None, ...]] = {
+    Scheme.BOTH_COMP_RX: ("s_f_both", "s_s_both", "mu_r_tx", "mu_r_rx"),
+    Scheme.BOTH_COMP_TX: ("s_f_both", "s_s_both", "mu_t_tx", "mu_t_rx"),
+    Scheme.SLOW_COMP_RX: (None, "s_max", None, "mu_s_rx"),
+    Scheme.SLOW_COMP_TX: (None, "s_max", "mu_s_tx", None),
+    Scheme.NO_COOP: ("s_nocoop", None, None, None),
+}
+
+
 def closed_form(model: str, scheme: Scheme, D: int, L: int) -> ClosedForm:
     """Asymptotic (MG pair, required prelogs) for one scheme on one model."""
     check_params(model, scheme, D, L)
-    zero = Fraction(0)
-    if scheme is Scheme.NO_COOP:
-        f = formulas(model, max(D, 2), L)  # no-coop values do not depend on D
-        return ClosedForm(model, scheme, D, L, f["s_nocoop"], zero, zero, zero)
-    f = formulas(model, D, L)
-    if scheme is Scheme.BOTH_COMP_RX:
-        return ClosedForm(model, scheme, D, L, f["s_f_both"], f["s_s_both"],
-                          f["mu_r_tx"], f["mu_r_rx"])
-    if scheme is Scheme.BOTH_COMP_TX:
-        return ClosedForm(model, scheme, D, L, f["s_f_both"], f["s_s_both"],
-                          f["mu_t_tx"], f["mu_t_rx"])
-    if scheme is Scheme.SLOW_COMP_RX:
-        return ClosedForm(model, scheme, D, L, zero, f["s_max"], zero, f["mu_s_rx"])
-    return ClosedForm(model, scheme, D, L, zero, f["s_max"], f["mu_s_tx"], zero)
+    # no-coop values do not depend on D, and the 2-D tables divide by it
+    f = formulas(model, max(D, 2) if scheme is Scheme.NO_COOP else D, L)
+    return ClosedForm(model, scheme, D, L,
+                      *(f[k] if k else Fraction(0) for k in SCHEME_KEYS[scheme]))
 
 
 def mixed_subnet_counts(D: int) -> tuple[int, int]:
@@ -170,17 +171,15 @@ def mixed_subnet_counts(D: int) -> tuple[int, int]:
 def subnet_sizes(model: str, scheme: Scheme, D: int) -> tuple[int, int]:
     """(partition cells used as asymptotic denominator, active members per subnet)."""
     check_params(model, scheme, D, 1)
-    if model == WYNER:
-        return (2, 1) if scheme is Scheme.NO_COOP else (D + 2, D + 1)
-    if model == HEX:
-        if scheme is Scheme.NO_COOP:
-            return (3, 1)
-        if scheme.mixed:
-            return (3 * D * D // 4, 1 + 3 * D * (D - 2) // 4)
-        return (3 * (D + 2) ** 2 // 4, 1 + 3 * D * (D + 2) // 4)
     if scheme is Scheme.NO_COOP:
-        return (3, 1)
-    return (9 * D * D // 4, 9 * D * D // 4 - 3 * D // 2)
+        return (2, 1) if model == WYNER else (3, 1)
+    if model == WYNER:
+        return (D + 2, D + 1)
+    if model == SECTORED:
+        return (9 * D * D // 4, 9 * D * D // 4 - 3 * D // 2)
+    if scheme.mixed:
+        return (3 * D * D // 4, 1 + 3 * D * (D - 2) // 4)
+    return (3 * (D + 2) ** 2 // 4, 1 + 3 * D * (D + 2) // 4)
 
 
 def _asymptotic_denominators(net: Network) -> tuple[int, int]:
@@ -287,18 +286,10 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
             below[p] += n
     fanout = fanin
 
-    if scheme is Scheme.BOTH_COMP_RX:
-        tx_total = precancel
-        rx_total = fast_share + fanin + fanout - fast_master_saved
-    elif scheme is Scheme.BOTH_COMP_TX:
-        tx_total = fanin + fanout + precancel - q_dedup
-        rx_total = fast_share
-    elif scheme is Scheme.SLOW_COMP_RX:
-        tx_total, rx_total = 0, fanin + fanout
-    elif scheme is Scheme.SLOW_COMP_TX:
-        tx_total, rx_total = fanin + fanout, 0
-    else:
-        tx_total = rx_total = 0
+    # without a mixed scheme precancel and fast_share are 0, and no-coop has no fan-in
+    side = scheme.comp_side
+    tx_total = precancel + (fanin + fanout - q_dedup if side == "tx" else 0)
+    rx_total = fast_share + (fanin + fanout - fast_master_saved if side == "rx" else 0)
 
     den_tx, den_rx = _asymptotic_denominators(net)
     mu_tx = Fraction(L * tx_total, den_tx) if den_tx else Fraction(0)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .association import Scheme, check_params
-from .loads import formulas
+from .loads import SCHEME_KEYS, formulas
 from .rationals import ratio_to_json
 from .topology import HEX, WYNER
 
@@ -150,10 +150,10 @@ def outer_polygon_wyner(D: int, L: int) -> MgRegion:
                         MgPoint(F(L, 2), c - F(L, 2)), MgPoint(F(L, 2), F(0))])
 
 
-# Each scheme's variants as (tx requirement, rx requirement) keys of ``formulas``;
-# None marks a side the variant does not need.
-_MIXED = (("mu_r_tx", "mu_r_rx"), ("mu_t_tx", "mu_t_rx"))
-_SLOW_ONLY = ((None, "mu_s_rx"), ("mu_s_tx", None))
+# Each scheme's variants as the (tx, rx) requirement columns of their
+# ``SCHEME_KEYS`` rows; None marks a side the variant does not need.
+_MIXED = tuple(SCHEME_KEYS[s][2:] for s in (Scheme.BOTH_COMP_RX, Scheme.BOTH_COMP_TX))
+_SLOW_ONLY = tuple(SCHEME_KEYS[s][2:] for s in (Scheme.SLOW_COMP_RX, Scheme.SLOW_COMP_TX))
 
 
 # Pays off only when one process asks for the same (model, D, L) again, as a

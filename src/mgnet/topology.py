@@ -102,6 +102,11 @@ class Network:
     def n_rx(self) -> int:
         return len(self.rx_nodes)
 
+    @property
+    def has_rim(self) -> bool:
+        """A line or a ball, whose rim may clip subnets; never a torus or a hand-built net."""
+        return self.model == WYNER or "radius" in self.params
+
     def cell_of(self, tx: int) -> int:
         """The Rx cell that Tx node ``tx`` sits in."""
         return self.tx_cell[tx]
@@ -137,22 +142,6 @@ def _need_at_least(**sizes: tuple[int, int]) -> None:
     for name, (value, least) in sizes.items():
         if value < least:
             raise ValueError(f"{name}={value}: need {name} >= {least}")
-
-
-def network_from_json_dict(obj: dict) -> Network:
-    """Rebuild a network from its serialized parameters (adjacency is re-derived)."""
-    model, L, p = obj["model"], obj["L"], obj["params"]
-    if model == WYNER:
-        return build_wyner(p["K"], L)
-    if model == HEX:
-        if "tau" in p:
-            return build_hex_torus(p["tau"], p["copies"], L)
-        return build_hex(p["radius"], L)
-    if model == SECTORED:
-        if "tau" in p:
-            return build_sectored_hex_torus(p["tau"], p["copies"], L)
-        return build_sectored_hex(p["radius"], L)
-    raise ValueError(f"unknown model {model!r}")
 
 
 def build_wyner(K: int, L: int) -> Network:

@@ -1,15 +1,15 @@
 """Structural checks for an association: fast independence, subnet decomposition,
-hop distances to the masters, and the conferencing-round split.
+hop distances to the masters, and the hop budget the conferencing rounds allow.
 
 An association is sound when
 
 * no fast transmitter interferes at any fast receiver,
 * silencing decomposes the active nodes into non-interfering subnets,
 * each subnet owns exactly one master, and every slow node reaches it over
-  the cooperation graph within the scheme's round budget:
-  floor((D-2)/2) hops when both message types are sent (one conferencing
-  round goes to the opposite side and the remaining D-1 rounds split into
-  a gather and a scatter phase), floor(D/2) hops for the slow-only scheme.
+  the cooperation graph within the hop budget: half the CoMP side's rounds
+  in ``check_round_split``, for a gather and a scatter phase.  A mixed
+  scheme gives one round to the opposite side, so its D-1 rounds allow
+  D/2 - 1 hops; the slow-only scheme's D rounds allow D/2.
 
 Finite line/ball instances may contain clipped subnets at the network rim;
 those are reported as warnings, not violations, and are excluded from the
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .association import Association, Role, Scheme
-from .topology import WYNER, Network
+from .topology import Network
 
 
 @dataclass(slots=True)
@@ -127,28 +127,21 @@ class ValidationReport:
 
 
 def check_round_split(scheme: Scheme, D: int) -> tuple[int, int]:
-    """Conferencing rounds (d_tx, d_rx) used by each scheme, with d_tx + d_rx <= D."""
+    """Conferencing rounds (d_tx, d_rx) used by each scheme, with d_tx + d_rx <= D:
+    a mixed scheme gives one round to the side opposite its CoMP side."""
     if scheme is Scheme.NO_COOP:
         if D < 0:
             raise ValueError("D must be >= 0")
         return (0, 0)
     if D < 2:
         raise ValueError(f"D={D} is too small for {scheme.value}")
-    if scheme is Scheme.BOTH_COMP_RX:
-        return (1, D - 1)
-    if scheme is Scheme.BOTH_COMP_TX:
-        return (D - 1, 1)
-    if scheme is Scheme.SLOW_COMP_RX:
-        return (0, D)
-    return (D, 0)
+    other = int(scheme.mixed)
+    return (D - other, other) if scheme.comp_side == "tx" else (other, D - other)
 
 
 def hop_budget(scheme: Scheme, D: int) -> int:
-    if scheme is Scheme.NO_COOP:
-        return 0
-    if scheme.mixed:
-        return (D - 2) // 2
-    return D // 2
+    """Hops to the master: half the CoMP side's rounds, to gather and to scatter."""
+    return max(check_round_split(scheme, D)) // 2
 
 
 def _require_same_net(net: Network, assoc: Association) -> None:
@@ -240,7 +233,7 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     # a cell's lowest-id parent in the current search; only a master starts one
     parent: list[int | None] = [None] * len(coop)
     cooperative = assoc.scheme.cooperative
-    relaxed = net.model == WYNER or "radius" in net.params
+    relaxed = net.has_rim
     for i, master in enumerate(masters if cooperative or master_set else ()):
         comp = members[starts[i]:starts[i + 1]]
         if master is None:
@@ -300,11 +293,11 @@ def master_reachability(subnets: Subnets, scheme: Scheme, D: int) -> ValidationR
     ``subnets`` is what ``subnet_decompose`` returned for an association with
     this scheme and D; anything else raises ValueError.
     """
-    budget = hop_budget(scheme, D)
-    report = ValidationReport(hop_budget=budget)
     assoc = getattr(subnets, "assoc", None)
     if assoc is None or (assoc.scheme, assoc.D) != (scheme, D):
         raise ValueError("subnets were not decomposed for this association")
+    budget = hop_budget(scheme, D)
+    report = ValidationReport(hop_budget=budget)
     hop, roles, slow = subnets.hop, assoc.roles, Role.SLOW
     for k in subnets.members:
         if (g := hop[k]) is None or g <= budget or roles[k] is not slow:

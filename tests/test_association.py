@@ -2,39 +2,19 @@
 
 from __future__ import annotations
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given
 
-from mgnet import (Role, Scheme, assign, assign_hex, assign_sectored,
-                   assign_wyner, build_hex, build_hex_torus,
+from mgnet import (Role, Scheme, assign, build_hex, build_hex_torus,
                    build_sectored_hex, build_sectored_hex_torus, build_wyner,
                    check_params, hex_distance)
-from mgnet.association import (_sector_fast_kind, _sector_silenced,
-                               scheme_tau, shifted_mod)
+from mgnet.association import _sector_fast_kind, _sector_silenced, scheme_tau
 from mgnet.lattice import TorusGeometry, is_master
 from mgnet.topology import HEX, SECTORED
 
 
-@given(st.integers(-1000, 1000), st.integers(1, 50))
-def test_shifted_mod_window(x, tau):
-    y = shifted_mod(x, tau)
-    assert -tau <= y < 2 * tau
-    assert (y - x) % (3 * tau) == 0
-
-
-def test_shifted_mod_examples():
-    for tau in (1, 3, 7):
-        assert shifted_mod(-tau, tau) == -tau
-        assert shifted_mod(2 * tau, tau) == -tau
-    assert shifted_mod(5, 2) == -1
-    with pytest.raises(ValueError):
-        shifted_mod(3, 0)
-
-
 def test_wyner_mixed_assignment():
     net = build_wyner(16, 1)
-    a = assign_wyner(net, 6, Scheme.BOTH_COMP_RX)
+    a = assign(net, 6, Scheme.BOTH_COMP_RX)
     assert a.nodes_with(Role.SILENT) == [8, 16]
     assert [k for k in a.nodes_with(Role.FAST) if k <= 7] == [1, 3, 5, 7]
     assert [k for k in a.nodes_with(Role.SLOW) if k <= 7] == [2, 4, 6]
@@ -43,7 +23,7 @@ def test_wyner_mixed_assignment():
 
 def test_wyner_no_coop():
     net = build_wyner(16, 1)
-    a = assign_wyner(net, 6, Scheme.NO_COOP)
+    a = assign(net, 6, Scheme.NO_COOP)
     active = a.nodes_with(Role.FAST)
     assert len(active) == 8
     assert all(abs(x - y) > 1 for x in active for y in active if x != y)
@@ -51,14 +31,14 @@ def test_wyner_no_coop():
 
 def test_wyner_slow_only():
     net = build_wyner(16, 1)  # K = 2 (D + 2) at D = 6
-    a = assign_wyner(net, 6, Scheme.SLOW_COMP_RX)
+    a = assign(net, 6, Scheme.SLOW_COMP_RX)
     assert len(a.nodes_with(Role.SLOW)) == 14
     assert len(a.masters) == 2
 
 
 def test_wyner_partial_tail_has_no_master():
     net = build_wyner(20, 1)
-    a = assign_wyner(net, 6, Scheme.BOTH_COMP_RX)
+    a = assign(net, 6, Scheme.BOTH_COMP_RX)
     assert a.masters == (4, 12)
     assert a.roles[17] is Role.FAST  # pattern continues into the tail
 
@@ -66,9 +46,9 @@ def test_wyner_partial_tail_has_no_master():
 def test_wyner_rejects_bad_d():
     net = build_wyner(8, 1)
     with pytest.raises(ValueError):
-        assign_wyner(net, 5, Scheme.BOTH_COMP_RX)
+        assign(net, 5, Scheme.BOTH_COMP_RX)
     with pytest.raises(ValueError):
-        assign_wyner(net, 0, Scheme.SLOW_COMP_RX)
+        assign(net, 0, Scheme.SLOW_COMP_RX)
 
 
 def brute_subnet_counts(D):
@@ -84,14 +64,14 @@ def brute_subnet_counts(D):
 def test_hex_mixed_per_subnet_counts(D, expected):
     assert brute_subnet_counts(D) == expected
     net = build_hex_torus(D // 2, 1, 1)
-    a = assign_hex(net, D, Scheme.BOTH_COMP_RX)
+    a = assign(net, D, Scheme.BOTH_COMP_RX)
     assert len(a.nodes_with(Role.FAST)) == expected[0]
     assert len(a.nodes_with(Role.SLOW)) == expected[1]
 
 
 def test_hex_no_coop_is_independent():
     net = build_hex(4, 1)
-    a = assign_hex(net, 0, Scheme.NO_COOP)
+    a = assign(net, 0, Scheme.NO_COOP)
     active = set(a.nodes_with(Role.FAST))
     for k in active:
         assert not active & set(net.interference[k])
@@ -101,7 +81,7 @@ def test_hex_slow_only_ring():
     # the silenced cells around one master form the full layer D/2 + 1
     D = 8
     net = build_hex(7, 1)
-    a = assign_hex(net, D, Scheme.SLOW_COMP_RX)
+    a = assign(net, D, Scheme.SLOW_COMP_RX)
     ring = [i for i in net.tx_nodes
             if hex_distance(net.coords[i], (0, 0)) == D // 2 + 1]
     assert len(ring) == 3 * D + 6
@@ -110,14 +90,14 @@ def test_hex_slow_only_ring():
 
 def test_hex_roles_partition():
     net = build_hex_torus(4, 2, 1)
-    a = assign_hex(net, 8, Scheme.BOTH_COMP_RX)
+    a = assign(net, 8, Scheme.BOTH_COMP_RX)
     counts = {r: len(a.nodes_with(r)) for r in Role}
     assert sum(counts.values()) == net.n_tx
 
 
 def test_hex_master_lattice():
     net = build_hex(9, 1)
-    a = assign_hex(net, 8, Scheme.BOTH_COMP_RX)
+    a = assign(net, 8, Scheme.BOTH_COMP_RX)
     coords = [net.coords[m] for m in a.masters]
     assert all(is_master(c, 4) for c in coords)
     assert all(hex_distance(c1, c2) >= 8 for c1 in coords for c2 in coords if c1 != c2)
@@ -128,7 +108,7 @@ def test_hex_asymptotic_fraction_exact_on_torus():
     from fractions import Fraction
     for D, m in ((8, 1), (8, 2), (14, 1)):
         net = build_hex_torus(D // 2, m, 1)
-        a = assign_hex(net, D, Scheme.BOTH_COMP_RX)
+        a = assign(net, D, Scheme.BOTH_COMP_RX)
         frac = Fraction(len(a.nodes_with(Role.FAST)), net.n_tx)
         assert frac == Fraction(D * D - 2 * D + 4, 3 * D * D)
 
@@ -137,30 +117,30 @@ def test_hex_rejects_unsupported_d():
     net = build_hex(4, 1)
     for D in (4, 6, 10, 12):
         with pytest.raises(ValueError):
-            assign_hex(net, D, Scheme.BOTH_COMP_RX)
+            assign(net, D, Scheme.BOTH_COMP_RX)
         with pytest.raises(ValueError):
-            assign_hex(net, D, Scheme.SLOW_COMP_RX)
+            assign(net, D, Scheme.SLOW_COMP_RX)
 
 
 def test_hex_torus_tau_mismatch_rejected():
     net = build_hex_torus(4, 1, 1)
     with pytest.raises(ValueError, match="tau=4"):
-        assign_hex(net, 8, Scheme.SLOW_COMP_RX)  # needs tau = 5
+        assign(net, 8, Scheme.SLOW_COMP_RX)  # needs tau = 5
 
 
 def test_sectorized_counts():
     D = 4
     net = build_sectored_hex_torus(D // 2, 1, 1)
-    a = assign_sectored(net, D, Scheme.BOTH_COMP_RX)
+    a = assign(net, D, Scheme.BOTH_COMP_RX)
     assert len(a.nodes_with(Role.FAST)) == 3 * D * D // 4 == 12
     assert len(a.nodes_with(Role.SLOW)) == 6 * D * D // 4 - 3 * D // 2 == 18
-    s = assign_sectored(net, D, Scheme.SLOW_COMP_RX)
+    s = assign(net, D, Scheme.SLOW_COMP_RX)
     assert len(s.nodes_with(Role.SLOW)) == 9 * D * D // 4 - 3 * D // 2 == 30
 
 
 def test_sectorized_no_coop_independent():
     net = build_sectored_hex_torus(2, 2, 1)
-    a = assign_sectored(net, 0, Scheme.NO_COOP)
+    a = assign(net, 0, Scheme.NO_COOP)
     active = set(a.nodes_with(Role.FAST))
     assert len(active) == net.n_rx  # one sector per cell
     for t in active:
@@ -171,7 +151,7 @@ def test_sectorized_rejects_comp_tx():
     net = build_sectored_hex_torus(2, 1, 1)
     for scheme in (Scheme.BOTH_COMP_TX, Scheme.SLOW_COMP_TX):
         with pytest.raises(ValueError):
-            assign_sectored(net, 4, scheme)
+            assign(net, 4, scheme)
 
 
 def test_assign_dispatch():
@@ -181,7 +161,7 @@ def test_assign_dispatch():
 
 def test_association_json():
     net = build_wyner(8, 1)
-    a = assign_wyner(net, 6, Scheme.BOTH_COMP_RX)
+    a = assign(net, 6, Scheme.BOTH_COMP_RX)
     doc = a.to_json_dict()
     assert doc["scheme"] == "BothCompRx"
     assert doc["roles"]["8"] == "X" and doc["roles"]["1"] == "F" and doc["roles"]["2"] == "S"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from mgnet import (HEX, SECTORED, WYNER, Role, Scheme, achievable_region,
                    assign, build_hex, build_hex_torus, build_sectored_hex,
                    build_sectored_hex_torus, build_wyner, check_params,
-                   closed_form, finite_prelogs, master_reachability,
+                   closed_form, finite_prelogs, formulas, master_reachability,
                    mixed_subnet_counts, message_ledger, subnet_decompose,
                    subnet_sizes, validate)
 from mgnet.association import scheme_tau
@@ -458,6 +458,12 @@ def broken_invariants(led):
         broken.append("q_dedup > min(precancel_msgs, fanout_msgs)")
     if led.fast_master_dedup > led.fast_share_msgs:
         broken.append("fast_master_dedup > fast_share_msgs")
+    # the ledger totals add precancel and fast shares under every scheme and
+    # fan-in on the CoMP side; these are zero where the scheme has none
+    if not led.scheme.mixed and (led.precancel_msgs or led.fast_share_msgs):
+        broken.append("fast-node traffic without a mixed scheme")
+    if not led.scheme.cooperative and led.fanin_msgs:
+        broken.append("fan-in without cooperation")
     return broken
 
 
@@ -476,6 +482,32 @@ def check_sweep_case(model, scheme, D, copies, L):
     cf = closed_form(model, scheme, D, L)
     assert (led.mu_tx, led.mu_rx) == (cf.mu_tx, cf.mu_rx), (model, scheme, D, copies)
     return broken_invariants(led)
+
+
+def reference_closed_form(model, scheme, D, L):
+    """The per-scheme chain ``closed_form`` replaced with one ``SCHEME_KEYS`` lookup."""
+    check_params(model, scheme, D, L)
+    zero = F(0)
+    if scheme is Scheme.NO_COOP:
+        f = formulas(model, max(D, 2), L)
+        return (f["s_nocoop"], zero, zero, zero)
+    f = formulas(model, D, L)
+    if scheme is Scheme.BOTH_COMP_RX:
+        return (f["s_f_both"], f["s_s_both"], f["mu_r_tx"], f["mu_r_rx"])
+    if scheme is Scheme.BOTH_COMP_TX:
+        return (f["s_f_both"], f["s_s_both"], f["mu_t_tx"], f["mu_t_rx"])
+    if scheme is Scheme.SLOW_COMP_RX:
+        return (zero, f["s_max"], zero, f["mu_s_rx"])
+    return (zero, f["s_max"], f["mu_s_tx"], zero)
+
+
+def test_closed_form_equals_reference_chain():
+    for model, scheme, D in SWEEP:
+        for L in (1, 2, 3):
+            cf = closed_form(model, scheme, D, L)
+            assert (cf.model, cf.scheme, cf.D, cf.L) == (model, scheme, D, L)
+            assert (cf.s_f, cf.s_s, cf.mu_tx, cf.mu_rx) == \
+                reference_closed_form(model, scheme, D, L), (model, scheme, D, L)
 
 
 def test_sweep_grid_is_every_valid_case():

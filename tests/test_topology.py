@@ -14,7 +14,7 @@ from mgnet import (HEX, SECTORED, WYNER, build_hex, build_hex_torus, build_secto
                    build_sectored_hex_torus, build_wyner, hex_distance)
 from mgnet.association import Scheme, assign, check_params, scheme_tau
 from mgnet.lattice import NEIGHBOR_STEPS, TorusGeometry, ball
-from mgnet.topology import SECTOR_KINDS, SECTOR_RULE, network_from_json_dict
+from mgnet.topology import SECTOR_KINDS, SECTOR_RULE
 
 
 def brute_hexdist(c1, c2):
@@ -261,16 +261,6 @@ def test_node_tables_follow_the_cell_order(make, domain):
         assert [net.tx_cell[t] for t in sectors] == [i, i, i]
 
 
-def test_network_json_round_trip():
-    for net in (build_wyner(10, 2), build_hex(2, 1), build_hex_torus(4, 1, 3),
-                build_sectored_hex(1, 2), build_sectored_hex_torus(2, 1, 1)):
-        clone = network_from_json_dict(net.to_json_dict())
-        assert clone.interference == net.interference
-        assert clone.rx_coop == net.rx_coop
-        assert (clone.q_tx, clone.q_rx) == (net.q_tx, net.q_rx)
-        assert clone.to_json_dict() == net.to_json_dict()
-
-
 FIVE_NETWORKS = {
     "wyner": lambda: build_wyner(10, 2),
     "hex-ball": lambda: build_hex(2, 1),
@@ -291,6 +281,7 @@ def test_network_shape(make):
     assert len(net.rx_coop) == len(net.cell_coords)
     assert {net.cell_of(t) for t in net.tx_nodes} <= set(net.rx_nodes)
     assert net.tx_coop is net.interference
+    assert net.has_rim != ("tau" in net.params)  # a builder's network is a torus or has a rim
     if net.model != SECTORED:
         assert net.cell_coords is net.coords
         assert net.rx_coop is net.interference

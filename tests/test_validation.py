@@ -15,6 +15,7 @@ from mgnet import (HEX, Association, Network, Role, Scheme, Subnet, Subnets, Val
                    build_sectored_hex_torus, build_wyner, check_round_split,
                    fast_noninterference, master_reachability, subnet_decompose,
                    validate)
+from mgnet.validation import hop_budget
 
 
 def test_round_split():
@@ -28,6 +29,11 @@ def test_round_split():
     for scheme, d in ((Scheme.BOTH_COMP_RX, 6), (Scheme.SLOW_COMP_TX, 4), (Scheme.NO_COOP, 2)):
         d_tx, d_rx = check_round_split(scheme, d)
         assert d_tx + d_rx <= d
+    # the hop budget, read from the round split, keeps the per-scheme rules it replaced
+    for scheme in Scheme:
+        for d in range(2 if scheme.cooperative else 0, 27, 2):
+            old = (d - 2) // 2 if scheme.mixed else d // 2 if scheme.cooperative else 0
+            assert hop_budget(scheme, d) == old, (scheme, d)
 
 
 def test_wyner_fast_independence():
@@ -288,6 +294,8 @@ def test_package_exports_no_modules():
     for name in mgnet.__all__:
         assert not isinstance(getattr(mgnet, name), types.ModuleType), name
     assert "Subnets" in mgnet.__all__ and "shifted_mod" not in mgnet.__all__
+    assert "assign" in mgnet.__all__  # the one assignment entry point
+    assert not {"assign_wyner", "assign_hex", "assign_sectored"} & set(mgnet.__all__)
 
 
 @pytest.mark.parametrize("master", [-1, 3, 99])
