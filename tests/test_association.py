@@ -9,7 +9,7 @@ from mgnet import (Role, Scheme, assign, build_hex, build_hex_torus,
                    check_params, hex_distance)
 from mgnet.association import _sector_fast_kind, _sector_silenced, scheme_tau
 from mgnet.lattice import TorusGeometry, is_master
-from mgnet.topology import HEX, SECTORED
+from mgnet.topology import HEX, SECTORED, WYNER
 
 
 def test_wyner_mixed_assignment():
@@ -157,6 +157,44 @@ def test_sectorized_rejects_comp_tx():
 def test_assign_dispatch():
     assert assign(build_wyner(8, 1), 6, Scheme.NO_COOP).scheme is Scheme.NO_COOP
     assert assign(build_hex(2, 1), 0, Scheme.NO_COOP).scheme is Scheme.NO_COOP
+
+
+def test_check_params_says_what_the_builders_say_about_L():
+    for L in (0, -2):
+        message = f"^L={L}: need L >= 1$"
+        for build, args in ((build_wyner, (4,)), (build_hex, (2,)), (build_hex_torus, (1, 1)),
+                            (build_sectored_hex, (2,)), (build_sectored_hex_torus, (1, 1))):
+            with pytest.raises(ValueError, match=message):
+                build(*args, L)
+        for model in (WYNER, HEX, SECTORED):
+            with pytest.raises(ValueError, match=message):
+                check_params(model, Scheme.NO_COOP, 0, L)
+
+
+def test_assign_checks_the_parameters_once(monkeypatch):
+    import mgnet.association as association
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_params(*args)
+
+    monkeypatch.setattr(association, "check_params", counting)
+    for net, D, scheme in ((build_wyner(8, 1), 6, Scheme.BOTH_COMP_RX),
+                           (build_hex_torus(4, 1, 2), 8, Scheme.BOTH_COMP_TX),
+                           (build_sectored_hex_torus(2, 1, 3), 4, Scheme.SLOW_COMP_RX),
+                           (build_hex(2, 1), 0, Scheme.NO_COOP)):
+        calls.clear()
+        assign(net, D, scheme)
+        assert calls == [(net.model, scheme, D, net.L)]
+    net = build_hex(2, 1)
+    net.L = 0
+    with pytest.raises(ValueError, match="^L=0: need L >= 1$"):
+        assign(net, 0, Scheme.NO_COOP)
+    net.model = "nosuch"
+    net.L = 1
+    with pytest.raises(ValueError, match="unknown model 'nosuch'"):
+        assign(net, 0, Scheme.NO_COOP)
 
 
 def test_association_json():
