@@ -5,17 +5,21 @@ Rationals are accepted as 'p/q' strings and emitted exactly; CSV renders a
 decimal when possible plus the exact numerator/denominator columns.
 
 Exit codes: 0 success, 2 invalid parameters (the message names the violated
-precondition, or the size flag that the model does not take), 3 `validate` found a violated precondition or `loads --tiling`
-found a torus ledger that differs from the closed form, 1 internal failure.
+precondition, or the size flag that the model does not take), 3 `validate`
+found a violated precondition, or `loads` found a ledger that differs from the
+closed form on a torus (`--tiling`) or a line of whole D+2 periods (`--K`),
+1 internal failure.
 
 `main` may be called any number of times in one process; every call parses
-once, with the subcommand's own parser from the set `make_parser` builds on
-first use, and writes JSON in one pass (`dumps_indent2`).
+once and writes JSON in one pass (`dumps_indent2`). A known command with exact
+`--flag value` pairs is read from its parser's Actions into argparse's
+namespace; any other argv goes to the parsers `make_parser` builds once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -162,8 +166,9 @@ def cmd_loads(args) -> int:
         "exact_match": ledger.mu_tx == cf.mu_tx and ledger.mu_rx == cf.mu_rx,
     }
     _emit(args, dumps_indent2(out) + "\n")
-    # only a torus is free of edge effects; lines and balls differ by design
-    return 3 if not net.has_rim and not out["exact_match"] else 0
+    # a torus or a line of whole (D+2)-cell periods has no edge effects; other rims do
+    periodic = not net.has_rim or (net.model == WYNER and args.K % (args.D + 2) == 0)
+    return 3 if periodic and not out["exact_match"] else 0
 
 
 def cmd_closed_form(args) -> int:
@@ -179,35 +184,44 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def _parse_range(spec: str, step: int) -> list[int]:
+def _parse_range(spec: str, step: int) -> range:
     if ".." in spec:
         if step < 1:
             raise ValueError(f"--step={step}: need a step >= 1")
         lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1, step))
-    return [int(spec)]
+        return range(int(lo), int(hi) + 1, step)
+    return range(int(spec), int(spec) + 1)
 
 
 def cmd_sweep(args) -> int:
     model = MODELS[args.model]
-    rows = []
-    for d in _parse_range(args.D_range, args.step):
-        try:
-            check_params(model, Scheme.BOTH_COMP_RX, d, 1)  # D only; formulas checks L
-        except ValueError:
-            continue
-        f = formulas(model, d, args.L)
-        rows.append((d, {k: f[k] for k in _SWEEP_COLUMNS if k in f}))
-    if not rows:
+    with contextlib.ExitStack() as stack:
+        w = None
+        for d in _parse_range(args.D_range, args.step):
+            try:
+                check_params(model, Scheme.BOTH_COMP_RX, d, 1)  # D only; formulas checks L
+            except ValueError:
+                continue
+            f = formulas(model, d, args.L)
+            if w is None:
+                out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
+                w = csv.writer(out, lineterminator="\n")
+                names = [k for k in _SWEEP_COLUMNS if k in f]
+                w.writerow(["D"] + names)
+            w.writerow([d] + [ratio_to_csv(f[n]) for n in names])
+    if w is None:
         raise ValueError("no valid D in the sweep range for this model")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    names = list(rows[0][1])
-    w.writerow(["D"] + names)
-    for d, cols in rows:
-        w.writerow([d] + [ratio_to_csv(cols[n]) for n in names])
-    _emit(args, buf.getvalue())
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps the Action of each one-value option in ``flags``."""
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:  # -h takes no value and is left to argparse
+            vars(self).setdefault("flags", {}).update(dict.fromkeys(action.option_strings, action))
+        return action
 
 
 @functools.cache
@@ -217,8 +231,8 @@ def make_parser() -> argparse.ArgumentParser:
     ``.commands`` maps each subcommand name to its own parser. Every `main` call
     parses with these objects, so callers must not mutate them (add arguments).
     """
-    ap = argparse.ArgumentParser(prog="mgnet", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="mgnet", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("region", help="achievable MG region for given prelog budgets")
@@ -272,12 +286,38 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """One parse: a known command by its own parser, anything else by the top-level one."""
+    """One parse: a known command in canonical pair form by `_read_pairs`, any other
+    argv of a known command by its own parser, anything else by the top-level one."""
     ap = make_parser()
     sub = ap.commands.get(argv[0]) if argv else None
     if sub is None:
         return ap.parse_args(argv)
-    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return _read_pairs(sub, argv) or sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def _read_pairs(sub: _Parser, argv: list[str]) -> argparse.Namespace | None:
+    """argparse's namespace for ``command --flag value ...`` with exact option strings,
+    every required one, and values argparse takes as they stand (no leading '-', of the
+    Action's type and choices; a repeated flag keeps the last); else None."""
+    if len(argv) % 2 == 0:
+        return None
+    flags, values = sub.flags, {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        action = flags.get(flag)
+        if action is None or value.startswith("-"):
+            return None
+        try:
+            value = (action.type or str)(value)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in flags.values():
+        if action.required and action.dest not in values:
+            return None
+        values.setdefault(action.dest, action.default)
+    return argparse.Namespace(command=argv[0], func=sub.get_default("func"), **values)
 
 
 def main(argv: list[str] | None = None) -> int:

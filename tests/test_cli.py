@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -11,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from test_topology import FIVE_NETWORKS, PIN_D, _pinned_schemes
 
-from mgnet.association import SCHEME_ALIASES
-from mgnet.cli import dumps_indent2, main
+from mgnet.association import SCHEME_ALIASES, check_params
+from mgnet.cli import dumps_indent2, main, make_parser, parse_args
 from mgnet.rationals import ratio_from_json
+from mgnet.topology import WYNER
 
 
 def run(capsys, *argv):
@@ -190,6 +196,48 @@ def test_loads_torus_mismatch_exits_3(capsys, monkeypatch):
     assert json.loads(out)["exact_match"] is False
 
 
+def _raises(f, *args):
+    try:
+        f(*args)
+    except ValueError:
+        return True
+    return False
+
+
+# every valid (D, scheme) of D <= 26 on a line of m whole (D+2)-cell periods, L in {1, 3}
+WYNER_PERIODS = [(D, alias, m * (D + 2), L) for D in range(27)
+                 for alias, scheme in sorted(SCHEME_ALIASES.items())
+                 if not _raises(check_params, WYNER, scheme, D, 1)
+                 for m in (1, 2, 3, 5) for L in (1, 3)]
+
+
+def test_wyner_line_of_whole_periods_matches_the_closed_form(capsys):
+    assert len(WYNER_PERIODS) == 520 + 2 * 4 * 14  # even D >= 2, plus no-coop at D 0..26
+    for D, alias, K, L in WYNER_PERIODS:
+        code, out, _ = run(capsys, "loads", "--model", "wyner", "--K", str(K), "--D", str(D),
+                           "--L", str(L), "--scheme", alias)
+        assert (code, json.loads(out)["exact_match"]) == (0, True), (D, alias, K, L)
+
+
+@pytest.mark.parametrize("D, K, code", [(6, 8, 3), (6, 24, 3), (6, 2000, 3), (2, 12, 3),
+                                        (0, 2, 3), (3, 15, 3), (6, 17, 0), (6, 28, 0),
+                                        (2, 10, 0), (3, 14, 0)])
+def test_wyner_mismatch_exits_3_only_on_whole_periods(capsys, monkeypatch, D, K, code):
+    import dataclasses
+
+    import mgnet.cli
+    real = mgnet.cli.closed_form
+
+    def off_by_one(*args):
+        cf = real(*args)
+        return dataclasses.replace(cf, mu_tx=cf.mu_tx + 1)
+
+    monkeypatch.setattr(mgnet.cli, "closed_form", off_by_one)
+    got, out, _ = run(capsys, "loads", "--model", "wyner", "--K", str(K), "--D", str(D),
+                      "--L", "2", "--scheme", "no-coop" if D in (0, 3) else "both-tx")
+    assert (got, json.loads(out)["exact_match"]) == (code, False)
+
+
 @pytest.mark.parametrize("size", [("--model", "hex", "--D", "8", "--radius", "6"),
                                   ("--model", "wyner", "--D", "6", "--K", "17")])
 def test_loads_off_torus_mismatch_exits_0(capsys, size):
@@ -234,6 +282,47 @@ def test_sweep_wyner(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 6  # header + 5 rows
     assert lines[0].startswith("D,")
+
+
+def test_sweep_writes_each_row_as_it_is_made(monkeypatch):
+    import mgnet.cli
+    real, seen = mgnet.cli.check_params, []
+
+    def tripwire(model, scheme, D, L):  # the sweep may not run ahead of its output
+        seen.append(D)
+        assert len(seen) <= 4, "sweep computed rows it had not written"
+        return real(model, scheme, D, L)
+
+    class FullAfterThreeRows(io.StringIO):
+        def write(self, text):
+            if self.getvalue().count("\n") == 4:
+                raise BrokenPipeError
+            return super().write(text)
+
+    monkeypatch.setattr(mgnet.cli, "check_params", tripwire)
+    monkeypatch.setattr(sys, "stdout", FullAfterThreeRows())
+    tracemalloc.start()
+    try:
+        with pytest.raises(BrokenPipeError):
+            main(["sweep", "--model", "wyner", "--L", "3", "--D", "2..2000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = sys.stdout.getvalue()
+    monkeypatch.undo()
+    assert seen == [2, 4, 6, 8]
+    assert peak < 2**20, "the D range was held in memory"  # a list of it takes ~36 MB
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        assert main(["sweep", "--model", "wyner", "--L", "3", "--D", "2..6"]) == 0
+    assert written == buf.getvalue()
+
+
+def test_sweep_with_no_valid_d_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "sweep", "--model", "hex", "--L", "3", "--D", "4..6",
+                         "--out", str(path))
+    assert (code, out, path.exists()) == (2, "", False)
+    assert "no valid D" in err
 
 
 def test_figure_csv_is_byte_stable(capsys):
@@ -414,6 +503,96 @@ def test_unknown_trailing_option_exits_2_with_the_command_usage(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: mgnet closed-form")
     assert "mgnet closed-form: error: unrecognized arguments: --bogus 1" in err
+
+
+# --- canonical `--flag value` argv read without argparse ----------------
+
+COMMANDS = sorted(make_parser().commands)
+ODD_VALUES = ["", "-2", "-1/2", "2.5", "bogus", "-h", "--model", "--"]
+
+
+def _values(action):
+    if action.choices:
+        good = st.sampled_from(sorted(action.choices))
+    elif action.type is int:
+        good = st.integers(0, 30).map(str)
+    else:
+        good = st.sampled_from(["9/8", "0", "3", "2..10", "8", "2x2", "x.csv"])
+    return st.tuples(st.sampled_from([None] * 24 + ODD_VALUES), good).map(
+        lambda pair: pair[1] if pair[0] is None else pair[0])
+
+
+@st.composite
+def argvs(draw):
+    """Mostly canonical argv of one command, with argparse-only forms mixed in."""
+    command = draw(st.sampled_from(COMMANDS))
+    flags = make_parser().commands[command].flags
+    items = [[flag, draw(_values(action))] for flag, action in flags.items()
+             if action.required or draw(st.booleans())]
+    if items and draw(st.sampled_from([False] * 4 + [True])):  # a flag may go missing
+        items.pop(draw(st.integers(0, len(items) - 1)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        flag = draw(st.sampled_from(sorted(flags)))
+        value = draw(_values(flags[flag]))
+        items.append(draw(st.sampled_from([
+            [flag, value],  # given twice, unless it went missing above
+            [f"{flag}={value}"],
+            [flag[:draw(st.integers(3, 5))], value],  # a prefix, unique or not
+            ["-h"], ["--bogus", value], [value]])))
+    return [command] + sum(draw(st.permutations(items)), [])
+
+
+def _outcome(parse, argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            got = vars(parse(argv))
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+def _by_the_command_parser(argv):
+    return make_parser().commands[argv[0]].parse_args(argv[1:],
+                                                      argparse.Namespace(command=argv[0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_parse_equals_argparse(argv):
+    """Same namespace as the top-level parse, or the same exit and messages as the
+    command's own parser (the top-level one prints its own usage for unrecognized
+    arguments, see test_unknown_trailing_option_exits_2_with_the_command_usage)."""
+    got = _outcome(parse_args, argv)
+    assert got == _outcome(_by_the_command_parser, argv)
+    assert got[0] == _outcome(make_parser().parse_args, argv)[0]
+
+
+def _query_argv():
+    """Every argv shape the bench's query stream sends: region (json and csv),
+    closed-form, sweep and figure, with the values it draws from."""
+    for model, ds in {"wyner": (2, 6), "hex": (2, 8, 14), "sectorized": (2, 4)}.items():
+        for d, L, fmt, mu in zip(ds * 2, "1525", ("json", "csv") * 2, ("9/8", "0", "3", "41/97")):
+            yield ["region", "--model", model, "--D", str(d), "--L", L,
+                   "--mu-tx", mu, "--mu-rx", "21/8", "--format", fmt]
+            for scheme in sorted(SCHEME_ALIASES):
+                yield ["closed-form", "--model", model, "--D", str(d), "--L", L,
+                       "--scheme", scheme]
+            yield ["sweep", "--model", model, "--L", L, "--D", f"{d}..{d + 16}"]
+    for name in ("fig5a", "fig5b", "fig8", "fig10"):
+        yield ["figure", "--which", name]
+
+
+def test_query_argv_are_read_without_argparse(monkeypatch):
+    want = [vars(make_parser().parse_args(argv)) for argv in _query_argv()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse was asked to parse a canonical argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [vars(parse_args(argv)) for argv in _query_argv()] == want
+    with pytest.raises(AssertionError):
+        parse_args(["figure", "--which=fig8"])
 
 
 # --- ratio helpers read Fractions and ints without re-wrapping them -------
