@@ -2,7 +2,7 @@
 Wyner-linear, hexagonal and sectorized-hexagonal interference networks
 under mixed-delay cell-association schemes."""
 
-from .association import Association, Role, Scheme, assign, check_params
+from .association import Association, Role, Scheme, assign, check_params, valid_d
 from .lattice import hex_distance
 from .loads import (ClosedForm, LoadReport, closed_form, finite_prelogs,
                     formulas, mixed_subnet_counts, message_ledger, subnet_sizes)
@@ -17,7 +17,7 @@ from .validation import (Subnet, Subnets, ValidationReport, check_round_split,
                          subnet_decompose, validate)
 
 __all__ = [
-    "Association", "Role", "Scheme", "assign", "check_params", "hex_distance",
+    "Association", "Role", "Scheme", "assign", "check_params", "valid_d", "hex_distance",
     "ClosedForm", "LoadReport", "closed_form",
     "finite_prelogs", "formulas", "mixed_subnet_counts", "message_ledger", "subnet_sizes",
     "HalfPlane", "MgPoint", "MgRegion", "achievable_region", "boundary_polyline", "contains",

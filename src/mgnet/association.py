@@ -62,25 +62,27 @@ class Scheme(str, enum.Enum):
         return "none"
 
 
-def check_params(model: str, scheme: Scheme, D: int, L: int) -> None:
-    """Raise ValueError unless ``scheme`` runs on ``model`` with D rounds and L antennas.
-
-    The one validity rule of the library: association, closed forms, subnet
-    sizes, regions and the command line all call it.
-    """
-    _need_at_least(L=(L, 1))  # the builders' own rule and message
+def valid_d(model: str, scheme: Scheme) -> tuple[int, int, str]:
+    """(least, step, rule): ``scheme`` runs on ``model`` at D = least, least + step, ...
+    The one table of valid D (on hex, D/2 must fit the master lattice); raises ValueError
+    for an unknown model and for sectorized CoMP-Tx."""
     if model not in (WYNER, HEX, SECTORED):
         raise ValueError(f"unknown model {model!r}")
-    if scheme is Scheme.NO_COOP:
-        if D < 0:
-            raise ValueError(f"D={D}: need D >= 0")
-        return
-    if D < 2 or D % 2 != 0:
-        raise ValueError(f"D={D}: cooperative schemes need an even D >= 2")
-    if model == HEX and (D // 2 - 1) % 3 != 0:
-        raise ValueError(f"D={D}: hexagonal schemes need (D/2 - 1) mod 3 == 0")
     if model == SECTORED and scheme.comp_side == "tx":
         raise ValueError("the sectorized model only supports CoMP reception")
+    if not scheme.cooperative:
+        return 0, 1, "need D >= 0"
+    if model == HEX:
+        return 2, 6, "hexagonal cooperative schemes need an even D >= 2 with (D/2 - 1) mod 3 == 0"
+    return 2, 2, "cooperative schemes need an even D >= 2"
+
+
+def check_params(model: str, scheme: Scheme, D: int, L: int) -> None:
+    """Raise ValueError unless ``scheme`` runs on ``model`` with D rounds and L antennas."""
+    _need_at_least(L=(L, 1))  # the builders' own rule and message
+    least, step, rule = valid_d(model, scheme)
+    if D < least or (D - least) % step:
+        raise ValueError(f"D={D}: {rule}")
 
 
 SCHEME_ALIASES = {

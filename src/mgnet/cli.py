@@ -14,6 +14,7 @@ closed form on a torus (`--tiling`) or a line of whole D+2 periods (`--K`),
 once and writes JSON in one pass (`dumps_indent2`). A known command with exact
 `--flag value` pairs is read from its parser's Actions into argparse's
 namespace; any other argv goes to the parsers `make_parser` builds once.
+`sweep` reads `association.valid_d`, so its cost follows the valid D in its range.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from .association import SCHEME_ALIASES, Scheme, assign, check_params, scheme_tau
+from .association import SCHEME_ALIASES, Scheme, assign, check_params, scheme_tau, valid_d
 from .figures import FIGURES, build_figure
 from .loads import closed_form, finite_prelogs, formulas, message_ledger
 from .rationals import parse_ratio, ratio_to_csv, ratio_to_json
@@ -65,7 +67,7 @@ def _build_network(args, scheme: Scheme):
         raise ValueError("give --radius or --tiling, not both")
     if args.tiling:
         m = args.tiling.lower().split("x")
-        if len(m) != 2 or m[0] != m[1] or not m[0].isdigit():
+        if len(m) != 2 or m[0] != m[1] or not m[0].isdecimal():
             raise ValueError("--tiling must look like 2x2")
         copies = int(m[0])
         # no-coop has no master lattice; any positive spacing gives a valid torus
@@ -185,23 +187,25 @@ def cmd_figure(args) -> int:
 
 
 def _parse_range(spec: str, step: int) -> range:
-    if ".." in spec:
-        if step < 1:
-            raise ValueError(f"--step={step}: need a step >= 1")
-        lo, hi = spec.split("..")
-        return range(int(lo), int(hi) + 1, step)
-    return range(int(spec), int(spec) + 1)
+    lo, dots, hi = spec.partition("..")
+    if dots and step < 1:
+        raise ValueError(f"--step={step}: need a step >= 1")
+    try:
+        return range(int(lo), int(hi if dots else lo) + 1, step if dots else 1)
+    except ValueError:
+        raise ValueError(f"--D={spec}: need an integer or lo..hi") from None
 
 
 def cmd_sweep(args) -> int:
     model = MODELS[args.model]
+    least, step, _ = valid_d(model, Scheme.BOTH_COMP_RX)
+    ds = _parse_range(args.D_range, args.step)
+    ds = ds[len(range(ds.start, least, ds.step)):]  # D >= least
+    # one residue class mod step: the first in ds[:step], then every step // gcd entries
+    first = next((i for i, d in enumerate(ds[:step]) if (d - least) % step == 0), len(ds))
     with contextlib.ExitStack() as stack:
         w = None
-        for d in _parse_range(args.D_range, args.step):
-            try:
-                check_params(model, Scheme.BOTH_COMP_RX, d, 1)  # D only; formulas checks L
-            except ValueError:
-                continue
+        for d in ds[first::step // math.gcd(step, ds.step)]:
             f = formulas(model, d, args.L)
             if w is None:
                 out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout

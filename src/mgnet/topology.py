@@ -19,7 +19,7 @@ Node ids are dense: every per-node table (``interference``, ``tx_coop``,
 sequence indexed by the id itself.  Hex and sectorized ids run 0..n-1.
 Wyner keeps the 1-based cell numbers 1..K of the paper, so its tables carry
 an unused slot 0 (empty adjacency, no role) that is never in ``tx_nodes``.
-``Network.cell_of`` is one lookup in ``tx_cell``: the identity range for
+A Tx node's Rx cell is one lookup in ``tx_cell``: the identity range for
 Wyner and hex, where a node is its own cell and ``cell_coords`` is the very
 sequence ``coords``; in the sectorized model sector ``3 * i + j`` is the
 ``SECTOR_KINDS[j]`` sector of cell ``i``, ``coords`` holds (cell
@@ -106,10 +106,6 @@ class Network:
     def has_rim(self) -> bool:
         """A line or a ball, whose rim may clip subnets; never a torus or a hand-built net."""
         return self.model == WYNER or "radius" in self.params
-
-    def cell_of(self, tx: int) -> int:
-        """The Rx cell that Tx node ``tx`` sits in."""
-        return self.tx_cell[tx]
 
     def to_json_dict(self) -> dict:
         if self.model == SECTORED:

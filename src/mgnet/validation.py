@@ -37,8 +37,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .association import Association, Role, Scheme
-from .topology import Network
+from .association import Association, Role, Scheme, valid_d
+from .topology import WYNER, Network
 
 
 @dataclass(slots=True)
@@ -129,12 +129,10 @@ class ValidationReport:
 def check_round_split(scheme: Scheme, D: int) -> tuple[int, int]:
     """Conferencing rounds (d_tx, d_rx) used by each scheme, with d_tx + d_rx <= D:
     a mixed scheme gives one round to the side opposite its CoMP side."""
-    if scheme is Scheme.NO_COOP:
-        if D < 0:
-            raise ValueError("D must be >= 0")
-        return (0, 0)
-    if D < 2:
+    if D < valid_d(WYNER, scheme)[0]:  # a scheme's least D is the same on every model
         raise ValueError(f"D={D} is too small for {scheme.value}")
+    if not scheme.cooperative:
+        return (0, 0)
     other = int(scheme.mixed)
     return (D - other, other) if scheme.comp_side == "tx" else (other, D - other)
 

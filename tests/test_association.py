@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from test_loads import valid_range
 
 from mgnet import (Role, Scheme, assign, build_hex, build_hex_torus,
                    build_sectored_hex, build_sectored_hex_torus, build_wyner,
-                   check_params, hex_distance)
+                   check_params, hex_distance, valid_d)
 from mgnet.association import _sector_fast_kind, _sector_silenced, scheme_tau
 from mgnet.lattice import TorusGeometry, is_master
 from mgnet.topology import HEX, SECTORED, WYNER
@@ -171,6 +174,33 @@ def test_check_params_says_what_the_builders_say_about_L():
                 check_params(model, Scheme.NO_COOP, 0, L)
 
 
+@pytest.mark.parametrize("model", [WYNER, HEX, SECTORED])
+def test_check_params_reads_the_valid_d_rows(model):
+    for scheme in Scheme:
+        if model == SECTORED and scheme.comp_side == "tx":  # one message at every D
+            row, message = (0, 0), "the sectorized model only supports CoMP reception"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                valid_d(model, scheme)
+        elif not scheme.cooperative:
+            row, message = (0, 1), "D={}: need D >= 0"
+        elif model == HEX:
+            row, message = (2, 6), r"D={}: .*\(D/2 - 1\) mod 3 == 0"
+        else:
+            row, message = (2, 2), "D={}: cooperative schemes need an even D >= 2"
+        if row[1]:
+            assert valid_d(model, scheme)[:2] == row, scheme
+        for D in range(-1, 30):
+            valid = row[1] > 0 and D in range(row[0], 30, row[1])
+            try:
+                check_params(model, scheme, D, 1)
+            except ValueError as exc:
+                assert not valid and re.fullmatch(message.format(D), str(exc)), (scheme, D)
+            else:
+                assert valid, (scheme, D)
+    with pytest.raises(ValueError, match="^unknown model 'ring'$"):
+        valid_d("ring", Scheme.NO_COOP)
+
+
 def test_assign_checks_the_parameters_once(monkeypatch):
     import mgnet.association as association
     calls = []
@@ -256,17 +286,11 @@ def reference_roles(net, D, scheme):
 
 
 def valid_cases(model, max_D):
-    """(scheme, D) for every scheme the model runs with D <= max_D."""
-    schemes = [Scheme.NO_COOP] + [s for s in Scheme if s.cooperative]
-    for scheme in schemes:
-        for D in range(0 if scheme is Scheme.NO_COOP else 2, max_D + 1, 2):
-            try:
-                check_params(model, scheme, D, 1)
-            except ValueError:
-                continue
+    """(scheme, D) for every scheme the model runs with D <= max_D (no-coop at D=0 only)."""
+    for scheme in [Scheme.NO_COOP] + [s for s in Scheme if s.cooperative]:
+        Ds = valid_range(model, scheme, max_D)
+        for D in (Ds[:1] if scheme is Scheme.NO_COOP else Ds):
             yield scheme, D
-            if scheme is Scheme.NO_COOP:
-                break
 
 
 def assert_matches_reference(net, scheme, D):

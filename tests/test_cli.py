@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -14,11 +15,13 @@ from fractions import Fraction as F
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from test_loads import valid_range
 from test_topology import FIVE_NETWORKS, PIN_D, _pinned_schemes
 
-from mgnet.association import SCHEME_ALIASES, check_params
-from mgnet.cli import dumps_indent2, main, make_parser, parse_args
-from mgnet.rationals import ratio_from_json
+from mgnet.association import SCHEME_ALIASES, Scheme, check_params
+from mgnet.cli import _SWEEP_COLUMNS, MODELS, dumps_indent2, main, make_parser, parse_args
+from mgnet.loads import formulas
+from mgnet.rationals import ratio_from_json, ratio_to_csv
 from mgnet.topology import WYNER
 
 
@@ -170,6 +173,20 @@ def test_sweep_nonpositive_step_exits_2(capsys, step):
     assert f"--step={step}" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", "--model", "wyner", "--L", "3", "--D", "2..10..2"),
+     "error: --D=2..10..2: need an integer or lo..hi\n"),
+    (("sweep", "--model", "wyner", "--L", "3", "--D", "two"),
+     "error: --D=two: need an integer or lo..hi\n"),
+    (("sweep", "--model", "hex", "--L", "3", "--D", "..8"),
+     "error: --D=..8: need an integer or lo..hi\n"),
+    (("loads", "--model", "hex", "--D", "8", "--L", "3", "--scheme", "both-rx",
+      "--tiling", "\u00b2x\u00b2"), "error: --tiling must look like 2x2\n"),
+])
+def test_malformed_value_names_its_flag(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def test_loads_hex_tiling(capsys):
     code, out, _ = run(capsys, "loads", "--model", "hex", "--D", "8", "--L", "3",
                        "--scheme", "both-rx", "--tiling", "2x2")
@@ -196,18 +213,10 @@ def test_loads_torus_mismatch_exits_3(capsys, monkeypatch):
     assert json.loads(out)["exact_match"] is False
 
 
-def _raises(f, *args):
-    try:
-        f(*args)
-    except ValueError:
-        return True
-    return False
-
-
 # every valid (D, scheme) of D <= 26 on a line of m whole (D+2)-cell periods, L in {1, 3}
 WYNER_PERIODS = [(D, alias, m * (D + 2), L) for D in range(27)
                  for alias, scheme in sorted(SCHEME_ALIASES.items())
-                 if not _raises(check_params, WYNER, scheme, D, 1)
+                 if D in valid_range(WYNER, scheme, 26)
                  for m in (1, 2, 3, 5) for L in (1, 3)]
 
 
@@ -286,12 +295,12 @@ def test_sweep_wyner(capsys):
 
 def test_sweep_writes_each_row_as_it_is_made(monkeypatch):
     import mgnet.cli
-    real, seen = mgnet.cli.check_params, []
+    real, seen = mgnet.cli.formulas, []
 
-    def tripwire(model, scheme, D, L):  # the sweep may not run ahead of its output
+    def tripwire(model, D, L):  # the sweep may not run ahead of its output
         seen.append(D)
         assert len(seen) <= 4, "sweep computed rows it had not written"
-        return real(model, scheme, D, L)
+        return real(model, D, L)
 
     class FullAfterThreeRows(io.StringIO):
         def write(self, text):
@@ -299,7 +308,7 @@ def test_sweep_writes_each_row_as_it_is_made(monkeypatch):
                 raise BrokenPipeError
             return super().write(text)
 
-    monkeypatch.setattr(mgnet.cli, "check_params", tripwire)
+    monkeypatch.setattr(mgnet.cli, "formulas", tripwire)
     monkeypatch.setattr(sys, "stdout", FullAfterThreeRows())
     tracemalloc.start()
     try:
@@ -323,6 +332,48 @@ def test_sweep_with_no_valid_d_writes_nothing(tmp_path, capsys):
                          "--out", str(path))
     assert (code, out, path.exists()) == (2, "", False)
     assert "no valid D" in err
+
+
+def reference_sweep(model, L, spec, step):
+    """The sweep's output as a loop that tests every D of its range with check_params."""
+    if ".." in spec:
+        if step < 1:
+            raise ValueError(f"--step={step}: need a step >= 1")
+        lo, hi = spec.split("..")
+        ds = range(int(lo), int(hi) + 1, step)
+    else:
+        ds = range(int(spec), int(spec) + 1)
+    buf, w = io.StringIO(), None
+    for d in ds:
+        try:
+            check_params(model, Scheme.BOTH_COMP_RX, d, 1)
+        except ValueError:
+            continue
+        f = formulas(model, d, L)
+        if w is None:
+            w = csv.writer(buf, lineterminator="\n")
+            names = [k for k in _SWEEP_COLUMNS if k in f]
+            w.writerow(["D"] + names)
+        w.writerow([d] + [ratio_to_csv(f[n]) for n in names])
+    if w is None:
+        raise ValueError("no valid D in the sweep range for this model")
+    return buf.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(MODELS)), st.integers(-3, 40), st.integers(-10, 400),
+       st.integers(1, 12), st.sampled_from((0, 1, 3)), st.booleans())
+def test_sweep_equals_testing_every_d(model, lo, hi, step, L, single):
+    spec = str(lo) if single else f"{lo}..{hi}"
+    try:
+        expected = (0, reference_sweep(MODELS[model], L, spec, step), "")
+    except ValueError as exc:
+        expected = (2, "", f"error: {exc}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sweep", "--model", model, "--L", str(L), f"--D={spec}",
+                     "--step", str(step)])
+    assert (code, out.getvalue(), err.getvalue()) == expected
 
 
 def test_figure_csv_is_byte_stable(capsys):

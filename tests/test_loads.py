@@ -13,7 +13,7 @@ from mgnet import (HEX, SECTORED, WYNER, Role, Scheme, achievable_region,
                    build_sectored_hex_torus, build_wyner, check_params,
                    closed_form, finite_prelogs, formulas, master_reachability,
                    mixed_subnet_counts, message_ledger, subnet_decompose,
-                   subnet_sizes, validate)
+                   subnet_sizes, valid_d, validate)
 from mgnet.association import scheme_tau
 
 ALL_SCHEMES = list(Scheme)
@@ -261,10 +261,18 @@ def _raises(fn, *args) -> bool:
     return False
 
 
-GRID_D = range(-1, 17)
+def valid_range(model, scheme, hi):
+    """The D <= hi that ``scheme`` runs on over ``model``, enumerated from ``valid_d``."""
+    if model == SECTORED and scheme.comp_side == "tx":
+        return range(0)  # no D at all; valid_d raises
+    least, step, _ = valid_d(model, scheme)
+    return range(least, hi + 1, step)
+
+
+GRID_D = range(-1, 30)
 GRID_L = (-1, 0, 1, 3)
 # The valid cooperative D in GRID_D per model, written out independently of the library.
-COOP_D = {WYNER: set(range(2, 17, 2)), HEX: {2, 8, 14}, SECTORED: set(range(2, 17, 2))}
+COOP_D = {WYNER: set(range(2, 30, 2)), HEX: {2, 8, 14, 20, 26}, SECTORED: set(range(2, 30, 2))}
 
 
 @pytest.mark.parametrize("model", [WYNER, HEX, SECTORED])
@@ -349,18 +357,18 @@ def walk_link_loads(net, assoc, subnets):
         slow = [j for j in net.interference[k] if roles[j] is Role.SLOW]
         for j in slow:
             bump(tx_use, j, k)
-        for c in {net.cell_of(j) for j in slow} - {net.cell_of(k)}:
-            bump(rx_use, net.cell_of(k), c)
+        for c in {net.tx_cell[j] for j in slow} - {net.tx_cell[k]}:
+            bump(rx_use, net.tx_cell[k], c)
 
     tx_side = assoc.scheme.comp_side == "tx"
     coop, use = (net.tx_coop, tx_use) if tx_side else (net.rx_coop, rx_use)
     for sub in subnets:
         if sub.master is None:
             continue
-        hops = {net.cell_of(k): g for k, g in sub.gamma.items()}
+        hops = {net.tx_cell[k]: g for k, g in sub.gamma.items()}
         hops[sub.master] = 0
         for k in sub.slow_members:
-            c = net.cell_of(k)
+            c = net.tx_cell[k]
             while hops[c] > 0:
                 p = min(v for v in coop[c] if hops.get(v, -1) == hops[c] - 1)
                 bump(use, c, p)
@@ -372,9 +380,7 @@ def walk_link_loads(net, assoc, subnets):
 def _oracle_networks(model):
     """(network, D, scheme) for every valid scheme and D <= 14 on small lines, balls and tori."""
     for scheme in (SECTOR_SCHEMES if model == SECTORED else ALL_SCHEMES):
-        for D in range(15):
-            if _raises(check_params, model, scheme, D, 1):
-                continue
+        for D in valid_range(model, scheme, 14):
             if model == WYNER:
                 for K in range(1, 41):
                     yield build_wyner(K, 1), D, scheme
@@ -432,9 +438,8 @@ def test_ledger_rejects_subnets_of_another_association(scheme, D):
 def _sweep_cases():
     for model in (WYNER, HEX, SECTORED):
         for scheme in ALL_SCHEMES:
-            for D in range(27):
-                if not _raises(check_params, model, scheme, D, 1):
-                    yield model, scheme, D
+            for D in valid_range(model, scheme, 26):
+                yield model, scheme, D
 
 
 SWEEP = list(_sweep_cases())

@@ -279,18 +279,18 @@ def test_network_shape(make):
     assert len(net.interference) == len(net.tx_coop) == len(net.tx_cell) == len(net.coords)
     assert list(net.rx_nodes) == list(range(first, len(net.cell_coords)))
     assert len(net.rx_coop) == len(net.cell_coords)
-    assert {net.cell_of(t) for t in net.tx_nodes} <= set(net.rx_nodes)
+    assert {net.tx_cell[t] for t in net.tx_nodes} <= set(net.rx_nodes)
     assert net.tx_coop is net.interference
     assert net.has_rim != ("tau" in net.params)  # a builder's network is a torus or has a rim
     if net.model != SECTORED:
         assert net.cell_coords is net.coords
         assert net.rx_coop is net.interference
         assert net.tx_cell == range(len(net.coords))
-        assert all(net.cell_of(t) == t for t in net.tx_nodes)
+        assert all(net.tx_cell[t] == t for t in net.tx_nodes)
         return
     for i in net.rx_nodes:
         sectors = range(3 * i, 3 * i + 3)
-        assert list(sectors) == [t for t in net.tx_nodes if net.cell_of(t) == i]
+        assert list(sectors) == [t for t in net.tx_nodes if net.tx_cell[t] == i]
         assert sorted(net.coords[t][1] for t in sectors) == sorted(SECTOR_KINDS)
         assert all(net.coords[t][0] == net.cell_coords[i] for t in sectors)
 
