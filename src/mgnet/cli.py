@@ -296,7 +296,17 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     sub = ap.commands.get(argv[0]) if argv else None
     if sub is None:
         return ap.parse_args(argv)
-    return _read_pairs(sub, argv) or sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return _read_pairs(sub, argv) or sub.parse_args(_glue_ranges(argv[1:]),
+                                                    argparse.Namespace(command=argv[0]))
+
+
+def _glue_ranges(args: list[str]) -> list[str]:
+    """``--D -3..5`` as ``--D=-3..5``: argparse reads a word that starts with '-' and
+    is not a plain negative number as an option, which would leave ``--D`` without a value."""
+    for i in range(len(args) - 1, 0, -1):
+        if args[i - 1] == "--D" and args[i].startswith("-") and ".." in args[i]:
+            args[i - 1:i + 1] = [f"--D={args[i]}"]
+    return args
 
 
 def _read_pairs(sub: _Parser, argv: list[str]) -> argparse.Namespace | None:

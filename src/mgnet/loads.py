@@ -24,7 +24,12 @@ fast-node loop adds each precancel and fast-share message to its link, and
 the per-subnet loop routes the fan-in and fan-out up each subnet's tree.
 It reads the columns of ``validation.Subnets`` (members, masters, per-node
 hops, and each subnet's hop search in BFS order with every cell's parent,
-walked leaves first) and builds no per-subnet object.
+walked leaves first) and builds no per-subnet object.  A line whose period
+P ``subnet_decompose`` proved (``Subnets.period``) is counted from one
+period: the fast nodes 1..P and subnet 0, once, times the number of whole
+runs, plus the tail nodes and run after them.  The whole runs are
+translates and load their links alike, so each link maximum is that of the
+first run or of the tail.  Every other ``Subnets`` is counted node by node.
 
 Average prelogs divide by the idealised directed-link totals (2 per node
 in the linear model, 6 per cell in the hexagonal models, 4 per sector /
@@ -199,7 +204,8 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
 
     ``subnets`` is what ``subnet_decompose`` returned for this association
     (another association's raises ValueError); the ledger reads its columns
-    and walks each subnet's hop search leaves first.  The per-link maxima
+    and walks each subnet's hop search leaves first (a line of proven
+    period: one period, see the module docstring).  The per-link maxima
     are informational: counters are flat lists indexed by directed edge (see
     ``_edge_offsets``) of the Tx cooperation graph, which carries the
     precancelation, and of the Rx cooperation graph, which carries the fast
@@ -211,13 +217,58 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
     _require_same_net(net, assoc)
     if getattr(subnets, "assoc", None) is not assoc:
         raise ValueError("subnets were not decomposed for this association")
-    roles = assoc.roles
     scheme = assoc.scheme
     D, L = assoc.D, net.L
     tx_adj, rx_adj = net.tx_coop, net.rx_coop
-    tx_off = _edge_offsets(tx_adj)
-    rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(rx_adj)
+    P = subnets.period
+    if P is None:  # every node and every subnet once
+        parts = [(1, net.tx_nodes, subnets.masters)]
+        tx_off = _edge_offsets(tx_adj)
+        rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(rx_adj)
+    else:  # nodes 1..P and subnet 0 per whole run, then the tail, whose run has no master
+        n = len(assoc.roles)
+        whole = n // P
+        parts = [(whole, range(1, P + 1), subnets.masters[:1]), (1, range(whole * P + 1, n), ())]
+        # rx_adj is tx_adj; number only the edges of these nodes and their neighbours
+        tx_off = rx_off = _edge_offsets(tx_adj, [*range(P + 2), *range(whole * P, n)])
     tx_use, rx_use = [0] * tx_off[-1], [0] * rx_off[-1]
+    counts = [0] * 5
+    for times, nodes, masters in parts:
+        part = _count(net, assoc, subnets, nodes, masters, (tx_off, rx_off, tx_use, rx_use))
+        counts = [c + times * x for c, x in zip(counts, part)]
+    precancel, fast_share, fanin, fast_master_saved, q_dedup = counts
+    fanout = fanin
+
+    # without a mixed scheme precancel and fast_share are 0, and no-coop has no fan-in
+    side = scheme.comp_side
+    tx_total = precancel + (fanin + fanout - q_dedup if side == "tx" else 0)
+    rx_total = fast_share + (fanin + fanout - fast_master_saved if side == "rx" else 0)
+
+    den_tx, den_rx = _asymptotic_denominators(net)
+    mu_tx = Fraction(L * tx_total, den_tx) if den_tx else Fraction(0)
+    mu_rx = Fraction(L * rx_total, den_rx) if den_rx else Fraction(0)
+    return LoadReport(
+        scheme=scheme, D=D, L=L,
+        precancel_msgs=precancel, fast_share_msgs=fast_share,
+        fanin_msgs=fanin, fanout_msgs=fanout,
+        q_dedup=q_dedup, fast_master_dedup=fast_master_saved,
+        tx_message_total=tx_total, rx_message_total=rx_total,
+        mu_tx=mu_tx, mu_rx=mu_rx,
+        max_tx_link_load=max(tx_use, default=0), max_rx_link_load=max(rx_use, default=0),
+        n_subnets=len(subnets),
+    )
+
+
+def _count(net: Network, assoc: Association, subnets: Subnets, nodes, masters,
+           links: tuple[list[int], ...]) -> tuple[int, int, int, int, int]:
+    """(precancel, fast_share, fanin, fast_master_saved, q_dedup) of the fast
+    nodes among ``nodes`` and of the first ``len(masters)`` subnets; each
+    message also lands on its link in ``links`` = (tx_off, rx_off, tx_use, rx_use)."""
+    roles = assoc.roles
+    scheme = assoc.scheme
+    D = assoc.D
+    tx_adj, rx_adj = net.tx_coop, net.rx_coop
+    tx_off, rx_off, tx_use, rx_use = links
     interference, tx_cell = net.interference, net.tx_cell
     fast, slow = Role.FAST, Role.SLOW
 
@@ -226,7 +277,7 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
     # the fast node that last shared its message with each cell: a fast
     # node shares once per neighbouring cell, never with its own
     shared_by: list[int | None] = [None] * len(rx_adj)
-    for k in net.tx_nodes:
+    for k in nodes:
         if roles[k] is not fast:
             continue
         src = tx_cell[k]
@@ -255,7 +306,7 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
     fast_master_saved = 0
     q_dedup = 0
     spans = pairwise(subnets.order_starts)  # the hop search of each mastered subnet, in order
-    for i, master in enumerate(subnets.masters):
+    for i, master in enumerate(masters):
         if master is None:  # no master, no hops
             continue
         comp = members[starts[i]:starts[i + 1]]
@@ -284,26 +335,7 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
             use[off[c] + coop[c].index(p)] += n
             use[off[p] + coop[p].index(c)] += n
             below[p] += n
-    fanout = fanin
-
-    # without a mixed scheme precancel and fast_share are 0, and no-coop has no fan-in
-    side = scheme.comp_side
-    tx_total = precancel + (fanin + fanout - q_dedup if side == "tx" else 0)
-    rx_total = fast_share + (fanin + fanout - fast_master_saved if side == "rx" else 0)
-
-    den_tx, den_rx = _asymptotic_denominators(net)
-    mu_tx = Fraction(L * tx_total, den_tx) if den_tx else Fraction(0)
-    mu_rx = Fraction(L * rx_total, den_rx) if den_rx else Fraction(0)
-    return LoadReport(
-        scheme=scheme, D=D, L=L,
-        precancel_msgs=precancel, fast_share_msgs=fast_share,
-        fanin_msgs=fanin, fanout_msgs=fanout,
-        q_dedup=q_dedup, fast_master_dedup=fast_master_saved,
-        tx_message_total=tx_total, rx_message_total=rx_total,
-        mu_tx=mu_tx, mu_rx=mu_rx,
-        max_tx_link_load=max(tx_use, default=0), max_rx_link_load=max(rx_use, default=0),
-        n_subnets=len(subnets),
-    )
+    return precancel, fast_share, fanin, fast_master_saved, q_dedup
 
 
 def finite_prelogs(report: LoadReport, net: Network) -> tuple[Fraction, Fraction]:
@@ -317,6 +349,18 @@ def finite_prelogs(report: LoadReport, net: Network) -> tuple[Fraction, Fraction
     return out[0], out[1]
 
 
-def _edge_offsets(adj: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Directed edge u -> adj[u][i] has index offsets[u] + i; offsets[-1] is the edge count."""
-    return list(accumulate(map(len, adj), initial=0))
+def _edge_offsets(adj: tuple[tuple[int, ...], ...], nodes=None) -> list[int]:
+    """Directed edge u -> adj[u][i] has index offsets[u] + i; offsets[-1] is the edge count.
+
+    Given ``nodes``, only their edges are numbered, in that order, and the
+    offsets of all other nodes are 0 and must not be used.
+    """
+    if nodes is None:
+        return list(accumulate(map(len, adj), initial=0))
+    off = [0] * (len(adj) + 1)
+    total = 0
+    for u in nodes:
+        off[u] = total
+        total += len(adj[u])
+    off[-1] = total
+    return off

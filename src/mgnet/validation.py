@@ -28,6 +28,18 @@ lists that are reset after each search.
 and ``master_reachability`` read and require (a list of views carries no
 association); indexing it builds a ``Subnet`` view on demand, with ``gamma``
 in node order, and nothing keeps the views.
+
+A line is solved by its period instead when ``_line_period`` proves one,
+with C-level checks only: the interference graph is ``build_wyner``'s path
+1..K (a network with a rim), cooperation runs on that same object and every
+node is its own cell; the roles repeat with P (D + 2, or 2 without
+cooperation), node P is silent and nodes 1..P-1 are not; the masters are
+one per whole run of P - 1 nodes, at one offset; and K >= 2P.  The
+components are then the runs between the multiples of P, so
+``_periodic_subnets`` builds every column from one run's template by
+strided slices, adds the shorter masterless tail run with its
+``partial-subnet`` warning, and records P in ``Subnets.period``.  Any other
+network or association, or a failed check, takes the walk above.
 """
 
 from __future__ import annotations
@@ -35,7 +47,8 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import islice
+from operator import eq, itemgetter
 
 from .association import Association, Role, Scheme, valid_d
 from .topology import WYNER, Network
@@ -62,19 +75,24 @@ class Subnets(Sequence):
     hop nearer the master in that search (None for the master).  These
     entries carry their own parents because one sectorized cell can lie in
     the searches of two components.  ``assoc`` is the association the
-    columns were built from.  Indexing builds a ``Subnet`` view, whose
-    ``gamma`` lists the members in node order (not in BFS order).
+    columns were built from.  ``period`` is the line's proven period P when
+    the columns were built from one run of P - 1 nodes (component ``i`` of
+    the whole runs is then component 0 shifted by ``i * P``, and a shorter
+    masterless tail run may follow), and None after the general walk.
+    Indexing builds a ``Subnet`` view, whose ``gamma`` lists the members in
+    node order (not in BFS order).
     """
 
     __slots__ = ("assoc", "members", "starts", "masters", "hop",
-                 "order", "order_parent", "order_starts")
+                 "order", "order_parent", "order_starts", "period")
 
     def __init__(self, assoc: Association, members: list[int], starts: Sequence[int],
                  masters: list[int | None], hop: list[int | None], order: list[int],
-                 order_parent: list[int | None], order_starts: Sequence[int]) -> None:
+                 order_parent: list[int | None], order_starts: Sequence[int],
+                 period: int | None = None) -> None:
         self.assoc, self.members, self.starts, self.masters = assoc, members, starts, masters
         self.hop, self.order, self.order_parent = hop, order, order_parent
-        self.order_starts = order_starts
+        self.order_starts, self.period = order_starts, period
 
     def __len__(self) -> int:
         return len(self.masters)
@@ -170,10 +188,13 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     active neighbour outside the component being searched can only belong
     to an earlier one (a later one would have joined it), so every such
     edge is seen, from its later end.  These violations come last, in node
-    order, then adjacency order.
+    order, then adjacency order.  A line with a proven period skips the
+    walk (see the module docstring).
     """
     _require_same_net(net, assoc)
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
+    if (P := _line_period(net, assoc)) is not None:
+        return _periodic_subnets(net, assoc, P, report), report
     roles, silent = assoc.roles, Role.SILENT
     adj = net.interference
     owner: list[int | None] = [None] * len(roles)  # node -> its component
@@ -281,6 +302,70 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
         report.subnets_disjoint = False
         report.violations += cross
     return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts), report
+
+
+def _line_period(net: Network, assoc: Association) -> int | None:
+    """The period P of the line the walk would cut into runs of P - 1 nodes, or None."""
+    adj, nodes, roles, masters = net.interference, net.tx_nodes, assoc.roles, assoc.masters
+    K = len(nodes)
+    P = assoc.D + 2 if assoc.scheme.cooperative else 2
+    silent = Role.SILENT
+    if not (K >= 2 * P and net.has_rim and len(adj) == len(roles) == K + 1
+            and net.tx_coop is net.rx_coop is adj and net.tx_cell == range(K + 1)
+            and roles[P] is silent and silent not in roles[1:P]
+            and adj[1] == (2,) and adj[K] == (K - 1,)):
+        return None
+    if assoc.scheme.cooperative:  # one master per whole run, all at one offset
+        m0 = masters[0] if masters else 0
+        if not 0 < m0 < P or masters != tuple(range(m0, m0 + P * ((K + 1) // P), P)):
+            return None
+    elif masters:
+        return None
+    if (roles[1 + P:] == roles[1:-P] and all(map(eq, nodes, range(1, K + 1)))
+            and all(map(eq, islice(adj, 2, K), zip(nodes, islice(nodes, 2, None))))):
+        return P
+    return None
+
+
+def _periodic_subnets(net: Network, assoc: Association, P: int,
+                      report: ValidationReport) -> Subnets:
+    """The walk's columns on a line of period P, built from one run's template.
+
+    Run ``j`` holds the nodes ``j * P + 1 .. j * P + P - 1``; the whole runs
+    have a master at one offset ``m0`` and hop counts ``|k - m0|`` along the
+    path, and the tail run after the last whole one (shorter than P - 1
+    nodes) has no master.  The search from ``m0`` visits m0, m0-1, m0+1,
+    m0-2, ... while they lie in the run, each parented by its neighbour
+    towards m0.  Every column holds the int objects of ``net.tx_nodes`` (as
+    the walk's do), copied by strided slices, one per offset in the run.
+    """
+    K = len(net.tx_nodes)
+    whole = (K + 1) // P
+    n = whole * (P - 1)  # members of the whole runs
+    members = list(net.tx_nodes)
+    del members[P - 1::P]  # the silent multiples of P; the tail run follows the whole ones
+    starts = array("q", range(0, n + 1, P - 1))
+    masters: list[int | None] = list(assoc.masters) or [None] * whole
+    if assoc.masters:
+        m0 = assoc.masters[0]
+        hop: list[int | None] = ([None] + [abs(k - m0) for k in range(1, P)]) * whole
+        hop += [None] * (K + 1 - len(hop))  # the last silent node and the tail run
+        order: list[int] = [0] * n
+        order_parent: list[int | None] = [None] * n  # None stays on each master
+        tpl = [m0] + [c for g in range(1, P) for c in (m0 - g, m0 + g) if 0 < c < P]
+        for q, c in enumerate(tpl):  # the q-th cell of every run's search
+            order[q::P - 1] = members[c - 1:n:P - 1]
+            if q:
+                p = c + 1 if c < m0 else c - 1
+                order_parent[q::P - 1] = members[p - 1:n:P - 1]
+        order_starts = array("q", starts)
+    else:  # no-coop: no masters and no hop searches
+        hop, order, order_parent, order_starts = [None] * (K + 1), [], [], array("q", [0])
+    if len(members) > n:  # the tail run, clipped by the rim
+        starts.append(len(members))
+        masters.append(None)
+        report.warnings.append(f"partial-subnet:{whole * P + 1}")
+    return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts, P)
 
 
 def master_reachability(subnets: Subnets, scheme: Scheme, D: int) -> ValidationReport:

@@ -334,6 +334,19 @@ def test_sweep_with_no_valid_d_writes_nothing(tmp_path, capsys):
     assert "no valid D" in err
 
 
+@pytest.mark.parametrize("spec, code", [("-3..5", 2), ("-4..6", 0), ("-10..-2", 2), ("-x..5", 2)])
+def test_sweep_reads_a_negative_range_as_two_words(spec, code):
+    def sweep(*d_args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = main(["sweep", "--model", "wyner", "--L", "3", *d_args])
+        return got, out.getvalue(), err.getvalue()
+
+    two_words = sweep("--D", spec)
+    assert two_words == sweep(f"--D={spec}")
+    assert two_words[0] == code and "expected one argument" not in two_words[2]
+
+
 def reference_sweep(model, L, spec, step):
     """The sweep's output as a loop that tests every D of its range with check_params."""
     if ".." in spec:

@@ -7,22 +7,29 @@ cross-component check, and a separate link-load pass fed by one
 (node, slow interferers, cells) triple per fast node.  The library counts
 the same things inside the component BFS and inside ``message_ledger``;
 every field of every output must match.
+
+A Wyner line whose period the library proves is decomposed and counted
+from one period; those outputs must match both the reference and the
+library's own general walk, column by column.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 
 from mgnet import (HEX, SECTORED, WYNER, LoadReport, Role, Scheme, Subnet,
                    ValidationReport, assign, build_hex, build_sectored_hex,
-                   build_wyner, check_params, message_ledger, subnet_decompose)
+                   build_wyner, check_params, message_ledger, subnet_decompose, validation)
 from mgnet.loads import _asymptotic_denominators, _wyner_q_dedup
 from mgnet.validation import hop_budget
 
-from test_loads import _oracle_networks, _raises
+from test_loads import _oracle_networks, _raises, valid_range
 
 
 def ref_components(net, roles):
@@ -178,7 +185,8 @@ def ref_link_loads(net, assoc, subnets, fast_cells):
         hops[sub.master] = 0
         below = dict.fromkeys(hops, 0)
         for k in sub.slow_members:
-            below[net.tx_cell[k]] += 1
+            if (c := net.tx_cell[k]) in below:  # an unreachable member sends nothing
+                below[c] += 1
         for c in sorted(hops, key=hops.__getitem__, reverse=True):
             n, g = below[c], hops[c]
             if not n or not g:
@@ -226,3 +234,209 @@ def test_matches_reference_at_scale(model, make, Ds):
             if not _raises(check_params, model, scheme, D, 3):
                 assert_matches_reference(net, D, scheme)
 
+
+
+COLUMNS = ("members", "starts", "masters", "hop", "order", "order_parent", "order_starts")
+
+
+def walked(net, assoc):
+    """``subnet_decompose`` by the general walk, with the period proof switched off."""
+    with mock.patch.object(validation, "_line_period", return_value=None):
+        return subnet_decompose(net, assoc)
+
+
+def assert_period_matches_walk(net, D, scheme):
+    """The period path equals the walk on every column, report and ledger field."""
+    assoc = assign(net, D, scheme)
+    subnets, report = subnet_decompose(net, assoc)
+    walk, walk_report = walked(net, assoc)
+    P = D + 2 if scheme.cooperative else 2
+    assert subnets.period == (P if net.n_tx >= 2 * P else None)
+    assert walk.period is None
+    for col in COLUMNS:
+        assert list(getattr(subnets, col)) == list(getattr(walk, col)), col
+    assert report == walk_report
+    assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk)
+    assert_matches_reference(net, D, scheme)
+
+
+@cache
+def _line(K):
+    return build_wyner(K, 3)
+
+
+def _line_cases():
+    """Every valid D <= 12 of every scheme on K = 1..60 and around 1000 = n * P."""
+    for scheme in Scheme:
+        for D in valid_range(WYNER, scheme, 12):
+            P = D + 2 if scheme.cooperative else 2
+            n = 1000 // P
+            for K in (*range(1, 61), n * P - 1, n * P, n * P + 1):
+                yield K, D, scheme
+
+
+def test_line_period_matches_walk_and_reference():
+    periodic = 0
+    for K, D, scheme in _line_cases():
+        assert_period_matches_walk(_line(K), D, scheme)
+        periodic += K >= 2 * (D + 2 if scheme.cooperative else 2)
+    assert periodic > 1800
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_line_period_at_bench_scale(scheme):
+    assert_period_matches_walk(build_wyner(100_000, 2), 6, scheme)
+
+
+def _mutated_roles():
+    net = build_wyner(16, 1)
+    a = assign(net, 6, Scheme.BOTH_COMP_RX)
+    a.roles[2] = Role.FAST  # adjacent to fast 1 and 3
+    return net, a
+
+
+def _merged_runs():
+    net = build_wyner(24, 1)
+    a = assign(net, 6, Scheme.BOTH_COMP_TX)
+    a.roles[8] = Role.SLOW  # the silent node between the first two runs
+    return net, a
+
+
+def _no_masters():
+    net = build_wyner(20, 1)
+    return net, replace(assign(net, 6, Scheme.SLOW_COMP_RX), masters=())
+
+
+def _chord():
+    line = build_wyner(24, 1)
+    adj = list(line.interference)
+    adj[15] = (1, 14, 16)  # one-way: node 15 of the second run hears node 1 of the first
+    adj = tuple(adj)
+    net = replace(line, interference=adj, tx_coop=adj, rx_coop=adj)
+    return net, assign(net, 6, Scheme.BOTH_COMP_RX)
+
+
+def _no_silent():
+    net = build_wyner(24, 1)
+    a = assign(net, 6, Scheme.BOTH_COMP_RX)  # masters 4, 12, 20 of period 8
+    return net, replace(a, roles=[None] + [Role.SLOW] * 24)  # periodic, but no run ends
+
+
+def _inner_silent():
+    net = build_wyner(24, 1)
+    a = assign(net, 6, Scheme.BOTH_COMP_RX)
+    a.roles[4::8] = [Role.SILENT] * 3  # period 8 still, but the masters fall silent
+    return net, a
+
+
+def _silent_masters(masters):
+    net = build_wyner(24, 1)  # nodes 8, 16 and 24 are silent; node 0 is no node
+    return net, replace(assign(net, 6, Scheme.SLOW_COMP_TX), masters=masters)
+
+
+def _no_coop_master():
+    net = build_wyner(8, 1)
+    return net, replace(assign(net, 0, Scheme.NO_COOP), masters=(1,))
+
+
+def _two_hop_links(side):
+    line = build_wyner(16, 1)
+    # the interference path, but cooperation on one side reaches two cells either way
+    coop = ((), *(tuple(j for j in range(k - 2, k + 3) if j != k and 1 <= j <= 16)
+                  for k in range(1, 17)))
+    net = replace(line, **{f"{side}_coop": coop})
+    return net, assign(net, 6, Scheme.SLOW_COMP_TX if side == "tx" else Scheme.SLOW_COMP_RX)
+
+
+def _cut_links():
+    line = build_wyner(16, 1)
+    net = replace(line, tx_coop=((),) * 17)  # the interference path, but no Tx cooperation
+    return net, assign(net, 6, Scheme.SLOW_COMP_TX)
+
+
+def _shared_cell():
+    line = build_wyner(16, 1)
+    tx_cell = list(line.tx_cell)
+    tx_cell[1] = 2  # node 1 transmits in cell 2
+    net = replace(line, tx_cell=tx_cell)
+    return net, assign(net, 6, Scheme.SLOW_COMP_RX)
+
+
+def _one_way_end(k, nbrs):
+    line = build_wyner(20, 1)
+    adj = list(line.interference)
+    adj[k] = nbrs
+    adj = tuple(adj)
+    net = replace(line, interference=adj, tx_coop=adj, rx_coop=adj)
+    return net, assign(net, 6, Scheme.SLOW_COMP_RX)
+
+
+def _ring():
+    line = build_wyner(20, 1)
+    adj = ((), (2, 20), *line.interference[2:-1], (1, 19))  # the tail run joins the first
+    net = replace(line, interference=adj, tx_coop=adj, rx_coop=adj)
+    return net, assign(net, 6, Scheme.SLOW_COMP_RX)
+
+
+def _no_rim():
+    line = build_wyner(20, 1)
+    net = replace(line, model=HEX)  # the same path, but a model with no rim here
+    return net, replace(assign(line, 6, Scheme.SLOW_COMP_RX), net=net)
+
+
+def _long_roles():
+    net = build_wyner(16, 1)
+    a = assign(net, 6, Scheme.BOTH_COMP_TX)
+    return net, replace(a, roles=a.roles + a.roles[1:9])  # one more period past node K
+
+
+def _swapped_nodes():
+    line = build_wyner(24, 1)
+    nodes = (*range(1, 23), 24, 23)
+    # each adj[k] is (nodes[k - 2], nodes[k]), as on the path, but over swapped nodes
+    adj = ((), (2,), *zip(nodes, nodes[2:]), (23,))
+    net = replace(line, tx_nodes=nodes, interference=adj, tx_coop=adj, rx_coop=adj)
+    return net, assign(net, 6, Scheme.SLOW_COMP_RX)  # no fast node reads the one-way edges
+
+
+def _short():
+    net = build_wyner(13, 1)  # K < 2P for P = 8
+    return net, assign(net, 6, Scheme.BOTH_COMP_RX)
+
+
+@pytest.mark.parametrize("make, violations, warnings", [
+    (_mutated_roles, [], []),
+    (_merged_runs, [(12, "multi-master")], []),
+    (_no_masters, [], ["partial-subnet:1", "partial-subnet:9", "partial-subnet:17"]),
+    (_chord, [(15, "cross-subnet-interference-1")], []),
+    (_no_silent, [(12, "multi-master")], []),
+    (_inner_silent, [], [f"partial-subnet:{k}" for k in range(1, 24, 4)]),
+    (lambda: _silent_masters((8, 16, 24)), [], [f"partial-subnet:{k}" for k in (1, 9, 17)]),
+    (lambda: _silent_masters((0, 8, 16)), [], [f"partial-subnet:{k}" for k in (1, 9, 17)]),
+    (_no_coop_master, [], []),
+    (lambda: _two_hop_links("tx"), [], []),
+    (lambda: _two_hop_links("rx"), [], []),
+    (_cut_links, [(k, "unreachable") for k in range(1, 16) if k % 4], []),
+    (_shared_cell, [], []),
+    (lambda: _one_way_end(1, (2, 10)), [(12, "multi-master")], ["partial-subnet:17"]),
+    (lambda: _one_way_end(20, (1, 19)), [(20, "cross-subnet-interference-1")],
+     ["partial-subnet:17"]),
+    (_ring, [], []),
+    (_no_rim, [(17, "no-master")], []),
+    (_long_roles, [], []),
+    (_swapped_nodes, [(23, "cross-subnet-interference-22")], ["partial-subnet:23"]),
+    (_short, [], ["partial-subnet:9"]),
+], ids=["mutated-roles", "merged-runs", "no-masters", "chord", "no-silent", "inner-silent",
+        "silent-masters", "masters-from-0", "no-coop-master", "two-hop-tx-links", "two-hop-rx-links", "cut-links",
+        "shared-cell", "one-way-start", "one-way-end", "ring",
+        "no-rim", "long-roles", "swapped-nodes", "short-line"])
+def test_line_period_falls_back_to_the_walk(make, violations, warnings):
+    net, assoc = make()
+    subnets, report = subnet_decompose(net, assoc)
+    assert subnets.period is None
+    assert (report.violations, report.warnings) == (violations, warnings)
+    ref_subnets, ref_report = ref_subnet_decompose(net, assoc)
+    assert report == ref_report
+    assert [(s.members, s.master, s.gamma) for s in subnets] == \
+        [(s.members, s.master, s.gamma) for s in ref_subnets]
+    assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
