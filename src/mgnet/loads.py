@@ -24,12 +24,15 @@ fast-node loop adds each precancel and fast-share message to its link, and
 the per-subnet loop routes the fan-in and fan-out up each subnet's tree.
 It reads the columns of ``validation.Subnets`` (members, masters, per-node
 hops, and each subnet's hop search in BFS order with every cell's parent,
-walked leaves first) and builds no per-subnet object.  A line whose period
-P ``subnet_decompose`` proved (``Subnets.period``) is counted from one
-period: the fast nodes 1..P and subnet 0, once, times the number of whole
-runs, plus the tail nodes and run after them.  The whole runs are
-translates and load their links alike, so each link maximum is that of the
-first run or of the tail.  Every other ``Subnets`` is counted node by node.
+walked leaves first) and builds no per-subnet object.  Columns a proof
+built (``Subnets.translates``: a line's period, a ball's master lattice)
+are counted from the template's fast nodes and subnet, once, times the
+number of translates, plus the rim's nodes and subnets.  A message runs
+between two cells of its own subnet, so only the links of these cells are
+numbered, and each link maximum is that of the template or of the rim
+unless a link joins two cells that the template shares with another
+subnet and carries messages; then every subnet is counted once instead.
+Every other ``Subnets`` is counted node by node.
 
 Average prelogs divide by the idealised directed-link totals (2 per node
 in the linear model, 6 per cell in the hexagonal models, 4 per sector /
@@ -41,12 +44,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import accumulate
 
 from .association import Association, Role, Scheme, check_params
 from .rationals import ratio_to_json
 from .topology import HEX, SECTORED, WYNER, Network
-from .validation import Subnets, _require_same_net
+from .validation import Subnets, Translates, _require_same_net
 
 
 @dataclass
@@ -204,8 +207,8 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
 
     ``subnets`` is what ``subnet_decompose`` returned for this association
     (another association's raises ValueError); the ledger reads its columns
-    and walks each subnet's hop search leaves first (a line of proven
-    period: one period, see the module docstring).  The per-link maxima
+    and walks each subnet's hop search leaves first (proven columns: the
+    template and the rim, see the module docstring).  The per-link maxima
     are informational: counters are flat lists indexed by directed edge (see
     ``_edge_offsets``) of the Tx cooperation graph, which carries the
     precancelation, and of the Rx cooperation graph, which carries the fast
@@ -219,23 +222,10 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
         raise ValueError("subnets were not decomposed for this association")
     scheme = assoc.scheme
     D, L = assoc.D, net.L
-    tx_adj, rx_adj = net.tx_coop, net.rx_coop
-    P = subnets.period
-    if P is None:  # every node and every subnet once
-        parts = [(1, net.tx_nodes, subnets.masters)]
-        tx_off = _edge_offsets(tx_adj)
-        rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(rx_adj)
-    else:  # nodes 1..P and subnet 0 per whole run, then the tail, whose run has no master
-        n = len(assoc.roles)
-        whole = n // P
-        parts = [(whole, range(1, P + 1), subnets.masters[:1]), (1, range(whole * P + 1, n), ())]
-        # rx_adj is tx_adj; number only the edges of these nodes and their neighbours
-        tx_off = rx_off = _edge_offsets(tx_adj, [*range(P + 2), *range(whole * P, n)])
-    tx_use, rx_use = [0] * tx_off[-1], [0] * rx_off[-1]
-    counts = [0] * 5
-    for times, nodes, masters in parts:
-        part = _count(net, assoc, subnets, nodes, masters, (tx_off, rx_off, tx_use, rx_use))
-        counts = [c + times * x for c, x in zip(counts, part)]
+    t = subnets.translates
+    counts, tx_use, rx_use, rx_off = _tally(net, assoc, subnets, t)
+    if t is not None and _shares_links(net.rx_coop, rx_off, rx_use, t.shared):
+        counts, tx_use, rx_use, _ = _tally(net, assoc, subnets, None)
     precancel, fast_share, fanin, fast_master_saved, q_dedup = counts
     fanout = fanin
 
@@ -259,11 +249,47 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
     )
 
 
-def _count(net: Network, assoc: Association, subnets: Subnets, nodes, masters,
+def _tally(net: Network, assoc: Association, subnets: Subnets,
+           t: Translates | None) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(counts, tx_use, rx_use, rx_off) of every node and subnet once (``t`` None), or
+    of the template's nodes and subnet ``t.copies`` times and of the rim's once."""
+    tx_adj, rx_adj = net.tx_coop, net.rx_coop
+    if t is None:
+        parts, numbered = [(1, net.tx_nodes, range(len(subnets)))], None
+    else:
+        members, starts = subnets.members, subnets.starts
+        template = members[starts[t.template]:starts[t.template + 1]]
+        rim = [k for i in t.rim for k in members[starts[i]:starts[i + 1]]]
+        parts = [(t.copies, template, (t.template,)), (1, rim, t.rim)]
+        numbered = template + rim  # a message runs between two cells of its own subnet
+    tx_off = _edge_offsets(tx_adj, numbered)
+    rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(
+        rx_adj, numbered and dict.fromkeys(map(net.tx_cell.__getitem__, numbered)))
+    tx_use, rx_use = [0] * tx_off[-1], [0] * rx_off[-1]
+    counts = [0] * 5
+    for times, nodes, indices in parts:
+        part = _count(net, assoc, subnets, nodes, indices, (tx_off, rx_off, tx_use, rx_use))
+        counts = [c + times * x for c, x in zip(counts, part)]
+    return counts, tx_use, rx_use, rx_off
+
+
+def _shares_links(rx_adj, rx_off: list[int], rx_use: list[int], shared: frozenset[int]) -> bool:
+    """Whether a link between two ``shared`` cells carries messages.
+
+    A translate's messages run over links between its own cells, so only
+    a link between two cells that also hold another component's nodes can
+    carry two components' messages; without such traffic every link's load
+    is that of the template or of the rim.
+    """
+    return any(rx_use[rx_off[c] + i] for c in shared
+               for i, c2 in enumerate(rx_adj[c]) if c2 in shared)
+
+
+def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices,
            links: tuple[list[int], ...]) -> tuple[int, int, int, int, int]:
     """(precancel, fast_share, fanin, fast_master_saved, q_dedup) of the fast
-    nodes among ``nodes`` and of the first ``len(masters)`` subnets; each
-    message also lands on its link in ``links`` = (tx_off, rx_off, tx_use, rx_use)."""
+    nodes among ``nodes`` and of the subnets ``indices``; each message also
+    lands on its link in ``links`` = (tx_off, rx_off, tx_use, rx_use)."""
     roles = assoc.roles
     scheme = assoc.scheme
     D = assoc.D
@@ -277,21 +303,25 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, masters,
     # the fast node that last shared its message with each cell: a fast
     # node shares once per neighbouring cell, never with its own
     shared_by: list[int | None] = [None] * len(rx_adj)
-    for k in nodes:
-        if roles[k] is not fast:
-            continue
-        src = tx_cell[k]
-        shared_by[src] = k
-        for j in interference[k]:
-            if roles[j] is not slow:
+    try:
+        for k in nodes:
+            if roles[k] is not fast:
                 continue
-            precancel += 1
-            tx_use[tx_off[j] + tx_adj[j].index(k)] += 1
-            c = tx_cell[j]
-            if shared_by[c] != k:
-                shared_by[c] = k
-                fast_share += 1
-                rx_use[rx_off[src] + rx_adj[src].index(c)] += 1
+            src = tx_cell[k]
+            shared_by[src] = k
+            for j in interference[k]:
+                if roles[j] is not slow:
+                    continue
+                precancel += 1
+                tx_use[tx_off[j] + tx_adj[j].index(k)] += 1
+                c = tx_cell[j]
+                if shared_by[c] != k:
+                    shared_by[c] = k
+                    fast_share += 1
+                    rx_use[rx_off[src] + rx_adj[src].index(c)] += 1
+    except ValueError:  # a link ``index`` did not find
+        _name_missing_link(net, roles, nodes)
+        raise
 
     if scheme.comp_side == "tx":
         coop, off, use = tx_adj, tx_off, tx_use
@@ -300,13 +330,13 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, masters,
     wyner = net.model == WYNER
     fast_master_saves = scheme is Scheme.BOTH_COMP_RX and wyner
     below = [0] * len(rx_adj)  # slow members in a cell's subtree, zeroed after each subnet
-    members, starts, hop = subnets.members, subnets.starts, subnets.hop
-    order, order_parent = subnets.order, subnets.order_parent
+    members, starts, masters, hop = subnets.members, subnets.starts, subnets.masters, subnets.hop
+    order, order_parent, order_starts = subnets.order, subnets.order_parent, subnets.order_starts
     fanin = 0
     fast_master_saved = 0
     q_dedup = 0
-    spans = pairwise(subnets.order_starts)  # the hop search of each mastered subnet, in order
-    for i, master in enumerate(masters):
+    for i in indices:
+        master = masters[i]
         if master is None:  # no master, no hops
             continue
         comp = members[starts[i]:starts[i + 1]]
@@ -324,7 +354,7 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, masters,
                 q_dedup += 2 * sum(1 for k in comp
                                    if roles[k] is fast and 1 <= (hop[k] or 0) <= D // 2 - 2)
 
-        a, b = next(spans)
+        a, b = order_starts[i], order_starts[i + 1]
         for c, p in zip(reversed(order[a:b]), reversed(order_parent[a:b])):  # leaves first
             n = below[c]
             if not n:
@@ -336,6 +366,25 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, masters,
             use[off[p] + coop[p].index(c)] += n
             below[p] += n
     return precancel, fast_share, fanin, fast_master_saved, q_dedup
+
+
+def _name_missing_link(net: Network, roles, nodes) -> None:
+    """Raise ValueError naming the first fast node among ``nodes`` whose precancel
+    or fast-share message has no link to travel on."""
+    fast, slow, tx_cell = Role.FAST, Role.SLOW, net.tx_cell
+    for k in nodes:
+        if roles[k] is not fast:
+            continue
+        for j in net.interference[k]:
+            if roles[j] is not slow:
+                continue
+            if k not in net.tx_coop[j]:
+                raise ValueError(f"fast node {k} hears slow node {j}, but tx_coop has no "
+                                 f"link {j} -> {k} for the precancel message")
+            src, c = tx_cell[k], tx_cell[j]
+            if c != src and c not in net.rx_coop[src]:
+                raise ValueError(f"fast node {k} hears slow node {j}, but rx_coop has no "
+                                 f"link from cell {src} to cell {c} for the fast share")
 
 
 def finite_prelogs(report: LoadReport, net: Network) -> tuple[Fraction, Fraction]:

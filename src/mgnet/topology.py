@@ -33,8 +33,10 @@ domain's rows (a, lo, hi) in id order (``lattice.ball_rows``,
 ``TorusGeometry.rows``): cell (a, b) has id ``base[a] + b``, so each
 neighbour step of a row's inner cells is one run of ids, and only the few
 cells at a row's ends look up their neighbours one by one, through
-``canon`` where a torus seam wraps them.  No coordinate is looked up in a
-dict.
+``canon`` where a torus seam wraps them (a torus build keeps one memo of
+``canon``, so each off-domain cell is canonicalised once).  No coordinate
+is looked up in a dict.  ``validation`` proves a ball's inner runs
+against the same ``_run_slices``.
 
 Finite instances come in two flavours: hex-distance balls of a given
 radius (edge effects at the rim) and tori holding M x M whole subnets of a
@@ -46,6 +48,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain, product
 
 from .lattice import (Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows,
                       row_cells)
@@ -168,24 +172,12 @@ _NO_LO, _NO_HI = 1 << 62, -(1 << 62)
 _MIN_RUN = 4
 
 
-def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], ...],
-               canon, nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Adjacency of the nodes ``len(kinds) * cell + k`` over the cells of ``rows``.
+def _pads(rows: list[Row]) -> tuple[list[int], list[int], list[int]]:
+    """(los, his, bases) of ``rows`` at index 1..len(rows), between two pad rows.
 
     ``rows`` lists (a, lo, hi) in id order with consecutive a, so cell
-    (a, b) has id ``base[a] + b``.  Node ``k`` of a cell hears node ``k2``
-    of the cell (da, db) away for each step (da, db, k2) of ``kinds[k]``;
-    the steps are unit hex steps, sorted, so the ids of in-domain
-    neighbours come out sorted.  A row's inner run holds the cells whose
-    six neighbours all lie in the domain; there each step gives one
-    strided slice of ``nodes`` (``nodes[i] == i``) along the run, so the
-    tuples share its int objects.  Only the few cells at either end of a
-    row are looked at one by one: an off-domain neighbour is dropped on the
-    plane (``canon`` None) and canonicalised on a torus, where small tori
-    give duplicate neighbours and self-loops.
+    (a, b) of row index r has id ``bases[r] + b``; no b lies in a pad row.
     """
-    nk = len(kinds)
-    shift = 1 - rows[0][0]  # row a is at index a + shift, between two pads
     los, his, bases = [_NO_LO], [_NO_HI], [0]
     n = 0
     for _, lo, hi in rows:
@@ -196,21 +188,54 @@ def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], .
     los.append(_NO_LO)
     his.append(_NO_HI)
     bases.append(0)
+    return los, his, bases
 
+
+def _inner_run(los: list[int], his: list[int], r: int) -> tuple[int, int]:
+    """(bl, bh): row r's cells bl..bh are those whose six neighbours all lie in the domain."""
+    return (max(los[r] + 1, los[r - 1] + 1, los[r + 1]),
+            min(his[r] - 1, his[r - 1], his[r + 1] - 1))
+
+
+def _run_slices(kinds, bases: list[int], r: int, bl: int, bh: int, nodes):
+    """(slice of ids, neighbour tuples) per node kind along the cells bl..bh of row r.
+
+    Each step (da, db, k2) of a kind is one strided slice of ``nodes``
+    (``nodes[i] == i``), so the tuples share its int objects.
+    """
+    nk = len(kinds)
+    base = bases[r]
+    for k, steps in enumerate(kinds):
+        yield slice(nk * (base + bl) + k, nk * (base + bh + 1), nk), zip(*[
+            nodes[nk * (bases[r + da] + db + bl) + k2:nk * (bases[r + da] + db + bh + 1):nk]
+            for da, db, k2 in steps])
+
+
+def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], ...],
+               canon, nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Adjacency of the nodes ``len(kinds) * cell + k`` over the cells of ``rows``.
+
+    Node ``k`` of a cell hears node ``k2`` of the cell (da, db) away for
+    each step (da, db, k2) of ``kinds[k]``; the steps are unit hex steps,
+    sorted, so the ids of in-domain neighbours come out sorted.  A row's
+    inner run (``_inner_run``) is written by ``_run_slices``.  Only the few
+    cells at either end of a row are looked at one by one: an off-domain
+    neighbour is dropped on the plane (``canon`` None) and canonicalised on
+    a torus, where small tori give duplicate neighbours and self-loops.
+    """
+    nk = len(kinds)
+    shift = 1 - rows[0][0]  # row a is at index a + shift, between two pads
+    los, his, bases = _pads(rows)
     numbered = list(enumerate(kinds))
-    adj: list = [None] * (nk * n)
+    adj: list = [None] * (nk * (bases[-2] + his[-2] + 1))
     for r, (a, lo, hi) in enumerate(rows, 1):
         base = bases[r]
         ends = range(lo, hi + 1)
         if hi - lo > _MIN_RUN:  # room for a run between the row's end cells
-            bl = max(lo + 1, los[r - 1] + 1, los[r + 1])
-            bh = min(hi - 1, his[r - 1], his[r + 1] - 1)
+            bl, bh = _inner_run(los, his, r)
             if bh - bl >= _MIN_RUN - 1:
-                for k, steps in numbered:
-                    adj[nk * (base + bl) + k:nk * (base + bh + 1):nk] = zip(*[
-                        nodes[nk * (bases[r + da] + db + bl) + k2:
-                              nk * (bases[r + da] + db + bh + 1):nk]
-                        for da, db, k2 in steps])
+                for ids, nbrs in _run_slices(kinds, bases, r, bl, bh, nodes):
+                    adj[ids] = nbrs
                 ends = (*range(lo, bl), *range(bh + 1, hi + 1))
         for b in ends:
             for k, steps in numbered:
@@ -252,7 +277,7 @@ def build_hex_torus(tau: int, copies: int, L: int) -> Network:
     """Hexagonal network on a torus of ``copies`` x ``copies`` whole spacing-``tau`` subnets."""
     _need_at_least(tau=(tau, 1), copies=(copies, 1), L=(L, 1))
     geo = TorusGeometry(tau, copies)
-    return _hex_from_rows(geo.rows(), L, geo.canon, {"tau": tau, "copies": copies}, geo)
+    return _hex_from_rows(geo.rows(), L, cache(geo.canon), {"tau": tau, "copies": copies}, geo)
 
 
 def _sectored_from_rows(rows: list[Row], L: int, canon, params: dict,
@@ -269,8 +294,8 @@ def _sectored_from_rows(rows: list[Row], L: int, canon, params: dict,
         model=SECTORED, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
         interference=interference, tx_coop=interference, rx_coop=rx_coop,
         q_tx=q_tx, q_rx=q_rx, params=params,
-        coords=[(c, k) for c in cells for k in SECTOR_KINDS], cell_coords=cells,
-        tx_cell=[i for i in rx_nodes for _ in SECTOR_KINDS],
+        coords=list(product(cells, SECTOR_KINDS)), cell_coords=cells,
+        tx_cell=list(chain.from_iterable(zip(rx_nodes, rx_nodes, rx_nodes))),
         geometry=geometry,
     )
 
@@ -285,5 +310,5 @@ def build_sectored_hex(radius: int, L: int) -> Network:
 def build_sectored_hex_torus(tau: int, copies: int, L: int) -> Network:
     _need_at_least(tau=(tau, 1), copies=(copies, 1), L=(L, 1))
     geo = TorusGeometry(tau, copies)
-    return _sectored_from_rows(geo.rows(), L, geo.canon, {"tau": tau, "copies": copies},
+    return _sectored_from_rows(geo.rows(), L, cache(geo.canon), {"tau": tau, "copies": copies},
                                geo)

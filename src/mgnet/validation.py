@@ -38,20 +38,46 @@ one per whole run of P - 1 nodes, at one offset; and K >= 2P.  The
 components are then the runs between the multiples of P, so
 ``_periodic_subnets`` builds every column from one run's template by
 strided slices, adds the shorter masterless tail run with its
-``partial-subnet`` warning, and records P in ``Subnets.period``.  Any other
-network or association, or a failed check, takes the walk above.
+``partial-subnet`` warning, and records P in ``Subnets.period``.
+
+A ball is solved by its master lattice instead when ``_ball_grid`` proves,
+again with C-level checks only, that it is a builder ball (ids 0..n-1 in
+the rows of ``ball_rows``, ``tx_coop is interference``, ``tx_cell`` the
+identity or three sectors per cell) whose rows' inner runs of
+``interference``, and of a separate ``rx_coop``, equal the builder's
+strided-slice zips: every cell within radius - 1 then has the lattice's
+neighbours.  ``_lattice_subnets`` walks one template, the middle master's
+component, which must show no violation.  Its territory is the hex ball
+around its master one step wider than the component, so the component's
+neighbours lie in it.  Every master whose territory lies in the ball
+must match the template's roles and master flags there, row segment by
+row segment; its component, hops and hop search are then the template's,
+moved by a constant id shift per row.  The walk covers the rest, the rim,
+and skips these translates; an edge from the rim into one, or any failed
+check, takes the whole walk.  Any other network or association takes the
+walk above, so the violations and their order are always the walk's.
+
+Both proofs set ``Subnets.translates`` (a line's whole runs are the
+translates of run 0, its tail the rim): ``validate`` then checks fast
+independence and the hop budget on the template and the rim alone, and
+again on every node only when that finds a violation, so that the
+violations come in node order.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import eq, itemgetter
+from itertools import chain, islice, repeat
+from operator import add, eq, itemgetter
+from typing import NamedTuple
 
 from .association import Association, Role, Scheme, valid_d
-from .topology import WYNER, Network
+from .lattice import ball_rows, hex_distance
+from .topology import (_HEX_STEPS, _SECTOR_STEPS, HEX, SECTORED, WYNER, Network, _inner_run,
+                       _pads, _run_slices)
 
 
 @dataclass(slots=True)
@@ -62,37 +88,52 @@ class Subnet:
     slow_members: tuple[int, ...] = ()
 
 
+class Translates(NamedTuple):
+    """A proven ``Subnets``: component ``template`` and ``copies - 1`` others
+    are translates of one another by master-lattice vectors (a line's whole
+    runs: by multiples of P); every other component is listed in ``rim``.
+    ``shared`` holds the template's Rx cells that also hold an active node
+    of another component (never on a line or a hex ball)."""
+
+    template: int
+    copies: int
+    rim: tuple[int, ...]
+    shared: frozenset[int]
+
+
 class Subnets(Sequence):
     """The components of one association, as columns.
 
     Component ``i`` is ``members[starts[i]:starts[i + 1]]`` (sorted) with
     master ``masters[i]`` (None when it has none).  ``hop[k]`` is node k's
     hop count to its own master, None without a master or a path; members
-    are disjoint, so one per-node list serves every component.  The j-th
-    mastered component's hop search visits the cells
-    ``order[order_starts[j]:order_starts[j + 1]]`` in BFS order (hops never
-    decrease); ``order_parent`` holds each entry's lowest-id neighbour one
-    hop nearer the master in that search (None for the master).  These
-    entries carry their own parents because one sectorized cell can lie in
-    the searches of two components.  ``assoc`` is the association the
-    columns were built from.  ``period`` is the line's proven period P when
-    the columns were built from one run of P - 1 nodes (component ``i`` of
-    the whole runs is then component 0 shifted by ``i * P``, and a shorter
-    masterless tail run may follow), and None after the general walk.
-    Indexing builds a ``Subnet`` view, whose ``gamma`` lists the members in
-    node order (not in BFS order).
+    are disjoint, so one per-node list serves every component.  Component
+    i's hop search visits the cells ``order[order_starts[i]:order_starts[i
+    + 1]]`` in BFS order (hops never decrease; none without a master, and
+    ``order_starts`` is ``[0]`` when no component has one);
+    ``order_parent`` holds each entry's lowest-id neighbour one hop nearer
+    the master in that search (None for the master).  These entries carry
+    their own parents because one sectorized cell can lie in the searches
+    of two components.  ``assoc`` is the association the columns were
+    built from.  ``period`` is a line's proven period P (None otherwise).
+    ``translates`` is set when a proof built the columns (see the module
+    docstring): a line's whole runs, or a ball's interior subnets, are
+    then translates of one template component, and the template and the
+    rim components are all that ``validate`` and ``message_ledger`` read.
+    It is None after the general walk.  Indexing builds a ``Subnet`` view,
+    whose ``gamma`` lists the members in node order (not in BFS order).
     """
 
     __slots__ = ("assoc", "members", "starts", "masters", "hop",
-                 "order", "order_parent", "order_starts", "period")
+                 "order", "order_parent", "order_starts", "period", "translates")
 
     def __init__(self, assoc: Association, members: list[int], starts: Sequence[int],
                  masters: list[int | None], hop: list[int | None], order: list[int],
                  order_parent: list[int | None], order_starts: Sequence[int],
-                 period: int | None = None) -> None:
+                 period: int | None = None, translates: Translates | None = None) -> None:
         self.assoc, self.members, self.starts, self.masters = assoc, members, starts, masters
         self.hop, self.order, self.order_parent = hop, order, order_parent
-        self.order_starts, self.period = order_starts, period
+        self.order_starts, self.period, self.translates = order_starts, period, translates
 
     def __len__(self) -> int:
         return len(self.masters)
@@ -168,9 +209,14 @@ def _require_same_net(net: Network, assoc: Association) -> None:
 def fast_noninterference(net: Network, assoc: Association) -> ValidationReport:
     """No fast Tx may appear in the interference set of a fast node's receiver unit."""
     _require_same_net(net, assoc)
+    return _fast_report(net, assoc, net.tx_nodes)
+
+
+def _fast_report(net: Network, assoc: Association, nodes) -> ValidationReport:
+    """``fast_noninterference`` over the fast nodes among ``nodes``, in their order."""
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
     roles, fast = assoc.roles, Role.FAST
-    for k in net.tx_nodes:
+    for k in nodes:
         if roles[k] is not fast:
             continue
         for j in net.interference[k]:
@@ -188,20 +234,42 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     active neighbour outside the component being searched can only belong
     to an earlier one (a later one would have joined it), so every such
     edge is seen, from its later end.  These violations come last, in node
-    order, then adjacency order.  A line with a proven period skips the
-    walk (see the module docstring).
+    order, then adjacency order.  A line with a proven period, and a ball
+    whose interior is proven to repeat with the master lattice, skip all or
+    most of the walk (see the module docstring).
     """
     _require_same_net(net, assoc)
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
     if (P := _line_period(net, assoc)) is not None:
         return _periodic_subnets(net, assoc, P, report), report
+    if (grid := _ball_grid(net, assoc)) is not None and \
+            (solved := _lattice_subnets(net, assoc, grid, report.hop_budget)) is not None:
+        return solved
+    n = len(assoc.roles)
+    hop: list[int | None] = [None] * n
+    members, starts, masters, order, order_parent, order_starts, cross = \
+        _walk(net, assoc, report, net.tx_nodes, [None] * n, hop, set(assoc.masters))
+    _add_cross(report, cross)
+    return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts), report
+
+
+def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
+          owner: list[int | None], hop: list[int | None], master_set: set) -> tuple:
+    """The general walk over the components found from ``nodes``, in that order.
+
+    Nodes that ``owner`` already marks are skipped, and an edge into one
+    is reported back as cross interference.  Masters are looked up in
+    ``master_set``.  Fills ``owner`` and ``hop`` and appends the walk's
+    violations and warnings to ``report``; returns the columns (members,
+    starts, masters, order, order_parent, order_starts) and the
+    cross-interference pairs (u, v), unsorted.
+    """
     roles, silent = assoc.roles, Role.SILENT
     adj = net.interference
-    owner: list[int | None] = [None] * len(roles)  # node -> its component
     members: list[int] = []
     starts = array("q", [0])
     cross = []
-    for start in net.tx_nodes:
+    for start in nodes:
         if owner[start] is not None or roles[start] is silent:
             continue
         i = len(starts) - 1
@@ -215,7 +283,7 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
                         owner[v] = i
                         comp.append(v)
                 elif o != i:
-                    cross.append((u, f"cross-subnet-interference-{v}"))
+                    cross.append((u, v))
         comp.sort()
         members += comp
         starts.append(len(members))
@@ -223,7 +291,6 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     # masters: each component takes its lowest master cell; a second one is a violation
     tx_cell = net.tx_cell
     own = isinstance(tx_cell, range) and tx_cell.start == 0 and tx_cell.step == 1
-    master_set = set(assoc.masters)
     masters: list[int | None] = [None] * (len(starts) - 1)
     second: dict[int, int] = {}
     if own:  # a master is its own cell's only node
@@ -241,7 +308,6 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
 
     # hops run over the cells of the CoMP side, within the component's cells
     coop = net.tx_coop if assoc.scheme.comp_side == "tx" else net.rx_coop
-    hop: list[int | None] = [None] * len(roles)
     if own:  # a cell is its node: the search marks the per-node lists
         cell_owner, cell_hop = owner, hop
     else:
@@ -256,6 +322,7 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     for i, master in enumerate(masters if cooperative or master_set else ()):
         comp = members[starts[i]:starts[i + 1]]
         if master is None:
+            order_starts.append(len(order))
             if i in second:
                 report.subnets_disjoint = False
                 report.violations.append((second[i], "multi-master"))
@@ -296,12 +363,182 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
                 if hop[k] is None:
                     report.master_reachable = False
                     report.violations.append((k, "unreachable"))
+    return members, starts, masters, order, order_parent, order_starts, cross
 
+
+def _add_cross(report: ValidationReport, cross: list[tuple[int, int]]) -> None:
     if cross:
         cross.sort(key=itemgetter(0))  # stable: keeps adjacency order per node
         report.subnets_disjoint = False
-        report.violations += cross
-    return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts), report
+        report.violations += [(u, f"cross-subnet-interference-{v}") for u, v in cross]
+
+
+def _ball_grid(net: Network, assoc: Association) -> tuple | None:
+    """(radius, rows, bases, nodes per cell) of a ball that is the builder's lattice
+    within radius - 1, for a hexagonal association with masters or a sectorized
+    CoMP-Rx one, or None (see the module docstring)."""
+    model, scheme = net.model, assoc.scheme
+    if not (model in (HEX, SECTORED) and net.has_rim and assoc.masters and scheme.cooperative
+            and (model == HEX or scheme.comp_side == "rx")):
+        return None
+    radius = net.params["radius"]
+    rows = ball_rows(radius)
+    los, his, bases = _pads(rows)
+    n = bases[-2] + his[-2] + 1
+    kinds = _HEX_STEPS if model == HEX else _SECTOR_STEPS
+    nk = len(kinds)
+    adj, rx, cells = net.interference, net.rx_coop, range(n)
+    tx_nodes, rx_nodes = net.tx_nodes, net.rx_nodes
+    if not (len(tx_nodes) == len(adj) == len(assoc.roles) == nk * n
+            and len(rx_nodes) == len(rx) == n and net.tx_coop is adj
+            and all(map(eq, tx_nodes, range(nk * n)))
+            and (rx_nodes is tx_nodes or all(map(eq, rx_nodes, cells)))
+            and net.tx_cell == (cells if nk == 1 else
+                                list(chain.from_iterable(zip(*[rx_nodes] * nk))))):
+        return None
+    # the slices take the ids from the node tuples, whose int objects the builder's tuples share
+    graphs = [(adj, kinds, tx_nodes)]
+    if rx is not adj:
+        graphs.append((rx, _HEX_STEPS, rx_nodes))
+    for r in range(1, len(rows) + 1):
+        bl, bh = _inner_run(los, his, r)
+        if bl <= bh and not all(all(map(eq, graph[ids], nbrs)) for graph, ks, nodes in graphs
+                                for ids, nbrs in _run_slices(ks, bases, r, bl, bh, nodes)):
+            return None
+    return radius, rows, bases, nk
+
+
+def _lattice_subnets(net: Network, assoc: Association, grid: tuple,
+                     budget: int) -> tuple[Subnets, ValidationReport] | None:
+    """The walk's ``Subnets`` and report on a ball ``_ball_grid`` proved, from one
+    template, its translates and the rim (see the module docstring), or None."""
+    radius, rows, bases, nk = grid
+    roles, silent = assoc.roles, Role.SILENT
+    n = len(roles) // nk
+    master_set = set(assoc.masters)
+    ms = sorted(m for m in master_set if 0 <= m < n)
+    if not ms:
+        return None
+    firsts = [bases[r] + lo for r, (_, lo, _) in enumerate(rows, 1)]
+
+    def coord(c: int) -> tuple[int, int]:
+        r = bisect_right(firsts, c)
+        return rows[r - 1][0], c - bases[r]
+
+    t = ms[len(ms) // 2]
+    start = next((k for k in range(nk * t, nk * t + nk) if roles[k] is not silent), None)
+    if start is None:
+        return None
+    owner: list[int | None] = [None] * len(roles)
+    hop: list[int | None] = [None] * len(roles)
+    scratch = ValidationReport()
+    tm, _, tmasters, to, tp, _, cross = _walk(net, assoc, scratch, (start,), owner, hop,
+                                              master_set)
+    if tmasters != [t] or cross or scratch.violations or scratch.warnings:
+        return None
+    tc = coord(t)
+    R = 1 + max(hex_distance(coord(k // nk), tc) for k in tm)
+    if hex_distance(tc, (0, 0)) + R > radius:
+        return None
+    territory = ball_rows(R)  # rows (da, lo, hi) around a master
+
+    def segments(a: int, b: int) -> list[tuple[int, int]]:
+        """The id range [x, y) of cells in each territory row around master (a, b)."""
+        return [(bases[a + da + radius + 1] + b + lo, bases[a + da + radius + 1] + b + hi + 1)
+                for da, lo, hi in territory]
+
+    flags = bytearray(n)
+    for m in ms:
+        flags[m] = 1
+    tsegs = segments(*tc)
+    troles = [roles[nk * x:nk * y] for x, y in tsegs]
+    tflags = [flags[x:y] for x, y in tsegs]
+
+    def row(c: int) -> int:
+        """The index in ``territory`` of cell c's row."""
+        return coord(c)[0] - tc[0] + R
+
+    mrow = [row(k // nk) for k in tm]
+    orow, prow = list(map(row, to)), list(map(row, tp[1:]))
+    thop = [hop[k] for k in tm]
+
+    # the masters whose territory lies in the ball, in runs of one spacing along a row
+    runs: list[tuple[int, list[int]]] = []
+    for m in ms:
+        a, b = coord(m)
+        if hex_distance((a, b), (0, 0)) + R > radius:
+            continue  # a rim master
+        bs = runs[-1][1] if runs and runs[-1][0] == a else None
+        if bs is not None and (len(bs) == 1 or b - bs[-1] == bs[1] - bs[0]):
+            bs.append(b)
+        else:
+            runs.append((a, [b]))
+    translates = []
+    for a, bs in runs:
+        s, w = (bs[1] - bs[0] if len(bs) > 1 else 0), bs[-1] - bs[0]
+        segs = segments(a, bs[0])
+        # the first territory is the template's, and the run's rows repeat with s
+        for (x, y), tr, tf in zip(segs, troles, tflags):
+            if (roles[nk * x:nk * y] != tr or flags[x:y] != tf
+                    or roles[nk * (x + s):nk * (y + w)] != roles[nk * x:nk * (y + w - s)]
+                    or flags[x + s:y + w] != flags[x:y + w - s]):
+                return None
+        d = [x - tx for (x, _), (tx, _) in zip(segs, tsegs)]  # cell id shift per row
+        dn = [nk * x for x in d]
+        mem0 = list(map(add, tm, map(dn.__getitem__, mrow)))
+        o0 = list(map(add, to, map(d.__getitem__, orow)))
+        p0 = list(map(add, tp[1:], map(d.__getitem__, prow)))
+        for b in bs:
+            sh = b - bs[0]
+            mem = list(map(add, mem0, repeat(nk * sh)))
+            for k, g in zip(mem, thop):
+                owner[k] = -1
+                hop[k] = g
+            translates.append((mem, t + d[R] + sh, o0, p0, sh))
+
+    report = ValidationReport(hop_budget=budget)
+    rim_set = master_set.difference([m for _, m, _, _, _ in translates])
+    rm, rs, rmasters, ro, rp, ros, cross = _walk(net, assoc, report, net.tx_nodes, owner, hop,
+                                                 rim_set)
+    if any(owner[v] == -1 for _, v in cross):
+        return None
+    _add_cross(report, cross)
+
+    # every component in order of its lowest member
+    keys = sorted([(rm[rs[j]], j) for j in range(len(rmasters))] +
+                  [(mem[0], ~j) for j, (mem, *_) in enumerate(translates)])
+    members: list[int] = []
+    starts = array("q", [0])
+    masters: list[int | None] = []
+    order: list[int] = []
+    order_parent: list[int | None] = []
+    order_starts = array("q", [0])
+    rim = []
+    for _, j in keys:
+        if j >= 0:
+            rim.append(len(masters))
+            members += rm[rs[j]:rs[j + 1]]
+            masters.append(rmasters[j])
+            order += ro[ros[j]:ros[j + 1]]
+            order_parent += rp[ros[j]:ros[j + 1]]
+            order_starts.append(len(order))
+        else:
+            mem, m, o0, p0, sh = translates[~j]
+            if m == t:
+                template = len(masters)
+            members += mem
+            masters.append(m)
+            order += map(add, o0, repeat(sh))
+            order_parent.append(None)  # the master's
+            order_parent += map(add, p0, repeat(sh))
+            order_starts.append(len(order))
+        starts.append(len(members))
+    inside = set(tm)
+    shared = frozenset(c for c in {k // nk for k in tm}
+                       if any(roles[k] is not silent and k not in inside
+                              for k in range(nk * c, nk * c + nk)))
+    return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts,
+                   None, Translates(template, len(translates), tuple(rim), shared)), report
 
 
 def _line_period(net: Network, assoc: Association) -> int | None:
@@ -363,9 +600,12 @@ def _periodic_subnets(net: Network, assoc: Association, P: int,
         hop, order, order_parent, order_starts = [None] * (K + 1), [], [], array("q", [0])
     if len(members) > n:  # the tail run, clipped by the rim
         starts.append(len(members))
+        if assoc.masters:
+            order_starts.append(len(order))
         masters.append(None)
         report.warnings.append(f"partial-subnet:{whole * P + 1}")
-    return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts, P)
+    return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts, P,
+                   Translates(0, whole, tuple(range(whole, len(masters))), frozenset()))
 
 
 def master_reachability(subnets: Subnets, scheme: Scheme, D: int) -> ValidationReport:
@@ -374,25 +614,51 @@ def master_reachability(subnets: Subnets, scheme: Scheme, D: int) -> ValidationR
     A member with no cooperation path to its master has no hop count;
     ``subnet_decompose`` reports it as unreachable, so it is skipped here.
     ``subnets`` is what ``subnet_decompose`` returned for an association with
-    this scheme and D; anything else raises ValueError.
+    this scheme and D; anything else raises ValueError.  Proven columns
+    are checked on the template and the rim first, and in full only when
+    that finds a violation, so that the violations come in member order.
     """
     assoc = getattr(subnets, "assoc", None)
     if assoc is None or (assoc.scheme, assoc.D) != (scheme, D):
         raise ValueError("subnets were not decomposed for this association")
     budget = hop_budget(scheme, D)
-    report = ValidationReport(hop_budget=budget)
     hop, roles, slow = subnets.hop, assoc.roles, Role.SLOW
-    for k in subnets.members:
-        if (g := hop[k]) is None or g <= budget or roles[k] is not slow:
-            continue
-        report.master_reachable = False
-        report.violations.append((k, f"hop-budget-exceeded-{g}>{budget}"))
+    for nodes in _proven_first(subnets, subnets.members):
+        report = ValidationReport(hop_budget=budget)
+        for k in nodes:
+            if (g := hop[k]) is None or g <= budget or roles[k] is not slow:
+                continue
+            report.master_reachable = False
+            report.violations.append((k, f"hop-budget-exceeded-{g}>{budget}"))
+        if report.master_reachable:
+            break
     return report
 
 
+def _proven_first(subnets: Subnets, every):
+    """``every``, preceded by the template's and the rim's members of proven columns.
+
+    A translate repeats the template's nodes, roles and neighbours, so a
+    check that finds nothing on the template and the rim finds nothing at
+    all; one that finds something is run again on ``every``.
+    """
+    if (t := subnets.translates) is not None:
+        members, starts = subnets.members, subnets.starts
+        yield list(chain.from_iterable(members[starts[i]:starts[i + 1]]
+                                       for i in (t.template, *t.rim)))
+    yield every
+
+
 def validate(net: Network, assoc: Association) -> tuple[Subnets, ValidationReport]:
-    """Run all structural checks and merge the reports."""
-    r1 = fast_noninterference(net, assoc)
+    """Run all structural checks and merge the reports.
+
+    The decomposition comes first, so that a proof it found also spares
+    the fast-independence and hop-budget checks the translates.
+    """
     subnets, r2 = subnet_decompose(net, assoc)
+    for nodes in _proven_first(subnets, net.tx_nodes):
+        r1 = _fast_report(net, assoc, nodes)
+        if r1.fast_independent:
+            break
     r3 = master_reachability(subnets, assoc.scheme, assoc.D)
     return subnets, r1.merge(r2).merge(r3)

@@ -25,7 +25,8 @@ import pytest
 
 from mgnet import (HEX, SECTORED, WYNER, LoadReport, Role, Scheme, Subnet,
                    ValidationReport, assign, build_hex, build_sectored_hex,
-                   build_wyner, check_params, message_ledger, subnet_decompose, validation)
+                   build_wyner, check_params, loads, message_ledger, subnet_decompose,
+                   validate, validation)
 from mgnet.loads import _asymptotic_denominators, _wyner_q_dedup
 from mgnet.validation import hop_budget
 
@@ -440,3 +441,181 @@ def test_line_period_falls_back_to_the_walk(make, violations, warnings):
     assert [(s.members, s.master, s.gamma) for s in subnets] == \
         [(s.members, s.master, s.gamma) for s in ref_subnets]
     assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
+
+
+def _and_walk(fn, net, assoc):
+    """``fn(net, assoc)`` with the ball proof switched off, so that it takes the walk."""
+    with mock.patch.object(validation, "_ball_grid", return_value=None):
+        return fn(net, assoc)
+
+
+def assert_lattice_matches_walk(net, D, scheme, reference=True):
+    """The master-lattice path equals the walk on every column, report and ledger field.
+
+    Returns whether the path was taken.
+    """
+    assoc = assign(net, D, scheme)
+    subnets, report = validate(net, assoc)
+    walk, walk_report = _and_walk(validate, net, assoc)
+    assert walk.translates is None
+    for col in COLUMNS:
+        assert list(getattr(subnets, col)) == list(getattr(walk, col)), col
+    assert report == walk_report
+    assert subnet_decompose(net, assoc)[1] == _and_walk(subnet_decompose, net, assoc)[1]
+    assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk)
+    if reference:
+        assert_matches_reference(net, D, scheme)
+    return subnets.translates is not None
+
+
+@cache
+def _ball(model, radius):
+    return (build_hex if model == HEX else build_sectored_hex)(radius, 3)
+
+
+@pytest.mark.parametrize("model, radii, hi_d", [(HEX, range(25), 14), (SECTORED, range(19), 8)],
+                         ids=["hex", "sectorized"])
+def test_ball_lattice_matches_walk_and_reference(model, radii, hi_d):
+    proven = 0
+    for scheme in Scheme:
+        for D in valid_range(model, scheme, hi_d):
+            for radius in radii:
+                # the reference is slow: every radius near the least with a translate, then some
+                proven += assert_lattice_matches_walk(_ball(model, radius), D, scheme,
+                                                      reference=radius < 10 or radius % 4 == 0)
+    assert proven >= (246 if model == HEX else 124)
+
+
+@pytest.mark.parametrize("model, radius, D, scheme", [
+    *[(HEX, 60, 8, s) for s in Scheme],
+    *[(SECTORED, 40, 4, s) for s in (Scheme.BOTH_COMP_RX, Scheme.SLOW_COMP_RX, Scheme.NO_COOP)],
+], ids=lambda v: getattr(v, "value", v))
+def test_ball_lattice_at_bench_scale(model, radius, D, scheme):
+    net = (build_hex if model == HEX else build_sectored_hex)(radius, 2)
+    assert assert_lattice_matches_walk(net, D, scheme) == scheme.cooperative
+    assoc = assign(net, D, scheme)
+    subnets, _ = validate(net, assoc)
+    with mock.patch.object(loads, "_tally", wraps=loads._tally) as tally:
+        message_ledger(net, assoc, subnets)
+    assert tally.call_count == 1  # no link carries two subnets' messages
+
+
+def test_ball_ledger_counts_every_subnet_when_links_may_be_shared():
+    net, assoc = _ball_case(SECTORED, 12, 4)
+    subnets, _ = validate(net, assoc)
+    assert subnets.translates.shared  # a sectorized subnet shares layer cells with others
+    walk, _ = _and_walk(validate, net, assoc)
+    with mock.patch.object(loads, "_shares_links", return_value=True):
+        assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk)
+
+
+def _ball_case(model=HEX, radius=14, D=8, scheme=Scheme.BOTH_COMP_RX):
+    net = (build_hex if model == HEX else build_sectored_hex)(radius, 1)
+    return net, assign(net, D, scheme)
+
+
+def _cell(net, coord):
+    return net.cell_coords.index(coord)
+
+
+def _interior_role():
+    net, a = _ball_case()
+    a.roles[_cell(net, (8, 5))] = Role.FAST  # next to the fast master (8, 4)
+    return net, a
+
+
+def _dropped_master():
+    net, a = _ball_case()
+    return net, replace(a, masters=tuple(m for m in a.masters if m != _cell(net, (4, 8))))
+
+
+def _extra_master():
+    net, a = _ball_case()
+    return net, replace(a, masters=tuple(sorted({*a.masters, _cell(net, (5, 8))})))
+
+
+def _replaced_tuple():
+    net, _ = _ball_case()
+    adj = list(net.interference)
+    u, v = _cell(net, (1, 1)), _cell(net, (-4, -8))
+    adj[u] = (*adj[u], v)  # one-way, from the central subnet into the one at (-4, -8)
+    adj = tuple(adj)
+    net = replace(net, interference=adj, tx_coop=adj, rx_coop=adj)
+    return net, assign(net, 8, Scheme.BOTH_COMP_RX)
+
+
+def _rim_edge_into_translate(corner):
+    net, _ = _ball_case()
+    adj = list(net.interference)
+    u, v = _cell(net, corner), _cell(net, (1, 1))
+    adj[u] = (*adj[u], v)  # a rim cell (not proven) hears the central subnet
+    adj = tuple(adj)
+    net = replace(net, interference=adj, tx_coop=adj, rx_coop=adj)
+    return net, assign(net, 8, Scheme.BOTH_COMP_RX)
+
+
+def _cut_rx_link():
+    net, _ = _ball_case(SECTORED, 12, 4)
+    rx = list(net.rx_coop)
+    c, d = _cell(net, (0, 0)), _cell(net, (0, 1))
+    rx[c] = tuple(x for x in rx[c] if x != d)
+    rx[d] = tuple(x for x in rx[d] if x != c)
+    net = replace(net, rx_coop=tuple(rx))
+    return net, assign(net, 4, Scheme.SLOW_COMP_RX)
+
+
+def _at(net, coord, kind=None):
+    """The id of the cell at ``coord``, or of its ``kind`` sector."""
+    i = _cell(net, coord)
+    return i if kind is None else 3 * i + "EWS".index(kind)
+
+
+@pytest.mark.parametrize("make, proven, violations", [
+    (_interior_role, False, lambda net: [
+        (_at(net, (7, 5)), f"fast-interference-from-{_at(net, (8, 5))}"),
+        (_at(net, (8, 4)), f"fast-interference-from-{_at(net, (8, 5))}")]),
+    (_dropped_master, True, lambda net: []),
+    (_extra_master, False, lambda net: [(_at(net, (5, 8)), "multi-master")]),
+    (_replaced_tuple, False, lambda net: [
+        (_at(net, (1, 1)), f"cross-subnet-interference-{_at(net, (-4, -8))}")]),
+    # the rim component is searched first and takes in the central subnet, with its master
+    (lambda: _rim_edge_into_translate((-14, -14)), False,
+     lambda net: [(_at(net, (0, 0)), "multi-master")]),
+    (lambda: _rim_edge_into_translate((14, 0)), False, lambda net: [
+        (_at(net, (14, 0)), f"cross-subnet-interference-{_at(net, (1, 1))}")]),
+    (_cut_rx_link, False, lambda net: [(_at(net, (0, 2), "S"), "hop-budget-exceeded-3>2")]),
+], ids=["interior-role", "dropped-master", "extra-master", "replaced-tuple",
+        "rim-edge-before", "rim-edge-after", "cut-rx-link"])
+def test_ball_lattice_falls_back_to_the_walk(make, proven, violations):
+    net, assoc = make()
+    assert net.has_rim
+    subnets, report = validate(net, assoc)
+    assert (subnets.translates is not None) == proven
+    walk, walk_report = _and_walk(validate, net, assoc)
+    for col in COLUMNS:
+        assert list(getattr(subnets, col)) == list(getattr(walk, col)), col
+    assert report == walk_report
+    expected = violations(net)
+    assert report.violations[:len(expected)] == expected
+    ref_subnets, ref_report = ref_subnet_decompose(net, assoc)
+    assert subnet_decompose(net, assoc)[1] == ref_report
+    assert [(s.members, s.master, s.gamma) for s in subnets] == \
+        [(s.members, s.master, s.gamma) for s in ref_subnets]
+    assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
+
+
+def test_ledger_names_a_missing_link():
+    net, _ = _swapped_nodes()
+    assoc = assign(net, 6, Scheme.BOTH_COMP_RX)  # fast node 23 hears slow 22, which lacks 23
+    subnets, _ = validate(net, assoc)
+    with pytest.raises(ValueError, match=r"fast node 23 hears slow node 22, but tx_coop "
+                                         r"has no link 22 -> 23"):
+        message_ledger(net, assoc, subnets)
+    rx = list(net.rx_coop)
+    rx[23] = (24,)  # the Rx side now lacks 23 -> 24 as well; tx_coop is checked first
+    net2 = replace(net, rx_coop=tuple(rx), tx_coop=tuple(
+        (*a, 23) if k == 22 else a for k, a in enumerate(net.tx_coop)))
+    assoc2 = replace(assoc, net=net2)
+    subnets2, _ = validate(net2, assoc2)
+    with pytest.raises(ValueError, match=r"rx_coop has no link from cell 23 to cell 22"):
+        message_ledger(net2, assoc2, subnets2)

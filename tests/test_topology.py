@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -221,6 +222,23 @@ def test_torus_builders_match_canon_on_every_step(tau, copies):
         reference_torus_json(HEX, tau, copies, 2)
     assert build_sectored_hex_torus(tau, copies, 2).to_json_dict() == \
         reference_torus_json(SECTORED, tau, copies, 2)
+
+
+@pytest.mark.parametrize("model, tau, copies", [(SECTORED, 4, 2), (SECTORED, 2, 6), (HEX, 4, 6)])
+def test_torus_build_canonicalises_each_off_domain_cell_once(model, tau, copies):
+    # the sector and the cell tables share one memo of ``canon`` per build
+    calls = []
+    canon = TorusGeometry.canon
+
+    def counted(geo, c):
+        calls.append(c)
+        return canon(geo, c)
+
+    build = build_hex_torus if model == HEX else build_sectored_hex_torus
+    with mock.patch.object(TorusGeometry, "canon", counted):
+        net = build(tau, copies, 2)
+    assert calls and len(calls) == len(set(calls))
+    assert net.to_json_dict() == reference_torus_json(model, tau, copies, 2)
 
 
 def reference_ball_json(model, radius, L):
