@@ -49,7 +49,7 @@ from itertools import accumulate
 from .association import Association, Role, Scheme, check_params
 from .rationals import ratio_to_json
 from .topology import HEX, SECTORED, WYNER, Network
-from .validation import Subnets, Translates, _require_same_net
+from .validation import Subnets, _require_same_net
 
 
 @dataclass
@@ -224,7 +224,7 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
     D, L = assoc.D, net.L
     t = subnets.translates
     counts, tx_use, rx_use, rx_off = _tally(net, assoc, subnets, t)
-    if t is not None and _shares_links(net.rx_coop, rx_off, rx_use, t.shared):
+    if t is not None and _shares_links(net.rx_coop, rx_off, rx_use, t[3]):
         counts, tx_use, rx_use, _ = _tally(net, assoc, subnets, None)
     precancel, fast_share, fanin, fast_master_saved, q_dedup = counts
     fanout = fanin
@@ -250,17 +250,19 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
 
 
 def _tally(net: Network, assoc: Association, subnets: Subnets,
-           t: Translates | None) -> tuple[list[int], list[int], list[int], list[int]]:
-    """(counts, tx_use, rx_use, rx_off) of every node and subnet once (``t`` None), or
-    of the template's nodes and subnet ``t.copies`` times and of the rim's once."""
+           t: tuple | None) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(counts, tx_use, rx_use, rx_off) of every node and subnet once (``t`` None), or of
+    the template's nodes and subnet ``copies`` times and of the rim's once (``t`` is
+    ``Subnets.translates``)."""
     tx_adj, rx_adj = net.tx_coop, net.rx_coop
     if t is None:
         parts, numbered = [(1, net.tx_nodes, range(len(subnets)))], None
     else:
+        i, copies, rim_subnets, _ = t
         members, starts = subnets.members, subnets.starts
-        template = members[starts[t.template]:starts[t.template + 1]]
-        rim = [k for i in t.rim for k in members[starts[i]:starts[i + 1]]]
-        parts = [(t.copies, template, (t.template,)), (1, rim, t.rim)]
+        template = members[starts[i]:starts[i + 1]]
+        rim = [k for j in rim_subnets for k in members[starts[j]:starts[j + 1]]]
+        parts = [(copies, template, (i,)), (1, rim, rim_subnets)]
         numbered = template + rim  # a message runs between two cells of its own subnet
     tx_off = _edge_offsets(tx_adj, numbered)
     rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(
@@ -319,9 +321,10 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices,
                     shared_by[c] = k
                     fast_share += 1
                     rx_use[rx_off[src] + rx_adj[src].index(c)] += 1
-    except ValueError:  # a link ``index`` did not find
-        _name_missing_link(net, roles, nodes)
-        raise
+    except ValueError:  # ``index`` found no link for the message from j to k: name it
+        graph, u, v = ("tx_coop", j, k) if k not in tx_adj[j] else ("rx_coop", src, tx_cell[j])
+        raise ValueError(f"fast node {k} hears slow node {j}, but {graph} has no link "
+                         f"{u} -> {v}") from None
 
     if scheme.comp_side == "tx":
         coop, off, use = tx_adj, tx_off, tx_use
@@ -366,25 +369,6 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices,
             use[off[p] + coop[p].index(c)] += n
             below[p] += n
     return precancel, fast_share, fanin, fast_master_saved, q_dedup
-
-
-def _name_missing_link(net: Network, roles, nodes) -> None:
-    """Raise ValueError naming the first fast node among ``nodes`` whose precancel
-    or fast-share message has no link to travel on."""
-    fast, slow, tx_cell = Role.FAST, Role.SLOW, net.tx_cell
-    for k in nodes:
-        if roles[k] is not fast:
-            continue
-        for j in net.interference[k]:
-            if roles[j] is not slow:
-                continue
-            if k not in net.tx_coop[j]:
-                raise ValueError(f"fast node {k} hears slow node {j}, but tx_coop has no "
-                                 f"link {j} -> {k} for the precancel message")
-            src, c = tx_cell[k], tx_cell[j]
-            if c != src and c not in net.rx_coop[src]:
-                raise ValueError(f"fast node {k} hears slow node {j}, but rx_coop has no "
-                                 f"link from cell {src} to cell {c} for the fast share")
 
 
 def finite_prelogs(report: LoadReport, net: Network) -> tuple[Fraction, Fraction]:

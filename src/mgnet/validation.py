@@ -46,10 +46,11 @@ the rows of ``ball_rows``, ``tx_coop is interference``, ``tx_cell`` the
 identity or three sectors per cell) whose rows' inner runs of
 ``interference``, and of a separate ``rx_coop``, equal the builder's
 strided-slice zips: every cell within radius - 1 then has the lattice's
-neighbours.  ``_lattice_subnets`` walks one template, the middle master's
-component, which must show no violation.  Its territory is the hex ball
-around its master one step wider than the component, so the component's
-neighbours lie in it.  Every master whose territory lies in the ball
+neighbours.  ``_lattice_subnets`` walks one template, the component of
+the master nearest the centre, which must show no violation.  Its
+territory is the hex ball around its master one step wider than the
+component, so the component's neighbours lie in it.  Every master whose
+territory lies in the ball
 must match the template's roles and master flags there, row segment by
 row segment; its component, hops and hop search are then the template's,
 moved by a constant id shift per row.  The walk covers the rest, the rim,
@@ -70,9 +71,8 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import add, eq, itemgetter
-from typing import NamedTuple
 
 from .association import Association, Role, Scheme, valid_d
 from .lattice import ball_rows, hex_distance
@@ -86,19 +86,6 @@ class Subnet:
     master: int | None                    # Rx id (CoMP reception) or Tx id (transmission)
     gamma: dict[int, int]                 # member -> cooperation hops to the master
     slow_members: tuple[int, ...] = ()
-
-
-class Translates(NamedTuple):
-    """A proven ``Subnets``: component ``template`` and ``copies - 1`` others
-    are translates of one another by master-lattice vectors (a line's whole
-    runs: by multiples of P); every other component is listed in ``rim``.
-    ``shared`` holds the template's Rx cells that also hold an active node
-    of another component (never on a line or a hex ball)."""
-
-    template: int
-    copies: int
-    rim: tuple[int, ...]
-    shared: frozenset[int]
 
 
 class Subnets(Sequence):
@@ -117,10 +104,14 @@ class Subnets(Sequence):
     of two components.  ``assoc`` is the association the columns were
     built from.  ``period`` is a line's proven period P (None otherwise).
     ``translates`` is set when a proof built the columns (see the module
-    docstring): a line's whole runs, or a ball's interior subnets, are
-    then translates of one template component, and the template and the
-    rim components are all that ``validate`` and ``message_ledger`` read.
-    It is None after the general walk.  Indexing builds a ``Subnet`` view,
+    docstring), to (template, copies, rim, shared): component ``template``
+    and ``copies - 1`` others (a line's whole runs, a ball's interior
+    subnets) are translates of one another, the components listed in
+    ``rim`` are the others, and ``shared`` holds the template's Rx cells
+    that also hold an active node of another component (none on a line or
+    a hex ball).  The template and the rim are all that ``validate`` and
+    ``message_ledger`` read.  It is None after the general walk.
+    Indexing builds a ``Subnet`` view,
     whose ``gamma`` lists the members in node order (not in BFS order).
     """
 
@@ -130,7 +121,7 @@ class Subnets(Sequence):
     def __init__(self, assoc: Association, members: list[int], starts: Sequence[int],
                  masters: list[int | None], hop: list[int | None], order: list[int],
                  order_parent: list[int | None], order_starts: Sequence[int],
-                 period: int | None = None, translates: Translates | None = None) -> None:
+                 period: int | None = None, translates: tuple | None = None) -> None:
         self.assoc, self.members, self.starts, self.masters = assoc, members, starts, masters
         self.hop, self.order, self.order_parent = hop, order, order_parent
         self.order_starts, self.period, self.translates = order_starts, period, translates
@@ -425,7 +416,7 @@ def _lattice_subnets(net: Network, assoc: Association, grid: tuple,
         r = bisect_right(firsts, c)
         return rows[r - 1][0], c - bases[r]
 
-    t = ms[len(ms) // 2]
+    t = min(ms, key=lambda m: hex_distance(coord(m), (0, 0)))  # the master nearest the centre
     start = next((k for k in range(nk * t, nk * t + nk) if roles[k] is not silent), None)
     if start is None:
         return None
@@ -473,7 +464,7 @@ def _lattice_subnets(net: Network, assoc: Association, grid: tuple,
             bs.append(b)
         else:
             runs.append((a, [b]))
-    translates = []
+    pieces = []
     for a, bs in runs:
         s, w = (bs[1] - bs[0] if len(bs) > 1 else 0), bs[-1] - bs[0]
         segs = segments(a, bs[0])
@@ -494,51 +485,33 @@ def _lattice_subnets(net: Network, assoc: Association, grid: tuple,
             for k, g in zip(mem, thop):
                 owner[k] = -1
                 hop[k] = g
-            translates.append((mem, t + d[R] + sh, o0, p0, sh))
+            m = t + d[R] + sh
+            pieces.append((mem[0], 2 if m == t else 1, mem, m, list(map(add, o0, repeat(sh))),
+                           [None, *map(add, p0, repeat(sh))]))
 
     report = ValidationReport(hop_budget=budget)
-    rim_set = master_set.difference([m for _, m, _, _, _ in translates])
+    rim_set = master_set.difference([piece[3] for piece in pieces])
     rm, rs, rmasters, ro, rp, ros, cross = _walk(net, assoc, report, net.tx_nodes, owner, hop,
                                                  rim_set)
     if any(owner[v] == -1 for _, v in cross):
         return None
     _add_cross(report, cross)
 
-    # every component in order of its lowest member
-    keys = sorted([(rm[rs[j]], j) for j in range(len(rmasters))] +
-                  [(mem[0], ~j) for j, (mem, *_) in enumerate(translates)])
-    members: list[int] = []
-    starts = array("q", [0])
-    masters: list[int | None] = []
-    order: list[int] = []
-    order_parent: list[int | None] = []
-    order_starts = array("q", [0])
-    rim = []
-    for _, j in keys:
-        if j >= 0:
-            rim.append(len(masters))
-            members += rm[rs[j]:rs[j + 1]]
-            masters.append(rmasters[j])
-            order += ro[ros[j]:ros[j + 1]]
-            order_parent += rp[ros[j]:ros[j + 1]]
-            order_starts.append(len(order))
-        else:
-            mem, m, o0, p0, sh = translates[~j]
-            if m == t:
-                template = len(masters)
-            members += mem
-            masters.append(m)
-            order += map(add, o0, repeat(sh))
-            order_parent.append(None)  # the master's
-            order_parent += map(add, p0, repeat(sh))
-            order_starts.append(len(order))
-        starts.append(len(members))
+    # every component, rim (0), translate (1) or template (2), in order of its lowest member
+    pieces += [(rm[rs[j]], 0, rm[rs[j]:rs[j + 1]], rmasters[j], ro[ros[j]:ros[j + 1]],
+                rp[ros[j]:ros[j + 1]]) for j in range(len(rmasters))]
+    pieces.sort(key=itemgetter(0))
+    _, kind, mems, masters, orders, parents = zip(*pieces)
     inside = set(tm)
     shared = frozenset(c for c in {k // nk for k in tm}
                        if any(roles[k] is not silent and k not in inside
                               for k in range(nk * c, nk * c + nk)))
-    return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts,
-                   None, Translates(template, len(translates), tuple(rim), shared)), report
+    return Subnets(assoc, list(chain.from_iterable(mems)),
+                   array("q", accumulate(map(len, mems), initial=0)), list(masters), hop,
+                   list(chain.from_iterable(orders)), list(chain.from_iterable(parents)),
+                   array("q", accumulate(map(len, orders), initial=0)), None,
+                   (kind.index(2), kind.count(1) + 1,
+                    tuple(i for i, x in enumerate(kind) if not x), shared)), report
 
 
 def _line_period(net: Network, assoc: Association) -> int | None:
@@ -605,7 +578,7 @@ def _periodic_subnets(net: Network, assoc: Association, P: int,
         masters.append(None)
         report.warnings.append(f"partial-subnet:{whole * P + 1}")
     return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts, P,
-                   Translates(0, whole, tuple(range(whole, len(masters))), frozenset()))
+                   (0, whole, tuple(range(whole, len(masters))), frozenset()))
 
 
 def master_reachability(subnets: Subnets, scheme: Scheme, D: int) -> ValidationReport:
@@ -642,10 +615,11 @@ def _proven_first(subnets: Subnets, every):
     check that finds nothing on the template and the rim finds nothing at
     all; one that finds something is run again on ``every``.
     """
-    if (t := subnets.translates) is not None:
+    if subnets.translates is not None:
+        template, _, rim, _ = subnets.translates
         members, starts = subnets.members, subnets.starts
         yield list(chain.from_iterable(members[starts[i]:starts[i + 1]]
-                                       for i in (t.template, *t.rim)))
+                                       for i in (template, *rim)))
     yield every
 
 

@@ -503,7 +503,7 @@ def test_ball_lattice_at_bench_scale(model, radius, D, scheme):
 def test_ball_ledger_counts_every_subnet_when_links_may_be_shared():
     net, assoc = _ball_case(SECTORED, 12, 4)
     subnets, _ = validate(net, assoc)
-    assert subnets.translates.shared  # a sectorized subnet shares layer cells with others
+    assert subnets.translates[3]  # a sectorized subnet shares layer cells with others
     walk, _ = _and_walk(validate, net, assoc)
     with mock.patch.object(loads, "_shares_links", return_value=True):
         assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk)
@@ -518,9 +518,18 @@ def _cell(net, coord):
     return net.cell_coords.index(coord)
 
 
-def _interior_role():
+def _interior_role(cell):
     net, a = _ball_case()
-    a.roles[_cell(net, (8, 5))] = Role.FAST  # next to the fast master (8, 4)
+    a.roles[_cell(net, cell)] = Role.FAST  # next to a fast master
+    return net, a
+
+
+def _periodic_clash():
+    net, a = _ball_case()
+    for m in a.masters:  # every master's (1, 0) neighbour turns fast, next to the fast master
+        x, y = net.cell_coords[m]
+        if (x + 1, y) in net.cell_coords:
+            a.roles[_cell(net, (x + 1, y))] = Role.FAST
     return net, a
 
 
@@ -529,9 +538,9 @@ def _dropped_master():
     return net, replace(a, masters=tuple(m for m in a.masters if m != _cell(net, (4, 8))))
 
 
-def _extra_master():
+def _extra_master(cell):
     net, a = _ball_case()
-    return net, replace(a, masters=tuple(sorted({*a.masters, _cell(net, (5, 8))})))
+    return net, replace(a, masters=tuple(sorted({*a.masters, _cell(net, cell)})))
 
 
 def _replaced_tuple():
@@ -570,12 +579,22 @@ def _at(net, coord, kind=None):
     return i if kind is None else 3 * i + "EWS".index(kind)
 
 
+# on the radius-14 ball of spacing 4 the masters within 10 of the centre are translates:
+# (0, 0) and its six neighbours; (4, 8) follows (4, -4) in its row, (8, 4) is alone in its own
 @pytest.mark.parametrize("make, proven, violations", [
-    (_interior_role, False, lambda net: [
+    (lambda: _interior_role((8, 5)), False, lambda net: [
         (_at(net, (7, 5)), f"fast-interference-from-{_at(net, (8, 5))}"),
         (_at(net, (8, 4)), f"fast-interference-from-{_at(net, (8, 5))}")]),
+    (lambda: _interior_role((4, 9)), False, lambda net: [
+        (_at(net, (3, 9)), f"fast-interference-from-{_at(net, (4, 9))}"),
+        (_at(net, (4, 8)), f"fast-interference-from-{_at(net, (4, 9))}")]),
+    # the clash repeats in every translate: listed in node order, as the walk lists it
+    (_periodic_clash, True, lambda net: [
+        (_at(net, (-12, -12)), f"fast-interference-from-{_at(net, (-11, -12))}")]),
     (_dropped_master, True, lambda net: []),
-    (_extra_master, False, lambda net: [(_at(net, (5, 8)), "multi-master")]),
+    (lambda: _extra_master((5, 8)), False, lambda net: [(_at(net, (5, 8)), "multi-master")]),
+    # a rim master (its own territory leaves the ball) inside the translate at (4, 8)
+    (lambda: _extra_master((4, 11)), False, lambda net: [(_at(net, (4, 11)), "multi-master")]),
     (_replaced_tuple, False, lambda net: [
         (_at(net, (1, 1)), f"cross-subnet-interference-{_at(net, (-4, -8))}")]),
     # the rim component is searched first and takes in the central subnet, with its master
@@ -584,8 +603,9 @@ def _at(net, coord, kind=None):
     (lambda: _rim_edge_into_translate((14, 0)), False, lambda net: [
         (_at(net, (14, 0)), f"cross-subnet-interference-{_at(net, (1, 1))}")]),
     (_cut_rx_link, False, lambda net: [(_at(net, (0, 2), "S"), "hop-budget-exceeded-3>2")]),
-], ids=["interior-role", "dropped-master", "extra-master", "replaced-tuple",
-        "rim-edge-before", "rim-edge-after", "cut-rx-link"])
+], ids=["interior-role", "later-interior-role", "periodic-clash", "dropped-master",
+        "extra-master", "extra-rim-master", "replaced-tuple", "rim-edge-before", "rim-edge-after",
+        "cut-rx-link"])
 def test_ball_lattice_falls_back_to_the_walk(make, proven, violations):
     net, assoc = make()
     assert net.has_rim
@@ -617,5 +637,6 @@ def test_ledger_names_a_missing_link():
         (*a, 23) if k == 22 else a for k, a in enumerate(net.tx_coop)))
     assoc2 = replace(assoc, net=net2)
     subnets2, _ = validate(net2, assoc2)
-    with pytest.raises(ValueError, match=r"rx_coop has no link from cell 23 to cell 22"):
+    with pytest.raises(ValueError, match=r"fast node 23 hears slow node 22, but rx_coop has "
+                                         r"no link 23 -> 22"):
         message_ledger(net2, assoc2, subnets2)
