@@ -46,12 +46,11 @@ the rows of ``ball_rows``, ``tx_coop is interference``, ``tx_cell`` the
 identity or three sectors per cell) whose rows' inner runs of
 ``interference``, and of a separate ``rx_coop``, equal the builder's
 strided-slice zips: every cell within radius - 1 then has the lattice's
-neighbours.  ``_lattice_subnets`` walks one template, the component of
-the master nearest the centre, which must show no violation.  Its
-territory is the hex ball around its master one step wider than the
-component, so the component's neighbours lie in it.  Every master whose
-territory lies in the ball
-must match the template's roles and master flags there, row segment by
+neighbours.  ``_lattice_subnets`` walks one template, the component of the
+master nearest the centre, which must show no violation.  Its territory is
+the hex ball around its master one step wider than the component, so the
+component's neighbours lie in it.  Every master whose territory lies in the
+ball must match the template's roles and master flags there, row segment by
 row segment; its component, hops and hop search are then the template's,
 moved by a constant id shift per row.  The walk covers the rest, the rim,
 and skips these translates; an edge from the rim into one, or any failed
@@ -246,15 +245,10 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
 
 def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
           owner: list[int | None], hop: list[int | None], master_set: set) -> tuple:
-    """The general walk over the components found from ``nodes``, in that order.
-
-    Nodes that ``owner`` already marks are skipped, and an edge into one
-    is reported back as cross interference.  Masters are looked up in
-    ``master_set``.  Fills ``owner`` and ``hop`` and appends the walk's
-    violations and warnings to ``report``; returns the columns (members,
-    starts, masters, order, order_parent, order_starts) and the
-    cross-interference pairs (u, v), unsorted.
-    """
+    """The walk over the components found from ``nodes``, in order, skipping the nodes
+    ``owner`` marks (an edge into one is a cross pair); fills ``owner`` and ``hop``,
+    adds violations and warnings to ``report``, and returns the columns (members,
+    starts, masters, order, order_parent, order_starts) and the cross pairs (u, v)."""
     roles, silent = assoc.roles, Role.SILENT
     adj = net.interference
     members: list[int] = []
@@ -407,8 +401,7 @@ def _lattice_subnets(net: Network, assoc: Association, grid: tuple,
     roles, silent = assoc.roles, Role.SILENT
     n = len(roles) // nk
     master_set = set(assoc.masters)
-    ms = sorted(m for m in master_set if 0 <= m < n)
-    if not ms:
+    if not (ms := sorted(m for m in master_set if 0 <= m < n)):
         return None
     firsts = [bases[r] + lo for r, (_, lo, _) in enumerate(rows, 1)]
 
@@ -417,14 +410,11 @@ def _lattice_subnets(net: Network, assoc: Association, grid: tuple,
         return rows[r - 1][0], c - bases[r]
 
     t = min(ms, key=lambda m: hex_distance(coord(m), (0, 0)))  # the master nearest the centre
-    start = next((k for k in range(nk * t, nk * t + nk) if roles[k] is not silent), None)
-    if start is None:
-        return None
     owner: list[int | None] = [None] * len(roles)
     hop: list[int | None] = [None] * len(roles)
-    scratch = ValidationReport()
-    tm, _, tmasters, to, tp, _, cross = _walk(net, assoc, scratch, (start,), owner, hop,
-                                              master_set)
+    scratch = ValidationReport()  # the template: one component from the master's nodes
+    tm, _, tmasters, to, tp, _, cross = _walk(net, assoc, scratch, range(nk * t, nk * t + nk),
+                                              owner, hop, master_set)
     if tmasters != [t] or cross or scratch.violations or scratch.warnings:
         return None
     tc = coord(t)
@@ -609,12 +599,8 @@ def master_reachability(subnets: Subnets, scheme: Scheme, D: int) -> ValidationR
 
 
 def _proven_first(subnets: Subnets, every):
-    """``every``, preceded by the template's and the rim's members of proven columns.
-
-    A translate repeats the template's nodes, roles and neighbours, so a
-    check that finds nothing on the template and the rim finds nothing at
-    all; one that finds something is run again on ``every``.
-    """
+    """The template's and the rim's members of proven columns, then ``every``: a check
+    that finds nothing on the former finds nothing in the translates either."""
     if subnets.translates is not None:
         template, _, rim, _ = subnets.translates
         members, starts = subnets.members, subnets.starts
@@ -624,11 +610,8 @@ def _proven_first(subnets: Subnets, every):
 
 
 def validate(net: Network, assoc: Association) -> tuple[Subnets, ValidationReport]:
-    """Run all structural checks and merge the reports.
-
-    The decomposition comes first, so that a proof it found also spares
-    the fast-independence and hop-budget checks the translates.
-    """
+    """Run all structural checks and merge the reports; a proof the decomposition
+    found spares the fast-independence and hop-budget checks the translates."""
     subnets, r2 = subnet_decompose(net, assoc)
     for nodes in _proven_first(subnets, net.tx_nodes):
         r1 = _fast_report(net, assoc, nodes)
