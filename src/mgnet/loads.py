@@ -224,7 +224,7 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
     D, L = assoc.D, net.L
     t = subnets.translates
     counts, tx_use, rx_use, rx_off = _tally(net, assoc, subnets, t)
-    if t is not None and _shares_links(net.rx_coop, rx_off, rx_use, t[3]):
+    if t is not None and _shares_links(net.rx_coop, rx_off, rx_use, shared=t[3]):
         counts, tx_use, rx_use, _ = _tally(net, assoc, subnets, None)
     precancel, fast_share, fanin, fast_master_saved, q_dedup = counts
     fanout = fanin
