@@ -362,11 +362,10 @@ def _ball_grid(net: Network, assoc: Association) -> tuple | None:
     """(radius, rows, bases, nodes per cell) of a ball that is the builder's lattice
     within radius - 1, for a hexagonal association with masters or a sectorized
     CoMP-Rx one, or None (see the module docstring)."""
-    model, scheme = net.model, assoc.scheme
-    if not (model in (HEX, SECTORED) and net.has_rim and assoc.masters and scheme.cooperative
-            and (model == HEX or scheme.comp_side == "rx")):
+    model, scheme, radius = net.model, assoc.scheme, net.params.get("radius")
+    if not (model in (HEX, SECTORED) and isinstance(radius, int) and assoc.masters
+            and scheme.cooperative and (model == HEX or scheme.comp_side == "rx")):
         return None
-    radius = net.params["radius"]
     rows = ball_rows(radius)
     los, his, bases = _pads(rows)
     n = bases[-2] + his[-2] + 1
