@@ -28,6 +28,14 @@ Per-cell code uses these and needs no model branch.
 Adjacency is a tuple of sorted tuples, and equal relations share one
 object (``tx_coop is interference`` in every model).
 
+The line and ball builders mark the ``Network`` they return with the
+objects they put in the fields that describe its graph, and its size.
+``as_built`` answers in O(1) whether a network is still exactly such a
+builder's line or ball, so that ``validation`` may solve it by its period
+or master lattice without re-proving its structure.  Every marked object
+is immutable; a reassigned field, a changed ``params``, a
+``dataclasses.replace`` copy or a hand-made ``Network`` matches no mark.
+
 Hex and sectorized adjacency is written once, by ``_adjacency``, from the
 domain's rows (a, lo, hi) in id order (``lattice.ball_rows``,
 ``TorusGeometry.rows``): cell (a, b) has id ``base[a] + b``, so each
@@ -35,8 +43,7 @@ neighbour step of a row's inner cells is one run of ids, and only the few
 cells at a row's ends look up their neighbours one by one, through
 ``canon`` where a torus seam wraps them (a torus build keeps one memo of
 ``canon``, so each off-domain cell is canonicalised once).  No coordinate
-is looked up in a dict.  ``validation`` proves a ball's inner runs
-against the same ``_run_slices``.
+is looked up in a dict.
 
 Finite instances come in two flavours: hex-distance balls of a given
 radius (edge effects at the rim) and tori holding M x M whole subnets of a
@@ -50,6 +57,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, product
+from operator import attrgetter, is_
 
 from .lattice import (Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows,
                       row_cells)
@@ -97,6 +105,8 @@ class Network:
     cell_coords: Sequence = field(default=(), repr=False)  # per Rx cell
     tx_cell: Sequence[int] = field(default=(), repr=False)  # Tx node -> Rx cell
     geometry: object | None = field(default=None, repr=False)
+    # (the _MARKED fields, size) as a line or ball builder returned them; see ``as_built``
+    _mark: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_tx(self) -> int:
@@ -133,6 +143,27 @@ class Network:
         }
 
 
+_MARKED = attrgetter("model", "tx_nodes", "rx_nodes", "interference", "tx_coop", "rx_coop",
+                     "tx_cell")
+
+
+def _marked(net: Network, size: int) -> Network:
+    """``net``, marked as its builder returns it: a line of K = size nodes or a ball of
+    radius size."""
+    net._mark = (_MARKED(net), size)
+    return net
+
+
+def as_built(net: Network) -> int | None:
+    """K of a line, or the radius of a ball, that is exactly what ``build_wyner``,
+    ``build_hex`` or ``build_sectored_hex`` returned; None for any other network."""
+    if net._mark is None:
+        return None
+    fields, size = net._mark
+    key = "K" if fields[0] == WYNER else "radius"
+    return size if all(map(is_, fields, _MARKED(net))) and net.params == {key: size} else None
+
+
 def _need_at_least(**sizes: tuple[int, int]) -> None:
     """Raise ValueError naming the first size argument below its least value.
 
@@ -157,12 +188,12 @@ def build_wyner(K: int, L: int) -> Network:
     else:  # the neighbour tuples share the int objects of ``nodes``
         adj = ((), nodes[1:2], *zip(nodes, nodes[2:]), nodes[-2:-1])
     q = 2 * K - 2
-    return Network(
+    return _marked(Network(
         model=WYNER, L=L, tx_nodes=nodes, rx_nodes=nodes,
         interference=adj, tx_coop=adj, rx_coop=adj,
         q_tx=q, q_rx=q, params={"K": K},
         coords=ids, cell_coords=ids, tx_cell=ids,
-    )
+    ), K)
 
 
 # Bounds of the pad rows beyond either end of a domain: no b lies in them.
@@ -270,7 +301,8 @@ def _hex_from_rows(rows: list[Row], L: int, canon, params: dict, geometry) -> Ne
 def build_hex(radius: int, L: int) -> Network:
     """Hexagonal network on the radius-``radius`` hex ball around the origin."""
     _need_at_least(radius=(radius, 0), L=(L, 1))
-    return _hex_from_rows(ball_rows(radius), L, None, {"radius": radius}, PlaneGeometry())
+    return _marked(_hex_from_rows(ball_rows(radius), L, None, {"radius": radius},
+                                  PlaneGeometry()), radius)
 
 
 def build_hex_torus(tau: int, copies: int, L: int) -> Network:
@@ -295,7 +327,7 @@ def _sectored_from_rows(rows: list[Row], L: int, canon, params: dict,
         interference=interference, tx_coop=interference, rx_coop=rx_coop,
         q_tx=q_tx, q_rx=q_rx, params=params,
         coords=list(product(cells, SECTOR_KINDS)), cell_coords=cells,
-        tx_cell=list(chain.from_iterable(zip(rx_nodes, rx_nodes, rx_nodes))),
+        tx_cell=tuple(chain.from_iterable(zip(rx_nodes, rx_nodes, rx_nodes))),
         geometry=geometry,
     )
 
@@ -303,8 +335,8 @@ def _sectored_from_rows(rows: list[Row], L: int, canon, params: dict,
 def build_sectored_hex(radius: int, L: int) -> Network:
     """Sectorized hexagonal network (3 Tx sectors per cell, one 3L-antenna Rx per cell)."""
     _need_at_least(radius=(radius, 0), L=(L, 1))
-    return _sectored_from_rows(ball_rows(radius), L, None, {"radius": radius},
-                               PlaneGeometry())
+    return _marked(_sectored_from_rows(ball_rows(radius), L, None, {"radius": radius},
+                                       PlaneGeometry()), radius)
 
 
 def build_sectored_hex_torus(tau: int, copies: int, L: int) -> Network:

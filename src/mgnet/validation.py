@@ -29,33 +29,28 @@ and ``master_reachability`` read and require (a list of views carries no
 association); indexing it builds a ``Subnet`` view on demand, with ``gamma``
 in node order, and nothing keeps the views.
 
-A line is solved by its period instead when ``_line_period`` proves one,
-with C-level checks only: the interference graph is ``build_wyner``'s path
-1..K (a network with a rim), cooperation runs on that same object and every
-node is its own cell; the roles repeat with P (D + 2, or 2 without
-cooperation), node P is silent and nodes 1..P-1 are not; the masters are
-one per whole run of P - 1 nodes, at one offset; and K >= 2P.  The
-components are then the runs between the multiples of P, so
-``_periodic_subnets`` builds every column from one run's template by
-strided slices, adds the shorter masterless tail run with its
-``partial-subnet`` warning, and records P in ``Subnets.period``.
+A network that ``topology.as_built`` finds to be exactly a builder's line
+or ball has the graph its builder wrote: the builder's mark stands in for
+any proof of its structure, so only the association is checked before most
+of the walk is spared.  A line is solved by its period P (D + 2, or 2
+without cooperation) when ``_line_period`` finds K >= 2P, roles that repeat
+with P and one master per whole run of P - 1 nodes, at one offset, and the
+walk of run 0 from node 1 is the nodes 1..P-1.  The components are then the
+runs between the multiples of P, so ``_periodic_subnets`` copies every
+column from that walk by strided slices and adds the shorter masterless
+tail run with its ``partial-subnet`` warning.
 
-A ball is solved by its master lattice instead when ``_ball_grid`` proves,
-again with C-level checks only, that it is a builder ball (ids 0..n-1 in
-the rows of ``ball_rows``, ``tx_coop is interference``, ``tx_cell`` the
-identity or three sectors per cell) whose rows' inner runs of
-``interference``, and of a separate ``rx_coop``, equal the builder's
-strided-slice zips: every cell within radius - 1 then has the lattice's
-neighbours.  ``_lattice_subnets`` walks one template, the component of the
-master nearest the centre, which must show no violation.  Its territory is
-the hex ball around its master one step wider than the component, so the
-component's neighbours lie in it.  Every master whose territory lies in the
-ball must match the template's roles and master flags there, row segment by
-row segment; its component, hops and hop search are then the template's,
-moved by a constant id shift per row.  The walk covers the rest, the rim,
-and skips these translates; an edge from the rim into one, or any failed
-check, takes the whole walk.  Any other network or association takes the
-walk above, so the violations and their order are always the walk's.
+A ball is solved by its master lattice: ``_lattice_subnets`` walks one
+template, the component of the master nearest the centre, which must show
+no violation.  Its territory is the hex ball around its master one step
+wider than the component, so the component's neighbours lie in it.  Every
+master whose territory lies in the ball must match the template's roles and
+master flags there, row segment by row segment; its component, hops and hop
+search are then the template's, moved by a constant id shift per row.  The
+walk covers the rest, the rim, and skips these translates; an edge from the
+rim into one, or any failed check, takes the whole walk.  Any other network
+or association takes the walk above, so the violations and their order are
+always the walk's.
 
 Both proofs set ``Subnets.translates`` (a line's whole runs are the
 translates of run 0, its tail the rim): ``validate`` then checks fast
@@ -70,13 +65,12 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice, repeat
-from operator import add, eq, itemgetter
+from itertools import accumulate, chain, repeat
+from operator import add, itemgetter
 
 from .association import Association, Role, Scheme, valid_d
 from .lattice import ball_rows, hex_distance
-from .topology import (_HEX_STEPS, _SECTOR_STEPS, HEX, SECTORED, WYNER, Network, _inner_run,
-                       _pads, _run_slices)
+from .topology import HEX, WYNER, Network, _pads, as_built
 
 
 @dataclass(slots=True)
@@ -101,12 +95,11 @@ class Subnets(Sequence):
     the master in that search (None for the master).  These entries carry
     their own parents because one sectorized cell can lie in the searches
     of two components.  ``assoc`` is the association the columns were
-    built from.  ``period`` is a line's proven period P (None otherwise).
-    ``translates`` is set when a proof built the columns (see the module
-    docstring), to (template, copies, rim, shared): component ``template``
-    and ``copies - 1`` others (a line's whole runs, a ball's interior
-    subnets) are translates of one another, the components listed in
-    ``rim`` are the others, and ``shared`` holds the template's Rx cells
+    built from.  ``translates`` is set when a proof built the columns (see
+    the module docstring), to (template, copies, rim, shared): component
+    ``template`` and ``copies - 1`` others (a line's whole runs, a ball's
+    interior subnets) are translates of one another, the components listed
+    in ``rim`` are the others, and ``shared`` holds the template's Rx cells
     that also hold an active node of another component (none on a line or
     a hex ball).  The template and the rim are all that ``validate`` and
     ``message_ledger`` read.  It is None after the general walk.
@@ -115,15 +108,15 @@ class Subnets(Sequence):
     """
 
     __slots__ = ("assoc", "members", "starts", "masters", "hop",
-                 "order", "order_parent", "order_starts", "period", "translates")
+                 "order", "order_parent", "order_starts", "translates")
 
     def __init__(self, assoc: Association, members: list[int], starts: Sequence[int],
                  masters: list[int | None], hop: list[int | None], order: list[int],
                  order_parent: list[int | None], order_starts: Sequence[int],
-                 period: int | None = None, translates: tuple | None = None) -> None:
+                 translates: tuple | None = None) -> None:
         self.assoc, self.members, self.starts, self.masters = assoc, members, starts, masters
         self.hop, self.order, self.order_parent = hop, order, order_parent
-        self.order_starts, self.period, self.translates = order_starts, period, translates
+        self.order_starts, self.translates = order_starts, translates
 
     def __len__(self) -> int:
         return len(self.masters)
@@ -224,17 +217,17 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     active neighbour outside the component being searched can only belong
     to an earlier one (a later one would have joined it), so every such
     edge is seen, from its later end.  These violations come last, in node
-    order, then adjacency order.  A line with a proven period, and a ball
-    whose interior is proven to repeat with the master lattice, skip all or
-    most of the walk (see the module docstring).
+    order, then adjacency order.  A builder's line whose roles repeat with
+    the period, and a builder's ball whose interior repeats with the master
+    lattice, skip all or most of the walk (see the module docstring).
     """
     _require_same_net(net, assoc)
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
-    if (P := _line_period(net, assoc)) is not None:
-        return _periodic_subnets(net, assoc, P, report), report
-    if (grid := _ball_grid(net, assoc)) is not None and \
-            (solved := _lattice_subnets(net, assoc, grid, report.hop_budget)) is not None:
-        return solved
+    if (size := as_built(net)) is not None:
+        solved = (_periodic_subnets(net, assoc, size, report) if net.model == WYNER
+                  else _lattice_subnets(net, assoc, size, report.hop_budget))
+        if solved is not None:
+            return solved
     n = len(assoc.roles)
     hop: list[int | None] = [None] * n
     members, starts, masters, order, order_parent, order_starts, cross = \
@@ -358,47 +351,19 @@ def _add_cross(report: ValidationReport, cross: list[tuple[int, int]]) -> None:
         report.violations += [(u, f"cross-subnet-interference-{v}") for u, v in cross]
 
 
-def _ball_grid(net: Network, assoc: Association) -> tuple | None:
-    """(radius, rows, bases, nodes per cell) of a ball that is the builder's lattice
-    within radius - 1, for a hexagonal association with masters or a sectorized
-    CoMP-Rx one, or None (see the module docstring)."""
-    model, scheme, radius = net.model, assoc.scheme, net.params.get("radius")
-    if not (model in (HEX, SECTORED) and isinstance(radius, int) and assoc.masters
-            and scheme.cooperative and (model == HEX or scheme.comp_side == "rx")):
+def _lattice_subnets(net: Network, assoc: Association, radius: int,
+                     budget: int) -> tuple[Subnets, ValidationReport] | None:
+    """The walk's ``Subnets`` and report on a builder's ball of this radius, from one
+    template, its translates and the rim (see the module docstring), for a hexagonal
+    association with masters or a sectorized CoMP-Rx one; otherwise None."""
+    roles, silent, scheme = assoc.roles, Role.SILENT, assoc.scheme
+    if not (assoc.masters and scheme.cooperative and len(roles) == len(net.tx_nodes)
+            and (net.model == HEX or scheme.comp_side == "rx")):
         return None
     rows = ball_rows(radius)
-    los, his, bases = _pads(rows)
-    n = bases[-2] + his[-2] + 1
-    kinds = _HEX_STEPS if model == HEX else _SECTOR_STEPS
-    nk = len(kinds)
-    adj, rx, cells = net.interference, net.rx_coop, range(n)
-    tx_nodes, rx_nodes = net.tx_nodes, net.rx_nodes
-    if not (len(tx_nodes) == len(adj) == len(assoc.roles) == nk * n
-            and len(rx_nodes) == len(rx) == n and net.tx_coop is adj
-            and all(map(eq, tx_nodes, range(nk * n)))
-            and (rx_nodes is tx_nodes or all(map(eq, rx_nodes, cells)))
-            and net.tx_cell == (cells if nk == 1 else
-                                list(chain.from_iterable(zip(*[rx_nodes] * nk))))):
-        return None
-    # the slices take the ids from the node tuples, whose int objects the builder's tuples share
-    graphs = [(adj, kinds, tx_nodes)]
-    if rx is not adj:
-        graphs.append((rx, _HEX_STEPS, rx_nodes))
-    for r in range(1, len(rows) + 1):
-        bl, bh = _inner_run(los, his, r)
-        if bl <= bh and not all(all(map(eq, graph[ids], nbrs)) for graph, ks, nodes in graphs
-                                for ids, nbrs in _run_slices(ks, bases, r, bl, bh, nodes)):
-            return None
-    return radius, rows, bases, nk
-
-
-def _lattice_subnets(net: Network, assoc: Association, grid: tuple,
-                     budget: int) -> tuple[Subnets, ValidationReport] | None:
-    """The walk's ``Subnets`` and report on a ball ``_ball_grid`` proved, from one
-    template, its translates and the rim (see the module docstring), or None."""
-    radius, rows, bases, nk = grid
-    roles, silent = assoc.roles, Role.SILENT
-    n = len(roles) // nk
+    bases = _pads(rows)[2]
+    n = len(net.rx_nodes)
+    nk = len(net.tx_nodes) // n  # nodes per cell
     master_set = set(assoc.masters)
     if not (ms := sorted(m for m in master_set if 0 <= m < n)):
         return None
@@ -498,21 +463,16 @@ def _lattice_subnets(net: Network, assoc: Association, grid: tuple,
     return Subnets(assoc, list(chain.from_iterable(mems)),
                    array("q", accumulate(map(len, mems), initial=0)), list(masters), hop,
                    list(chain.from_iterable(orders)), list(chain.from_iterable(parents)),
-                   array("q", accumulate(map(len, orders), initial=0)), None,
+                   array("q", accumulate(map(len, orders), initial=0)),
                    (kind.index(2), kind.count(1) + 1,
                     tuple(i for i, x in enumerate(kind) if not x), shared)), report
 
 
-def _line_period(net: Network, assoc: Association) -> int | None:
-    """The period P of the line the walk would cut into runs of P - 1 nodes, or None."""
-    adj, nodes, roles, masters = net.interference, net.tx_nodes, assoc.roles, assoc.masters
-    K = len(nodes)
+def _line_period(assoc: Association, K: int) -> int | None:
+    """The period P of the roles and masters on a builder's line of K nodes, or None."""
+    roles, masters = assoc.roles, assoc.masters
     P = assoc.D + 2 if assoc.scheme.cooperative else 2
-    silent = Role.SILENT
-    if not (K >= 2 * P and net.has_rim and len(adj) == len(roles) == K + 1
-            and net.tx_coop is net.rx_coop is adj and net.tx_cell == range(K + 1)
-            and roles[P] is silent and silent not in roles[1:P]
-            and adj[1] == (2,) and adj[K] == (K - 1,)):
+    if not (K >= 2 * P and len(roles) == K + 1):
         return None
     if assoc.scheme.cooperative:  # one master per whole run, all at one offset
         m0 = masters[0] if masters else 0
@@ -520,54 +480,51 @@ def _line_period(net: Network, assoc: Association) -> int | None:
             return None
     elif masters:
         return None
-    if (roles[1 + P:] == roles[1:-P] and all(map(eq, nodes, range(1, K + 1)))
-            and all(map(eq, islice(adj, 2, K), zip(nodes, islice(nodes, 2, None))))):
-        return P
-    return None
+    return P if roles[1 + P:] == roles[1:-P] else None
 
 
-def _periodic_subnets(net: Network, assoc: Association, P: int,
-                      report: ValidationReport) -> Subnets:
-    """The walk's columns on a line of period P, built from one run's template.
+def _periodic_subnets(net: Network, assoc: Association, K: int,
+                      report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
+    """The walk's columns and report on a builder's line of K nodes, from the walk of
+    run 0, or None unless ``_line_period`` finds a period P and that walk is the nodes
+    1..P-1.
 
     Run ``j`` holds the nodes ``j * P + 1 .. j * P + P - 1``; the whole runs
-    have a master at one offset ``m0`` and hop counts ``|k - m0|`` along the
-    path, and the tail run after the last whole one (shorter than P - 1
-    nodes) has no master.  The search from ``m0`` visits m0, m0-1, m0+1,
-    m0-2, ... while they lie in the run, each parented by its neighbour
-    towards m0.  Every column holds the int objects of ``net.tx_nodes`` (as
-    the walk's do), copied by strided slices, one per offset in the run.
+    have a master at one offset, and the tail run after the last whole one
+    (shorter than P - 1 nodes) has none.  Every column holds the int objects
+    of ``net.tx_nodes`` (as the walk's do), copied by strided slices, one per
+    entry of run 0's hop search.
     """
-    K = len(net.tx_nodes)
+    if (P := _line_period(assoc, K)) is None:
+        return None
+    hop: list[int | None] = [None] * (K + 1)
+    tm, _, _, to, tp, _, _ = _walk(net, assoc, ValidationReport(), (1,), [None] * (K + 1), hop,
+                                   set(assoc.masters[:1]))
+    if tm != list(range(1, P)):  # so node P is silent and nodes 1..P-1 are not
+        return None
     whole = (K + 1) // P
     n = whole * (P - 1)  # members of the whole runs
     members = list(net.tx_nodes)
     del members[P - 1::P]  # the silent multiples of P; the tail run follows the whole ones
     starts = array("q", range(0, n + 1, P - 1))
     masters: list[int | None] = list(assoc.masters) or [None] * whole
-    if assoc.masters:
-        m0 = assoc.masters[0]
-        hop: list[int | None] = ([None] + [abs(k - m0) for k in range(1, P)]) * whole
-        hop += [None] * (K + 1 - len(hop))  # the last silent node and the tail run
-        order: list[int] = [0] * n
-        order_parent: list[int | None] = [None] * n  # None stays on each master
-        tpl = [m0] + [c for g in range(1, P) for c in (m0 - g, m0 + g) if 0 < c < P]
-        for q, c in enumerate(tpl):  # the q-th cell of every run's search
-            order[q::P - 1] = members[c - 1:n:P - 1]
-            if q:
-                p = c + 1 if c < m0 else c - 1
-                order_parent[q::P - 1] = members[p - 1:n:P - 1]
-        order_starts = array("q", starts)
-    else:  # no-coop: no masters and no hop searches
-        hop, order, order_parent, order_starts = [None] * (K + 1), [], [], array("q", [0])
+    hop = [None, *hop[1:P]] * whole
+    hop += [None] * (K + 1 - len(hop))  # the last silent node and the tail run
+    order: list[int] = [0] * (len(to) * whole)
+    order_parent: list[int | None] = [None] * len(order)  # None stays on each master
+    for q, (c, p) in enumerate(zip(to, tp)):  # the q-th cell of every run's search
+        order[q::P - 1] = members[c - 1:n:P - 1]
+        if p is not None:
+            order_parent[q::P - 1] = members[p - 1:n:P - 1]
+    order_starts = array("q", range(0, len(order) + 1, P - 1))  # [0] with no search
     if len(members) > n:  # the tail run, clipped by the rim
         starts.append(len(members))
-        if assoc.masters:
+        if to:
             order_starts.append(len(order))
         masters.append(None)
         report.warnings.append(f"partial-subnet:{whole * P + 1}")
-    return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts, P,
-                   (0, whole, tuple(range(whole, len(masters))), frozenset()))
+    return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts,
+                   (0, whole, tuple(range(whole, len(masters))), frozenset())), report
 
 
 def master_reachability(subnets: Subnets, scheme: Scheme, D: int) -> ValidationReport:

@@ -8,14 +8,16 @@ cross-component check, and a separate link-load pass fed by one
 the same things inside the component BFS and inside ``message_ledger``;
 every field of every output must match.
 
-A Wyner line whose period the library proves is decomposed and counted
-from one period; those outputs must match both the reference and the
-library's own general walk, column by column.
+A Wyner line that its builder returned, with periodic roles, is decomposed
+and counted from one period; those outputs must match both the reference
+and the library's own general walk, column by column.  A network changed
+after its builder returned it takes the walk.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
@@ -23,7 +25,7 @@ from unittest import mock
 
 import pytest
 
-from mgnet import (HEX, SECTORED, WYNER, LoadReport, Role, Scheme, Subnet,
+from mgnet import (HEX, SECTORED, WYNER, LoadReport, Network, Role, Scheme, Subnet,
                    ValidationReport, assign, build_hex, build_sectored_hex,
                    build_wyner, check_params, loads, message_ledger, subnet_decompose,
                    validate, validation)
@@ -240,20 +242,22 @@ def test_matches_reference_at_scale(model, make, Ds):
 COLUMNS = ("members", "starts", "masters", "hop", "order", "order_parent", "order_starts")
 
 
-def walked(net, assoc):
-    """``subnet_decompose`` by the general walk, with the period proof switched off."""
-    with mock.patch.object(validation, "_line_period", return_value=None):
-        return subnet_decompose(net, assoc)
+def _and_walk(fn, net, assoc):
+    """``fn(net, assoc)`` with the builders' mark ignored, so that it takes the walk."""
+    with mock.patch.object(validation, "as_built", return_value=None):
+        return fn(net, assoc)
 
 
 def assert_period_matches_walk(net, D, scheme):
     """The period path equals the walk on every column, report and ledger field."""
     assoc = assign(net, D, scheme)
     subnets, report = subnet_decompose(net, assoc)
-    walk, walk_report = walked(net, assoc)
-    P = D + 2 if scheme.cooperative else 2
-    assert subnets.period == (P if net.n_tx >= 2 * P else None)
-    assert walk.period is None
+    walk, walk_report = _and_walk(subnet_decompose, net, assoc)
+    K, P = net.n_tx, D + 2 if scheme.cooperative else 2
+    whole = (K + 1) // P
+    tail = () if K % P in (0, P - 1) else (whole,)  # the runs after the last whole one
+    assert subnets.translates == ((0, whole, tail, frozenset()) if K >= 2 * P else None)
+    assert walk.translates is None
     for col in COLUMNS:
         assert list(getattr(subnets, col)) == list(getattr(walk, col)), col
     assert report == walk_report
@@ -284,9 +288,10 @@ def test_line_period_matches_walk_and_reference():
     assert periodic > 1800
 
 
-@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
-def test_line_period_at_bench_scale(scheme):
-    assert_period_matches_walk(build_wyner(100_000, 2), 6, scheme)
+@pytest.mark.parametrize("scheme, K", [(s, K) for K in (100_000, 100_003) for s in Scheme],
+                         ids=[s.value + tail for tail in ("", "-tail") for s in Scheme])
+def test_line_period_at_bench_scale(scheme, K):
+    assert_period_matches_walk(build_wyner(K, 2), 6, scheme)
 
 
 def _mutated_roles():
@@ -434,19 +439,13 @@ def _short():
 def test_line_period_falls_back_to_the_walk(make, violations, warnings):
     net, assoc = make()
     subnets, report = subnet_decompose(net, assoc)
-    assert subnets.period is None
+    assert subnets.translates is None
     assert (report.violations, report.warnings) == (violations, warnings)
     ref_subnets, ref_report = ref_subnet_decompose(net, assoc)
     assert report == ref_report
     assert [(s.members, s.master, s.gamma) for s in subnets] == \
         [(s.members, s.master, s.gamma) for s in ref_subnets]
     assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
-
-
-def _and_walk(fn, net, assoc):
-    """``fn(net, assoc)`` with the ball proof switched off, so that it takes the walk."""
-    with mock.patch.object(validation, "_ball_grid", return_value=None):
-        return fn(net, assoc)
 
 
 def assert_lattice_matches_walk(net, D, scheme, reference=True):
@@ -573,6 +572,11 @@ def _cut_rx_link():
     return net, assign(net, 4, Scheme.SLOW_COMP_RX)
 
 
+def _long_ball_roles():
+    net, a = _ball_case()
+    return net, replace(a, roles=a.roles + a.roles[:7])  # seven more roles past the last cell
+
+
 def _at(net, coord, kind=None):
     """The id of the cell at ``coord``, or of its ``kind`` sector."""
     i = _cell(net, coord)
@@ -603,9 +607,10 @@ def _at(net, coord, kind=None):
     (lambda: _rim_edge_into_translate((14, 0)), False, lambda net: [
         (_at(net, (14, 0)), f"cross-subnet-interference-{_at(net, (1, 1))}")]),
     (_cut_rx_link, False, lambda net: [(_at(net, (0, 2), "S"), "hop-budget-exceeded-3>2")]),
+    (_long_ball_roles, False, lambda net: []),
 ], ids=["interior-role", "later-interior-role", "periodic-clash", "dropped-master",
         "extra-master", "extra-rim-master", "replaced-tuple", "rim-edge-before", "rim-edge-after",
-        "cut-rx-link"])
+        "cut-rx-link", "long-roles"])
 def test_ball_lattice_falls_back_to_the_walk(make, proven, violations):
     net, assoc = make()
     assert net.has_rim
@@ -621,6 +626,60 @@ def test_ball_lattice_falls_back_to_the_walk(make, proven, violations):
     assert subnet_decompose(net, assoc)[1] == ref_report
     assert [(s.members, s.master, s.gamma) for s in subnets] == \
         [(s.members, s.master, s.gamma) for s in ref_subnets]
+    assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
+
+
+MARKED = ("model", "tx_nodes", "rx_nodes", "interference", "tx_coop", "rx_coop", "tx_cell")
+
+
+def _equal_copy(value):
+    """An object equal to ``value`` that is not ``value``."""
+    if isinstance(value, str):
+        other = "".join([*value])
+    else:
+        other = value[:] if isinstance(value, range) else tuple([*value])
+    assert other == value and other is not value
+    return other
+
+
+def _changed(net, how):
+    """``net`` copied or changed after its builder returned it, its graph kept."""
+    if how == "deepcopy":
+        return copy.deepcopy(net)
+    if how == "replace":
+        return replace(net)
+    if how == "rebuilt":  # a hand-made network from the builder's own objects
+        return Network(**{f.name: getattr(net, f.name) for f in fields(Network) if f.init})
+    if how == "params":
+        (key,) = net.params
+        net.params[key] += 1
+    else:
+        setattr(net, how, _equal_copy(getattr(net, how)))
+    return net
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "replace", *MARKED, "params", "rebuilt"])
+@pytest.mark.parametrize("make, D", [
+    (lambda: build_wyner(45, 1), 6),  # five whole runs of period 8 and a tail
+    (lambda: build_hex(14, 1), 8),
+    (lambda: build_sectored_hex(12, 1), 4),
+], ids=["line", "hex-ball", "sectorized-ball"])
+def test_only_a_network_as_its_builder_returned_it_takes_a_proof(make, D, how):
+    net = make()
+    for name in MARKED:
+        hash(getattr(net, name))  # immutable, so that the mark cannot go stale
+    assoc = assign(net, D, Scheme.BOTH_COMP_RX)
+    proven, proven_report = validate(net, assoc)
+    assert proven.translates is not None
+    net = _changed(net, how)
+    assoc = replace(assoc, net=net)  # the same roles and masters
+    subnets, report = validate(net, assoc)
+    assert (subnets.translates is not None) == (how == "deepcopy")
+    for col in COLUMNS:
+        assert list(getattr(subnets, col)) == list(getattr(proven, col)), col
+    assert report == proven_report
+    ref_subnets, ref_report = ref_subnet_decompose(net, assoc)
+    assert subnet_decompose(net, assoc)[1] == ref_report
     assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
 
 
