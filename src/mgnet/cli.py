@@ -5,7 +5,7 @@ Rationals are accepted as 'p/q' strings and emitted exactly; CSV renders a
 decimal when possible plus the exact numerator/denominator columns.
 
 Exit codes: 0 success, 2 invalid parameters (the message names the violated
-precondition, or the size flag that the model does not take), 3 `validate`
+precondition, or the flag whose value is unusable or not taken), 3 `validate`
 found a violated precondition, or `loads` found a ledger that differs from the
 closed form on a torus (`--tiling`) or a line of whole D+2 periods (`--K`),
 1 internal failure.
@@ -27,6 +27,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .association import SCHEME_ALIASES, Scheme, assign, check_params, scheme_tau, valid_d
@@ -107,12 +108,28 @@ def _write_json(o, newline: str, put) -> None:
         put(json.dumps(o))
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"--out={path}: {exc.strerror}") from None
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _prelog(flag: str, text: str) -> Fraction:
+    try:
+        if (value := parse_ratio(text)) >= 0:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{flag}={text}: need a nonnegative rational p/q")
 
 
 def _polyline_csv(series: list[tuple[str, list]]) -> str:
@@ -129,7 +146,7 @@ def _polyline_csv(series: list[tuple[str, list]]) -> str:
 
 def cmd_region(args) -> int:
     model = MODELS[args.model]
-    mu_tx, mu_rx = parse_ratio(args.mu_tx), parse_ratio(args.mu_rx)
+    mu_tx, mu_rx = _prelog("--mu-tx", args.mu_tx), _prelog("--mu-rx", args.mu_rx)
     region = achievable_region(model, args.D, args.L, mu_tx, mu_rx)
     if args.format == "csv":
         _emit(args, _polyline_csv([("region", boundary_polyline(region))]))
@@ -208,7 +225,7 @@ def cmd_sweep(args) -> int:
         for d in ds[first::step // math.gcd(step, ds.step)]:
             f = formulas(model, d, args.L)
             if w is None:
-                out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
+                out = stack.enter_context(_open_out(args.out)) if args.out else sys.stdout
                 w = csv.writer(out, lineterminator="\n")
                 names = [k for k in _SWEEP_COLUMNS if k in f]
                 w.writerow(["D"] + names)
@@ -218,16 +235,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that keeps the Action of each one-value option in ``flags``."""
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.nargs is None:  # -h takes no value and is left to argparse
-            vars(self).setdefault("flags", {}).update(dict.fromkeys(action.option_strings, action))
-        return action
-
-
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
@@ -235,8 +242,8 @@ def make_parser() -> argparse.ArgumentParser:
     ``.commands`` maps each subcommand name to its own parser. Every `main` call
     parses with these objects, so callers must not mutate them (add arguments).
     """
-    ap = _Parser(prog="mgnet", description=__doc__,
-                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = argparse.ArgumentParser(prog="mgnet", description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("region", help="achievable MG region for given prelog budgets")
@@ -309,16 +316,17 @@ def _glue_ranges(args: list[str]) -> list[str]:
     return args
 
 
-def _read_pairs(sub: _Parser, argv: list[str]) -> argparse.Namespace | None:
+def _read_pairs(sub: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
     """argparse's namespace for ``command --flag value ...`` with exact option strings,
     every required one, and values argparse takes as they stand (no leading '-', of the
-    Action's type and choices; a repeated flag keeps the last); else None."""
+    Action's type and choices; a repeated flag keeps the last); else None.  The options
+    are read from argparse's own table; -h takes no value and is left to argparse."""
     if len(argv) % 2 == 0:
         return None
-    flags, values = sub.flags, {}
+    flags, values = sub._option_string_actions, {}
     for flag, value in zip(argv[1::2], argv[2::2]):
         action = flags.get(flag)
-        if action is None or value.startswith("-"):
+        if action is None or action.nargs is not None or value.startswith("-"):
             return None
         try:
             value = (action.type or str)(value)
@@ -327,7 +335,9 @@ def _read_pairs(sub: _Parser, argv: list[str]) -> argparse.Namespace | None:
         if action.choices is not None and value not in action.choices:
             return None
         values[action.dest] = value
-    for action in flags.values():
+    for action in sub._actions:
+        if action.nargs is not None:
+            continue
         if action.required and action.dest not in values:
             return None
         values.setdefault(action.dest, action.default)

@@ -99,9 +99,6 @@ def _nearest_on_plane(c: Coord, tau: int) -> tuple[int, list[tuple[Coord, Coord]
 class PlaneGeometry:
     """Cells of the infinite lattice; master sublattice of spacing ``tau`` everywhere."""
 
-    def canon(self, c: Coord) -> Coord:
-        return c
-
     def nearest_masters(self, c: Coord, tau: int) -> tuple[int, list[tuple[Coord, Coord]]]:
         """Distance to the master lattice and all (master, displacement) pairs attaining it."""
         return _nearest_on_plane(c, tau)

@@ -259,9 +259,7 @@ def _tally(net: Network, assoc: Association, subnets: Subnets,
         parts, numbered = [(1, net.tx_nodes, range(len(subnets)))], None
     else:
         i, copies, rim_subnets, _ = t
-        members, starts = subnets.members, subnets.starts
-        template = members[starts[i]:starts[i + 1]]
-        rim = [k for j in rim_subnets for k in members[starts[j]:starts[j + 1]]]
+        template, rim = subnets.template_and_rim()
         parts = [(copies, template, (i,)), (1, rim, rim_subnets)]
         numbered = template + rim  # a message runs between two cells of its own subnet
     tx_off = _edge_offsets(tx_adj, numbered)

@@ -29,7 +29,8 @@ Adjacency is a tuple of sorted tuples, and equal relations share one
 object (``tx_coop is interference`` in every model).
 
 The line and ball builders mark the ``Network`` they return with the
-objects they put in the fields that describe its graph, and its size.
+objects they put in the fields that describe its graph and its cells'
+coordinates, and its size.
 ``as_built`` answers in O(1) whether a network is still exactly such a
 builder's line or ball, so that ``validation`` may solve it by its period
 or master lattice without re-proving its structure.  Every marked object
@@ -144,7 +145,7 @@ class Network:
 
 
 _MARKED = attrgetter("model", "tx_nodes", "rx_nodes", "interference", "tx_coop", "rx_coop",
-                     "tx_cell")
+                     "tx_cell", "cell_coords")
 
 
 def _marked(net: Network, size: int) -> Network:
@@ -284,7 +285,7 @@ def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], .
 
 
 def _hex_from_rows(rows: list[Row], L: int, canon, params: dict, geometry) -> Network:
-    cells = row_cells(rows)
+    cells = tuple(row_cells(rows))
     ids = range(len(cells))
     nodes = tuple(ids)
     adj = _adjacency(rows, _HEX_STEPS, canon, nodes)
@@ -315,7 +316,7 @@ def build_hex_torus(tau: int, copies: int, L: int) -> Network:
 def _sectored_from_rows(rows: list[Row], L: int, canon, params: dict,
                         geometry) -> Network:
     """Sector ``3 * i + j`` is the ``SECTOR_KINDS[j]`` sector of cell ``i``."""
-    cells = row_cells(rows)
+    cells = tuple(row_cells(rows))
     rx_nodes = tuple(range(len(cells)))
     tx_nodes = tuple(range(3 * len(cells)))
     interference = _adjacency(rows, _SECTOR_STEPS, canon, tx_nodes)

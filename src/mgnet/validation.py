@@ -33,24 +33,26 @@ A network that ``topology.as_built`` finds to be exactly a builder's line
 or ball has the graph its builder wrote: the builder's mark stands in for
 any proof of its structure, so only the association is checked before most
 of the walk is spared.  A line is solved by its period P (D + 2, or 2
-without cooperation) when ``_line_period`` finds K >= 2P, roles that repeat
-with P and one master per whole run of P - 1 nodes, at one offset, and the
-walk of run 0 from node 1 is the nodes 1..P-1.  The components are then the
-runs between the multiples of P, so ``_periodic_subnets`` copies every
-column from that walk by strided slices and adds the shorter masterless
-tail run with its ``partial-subnet`` warning.
+without cooperation) when K >= 2P, the roles repeat with P, the whole runs
+of P - 1 nodes have one master each, at one offset, and the walk of run 0
+from node 1 is the nodes 1..P-1.  The components are then the runs between
+the multiples of P, so ``_periodic_subnets`` copies every column from that
+walk by strided slices and adds the shorter masterless tail run with its
+``partial-subnet`` warning.
 
 A ball is solved by its master lattice: ``_lattice_subnets`` walks one
-template, the component of the master nearest the centre, which must show
-no violation.  Its territory is the hex ball around its master one step
-wider than the component, so the component's neighbours lie in it.  Every
-master whose territory lies in the ball must match the template's roles and
-master flags there, row segment by row segment; its component, hops and hop
-search are then the template's, moved by a constant id shift per row.  The
-walk covers the rest, the rim, and skips these translates; an edge from the
-rim into one, or any failed check, takes the whole walk.  Any other network
-or association takes the walk above, so the violations and their order are
-always the walk's.
+template, the component of the master nearest the centre, which must hold
+that master alone.  Its territory is the hex ball around its master one
+step wider than the component, so the component's neighbours lie in it.
+Every master whose territory lies in the ball must match the template's
+roles and master flags there, row segment by row segment; its component,
+hops and hop search are then the template's, moved by a constant id shift
+per row.  The walk covers the rest, the rim, and skips these translates;
+any failed check takes the whole walk.  On a builder's graph a template
+with one master has no violation, and no rim edge reaches a translate,
+whose territory holds every neighbour with the template's roles.  Any other
+network or association takes the walk above, so the violations and their
+order are always the walk's.
 
 Both proofs set ``Subnets.translates`` (a line's whole runs are the
 translates of run 0, its tail the rim): ``validate`` then checks fast
@@ -62,7 +64,6 @@ violations come in node order.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
@@ -120,6 +121,13 @@ class Subnets(Sequence):
 
     def __len__(self) -> int:
         return len(self.masters)
+
+    def template_and_rim(self) -> tuple[list[int], list[int]]:
+        """The template's members and the rim's members of proven columns."""
+        template, _, rim, _ = self.translates
+        members, starts = self.members, self.starts
+        return (members[starts[template]:starts[template + 1]],
+                [k for j in rim for k in members[starts[j]:starts[j + 1]]])
 
     def __getitem__(self, i: int | slice) -> Subnet | list[Subnet]:
         """A ``Subnet`` view of component ``i``, built on each call, with
@@ -360,29 +368,23 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
     if not (assoc.masters and scheme.cooperative and len(roles) == len(net.tx_nodes)
             and (net.model == HEX or scheme.comp_side == "rx")):
         return None
-    rows = ball_rows(radius)
-    bases = _pads(rows)[2]
+    bases = _pads(ball_rows(radius))[2]
     n = len(net.rx_nodes)
     nk = len(net.tx_nodes) // n  # nodes per cell
     master_set = set(assoc.masters)
     if not (ms := sorted(m for m in master_set if 0 <= m < n)):
         return None
-    firsts = [bases[r] + lo for r, (_, lo, _) in enumerate(rows, 1)]
-
-    def coord(c: int) -> tuple[int, int]:
-        r = bisect_right(firsts, c)
-        return rows[r - 1][0], c - bases[r]
-
-    t = min(ms, key=lambda m: hex_distance(coord(m), (0, 0)))  # the master nearest the centre
+    coord = net.cell_coords
+    t = min(ms, key=lambda m: hex_distance(coord[m], (0, 0)))  # the master nearest the centre
     owner: list[int | None] = [None] * len(roles)
     hop: list[int | None] = [None] * len(roles)
     scratch = ValidationReport()  # the template: one component from the master's nodes
-    tm, _, tmasters, to, tp, _, cross = _walk(net, assoc, scratch, range(nk * t, nk * t + nk),
-                                              owner, hop, master_set)
-    if tmasters != [t] or cross or scratch.violations or scratch.warnings:
+    tm, _, tmasters, to, tp, _, _ = _walk(net, assoc, scratch, range(nk * t, nk * t + nk),
+                                          owner, hop, master_set)
+    if tmasters != [t]:
         return None
-    tc = coord(t)
-    R = 1 + max(hex_distance(coord(k // nk), tc) for k in tm)
+    tc = coord[t]
+    R = 1 + max(hex_distance(coord[k // nk], tc) for k in tm)
     if hex_distance(tc, (0, 0)) + R > radius:
         return None
     territory = ball_rows(R)  # rows (da, lo, hi) around a master
@@ -401,7 +403,7 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
 
     def row(c: int) -> int:
         """The index in ``territory`` of cell c's row."""
-        return coord(c)[0] - tc[0] + R
+        return coord[c][0] - tc[0] + R
 
     mrow = [row(k // nk) for k in tm]
     orow, prow = list(map(row, to)), list(map(row, tp[1:]))
@@ -410,7 +412,7 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
     # the masters whose territory lies in the ball, in runs of one spacing along a row
     runs: list[tuple[int, list[int]]] = []
     for m in ms:
-        a, b = coord(m)
+        a, b = coord[m]
         if hex_distance((a, b), (0, 0)) + R > radius:
             continue  # a rim master
         bs = runs[-1][1] if runs and runs[-1][0] == a else None
@@ -447,8 +449,6 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
     rim_set = master_set.difference([piece[3] for piece in pieces])
     rm, rs, rmasters, ro, rp, ros, cross = _walk(net, assoc, report, net.tx_nodes, owner, hop,
                                                  rim_set)
-    if any(owner[v] == -1 for _, v in cross):
-        return None
     _add_cross(report, cross)
 
     # every component, rim (0), translate (1) or template (2), in order of its lowest member
@@ -468,26 +468,11 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
                     tuple(i for i, x in enumerate(kind) if not x), shared)), report
 
 
-def _line_period(assoc: Association, K: int) -> int | None:
-    """The period P of the roles and masters on a builder's line of K nodes, or None."""
-    roles, masters = assoc.roles, assoc.masters
-    P = assoc.D + 2 if assoc.scheme.cooperative else 2
-    if not (K >= 2 * P and len(roles) == K + 1):
-        return None
-    if assoc.scheme.cooperative:  # one master per whole run, all at one offset
-        m0 = masters[0] if masters else 0
-        if not 0 < m0 < P or masters != tuple(range(m0, m0 + P * ((K + 1) // P), P)):
-            return None
-    elif masters:
-        return None
-    return P if roles[1 + P:] == roles[1:-P] else None
-
-
 def _periodic_subnets(net: Network, assoc: Association, K: int,
                       report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
     """The walk's columns and report on a builder's line of K nodes, from the walk of
-    run 0, or None unless ``_line_period`` finds a period P and that walk is the nodes
-    1..P-1.
+    run 0, or None unless the roles and masters repeat with a period P and that walk is
+    the nodes 1..P-1.
 
     Run ``j`` holds the nodes ``j * P + 1 .. j * P + P - 1``; the whole runs
     have a master at one offset, and the tail run after the last whole one
@@ -495,7 +480,15 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
     of ``net.tx_nodes`` (as the walk's do), copied by strided slices, one per
     entry of run 0's hop search.
     """
-    if (P := _line_period(assoc, K)) is None:
+    roles, cooperative = assoc.roles, assoc.scheme.cooperative
+    P = assoc.D + 2 if cooperative else 2
+    if not (K >= 2 * P and len(roles) == K + 1 and roles[1 + P:] == roles[1:-P]):
+        return None
+    if cooperative:  # one master per whole run, all at one offset
+        m0 = assoc.masters[0] if assoc.masters else 0
+        if not 0 < m0 < P or assoc.masters != tuple(range(m0, m0 + P * ((K + 1) // P), P)):
+            return None
+    elif assoc.masters:
         return None
     hop: list[int | None] = [None] * (K + 1)
     tm, _, _, to, tp, _, _ = _walk(net, assoc, ValidationReport(), (1,), [None] * (K + 1), hop,
@@ -558,10 +551,8 @@ def _proven_first(subnets: Subnets, every):
     """The template's and the rim's members of proven columns, then ``every``: a check
     that finds nothing on the former finds nothing in the translates either."""
     if subnets.translates is not None:
-        template, _, rim, _ = subnets.translates
-        members, starts = subnets.members, subnets.starts
-        yield list(chain.from_iterable(members[starts[i]:starts[i + 1]]
-                                       for i in (template, *rim)))
+        template, rim = subnets.template_and_rim()
+        yield template + rim
     yield every
 
 

@@ -164,6 +164,32 @@ def test_bad_network_parameters_are_named(capsys, argv, named):
     assert named in err
 
 
+@pytest.mark.parametrize("budgets, named", [
+    (("--mu-tx", "1/0", "--mu-rx", "1"), "--mu-tx=1/0"),
+    (("--mu-tx", "abc", "--mu-rx", "1"), "--mu-tx=abc"),
+    (("--mu-tx=-1/2", "--mu-rx", "1"), "--mu-tx=-1/2"),
+    (("--mu-tx", "1", "--mu-rx", "1/0"), "--mu-rx=1/0"),
+])
+def test_bad_prelog_budgets_are_named(capsys, budgets, named):
+    code, out, err = run(capsys, "region", "--model", "hex", "--D", "8", "--L", "3", *budgets)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {named}: need a nonnegative rational p/q\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("figure", "--which", "fig8"),
+    ("sweep", "--model", "wyner", "--L", "3", "--D", "2..10"),  # opens its file lazily
+])
+def test_an_out_that_cannot_be_opened_is_named(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --out={path}: No such file or directory\n"
+    assert not path.parent.exists()
+
+
 @pytest.mark.parametrize("step", ["0", "-2"])
 def test_sweep_nonpositive_step_exits_2(capsys, step):
     code, out, err = run(capsys, "sweep", "--model", "wyner", "--L", "3",
@@ -590,7 +616,9 @@ def _values(action):
 def argvs(draw):
     """Mostly canonical argv of one command, with argparse-only forms mixed in."""
     command = draw(st.sampled_from(COMMANDS))
-    flags = make_parser().commands[command].flags
+    flags = {flag: action for flag, action
+             in make_parser().commands[command]._option_string_actions.items()
+             if action.nargs is None}  # argparse's table of one-value options
     items = [[flag, draw(_values(action))] for flag, action in flags.items()
              if action.required or draw(st.booleans())]
     if items and draw(st.sampled_from([False] * 4 + [True])):  # a flag may go missing
@@ -655,8 +683,10 @@ def test_query_argv_are_read_without_argparse(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     assert [vars(parse_args(argv)) for argv in _query_argv()] == want
-    with pytest.raises(AssertionError):
-        parse_args(["figure", "--which=fig8"])
+    # an option glued to its value, and -h, which takes no value
+    for argv in (["figure", "--which=fig8"], ["figure", "--which", "fig8", "-h", "x"]):
+        with pytest.raises(AssertionError):
+            parse_args(argv)
 
 
 # --- ratio helpers read Fractions and ints without re-wrapping them -------

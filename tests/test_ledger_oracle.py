@@ -629,7 +629,8 @@ def test_ball_lattice_falls_back_to_the_walk(make, proven, violations):
     assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
 
 
-MARKED = ("model", "tx_nodes", "rx_nodes", "interference", "tx_coop", "rx_coop", "tx_cell")
+MARKED = ("model", "tx_nodes", "rx_nodes", "interference", "tx_coop", "rx_coop", "tx_cell",
+          "cell_coords")
 
 
 def _equal_copy(value):
