@@ -234,10 +234,9 @@ def _sector_fast_kind(delta: Coord) -> str | None:
 
 def _assign_sectored(net: Network, D: int, scheme: Scheme) -> Association:
     if scheme is Scheme.NO_COOP:  # the W sector of every cell is fast, the rest silent
-        roles: list[Role | None] = [None] * len(net.coords)
-        for t in net.tx_nodes:
-            _, kind = net.coords[t]
-            roles[t] = Role.FAST if kind == "W" else Role.SILENT
+        # sector 3 * i + j is the SECTOR_KINDS[j] sector of cell i
+        roles = [Role.FAST if k == "W" else Role.SILENT for k in SECTOR_KINDS] \
+            * len(net.cell_coords)
         return Association(net, scheme, D, roles, ())
 
     tau = scheme_tau(SECTORED, scheme, D)

@@ -25,8 +25,12 @@ sequence ``coords``; in the sectorized model sector ``3 * i + j`` is the
 ``SECTOR_KINDS[j]`` sector of cell ``i``, ``coords`` holds (cell
 coordinate, kind) per sector and ``tx_cell`` maps a sector to its cell.
 Per-cell code uses these and needs no model branch.
-Adjacency is a tuple of sorted tuples, and equal relations share one
-object (``tx_coop is interference`` in every model).
+Adjacency is a sequence of sorted tuples, and equal relations share one
+object (``tx_coop is interference`` in every model).  Hex and sectorized
+adjacency is a stored tuple.  A line's is computed, not stored: cell k
+hears k - 1 and k + 1, so ``_LineAdjacency`` returns that pair (clipped to
+1..K) on access, and equals, hashes, indexes and slices like the tuple of
+tuples it stands for, which is never built.
 
 The line and ball builders mark the ``Network`` they return with the
 objects they put in the fields that describe its graph and its cells'
@@ -58,7 +62,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, product
-from operator import attrgetter, is_
+from operator import attrgetter, index, is_
 
 from .lattice import (Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows,
                       row_cells)
@@ -96,9 +100,10 @@ class Network:
     L: int
     tx_nodes: tuple[int, ...]
     rx_nodes: tuple[int, ...]
-    interference: tuple[tuple[int, ...], ...]  # I_k: tx nodes heard at node k's receiver unit
-    tx_coop: tuple[tuple[int, ...], ...]
-    rx_coop: tuple[tuple[int, ...], ...]  # per Rx cell
+    # I_k: tx nodes heard at node k's receiver unit; a tuple, or a line's computed adjacency
+    interference: Sequence[tuple[int, ...]]
+    tx_coop: Sequence[tuple[int, ...]]
+    rx_coop: Sequence[tuple[int, ...]]  # per Rx cell
     q_tx: int
     q_rx: int
     params: dict = field(default_factory=dict)
@@ -176,18 +181,70 @@ def _need_at_least(**sizes: tuple[int, int]) -> None:
             raise ValueError(f"{name}={value}: need {name} >= {least}")
 
 
+class _LineAdjacency(Sequence):
+    """The adjacency ``((), (2,), (1, 3), ..., (K - 1,))`` of cells 1..K on a line, computed
+    on access: immutable, and equal to that tuple in ``len``, items, slices, ``==`` and hash."""
+
+    __slots__ = ("K",)
+
+    def __init__(self, K: int) -> None:
+        object.__setattr__(self, "K", K)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __len__(self) -> int:
+        return self.K + 1
+
+    def __getitem__(self, k):
+        K = self.K
+        if k.__class__ is not int:
+            if isinstance(k, slice):
+                return tuple(map(self.__getitem__, range(K + 1)[k]))
+            k = index(k)
+        if 1 < k < K:
+            return (k - 1, k + 1)
+        if k < 0:
+            k += K + 1
+        if not 0 <= k <= K:
+            raise IndexError("tuple index out of range")
+        return tuple(j for j in (k - 1, k + 1) if 0 < j <= K) if k else ()
+
+    def __iter__(self):
+        K = self.K
+        if K == 1:
+            return iter(((), ()))
+        return chain(((), (2,)), zip(range(1, K - 1), range(3, K + 1)), ((K - 1,),))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _LineAdjacency):
+            return self.K == other.K
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return _LineAdjacency, (self.K,)
+
+    def __repr__(self) -> str:
+        return f"_LineAdjacency({self.K})"
+
+
 def build_wyner(K: int, L: int) -> Network:
     """Linear network with cells 1..K; node k interferes with k-1 and k+1.
 
     Slot 0 of every table is unused, so that a cell's id is its number.
+    The one adjacency object is computed on access (``_LineAdjacency``).
     """
     _need_at_least(K=(K, 1), L=(L, 1))
     ids = range(K + 1)
     nodes = tuple(ids[1:])
-    if K == 1:
-        adj: tuple[tuple[int, ...], ...] = ((), ())
-    else:  # the neighbour tuples share the int objects of ``nodes``
-        adj = ((), nodes[1:2], *zip(nodes, nodes[2:]), nodes[-2:-1])
+    adj = _LineAdjacency(K)
     q = 2 * K - 2
     return _marked(Network(
         model=WYNER, L=L, tx_nodes=nodes, rx_nodes=nodes,

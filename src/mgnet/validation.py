@@ -477,8 +477,8 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
     Run ``j`` holds the nodes ``j * P + 1 .. j * P + P - 1``; the whole runs
     have a master at one offset, and the tail run after the last whole one
     (shorter than P - 1 nodes) has none.  Every column holds the int objects
-    of ``net.tx_nodes`` (as the walk's do), copied by strided slices, one per
-    entry of run 0's hop search.
+    of ``net.tx_nodes``, copied by strided slices, one per entry of run 0's
+    hop search.
     """
     roles, cooperative = assoc.roles, assoc.scheme.cooperative
     P = assoc.D + 2 if cooperative else 2

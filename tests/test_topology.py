@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -15,7 +17,7 @@ from mgnet import (HEX, SECTORED, WYNER, build_hex, build_hex_torus, build_secto
                    build_sectored_hex_torus, build_wyner, hex_distance)
 from mgnet.association import Scheme, assign, check_params, scheme_tau
 from mgnet.lattice import NEIGHBOR_STEPS, TorusGeometry, ball
-from mgnet.topology import SECTOR_KINDS, SECTOR_RULE
+from mgnet.topology import SECTOR_KINDS, SECTOR_RULE, as_built
 
 
 def brute_hexdist(c1, c2):
@@ -399,3 +401,35 @@ def test_wyner_build_memory_per_node():
         tracemalloc.stop()
     assert net.n_tx == n
     assert peak <= 240 * n, f"{peak / n:.0f} bytes per node"
+
+
+def _stored_line_adjacency(K):
+    """The tuple of neighbour tuples a line's builder once stored."""
+    nodes = tuple(range(1, K + 1))
+    return ((), ()) if K == 1 else ((), nodes[1:2], *zip(nodes, nodes[2:]), nodes[-2:-1])
+
+
+@pytest.mark.parametrize("K", [*range(1, 61), 100_000])
+def test_wyner_adjacency_is_computed_like_the_stored_tuple(K):
+    net = build_wyner(K, 3)
+    adj, ref = net.interference, _stored_line_adjacency(K)
+    assert net.tx_coop is adj and net.rx_coop is adj and not isinstance(adj, tuple)
+    assert len(adj) == len(ref) == K + 1
+    assert list(adj) == list(ref)
+    assert all(adj[k] == ref[k] for k in range(-(K + 1), K + 1))
+    for s in (slice(None), slice(1, None), slice(None, None, -1), slice(-3, None),
+              slice(2, -2, 3), slice(5, 1, -2), slice(K - 1, K + 5), slice(-K - 9, 2)):
+        assert adj[s] == ref[s]
+    for bad in (K + 1, -(K + 2)):
+        with pytest.raises(IndexError, match="^tuple index out of range$"):
+            adj[bad]
+    assert adj == ref and ref == adj and not adj != ref and not ref != adj
+    assert hash(adj) == hash(ref)
+    assert adj != ref[:-1] and ref[:-1] != adj and adj != list(ref)
+    for twin in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+        assert as_built(twin) == K and twin.interference == ref
+    with pytest.raises(AttributeError):
+        adj.K = K + 1
+    with pytest.raises(AttributeError):
+        adj.extra = ()
+    assert adj == ref
