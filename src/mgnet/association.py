@@ -127,7 +127,6 @@ class Association:
 
 def _assign_wyner(net: Network, D: int, scheme: Scheme) -> Association:
     K = net.n_tx
-    masters: list[int] = []
     # slot 0 is no node; odd nodes are fast where any are, every period-th silent
     roles: list[Role | None] = [Role.SLOW] * (K + 1)
     if scheme.mixed or scheme is Scheme.NO_COOP:
@@ -139,11 +138,7 @@ def _assign_wyner(net: Network, D: int, scheme: Scheme) -> Association:
         return Association(net, scheme, D, roles, ())
 
     # one master per complete subnet {s+1, ..., s+D+1}; a short tail gets none
-    s = 0
-    while s + D + 1 <= K:
-        masters.append(s + D // 2 + 1)
-        s += period
-    return Association(net, scheme, D, roles, tuple(masters))
+    return Association(net, scheme, D, roles, tuple(range(D // 2 + 1, K - D // 2 + 1, period)))
 
 
 def scheme_tau(model: str, scheme: Scheme, D: int) -> int:

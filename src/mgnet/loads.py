@@ -21,18 +21,20 @@ the MG regions read its prelog columns.  The ledger distinguishes:
 
 ``message_ledger`` also counts the per-link loads, in the same passes: the
 fast-node loop adds each precancel and fast-share message to its link, and
-the per-subnet loop routes the fan-in and fan-out up each subnet's tree.
-It reads the columns of ``validation.Subnets`` (members, masters, per-node
-hops, and each subnet's hop search in BFS order with every cell's parent,
-walked leaves first) and builds no per-subnet object.  Columns a proof
-built (``Subnets.translates``: a line's period, a ball's master lattice)
-are counted from the template's fast nodes and subnet, once, times the
-number of translates, plus the rim's nodes and subnets.  A message runs
-between two cells of its own subnet, so only the links of these cells are
-numbered, and each link maximum is that of the template or of the rim
-unless a link joins two cells that the template shares with another
-subnet and carries messages; then every subnet is counted once instead.
-Every other ``Subnets`` is counted node by node.
+the per-subnet loop routes the fan-in and fan-out up each subnet's
+shortest-path tree.  The route is decided here, from the hops alone: a
+subnet's cells are walked leaves first (by decreasing hop), and each sends
+its subtree's count to its parent, the lowest-id cell of the subnet one hop
+nearer the master that links to it both ways.  The loop reads the columns
+of ``validation.Subnets`` (members, masters, per-node hops) and builds no
+per-subnet object.  Columns a proof built (``Subnets.translates``: a line's
+period, a ball's master lattice) are counted from the template's fast nodes
+and subnet, once, times the number of translates, plus the rim's nodes and
+subnets.  A message runs between two cells of its own subnet, so only the
+links of these cells are numbered, and each link maximum is that of the
+template or of the rim unless a link joins two cells that the template
+shares with another subnet and carries messages; then every subnet is
+counted once instead.  Every other ``Subnets`` is counted node by node.
 
 Average prelogs divide by the idealised directed-link totals (2 per node
 in the linear model, 6 per cell in the hexagonal models, 4 per sector /
@@ -207,15 +209,15 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
 
     ``subnets`` is what ``subnet_decompose`` returned for this association
     (another association's raises ValueError); the ledger reads its columns
-    and walks each subnet's hop search leaves first (proven columns: the
+    and routes each subnet's cells leaves first (proven columns: the
     template and the rim, see the module docstring).  The per-link maxima
     are informational: counters are flat lists indexed by directed edge (see
     ``_edge_offsets``) of the Tx cooperation graph, which carries the
     precancelation, and of the Rx cooperation graph, which carries the fast
-    shares.  Quantization traffic is routed along a deterministic
-    shortest-path tree (lowest-id parent), and each slow member crosses
-    every uplink of its path once in and once out; the CoMP-transmission
-    dedup savings are not modelled on the links.
+    shares.  Quantization traffic follows the module docstring's
+    shortest-path tree (a cell with no parent raises ValueError naming it),
+    and each slow member crosses every uplink of its path once in and once
+    out; the CoMP-transmission dedup savings are not modelled on the links.
     """
     _require_same_net(net, assoc)
     if getattr(subnets, "assoc", None) is not assoc:
@@ -250,7 +252,7 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
 
 
 def _tally(net: Network, assoc: Association, subnets: Subnets,
-           t: tuple | None) -> tuple[list[int], list[int], list[int], list[int]]:
+           t: tuple | None) -> tuple[list[int], list[int], list[int], list[int] | dict]:
     """(counts, tx_use, rx_use, rx_off) of every node and subnet once (``t`` None), or of
     the template's nodes and subnet ``copies`` times and of the rim's once (``t`` is
     ``Subnets.translates``)."""
@@ -266,14 +268,18 @@ def _tally(net: Network, assoc: Association, subnets: Subnets,
     rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(
         rx_adj, numbered and dict.fromkeys(map(net.tx_cell.__getitem__, numbered)))
     tx_use, rx_use = [0] * tx_off[-1], [0] * rx_off[-1]
+    n = len(rx_adj)
+    cells = ([None] * n, [0] * n, [None] * n)  # _count's per-cell scratch, made once
     counts = [0] * 5
     for times, nodes, indices in parts:
-        part = _count(net, assoc, subnets, nodes, indices, (tx_off, rx_off, tx_use, rx_use))
+        part = _count(net, assoc, subnets, nodes, indices, (tx_off, rx_off, tx_use, rx_use),
+                      cells)
         counts = [c + times * x for c, x in zip(counts, part)]
     return counts, tx_use, rx_use, rx_off
 
 
-def _shares_links(rx_adj, rx_off: list[int], rx_use: list[int], shared: frozenset[int]) -> bool:
+def _shares_links(rx_adj, rx_off: dict[int, int], rx_use: list[int],
+                  shared: frozenset[int]) -> bool:
     """Whether a link between two ``shared`` cells carries messages.
 
     A translate's messages run over links between its own cells, so only
@@ -286,10 +292,13 @@ def _shares_links(rx_adj, rx_off: list[int], rx_use: list[int], shared: frozense
 
 
 def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices,
-           links: tuple[list[int], ...]) -> tuple[int, int, int, int, int]:
+           links: tuple[list[int], ...],
+           cells: tuple[list, list[int], list]) -> tuple[int, int, int, int, int]:
     """(precancel, fast_share, fanin, fast_master_saved, q_dedup) of the fast
     nodes among ``nodes`` and of the subnets ``indices``; each message also
-    lands on its link in ``links`` = (tx_off, rx_off, tx_use, rx_use)."""
+    lands on its link in ``links`` = (tx_off, rx_off, tx_use, rx_use).  The
+    per-cell scratch ``cells`` = (shared_by, below, level) serves calls on
+    disjoint ``nodes``: below and level are 0 and None again after each subnet."""
     roles = assoc.roles
     scheme = assoc.scheme
     D = assoc.D
@@ -297,18 +306,16 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices,
     tx_off, rx_off, tx_use, rx_use = links
     interference, tx_cell = net.interference, net.tx_cell
     fast, slow = Role.FAST, Role.SLOW
+    shared_by, below, level = cells
 
     precancel = 0
     fast_share = 0
-    # the fast node that last shared its message with each cell: a fast
-    # node shares once per neighbouring cell, never with its own
-    shared_by: list[int | None] = [None] * len(rx_adj)
     try:
         for k in nodes:
             if roles[k] is not fast:
                 continue
             src = tx_cell[k]
-            shared_by[src] = k
+            shared_by[src] = k  # a fast node shares once per neighbouring cell, never with its own
             for j in interference[k]:
                 if roles[j] is not slow:
                     continue
@@ -324,15 +331,14 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices,
         raise ValueError(f"fast node {k} hears slow node {j}, but {graph} has no link "
                          f"{u} -> {v}") from None
 
-    if scheme.comp_side == "tx":
+    side = scheme.comp_side
+    if side == "tx":
         coop, off, use = tx_adj, tx_off, tx_use
     else:
         coop, off, use = rx_adj, rx_off, rx_use
     wyner = net.model == WYNER
     fast_master_saves = scheme is Scheme.BOTH_COMP_RX and wyner
-    below = [0] * len(rx_adj)  # slow members in a cell's subtree, zeroed after each subnet
     members, starts, masters, hop = subnets.members, subnets.starts, subnets.masters, subnets.hop
-    order, order_parent, order_starts = subnets.order, subnets.order_parent, subnets.order_starts
     fanin = 0
     fast_master_saved = 0
     q_dedup = 0
@@ -341,10 +347,16 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices,
         if master is None:  # no master, no hops
             continue
         comp = members[starts[i]:starts[i + 1]]
+        reached = []  # the cells with a hop, once each, with that hop in level
         for k in comp:
-            if roles[k] is slow and (g := hop[k]):
-                fanin += g
-                below[tx_cell[k]] += 1
+            if (g := hop[k]) is not None:
+                c = tx_cell[k]
+                if level[c] is None:
+                    level[c] = g
+                    reached.append(c)
+                if g and roles[k] is slow:
+                    fanin += g
+                    below[c] += 1  # slow members in c's subtree
         if fast_master_saves and roles[master] is fast:
             fast_master_saved += sum(1 for j in interference[master] if roles[j] is slow)
         if scheme is Scheme.BOTH_COMP_TX:
@@ -355,14 +367,24 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices,
                 q_dedup += 2 * sum(1 for k in comp
                                    if roles[k] is fast and 1 <= (hop[k] or 0) <= D // 2 - 2)
 
-        a, b = order_starts[i], order_starts[i + 1]
-        for c, p in zip(reversed(order[a:b]), reversed(order_parent[a:b])):  # leaves first
+        # leaves first, each cell sends its subtree's count to the lowest-id cell one hop
+        # nearer that links to it both ways (the first such: adjacency is sorted)
+        reached.sort(key=level.__getitem__, reverse=True)
+        for c in reached:
+            g = level[c] - 1
+            level[c] = None  # the cells after c are no farther, so none looks it up
             n = below[c]
             if not n:
                 continue
             below[c] = 0
-            if p is None:  # the master
+            if g < 0:  # the master
                 continue
+            for p in coop[c]:
+                if level[p] == g and c in coop[p]:
+                    break
+            else:
+                raise ValueError(f"cell {c} has no link both ways in {side}_coop to a cell "
+                                 f"one hop nearer master {master}")
             use[off[c] + coop[c].index(p)] += n
             use[off[p] + coop[p].index(c)] += n
             below[p] += n
@@ -380,15 +402,15 @@ def finite_prelogs(report: LoadReport, net: Network) -> tuple[Fraction, Fraction
     return out[0], out[1]
 
 
-def _edge_offsets(adj: tuple[tuple[int, ...], ...], nodes=None) -> list[int]:
+def _edge_offsets(adj: tuple[tuple[int, ...], ...], nodes=None) -> list[int] | dict[int, int]:
     """Directed edge u -> adj[u][i] has index offsets[u] + i; offsets[-1] is the edge count.
 
     Given ``nodes``, only their edges are numbered, in that order, and the
-    offsets of all other nodes are 0 and must not be used.
+    offsets are a dict of these nodes (and -1).
     """
     if nodes is None:
         return list(accumulate(map(len, adj), initial=0))
-    off = [0] * (len(adj) + 1)
+    off = {}
     total = 0
     for u in nodes:
         off[u] = total

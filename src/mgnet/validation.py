@@ -18,11 +18,11 @@ reachability check when they lack a master.
 One BFS over the active interference graph finds the components and, on the
 edges it already walks, any interference between two of them.  A second BFS
 per mastered component counts the cooperation hops from its master over the
-component's cells and gives each cell its lowest-id parent, the next hop of
-its traffic towards the master.  Where a node is its own cell (``tx_cell`` is
-the identity range: Wyner, hex), that search marks the per-node lists
-directly; only the sectorized model maps sectors to cells, through scratch
-lists that are reset after each search.
+component's cells; ``message_ledger`` routes each cell's traffic from these
+hops alone.  Where a node is its own cell (``tx_cell`` is the identity range:
+Wyner, hex), that search marks the per-node lists directly; only the
+sectorized model maps sectors to cells, through scratch lists that are reset
+after each search.
 
 ``subnet_decompose`` returns one columnar ``Subnets``, which ``message_ledger``
 and ``master_reachability`` read and require (a list of views carries no
@@ -36,8 +36,8 @@ of the walk is spared.  A line is solved by its period P (D + 2, or 2
 without cooperation) when K >= 2P, the roles repeat with P, the whole runs
 of P - 1 nodes have one master each, at one offset, and the walk of run 0
 from node 1 is the nodes 1..P-1.  The components are then the runs between
-the multiples of P, so ``_periodic_subnets`` copies every column from that
-walk by strided slices and adds the shorter masterless tail run with its
+the multiples of P, so ``_periodic_subnets`` repeats that walk's hops in
+every whole run and adds the shorter masterless tail run with its
 ``partial-subnet`` warning.
 
 A ball is solved by its master lattice: ``_lattice_subnets`` walks one
@@ -45,12 +45,12 @@ template, the component of the master nearest the centre, which must hold
 that master alone.  Its territory is the hex ball around its master one
 step wider than the component, so the component's neighbours lie in it.
 Every master whose territory lies in the ball must match the template's
-roles and master flags there, row segment by row segment; its component,
-hops and hop search are then the template's, moved by a constant id shift
-per row.  The walk covers the rest, the rim, and skips these translates;
-any failed check takes the whole walk.  On a builder's graph a template
-with one master has no violation, and no rim edge reaches a translate,
-whose territory holds every neighbour with the template's roles.  Any other
+roles and master flags there, row segment by row segment; its component
+and hops are then the template's, moved by a constant id shift per row.
+The walk covers the rest, the rim, and skips these translates; any failed
+check takes the whole walk.  On a builder's graph a template with one
+master has no violation, and no rim edge reaches a translate, whose
+territory holds every neighbour with the template's roles.  Any other
 network or association takes the walk above, so the violations and their
 order are always the walk's.
 
@@ -88,36 +88,28 @@ class Subnets(Sequence):
     Component ``i`` is ``members[starts[i]:starts[i + 1]]`` (sorted) with
     master ``masters[i]`` (None when it has none).  ``hop[k]`` is node k's
     hop count to its own master, None without a master or a path; members
-    are disjoint, so one per-node list serves every component.  Component
-    i's hop search visits the cells ``order[order_starts[i]:order_starts[i
-    + 1]]`` in BFS order (hops never decrease; none without a master, and
-    ``order_starts`` is ``[0]`` when no component has one);
-    ``order_parent`` holds each entry's lowest-id neighbour one hop nearer
-    the master in that search (None for the master).  These entries carry
-    their own parents because one sectorized cell can lie in the searches
-    of two components.  ``assoc`` is the association the columns were
-    built from.  ``translates`` is set when a proof built the columns (see
-    the module docstring), to (template, copies, rim, shared): component
-    ``template`` and ``copies - 1`` others (a line's whole runs, a ball's
-    interior subnets) are translates of one another, the components listed
-    in ``rim`` are the others, and ``shared`` holds the template's Rx cells
-    that also hold an active node of another component (none on a line or
-    a hex ball).  The template and the rim are all that ``validate`` and
-    ``message_ledger`` read.  It is None after the general walk.
-    Indexing builds a ``Subnet`` view,
-    whose ``gamma`` lists the members in node order (not in BFS order).
+    are disjoint, so one per-node list serves every component.  A node's
+    hop is that of its cell, counted over the CoMP side's cooperation
+    graph within the component's cells.  ``assoc`` is the association the
+    columns were built from.  ``translates`` is set when a proof built the
+    columns (see the module docstring), to (template, copies, rim,
+    shared): component ``template`` and ``copies - 1`` others (a line's
+    whole runs, a ball's interior subnets) are translates of one another,
+    the components listed in ``rim`` are the others, and ``shared`` holds
+    the template's Rx cells that also hold an active node of another
+    component (none on a line or a hex ball).  The template and the rim
+    are all that ``validate`` and ``message_ledger`` read.  It is None
+    after the general walk.  Indexing builds a ``Subnet`` view, whose
+    ``gamma`` lists the members in node order (not in BFS order).
     """
 
-    __slots__ = ("assoc", "members", "starts", "masters", "hop",
-                 "order", "order_parent", "order_starts", "translates")
+    __slots__ = ("assoc", "members", "starts", "masters", "hop", "translates")
 
     def __init__(self, assoc: Association, members: list[int], starts: Sequence[int],
-                 masters: list[int | None], hop: list[int | None], order: list[int],
-                 order_parent: list[int | None], order_starts: Sequence[int],
+                 masters: list[int | None], hop: list[int | None],
                  translates: tuple | None = None) -> None:
         self.assoc, self.members, self.starts, self.masters = assoc, members, starts, masters
-        self.hop, self.order, self.order_parent = hop, order, order_parent
-        self.order_starts, self.translates = order_starts, translates
+        self.hop, self.translates = hop, translates
 
     def __len__(self) -> int:
         return len(self.masters)
@@ -238,10 +230,10 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
             return solved
     n = len(assoc.roles)
     hop: list[int | None] = [None] * n
-    members, starts, masters, order, order_parent, order_starts, cross = \
-        _walk(net, assoc, report, net.tx_nodes, [None] * n, hop, set(assoc.masters))
+    members, starts, masters, cross = _walk(net, assoc, report, net.tx_nodes, [None] * n, hop,
+                                            set(assoc.masters))
     _add_cross(report, cross)
-    return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts), report
+    return Subnets(assoc, members, starts, masters, hop), report
 
 
 def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
@@ -249,7 +241,7 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
     """The walk over the components found from ``nodes``, in order, skipping the nodes
     ``owner`` marks (an edge into one is a cross pair); fills ``owner`` and ``hop``,
     adds violations and warnings to ``report``, and returns the columns (members,
-    starts, masters, order, order_parent, order_starts) and the cross pairs (u, v)."""
+    starts, masters) and the cross pairs (u, v)."""
     roles, silent = assoc.roles, Role.SILENT
     adj = net.interference
     members: list[int] = []
@@ -298,17 +290,11 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
         cell_owner, cell_hop = owner, hop
     else:
         cell_owner, cell_hop = [None] * len(coop), [None] * len(coop)
-    order: list[int] = []
-    order_parent: list[int | None] = []
-    order_starts = array("q", [0])
-    # a cell's lowest-id parent in the current search; only a master starts one
-    parent: list[int | None] = [None] * len(coop)
     cooperative = assoc.scheme.cooperative
     relaxed = net.has_rim
     for i, master in enumerate(masters if cooperative or master_set else ()):
         comp = members[starts[i]:starts[i + 1]]
         if master is None:
-            order_starts.append(len(order))
             if i in second:
                 report.subnets_disjoint = False
                 report.violations.append((second[i], "multi-master"))
@@ -323,22 +309,13 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
             for k in comp:
                 cell_owner[tx_cell[k]] = i
         cell_hop[master] = 0
-        parent[master] = None
         cells = [master]
-        for u in cells:  # breadth first: hops never decrease
+        for u in cells:  # breadth first
             g = cell_hop[u] + 1
             for v in coop[u]:
-                if cell_owner[v] == i:
-                    h = cell_hop[v]
-                    if h is None:
-                        cell_hop[v] = g
-                        parent[v] = u
-                        cells.append(v)
-                    elif h == g and u < parent[v]:  # the lowest-id parent
-                        parent[v] = u
-        order += cells
-        order_parent += map(parent.__getitem__, cells)
-        order_starts.append(len(order))
+                if cell_owner[v] == i and cell_hop[v] is None:
+                    cell_hop[v] = g
+                    cells.append(v)
         if not own:
             for k in comp:
                 hop[k] = cell_hop[tx_cell[k]]
@@ -349,7 +326,7 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
                 if hop[k] is None:
                     report.master_reachable = False
                     report.violations.append((k, "unreachable"))
-    return members, starts, masters, order, order_parent, order_starts, cross
+    return members, starts, masters, cross
 
 
 def _add_cross(report: ValidationReport, cross: list[tuple[int, int]]) -> None:
@@ -379,8 +356,8 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
     owner: list[int | None] = [None] * len(roles)
     hop: list[int | None] = [None] * len(roles)
     scratch = ValidationReport()  # the template: one component from the master's nodes
-    tm, _, tmasters, to, tp, _, _ = _walk(net, assoc, scratch, range(nk * t, nk * t + nk),
-                                          owner, hop, master_set)
+    tm, _, tmasters, _ = _walk(net, assoc, scratch, range(nk * t, nk * t + nk), owner, hop,
+                               master_set)
     if tmasters != [t]:
         return None
     tc = coord[t]
@@ -406,7 +383,6 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
         return coord[c][0] - tc[0] + R
 
     mrow = [row(k // nk) for k in tm]
-    orow, prow = list(map(row, to)), list(map(row, tp[1:]))
     thop = [hop[k] for k in tm]
 
     # the masters whose territory lies in the ball, in runs of one spacing along a row
@@ -433,8 +409,6 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
         d = [x - tx for (x, _), (tx, _) in zip(segs, tsegs)]  # cell id shift per row
         dn = [nk * x for x in d]
         mem0 = list(map(add, tm, map(dn.__getitem__, mrow)))
-        o0 = list(map(add, to, map(d.__getitem__, orow)))
-        p0 = list(map(add, tp[1:], map(d.__getitem__, prow)))
         for b in bs:
             sh = b - bs[0]
             mem = list(map(add, mem0, repeat(nk * sh)))
@@ -442,28 +416,23 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
                 owner[k] = -1
                 hop[k] = g
             m = t + d[R] + sh
-            pieces.append((mem[0], 2 if m == t else 1, mem, m, list(map(add, o0, repeat(sh))),
-                           [None, *map(add, p0, repeat(sh))]))
+            pieces.append((mem[0], 2 if m == t else 1, mem, m))
 
     report = ValidationReport(hop_budget=budget)
     rim_set = master_set.difference([piece[3] for piece in pieces])
-    rm, rs, rmasters, ro, rp, ros, cross = _walk(net, assoc, report, net.tx_nodes, owner, hop,
-                                                 rim_set)
+    rm, rs, rmasters, cross = _walk(net, assoc, report, net.tx_nodes, owner, hop, rim_set)
     _add_cross(report, cross)
 
     # every component, rim (0), translate (1) or template (2), in order of its lowest member
-    pieces += [(rm[rs[j]], 0, rm[rs[j]:rs[j + 1]], rmasters[j], ro[ros[j]:ros[j + 1]],
-                rp[ros[j]:ros[j + 1]]) for j in range(len(rmasters))]
+    pieces += [(rm[rs[j]], 0, rm[rs[j]:rs[j + 1]], rmasters[j]) for j in range(len(rmasters))]
     pieces.sort(key=itemgetter(0))
-    _, kind, mems, masters, orders, parents = zip(*pieces)
+    _, kind, mems, masters = zip(*pieces)
     inside = set(tm)
     shared = frozenset(c for c in {k // nk for k in tm}
                        if any(roles[k] is not silent and k not in inside
                               for k in range(nk * c, nk * c + nk)))
     return Subnets(assoc, list(chain.from_iterable(mems)),
                    array("q", accumulate(map(len, mems), initial=0)), list(masters), hop,
-                   list(chain.from_iterable(orders)), list(chain.from_iterable(parents)),
-                   array("q", accumulate(map(len, orders), initial=0)),
                    (kind.index(2), kind.count(1) + 1,
                     tuple(i for i, x in enumerate(kind) if not x), shared)), report
 
@@ -476,9 +445,8 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
 
     Run ``j`` holds the nodes ``j * P + 1 .. j * P + P - 1``; the whole runs
     have a master at one offset, and the tail run after the last whole one
-    (shorter than P - 1 nodes) has none.  Every column holds the int objects
-    of ``net.tx_nodes``, copied by strided slices, one per entry of run 0's
-    hop search.
+    (shorter than P - 1 nodes) has none.  The members are the int objects of
+    ``net.tx_nodes``, and every whole run repeats run 0's hops.
     """
     roles, cooperative = assoc.roles, assoc.scheme.cooperative
     P = assoc.D + 2 if cooperative else 2
@@ -491,8 +459,8 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
     elif assoc.masters:
         return None
     hop: list[int | None] = [None] * (K + 1)
-    tm, _, _, to, tp, _, _ = _walk(net, assoc, ValidationReport(), (1,), [None] * (K + 1), hop,
-                                   set(assoc.masters[:1]))
+    tm, _, _, _ = _walk(net, assoc, ValidationReport(), (1,), [None] * (K + 1), hop,
+                        set(assoc.masters[:1]))
     if tm != list(range(1, P)):  # so node P is silent and nodes 1..P-1 are not
         return None
     whole = (K + 1) // P
@@ -503,20 +471,11 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
     masters: list[int | None] = list(assoc.masters) or [None] * whole
     hop = [None, *hop[1:P]] * whole
     hop += [None] * (K + 1 - len(hop))  # the last silent node and the tail run
-    order: list[int] = [0] * (len(to) * whole)
-    order_parent: list[int | None] = [None] * len(order)  # None stays on each master
-    for q, (c, p) in enumerate(zip(to, tp)):  # the q-th cell of every run's search
-        order[q::P - 1] = members[c - 1:n:P - 1]
-        if p is not None:
-            order_parent[q::P - 1] = members[p - 1:n:P - 1]
-    order_starts = array("q", range(0, len(order) + 1, P - 1))  # [0] with no search
     if len(members) > n:  # the tail run, clipped by the rim
         starts.append(len(members))
-        if to:
-            order_starts.append(len(order))
         masters.append(None)
         report.warnings.append(f"partial-subnet:{whole * P + 1}")
-    return Subnets(assoc, members, starts, masters, hop, order, order_parent, order_starts,
+    return Subnets(assoc, members, starts, masters, hop,
                    (0, whole, tuple(range(whole, len(masters))), frozenset())), report
 
 

@@ -239,7 +239,7 @@ def test_matches_reference_at_scale(model, make, Ds):
 
 
 
-COLUMNS = ("members", "starts", "masters", "hop", "order", "order_parent", "order_starts")
+COLUMNS = ("members", "starts", "masters", "hop")
 
 
 def _and_walk(fn, net, assoc):
@@ -700,3 +700,13 @@ def test_ledger_names_a_missing_link():
     with pytest.raises(ValueError, match=r"fast node 23 hears slow node 22, but rx_coop has "
                                          r"no link 23 -> 22"):
         message_ledger(net2, assoc2, subnets2)
+    line = build_wyner(16, 1)
+    rx = list(line.rx_coop)
+    rx[3] = (2,)  # master 4 reaches cell 3, which has no link back
+    net3 = replace(line, rx_coop=tuple(rx))
+    assoc3 = assign(net3, 6, Scheme.SLOW_COMP_RX)
+    subnets3, report3 = validate(net3, assoc3)
+    assert report3.ok
+    with pytest.raises(ValueError, match=r"cell 3 has no link both ways in rx_coop to a cell "
+                                         r"one hop nearer master 4"):
+        message_ledger(net3, assoc3, subnets3)

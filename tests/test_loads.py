@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from mgnet import (HEX, SECTORED, WYNER, Role, Scheme, achievable_region,
                    assign, build_hex, build_hex_torus, build_sectored_hex,
                    build_sectored_hex_torus, build_wyner, check_params,
-                   closed_form, finite_prelogs, formulas, master_reachability,
+                   closed_form, finite_prelogs, formulas, loads, master_reachability,
                    mixed_subnet_counts, message_ledger, subnet_decompose,
                    subnet_sizes, valid_d, validate)
 from mgnet.association import scheme_tau
@@ -402,6 +402,12 @@ def test_link_loads_match_per_path_walk(model):
         led = message_ledger(net, assoc, subnets)
         assert (led.max_tx_link_load, led.max_rx_link_load) == \
             walk_link_loads(net, assoc, subnets), (net.params, D, scheme)
+        # whatever the route: a message lands on one link, a fan-in hop on its link both ways
+        (precancel, fast_share, fanin, _, _), tx_use, rx_use, _ = \
+            loads._tally(net, assoc, subnets, None)
+        side = scheme.comp_side
+        assert sum(tx_use) == precancel + (2 * fanin if side == "tx" else 0)
+        assert sum(rx_use) == fast_share + (2 * fanin if side == "rx" else 0)
         cases += 1
     assert cases > 100
 

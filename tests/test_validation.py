@@ -260,9 +260,6 @@ def test_subnets_are_columns_with_views_on_demand():
     assert list(subnets.starts) == [0, 7, 14]
     assert subnets.masters == [4, 12] and subnets.assoc is a
     assert subnets.hop[1:8] == [3, 2, 1, 0, 1, 2, 3] and subnets.hop[8] is None
-    assert subnets.order[:7] == [4, 3, 5, 2, 6, 1, 7]
-    assert subnets.order_parent[:7] == [None, 4, 4, 3, 5, 2, 6]
-    assert list(subnets.order_starts) == [0, 7, 14]
     view = subnets[-1]
     assert view == Subnet(tuple(range(9, 16)), 12, {k: abs(k - 12) for k in range(9, 16)},
                           (10, 12, 14))
