@@ -179,10 +179,7 @@ def _per_class(net: Network, tau: int, rule) -> tuple[list, list[int]]:
 
 def _assign_hex(net: Network, D: int, scheme: Scheme) -> Association:
     if scheme is Scheme.NO_COOP:
-        roles: list[Role | None] = [None] * len(net.coords)
-        for i in net.tx_nodes:
-            a, b = net.coords[i]
-            roles[i] = Role.FAST if (a + b) % 3 == 0 else Role.SILENT
+        roles = [Role.FAST if (a + b) % 3 == 0 else Role.SILENT for a, b in net.cell_coords]
         return Association(net, scheme, D, roles, ())
 
     tau = scheme_tau(HEX, scheme, D)

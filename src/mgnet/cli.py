@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .association import SCHEME_ALIASES, Scheme, assign, check_params, scheme_tau, valid_d
 from .figures import FIGURES, build_figure
 from .loads import closed_form, finite_prelogs, formulas, message_ledger
-from .rationals import parse_ratio, ratio_to_csv, ratio_to_json
+from .rationals import ratio_to_csv, ratio_to_json
 from .regions import achievable_region, boundary_polyline
 from .topology import (HEX, SECTORED, WYNER, build_hex, build_hex_torus,
                        build_sectored_hex, build_sectored_hex_torus,
@@ -43,13 +43,6 @@ from .validation import validate
 MODELS = {"wyner": WYNER, "hex": HEX, "sectorized": SECTORED}
 _SWEEP_COLUMNS = ("s_max", "s_f_both", "s_s_both", "mu_r_tx", "mu_r_rx", "mu_s_rx",
                   "mu_t_tx", "mu_t_rx")  # CSV order; sectorized formulas lack mu_t_*
-
-
-def _add_model_size(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True, choices=sorted(MODELS))
-    p.add_argument("--K", type=int, help="number of cells (wyner)")
-    p.add_argument("--radius", type=int, help="hex ball radius (hex/sectorized)")
-    p.add_argument("--tiling", help="MxM whole-subnet torus (hex/sectorized), e.g. 2x2")
 
 
 def _build_network(args, scheme: Scheme):
@@ -125,7 +118,7 @@ def _emit(args, text: str) -> None:
 
 def _prelog(flag: str, text: str) -> Fraction:
     try:
-        if (value := parse_ratio(text)) >= 0:
+        if (value := Fraction(text)) >= 0:
             return value
     except (ValueError, ZeroDivisionError):
         pass
@@ -156,11 +149,16 @@ def cmd_region(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
+def _validated(args):
+    """(net, assoc, subnets, report) of a ``validate`` or ``loads`` command line."""
     scheme = SCHEME_ALIASES[args.scheme]
     net = _build_network(args, scheme)
     assoc = assign(net, args.D, scheme)
-    subnets, report = validate(net, assoc)
+    return (net, assoc, *validate(net, assoc))
+
+
+def cmd_validate(args) -> int:
+    _, _, subnets, report = _validated(args)
     out = report.to_json_dict()
     out["n_subnets"] = len(subnets)
     out["masters"] = subnets.masters
@@ -169,14 +167,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_loads(args) -> int:
-    scheme = SCHEME_ALIASES[args.scheme]
-    net = _build_network(args, scheme)
-    assoc = assign(net, args.D, scheme)
-    subnets, report = validate(net, assoc)
+    net, assoc, subnets, report = _validated(args)
     if not report.ok:
         raise ValueError(f"association failed validation: {report.violations[:3]}")
     ledger = message_ledger(net, assoc, subnets)
-    cf = closed_form(net.model, scheme, args.D, args.L)
+    cf = closed_form(net.model, assoc.scheme, args.D, args.L)
     fin_tx, fin_rx = finite_prelogs(ledger, net)
     out = {
         "ledger": ledger.to_json_dict(),
@@ -235,6 +230,42 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# Every option once: flag -> ``add_argument`` keywords.
+_OPTIONS = {
+    "--model": {"required": True, "choices": sorted(MODELS)},
+    "--K": {"type": int, "help": "number of cells (wyner)"},
+    "--radius": {"type": int, "help": "hex ball radius (hex/sectorized)"},
+    "--tiling": {"help": "MxM whole-subnet torus (hex/sectorized), e.g. 2x2"},
+    "--D": {"type": int, "required": True},
+    "--L": {"type": int, "required": True},
+    "--mu-tx": {"required": True},
+    "--mu-rx": {"required": True},
+    "--format": {"choices": ["json", "csv"], "default": "json"},
+    "--scheme": {"required": True, "choices": sorted(SCHEME_ALIASES)},
+    "--which": {"required": True, "choices": sorted(FIGURES)},
+    "--step": {"type": int, "default": 2},
+    "--out": {},
+}
+_NETWORK = ("--model", "--K", "--radius", "--tiling")  # the network of validate and loads
+# name: (help, handler, flags in help order); a (flag, keywords) pair takes the
+# place of the flag's ``_OPTIONS`` entry in that one command
+_COMMANDS = {
+    "region": ("achievable MG region for given prelog budgets", cmd_region,
+               ("--model", "--D", "--L", "--mu-tx", "--mu-rx", "--format", "--out")),
+    "validate": ("check an association's structural preconditions", cmd_validate,
+                 (*_NETWORK, "--D", ("--L", {"type": int, "default": 1}), "--scheme", "--out")),
+    "loads": ("message ledger vs closed form", cmd_loads,
+              (*_NETWORK, "--D", "--L", "--scheme", "--out")),
+    "closed-form": ("closed-form MG pair and prelogs", cmd_closed_form,
+                    ("--model", "--D", "--L", "--scheme", "--out")),
+    "figure": ("emit a reference-figure dataset as CSV", cmd_figure, ("--which", "--out")),
+    "sweep": ("closed forms over a D grid", cmd_sweep,
+              ("--model", "--L", ("--D", {"dest": "D_range", "required": True,
+                                          "help": "single value or a..b"}),
+               "--step", "--out")),
+}
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
@@ -245,53 +276,12 @@ def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mgnet", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("region", help="achievable MG region for given prelog budgets")
-    p.add_argument("--model", required=True, choices=sorted(MODELS))
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--mu-tx", dest="mu_tx", required=True)
-    p.add_argument("--mu-rx", dest="mu_rx", required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("validate", help="check an association's structural preconditions")
-    _add_model_size(p)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--L", type=int, default=1)
-    p.add_argument("--scheme", required=True, choices=sorted(SCHEME_ALIASES))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("loads", help="message ledger vs closed form")
-    _add_model_size(p)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--scheme", required=True, choices=sorted(SCHEME_ALIASES))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_loads)
-
-    p = sub.add_parser("closed-form", help="closed-form MG pair and prelogs")
-    p.add_argument("--model", required=True, choices=sorted(MODELS))
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--scheme", required=True, choices=sorted(SCHEME_ALIASES))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_closed_form)
-
-    p = sub.add_parser("figure", help="emit a reference-figure dataset as CSV")
-    p.add_argument("--which", required=True, choices=sorted(FIGURES))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("sweep", help="closed forms over a D grid")
-    p.add_argument("--model", required=True, choices=sorted(MODELS))
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--D", dest="D_range", required=True, help="single value or a..b")
-    p.add_argument("--step", type=int, default=2)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
+    for name, (about, func, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        for flag in flags:
+            flag, keywords = flag if isinstance(flag, tuple) else (flag, _OPTIONS[flag])
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     ap.commands = sub.choices
     return ap
 

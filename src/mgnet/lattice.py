@@ -16,12 +16,12 @@ exactly tau tile the plane into disjoint radius-(tau-1) balls.
 ``nearest_masters`` is O(1) per cell on both geometries: it scans the
 3 x 3 window of masters around the cell's rounded lattice point.  On a
 torus, a master reached by several wraps (small tori) gives one hit per
-wrap; hits are ordered by canonical master, then by wrap.  Shifting a cell
-by a master vector shifts its nearest masters by that vector and keeps
-the set of displacements (a torus may list them in another order), so a
-rule that reads the distance and that set is periodic modulo the master
-lattice: association evaluates its roles once per residue class (3 * tau^2
-classes; (2b - a, 2a - b) mod 3 * tau names one).
+wrap, in the plane's order.  Shifting a cell by a master vector shifts its
+nearest masters by that vector and keeps the set of displacements (a torus
+may list them in another order), so a rule that reads the distance and
+that set is periodic modulo the master lattice: association evaluates its
+roles once per residue class (3 * tau^2 classes; (2b - a, 2a - b) mod
+3 * tau names one).
 
 A torus of M copies of spacing tau identifies cells that differ by
 (i + 2j, 2i + j) * tau * M.  With P = 3 * tau * M, its canonical cells are
@@ -148,20 +148,8 @@ class TorusGeometry:
         return out
 
     def nearest_masters(self, c: Coord, tau: int) -> tuple[int, list[tuple[Coord, Coord]]]:
-        """Plane hits with canonical masters, sorted by (master, wrap (i, j)).
-
-        A plane master p is its canonical m plus (i + 2j, 2i + j) * tau * copies.
-        """
+        """Plane hits with canonical masters, in the plane's order."""
         if tau != self.tau:
             raise ValueError(f"torus was built for tau={self.tau}, not tau={tau}")
         best, plane_hits = _nearest_on_plane(c, tau)
-        if len(plane_hits) == 1:  # nothing to order
-            p, r = plane_hits[0]
-            return best, [(self.canon(p), r)]
-        keyed = []
-        for p, r in plane_hits:
-            m = self.canon(p)
-            wa, wb = p[0] - m[0], p[1] - m[1]
-            keyed.append((m, (2 * wb - wa) // self.period, (2 * wa - wb) // self.period, r))
-        keyed.sort()
-        return best, [(m, r) for m, _, _, r in keyed]
+        return best, [(self.canon(p), r) for p, r in plane_hits]

@@ -44,14 +44,24 @@ finite link counts instead.  On a whole-subnet torus both coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
 
-from .association import Association, Role, Scheme, check_params
+from .association import Association, Role, Scheme, check_params, valid_d
 from .rationals import ratio_to_json
 from .topology import HEX, SECTORED, WYNER, Network
 from .validation import Subnets, _require_same_net
+
+
+def _to_json_dict(self) -> dict:
+    """Every field in declaration order; a Scheme by its value, a Fraction by ratio_to_json."""
+    out = {}
+    for f in fields(self):
+        v = getattr(self, f.name)
+        out[f.name] = (v.value if isinstance(v, Scheme)
+                       else ratio_to_json(v) if isinstance(v, Fraction) else v)
+    return out
 
 
 @dataclass
@@ -73,20 +83,7 @@ class LoadReport:
     max_rx_link_load: int
     n_subnets: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scheme": self.scheme.value, "D": self.D, "L": self.L,
-            "precancel_msgs": self.precancel_msgs,
-            "fast_share_msgs": self.fast_share_msgs,
-            "fanin_msgs": self.fanin_msgs, "fanout_msgs": self.fanout_msgs,
-            "q_dedup": self.q_dedup, "fast_master_dedup": self.fast_master_dedup,
-            "tx_message_total": self.tx_message_total,
-            "rx_message_total": self.rx_message_total,
-            "mu_tx": ratio_to_json(self.mu_tx), "mu_rx": ratio_to_json(self.mu_rx),
-            "max_tx_link_load": self.max_tx_link_load,
-            "max_rx_link_load": self.max_rx_link_load,
-            "n_subnets": self.n_subnets,
-        }
+    to_json_dict = _to_json_dict
 
 
 @dataclass
@@ -100,19 +97,12 @@ class ClosedForm:
     mu_tx: Fraction
     mu_rx: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model, "scheme": self.scheme.value, "D": self.D, "L": self.L,
-            "s_f": ratio_to_json(self.s_f), "s_s": ratio_to_json(self.s_s),
-            "mu_tx": ratio_to_json(self.mu_tx), "mu_rx": ratio_to_json(self.mu_rx),
-        }
+    to_json_dict = _to_json_dict
 
 
 def formulas(model: str, D: int, L: int) -> dict[str, Fraction]:
     """All closed-form MG values and prelog requirements of one model at (D, L)."""
-    check_params(model, Scheme.NO_COOP, D, L)  # the model and L; any D >= 0
-    if D == 0 and model != WYNER:
-        raise ValueError(f"D=0: the {model} closed forms divide by D; need D >= 1")
+    check_params(model, Scheme.BOTH_COMP_RX, D, L)  # a D that some cooperative scheme runs at
     F = Fraction
     if model == WYNER:
         odd_master = (D // 2 + 1) % 2 == 1
@@ -166,8 +156,8 @@ SCHEME_KEYS: dict[Scheme, tuple[str | None, ...]] = {
 def closed_form(model: str, scheme: Scheme, D: int, L: int) -> ClosedForm:
     """Asymptotic (MG pair, required prelogs) for one scheme on one model."""
     check_params(model, scheme, D, L)
-    # no-coop values do not depend on D, and the 2-D tables divide by it
-    f = formulas(model, max(D, 2) if scheme is Scheme.NO_COOP else D, L)
+    # no-coop values do not depend on D: read them at the least cooperative D
+    f = formulas(model, D if scheme.cooperative else valid_d(model, Scheme.BOTH_COMP_RX)[0], L)
     return ClosedForm(model, scheme, D, L,
                       *(f[k] if k else Fraction(0) for k in SCHEME_KEYS[scheme]))
 

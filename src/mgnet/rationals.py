@@ -11,11 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def parse_ratio(text: str) -> Fraction:
-    """Parse 'p/q', 'p' or a decimal string into an exact Fraction."""
-    return Fraction(text.strip())
-
-
 def _num_den(x: Fraction | int) -> tuple[int, int]:
     """Lowest-terms pair, read off an int or Fraction without re-wrapping it."""
     f = x if isinstance(x, (int, Fraction)) else Fraction(x)

@@ -15,15 +15,14 @@
   follows the sector interference graph (4 neighbours).
 
 Node ids are dense: every per-node table (``interference``, ``tx_coop``,
-``coords``, ``tx_cell``; ``rx_coop`` and ``cell_coords`` per Rx cell) is a
-sequence indexed by the id itself.  Hex and sectorized ids run 0..n-1.
+``tx_cell``; ``rx_coop`` and ``cell_coords`` per Rx cell) is a sequence
+indexed by the id itself.  Hex and sectorized ids run 0..n-1.
 Wyner keeps the 1-based cell numbers 1..K of the paper, so its tables carry
 an unused slot 0 (empty adjacency, no role) that is never in ``tx_nodes``.
 A Tx node's Rx cell is one lookup in ``tx_cell``: the identity range for
-Wyner and hex, where a node is its own cell and ``cell_coords`` is the very
-sequence ``coords``; in the sectorized model sector ``3 * i + j`` is the
-``SECTOR_KINDS[j]`` sector of cell ``i``, ``coords`` holds (cell
-coordinate, kind) per sector and ``tx_cell`` maps a sector to its cell.
+Wyner and hex, where a node is its own cell; in the sectorized model sector
+``3 * i + j`` is the ``SECTOR_KINDS[j]`` sector of cell ``i`` and ``tx_cell``
+maps a sector to its cell.  So node t sits at ``cell_coords[tx_cell[t]]``.
 Per-cell code uses these and needs no model branch.
 Adjacency is a sequence of sorted tuples, and equal relations share one
 object (``tx_coop is interference`` in every model).  Hex and sectorized
@@ -61,7 +60,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, product
+from itertools import chain
 from operator import attrgetter, index, is_
 
 from .lattice import (Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows,
@@ -107,7 +106,6 @@ class Network:
     q_tx: int
     q_rx: int
     params: dict = field(default_factory=dict)
-    coords: Sequence = field(default=(), repr=False)  # per Tx node
     cell_coords: Sequence = field(default=(), repr=False)  # per Rx cell
     tx_cell: Sequence[int] = field(default=(), repr=False)  # Tx node -> Rx cell
     geometry: object | None = field(default=None, repr=False)
@@ -128,13 +126,14 @@ class Network:
         return self.model == WYNER or "radius" in self.params
 
     def to_json_dict(self) -> dict:
-        if self.model == SECTORED:
-            nodes = [{"id": t, "coord": list(self.coords[t][0]), "kind": self.coords[t][1]}
-                     for t in self.tx_nodes]
-        elif self.model == HEX:
-            nodes = [{"id": t, "coord": list(self.coords[t])} for t in self.tx_nodes]
-        else:
+        if self.model == WYNER:
             nodes = [{"id": t, "coord": t} for t in self.tx_nodes]
+        else:
+            nodes = [{"id": t, "coord": list(self.cell_coords[self.tx_cell[t]])}
+                     for t in self.tx_nodes]
+        if self.model == SECTORED:
+            for node in nodes:
+                node["kind"] = SECTOR_KINDS[node["id"] % 3]
         pairs = lambda adj: [[a, b] for a, nbrs in enumerate(adj) for b in nbrs]
         return {
             "model": self.model,
@@ -250,7 +249,7 @@ def build_wyner(K: int, L: int) -> Network:
         model=WYNER, L=L, tx_nodes=nodes, rx_nodes=nodes,
         interference=adj, tx_coop=adj, rx_coop=adj,
         q_tx=q, q_rx=q, params={"K": K},
-        coords=ids, cell_coords=ids, tx_cell=ids,
+        cell_coords=ids, tx_cell=ids,
     ), K)
 
 
@@ -351,7 +350,7 @@ def _hex_from_rows(rows: list[Row], L: int, canon, params: dict, geometry) -> Ne
         model=HEX, L=L, tx_nodes=nodes, rx_nodes=nodes,
         interference=adj, tx_coop=adj, rx_coop=adj,
         q_tx=q, q_rx=q, params=params,
-        coords=cells, cell_coords=cells, tx_cell=ids,
+        cell_coords=cells, tx_cell=ids,
         geometry=geometry,
     )
 
@@ -384,8 +383,7 @@ def _sectored_from_rows(rows: list[Row], L: int, canon, params: dict,
         model=SECTORED, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
         interference=interference, tx_coop=interference, rx_coop=rx_coop,
         q_tx=q_tx, q_rx=q_rx, params=params,
-        coords=list(product(cells, SECTOR_KINDS)), cell_coords=cells,
-        tx_cell=tuple(chain.from_iterable(zip(rx_nodes, rx_nodes, rx_nodes))),
+        cell_coords=cells, tx_cell=tuple(chain.from_iterable(zip(rx_nodes, rx_nodes, rx_nodes))),
         geometry=geometry,
     )
 

@@ -12,7 +12,7 @@ from mgnet import (Role, Scheme, assign, build_hex, build_hex_torus,
                    check_params, hex_distance, valid_d)
 from mgnet.association import _sector_fast_kind, _sector_silenced, scheme_tau
 from mgnet.lattice import TorusGeometry, is_master
-from mgnet.topology import HEX, SECTORED, WYNER
+from mgnet.topology import HEX, SECTOR_KINDS, SECTORED, WYNER
 
 
 def test_wyner_mixed_assignment():
@@ -86,7 +86,7 @@ def test_hex_slow_only_ring():
     net = build_hex(7, 1)
     a = assign(net, D, Scheme.SLOW_COMP_RX)
     ring = [i for i in net.tx_nodes
-            if hex_distance(net.coords[i], (0, 0)) == D // 2 + 1]
+            if hex_distance(net.cell_coords[net.tx_cell[i]], (0, 0)) == D // 2 + 1]
     assert len(ring) == 3 * D + 6
     assert all(a.roles[i] is Role.SILENT for i in ring)
 
@@ -101,7 +101,7 @@ def test_hex_roles_partition():
 def test_hex_master_lattice():
     net = build_hex(9, 1)
     a = assign(net, 8, Scheme.BOTH_COMP_RX)
-    coords = [net.coords[m] for m in a.masters]
+    coords = [net.cell_coords[net.tx_cell[m]] for m in a.masters]
     assert all(is_master(c, 4) for c in coords)
     assert all(hex_distance(c1, c2) >= 8 for c1 in coords for c2 in coords if c1 != c2)
     assert (0, 0) in coords
@@ -242,14 +242,14 @@ def reference_roles(net, D, scheme):
     A frozen copy of the per-cell association path, kept as the oracle for
     the per-class one in ``assign``.
     """
-    roles = [None] * len(net.coords)
+    roles = [None] * len(net.tx_cell)
     if scheme is Scheme.NO_COOP:
         for t in net.tx_nodes:
             if net.model == HEX:
-                a, b = net.coords[t]
+                a, b = net.cell_coords[net.tx_cell[t]]
                 roles[t] = Role.FAST if (a + b) % 3 == 0 else Role.SILENT
             else:
-                roles[t] = Role.FAST if net.coords[t][1] == "W" else Role.SILENT
+                roles[t] = Role.FAST if SECTOR_KINDS[t % 3] == "W" else Role.SILENT
         return roles, ()
     tau = scheme_tau(net.model, scheme, D)
     layers = [net.geometry.nearest_masters(c, tau) for c in net.cell_coords]
@@ -270,14 +270,14 @@ def reference_roles(net, D, scheme):
         if dist < tau:
             fast = _sector_fast_kind(hits[0][1]) if scheme.mixed else None
             for t in range(3 * i, 3 * i + 3):
-                roles[t] = Role.FAST if net.coords[t][1] == fast else Role.SLOW
+                roles[t] = Role.FAST if SECTOR_KINDS[t % 3] == fast else Role.SLOW
         else:
             assert dist == tau
             silenced = {frozenset(_sector_silenced(delta, tau)) for _, delta in hits}
             assert len(silenced) == 1
             (silenced,) = silenced
             for t in range(3 * i, 3 * i + 3):
-                kind = net.coords[t][1]
+                kind = SECTOR_KINDS[t % 3]
                 if kind in silenced:
                     roles[t] = Role.SILENT
                 else:

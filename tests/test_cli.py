@@ -134,6 +134,74 @@ def test_validate_output_is_byte_identical(capsys, monkeypatch, name):
     assert got == {key: pin for key, pin in VALIDATE_PINS.items() if key[0] == name}
 
 
+# sha256 of the `mgnet loads` and `mgnet closed-form` stdout for each network of
+# FIVE_NETWORKS at PIN_D (rebuilt from its size flags), key order included; recorded
+# when `LoadReport` and `ClosedForm` listed their JSON keys by hand
+OUTPUT_PINS = {
+    ("loads", "wyner", "BOTH_COMP_RX"): "d0bc21c9d023d4465b7c99556d32df38088a8781939235a5640ef970b1855584",
+    ("closed-form", "wyner", "BOTH_COMP_RX"): "2801be4a3ad9a47c63f5f7463d0d908d2f19827cc7546696e435ec2106223bb5",
+    ("loads", "wyner", "BOTH_COMP_TX"): "34b06942dcbca0743a9c847c808a9e518c6897743b6a09a887d9baeb54b6eb16",
+    ("closed-form", "wyner", "BOTH_COMP_TX"): "480967f92ff7a37961b26d4a38b8719a445d11d26fb2444a95e71e063b773a83",
+    ("loads", "wyner", "SLOW_COMP_RX"): "79a1878d38c93f3ccb017f773d7428f223010cd6258b65185ee0b5ef22362368",
+    ("closed-form", "wyner", "SLOW_COMP_RX"): "16e0635bda554ea4dbb6bc52944f7c9b66537d7e8ace6f4eaf37b5fa8a1adde7",
+    ("loads", "wyner", "SLOW_COMP_TX"): "772adf30cb2dad8588c21162f50da9e0a42bec95c240ea168ab54d944488eceb",
+    ("closed-form", "wyner", "SLOW_COMP_TX"): "be4fbb5627336b00c67b545a7aa68a98a1c68af44d78e54f41503b75f7b49268",
+    ("loads", "wyner", "NO_COOP"): "a6ecd54a0d09f5a50e8b133da9d366288696ececcbf1412ac27efe695576be80",
+    ("closed-form", "wyner", "NO_COOP"): "418183ae9a261a83fa766b313db0d4820490cde280ce0652573b6fa0cd0a1ed2",
+    ("loads", "hex-ball", "BOTH_COMP_RX"): "5a6235fc9a216becfb1618d5fb6509ade9ebfb7d06c333d2466404066b422d2f",
+    ("closed-form", "hex-ball", "BOTH_COMP_RX"): "d0cbbc4151af0ddd3d100f0a645309b6f7987a41d6d0d52ff0e2fbd5d33cfa2e",
+    ("loads", "hex-ball", "BOTH_COMP_TX"): "ab869cc701beaf7564c688cb5fe687c5da1818b840915548555b47826782d9f7",
+    ("closed-form", "hex-ball", "BOTH_COMP_TX"): "166bab2c536c3b93d4b04e3decf89ddd7e0041610148c37ff2efd25061de10ba",
+    ("loads", "hex-ball", "SLOW_COMP_RX"): "b5f2e9f54d645e38853f314145191772e91a219baa30dcb475f5131b742076b7",
+    ("closed-form", "hex-ball", "SLOW_COMP_RX"): "851c4252822f8c525091d29235cf8666e4d41ed5c20c812d9f331d5203d16e77",
+    ("loads", "hex-ball", "SLOW_COMP_TX"): "186682ddd2142348ce96b3b0f4027c96dcc792c519c51f66cb5534e28a1a3a47",
+    ("closed-form", "hex-ball", "SLOW_COMP_TX"): "b94fb00873b09be1b956333387d0f5a07a1c7bafac9123778a5b23a5fe05ed13",
+    ("loads", "hex-ball", "NO_COOP"): "430499ab7ff7a30075ddf2f87fe4198894ce5817a19d22812487829aa239a117",
+    ("closed-form", "hex-ball", "NO_COOP"): "d9e92b027395b089d1fbb79ee59260da18762335d9010d747f03cf33786b0d21",
+    ("loads", "hex-torus", "BOTH_COMP_RX"): "59fd718e9bae45bf71ab34e94e3c2a668bc3957d97cbb4b5859f2c327ec6a39b",
+    ("closed-form", "hex-torus", "BOTH_COMP_RX"): "e8b1deecc8f10d1d2fc5a9b9c21acf119fe1db14396c0c0363a4ac3c0d6fc53f",
+    ("loads", "hex-torus", "BOTH_COMP_TX"): "d45288cbb764170be0c2c9b9e3500fba4c994cc0752715f99724d2907d533ca0",
+    ("closed-form", "hex-torus", "BOTH_COMP_TX"): "ddc5ccacd0b17500bdcf73e14101766c4801312dd9a16db90ca3659d749d4546",
+    ("loads", "hex-torus", "NO_COOP"): "8dcc78adfeb9497942e0b9b2186f53e88e7e014d51beeec786a2c2dd488d3ad0",
+    ("closed-form", "hex-torus", "NO_COOP"): "1ede554e52e8a1f10e5484195b79a21b9cee70d04958ae4b20101efb86831a03",
+    ("loads", "sectorized-ball", "BOTH_COMP_RX"): "8ab6a08e9eca8af9d21d5cc2026c09b20dcb1ff7515f1733a73b1e9ddf32a4f5",
+    ("closed-form", "sectorized-ball", "BOTH_COMP_RX"): "93baf1cb12e9225837b57cacc8e6c85fccba945298af7753ca8a2f01fe342948",
+    ("loads", "sectorized-ball", "SLOW_COMP_RX"): "84de49014912c60048c2d1d46ed7eb7301d934c97348ff8e5880309f51670912",
+    ("closed-form", "sectorized-ball", "SLOW_COMP_RX"): "a3e9277967de5a43a44c66dc9f6d7f1c8fba33e26d32d1716de7fef1637b0843",
+    ("loads", "sectorized-ball", "NO_COOP"): "7c13a331173202940a4b6b27982b3c41ba0b1c8aad0438bc5c0daf01fdf3adc9",
+    ("closed-form", "sectorized-ball", "NO_COOP"): "262166fe936970a13923101e6f5f17d3d7e953320310558acfae3cc199c15aae",
+    ("loads", "sectorized-torus", "BOTH_COMP_RX"): "cc11fcfece3fc54e6096ef0e7f96cbef872cf6c0de001c56ffdc4d86f979daad",
+    ("closed-form", "sectorized-torus", "BOTH_COMP_RX"): "8c492bb75bf18432f3221aca0c0de6fd8757dc72535c2687aae6fc00843f06e5",
+    ("loads", "sectorized-torus", "SLOW_COMP_RX"): "977057f1b8f83326b8018109066a7fa8ec6e22e52bd482f8591d0b19f78ab865",
+    ("closed-form", "sectorized-torus", "SLOW_COMP_RX"): "0f4905482292b5286bfa80222a89ea9daec2fe9a9a015503150190161679ffe3",
+    ("loads", "sectorized-torus", "NO_COOP"): "45648d181b2a146784162f52f1a8f24c361267580de53445a5085d5d641f72b1",
+    ("closed-form", "sectorized-torus", "NO_COOP"): "7ad44cf13faea2558a72bc3e92f3029ac68629974bf7208c2071103d5b8b9d53",
+}
+
+
+def _size_flags(net):
+    """The --K, --radius or --tiling that builds ``net`` again."""
+    if "tau" in net.params:
+        return ["--tiling", "{0}x{0}".format(net.params["copies"])]
+    ((key, value),) = net.params.items()
+    return [f"--{key}", str(value)]
+
+
+@pytest.mark.parametrize("name", FIVE_NETWORKS)
+def test_loads_and_closed_form_output_is_byte_identical(capsys, name):
+    net = FIVE_NETWORKS[name]()
+    model = {v: k for k, v in MODELS.items()}[net.model]
+    alias = {v: k for k, v in SCHEME_ALIASES.items()}
+    common = ["--model", model, "--D", str(PIN_D[name]), "--L", str(net.L)]
+    got = {}
+    for scheme in _pinned_schemes(net, PIN_D[name]):
+        for argv in (["loads", *common, *_size_flags(net)], ["closed-form", *common]):
+            code, out, _ = run(capsys, *argv, "--scheme", alias[scheme])
+            assert code == 0
+            got[(argv[0], name, scheme.name)] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == {key: pin for key, pin in OUTPUT_PINS.items() if key[1] == name}
+
+
 @pytest.mark.parametrize("L", ["0", "-3"])
 @pytest.mark.parametrize("argv", [
     ("region", "--model", "wyner", "--D", "4", "--mu-tx", "1", "--mu-rx", "1"),
@@ -583,6 +651,28 @@ def test_help_exits_0(capsys, argv, usage):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(usage)
+
+
+# sha256 of `mgnet --help` and of each `mgnet <command> --help` at 80 columns (Python 3.11),
+# recorded when `make_parser` added every subcommand's options one by one
+HELP_PINS = {
+    "mgnet": "1fab70ef802c72dac7cbf8781bec59bf3f9cbab8259b257ce371d5473e37292f",
+    "closed-form": "0e52b006af5a0266fc1cdd38bb6e5a112eedf356e9702852c31adc8c5207031d",
+    "figure": "ed34ded0183204489b2d90eeb16cadfb609200a935283e891053dbc71924709e",
+    "loads": "f24799f8a3946e8dbf5f59b17a035acfeab4ab19c6f83a768cef435dafd32a81",
+    "region": "10ce6b699032837af60eb13325c150e50935c5a4442ebb89e0a7e1dfcb9380fa",
+    "sweep": "21c1d06c0c87fc385fea3569967c2e77430e4ae5cc89b63b31b57ce44ca644ec",
+    "validate": "c0525da50fa5823018e61944626ecb26bb433c8c50facd1a8d7e206689df0deb",
+}
+
+
+@pytest.mark.parametrize("command", ["mgnet", *sorted(make_parser().commands)])
+def test_help_text_is_byte_identical(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command == "mgnet" else [command, "--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_PINS[command]
 
 
 def test_unknown_trailing_option_exits_2_with_the_command_usage(capsys):

@@ -177,7 +177,7 @@ def test_hex_interference_set_sizes():
         n_slow = sum(1 for j in nbrs if roles[j] is Role.SLOW)
         n_fast = sum(1 for j in nbrs if roles[j] is Role.FAST)
         g = sub.gamma[k]
-        delta = _nearest_delta(net, net.coords[k], D // 2)
+        delta = _nearest_delta(net, net.cell_coords[net.tx_cell[k]], D // 2)
         if roles[k] is Role.FAST:
             if g <= D // 2 - 2:
                 assert n_slow == 6
@@ -206,7 +206,7 @@ def test_sectorized_interference_set_sizes():
             if g <= D // 2 - 1:
                 assert n_slow == 4
             else:
-                coord, _ = net.coords[k]
+                coord = net.cell_coords[net.tx_cell[k]]
                 corner = _is_ball_corner(_nearest_delta(net, coord, D // 2), D // 2)
                 assert n_slow == (2 if corner else 3)
         else:
@@ -499,8 +499,8 @@ def reference_closed_form(model, scheme, D, L):
     """The per-scheme chain ``closed_form`` replaced with one ``SCHEME_KEYS`` lookup."""
     check_params(model, scheme, D, L)
     zero = F(0)
-    if scheme is Scheme.NO_COOP:
-        f = formulas(model, max(D, 2), L)
+    if scheme is Scheme.NO_COOP:  # D-free values; D=2 is cooperative on every model
+        f = formulas(model, 2, L)
         return (f["s_nocoop"], zero, zero, zero)
     f = formulas(model, D, L)
     if scheme is Scheme.BOTH_COMP_RX:
@@ -524,6 +524,24 @@ def test_closed_form_equals_reference_chain():
 def test_sweep_grid_is_every_valid_case():
     assert len(SWEEP) == 179
     assert KNOWN_NEGATIVE in SWEEP
+
+
+@pytest.mark.parametrize("model", [WYNER, HEX, SECTORED])
+def test_formulas_name_a_d_without_cooperation_or_are_nonnegative(model):
+    """At every D in 0..30 ``formulas`` raises a ValueError that names D, exactly where
+    no cooperative scheme runs, or returns no negative value but the known one."""
+    returned = set()
+    for D in range(31):
+        for L in (1, 3):
+            try:
+                f = formulas(model, D, L)
+            except ValueError as exc:
+                assert str(exc).startswith(f"D={D}: "), (model, D, L, exc)
+                continue
+            returned.add(D)
+            known = {"mu_t_tx"} if (model, D) == (HEX, 2) else set()  # KNOWN_NEGATIVE
+            assert {k for k, v in f.items() if v < 0} == known, (model, D, L)
+    assert sorted(returned) == list(valid_range(model, Scheme.BOTH_COMP_RX, 30))
 
 
 @settings(max_examples=120, deadline=None)

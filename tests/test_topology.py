@@ -84,13 +84,13 @@ def test_hex_distance_is_a_metric(a, b, c):
 def test_hex_ball_counts():
     net = build_hex(1, 1)
     assert net.n_tx == 7
-    center = net.coords.index((0, 0))
+    center = net.cell_coords.index((0, 0))
     assert len(net.interference[center]) == 6
 
     net2 = build_hex(2, 3)
     assert net2.n_tx == 19
     # independent oracle: ordered pairs at hex distance one
-    cells = [net2.coords[i] for i in net2.tx_nodes]
+    cells = [net2.cell_coords[net2.tx_cell[i]] for i in net2.tx_nodes]
     pairs = sum(1 for c1 in cells for c2 in cells if c1 != c2 and brute_hexdist(c1, c2) == 1)
     assert pairs == 84
     assert net2.q_rx == 84
@@ -98,7 +98,7 @@ def test_hex_ball_counts():
 
 def test_hex_neighbor_rule():
     net = build_hex(3, 1)
-    idx = {c: i for i, c in enumerate(net.coords)}
+    idx = {c: i for i, c in enumerate(net.cell_coords)}
     assert idx[(1, 1)] in net.interference[idx[(0, 0)]]
     assert idx[(1, -1)] not in net.interference[idx[(0, 0)]]
 
@@ -110,15 +110,17 @@ def test_hex_reciprocity_and_degree_bound():
         assert len(nbrs) <= 6
         for j in nbrs:
             assert k in net.interference[j]
-    interior = [i for i in net.tx_nodes if hex_distance(net.coords[i], (0, 0)) <= 2]
+    interior = [i for i in net.tx_nodes
+                if hex_distance(net.cell_coords[net.tx_cell[i]], (0, 0)) <= 2]
     assert all(len(net.interference[i]) == 6 for i in interior)
 
 
 def test_hex_rotation_symmetry():
     net = build_hex(3, 1)
-    idx = {c: i for i, c in enumerate(net.coords)}
+    idx = {c: i for i, c in enumerate(net.cell_coords)}
     rot = lambda c: (c[1] - c[0], -c[0])
-    edges = {(net.coords[a], net.coords[b]) for a in net.tx_nodes for b in net.interference[a]}
+    at = [net.cell_coords[c] for c in net.tx_cell]
+    edges = {(at[a], at[b]) for a in net.tx_nodes for b in net.interference[a]}
     assert {(rot(a), rot(b)) for a, b in edges} == edges
 
 
@@ -148,7 +150,7 @@ def test_sector_rule_is_symmetric_and_rotation_invariant():
 def test_sectorized_interior_degree_and_cells():
     net = build_sectored_hex(3, 1)
     for t in net.tx_nodes:
-        coord, kind = net.coords[t]
+        coord = net.cell_coords[net.tx_cell[t]]
         nbrs = net.interference[t]
         assert all(net.tx_cell[n] != net.tx_cell[t] for n in nbrs)  # no intra-cell interference
         if hex_distance(coord, (0, 0)) <= 1:
@@ -271,13 +273,15 @@ def test_node_tables_follow_the_cell_order(make, domain):
     net, cells = make(), domain()
     assert list(net.cell_coords) == cells
     if net.model == HEX:
-        assert list(net.coords) == cells
+        assert net.tx_cell == range(len(cells))
         return
-    assert list(net.coords) == [(c, k) for c in cells for k in SECTOR_KINDS]
+    assert [(net.cell_coords[net.tx_cell[t]], SECTOR_KINDS[t % 3]) for t in net.tx_nodes] == \
+        [(c, k) for c in cells for k in SECTOR_KINDS]
     assert list(net.tx_cell) == [t // 3 for t in range(3 * len(cells))]
     for i, c in enumerate(cells):  # sector 3i + j is kind SECTOR_KINDS[j] of cell i
         sectors = range(3 * i, 3 * i + 3)
-        assert [net.coords[t] for t in sectors] == [(c, k) for k in SECTOR_KINDS]
+        assert [(net.cell_coords[net.tx_cell[t]], SECTOR_KINDS[t % 3]) for t in sectors] == \
+            [(c, k) for k in SECTOR_KINDS]
         assert [net.tx_cell[t] for t in sectors] == [i, i, i]
 
 
@@ -295,24 +299,23 @@ def test_network_shape(make):
     net = make()
     # dense ids: every Tx table has one slot per id, and only Wyner's slot 0 is unused
     first = 1 if net.model == WYNER else 0
-    assert list(net.tx_nodes) == list(range(first, len(net.coords)))  # Tx coordinates only
-    assert len(net.interference) == len(net.tx_coop) == len(net.tx_cell) == len(net.coords)
+    assert list(net.tx_nodes) == list(range(first, len(net.tx_cell)))
+    assert len(net.interference) == len(net.tx_coop) == len(net.tx_cell)
     assert list(net.rx_nodes) == list(range(first, len(net.cell_coords)))
     assert len(net.rx_coop) == len(net.cell_coords)
     assert {net.tx_cell[t] for t in net.tx_nodes} <= set(net.rx_nodes)
     assert net.tx_coop is net.interference
     assert net.has_rim != ("tau" in net.params)  # a builder's network is a torus or has a rim
     if net.model != SECTORED:
-        assert net.cell_coords is net.coords
         assert net.rx_coop is net.interference
-        assert net.tx_cell == range(len(net.coords))
+        assert net.tx_cell == range(len(net.cell_coords))
         assert all(net.tx_cell[t] == t for t in net.tx_nodes)
         return
     for i in net.rx_nodes:
         sectors = range(3 * i, 3 * i + 3)
         assert list(sectors) == [t for t in net.tx_nodes if net.tx_cell[t] == i]
-        assert sorted(net.coords[t][1] for t in sectors) == sorted(SECTOR_KINDS)
-        assert all(net.coords[t][0] == net.cell_coords[i] for t in sectors)
+        assert sorted(SECTOR_KINDS[t % 3] for t in sectors) == sorted(SECTOR_KINDS)
+        assert all(net.cell_coords[net.tx_cell[t]] == net.cell_coords[i] for t in sectors)
 
 
 # sha256 of json.dumps(..., sort_keys=True) of net.to_json_dict() (scheme None) and
