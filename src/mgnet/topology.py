@@ -40,14 +40,14 @@ or master lattice without re-proving its structure.  Every marked object
 is immutable; a reassigned field, a changed ``params``, a
 ``dataclasses.replace`` copy or a hand-made ``Network`` matches no mark.
 
-Hex and sectorized adjacency is written once, by ``_adjacency``, from the
-domain's rows (a, lo, hi) in id order (``lattice.ball_rows``,
-``TorusGeometry.rows``): cell (a, b) has id ``base[a] + b``, so each
-neighbour step of a row's inner cells is one run of ids, and only the few
-cells at a row's ends look up their neighbours one by one, through
-``canon`` where a torus seam wraps them (a torus build keeps one memo of
-``canon``, so each off-domain cell is canonicalised once).  No coordinate
-is looked up in a dict.
+Hex and sectorized networks are written once, by ``_from_rows``, from
+their node kinds and the domain's rows (a, lo, hi) in id order
+(``lattice.ball_rows``, ``TorusGeometry.rows``), their adjacency by
+``_adjacency``: cell (a, b) has id ``base[a] + b``, so each neighbour step
+of a row's inner cells is one run of ids, and only the few cells at a
+row's ends look up their neighbours one by one, through ``canon`` where a
+torus seam wraps them (a torus build keeps one memo of ``canon``, so each
+off-domain cell is canonicalised once).  No coordinate is looked up in a dict.
 
 Finite instances come in two flavours: hex-distance balls of a given
 radius (edge effects at the rim) and tori holding M x M whole subnets of a
@@ -340,63 +340,55 @@ def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], .
     return tuple(adj)
 
 
-def _hex_from_rows(rows: list[Row], L: int, canon, params: dict, geometry) -> Network:
+def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], rows: list[Row],
+               L: int, canon, params: dict, geometry) -> Network:
+    """The network of ``kinds`` (``_HEX_STEPS`` or ``_SECTOR_STEPS``) over the cells of
+    ``rows``: node ``len(kinds) * i + j`` is kind j of cell i.  With one kind a node is its
+    own cell, and the cell-to-cell cooperation is the interference adjacency itself."""
     cells = tuple(row_cells(rows))
+    nk = len(kinds)
     ids = range(len(cells))
-    nodes = tuple(ids)
-    adj = _adjacency(rows, _HEX_STEPS, canon, nodes)
-    q = sum(map(len, adj))
+    rx_nodes = tuple(ids)
+    tx_nodes = rx_nodes if nk == 1 else tuple(range(nk * len(cells)))
+    interference = _adjacency(rows, kinds, canon, tx_nodes)
+    rx_coop = interference if nk == 1 else _adjacency(rows, _HEX_STEPS, canon, rx_nodes)
+    q_tx = sum(map(len, interference))
     return Network(
-        model=HEX, L=L, tx_nodes=nodes, rx_nodes=nodes,
-        interference=adj, tx_coop=adj, rx_coop=adj,
-        q_tx=q, q_rx=q, params=params,
-        cell_coords=cells, tx_cell=ids,
-        geometry=geometry,
+        model=model, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
+        interference=interference, tx_coop=interference, rx_coop=rx_coop,
+        q_tx=q_tx, q_rx=q_tx if nk == 1 else sum(map(len, rx_coop)), params=params,
+        cell_coords=cells, geometry=geometry,
+        tx_cell=ids if nk == 1 else tuple(chain.from_iterable(zip(*[rx_nodes] * nk))),
     )
+
+
+def _ball(model: str, kinds, radius: int, L: int) -> Network:
+    _need_at_least(radius=(radius, 0), L=(L, 1))
+    return _marked(_from_rows(model, kinds, ball_rows(radius), L, None, {"radius": radius},
+                              PlaneGeometry()), radius)
+
+
+def _torus(model: str, kinds, tau: int, copies: int, L: int) -> Network:
+    _need_at_least(tau=(tau, 1), copies=(copies, 1), L=(L, 1))
+    geo = TorusGeometry(tau, copies)
+    return _from_rows(model, kinds, geo.rows(), L, cache(geo.canon),
+                      {"tau": tau, "copies": copies}, geo)
 
 
 def build_hex(radius: int, L: int) -> Network:
     """Hexagonal network on the radius-``radius`` hex ball around the origin."""
-    _need_at_least(radius=(radius, 0), L=(L, 1))
-    return _marked(_hex_from_rows(ball_rows(radius), L, None, {"radius": radius},
-                                  PlaneGeometry()), radius)
+    return _ball(HEX, _HEX_STEPS, radius, L)
 
 
 def build_hex_torus(tau: int, copies: int, L: int) -> Network:
     """Hexagonal network on a torus of ``copies`` x ``copies`` whole spacing-``tau`` subnets."""
-    _need_at_least(tau=(tau, 1), copies=(copies, 1), L=(L, 1))
-    geo = TorusGeometry(tau, copies)
-    return _hex_from_rows(geo.rows(), L, cache(geo.canon), {"tau": tau, "copies": copies}, geo)
-
-
-def _sectored_from_rows(rows: list[Row], L: int, canon, params: dict,
-                        geometry) -> Network:
-    """Sector ``3 * i + j`` is the ``SECTOR_KINDS[j]`` sector of cell ``i``."""
-    cells = tuple(row_cells(rows))
-    rx_nodes = tuple(range(len(cells)))
-    tx_nodes = tuple(range(3 * len(cells)))
-    interference = _adjacency(rows, _SECTOR_STEPS, canon, tx_nodes)
-    q_tx = sum(map(len, interference))
-    rx_coop = _adjacency(rows, _HEX_STEPS, canon, rx_nodes)
-    q_rx = sum(map(len, rx_coop))
-    return Network(
-        model=SECTORED, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
-        interference=interference, tx_coop=interference, rx_coop=rx_coop,
-        q_tx=q_tx, q_rx=q_rx, params=params,
-        cell_coords=cells, tx_cell=tuple(chain.from_iterable(zip(rx_nodes, rx_nodes, rx_nodes))),
-        geometry=geometry,
-    )
+    return _torus(HEX, _HEX_STEPS, tau, copies, L)
 
 
 def build_sectored_hex(radius: int, L: int) -> Network:
     """Sectorized hexagonal network (3 Tx sectors per cell, one 3L-antenna Rx per cell)."""
-    _need_at_least(radius=(radius, 0), L=(L, 1))
-    return _marked(_sectored_from_rows(ball_rows(radius), L, None, {"radius": radius},
-                                       PlaneGeometry()), radius)
+    return _ball(SECTORED, _SECTOR_STEPS, radius, L)
 
 
 def build_sectored_hex_torus(tau: int, copies: int, L: int) -> Network:
-    _need_at_least(tau=(tau, 1), copies=(copies, 1), L=(L, 1))
-    geo = TorusGeometry(tau, copies)
-    return _sectored_from_rows(geo.rows(), L, cache(geo.canon), {"tau": tau, "copies": copies},
-                               geo)
+    return _torus(SECTORED, _SECTOR_STEPS, tau, copies, L)

@@ -59,6 +59,10 @@ translates of run 0, its tail the rim): ``validate`` then checks fast
 independence and the hop budget on the template and the rim alone, and
 again on every node only when that finds a violation, so that the
 violations come in node order.
+
+A report records each failed check once, as a ``(node, code)`` violation,
+and reads its verdicts off the codes; ``validate`` puts the fast-independence
+violations first and the hop-budget ones last.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
 
@@ -134,34 +139,36 @@ class Subnets(Sequence):
                       tuple([k for k in comp if roles[k] is Role.SLOW]))
 
 
+# The violation codes behind each verdict, by prefix: a verdict holds when no
+# violation's code starts with one of its prefixes.
+_VERDICTS = {
+    "fast_independent": ("fast-interference",),
+    "subnets_disjoint": ("multi-master", "cross-subnet"),
+    "master_reachable": ("no-master", "unreachable", "hop-budget"),
+}
+
+
 @dataclass
 class ValidationReport:
-    fast_independent: bool = True
-    subnets_disjoint: bool = True
-    master_reachable: bool = True
+    """The violations ``(node, code)`` and warnings of the checks; every verdict,
+    ``ok`` included, is read off the violations."""
+
     hop_budget: int = 0
     violations: list[tuple[int, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.fast_independent and self.subnets_disjoint and self.master_reachable
+    def _holds(self, verdict: str) -> bool:
+        prefixes = _VERDICTS[verdict]
+        return not any(code.startswith(prefixes) for _, code in self.violations)
 
-    def merge(self, other: "ValidationReport") -> "ValidationReport":
-        return ValidationReport(
-            self.fast_independent and other.fast_independent,
-            self.subnets_disjoint and other.subnets_disjoint,
-            self.master_reachable and other.master_reachable,
-            max(self.hop_budget, other.hop_budget),
-            self.violations + other.violations,
-            self.warnings + other.warnings,
-        )
+    fast_independent = property(lambda self: self._holds("fast_independent"))
+    subnets_disjoint = property(lambda self: self._holds("subnets_disjoint"))
+    master_reachable = property(lambda self: self._holds("master_reachable"))
+    ok = property(lambda self: not self.violations)
 
     def to_json_dict(self) -> dict:
         return {
-            "fast_independent": self.fast_independent,
-            "subnets_disjoint": self.subnets_disjoint,
-            "master_reachable": self.master_reachable,
+            **{verdict: self._holds(verdict) for verdict in _VERDICTS},
             "hop_budget": self.hop_budget,
             "violations": [{"node": n, "code": c} for n, c in self.violations],
             "warnings": list(self.warnings),
@@ -192,21 +199,15 @@ def _require_same_net(net: Network, assoc: Association) -> None:
 def fast_noninterference(net: Network, assoc: Association) -> ValidationReport:
     """No fast Tx may appear in the interference set of a fast node's receiver unit."""
     _require_same_net(net, assoc)
-    return _fast_report(net, assoc, net.tx_nodes)
+    return ValidationReport(hop_budget(assoc.scheme, assoc.D),
+                            _fast_violations(net, assoc, net.tx_nodes))
 
 
-def _fast_report(net: Network, assoc: Association, nodes) -> ValidationReport:
-    """``fast_noninterference`` over the fast nodes among ``nodes``, in their order."""
-    report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
-    roles, fast = assoc.roles, Role.FAST
-    for k in nodes:
-        if roles[k] is not fast:
-            continue
-        for j in net.interference[k]:
-            if roles[j] is fast:
-                report.fast_independent = False
-                report.violations.append((k, f"fast-interference-from-{j}"))
-    return report
+def _fast_violations(net: Network, assoc: Association, nodes) -> list[tuple[int, str]]:
+    """``fast_noninterference``'s violations over the fast nodes among ``nodes``."""
+    roles, fast, adj = assoc.roles, Role.FAST, net.interference
+    return [(k, f"fast-interference-from-{j}") for k in nodes if roles[k] is fast
+            for j in adj[k] if roles[j] is fast]
 
 
 def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, ValidationReport]:
@@ -224,15 +225,14 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     _require_same_net(net, assoc)
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
     if (size := as_built(net)) is not None:
-        solved = (_periodic_subnets(net, assoc, size, report) if net.model == WYNER
-                  else _lattice_subnets(net, assoc, size, report.hop_budget))
+        solved = (_periodic_subnets if net.model == WYNER else _lattice_subnets)(
+            net, assoc, size, report)
         if solved is not None:
             return solved
     n = len(assoc.roles)
     hop: list[int | None] = [None] * n
-    members, starts, masters, cross = _walk(net, assoc, report, net.tx_nodes, [None] * n, hop,
-                                            set(assoc.masters))
-    _add_cross(report, cross)
+    members, starts, masters = _walk(net, assoc, report, net.tx_nodes, [None] * n, hop,
+                                     set(assoc.masters))
     return Subnets(assoc, members, starts, masters, hop), report
 
 
@@ -240,8 +240,8 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
           owner: list[int | None], hop: list[int | None], master_set: set) -> tuple:
     """The walk over the components found from ``nodes``, in order, skipping the nodes
     ``owner`` marks (an edge into one is a cross pair); fills ``owner`` and ``hop``,
-    adds violations and warnings to ``report``, and returns the columns (members,
-    starts, masters) and the cross pairs (u, v)."""
+    adds violations, the cross pairs' last, and warnings to ``report``, and returns
+    the columns (members, starts, masters)."""
     roles, silent = assoc.roles, Role.SILENT
     adj = net.interference
     members: list[int] = []
@@ -291,18 +291,15 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
     else:
         cell_owner, cell_hop = [None] * len(coop), [None] * len(coop)
     cooperative = assoc.scheme.cooperative
-    relaxed = net.has_rim
     for i, master in enumerate(masters if cooperative or master_set else ()):
         comp = members[starts[i]:starts[i + 1]]
         if master is None:
             if i in second:
-                report.subnets_disjoint = False
                 report.violations.append((second[i], "multi-master"))
             elif cooperative:
-                if relaxed:
+                if net.has_rim:
                     report.warnings.append(f"partial-subnet:{comp[0]}")
                 else:
-                    report.master_reachable = False
                     report.violations.append((comp[0], "no-master"))
             continue
         if not own:
@@ -324,20 +321,14 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
         if not own or len(cells) < len(comp):
             for k in comp:
                 if hop[k] is None:
-                    report.master_reachable = False
                     report.violations.append((k, "unreachable"))
-    return members, starts, masters, cross
-
-
-def _add_cross(report: ValidationReport, cross: list[tuple[int, int]]) -> None:
-    if cross:
-        cross.sort(key=itemgetter(0))  # stable: keeps adjacency order per node
-        report.subnets_disjoint = False
-        report.violations += [(u, f"cross-subnet-interference-{v}") for u, v in cross]
+    cross.sort(key=itemgetter(0))  # stable: keeps adjacency order per node
+    report.violations += [(u, f"cross-subnet-interference-{v}") for u, v in cross]
+    return members, starts, masters
 
 
 def _lattice_subnets(net: Network, assoc: Association, radius: int,
-                     budget: int) -> tuple[Subnets, ValidationReport] | None:
+                     report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
     """The walk's ``Subnets`` and report on a builder's ball of this radius, from one
     template, its translates and the rim (see the module docstring), for a hexagonal
     association with masters or a sectorized CoMP-Rx one; otherwise None."""
@@ -356,8 +347,8 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
     owner: list[int | None] = [None] * len(roles)
     hop: list[int | None] = [None] * len(roles)
     scratch = ValidationReport()  # the template: one component from the master's nodes
-    tm, _, tmasters, _ = _walk(net, assoc, scratch, range(nk * t, nk * t + nk), owner, hop,
-                               master_set)
+    tm, _, tmasters = _walk(net, assoc, scratch, range(nk * t, nk * t + nk), owner, hop,
+                            master_set)
     if tmasters != [t]:
         return None
     tc = coord[t]
@@ -418,10 +409,8 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
             m = t + d[R] + sh
             pieces.append((mem[0], 2 if m == t else 1, mem, m))
 
-    report = ValidationReport(hop_budget=budget)
     rim_set = master_set.difference([piece[3] for piece in pieces])
-    rm, rs, rmasters, cross = _walk(net, assoc, report, net.tx_nodes, owner, hop, rim_set)
-    _add_cross(report, cross)
+    rm, rs, rmasters = _walk(net, assoc, report, net.tx_nodes, owner, hop, rim_set)
 
     # every component, rim (0), translate (1) or template (2), in order of its lowest member
     pieces += [(rm[rs[j]], 0, rm[rs[j]:rs[j + 1]], rmasters[j]) for j in range(len(rmasters))]
@@ -459,8 +448,8 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
     elif assoc.masters:
         return None
     hop: list[int | None] = [None] * (K + 1)
-    tm, _, _, _ = _walk(net, assoc, ValidationReport(), (1,), [None] * (K + 1), hop,
-                        set(assoc.masters[:1]))
+    tm, _, _ = _walk(net, assoc, ValidationReport(), (1,), [None] * (K + 1), hop,
+                     set(assoc.masters[:1]))
     if tm != list(range(1, P)):  # so node P is silent and nodes 1..P-1 are not
         return None
     whole = (K + 1) // P
@@ -493,35 +482,34 @@ def master_reachability(subnets: Subnets, scheme: Scheme, D: int) -> ValidationR
     if assoc is None or (assoc.scheme, assoc.D) != (scheme, D):
         raise ValueError("subnets were not decomposed for this association")
     budget = hop_budget(scheme, D)
-    hop, roles, slow = subnets.hop, assoc.roles, Role.SLOW
-    for nodes in _proven_first(subnets, subnets.members):
-        report = ValidationReport(hop_budget=budget)
-        for k in nodes:
-            if (g := hop[k]) is None or g <= budget or roles[k] is not slow:
-                continue
-            report.master_reachable = False
-            report.violations.append((k, f"hop-budget-exceeded-{g}>{budget}"))
-        if report.master_reachable:
-            break
-    return report
+    return ValidationReport(budget, _proven_first(subnets, subnets.members,
+                                                  partial(_over_budget, subnets, budget)))
 
 
-def _proven_first(subnets: Subnets, every):
-    """The template's and the rim's members of proven columns, then ``every``: a check
-    that finds nothing on the former finds nothing in the translates either."""
+def _over_budget(subnets: Subnets, budget: int, nodes) -> list[tuple[int, str]]:
+    """``master_reachability``'s violations over the slow nodes among ``nodes``."""
+    hop, roles, slow = subnets.hop, subnets.assoc.roles, Role.SLOW
+    return [(k, f"hop-budget-exceeded-{g}>{budget}") for k in nodes
+            if (g := hop[k]) is not None and g > budget and roles[k] is slow]
+
+
+def _proven_first(subnets: Subnets, every, check) -> list[tuple[int, str]]:
+    """``check``'s violations over ``every``, or over the template's and the rim's members
+    of proven columns when that finds none: a check that finds nothing there finds
+    nothing in the translates either."""
     if subnets.translates is not None:
         template, rim = subnets.template_and_rim()
-        yield template + rim
-    yield every
+        if not (found := check(template + rim)):
+            return found
+    return check(every)
 
 
 def validate(net: Network, assoc: Association) -> tuple[Subnets, ValidationReport]:
-    """Run all structural checks and merge the reports; a proof the decomposition
-    found spares the fast-independence and hop-budget checks the translates."""
-    subnets, r2 = subnet_decompose(net, assoc)
-    for nodes in _proven_first(subnets, net.tx_nodes):
-        r1 = _fast_report(net, assoc, nodes)
-        if r1.fast_independent:
-            break
-    r3 = master_reachability(subnets, assoc.scheme, assoc.D)
-    return subnets, r1.merge(r2).merge(r3)
+    """Run all structural checks into the decomposition's report: the fast-independence
+    violations first, the hop-budget ones last.  A proof the decomposition found spares
+    both checks the translates."""
+    subnets, report = subnet_decompose(net, assoc)
+    report.violations[:0] = _proven_first(subnets, net.tx_nodes,
+                                          partial(_fast_violations, net, assoc))
+    report.violations += master_reachability(subnets, assoc.scheme, assoc.D).violations
+    return subnets, report

@@ -312,3 +312,8 @@ def test_criterion_8_figure_reproduction():
         assert fig8["muRx=1 muTx=0.5"][1] == MgPoint(F(25, 28), F(6, 7))
         fig10 = dict(build_figure("fig10"))
         assert fig10["muRx>=3 muTx=0.1"][1] == MgPoint(F(2, 15), F(71, 30))
+
+
+def test_build_figure_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown figure 'nosuch'; choose from"):
+        build_figure("nosuch")

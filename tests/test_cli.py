@@ -78,19 +78,41 @@ def test_validate_wyner(capsys):
     assert doc["n_subnets"] == 2
 
 
-def test_validate_failure_exits_3(capsys, monkeypatch):
+@pytest.fixture
+def failing_validate(monkeypatch):
+    """``mgnet.cli.validate`` with the real subnets and a report of one violation."""
     import mgnet.cli
     from mgnet.validation import ValidationReport, subnet_decompose
 
     def failing(net, assoc):
         subnets, _ = subnet_decompose(net, assoc)
-        return subnets, ValidationReport(master_reachable=False, violations=[(3, "unreachable")])
+        return subnets, ValidationReport(violations=[(3, "unreachable")])
 
     monkeypatch.setattr(mgnet.cli, "validate", failing)
+
+
+def test_validate_failure_exits_3(capsys, failing_validate):
     code, out, _ = run(capsys, "validate", "--model", "wyner", "--K", "16",
                        "--D", "6", "--scheme", "both-rx")
     assert code == 3
     assert json.loads(out)["violations"] == [{"node": 3, "code": "unreachable"}]
+
+
+def test_loads_on_a_failing_report_exits_2(capsys, failing_validate):
+    code, out, err = run(capsys, "loads", "--model", "wyner", "--K", "16",
+                         "--D", "6", "--L", "3", "--scheme", "both-rx")
+    assert (code, out) == (2, "")
+    assert "association failed validation: [(3, 'unreachable')]" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("loads", "--model", "wyner", "--D", "6", "--L", "3"), "the wyner model needs --K"),
+    (("validate", "--model", "hex", "--D", "8"), "hex models need --radius or --tiling"),
+], ids=["wyner-without-K", "hex-without-radius-or-tiling"])
+def test_a_network_without_its_size_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--scheme", "both-rx")
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 # sha256 of the `mgnet validate` stdout for each network of FIVE_NETWORKS at PIN_D,

@@ -83,13 +83,11 @@ def ref_subnet_decompose(net, assoc):
         masters = sorted(cells & master_set)
         master = masters[0] if len(masters) == 1 else None
         if len(masters) > 1:
-            report.subnets_disjoint = False
             report.violations.append((masters[1], "multi-master"))
         elif not masters and assoc.scheme.cooperative:
             if relaxed:
                 report.warnings.append(f"partial-subnet:{comp[0]}")
             else:
-                report.master_reachable = False
                 report.violations.append((comp[0], "no-master"))
         gamma = {}
         if master is not None:
@@ -97,7 +95,6 @@ def ref_subnet_decompose(net, assoc):
             gamma = {k: hops[c] for k in comp if (c := net.tx_cell[k]) in hops}
             for k in comp:
                 if k not in gamma:
-                    report.master_reachable = False
                     report.violations.append((k, "unreachable"))
         subnets.append(Subnet(tuple(comp), master, gamma, slow))
     for k in net.tx_nodes:
@@ -107,7 +104,6 @@ def ref_subnet_decompose(net, assoc):
         for j in net.interference[k]:
             o = owner[j]
             if o is not None and o != i:
-                report.subnets_disjoint = False
                 report.violations.append((k, f"cross-subnet-interference-{j}"))
     return subnets, report
 

@@ -239,6 +239,11 @@ def test_convex_hull_examples():
     assert tri2 == tri  # interior point dropped
 
 
+def test_convex_hull_of_no_points_raises():
+    with pytest.raises(ValueError, match="need at least one point"):
+        convex_hull([])
+
+
 def test_case2_hull_has_five_vertices():
     region = achievable_region(WYNER, 6, 3, F(1, 2), F(9, 2))
     assert len(region.vertices) == 5

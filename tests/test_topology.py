@@ -17,7 +17,7 @@ from mgnet import (HEX, SECTORED, WYNER, build_hex, build_hex_torus, build_secto
                    build_sectored_hex_torus, build_wyner, hex_distance)
 from mgnet.association import Scheme, assign, check_params, scheme_tau
 from mgnet.lattice import NEIGHBOR_STEPS, TorusGeometry, ball
-from mgnet.topology import SECTOR_KINDS, SECTOR_RULE, as_built
+from mgnet.topology import SECTOR_KINDS, SECTOR_RULE, _LineAdjacency, as_built
 
 
 def brute_hexdist(c1, c2):
@@ -436,3 +436,12 @@ def test_wyner_adjacency_is_computed_like_the_stored_tuple(K):
     with pytest.raises(AttributeError):
         adj.extra = ()
     assert adj == ref
+
+
+@pytest.mark.parametrize("K", [1, 2, 7])
+def test_line_adjacency_takes_index_items_and_compares_by_k(K):
+    adj, ref = _LineAdjacency(K), _stored_line_adjacency(K)
+    assert adj[True] == ref[True] and adj[False] == ref[False] == ()
+    assert adj == _LineAdjacency(K) and not adj != _LineAdjacency(K)
+    assert adj != _LineAdjacency(K + 1) and not adj == _LineAdjacency(K + 1)
+    assert repr(adj) == f"_LineAdjacency({K})"

@@ -302,3 +302,38 @@ def test_a_master_that_is_no_node_is_no_master(master):
     subnets, rep = subnet_decompose(net, a)
     assert subnets.masters == [None]
     assert rep.violations == [(0, "no-master")]
+
+
+@pytest.mark.parametrize("outside", [(-1,), (10**6,), (-5, 10**6)])
+def test_ball_with_every_master_outside_gives_the_walks_output(outside):
+    net = build_hex(4, 1)
+    a = replace(assign(net, 8, Scheme.BOTH_COMP_RX), masters=outside)
+    copy = replace(net)  # an unmarked copy takes the general walk
+    subnets, rep = subnet_decompose(net, a)
+    walk, walk_rep = subnet_decompose(copy, replace(a, net=copy))
+    assert subnets.translates is None and walk.translates is None
+    for col in ("members", "starts", "masters", "hop"):
+        assert list(getattr(subnets, col)) == list(getattr(walk, col)), col
+    assert rep == walk_rep and rep.violations == []
+    assert subnets.masters == [None] * len(subnets)
+    assert rep.warnings == [f"partial-subnet:{subnets.members[j]}" for j in subnets.starts[:-1]]
+
+
+VERDICTS = ("fast_independent", "subnets_disjoint", "master_reachable")
+
+
+@pytest.mark.parametrize("code, failed", [
+    ("fast-interference-from-2", "fast_independent"),
+    ("multi-master", "subnets_disjoint"),
+    ("cross-subnet-interference-4", "subnets_disjoint"),
+    ("no-master", "master_reachable"),
+    ("unreachable", "master_reachable"),
+    ("hop-budget-exceeded-3>2", "master_reachable"),
+])
+def test_verdicts_are_read_off_the_violations(code, failed):
+    rep = ValidationReport(2, [(1, code)], ["partial-subnet:5"])
+    assert {v: getattr(rep, v) for v in VERDICTS} == {v: v != failed for v in VERDICTS}
+    assert not rep.ok and ValidationReport(2, [], ["partial-subnet:5"]).ok
+    with pytest.raises(AttributeError):
+        setattr(rep, failed, True)
+    assert list(rep.to_json_dict()) == [*VERDICTS, "hop_budget", "violations", "warnings"]
