@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Mutation gate: each mutant is one exact source edit that named tests must catch.
+
+    python scripts/mutate.py
+
+Run from anywhere; the checkout is the parent of this script's directory.
+Each mutant copies ``src/``, ``tests/`` and ``pyproject.toml`` into a fresh
+temporary directory, replaces its ``old`` text (which must occur exactly
+once in its file) by ``new``, and runs only its test ids there.  It is
+killed when pytest reports a failed test (exit code 1); any other exit,
+such as an id that no longer exists, counts as a survivor.  The same ids
+first run on an unmutated copy and must pass there, so that a test that
+already fails cannot kill a mutant.  Exit 0 when every mutant is killed,
+1 otherwise.  Plain Python and pytest only.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str            # relative to the checkout
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+ORACLE = "tests/test_ledger_oracle.py::"
+PROOF = ORACLE + "test_only_a_network_as_its_builder_returned_it_takes_a_proof"
+# the two layer rules of association._sector_silenced, with their sets filled in
+SECTOR_RULES = ('        return {{"{}"}}\n'
+                '    if abs(b) == tau and (a > 0) == (b > 0):\n'
+                '        return {{"{}"}}')
+
+MUTANTS = [
+    Mutant("wyner-dedup-flipped", "src/mgnet/loads.py",
+           "q_dedup += D // 2 - (roles[master] is not fast)",
+           "q_dedup += D // 2 - (roles[master] is fast)",
+           (ORACLE + "test_matches_reference_on_oracle_networks[WynerLinear]",)),
+    Mutant("sector-silenced-s-w-swapped", "src/mgnet/association.py",
+           SECTOR_RULES.format("S", "W"), SECTOR_RULES.format("W", "S"),
+           ("tests/test_loads.py::test_sectorized_oracle_equivalence[BothCompRx-4]",)),
+    Mutant("hop-budget-inclusive", "src/mgnet/validation.py",
+           "g > budget and roles[k] is slow",
+           "g >= budget and roles[k] is slow",
+           ("tests/test_validation.py::test_reachability_budgets",)),
+    Mutant("fast-violations-any-neighbour", "src/mgnet/validation.py",
+           "for j in adj[k] if roles[j] is fast]",
+           "for j in adj[k]]",
+           ("tests/test_validation.py::test_wyner_fast_independence",
+            "tests/test_validation.py::test_hex_fast_pairs_exhaustive")),
+    Mutant("as-built-ignores-params", "src/mgnet/topology.py",
+           "_MARKED(net))) and net.params == {key: size} else None",
+           "_MARKED(net))) else None",
+           (PROOF + "[line-params]", PROOF + "[hex-ball-params]",
+            PROOF + "[sectorized-ball-params]")),
+    Mutant("as-built-ignores-identity", "src/mgnet/topology.py",
+           "return size if all(map(is_, fields, _MARKED(net))) and net.params",
+           "return size if net.params",
+           (PROOF + "[line-interference]", PROOF + "[hex-ball-tx_coop]",
+            PROOF + "[sectorized-ball-tx_cell]")),
+    Mutant("cell-coords-unmarked", "src/mgnet/topology.py",
+           '"tx_cell", "cell_coords")',
+           '"tx_cell")',
+           (PROOF + "[line-cell_coords]", PROOF + "[hex-ball-cell_coords]")),
+    Mutant("line-roles-period-unchecked", "src/mgnet/validation.py",
+           "len(roles) == K + 1 and roles[1 + P:] == roles[1:-P])",
+           "len(roles) == K + 1)",
+           (ORACLE + "test_line_period_falls_back_to_the_walk[mutated-roles]",)),
+    Mutant("hex-hop-window-widened", "src/mgnet/loads.py",
+           "1 <= (hop[k] or 0) <= D // 2 - 2",
+           "1 <= (hop[k] or 0) <= D // 2 - 1",
+           ("tests/test_loads.py::test_hex_oracle_equivalence[BothCompTx-8]",
+            ORACLE + "test_matches_reference_on_oracle_networks[Hexagonal]")),
+]
+
+
+def _copy(into: pathlib.Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def _pytest(where: pathlib.Path, tests) -> int:
+    """pytest's exit code for ``tests`` run in the copy at ``where``."""
+    env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           *tests], cwd=where, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def run(mutants: list[Mutant]) -> int:
+    """Run each mutant; print one line per mutant and return the number of survivors."""
+    with tempfile.TemporaryDirectory(prefix="mgnet-mutate-") as tmp:
+        clean = pathlib.Path(tmp, "clean")
+        _copy(clean)
+        ids = list(dict.fromkeys(t for m in mutants for t in m.tests))
+        if (code := _pytest(clean, ids)) != 0:
+            print(f"the mutants' tests do not pass unmutated (pytest exit {code})")
+            return len(mutants)
+        survivors = 0
+        for m in mutants:
+            where = pathlib.Path(tmp, m.name)
+            _copy(where)
+            source = where / m.path
+            text = source.read_text()
+            if text.count(m.old) != 1:
+                print(f"{m.name}: SURVIVED, its edit occurs {text.count(m.old)} times in {m.path}")
+                survivors += 1
+                continue
+            source.write_text(text.replace(m.old, m.new))
+            t0 = time.perf_counter()
+            code = _pytest(where, m.tests)
+            verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
+            print(f"{m.name}: {verdict} in {time.perf_counter() - t0:.1f} s")
+            survivors += code != 1
+            shutil.rmtree(where)
+    return survivors
+
+
+if __name__ == "__main__":
+    survivors = run(MUTANTS)
+    print(f"{survivors} of {len(MUTANTS)} mutants survived")
+    sys.exit(1 if survivors else 0)

@@ -13,7 +13,6 @@ from .topology import (HEX, SECTORED, WYNER, Network, build_hex,
                        build_hex_torus, build_sectored_hex,
                        build_sectored_hex_torus, build_wyner)
 from .validation import (Subnet, Subnets, ValidationReport, check_round_split,
-                         fast_noninterference, master_reachability,
                          subnet_decompose, validate)
 
 __all__ = [
@@ -24,6 +23,5 @@ __all__ = [
     "convex_hull", "is_subset", "outer_bound_wyner", "outer_polygon_wyner", "region_subset",
     "HEX", "SECTORED", "WYNER", "Network", "build_hex", "build_hex_torus",
     "build_sectored_hex", "build_sectored_hex_torus", "build_wyner", "Subnet", "Subnets",
-    "ValidationReport", "check_round_split", "fast_noninterference", "master_reachability",
-    "subnet_decompose", "validate",
+    "ValidationReport", "check_round_split", "subnet_decompose", "validate",
 ]

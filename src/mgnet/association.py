@@ -239,13 +239,7 @@ def _assign_sectored(net: Network, D: int, scheme: Scheme) -> Association:
         if dist < tau:
             fast = None if not scheme.mixed else _sector_fast_kind(hits[0][1])
             return tuple(Role.FAST if k == fast else Role.SLOW for k in SECTOR_KINDS)
-        assert dist == tau, "every cell lies within tau of a master"
-        silenced: set[str] | None = None
-        for _, delta in hits:
-            s = _sector_silenced(delta, tau)
-            if silenced is not None and s != silenced:
-                raise AssertionError(f"inconsistent layer rules at cell {c}: {silenced} vs {s}")
-            silenced = s
+        silenced = _sector_silenced(hits[0][1], tau)  # every nearest master agrees
         return tuple(Role.SILENT if k in silenced else active for k in SECTOR_KINDS)
 
     per_cell, masters = _per_class(net, tau, sector_roles)

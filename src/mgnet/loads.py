@@ -190,10 +190,6 @@ def _asymptotic_denominators(net: Network) -> tuple[int, int]:
     return 4 * net.n_tx, 6 * net.n_rx
 
 
-def _wyner_q_dedup(D: int, master_role: Role) -> int:
-    return D // 2 if master_role is Role.FAST else D // 2 - 1
-
-
 def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadReport:
     """Count every cooperation message of the scheme on this finite network.
 
@@ -351,7 +347,7 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices,
             fast_master_saved += sum(1 for j in interference[master] if roles[j] is slow)
         if scheme is Scheme.BOTH_COMP_TX:
             if wyner:
-                q_dedup += _wyner_q_dedup(D, roles[master])
+                q_dedup += D // 2 - (roles[master] is not fast)
             else:
                 q_dedup += 6 if roles[master] is fast else 0
                 q_dedup += 2 * sum(1 for k in comp

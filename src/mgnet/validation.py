@@ -25,9 +25,9 @@ sectorized model maps sectors to cells, through scratch lists that are reset
 after each search.
 
 ``subnet_decompose`` returns one columnar ``Subnets``, which ``message_ledger``
-and ``master_reachability`` read and require (a list of views carries no
-association); indexing it builds a ``Subnet`` view on demand, with ``gamma``
-in node order, and nothing keeps the views.
+reads and requires (a list of views carries no association); indexing it
+builds a ``Subnet`` view on demand, with ``gamma`` in node order, and nothing
+keeps the views.
 
 A network that ``topology.as_built`` finds to be exactly a builder's line
 or ball has the graph its builder wrote: the builder's mark stands in for
@@ -60,9 +60,10 @@ independence and the hop budget on the template and the rim alone, and
 again on every node only when that finds a violation, so that the
 violations come in node order.
 
-A report records each failed check once, as a ``(node, code)`` violation,
-and reads its verdicts off the codes; ``validate`` puts the fast-independence
-violations first and the hop-budget ones last.
+``validate`` is the one check of an association: it decomposes, then puts
+the fast-independence violations first and the hop-budget ones last.  A
+report records each failed check once, as a ``(node, code)`` violation, and
+reads its verdicts off the codes.
 """
 
 from __future__ import annotations
@@ -126,11 +127,9 @@ class Subnets(Sequence):
         return (members[starts[template]:starts[template + 1]],
                 [k for j in rim for k in members[starts[j]:starts[j + 1]]])
 
-    def __getitem__(self, i: int | slice) -> Subnet | list[Subnet]:
+    def __getitem__(self, i: int) -> Subnet:
         """A ``Subnet`` view of component ``i``, built on each call, with
-        ``gamma`` in node order; a slice gives a list of views."""
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self.masters))[i]]
+        ``gamma`` in node order."""
         i = range(len(self.masters))[i]  # negative indices; IndexError past the end
         comp = self.members[self.starts[i]:self.starts[i + 1]]
         hop, roles = self.hop, self.assoc.roles
@@ -196,15 +195,8 @@ def _require_same_net(net: Network, assoc: Association) -> None:
         raise ValueError("association was built for a different network")
 
 
-def fast_noninterference(net: Network, assoc: Association) -> ValidationReport:
-    """No fast Tx may appear in the interference set of a fast node's receiver unit."""
-    _require_same_net(net, assoc)
-    return ValidationReport(hop_budget(assoc.scheme, assoc.D),
-                            _fast_violations(net, assoc, net.tx_nodes))
-
-
 def _fast_violations(net: Network, assoc: Association, nodes) -> list[tuple[int, str]]:
-    """``fast_noninterference``'s violations over the fast nodes among ``nodes``."""
+    """The fast-interference violations of the fast nodes among ``nodes``."""
     roles, fast, adj = assoc.roles, Role.FAST, net.interference
     return [(k, f"fast-interference-from-{j}") for k in nodes if roles[k] is fast
             for j in adj[k] if roles[j] is fast]
@@ -468,26 +460,9 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
                    (0, whole, tuple(range(whole, len(masters))), frozenset())), report
 
 
-def master_reachability(subnets: Subnets, scheme: Scheme, D: int) -> ValidationReport:
-    """Every slow node must reach its subnet master within the scheme's hop budget.
-
-    A member with no cooperation path to its master has no hop count;
-    ``subnet_decompose`` reports it as unreachable, so it is skipped here.
-    ``subnets`` is what ``subnet_decompose`` returned for an association with
-    this scheme and D; anything else raises ValueError.  Proven columns
-    are checked on the template and the rim first, and in full only when
-    that finds a violation, so that the violations come in member order.
-    """
-    assoc = getattr(subnets, "assoc", None)
-    if assoc is None or (assoc.scheme, assoc.D) != (scheme, D):
-        raise ValueError("subnets were not decomposed for this association")
-    budget = hop_budget(scheme, D)
-    return ValidationReport(budget, _proven_first(subnets, subnets.members,
-                                                  partial(_over_budget, subnets, budget)))
-
-
 def _over_budget(subnets: Subnets, budget: int, nodes) -> list[tuple[int, str]]:
-    """``master_reachability``'s violations over the slow nodes among ``nodes``."""
+    """The hop-budget violations of the slow nodes among ``nodes``.  A member with no
+    cooperation path has no hop; the walk reports it as unreachable, so it is skipped."""
     hop, roles, slow = subnets.hop, subnets.assoc.roles, Role.SLOW
     return [(k, f"hop-budget-exceeded-{g}>{budget}") for k in nodes
             if (g := hop[k]) is not None and g > budget and roles[k] is slow]
@@ -511,5 +486,6 @@ def validate(net: Network, assoc: Association) -> tuple[Subnets, ValidationRepor
     subnets, report = subnet_decompose(net, assoc)
     report.violations[:0] = _proven_first(subnets, net.tx_nodes,
                                           partial(_fast_violations, net, assoc))
-    report.violations += master_reachability(subnets, assoc.scheme, assoc.D).violations
+    report.violations += _proven_first(subnets, subnets.members,
+                                       partial(_over_budget, subnets, report.hop_budget))
     return subnets, report

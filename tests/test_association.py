@@ -344,3 +344,18 @@ def test_assign_looks_up_each_master_class_once(monkeypatch, model, build, D, sc
     assert len(calls) <= 3 * tau * tau < net.n_rx
     monkeypatch.undo()
     assert (a.roles, a.masters) == reference_roles(net, D, scheme)
+
+
+def test_every_nearest_master_gives_a_layer_cell_one_silenced_set():
+    # the sectorized assignment reads the layer rule of the first nearest master alone
+    layer = 0
+    for tau in range(1, 31):
+        geometry = TorusGeometry(tau, 1)
+        for c in geometry.cells():
+            dist, hits = geometry.nearest_masters(c, tau)
+            assert dist <= tau, (tau, c)
+            if dist == tau:
+                layer += 1
+                silenced = {frozenset(_sector_silenced(delta, tau)) for _, delta in hits}
+                assert len(silenced) == 1, (tau, c, silenced)
+    assert layer > 0

@@ -29,7 +29,6 @@ from mgnet import (HEX, SECTORED, WYNER, LoadReport, Network, Role, Scheme, Subn
                    ValidationReport, assign, build_hex, build_sectored_hex,
                    build_wyner, check_params, loads, message_ledger, subnet_decompose,
                    validate, validation)
-from mgnet.loads import _asymptotic_denominators, _wyner_q_dedup
 from mgnet.validation import hop_budget
 
 from test_loads import _oracle_networks, _raises, valid_range
@@ -135,7 +134,7 @@ def ref_message_ledger(net, assoc, subnets):
                                      if roles[j] is Role.SLOW)
         if scheme is Scheme.BOTH_COMP_TX:
             if net.model == WYNER:
-                q_dedup += _wyner_q_dedup(D, roles[sub.master])
+                q_dedup += D // 2 if roles[sub.master] is Role.FAST else D // 2 - 1
             else:
                 tau = D // 2
                 q_dedup += 6 if roles[sub.master] is Role.FAST else 0
@@ -153,7 +152,8 @@ def ref_message_ledger(net, assoc, subnets):
         tx_total, rx_total = fanin + fanout, 0
     else:
         tx_total = rx_total = 0
-    den_tx, den_rx = _asymptotic_denominators(net)
+    per_tx, per_rx = {WYNER: (2, 2), HEX: (6, 6), SECTORED: (4, 6)}[net.model]  # links per node
+    den_tx, den_rx = per_tx * net.n_tx, per_rx * net.n_rx
     mu_tx = Fraction(L * tx_total, den_tx) if den_tx else Fraction(0)
     mu_rx = Fraction(L * rx_total, den_rx) if den_rx else Fraction(0)
     max_tx, max_rx = ref_link_loads(net, assoc, subnets, fast_cells)

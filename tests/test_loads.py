@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from mgnet import (HEX, SECTORED, WYNER, Role, Scheme, achievable_region,
                    assign, build_hex, build_hex_torus, build_sectored_hex,
                    build_sectored_hex_torus, build_wyner, check_params,
-                   closed_form, finite_prelogs, formulas, loads, master_reachability,
+                   closed_form, finite_prelogs, formulas, loads,
                    mixed_subnet_counts, message_ledger, subnet_decompose,
                    subnet_sizes, valid_d, validate)
 from mgnet.association import scheme_tau
@@ -434,8 +434,6 @@ def test_ledger_rejects_subnets_of_another_association(scheme, D):
     other, _ = validate(net, assign(net, D, scheme))
     with pytest.raises(ValueError, match="not decomposed for this association"):
         message_ledger(net, assoc, other)
-    with pytest.raises(ValueError, match="not decomposed for this association"):
-        master_reachability(other, Scheme.BOTH_COMP_RX, 6)
     with pytest.raises(ValueError, match="not decomposed for this association"):
         message_ledger(net, assoc, list(own))  # views carry no association
 

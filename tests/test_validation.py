@@ -13,8 +13,7 @@ import mgnet
 from mgnet import (HEX, Association, Network, Role, Scheme, Subnet, Subnets, ValidationReport,
                    assign, build_hex, build_hex_torus, build_sectored_hex,
                    build_sectored_hex_torus, build_wyner, check_round_split,
-                   fast_noninterference, master_reachability, subnet_decompose,
-                   validate)
+                   subnet_decompose, validate)
 from mgnet.validation import hop_budget
 
 
@@ -39,10 +38,10 @@ def test_round_split():
 def test_wyner_fast_independence():
     net = build_wyner(16, 1)
     a = assign(net, 6, Scheme.BOTH_COMP_RX)
-    assert fast_noninterference(net, a).fast_independent
+    assert validate(net, a)[1].fast_independent
 
     a.roles[2] = Role.FAST  # adjacent to fast 1 and 3
-    bad = fast_noninterference(net, a)
+    _, bad = validate(net, a)
     assert not bad.fast_independent
     assert any(n == 2 for n, _ in bad.violations)
 
@@ -81,19 +80,17 @@ def test_hex_fast_pairs_exhaustive():
     fast = set(a.nodes_with(Role.FAST))
     for k in fast:
         assert not fast & set(net.interference[k])
-    assert fast_noninterference(net, a).fast_independent
+    assert validate(net, a)[1].fast_independent
 
 
 def test_reachability_budgets():
     net = build_wyner(16, 1)
     a = assign(net, 6, Scheme.BOTH_COMP_RX)
-    subnets, _ = subnet_decompose(net, a)
-    rep = master_reachability(subnets, Scheme.BOTH_COMP_RX, 6)
+    _, rep = validate(net, a)
     assert rep.master_reachable and rep.hop_budget == 2
 
     s = assign(net, 6, Scheme.SLOW_COMP_RX)
-    subnets, _ = subnet_decompose(net, s)
-    rep = master_reachability(subnets, Scheme.SLOW_COMP_RX, 6)
+    subnets, rep = validate(net, s)
     assert rep.master_reachable and rep.hop_budget == 3
     assert max(g for sub in subnets for g in sub.gamma.values()) == 3
 
@@ -101,9 +98,8 @@ def test_reachability_budgets():
 def test_budget_zero_fails():
     net = hand_built(((1,), (0,)), ((1,), (0,)), range(2))
     a = Association(net, Scheme.BOTH_COMP_RX, 2, [Role.FAST, Role.SLOW], (0,))
-    subnets, _ = subnet_decompose(net, a)
+    subnets, rep = validate(net, a)
     assert list(subnets) == [Subnet((0, 1), 0, {0: 0, 1: 1}, (1,))]
-    rep = master_reachability(subnets, Scheme.BOTH_COMP_RX, 2)
     assert rep.violations == [(1, "hop-budget-exceeded-1>0")]
     assert not rep.master_reachable
 
@@ -266,10 +262,6 @@ def test_subnets_are_columns_with_views_on_demand():
     assert subnets[1] == view and subnets[1] is not view  # built anew, never kept
     with pytest.raises(IndexError):
         subnets[2]
-    assert subnets[1:] == [view] and subnets[::-1] == list(subnets)[::-1]
-    # the budget check reads the columns; views carry no association
-    with pytest.raises(ValueError, match="not decomposed for this association"):
-        master_reachability(list(subnets), Scheme.BOTH_COMP_RX, 6)
 
 
 def test_no_coop_subnets_memory_per_subnet():
