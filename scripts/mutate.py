@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 ORACLE = "tests/test_ledger_oracle.py::"
 PROOF = ORACLE + "test_only_a_network_as_its_builder_returned_it_takes_a_proof"
+BALLS = "tests/test_association.py::test_assign_matches_per_cell_path_on_balls"
 # the two layer rules of association._sector_silenced, with their sets filled in
 SECTOR_RULES = ('        return {{"{}"}}\n'
                 '    if abs(b) == tau and (a > 0) == (b > 0):\n'
@@ -61,13 +62,13 @@ MUTANTS = [
            ("tests/test_validation.py::test_wyner_fast_independence",
             "tests/test_validation.py::test_hex_fast_pairs_exhaustive")),
     Mutant("as-built-ignores-params", "src/mgnet/topology.py",
-           "_MARKED(net))) and net.params == {key: size} else None",
+           "_MARKED(net))) and net.params == params else None",
            "_MARKED(net))) else None",
            (PROOF + "[line-params]", PROOF + "[hex-ball-params]",
             PROOF + "[sectorized-ball-params]")),
     Mutant("as-built-ignores-identity", "src/mgnet/topology.py",
-           "return size if all(map(is_, fields, _MARKED(net))) and net.params",
-           "return size if net.params",
+           "return net._mark if all(map(is_, fields, _MARKED(net))) and net.params",
+           "return net._mark if net.params",
            (PROOF + "[line-interference]", PROOF + "[hex-ball-tx_coop]",
             PROOF + "[sectorized-ball-tx_cell]")),
     Mutant("cell-coords-unmarked", "src/mgnet/topology.py",
@@ -83,6 +84,14 @@ MUTANTS = [
            "1 <= (hop[k] or 0) <= D // 2 - 1",
            ("tests/test_loads.py::test_hex_oracle_equivalence[BothCompTx-8]",
             ORACLE + "test_matches_reference_on_oracle_networks[Hexagonal]")),
+    Mutant("row-fill-rotated-twice", "src/mgnet/association.py",
+           "turn = (lo + tau * (a % t3 // tau)) % t3",
+           "turn = (lo + 2 * tau * (a % t3 // tau)) % t3",
+           (BALLS + "[Hexagonal-build_hex-9]", BALLS + "[SectorizedHexagonal-build_sectored_hex-9]")),
+    Mutant("row-masters-offset", "src/mgnet/association.py",
+           "range(start + (2 * a - lo) % t3, start + n, t3)",
+           "range(start + (a - lo) % t3, start + n, t3)",
+           (BALLS + "[Hexagonal-build_hex-9]", BALLS + "[SectorizedHexagonal-build_sectored_hex-9]")),
 ]
 
 

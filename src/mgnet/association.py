@@ -26,16 +26,19 @@ In both hex-lattice models a cell's roles, and whether it is a master,
 depend only on its position relative to the master lattice, so they are
 periodic modulo that lattice.  ``assign`` therefore works them out once
 per residue class (3 * tau^2 of them, one ``nearest_masters`` call each)
-and copies the result to every other cell of the class.
+and fills them in per row: each row of cells is one slice of a repeated
+base row.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 
 from .lattice import Coord
-from .topology import HEX, SECTOR_KINDS, SECTORED, WYNER, Network, _need_at_least
+from .topology import (HEX, SECTOR_KINDS, SECTORED, WYNER, Network, _need_at_least,
+                       builder_rows)
 
 
 class Scheme(str, enum.Enum):
@@ -148,50 +151,50 @@ def scheme_tau(model: str, scheme: Scheme, D: int) -> int:
     return D // 2
 
 
-def _per_class(net: Network, tau: int, rule) -> tuple[list, list[int]]:
-    """``rule(cell, dist, hits)`` per cell id, evaluated once per master-lattice class.
+def _fill_rows(net: Network, tau: int, value) -> tuple[list, list[int]]:
+    """``value(cell)`` per cell id, for a value periodic modulo the spacing-tau master
+    lattice, filled a row at a time, and the master ids.
 
-    Roles repeat with the spacing-tau master lattice.  The map (a, b) ->
-    (2b - a, 2a - b) is injective and sends master (m + 2n, 2m + n) * tau to
-    (3m * tau, 3n * tau), so two cells share the key (2b - a, 2a - b) mod
-    3 * tau exactly when they differ by a master vector, and the key is
-    (0, 0) exactly on masters.  Torus identifications are master vectors,
-    so canonical coordinates give the keys of the plane.  Each of the
-    3 * tau^2 classes costs one ``nearest_masters`` call, on the first cell
-    seen in it.  Returns the rule's value per cell id and the master ids.
+    The master lattice is generated by (tau, 2 * tau) and (0, 3 * tau), so
+    along a row values repeat with 3 * tau, and row a's values at b = 0, 1,
+    ... are base row a mod tau's rotated left by tau * ((a mod 3 * tau) div
+    tau).  The tau base rows of 3 * tau cells, (0, 0) .. (tau - 1, 3 * tau -
+    1), are the 3 * tau^2 classes, one ``value`` call each; every row is one
+    slice of its base row repeated.  Masters sit on the rows a = 0 mod tau,
+    at b = 2a mod 3 * tau.  A network without ``builder_rows`` is read as
+    one-cell rows (a, b, b).
     """
-    nearest = net.geometry.nearest_masters
     t3 = 3 * tau
-    table: dict[Coord, object] = {}
-    values = []
-    masters = []
-    for i, (a, b) in enumerate(net.cell_coords):
-        key = ((2 * b - a) % t3, (2 * a - b) % t3)
-        value = table.get(key)
-        if value is None:
-            c = (a, b)
-            value = table[key] = rule(c, *nearest(c, tau))
-        values.append(value)
-        if key == (0, 0):
-            masters.append(i)
+    rows = builder_rows(net) or [(a, b, b) for a, b in net.cell_coords]
+    repeats = max((hi - lo for _, lo, hi in rows), default=0) // t3 + 2
+    base = [[value((a, b)) for b in range(t3)] * repeats for a in range(tau)]
+    values: list = []
+    masters: list[int] = []
+    for a, lo, hi in rows:
+        start, n = len(values), hi - lo + 1
+        turn = (lo + tau * (a % t3 // tau)) % t3
+        values += base[a % tau][turn:turn + n]
+        if a % tau == 0:
+            masters += range(start + (2 * a - lo) % t3, start + n, t3)
     return values, masters
 
 
 def _assign_hex(net: Network, D: int, scheme: Scheme) -> Association:
     if scheme is Scheme.NO_COOP:
-        roles = [Role.FAST if (a + b) % 3 == 0 else Role.SILENT for a, b in net.cell_coords]
+        # (a + b) % 3 is periodic modulo the spacing-1 master lattice
+        roles = _fill_rows(net, 1, lambda c: Role.FAST if sum(c) % 3 == 0 else Role.SILENT)[0]
         return Association(net, scheme, D, roles, ())
 
     tau = scheme_tau(HEX, scheme, D)
 
-    def role(c: Coord, dist: int, hits) -> Role:
-        if dist == tau:
+    def role(c: Coord) -> Role:
+        if net.geometry.nearest_masters(c, tau)[0] == tau:
             return Role.SILENT
         if scheme.mixed and (c[0] + c[1]) % 3 == 0:  # a + b is periodic mod 3 too
             return Role.FAST
         return Role.SLOW
 
-    roles, masters = _per_class(net, tau, role)  # a hex cell is its own Tx node
+    roles, masters = _fill_rows(net, tau, role)  # a hex cell is its own Tx node
     return Association(net, scheme, D, roles, tuple(masters))
 
 
@@ -234,17 +237,18 @@ def _assign_sectored(net: Network, D: int, scheme: Scheme) -> Association:
     tau = scheme_tau(SECTORED, scheme, D)
     active = Role.FAST if scheme.mixed else Role.SLOW
 
-    def sector_roles(c: Coord, dist: int, hits) -> tuple[Role, ...]:
+    def sector_roles(c: Coord) -> tuple[Role, ...]:
         """The cell's sector roles in ``SECTOR_KINDS`` order."""
+        dist, hits = net.geometry.nearest_masters(c, tau)
         if dist < tau:
             fast = None if not scheme.mixed else _sector_fast_kind(hits[0][1])
             return tuple(Role.FAST if k == fast else Role.SLOW for k in SECTOR_KINDS)
         silenced = _sector_silenced(hits[0][1], tau)  # every nearest master agrees
         return tuple(Role.SILENT if k in silenced else active for k in SECTOR_KINDS)
 
-    per_cell, masters = _per_class(net, tau, sector_roles)
+    per_cell, masters = _fill_rows(net, tau, sector_roles)
     # sector 3 * i + j is the SECTOR_KINDS[j] sector of cell i
-    roles = [role for kind_roles in per_cell for role in kind_roles]
+    roles = list(chain.from_iterable(per_cell))
     return Association(net, scheme, D, roles, tuple(masters))
 
 

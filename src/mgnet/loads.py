@@ -244,7 +244,9 @@ def _tally(net: Network, assoc: Association, subnets: Subnets,
     ``Subnets.translates``)."""
     tx_adj, rx_adj = net.tx_coop, net.rx_coop
     if t is None:
-        parts, numbered = [(1, net.tx_nodes, range(len(subnets)))], None
+        # precancel and fast-share messages run between a fast and a slow node
+        nodes = net.tx_nodes if Role.SLOW in assoc.roles else ()
+        parts, numbered = [(1, nodes, range(len(subnets)))], None
     else:
         i, copies, rim_subnets, _ = t
         template, rim = subnets.template_and_rim()

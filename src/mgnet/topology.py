@@ -31,13 +31,15 @@ hears k - 1 and k + 1, so ``_LineAdjacency`` returns that pair (clipped to
 1..K) on access, and equals, hashes, indexes and slices like the tuple of
 tuples it stands for, which is never built.
 
-The line and ball builders mark the ``Network`` they return with the
-objects they put in the fields that describe its graph and its cells'
-coordinates, and its size.
-``as_built`` answers in O(1) whether a network is still exactly such a
+Every builder marks the ``Network`` it returns with the objects it put in
+the fields that describe its graph and its cells' coordinates, its
+``params`` and, for a ball or a torus, its rows (a, lo, hi) in id order.
+``as_built`` answers in O(1) whether a network is still exactly a
 builder's line or ball, so that ``validation`` may solve it by its period
-or master lattice without re-proving its structure.  Every marked object
-is immutable; a reassigned field, a changed ``params``, a
+or master lattice without re-proving its structure; ``builder_rows``
+returns a ball's or torus's rows on the same terms, so that
+``association`` may fill roles a row at a time.  Every marked object is
+immutable; a reassigned field, a changed ``params``, a
 ``dataclasses.replace`` copy or a hand-made ``Network`` matches no mark.
 
 Hex and sectorized networks are written once, by ``_from_rows``, from
@@ -109,7 +111,7 @@ class Network:
     cell_coords: Sequence = field(default=(), repr=False)  # per Rx cell
     tx_cell: Sequence[int] = field(default=(), repr=False)  # Tx node -> Rx cell
     geometry: object | None = field(default=None, repr=False)
-    # (the _MARKED fields, size) as a line or ball builder returned them; see ``as_built``
+    # (the _MARKED fields, params, rows) as a builder returned them; see ``as_built``
     _mark: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -152,21 +154,33 @@ _MARKED = attrgetter("model", "tx_nodes", "rx_nodes", "interference", "tx_coop",
                      "tx_cell", "cell_coords")
 
 
-def _marked(net: Network, size: int) -> Network:
-    """``net``, marked as its builder returns it: a line of K = size nodes or a ball of
-    radius size."""
-    net._mark = (_MARKED(net), size)
+def _marked(net: Network, rows: list[Row] | None = None) -> Network:
+    """``net``, marked as its builder returns it, with the rows of a ball or torus."""
+    net._mark = (_MARKED(net), dict(net.params), None if rows is None else tuple(rows))
     return net
+
+
+def _intact_mark(net: Network) -> tuple | None:
+    """``net``'s mark while its marked fields are the builder's objects and its params
+    the builder's; None otherwise."""
+    if net._mark is None:
+        return None
+    fields, params, _ = net._mark
+    return net._mark if all(map(is_, fields, _MARKED(net))) and net.params == params else None
 
 
 def as_built(net: Network) -> int | None:
     """K of a line, or the radius of a ball, that is exactly what ``build_wyner``,
     ``build_hex`` or ``build_sectored_hex`` returned; None for any other network."""
-    if net._mark is None:
-        return None
-    fields, size = net._mark
-    key = "K" if fields[0] == WYNER else "radius"
-    return size if all(map(is_, fields, _MARKED(net))) and net.params == {key: size} else None
+    mark = _intact_mark(net)
+    return mark and mark[1].get("K", mark[1].get("radius"))
+
+
+def builder_rows(net: Network) -> tuple[Row, ...] | None:
+    """The rows (a, lo, hi) of a ball or torus exactly as its builder returned it, in
+    id order; None for any other network."""
+    mark = _intact_mark(net)
+    return mark and mark[2]
 
 
 def _need_at_least(**sizes: tuple[int, int]) -> None:
@@ -250,7 +264,7 @@ def build_wyner(K: int, L: int) -> Network:
         interference=adj, tx_coop=adj, rx_coop=adj,
         q_tx=q, q_rx=q, params={"K": K},
         cell_coords=ids, tx_cell=ids,
-    ), K)
+    ))
 
 
 # Bounds of the pad rows beyond either end of a domain: no b lies in them.
@@ -342,8 +356,8 @@ def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], .
 
 def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], rows: list[Row],
                L: int, canon, params: dict, geometry) -> Network:
-    """The network of ``kinds`` (``_HEX_STEPS`` or ``_SECTOR_STEPS``) over the cells of
-    ``rows``: node ``len(kinds) * i + j`` is kind j of cell i.  With one kind a node is its
+    """The marked network of ``kinds`` (``_HEX_STEPS`` or ``_SECTOR_STEPS``) over the cells
+    of ``rows``: node ``len(kinds) * i + j`` is kind j of cell i.  With one kind a node is its
     own cell, and the cell-to-cell cooperation is the interference adjacency itself."""
     cells = tuple(row_cells(rows))
     nk = len(kinds)
@@ -353,19 +367,19 @@ def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], 
     interference = _adjacency(rows, kinds, canon, tx_nodes)
     rx_coop = interference if nk == 1 else _adjacency(rows, _HEX_STEPS, canon, rx_nodes)
     q_tx = sum(map(len, interference))
-    return Network(
+    return _marked(Network(
         model=model, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
         interference=interference, tx_coop=interference, rx_coop=rx_coop,
         q_tx=q_tx, q_rx=q_tx if nk == 1 else sum(map(len, rx_coop)), params=params,
         cell_coords=cells, geometry=geometry,
         tx_cell=ids if nk == 1 else tuple(chain.from_iterable(zip(*[rx_nodes] * nk))),
-    )
+    ), rows)
 
 
 def _ball(model: str, kinds, radius: int, L: int) -> Network:
     _need_at_least(radius=(radius, 0), L=(L, 1))
-    return _marked(_from_rows(model, kinds, ball_rows(radius), L, None, {"radius": radius},
-                              PlaneGeometry()), radius)
+    return _from_rows(model, kinds, ball_rows(radius), L, None, {"radius": radius},
+                      PlaneGeometry())
 
 
 def _torus(model: str, kinds, tau: int, copies: int, L: int) -> Network:

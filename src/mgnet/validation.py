@@ -421,13 +421,14 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
 def _periodic_subnets(net: Network, assoc: Association, K: int,
                       report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
     """The walk's columns and report on a builder's line of K nodes, from the walk of
-    run 0, or None unless the roles and masters repeat with a period P and that walk is
-    the nodes 1..P-1.
+    run 0, or None unless the roles and masters repeat with a period P, node P is
+    silent and the walk from node 1 is the nodes 1..P-1.
 
     Run ``j`` holds the nodes ``j * P + 1 .. j * P + P - 1``; the whole runs
     have a master at one offset, and the tail run after the last whole one
     (shorter than P - 1 nodes) has none.  The members are the int objects of
-    ``net.tx_nodes``, and every whole run repeats run 0's hops.
+    ``net.tx_nodes``, and every whole run repeats run 0's hops.  ``starts`` is a
+    ``range`` unless a tail run follows the whole ones.
     """
     roles, cooperative = assoc.roles, assoc.scheme.cooperative
     P = assoc.D + 2 if cooperative else 2
@@ -439,20 +440,23 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
             return None
     elif assoc.masters:
         return None
-    hop: list[int | None] = [None] * (K + 1)
-    tm, _, _ = _walk(net, assoc, ValidationReport(), (1,), [None] * (K + 1), hop,
+    if roles[P] is not Role.SILENT:  # so that the walk of run 0 stays within nodes 0..P
+        return None
+    hop: list[int | None] = [None] * (P + 1)
+    tm, _, _ = _walk(net, assoc, ValidationReport(), (1,), [None] * (P + 1), hop,
                      set(assoc.masters[:1]))
-    if tm != list(range(1, P)):  # so node P is silent and nodes 1..P-1 are not
+    if tm != list(range(1, P)):  # so nodes 1..P-1 are active
         return None
     whole = (K + 1) // P
     n = whole * (P - 1)  # members of the whole runs
     members = list(net.tx_nodes)
     del members[P - 1::P]  # the silent multiples of P; the tail run follows the whole ones
-    starts = array("q", range(0, n + 1, P - 1))
+    starts: Sequence[int] = range(0, n + 1, P - 1)
     masters: list[int | None] = list(assoc.masters) or [None] * whole
     hop = [None, *hop[1:P]] * whole
     hop += [None] * (K + 1 - len(hop))  # the last silent node and the tail run
     if len(members) > n:  # the tail run, clipped by the rim
+        starts = array("q", starts)
         starts.append(len(members))
         masters.append(None)
         report.warnings.append(f"partial-subnet:{whole * P + 1}")

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import re
+from dataclasses import fields, replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 from test_loads import valid_range
 
-from mgnet import (Role, Scheme, assign, build_hex, build_hex_torus,
+from mgnet import (Network, Role, Scheme, assign, build_hex, build_hex_torus,
                    build_sectored_hex, build_sectored_hex_torus, build_wyner,
                    check_params, hex_distance, valid_d)
 from mgnet.association import _sector_fast_kind, _sector_silenced, scheme_tau
 from mgnet.lattice import TorusGeometry, is_master
-from mgnet.topology import HEX, SECTOR_KINDS, SECTORED, WYNER
+from mgnet.topology import HEX, SECTOR_KINDS, SECTORED, WYNER, builder_rows
 
 
 def test_wyner_mixed_assignment():
@@ -359,3 +362,66 @@ def test_every_nearest_master_gives_a_layer_cell_one_silenced_set():
                 silenced = {frozenset(_sector_silenced(delta, tau)) for _, delta in hits}
                 assert len(silenced) == 1, (tau, c, silenced)
     assert layer > 0
+
+
+def _unmarked(net, how):
+    """``net`` with the builder's rows lost: a copy, new coordinates or a hand-made twin."""
+    if how == "replace":
+        return replace(net)
+    if how == "cell_coords":  # the same cells in a new tuple
+        net.cell_coords = tuple([*net.cell_coords])
+        return net
+    assert how == "hand-made"
+    return Network(**{f.name: getattr(net, f.name) for f in fields(Network) if f.init})
+
+
+EDITS = ("replace", "cell_coords", "hand-made")
+BUILDERS = {(HEX, "ball"): build_hex, (SECTORED, "ball"): build_sectored_hex,
+            (HEX, "torus"): build_hex_torus, (SECTORED, "torus"): build_sectored_hex_torus}
+
+
+@pytest.mark.parametrize("how", EDITS)
+@pytest.mark.parametrize("model, shape, size, D, scheme", [
+    (HEX, "ball", 9, 8, Scheme.BOTH_COMP_RX),
+    (HEX, "torus", 2, 14, Scheme.SLOW_COMP_TX),
+    (HEX, "ball", 7, 0, Scheme.NO_COOP),
+    (SECTORED, "ball", 8, 4, Scheme.BOTH_COMP_RX),
+    (SECTORED, "torus", 3, 6, Scheme.SLOW_COMP_RX),
+])
+def test_assign_without_builder_rows_matches_per_cell_path(model, shape, size, D, scheme, how):
+    build = BUILDERS[model, shape]
+    net = build(size, 1) if shape == "ball" else build(scheme_tau(model, scheme, D), size, 1)
+    assert builder_rows(net) is not None
+    net = _unmarked(net, how)
+    assert builder_rows(net) is None
+    assert_matches_reference(net, scheme, D)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_assign_matches_per_cell_path_with_or_without_builder_rows(data):
+    model = data.draw(st.sampled_from((HEX, SECTORED)), "model")
+    scheme, D = data.draw(st.sampled_from(list(valid_cases(model, 14))), "scheme, D")
+    shape = data.draw(st.sampled_from(("ball", "torus")), "shape")
+    build = BUILDERS[model, shape]
+    if shape == "ball":
+        net = build(data.draw(st.integers(0, 12), "radius"), 1)
+    else:
+        tau = scheme_tau(model, scheme, D) if scheme.cooperative else data.draw(
+            st.integers(1, 5), "tau")
+        net = build(tau, data.draw(st.integers(1, 3), "copies"), 1)
+    how = data.draw(st.sampled_from((None, *EDITS)), "edit")
+    if how is not None:
+        net = _unmarked(net, how)
+    assert (builder_rows(net) is None) == (how is not None)
+    assert_matches_reference(net, scheme, D)
+
+
+def test_builder_rows_are_the_domain_rows_and_lines_have_none():
+    ball, torus = build_hex(3, 1), build_sectored_hex_torus(2, 2, 1)
+    assert builder_rows(build_wyner(20, 1)) is None
+    for net in (ball, torus):
+        rows = builder_rows(net)
+        assert [(a, b) for a, lo, hi in rows for b in range(lo, hi + 1)] == list(net.cell_coords)
+    torus.params["copies"] = 3
+    assert builder_rows(torus) is None

@@ -256,6 +256,8 @@ def assert_period_matches_walk(net, D, scheme):
     assert walk.translates is None
     for col in COLUMNS:
         assert list(getattr(subnets, col)) == list(getattr(walk, col)), col
+    # a proof with whole runs only keeps its starts a range
+    assert isinstance(subnets.starts, range) == (K >= 2 * P and not tail)
     assert report == walk_report
     assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk)
     assert_matches_reference(net, D, scheme)
@@ -322,6 +324,13 @@ def _no_silent():
     net = build_wyner(24, 1)
     a = assign(net, 6, Scheme.BOTH_COMP_RX)  # masters 4, 12, 20 of period 8
     return net, replace(a, roles=[None] + [Role.SLOW] * 24)  # periodic, but no run ends
+
+
+def _active_run_ends():
+    net = build_wyner(24, 1)
+    a = assign(net, 6, Scheme.BOTH_COMP_RX)
+    a.roles[8::8] = [Role.SLOW] * 3  # period 8 still, but node P = 8 is not silent
+    return net, a
 
 
 def _inner_silent():
@@ -412,6 +421,7 @@ def _short():
     (_no_masters, [], ["partial-subnet:1", "partial-subnet:9", "partial-subnet:17"]),
     (_chord, [(15, "cross-subnet-interference-1")], []),
     (_no_silent, [(12, "multi-master")], []),
+    (_active_run_ends, [(12, "multi-master")], []),
     (_inner_silent, [], [f"partial-subnet:{k}" for k in range(1, 24, 4)]),
     (lambda: _silent_masters((8, 16, 24)), [], [f"partial-subnet:{k}" for k in (1, 9, 17)]),
     (lambda: _silent_masters((0, 8, 16)), [], [f"partial-subnet:{k}" for k in (1, 9, 17)]),
@@ -428,7 +438,8 @@ def _short():
     (_long_roles, [], []),
     (_swapped_nodes, [(23, "cross-subnet-interference-22")], ["partial-subnet:23"]),
     (_short, [], ["partial-subnet:9"]),
-], ids=["mutated-roles", "merged-runs", "no-masters", "chord", "no-silent", "inner-silent",
+], ids=["mutated-roles", "merged-runs", "no-masters", "chord", "no-silent", "active-run-ends",
+        "inner-silent",
         "silent-masters", "masters-from-0", "no-coop-master", "two-hop-tx-links", "two-hop-rx-links", "cut-links",
         "shared-cell", "one-way-start", "one-way-end", "ring",
         "no-rim", "long-roles", "swapped-nodes", "short-line"])

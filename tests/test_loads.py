@@ -412,6 +412,17 @@ def test_link_loads_match_per_path_walk(model):
     assert cases > 100
 
 
+def test_torus_subnets_carry_equal_counts_but_unequal_link_loads():
+    # the route's lowest-id tie-break wraps each subnet across the seam at another place,
+    # so the subnets of a torus share their message counts but not their link loads
+    net = build_hex_torus(5, 2, 3)
+    led, assoc, subnets = ledger_for(net, 8, Scheme.SLOW_COMP_RX)
+    assert len({(len(s.slow_members), sum(s.gamma.values())) for s in subnets}) == 1
+    per_subnet = [walk_link_loads(net, assoc, [s])[1] for s in subnets]
+    assert len(per_subnet) == 4 and set(per_subnet) == {15, 16}
+    assert led.max_rx_link_load == 16 == max(per_subnet)
+
+
 @pytest.mark.parametrize("K", [16, 12])
 def test_ledger_rejects_an_association_of_another_network(K):
     # without the check, K=16 returns mu_rx = 7/8 (not 21/8) and K=12 an IndexError
