@@ -39,6 +39,8 @@ class Mutant(NamedTuple):
 ORACLE = "tests/test_ledger_oracle.py::"
 PROOF = ORACLE + "test_only_a_network_as_its_builder_returned_it_takes_a_proof"
 BALLS = "tests/test_association.py::test_assign_matches_per_cell_path_on_balls"
+TORI = "tests/test_association.py::test_assign_matches_per_cell_path_on_tori"
+CANON = "tests/test_topology.py::test_torus_builders_match_canon_on_every_step"
 # the two layer rules of association._sector_silenced, with their sets filled in
 SECTOR_RULES = ('        return {{"{}"}}\n'
                 '    if abs(b) == tau and (a > 0) == (b > 0):\n'
@@ -92,6 +94,15 @@ MUTANTS = [
            "range(start + (2 * a - lo) % t3, start + n, t3)",
            "range(start + (a - lo) % t3, start + n, t3)",
            (BALLS + "[Hexagonal-build_hex-9]", BALLS + "[SectorizedHexagonal-build_sectored_hex-9]")),
+    Mutant("nearest-rows-drop-far-master", "src/mgnet/lattice.py",
+           "far = a + 2 * tau + 1",
+           "far = t3",
+           ("tests/test_lattice.py::test_nearest_rows_match_the_plane_scan",
+            TORI + "[SectorizedHexagonal-build_sectored_hex_torus-4-2]")),
+    Mutant("wrapped-row-end-unsorted", "src/mgnet/topology.py",
+           "tuple(sorted(set(nbrs))) if wrapped",
+           "tuple(dict.fromkeys(nbrs)) if wrapped",
+           (CANON + "[2-2]", CANON + "[5-3]")),
 ]
 
 

@@ -25,9 +25,10 @@ this model.
 In both hex-lattice models a cell's roles, and whether it is a master,
 depend only on its position relative to the master lattice, so they are
 periodic modulo that lattice.  ``assign`` therefore works them out once
-per residue class (3 * tau^2 of them, one ``nearest_masters`` call each)
-and fills them in per row: each row of cells is one slice of a repeated
-base row.
+per residue class (3 * tau^2 of them, from ``lattice.nearest_rows``'s
+distances and displacements, with one ``nearest_masters`` call per base
+row) and fills them in per row: each row of cells is one slice of a
+repeated base row.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import enum
 from dataclasses import dataclass
 from itertools import chain
 
-from .lattice import Coord
+from .lattice import Coord, nearest_rows
 from .topology import (HEX, SECTOR_KINDS, SECTORED, WYNER, Network, _need_at_least,
                        builder_rows)
 
@@ -151,23 +152,23 @@ def scheme_tau(model: str, scheme: Scheme, D: int) -> int:
     return D // 2
 
 
-def _fill_rows(net: Network, tau: int, value) -> tuple[list, list[int]]:
-    """``value(cell)`` per cell id, for a value periodic modulo the spacing-tau master
-    lattice, filled a row at a time, and the master ids.
+def _fill_rows(net: Network, tau: int, base: list[list]) -> tuple[list, list[int]]:
+    """The value per cell id, for a value periodic modulo the spacing-tau master lattice
+    whose value at (a, b) is ``base[a][b]`` on the base rows, filled a row at a time, and
+    the master ids.
 
     The master lattice is generated by (tau, 2 * tau) and (0, 3 * tau), so
     along a row values repeat with 3 * tau, and row a's values at b = 0, 1,
     ... are base row a mod tau's rotated left by tau * ((a mod 3 * tau) div
     tau).  The tau base rows of 3 * tau cells, (0, 0) .. (tau - 1, 3 * tau -
-    1), are the 3 * tau^2 classes, one ``value`` call each; every row is one
-    slice of its base row repeated.  Masters sit on the rows a = 0 mod tau,
-    at b = 2a mod 3 * tau.  A network without ``builder_rows`` is read as
-    one-cell rows (a, b, b).
+    1), are the 3 * tau^2 classes; every row is one slice of its base row
+    repeated.  Masters sit on the rows a = 0 mod tau, at b = 2a mod 3 * tau.
+    A network without ``builder_rows`` is read as one-cell rows (a, b, b).
     """
     t3 = 3 * tau
     rows = builder_rows(net) or [(a, b, b) for a, b in net.cell_coords]
     repeats = max((hi - lo for _, lo, hi in rows), default=0) // t3 + 2
-    base = [[value((a, b)) for b in range(t3)] * repeats for a in range(tau)]
+    base = [row * repeats for row in base]
     values: list = []
     masters: list[int] = []
     for a, lo, hi in rows:
@@ -179,22 +180,36 @@ def _fill_rows(net: Network, tau: int, value) -> tuple[list, list[int]]:
     return values, masters
 
 
+def _master_rows(net: Network, tau: int) -> list[list[tuple[int, Coord]]]:
+    """``nearest_rows(tau)``, each row checked against ``net.geometry`` at its anchor
+    (a, 0), whose nearest master is (0, 0): a torus built for another tau raises
+    ValueError there."""
+    rows = nearest_rows(tau)
+    for a, row in enumerate(rows):
+        dist, hits = net.geometry.nearest_masters((a, 0), tau)
+        assert (dist, hits[0][1]) == row[0], (tau, a)
+    return rows
+
+
 def _assign_hex(net: Network, D: int, scheme: Scheme) -> Association:
     if scheme is Scheme.NO_COOP:
-        # (a + b) % 3 is periodic modulo the spacing-1 master lattice
-        roles = _fill_rows(net, 1, lambda c: Role.FAST if sum(c) % 3 == 0 else Role.SILENT)[0]
+        # (a + b) % 3 == 0 is periodic modulo the spacing-1 master lattice: its base row
+        # (0, 0), (0, 1), (0, 2) needs no geometry, so a torus of any tau takes it
+        roles = _fill_rows(net, 1, [[Role.FAST, Role.SILENT, Role.SILENT]])[0]
         return Association(net, scheme, D, roles, ())
 
     tau = scheme_tau(HEX, scheme, D)
 
-    def role(c: Coord) -> Role:
-        if net.geometry.nearest_masters(c, tau)[0] == tau:
+    def role(dist: int, delta: Coord) -> Role:
+        if dist == tau:
             return Role.SILENT
-        if scheme.mixed and (c[0] + c[1]) % 3 == 0:  # a + b is periodic mod 3 too
+        # a master's a + b is a multiple of 3 tau, so the cell's a + b is delta's mod 3
+        if scheme.mixed and (delta[0] + delta[1]) % 3 == 0:
             return Role.FAST
         return Role.SLOW
 
-    roles, masters = _fill_rows(net, tau, role)  # a hex cell is its own Tx node
+    base = [[role(*near) for near in row] for row in _master_rows(net, tau)]
+    roles, masters = _fill_rows(net, tau, base)  # a hex cell is its own Tx node
     return Association(net, scheme, D, roles, tuple(masters))
 
 
@@ -237,16 +252,16 @@ def _assign_sectored(net: Network, D: int, scheme: Scheme) -> Association:
     tau = scheme_tau(SECTORED, scheme, D)
     active = Role.FAST if scheme.mixed else Role.SLOW
 
-    def sector_roles(c: Coord) -> tuple[Role, ...]:
+    def sector_roles(dist: int, delta: Coord) -> tuple[Role, ...]:
         """The cell's sector roles in ``SECTOR_KINDS`` order."""
-        dist, hits = net.geometry.nearest_masters(c, tau)
         if dist < tau:
-            fast = None if not scheme.mixed else _sector_fast_kind(hits[0][1])
+            fast = None if not scheme.mixed else _sector_fast_kind(delta)
             return tuple(Role.FAST if k == fast else Role.SLOW for k in SECTOR_KINDS)
-        silenced = _sector_silenced(hits[0][1], tau)  # every nearest master agrees
+        silenced = _sector_silenced(delta, tau)  # every nearest master agrees
         return tuple(Role.SILENT if k in silenced else active for k in SECTOR_KINDS)
 
-    per_cell, masters = _fill_rows(net, tau, sector_roles)
+    base = [[sector_roles(*near) for near in row] for row in _master_rows(net, tau)]
+    per_cell, masters = _fill_rows(net, tau, base)
     # sector 3 * i + j is the SECTOR_KINDS[j] sector of cell i
     roles = list(chain.from_iterable(per_cell))
     return Association(net, scheme, D, roles, tuple(masters))

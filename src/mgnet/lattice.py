@@ -21,7 +21,8 @@ nearest masters by that vector and keeps the set of displacements (a torus
 may list them in another order), so a rule that reads the distance and
 that set is periodic modulo the master lattice: association evaluates its
 roles once per residue class (3 * tau^2 classes; (2b - a, 2a - b) mod
-3 * tau names one).
+3 * tau names one).  ``nearest_rows`` gives all of them at once, the cells
+0 <= a < tau, 0 <= b < 3 * tau, by row arithmetic instead of one scan each.
 
 A torus of M copies of spacing tau identifies cells that differ by
 (i + 2j, 2i + j) * tau * M.  With P = 3 * tau * M, its canonical cells are
@@ -94,6 +95,27 @@ def _nearest_on_plane(c: Coord, tau: int) -> tuple[int, list[tuple[Coord, Coord]
             elif d == best:
                 hits.append(((ma, mb), (da, db)))
     return best, hits
+
+
+def nearest_rows(tau: int) -> list[list[tuple[int, Coord]]]:
+    """(distance, displacement to a nearest master) of (a, b), row a = 0 .. tau - 1 of
+    b = 0 .. 3 * tau - 1.
+
+    Only (0, 0), (tau, 2 * tau) and (0, 3 * tau) can be nearest there: the
+    nearest of the three is at most tau away, and every other master is
+    farther or (one at a = -tau, seen from row 0) exactly tau away.  Along
+    row a they are nearest in turn, from b = 0, b = tau and b = a + 2 * tau
+    + 1; the cells b = tau and b = a + 2 * tau are exactly tau from two of them.
+    """
+    t3 = 3 * tau
+    rows = []
+    for a in range(tau):
+        far = a + 2 * tau + 1  # (0, 3 * tau) is nearest from here on
+        rows.append([(max(a, b), (a, b)) for b in range(tau)]
+                    + [(max(tau - a, abs(b - 2 * tau), abs(b - a - tau)), (a - tau, b - 2 * tau))
+                       for b in range(tau, far)]
+                    + [(a + t3 - b, (a, b - t3)) for b in range(far, t3)])
+    return rows
 
 
 class PlaneGeometry:

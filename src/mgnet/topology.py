@@ -323,7 +323,10 @@ def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], .
     inner run (``_inner_run``) is written by ``_run_slices``.  Only the few
     cells at either end of a row are looked at one by one: an off-domain
     neighbour is dropped on the plane (``canon`` None) and canonicalised on
-    a torus, where small tori give duplicate neighbours and self-loops.
+    a torus, and only a node with such a wrapped neighbour has its ids
+    sorted and deduplicated.  No torus gives a self-loop: its shortest
+    lattice vector has hex norm 2 * tau * M, so two unit steps reach one
+    cell (a duplicate neighbour cell) only when tau * M == 1.
     """
     nk = len(kinds)
     shift = 1 - rows[0][0]  # row a is at index a + shift, between two pads
@@ -342,15 +345,16 @@ def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], .
         for b in ends:
             for k, steps in numbered:
                 nbrs = []
+                wrapped = False
                 for da, db, k2 in steps:
                     r2, b2 = r + da, b + db
                     if los[r2] <= b2 <= his[r2]:
                         nbrs.append(nodes[nk * (bases[r2] + b2) + k2])
                     elif canon is not None:
+                        wrapped = True
                         a3, b3 = canon((a + da, b2))
                         nbrs.append(nodes[nk * (bases[a3 + shift] + b3) + k2])
-                adj[nk * (base + b) + k] = \
-                    tuple(nbrs) if canon is None else tuple(sorted(set(nbrs)))
+                adj[nk * (base + b) + k] = tuple(sorted(set(nbrs))) if wrapped else tuple(nbrs)
     return tuple(adj)
 
 

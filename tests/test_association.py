@@ -14,7 +14,7 @@ from mgnet import (Network, Role, Scheme, assign, build_hex, build_hex_torus,
                    build_sectored_hex, build_sectored_hex_torus, build_wyner,
                    check_params, hex_distance, valid_d)
 from mgnet.association import _sector_fast_kind, _sector_silenced, scheme_tau
-from mgnet.lattice import TorusGeometry, is_master
+from mgnet.lattice import PlaneGeometry, TorusGeometry, is_master
 from mgnet.topology import HEX, SECTOR_KINDS, SECTORED, WYNER, builder_rows
 
 
@@ -132,6 +132,23 @@ def test_hex_torus_tau_mismatch_rejected():
     net = build_hex_torus(4, 1, 1)
     with pytest.raises(ValueError, match="tau=4"):
         assign(net, 8, Scheme.SLOW_COMP_RX)  # needs tau = 5
+
+
+@pytest.mark.parametrize("scheme", [Scheme.BOTH_COMP_RX, Scheme.SLOW_COMP_RX])
+def test_sectorized_torus_tau_mismatch_rejected(scheme):
+    net = build_sectored_hex_torus(2, 1, 1)
+    with pytest.raises(ValueError, match="tau=2"):
+        assign(net, 6, scheme)  # needs tau = 3
+
+
+@pytest.mark.parametrize("model,build", [(HEX, build_hex_torus),
+                                         (SECTORED, build_sectored_hex_torus)])
+def test_no_coop_assigns_on_a_torus_of_any_tau(model, build):
+    # no-coop roles read no master lattice, so no torus spacing is a mismatch
+    for tau in range(1, 7):
+        for copies in (1, 2):
+            for D in (0, 8):
+                assert_matches_reference(build(tau, copies, 1), Scheme.NO_COOP, D)
 
 
 def test_sectorized_counts():
@@ -331,20 +348,21 @@ def test_assign_matches_per_cell_path_on_balls(model, build, radius):
     (HEX, build_hex_torus, 8, Scheme.BOTH_COMP_RX),
     (HEX, build_hex_torus, 8, Scheme.BOTH_COMP_TX),
     (SECTORED, build_sectored_hex_torus, 8, Scheme.SLOW_COMP_RX),
+    (HEX, build_hex, 14, Scheme.SLOW_COMP_RX),  # one cell, tau = 8
+    (SECTORED, build_sectored_hex, 14, Scheme.SLOW_COMP_RX),
 ])
 def test_assign_looks_up_each_master_class_once(monkeypatch, model, build, D, scheme):
     tau = scheme_tau(model, scheme, D)
-    net = build(tau, 6, 1)
-    real = TorusGeometry.nearest_masters
+    net = build(0, 1) if build in (build_hex, build_sectored_hex) else build(tau, 6, 1)
     calls = []
+    for geometry in (PlaneGeometry, TorusGeometry):
+        def counting(self, c, t, real=geometry.nearest_masters):
+            calls.append(c)
+            return real(self, c, t)
 
-    def counting(self, c, t):
-        calls.append(c)
-        return real(self, c, t)
-
-    monkeypatch.setattr(TorusGeometry, "nearest_masters", counting)
+        monkeypatch.setattr(geometry, "nearest_masters", counting)
     a = assign(net, D, scheme)
-    assert len(calls) <= 3 * tau * tau < net.n_rx
+    assert 1 <= len(calls) <= tau  # one per base row, not one per class
     monkeypatch.undo()
     assert (a.roles, a.masters) == reference_roles(net, D, scheme)
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from mgnet.lattice import PlaneGeometry, TorusGeometry, ball, hex_distance, is_master
+from mgnet.lattice import (PlaneGeometry, TorusGeometry, _nearest_on_plane, ball, hex_distance,
+                           is_master, nearest_rows)
 
 
 def brute_torus_nearest(geo: TorusGeometry, masters, c):
@@ -58,6 +59,17 @@ def test_plane_nearest_masters_matches_exhaustive_scan(tau):
     assert len(cells) == 12 * tau * tau
     for c in cells:
         assert plane.nearest_masters(c, tau) == brute_plane_nearest(c, tau), c
+
+
+def test_nearest_rows_match_the_plane_scan():
+    # the three candidate masters of the base rows give the scan's distance and one of its hits
+    for tau in range(1, 41):
+        rows = nearest_rows(tau)
+        assert [len(row) for row in rows] == [3 * tau] * tau
+        for a, row in enumerate(rows):
+            for b, (dist, delta) in enumerate(row):
+                want_dist, hits = _nearest_on_plane((a, b), tau)
+                assert dist == want_dist and delta in [r for _, r in hits], (tau, a, b)
 
 
 @pytest.mark.parametrize("radius", range(16))

@@ -220,12 +220,19 @@ def reference_torus_json(model, tau, copies, L):
 @pytest.mark.parametrize("copies", [1, 2, 3, 4])
 @pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
 def test_torus_builders_match_canon_on_every_step(tau, copies):
-    # on the 1x1 and 2x2 tori wraps give duplicate neighbours and self-loops;
     # small tori have rows with no inner run, large ones rows with a long run
-    assert build_hex_torus(tau, copies, 2).to_json_dict() == \
-        reference_torus_json(HEX, tau, copies, 2)
-    assert build_sectored_hex_torus(tau, copies, 2).to_json_dict() == \
-        reference_torus_json(SECTORED, tau, copies, 2)
+    hexes, sectors = build_hex_torus(tau, copies, 2), build_sectored_hex_torus(tau, copies, 2)
+    assert hexes.to_json_dict() == reference_torus_json(HEX, tau, copies, 2)
+    assert sectors.to_json_dict() == reference_torus_json(SECTORED, tau, copies, 2)
+    # the shortest torus lattice vector has hex norm 2 * tau * copies, so no unit step
+    # returns to its cell, and two reach one cell only on the three-cell torus; there
+    # the four sector partners still differ in kind or cell
+    for adj, degree, short in ((hexes.interference, 6, tau * copies == 1),
+                               (sectors.rx_coop, 6, tau * copies == 1),
+                               (sectors.interference, 4, False)):
+        assert not any(i in nbrs for i, nbrs in enumerate(adj))
+        assert all(len(nbrs) <= degree for nbrs in adj)
+        assert any(len(nbrs) < degree for nbrs in adj) == short
 
 
 @pytest.mark.parametrize("model, tau, copies", [(SECTORED, 4, 2), (SECTORED, 2, 6), (HEX, 4, 6)])
