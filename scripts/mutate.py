@@ -99,10 +99,14 @@ MUTANTS = [
            "far = t3",
            ("tests/test_lattice.py::test_nearest_rows_match_the_plane_scan",
             TORI + "[SectorizedHexagonal-build_sectored_hex_torus-4-2]")),
-    Mutant("wrapped-row-end-unsorted", "src/mgnet/topology.py",
-           "tuple(sorted(set(nbrs))) if wrapped",
-           "tuple(dict.fromkeys(nbrs)) if wrapped",
+    Mutant("torus-row-ends-unsorted", "src/mgnet/topology.py",
+           "map(sorted, map(set, wrapped)",
+           "map(list, map(set, wrapped)",
            (CANON + "[2-2]", CANON + "[5-3]")),
+    Mutant("torus-seam-shift-halved", "src/mgnet/topology.py",
+           "(b - 2 * mt * (a // mt)) % W)",
+           "(b - mt * (a // mt)) % W)",
+           (CANON + "[1-1]", CANON + "[7-2]")),
 ]
 
 

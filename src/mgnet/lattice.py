@@ -34,6 +34,8 @@ and ``cells()``) expands them in (a, b) order.
 ``canon`` reaches the torus domain in one exact step: subtracting
 (m + 2n, 2m + n) * tau * M lowers 2b - a by m * P and 2a - b by n * P, so
 m = (2b - a) // P and n = (2a - b) // P land every point in the domain.
+As (mt, 2 * mt) and (0, P) are torus vectors (mt = tau * M), cell (a, b) is
+also (a % mt, (b - 2 * mt * (a // mt)) % P) of the mt-by-P parallelogram domain.
 """
 
 from __future__ import annotations

@@ -44,12 +44,12 @@ immutable; a reassigned field, a changed ``params``, a
 
 Hex and sectorized networks are written once, by ``_from_rows``, from
 their node kinds and the domain's rows (a, lo, hi) in id order
-(``lattice.ball_rows``, ``TorusGeometry.rows``), their adjacency by
-``_adjacency``: cell (a, b) has id ``base[a] + b``, so each neighbour step
-of a row's inner cells is one run of ids, and only the few cells at a
-row's ends look up their neighbours one by one, through ``canon`` where a
-torus seam wraps them (a torus build keeps one memo of ``canon``, so each
-off-domain cell is canonicalised once).  No coordinate is looked up in a dict.
+(``lattice.ball_rows``, ``TorusGeometry.rows``): cell (a, b) has id
+``base[a] + b``.  On a ball (``_adjacency``) each neighbour step of a
+row's inner cells is one run of ids, and only the few cells at a row's
+ends look up their neighbours one by one; on a torus (``_torus_adjacency``)
+each step is one rotation of a whole row of the parallelogram domain, and
+no cell is canonicalised.  No coordinate is looked up in a dict.
 
 Finite instances come in two flavours: hex-distance balls of a given
 radius (edge effects at the rim) and tori holding M x M whole subnets of a
@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache
+from functools import partial
 from itertools import chain
 from operator import attrgetter, index, is_
 
@@ -314,26 +314,20 @@ def _run_slices(kinds, bases: list[int], r: int, bl: int, bh: int, nodes):
 
 
 def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], ...],
-               canon, nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Adjacency of the nodes ``len(kinds) * cell + k`` over the cells of ``rows``.
+               nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Adjacency of the nodes ``len(kinds) * cell + k`` over the cells of the ball ``rows``.
 
     Node ``k`` of a cell hears node ``k2`` of the cell (da, db) away for
-    each step (da, db, k2) of ``kinds[k]``; the steps are unit hex steps,
-    sorted, so the ids of in-domain neighbours come out sorted.  A row's
-    inner run (``_inner_run``) is written by ``_run_slices``.  Only the few
-    cells at either end of a row are looked at one by one: an off-domain
-    neighbour is dropped on the plane (``canon`` None) and canonicalised on
-    a torus, and only a node with such a wrapped neighbour has its ids
-    sorted and deduplicated.  No torus gives a self-loop: its shortest
-    lattice vector has hex norm 2 * tau * M, so two unit steps reach one
-    cell (a duplicate neighbour cell) only when tau * M == 1.
+    each step (da, db, k2) of ``kinds[k]`` that stays in the domain; the
+    steps are unit hex steps, sorted, so the ids come out sorted.  A row's
+    inner run (``_inner_run``) is written by ``_run_slices``; only the few
+    cells at either end of a row are looked at one by one.
     """
     nk = len(kinds)
-    shift = 1 - rows[0][0]  # row a is at index a + shift, between two pads
     los, his, bases = _pads(rows)
     numbered = list(enumerate(kinds))
-    adj: list = [None] * (nk * (bases[-2] + his[-2] + 1))
-    for r, (a, lo, hi) in enumerate(rows, 1):
+    adj: list = [None] * len(nodes)
+    for r, (_, lo, hi) in enumerate(rows, 1):
         base = bases[r]
         ends = range(lo, hi + 1)
         if hi - lo > _MIN_RUN:  # room for a run between the row's end cells
@@ -345,31 +339,69 @@ def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], .
         for b in ends:
             for k, steps in numbered:
                 nbrs = []
-                wrapped = False
                 for da, db, k2 in steps:
                     r2, b2 = r + da, b + db
                     if los[r2] <= b2 <= his[r2]:
                         nbrs.append(nodes[nk * (bases[r2] + b2) + k2])
-                    elif canon is not None:
-                        wrapped = True
-                        a3, b3 = canon((a + da, b2))
-                        nbrs.append(nodes[nk * (bases[a3 + shift] + b3) + k2])
-                adj[nk * (base + b) + k] = tuple(sorted(set(nbrs))) if wrapped else tuple(nbrs)
+                adj[nk * (base + b) + k] = tuple(nbrs)
+    return tuple(adj)
+
+
+def _torus_adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], ...],
+                     nodes: tuple[int, ...], mt: int) -> tuple[tuple[int, ...], ...]:
+    """``_adjacency`` over the rows of a torus, mt = tau * M.
+
+    Its rows' ids, placed by ``seat``, fill the rows of the parallelogram
+    domain (``lattice``), where each step of a whole row is one rotation:
+    a parallelogram row's tuples are one ``zip``, a domain row's one slice
+    of them.  Only cells outside a row's inner run can have a wrapped
+    neighbour: their ids are sorted, and deduplicated when mt == 1, the one
+    torus where two unit steps reach one cell.
+    """
+    nk, W = len(kinds), 3 * mt
+    los, his, bases = _pads(rows)
+    seat = lambda a, b: (a % mt, (b - 2 * mt * (a // mt)) % W)  # (a, b) in the parallelogram
+    par = [[[None] * W for _ in range(mt)] for _ in kinds]  # par[k][p][b]: kind k of (p, b)
+    for r, (a, lo, hi) in enumerate(rows, 1):
+        (p, s), n = seat(a, lo), hi - lo + 1
+        for k, prows in enumerate(par):
+            ids = nodes[nk * (bases[r] + lo) + k:nk * (bases[r] + hi + 1):nk]
+            prows[p][s:s + n] = ids[:W - s]
+            prows[p][:max(s + n - W, 0)] = ids[W - s:]
+    # tup[k][p]: the tuples of kind k along parallelogram row p, doubled; step (da, db, k2)
+    # of cell (p, b) is cell b + t of parallelogram row q, where (q, t) = seat(p + da, db)
+    tup = [[list(zip(*[par[k2][q][t:] + par[k2][q][:t] for da, db, k2 in steps
+                       for q, t in [seat(p + da, db)]])) * 2 for p in range(mt)]
+           for steps in kinds]
+    adj: list = [None] * len(nodes)
+    ends = []  # the nodes of the cells outside each row's inner run
+    for r, (a, lo, hi) in enumerate(rows, 1):
+        (p, s), n = seat(a, lo), hi - lo + 1
+        first, stop = nk * (bases[r] + lo), nk * (bases[r] + hi + 1)
+        for k, ktup in enumerate(tup):
+            adj[first + k:stop:nk] = ktup[p][s:s + n]
+        bl, bh = _inner_run(los, his, r)
+        ends += range(first, nk * (bases[r] + min(bl, hi + 1)))
+        ends += range(nk * (bases[r] + max(bh + 1, bl)), stop)
+    wrapped = map(adj.__getitem__, ends)
+    for x, nbrs in zip(ends, map(sorted, map(set, wrapped) if mt == 1 else wrapped)):
+        adj[x] = tuple(nbrs)
     return tuple(adj)
 
 
 def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], rows: list[Row],
-               L: int, canon, params: dict, geometry) -> Network:
+               L: int, mt: int | None, params: dict, geometry) -> Network:
     """The marked network of ``kinds`` (``_HEX_STEPS`` or ``_SECTOR_STEPS``) over the cells
-    of ``rows``: node ``len(kinds) * i + j`` is kind j of cell i.  With one kind a node is its
-    own cell, and the cell-to-cell cooperation is the interference adjacency itself."""
+    of ``rows`` (a torus's if ``mt``): node ``len(kinds) * i + j`` is kind j of cell i.  With
+    one kind a node is its own cell, and the cell-to-cell cooperation is the interference."""
     cells = tuple(row_cells(rows))
     nk = len(kinds)
     ids = range(len(cells))
     rx_nodes = tuple(ids)
     tx_nodes = rx_nodes if nk == 1 else tuple(range(nk * len(cells)))
-    interference = _adjacency(rows, kinds, canon, tx_nodes)
-    rx_coop = interference if nk == 1 else _adjacency(rows, _HEX_STEPS, canon, rx_nodes)
+    adjacency = _adjacency if mt is None else partial(_torus_adjacency, mt=mt)
+    interference = adjacency(rows, kinds, tx_nodes)
+    rx_coop = interference if nk == 1 else adjacency(rows, _HEX_STEPS, rx_nodes)
     q_tx = sum(map(len, interference))
     return _marked(Network(
         model=model, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
@@ -389,7 +421,7 @@ def _ball(model: str, kinds, radius: int, L: int) -> Network:
 def _torus(model: str, kinds, tau: int, copies: int, L: int) -> Network:
     _need_at_least(tau=(tau, 1), copies=(copies, 1), L=(L, 1))
     geo = TorusGeometry(tau, copies)
-    return _from_rows(model, kinds, geo.rows(), L, cache(geo.canon),
+    return _from_rows(model, kinds, geo.rows(), L, tau * copies,
                       {"tau": tau, "copies": copies}, geo)
 
 

@@ -217,13 +217,24 @@ def reference_torus_json(model, tau, copies, L):
                           {"tau": tau, "copies": copies}, L)
 
 
-@pytest.mark.parametrize("copies", [1, 2, 3, 4])
-@pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
+def assert_ids_are_the_node_objects(net):
+    # a neighbour id is the node table's own int object, never a copy of it
+    for adj, nodes in ((net.interference, net.tx_nodes), (net.rx_coop, net.rx_nodes)):
+        assert all(j is nodes[j] for nbrs in adj for j in nbrs)
+
+
+# tau 1..5 x copies 1..4, plus the bench's larger tori: hex D=14 (tau 7, 8) at M=2 and
+# the size ladder, hex tau=4 and sectorized tau=2 at M=6
+@pytest.mark.parametrize("tau, copies", [(tau, copies) for tau in range(1, 6)
+                                         for copies in range(1, 5)]
+                         + [(7, 2), (8, 2), (4, 6), (2, 6)])
 def test_torus_builders_match_canon_on_every_step(tau, copies):
     # small tori have rows with no inner run, large ones rows with a long run
     hexes, sectors = build_hex_torus(tau, copies, 2), build_sectored_hex_torus(tau, copies, 2)
     assert hexes.to_json_dict() == reference_torus_json(HEX, tau, copies, 2)
     assert sectors.to_json_dict() == reference_torus_json(SECTORED, tau, copies, 2)
+    assert_ids_are_the_node_objects(hexes)
+    assert_ids_are_the_node_objects(sectors)
     # the shortest torus lattice vector has hex norm 2 * tau * copies, so no unit step
     # returns to its cell, and two reach one cell only on the three-cell torus; there
     # the four sector partners still differ in kind or cell
@@ -236,19 +247,12 @@ def test_torus_builders_match_canon_on_every_step(tau, copies):
 
 
 @pytest.mark.parametrize("model, tau, copies", [(SECTORED, 4, 2), (SECTORED, 2, 6), (HEX, 4, 6)])
-def test_torus_build_canonicalises_each_off_domain_cell_once(model, tau, copies):
-    # the sector and the cell tables share one memo of ``canon`` per build
-    calls = []
-    canon = TorusGeometry.canon
-
-    def counted(geo, c):
-        calls.append(c)
-        return canon(geo, c)
-
+def test_torus_build_calls_no_canon(model, tau, copies):
+    # the seam is crossed by rotating whole rows of the parallelogram domain, never cell by cell
     build = build_hex_torus if model == HEX else build_sectored_hex_torus
-    with mock.patch.object(TorusGeometry, "canon", counted):
+    with mock.patch.object(TorusGeometry, "canon", side_effect=AssertionError) as canon:
         net = build(tau, copies, 2)
-    assert calls and len(calls) == len(set(calls))
+    assert canon.call_count == 0
     assert net.to_json_dict() == reference_torus_json(model, tau, copies, 2)
 
 
@@ -265,9 +269,17 @@ def reference_ball_json(model, radius, L):
 
 @pytest.mark.parametrize("radius", range(9))
 def test_ball_builders_match_the_coordinate_dict(radius):
-    assert build_hex(radius, 2).to_json_dict() == reference_ball_json(HEX, radius, 2)
-    assert build_sectored_hex(radius, 2).to_json_dict() == \
-        reference_ball_json(SECTORED, radius, 2)
+    hexes, sectors = build_hex(radius, 2), build_sectored_hex(radius, 2)
+    assert hexes.to_json_dict() == reference_ball_json(HEX, radius, 2)
+    assert sectors.to_json_dict() == reference_ball_json(SECTORED, radius, 2)
+    assert_ids_are_the_node_objects(hexes)
+    assert_ids_are_the_node_objects(sectors)
+
+
+@pytest.mark.parametrize("build", [build_hex, build_sectored_hex])
+def test_large_ball_ids_are_the_node_objects(build):
+    # CPython shares the ints up to 256 anyway; a radius-20 ball has ids far above
+    assert_ids_are_the_node_objects(build(20, 1))
 
 
 @pytest.mark.parametrize("make,domain", [
