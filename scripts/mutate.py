@@ -41,6 +41,7 @@ PROOF = ORACLE + "test_only_a_network_as_its_builder_returned_it_takes_a_proof"
 BALLS = "tests/test_association.py::test_assign_matches_per_cell_path_on_balls"
 TORI = "tests/test_association.py::test_assign_matches_per_cell_path_on_tori"
 CANON = "tests/test_topology.py::test_torus_builders_match_canon_on_every_step"
+BALL = "tests/test_topology.py::test_ball_builders_match_the_coordinate_dict"
 # the two layer rules of association._sector_silenced, with their sets filled in
 SECTOR_RULES = ('        return {{"{}"}}\n'
                 '    if abs(b) == tau and (a > 0) == (b > 0):\n'
@@ -100,9 +101,17 @@ MUTANTS = [
            ("tests/test_lattice.py::test_nearest_rows_match_the_plane_scan",
             TORI + "[SectorizedHexagonal-build_sectored_hex_torus-4-2]")),
     Mutant("torus-row-ends-unsorted", "src/mgnet/topology.py",
-           "map(sorted, map(set, wrapped)",
-           "map(list, map(set, wrapped)",
+           "fix = sorted if mt > 1 else",
+           "fix = list if mt > 1 else",
            (CANON + "[2-2]", CANON + "[5-3]")),
+    Mutant("ball-row-ends-keep-empty-cells", "src/mgnet/topology.py",
+           "fix = partial(filter, partial(is_not, None))",
+           "fix = list",
+           (BALL + "[1]", BALL + "[8]")),
+    Mutant("ball-pad-column-dropped", "src/mgnet/topology.py",
+           "rows[0][1] - 1",
+           "rows[0][1]",
+           (BALL + "[1]", BALL + "[8]")),
     Mutant("torus-seam-shift-halved", "src/mgnet/topology.py",
            "(b - 2 * mt * (a // mt)) % W)",
            "(b - mt * (a // mt)) % W)",

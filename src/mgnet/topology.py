@@ -45,11 +45,11 @@ immutable; a reassigned field, a changed ``params``, a
 Hex and sectorized networks are written once, by ``_from_rows``, from
 their node kinds and the domain's rows (a, lo, hi) in id order
 (``lattice.ball_rows``, ``TorusGeometry.rows``): cell (a, b) has id
-``base[a] + b``.  On a ball (``_adjacency``) each neighbour step of a
-row's inner cells is one run of ids, and only the few cells at a row's
-ends look up their neighbours one by one; on a torus (``_torus_adjacency``)
-each step is one rotation of a whole row of the parallelogram domain, and
-no cell is canonicalised.  No coordinate is looked up in a dict.
+``base[a] + b``.  One adjacency builder (``_adjacency``) serves balls and
+tori: every cell has a seat on a grid, each neighbour step of a row is
+one slice of a grid row, and the cells at a row's ends are fixed in one
+pass at the end.  No cell's neighbours are looked up one by one, no
+coordinate is looked up in a dict, and no torus cell is canonicalised.
 
 Finite instances come in two flavours: hex-distance balls of a given
 radius (edge effects at the rim) and tori holding M x M whole subnets of a
@@ -63,7 +63,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from operator import attrgetter, index, is_
+from operator import attrgetter, index, is_, is_not
 
 from .lattice import (Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows,
                       row_cells)
@@ -269,9 +269,6 @@ def build_wyner(K: int, L: int) -> Network:
 
 # Bounds of the pad rows beyond either end of a domain: no b lies in them.
 _NO_LO, _NO_HI = 1 << 62, -(1 << 62)
-# Shortest inner run built from id slices: setting one up costs about as
-# much as looking up four cells one by one.
-_MIN_RUN = 4
 
 
 def _pads(rows: list[Row]) -> tuple[list[int], list[int], list[int]]:
@@ -299,92 +296,63 @@ def _inner_run(los: list[int], his: list[int], r: int) -> tuple[int, int]:
             min(his[r] - 1, his[r - 1], his[r + 1] - 1))
 
 
-def _run_slices(kinds, bases: list[int], r: int, bl: int, bh: int, nodes):
-    """(slice of ids, neighbour tuples) per node kind along the cells bl..bh of row r.
-
-    Each step (da, db, k2) of a kind is one strided slice of ``nodes``
-    (``nodes[i] == i``), so the tuples share its int objects.
-    """
-    nk = len(kinds)
-    base = bases[r]
-    for k, steps in enumerate(kinds):
-        yield slice(nk * (base + bl) + k, nk * (base + bh + 1), nk), zip(*[
-            nodes[nk * (bases[r + da] + db + bl) + k2:nk * (bases[r + da] + db + bh + 1):nk]
-            for da, db, k2 in steps])
-
-
 def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], ...],
-               nodes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Adjacency of the nodes ``len(kinds) * cell + k`` over the cells of the ball ``rows``.
+               nodes: tuple[int, ...], mt: int | None) -> tuple[tuple[int, ...], ...]:
+    """Adjacency of the nodes ``len(kinds) * cell + k`` over the cells of ``rows``: a ball's,
+    or a torus's of mt = tau * M if ``mt``.
 
     Node ``k`` of a cell hears node ``k2`` of the cell (da, db) away for
     each step (da, db, k2) of ``kinds[k]`` that stays in the domain; the
-    steps are unit hex steps, sorted, so the ids come out sorted.  A row's
-    inner run (``_inner_run``) is written by ``_run_slices``; only the few
-    cells at either end of a row are looked at one by one.
+    steps are unit hex steps, sorted, so the ids of a row's inner run
+    (``_inner_run``) come out sorted.  Each cell has a seat on a grid of
+    rows W cells wide, and the grid holds the ids of every kind, so each
+    step of a row is one slice of a grid row.  A ball's grid is its
+    bounding box with an empty row or column on every side.  A torus's
+    grid is the parallelogram domain (``lattice``), where each step of a
+    whole row is one rotation: a parallelogram row's tuples are one
+    ``zip``, and a domain row's are one slice of them.  The nodes outside
+    each row's inner run are fixed in one pass at the end.  On a ball their
+    empty seats are dropped.  On a torus they alone can have a wrapped
+    neighbour, so their ids are sorted, and deduplicated when mt == 1, the
+    one torus where two unit steps reach one cell.
     """
     nk = len(kinds)
     los, his, bases = _pads(rows)
-    numbered = list(enumerate(kinds))
-    adj: list = [None] * len(nodes)
-    for r, (_, lo, hi) in enumerate(rows, 1):
-        base = bases[r]
-        ends = range(lo, hi + 1)
-        if hi - lo > _MIN_RUN:  # room for a run between the row's end cells
-            bl, bh = _inner_run(los, his, r)
-            if bh - bl >= _MIN_RUN - 1:
-                for ids, nbrs in _run_slices(kinds, bases, r, bl, bh, nodes):
-                    adj[ids] = nbrs
-                ends = (*range(lo, bl), *range(bh + 1, hi + 1))
-        for b in ends:
-            for k, steps in numbered:
-                nbrs = []
-                for da, db, k2 in steps:
-                    r2, b2 = r + da, b + db
-                    if los[r2] <= b2 <= his[r2]:
-                        nbrs.append(nodes[nk * (bases[r2] + b2) + k2])
-                adj[nk * (base + b) + k] = tuple(nbrs)
-    return tuple(adj)
-
-
-def _torus_adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], ...],
-                     nodes: tuple[int, ...], mt: int) -> tuple[tuple[int, ...], ...]:
-    """``_adjacency`` over the rows of a torus, mt = tau * M.
-
-    Its rows' ids, placed by ``seat``, fill the rows of the parallelogram
-    domain (``lattice``), where each step of a whole row is one rotation:
-    a parallelogram row's tuples are one ``zip``, a domain row's one slice
-    of them.  Only cells outside a row's inner run can have a wrapped
-    neighbour: their ids are sorted, and deduplicated when mt == 1, the one
-    torus where two unit steps reach one cell.
-    """
-    nk, W = len(kinds), 3 * mt
-    los, his, bases = _pads(rows)
-    seat = lambda a, b: (a % mt, (b - 2 * mt * (a // mt)) % W)  # (a, b) in the parallelogram
-    par = [[[None] * W for _ in range(mt)] for _ in kinds]  # par[k][p][b]: kind k of (p, b)
-    for r, (a, lo, hi) in enumerate(rows, 1):
+    if mt is None:
+        W, a0, b0 = len(rows) + 2, rows[0][0] - 1, rows[0][1] - 1
+        seat = lambda a, b: (a - a0, b - b0)
+        fix = partial(filter, partial(is_not, None))  # drop the empty seats
+    else:
+        W = 3 * mt
+        seat = lambda a, b: (a % mt, (b - 2 * mt * (a // mt)) % W)  # (a, b) in the parallelogram
+        fix = sorted if mt > 1 else lambda nbrs: sorted(set(nbrs))
+    grid = [[None] * (nk * W) for _ in range(W if mt is None else mt)]  # grid[p][nk * c + k]:
+    for r, (a, lo, hi) in enumerate(rows, 1):                          # kind k at seat (p, c)
         (p, s), n = seat(a, lo), hi - lo + 1
-        for k, prows in enumerate(par):
-            ids = nodes[nk * (bases[r] + lo) + k:nk * (bases[r] + hi + 1):nk]
-            prows[p][s:s + n] = ids[:W - s]
-            prows[p][:max(s + n - W, 0)] = ids[W - s:]
-    # tup[k][p]: the tuples of kind k along parallelogram row p, doubled; step (da, db, k2)
-    # of cell (p, b) is cell b + t of parallelogram row q, where (q, t) = seat(p + da, db)
-    tup = [[list(zip(*[par[k2][q][t:] + par[k2][q][:t] for da, db, k2 in steps
-                       for q, t in [seat(p + da, db)]])) * 2 for p in range(mt)]
-           for steps in kinds]
+        ids = nodes[nk * (bases[r] + lo):nk * (bases[r] + hi + 1)]
+        grid[p][nk * s:nk * (s + n)] = ids[:nk * (W - s)]
+        grid[p][:nk * max(s + n - W, 0)] = ids[nk * (W - s):]
+    if mt is None:
+        run = lambda k, p, s, n: zip(*[grid[p + da][nk * (s + db) + k2:nk * (s + db + n):nk]
+                                       for da, db, k2 in kinds[k]])
+    else:
+        # tup[k][p]: the tuples of kind k along parallelogram row p, doubled; step (da, db, k2)
+        # of cell (p, b) is cell b + t of parallelogram row q, where (q, t) = seat(p + da, db)
+        tup = [[list(zip(*[grid[q][nk * t + k2::nk] + grid[q][k2:nk * t:nk] for da, db, k2 in steps
+                           for q, t in [seat(p + da, db)]])) * 2 for p in range(mt)]
+               for steps in kinds]
+        run = lambda k, p, s, n: tup[k][p][s:s + n]
     adj: list = [None] * len(nodes)
     ends = []  # the nodes of the cells outside each row's inner run
     for r, (a, lo, hi) in enumerate(rows, 1):
         (p, s), n = seat(a, lo), hi - lo + 1
         first, stop = nk * (bases[r] + lo), nk * (bases[r] + hi + 1)
-        for k, ktup in enumerate(tup):
-            adj[first + k:stop:nk] = ktup[p][s:s + n]
+        for k in range(nk):
+            adj[first + k:stop:nk] = run(k, p, s, n)
         bl, bh = _inner_run(los, his, r)
         ends += range(first, nk * (bases[r] + min(bl, hi + 1)))
         ends += range(nk * (bases[r] + max(bh + 1, bl)), stop)
-    wrapped = map(adj.__getitem__, ends)
-    for x, nbrs in zip(ends, map(sorted, map(set, wrapped) if mt == 1 else wrapped)):
+    for x, nbrs in zip(ends, map(fix, map(adj.__getitem__, ends))):
         adj[x] = tuple(nbrs)
     return tuple(adj)
 
@@ -392,16 +360,16 @@ def _torus_adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], .
 def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], rows: list[Row],
                L: int, mt: int | None, params: dict, geometry) -> Network:
     """The marked network of ``kinds`` (``_HEX_STEPS`` or ``_SECTOR_STEPS``) over the cells
-    of ``rows`` (a torus's if ``mt``): node ``len(kinds) * i + j`` is kind j of cell i.  With
-    one kind a node is its own cell, and the cell-to-cell cooperation is the interference."""
+    of ``rows``, a ball's or (if ``mt``) a torus's: node ``len(kinds) * i + j`` is kind j of
+    cell i.  With one kind a node is its own cell, and the cell-to-cell cooperation is the
+    interference."""
     cells = tuple(row_cells(rows))
     nk = len(kinds)
     ids = range(len(cells))
     rx_nodes = tuple(ids)
     tx_nodes = rx_nodes if nk == 1 else tuple(range(nk * len(cells)))
-    adjacency = _adjacency if mt is None else partial(_torus_adjacency, mt=mt)
-    interference = adjacency(rows, kinds, tx_nodes)
-    rx_coop = interference if nk == 1 else adjacency(rows, _HEX_STEPS, rx_nodes)
+    interference = _adjacency(rows, kinds, tx_nodes, mt)
+    rx_coop = interference if nk == 1 else _adjacency(rows, _HEX_STEPS, rx_nodes, mt)
     q_tx = sum(map(len, interference))
     return _marked(Network(
         model=model, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,

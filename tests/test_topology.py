@@ -256,15 +256,30 @@ def test_torus_build_calls_no_canon(model, tau, copies):
     assert net.to_json_dict() == reference_torus_json(model, tau, copies, 2)
 
 
+def brute_ball(radius):
+    return sorted((a, b) for a in range(-radius, radius + 1) for b in range(-radius, radius + 1)
+                  if brute_hexdist((a, b), (0, 0)) <= radius)
+
+
+def ball_step(c, d, index):
+    return index.get((c[0] + d[0], c[1] + d[1]))
+
+
 def reference_ball_json(model, radius, L):
-    """``to_json_dict`` of a ball: its cells and neighbours found by ``hex_distance``."""
-    cells = sorted((a, b) for a in range(-radius, radius + 1) for b in range(-radius, radius + 1)
-                   if brute_hexdist((a, b), (0, 0)) <= radius)
+    """``to_json_dict`` of a ball: its cells and neighbours found by ``hex_distance``, O(n^2)."""
     return reference_json(
-        model, cells,
+        model, brute_ball(radius),
         lambda c, index: [i for x, i in index.items() if brute_hexdist(c, x) == 1],
-        lambda c, d, index: index.get((c[0] + d[0], c[1] + d[1])),
-        {"radius": radius}, L)
+        ball_step, {"radius": radius}, L)
+
+
+def reference_step_ball_json(model, radius, L):
+    """``to_json_dict`` of a ball: each cell's neighbours are its six unit steps looked up in
+    the coordinate dict, so it runs at the bench's radii."""
+    return reference_json(
+        model, brute_ball(radius),
+        lambda c, index: [i for d in NEIGHBOR_STEPS if (i := ball_step(c, d, index)) is not None],
+        ball_step, {"radius": radius}, L)
 
 
 @pytest.mark.parametrize("radius", range(9))
@@ -274,6 +289,14 @@ def test_ball_builders_match_the_coordinate_dict(radius):
     assert sectors.to_json_dict() == reference_ball_json(SECTORED, radius, 2)
     assert_ids_are_the_node_objects(hexes)
     assert_ids_are_the_node_objects(sectors)
+
+
+# the rim workload's balls: hex radius 60 and sectorized radius 40
+@pytest.mark.parametrize("build, radius", [(build_hex, 60), (build_sectored_hex, 40)])
+def test_bench_balls_match_the_unit_step_dict(build, radius):
+    net = build(radius, 3)
+    assert net.to_json_dict() == reference_step_ball_json(net.model, radius, 3)
+    assert_ids_are_the_node_objects(net)
 
 
 @pytest.mark.parametrize("build", [build_hex, build_sectored_hex])
