@@ -116,6 +116,16 @@ MUTANTS = [
            "(b - 2 * mt * (a // mt)) % W)",
            "(b - mt * (a // mt)) % W)",
            (CANON + "[1-1]", CANON + "[7-2]")),
+    # the rim's messages land on copies of the link counts: the maxima are the template's
+    Mutant("link-maxima-from-template-alone", "src/mgnet/loads.py",
+           "indices, (tx_off, rx_off, tx_use, rx_use),",
+           "indices, (tx_off, rx_off, tx_use, rx_use) if t is None or indices is not t[2]"
+           " else (tx_off, rx_off, tx_use[:], rx_use[:]),",
+           (ORACLE + "test_torus_seam_sets_the_link_maximum",)),
+    Mutant("small-torus-gate-dropped", "src/mgnet/validation.py",
+           'net.params["copies"] <= 2:',
+           'net.params["copies"] <= 1:',
+           (ORACLE + "test_torus_lattice_matches_walk[Hexagonal]",)),
 ]
 
 

@@ -28,13 +28,18 @@ its subtree's count to its parent, the lowest-id cell of the subnet one hop
 nearer the master that links to it both ways.  The loop reads the columns
 of ``validation.Subnets`` (members, masters, per-node hops) and builds no
 per-subnet object.  Columns a proof built (``Subnets.translates``: a line's
-period, a ball's master lattice) are counted from the template's fast nodes
-and subnet, once, times the number of translates, plus the rim's nodes and
-subnets.  A message runs between two cells of its own subnet, so only the
-links of these cells are numbered, and each link maximum is that of the
-template or of the rim unless a link joins two cells that the template
-shares with another subnet and carries messages; then every subnet is
-counted once instead.  Every other ``Subnets`` is counted node by node.
+period, the master lattice of a ball or torus) are counted from the
+template's fast nodes and subnet, once, times the number of translates,
+plus the rim's nodes and subnets.  A translate routes like the template,
+since its cells' ids keep their order; a torus's seam subnets, where ids
+wrap, may not, and they are its rim.  A message runs between two cells of
+its own subnet, so only the links of these cells are numbered, and each
+link maximum is that of the template or of the rim unless a link joins two
+cells that the template shares with another subnet and carries messages;
+then every subnet is counted once instead.  Every other ``Subnets`` is
+counted node by node.  A maximum is read only from link counts that a
+message reached: precancels and Tx-side routes load the Tx links, fast
+shares and Rx-side routes the Rx links.
 
 Average prelogs divide by the idealised directed-link totals (2 per node
 in the linear model, 6 per cell in the hexagonal models, 4 per sector /
@@ -221,6 +226,9 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
     side = scheme.comp_side
     tx_total = precancel + (fanin + fanout - q_dedup if side == "tx" else 0)
     rx_total = fast_share + (fanin + fanout - fast_master_saved if side == "rx" else 0)
+    # only precancels and Tx-side routes load Tx links; fast shares and Rx-side routes Rx links
+    max_tx = max(tx_use) if precancel or side == "tx" and fanin else 0
+    max_rx = max(rx_use) if fast_share or side == "rx" and fanin else 0
 
     den_tx, den_rx = _asymptotic_denominators(net)
     mu_tx = Fraction(L * tx_total, den_tx) if den_tx else Fraction(0)
@@ -232,7 +240,7 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
         q_dedup=q_dedup, fast_master_dedup=fast_master_saved,
         tx_message_total=tx_total, rx_message_total=rx_total,
         mu_tx=mu_tx, mu_rx=mu_rx,
-        max_tx_link_load=max(tx_use, default=0), max_rx_link_load=max(rx_use, default=0),
+        max_tx_link_load=max_tx, max_rx_link_load=max_rx,
         n_subnets=len(subnets),
     )
 

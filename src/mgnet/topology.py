@@ -35,10 +35,10 @@ Every builder marks the ``Network`` it returns with the objects it put in
 the fields that describe its graph and its cells' coordinates, its
 ``params`` and, for a ball or a torus, its rows (a, lo, hi) in id order.
 ``as_built`` answers in O(1) whether a network is still exactly a
-builder's line or ball, so that ``validation`` may solve it by its period
-or master lattice without re-proving its structure; ``builder_rows``
-returns a ball's or torus's rows on the same terms, so that
-``association`` may fill roles a row at a time.  Every marked object is
+builder's line, so that ``validation`` may solve it by its period without
+re-proving its structure; ``builder_rows`` returns a ball's or torus's rows
+on the same terms, so that ``association`` may fill roles a row at a time
+and ``validation`` may solve it by its master lattice.  Every marked object is
 immutable; a reassigned field, a changed ``params``, a
 ``dataclasses.replace`` copy or a hand-made ``Network`` matches no mark.
 
@@ -170,15 +170,16 @@ def _intact_mark(net: Network) -> tuple | None:
 
 
 def as_built(net: Network) -> int | None:
-    """K of a line, or the radius of a ball, that is exactly what ``build_wyner``,
-    ``build_hex`` or ``build_sectored_hex`` returned; None for any other network."""
+    """K of a line that is exactly what ``build_wyner`` returned; None for any other
+    network."""
     mark = _intact_mark(net)
-    return mark and mark[1].get("K", mark[1].get("radius"))
+    return mark and mark[1].get("K")
 
 
 def builder_rows(net: Network) -> tuple[Row, ...] | None:
     """The rows (a, lo, hi) of a ball or torus exactly as its builder returned it, in
-    id order; None for any other network."""
+    id order; None for any other network.  The master-lattice proof reads its domain
+    from them, and a torus's seam lies at their ends."""
     mark = _intact_mark(net)
     return mark and mark[2]
 

@@ -29,30 +29,34 @@ reads and requires (a list of views carries no association); indexing it
 builds a ``Subnet`` view on demand, with ``gamma`` in node order, and nothing
 keeps the views.
 
-A network that ``topology.as_built`` finds to be exactly a builder's line
-or ball has the graph its builder wrote: the builder's mark stands in for
-any proof of its structure, so only the association is checked before most
-of the walk is spared.  A line is solved by its period P (D + 2, or 2
-without cooperation) when K >= 2P, the roles repeat with P, the whole runs
-of P - 1 nodes have one master each, at one offset, and the walk of run 0
-from node 1 is the nodes 1..P-1.  The components are then the runs between
-the multiples of P, so ``_periodic_subnets`` repeats that walk's hops in
-every whole run and adds the shorter masterless tail run with its
+A network that its builder returned unchanged has the graph its builder
+wrote: the builder's mark stands in for any proof of its structure, so only
+the association is checked before most of the walk is spared.  A line that
+``topology.as_built`` finds is solved by its period P (D + 2, or 2 without
+cooperation) when K >= 2P, the roles repeat with P, the whole runs of P - 1
+nodes have one master each, at one offset, and the walk of run 0 from node
+1 is the nodes 1..P-1.  The components are then the runs between the
+multiples of P, so ``_periodic_subnets`` repeats that walk's hops in every
+whole run and adds the shorter masterless tail run with its
 ``partial-subnet`` warning.
 
-A ball is solved by its master lattice: ``_lattice_subnets`` walks one
-template, the component of the master nearest the centre, which must hold
+A ball or a torus, whose rows ``topology.builder_rows`` returns, is solved
+by its master lattice: ``_lattice_subnets`` walks one template, the
+component of the master nearest the middle of the domain, which must hold
 that master alone.  Its territory is the hex ball around its master one
 step wider than the component, so the component's neighbours lie in it.
-Every master whose territory lies in the ball must match the template's
-roles and master flags there, row segment by row segment; its component
-and hops are then the template's, moved by a constant id shift per row.
-The walk covers the rest, the rim, and skips these translates; any failed
-check takes the whole walk.  On a builder's graph a template with one
-master has no violation, and no rim edge reaches a translate, whose
-territory holds every neighbour with the template's roles.  Any other
-network or association takes the walk above, so the violations and their
-order are always the walk's.
+Every master whose territory lies in the domain's rows (one b-span per
+master row, O(1) per master) must match the template's roles and master
+flags there, row segment by row segment; its component and hops are then
+the template's, moved by a constant id shift per row.  The walk covers the
+rest, the rim, and skips these translates; any failed check takes the
+whole walk.  On a torus the rim is the subnets at the seam, where ids wrap:
+their territory leaves the domain's rows.  A torus of M <= 2 copies skips
+the proof at once, since at most one of its masters is clear of the seam.
+On a builder's graph a template with one master has no violation, and no
+rim edge reaches a translate, whose territory holds every neighbour with
+the template's roles.  Any other network or association takes the walk
+above, so the violations and their order are always the walk's.
 
 Both proofs set ``Subnets.translates`` (a line's whole runs are the
 translates of run 0, its tail the rim): ``validate`` then checks fast
@@ -69,15 +73,16 @@ reads its verdicts off the codes.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, repeat
-from operator import add, itemgetter
+from operator import add, itemgetter, mul, sub
 
 from .association import Association, Role, Scheme, valid_d
-from .lattice import ball_rows, hex_distance
-from .topology import HEX, WYNER, Network, _pads, as_built
+from .lattice import Row, ball_rows, hex_distance
+from .topology import HEX, WYNER, Network, _pads, as_built, builder_rows
 
 
 @dataclass(slots=True)
@@ -100,13 +105,14 @@ class Subnets(Sequence):
     columns were built from.  ``translates`` is set when a proof built the
     columns (see the module docstring), to (template, copies, rim,
     shared): component ``template`` and ``copies - 1`` others (a line's
-    whole runs, a ball's interior subnets) are translates of one another,
-    the components listed in ``rim`` are the others, and ``shared`` holds
-    the template's Rx cells that also hold an active node of another
-    component (none on a line or a hex ball).  The template and the rim
-    are all that ``validate`` and ``message_ledger`` read.  It is None
-    after the general walk.  Indexing builds a ``Subnet`` view, whose
-    ``gamma`` lists the members in node order (not in BFS order).
+    whole runs, the subnets of a ball or torus whose territory lies in its
+    rows) are translates of one another, the components listed in ``rim``
+    are the others (a torus's rim is its seam subnets), and ``shared``
+    holds the template's Rx cells that also hold an active node of another
+    component (none on a line, a hex ball or a hex torus).  The template
+    and the rim are all that ``validate`` and ``message_ledger`` read.  It
+    is None after the general walk.  Indexing builds a ``Subnet`` view,
+    whose ``gamma`` lists the members in node order (not in BFS order).
     """
 
     __slots__ = ("assoc", "members", "starts", "masters", "hop", "translates")
@@ -125,7 +131,7 @@ class Subnets(Sequence):
         template, _, rim, _ = self.translates
         members, starts = self.members, self.starts
         return (members[starts[template]:starts[template + 1]],
-                [k for j in rim for k in members[starts[j]:starts[j + 1]]])
+                list(chain.from_iterable(members[starts[j]:starts[j + 1]] for j in rim)))
 
     def __getitem__(self, i: int) -> Subnet:
         """A ``Subnet`` view of component ``i``, built on each call, with
@@ -211,16 +217,20 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     to an earlier one (a later one would have joined it), so every such
     edge is seen, from its later end.  These violations come last, in node
     order, then adjacency order.  A builder's line whose roles repeat with
-    the period, and a builder's ball whose interior repeats with the master
-    lattice, skip all or most of the walk (see the module docstring).
+    the period, and a builder's ball or torus whose interior repeats with
+    the master lattice, skip all or most of the walk (see the module
+    docstring).
     """
     _require_same_net(net, assoc)
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
-    if (size := as_built(net)) is not None:
-        solved = (_periodic_subnets if net.model == WYNER else _lattice_subnets)(
-            net, assoc, size, report)
-        if solved is not None:
-            return solved
+    if (rows := builder_rows(net)) is not None:
+        solved = _lattice_subnets(net, assoc, rows, report)
+    elif (K := as_built(net)) is not None:
+        solved = _periodic_subnets(net, assoc, K, report)
+    else:
+        solved = None
+    if solved is not None:
+        return solved
     n = len(assoc.roles)
     hop: list[int | None] = [None] * n
     members, starts, masters = _walk(net, assoc, report, net.tx_nodes, [None] * n, hop,
@@ -319,23 +329,33 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
     return members, starts, masters
 
 
-def _lattice_subnets(net: Network, assoc: Association, radius: int,
+def _lattice_subnets(net: Network, assoc: Association, rows: tuple[Row, ...],
                      report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
-    """The walk's ``Subnets`` and report on a builder's ball of this radius, from one
-    template, its translates and the rim (see the module docstring), for a hexagonal
+    """The walk's ``Subnets`` and report on a builder's ball or torus of these rows, from
+    one template, its translates and the rim (see the module docstring), for a hexagonal
     association with masters or a sectorized CoMP-Rx one; otherwise None."""
     roles, silent, scheme = assoc.roles, Role.SILENT, assoc.scheme
     if not (assoc.masters and scheme.cooperative and len(roles) == len(net.tx_nodes)
             and (net.model == HEX or scheme.comp_side == "rx")):
         return None
-    bases = _pads(ball_rows(radius))[2]
+    if not net.has_rim and net.params["copies"] <= 2:
+        return None  # at most one master of the torus is clear of its seam: nothing to spare
+    los, his, bases = _pads(rows)
+    a0 = rows[0][0] - 1  # row a is at index a - a0 of los, his and bases
     n = len(net.rx_nodes)
     nk = len(net.tx_nodes) // n  # nodes per cell
     master_set = set(assoc.masters)
     if not (ms := sorted(m for m in master_set if 0 <= m < n)):
         return None
     coord = net.cell_coords
-    t = min(ms, key=lambda m: hex_distance(coord[m], (0, 0)))  # the master nearest the centre
+    # the master nearest the centre, the lowest id of any tie: it lies no more rows away
+    # than some master's distance d, so only the masters of the d rows either side compete
+    rc = len(rows) // 2 + 1
+    centre = (rows[rc - 1][0], (los[rc] + his[rc]) // 2)
+    d = hex_distance(coord[ms[len(ms) // 2]], centre)
+    top, bottom = max(rc - d, 1), min(rc + d, len(rows))
+    near = ms[bisect_left(ms, bases[top] + los[top]):bisect_right(ms, bases[bottom] + his[bottom])]
+    t = min(near, key=lambda m: hex_distance(coord[m], centre))
     owner: list[int | None] = [None] * len(roles)
     hop: list[int | None] = [None] * len(roles)
     scratch = ValidationReport()  # the template: one component from the master's nodes
@@ -345,34 +365,40 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
         return None
     tc = coord[t]
     R = 1 + max(hex_distance(coord[k // nk], tc) for k in tm)
-    if hex_distance(tc, (0, 0)) + R > radius:
-        return None
     territory = ball_rows(R)  # rows (da, lo, hi) around a master
+    _, tlos, this = zip(*territory)
 
-    def segments(a: int, b: int) -> list[tuple[int, int]]:
-        """The id range [x, y) of cells in each territory row around master (a, b)."""
-        return [(bases[a + da + radius + 1] + b + lo, bases[a + da + radius + 1] + b + hi + 1)
-                for da, lo, hi in territory]
+    def fits(a: int) -> range:
+        """The b of the masters (a, b) whose territory lies in the domain's rows."""
+        r = a - a0
+        if not (R < r and r + R <= len(rows)):
+            return range(0)
+        return range(max(map(sub, los[r - R:r + R + 1], tlos)),
+                     min(map(sub, his[r - R:r + R + 1], this)) + 1)
 
-    flags = bytearray(n)
+    if tc[1] not in fits(tc[0]):
+        return None
+
+    key = list(roles)  # the roles, with each master's first node wrapped as (role,)
     for m in ms:
-        flags[m] = 1
-    tsegs = segments(*tc)
-    troles = [roles[nk * x:nk * y] for x, y in tsegs]
-    tflags = [flags[x:y] for x, y in tsegs]
+        key[nk * m] = (key[nk * m],)
+    tbases = bases[tc[0] - a0 - R:tc[0] - a0 + R + 1]
+    # the id range [x, y) of the cells in each row of the template's territory
+    tsegs = [(x + tc[1] + lo, x + tc[1] + hi + 1) for x, lo, hi in zip(tbases, tlos, this)]
+    tkeys = [key[nk * x:nk * y] for x, y in tsegs]
 
-    def row(c: int) -> int:
-        """The index in ``territory`` of cell c's row."""
-        return coord[c][0] - tc[0] + R
-
-    mrow = [row(k // nk) for k in tm]
+    mrow = [coord[k // nk][0] - tc[0] + R for k in tm]  # each member's row in the territory
+    counts = list(map(mrow.count, range(2 * R + 1)))  # members per row, in id order
     thop = [hop[k] for k in tm]
 
-    # the masters whose territory lies in the ball, in runs of one spacing along a row
+    # the masters whose territory lies in the domain, in runs of one spacing along a row
     runs: list[tuple[int, list[int]]] = []
+    span_a, span = None, range(0)
     for m in ms:
         a, b = coord[m]
-        if hex_distance((a, b), (0, 0)) + R > radius:
+        if a != span_a:  # the masters come in id order, so row by row
+            span_a, span = a, fits(a)
+        if b not in span:
             continue  # a rim master
         bs = runs[-1][1] if runs and runs[-1][0] == a else None
         if bs is not None and (len(bs) == 1 or b - bs[-1] == bs[1] - bs[0]):
@@ -382,23 +408,24 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
     pieces = []
     for a, bs in runs:
         s, w = (bs[1] - bs[0] if len(bs) > 1 else 0), bs[-1] - bs[0]
-        segs = segments(a, bs[0])
+        r = a - a0  # the cell id shift per territory row, from the template to master (a, bs[0])
+        d = list(map(add, map(sub, bases[r - R:r + R + 1], tbases), repeat(bs[0] - tc[1])))
         # the first territory is the template's, and the run's rows repeat with s
-        for (x, y), tr, tf in zip(segs, troles, tflags):
-            if (roles[nk * x:nk * y] != tr or flags[x:y] != tf
-                    or roles[nk * (x + s):nk * (y + w)] != roles[nk * x:nk * (y + w - s)]
-                    or flags[x + s:y + w] != flags[x:y + w - s]):
+        for (x, y), tk, e in zip(tsegs, tkeys, d):
+            x, y = x + e, y + e
+            if (key[nk * x:nk * y] != tk
+                    or w and key[nk * (x + s):nk * (y + w)] != key[nk * x:nk * (y + w - s)]):
                 return None
-        d = [x - tx for (x, _), (tx, _) in zip(segs, tsegs)]  # cell id shift per row
-        dn = [nk * x for x in d]
-        mem0 = list(map(add, tm, map(dn.__getitem__, mrow)))
-        for b in bs:
-            sh = b - bs[0]
-            mem = list(map(add, mem0, repeat(nk * sh)))
+        # the run's first translate: each template member moved by its row's shift
+        shifts = chain.from_iterable(map(repeat, map(mul, d, repeat(nk)), counts))
+        mem = list(map(add, tm, shifts))
+        for i in range(len(bs)):
+            if i:  # the next master of the run, s further along the row
+                mem = list(map(add, mem, repeat(nk * s)))
             for k, g in zip(mem, thop):
                 owner[k] = -1
                 hop[k] = g
-            m = t + d[R] + sh
+            m = t + d[R] + i * s
             pieces.append((mem[0], 2 if m == t else 1, mem, m))
 
     rim_set = master_set.difference([piece[3] for piece in pieces])
@@ -408,10 +435,9 @@ def _lattice_subnets(net: Network, assoc: Association, radius: int,
     pieces += [(rm[rs[j]], 0, rm[rs[j]:rs[j + 1]], rmasters[j]) for j in range(len(rmasters))]
     pieces.sort(key=itemgetter(0))
     _, kind, mems, masters = zip(*pieces)
-    inside = set(tm)
-    shared = frozenset(c for c in {k // nk for k in tm}
-                       if any(roles[k] is not silent and k not in inside
-                              for k in range(nk * c, nk * c + nk)))
+    cells = {k // nk for k in tm}
+    others = {k for c in cells for k in range(nk * c, nk * c + nk)}.difference(tm)
+    shared = frozenset(k // nk for k in others if roles[k] is not silent)
     return Subnets(assoc, list(chain.from_iterable(mems)),
                    array("q", accumulate(map(len, mems), initial=0)), list(masters), hop,
                    (kind.index(2), kind.count(1) + 1,
@@ -472,14 +498,12 @@ def _over_budget(subnets: Subnets, budget: int, nodes) -> list[tuple[int, str]]:
             if (g := hop[k]) is not None and g > budget and roles[k] is slow]
 
 
-def _proven_first(subnets: Subnets, every, check) -> list[tuple[int, str]]:
-    """``check``'s violations over ``every``, or over the template's and the rim's members
-    of proven columns when that finds none: a check that finds nothing there finds
-    nothing in the translates either."""
-    if subnets.translates is not None:
-        template, rim = subnets.template_and_rim()
-        if not (found := check(template + rim)):
-            return found
+def _proven_first(proven, every, check) -> list[tuple[int, str]]:
+    """``check``'s violations over ``every``, or over the ``proven`` columns' template
+    and rim members (if not None) when that finds none: a check that finds nothing
+    there finds nothing in the translates either."""
+    if proven is not None and not (found := check(proven)):
+        return found
     return check(every)
 
 
@@ -488,8 +512,9 @@ def validate(net: Network, assoc: Association) -> tuple[Subnets, ValidationRepor
     violations first, the hop-budget ones last.  A proof the decomposition found spares
     both checks the translates."""
     subnets, report = subnet_decompose(net, assoc)
-    report.violations[:0] = _proven_first(subnets, net.tx_nodes,
+    proven = subnets.translates and list(chain.from_iterable(subnets.template_and_rim()))
+    report.violations[:0] = _proven_first(proven, net.tx_nodes,
                                           partial(_fast_violations, net, assoc))
-    report.violations += _proven_first(subnets, subnets.members,
+    report.violations += _proven_first(proven, subnets.members,
                                        partial(_over_budget, subnets, report.hop_budget))
     return subnets, report

@@ -26,9 +26,10 @@ from unittest import mock
 import pytest
 
 from mgnet import (HEX, SECTORED, WYNER, LoadReport, Network, Role, Scheme, Subnet,
-                   ValidationReport, assign, build_hex, build_sectored_hex,
-                   build_wyner, check_params, loads, message_ledger, subnet_decompose,
-                   validate, validation)
+                   ValidationReport, assign, build_hex, build_hex_torus, build_sectored_hex,
+                   build_sectored_hex_torus, build_wyner, check_params, loads, message_ledger,
+                   subnet_decompose, validate, validation)
+from mgnet.association import scheme_tau
 from mgnet.validation import hop_budget
 
 from test_loads import _oracle_networks, _raises, valid_range
@@ -240,7 +241,8 @@ COLUMNS = ("members", "starts", "masters", "hop")
 
 def _and_walk(fn, net, assoc):
     """``fn(net, assoc)`` with the builders' mark ignored, so that it takes the walk."""
-    with mock.patch.object(validation, "as_built", return_value=None):
+    with (mock.patch.object(validation, "as_built", return_value=None),
+          mock.patch.object(validation, "builder_rows", return_value=None)):
         return fn(net, assoc)
 
 
@@ -504,6 +506,58 @@ def test_ball_lattice_at_bench_scale(model, radius, D, scheme):
     with mock.patch.object(loads, "_tally", wraps=loads._tally) as tally:
         message_ledger(net, assoc, subnets)
     assert tally.call_count == 1  # no link carries two subnets' messages
+
+
+def _torus(model, tau, copies):
+    return (build_hex_torus if model == HEX else build_sectored_hex_torus)(tau, copies, 3)
+
+
+def _torus_cases(model):
+    """Every scheme, its first three valid D, M = 1..6 copies of its spacing."""
+    for scheme in Scheme:
+        for D in valid_range(model, scheme, 14 if model == HEX else 6)[:3]:
+            tau = scheme_tau(model, scheme, D) if scheme.cooperative else 1
+            for copies in range(1, 7):
+                yield scheme, D, tau, copies
+
+
+@pytest.mark.parametrize("model", [HEX, SECTORED])
+def test_torus_lattice_matches_walk(model):
+    cases = proven = 0
+    for scheme, D, tau, copies in _torus_cases(model):
+        net = _torus(model, tau, copies)
+        proven += assert_lattice_matches_walk(net, D, scheme, reference=tau * copies <= 4)
+        if copies <= 2:  # at most one master is clear of the seam: the walk, at once
+            assert validate(net, assign(net, D, scheme))[0].translates is None
+        cases += 1
+    assert cases == (90 if model == HEX else 54)
+    assert proven >= (48 if model == HEX else 18)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.BOTH_COMP_RX, Scheme.BOTH_COMP_TX])
+@pytest.mark.parametrize("copies, translates, rim", [(4, 9, 7), (6, 25, 11)])
+def test_torus_lattice_at_bench_scale(scheme, copies, translates, rim):
+    net = build_hex_torus(4, copies, 2)
+    assert assert_lattice_matches_walk(net, 8, scheme)
+    subnets, _ = validate(net, assign(net, 8, scheme))
+    _, n, rim_subnets, shared = subnets.translates
+    assert (n, len(rim_subnets), shared) == (translates, rim, frozenset())
+
+
+def test_torus_seam_sets_the_link_maximum():
+    """The seam subnets route differently: the template alone carries at most 9 messages
+    on an Rx link, a subnet that the seam cuts carries 10, and the ledger reports 10."""
+    net = build_sectored_hex_torus(3, 4, 3)
+    assoc = assign(net, 6, Scheme.BOTH_COMP_RX)
+    subnets, _ = validate(net, assoc)
+    template, copies, rim, shared = subnets.translates
+    assert (copies, len(rim)) == (9, 7)
+    _, _, template_rx, _ = loads._tally(net, assoc, subnets, (template, copies, (), shared))
+    assert max(template_rx) == 9
+    walk, _ = _and_walk(validate, net, assoc)
+    ledger = message_ledger(net, assoc, subnets)
+    assert ledger == message_ledger(net, assoc, walk)
+    assert ledger.max_rx_link_load == 10
 
 
 def test_ball_ledger_counts_every_subnet_when_links_may_be_shared():
