@@ -42,6 +42,8 @@ BALLS = "tests/test_association.py::test_assign_matches_per_cell_path_on_balls"
 TORI = "tests/test_association.py::test_assign_matches_per_cell_path_on_tori"
 CANON = "tests/test_topology.py::test_torus_builders_match_canon_on_every_step"
 BALL = "tests/test_topology.py::test_ball_builders_match_the_coordinate_dict"
+REPEAT = ORACLE + "test_torus_link_loads_repeat_with_the_master_lattice"
+FALLBACK = ORACLE + "test_torus_lattice_falls_back_to_the_walk"
 # the two layer rules of association._sector_silenced, with their sets filled in
 SECTOR_RULES = ('        return {{"{}"}}\n'
                 '    if abs(b) == tau and (a > 0) == (b > 0):\n'
@@ -100,13 +102,14 @@ MUTANTS = [
            "far = t3",
            ("tests/test_lattice.py::test_nearest_rows_match_the_plane_scan",
             TORI + "[SectorizedHexagonal-build_sectored_hex_torus-4-2]")),
-    Mutant("torus-row-ends-unsorted", "src/mgnet/topology.py",
-           "fix = sorted if mt > 1 else",
-           "fix = list if mt > 1 else",
-           (CANON + "[2-2]", CANON + "[5-3]")),
+    # torus neighbours listed by id, as before they were listed by unit step
+    Mutant("torus-tuples-id-sorted", "src/mgnet/topology.py",
+           "if mt == 1 else []  # the nodes to fix at the end\n    fix = dict.fromkeys if mt",
+           "if mt else []  # the nodes to fix at the end\n    fix = sorted if mt",
+           (REPEAT + "[Hexagonal]", REPEAT + "[SectorizedHexagonal]", CANON + "[5-3]")),
     Mutant("ball-row-ends-keep-empty-cells", "src/mgnet/topology.py",
-           "fix = partial(filter, partial(is_not, None))",
-           "fix = list",
+           "else partial(filter, partial(is_not, None))",
+           "else list",
            (BALL + "[1]", BALL + "[8]")),
     Mutant("ball-pad-column-dropped", "src/mgnet/topology.py",
            "rows[0][1] - 1",
@@ -116,16 +119,27 @@ MUTANTS = [
            "(b - 2 * mt * (a // mt)) % W)",
            "(b - mt * (a // mt)) % W)",
            (CANON + "[1-1]", CANON + "[7-2]")),
-    # the rim's messages land on copies of the link counts: the maxima are the template's
-    Mutant("link-maxima-from-template-alone", "src/mgnet/loads.py",
-           "indices, (tx_off, rx_off, tx_use, rx_use),",
-           "indices, (tx_off, rx_off, tx_use, rx_use) if t is None or indices is not t[2]"
-           " else (tx_off, rx_off, tx_use[:], rx_use[:]),",
-           (ORACLE + "test_torus_seam_sets_the_link_maximum",)),
-    Mutant("small-torus-gate-dropped", "src/mgnet/validation.py",
-           'net.params["copies"] <= 2:',
-           'net.params["copies"] <= 1:',
-           (ORACLE + "test_torus_lattice_matches_walk[Hexagonal]",)),
+    Mutant("torus-window-loses-its-wrap", "src/mgnet/validation.py",
+           "(grid[a % mt] * (3 + 2 * rb // P))",
+           "(grid[a % mt] * (1 + 2 * rb // P))",
+           (ORACLE + "test_torus_lattice_matches_walk[Hexagonal]",
+            ORACLE + "test_torus_lattice_matches_walk[SectorizedHexagonal]")),
+    Mutant("torus-row-period-unchecked", "src/mgnet/validation.py",
+           "if (row[nk * 3 * tau:] != row[:-nk * 3 * tau]\n                or seated",
+           "if (False\n                or seated",
+           (FALLBACK + "[roles-along-one-generator]",)),
+    Mutant("torus-row-turn-unchecked", "src/mgnet/validation.py",
+           "or seated[(p + tau) % mt] != (row + row)[o:o + nk * P]):",
+           "or False):",
+           (FALLBACK + "[roles-along-the-other]",)),
+    Mutant("torus-coverage-unchecked", "src/mgnet/validation.py",
+           "if M * M * len(tm) != len(roles) - roles.count(Role.SILENT):",
+           "if False:",
+           (FALLBACK + "[silenced-rings]",)),
+    Mutant("torus-master-count-unchecked", "src/mgnet/validation.py",
+           "if len(ms) != M * M or not all(",
+           "if not all(",
+           (FALLBACK + "[dropped-master]",)),
 ]
 
 

@@ -22,24 +22,18 @@ the MG regions read its prelog columns.  The ledger distinguishes:
 ``message_ledger`` also counts the per-link loads, in the same passes: the
 fast-node loop adds each precancel and fast-share message to its link, and
 the per-subnet loop routes the fan-in and fan-out up each subnet's
-shortest-path tree.  The route is decided here, from the hops alone: a
-subnet's cells are walked leaves first (by decreasing hop), and each sends
-its subtree's count to its parent, the lowest-id cell of the subnet one hop
-nearer the master that links to it both ways.  The loop reads the columns
-of ``validation.Subnets`` (members, masters, per-node hops) and builds no
-per-subnet object.  Columns a proof built (``Subnets.translates``: a line's
-period, the master lattice of a ball or torus) are counted from the
-template's fast nodes and subnet, once, times the number of translates,
-plus the rim's nodes and subnets.  A translate routes like the template,
-since its cells' ids keep their order; a torus's seam subnets, where ids
-wrap, may not, and they are its rim.  A message runs between two cells of
-its own subnet, so only the links of these cells are numbered, and each
-link maximum is that of the template or of the rim unless a link joins two
-cells that the template shares with another subnet and carries messages;
-then every subnet is counted once instead.  Every other ``Subnets`` is
-counted node by node.  A maximum is read only from link counts that a
-message reached: precancels and Tx-side routes load the Tx links, fast
-shares and Rx-side routes the Rx links.
+shortest-path tree, from the hops alone: a subnet's cells are walked leaves
+first, and each sends its subtree's count to its parent, the first cell in
+its adjacency (unit-step order, which a translation keeps) one hop nearer
+the master that links to it both ways.  Columns a proof built
+(``Subnets.translates``) are counted from the template's fast nodes and
+subnet, once, times the number of translates, plus the rim's nodes and
+subnets; only the links of these cells are numbered.  On a builder's
+network no link carries two subnets' messages, so each link maximum is the
+template's or the rim's.  Every other ``Subnets`` is counted node by node.
+A maximum is read only from link counts that a message reached: precancels
+and Tx-side routes load the Tx links, fast shares and Rx-side routes the
+Rx links.
 
 Average prelogs divide by the idealised directed-link totals (2 per node
 in the linear model, 6 per cell in the hexagonal models, 4 per sector /
@@ -199,26 +193,21 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
     """Count every cooperation message of the scheme on this finite network.
 
     ``subnets`` is what ``subnet_decompose`` returned for this association
-    (another association's raises ValueError); the ledger reads its columns
-    and routes each subnet's cells leaves first (proven columns: the
-    template and the rim, see the module docstring).  The per-link maxima
-    are informational: counters are flat lists indexed by directed edge (see
+    (another association's raises ValueError).  The per-link maxima are
+    informational: counters are flat lists indexed by directed edge (see
     ``_edge_offsets``) of the Tx cooperation graph, which carries the
     precancelation, and of the Rx cooperation graph, which carries the fast
     shares.  Quantization traffic follows the module docstring's
     shortest-path tree (a cell with no parent raises ValueError naming it),
-    and each slow member crosses every uplink of its path once in and once
-    out; the CoMP-transmission dedup savings are not modelled on the links.
+    each slow member crossing every uplink of its path once in and once out;
+    the CoMP-transmission dedup savings are not modelled on the links.
     """
     _require_same_net(net, assoc)
     if getattr(subnets, "assoc", None) is not assoc:
         raise ValueError("subnets were not decomposed for this association")
     scheme = assoc.scheme
     D, L = assoc.D, net.L
-    t = subnets.translates
-    counts, tx_use, rx_use, rx_off = _tally(net, assoc, subnets, t)
-    if t is not None and _shares_links(net.rx_coop, rx_off, rx_use, shared=t[3]):
-        counts, tx_use, rx_use, _ = _tally(net, assoc, subnets, None)
+    counts, tx_use, rx_use = _tally(net, assoc, subnets, subnets.translates)
     precancel, fast_share, fanin, fast_master_saved, q_dedup = counts
     fanout = fanin
 
@@ -246,8 +235,8 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
 
 
 def _tally(net: Network, assoc: Association, subnets: Subnets,
-           t: tuple | None) -> tuple[list[int], list[int], list[int], list[int] | dict]:
-    """(counts, tx_use, rx_use, rx_off) of every node and subnet once (``t`` None), or of
+           t: tuple | None) -> tuple[list[int], list[int], list[int]]:
+    """(counts, tx_use, rx_use) of every node and subnet once (``t`` None), or of
     the template's nodes and subnet ``copies`` times and of the rim's once (``t`` is
     ``Subnets.translates``)."""
     tx_adj, rx_adj = net.tx_coop, net.rx_coop
@@ -256,9 +245,9 @@ def _tally(net: Network, assoc: Association, subnets: Subnets,
         nodes = net.tx_nodes if Role.SLOW in assoc.roles else ()
         parts, numbered = [(1, nodes, range(len(subnets)))], None
     else:
-        i, copies, rim_subnets, _ = t
+        i, copies, rim_subnets = t
         template, rim = subnets.template_and_rim()
-        parts = [(copies, template, (i,)), (1, rim, rim_subnets)]
+        parts = [(copies, template, (i,)), (1, rim, rim_subnets)][:2 if rim_subnets else 1]
         numbered = template + rim  # a message runs between two cells of its own subnet
     tx_off = _edge_offsets(tx_adj, numbered)
     rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(
@@ -271,20 +260,7 @@ def _tally(net: Network, assoc: Association, subnets: Subnets,
         part = _count(net, assoc, subnets, nodes, indices, (tx_off, rx_off, tx_use, rx_use),
                       cells)
         counts = [c + times * x for c, x in zip(counts, part)]
-    return counts, tx_use, rx_use, rx_off
-
-
-def _shares_links(rx_adj, rx_off: dict[int, int], rx_use: list[int],
-                  shared: frozenset[int]) -> bool:
-    """Whether a link between two ``shared`` cells carries messages.
-
-    A translate's messages run over links between its own cells, so only
-    a link between two cells that also hold another component's nodes can
-    carry two components' messages; without such traffic every link's load
-    is that of the template or of the rim.
-    """
-    return any(rx_use[rx_off[c] + i] for c in shared
-               for i, c2 in enumerate(rx_adj[c]) if c2 in shared)
+    return counts, tx_use, rx_use
 
 
 def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices,
@@ -363,8 +339,8 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices,
                 q_dedup += 2 * sum(1 for k in comp
                                    if roles[k] is fast and 1 <= (hop[k] or 0) <= D // 2 - 2)
 
-        # leaves first, each cell sends its subtree's count to the lowest-id cell one hop
-        # nearer that links to it both ways (the first such: adjacency is sorted)
+        # leaves first, each cell sends its subtree's count to the first cell of its adjacency
+        # (in unit-step order) one hop nearer that links to it both ways
         reached.sort(key=level.__getitem__, reverse=True)
         for c in reached:
             g = level[c] - 1

@@ -24,32 +24,30 @@ Wyner and hex, where a node is its own cell; in the sectorized model sector
 ``3 * i + j`` is the ``SECTOR_KINDS[j]`` sector of cell ``i`` and ``tx_cell``
 maps a sector to its cell.  So node t sits at ``cell_coords[tx_cell[t]]``.
 Per-cell code uses these and needs no model branch.
-Adjacency is a sequence of sorted tuples, and equal relations share one
-object (``tx_coop is interference`` in every model).  Hex and sectorized
-adjacency is a stored tuple.  A line's is computed, not stored: cell k
-hears k - 1 and k + 1, so ``_LineAdjacency`` returns that pair (clipped to
-1..K) on access, and equals, hashes, indexes and slices like the tuple of
-tuples it stands for, which is never built.
+Adjacency is a sequence of tuples that list each node's neighbours in
+unit-step order (``_HEX_STEPS``, ``_SECTOR_STEPS``; the lower cell first on
+a line), which a translation keeps: on a line and a ball this is id order,
+while a torus's wrapped neighbours keep their step's place.  Equal
+relations share one object (``tx_coop is interference`` in every model).
+Hex and sectorized adjacency is a stored tuple.  A line's is computed, not
+stored: cell k hears k - 1 and k + 1, so ``_LineAdjacency`` returns that
+pair (clipped to 1..K) on access, and equals, hashes, indexes and slices
+like the tuple of tuples it stands for, which is never built.
 
-Every builder marks the ``Network`` it returns with the objects it put in
-the fields that describe its graph and its cells' coordinates, its
-``params`` and, for a ball or a torus, its rows (a, lo, hi) in id order.
-``as_built`` answers in O(1) whether a network is still exactly a
-builder's line, so that ``validation`` may solve it by its period without
-re-proving its structure; ``builder_rows`` returns a ball's or torus's rows
-on the same terms, so that ``association`` may fill roles a row at a time
-and ``validation`` may solve it by its master lattice.  Every marked object is
-immutable; a reassigned field, a changed ``params``, a
-``dataclasses.replace`` copy or a hand-made ``Network`` matches no mark.
+Every builder marks the ``Network`` it returns (``_marked``): ``as_built``
+and ``builder_rows`` tell in O(1) whether a network is still exactly a
+builder's line, or ball or torus (then with its rows (a, lo, hi) in id
+order), so that ``association`` may fill roles a row at a time and
+``validation`` may prove a network by its period or its master lattice
+without re-proving its structure.  Every marked object is immutable; a
+reassigned field, a changed ``params``, a ``dataclasses.replace`` copy or
+a hand-made ``Network`` matches no mark.
 
 Hex and sectorized networks are written once, by ``_from_rows``, from
-their node kinds and the domain's rows (a, lo, hi) in id order
-(``lattice.ball_rows``, ``TorusGeometry.rows``): cell (a, b) has id
-``base[a] + b``.  One adjacency builder (``_adjacency``) serves balls and
-tori: every cell has a seat on a grid, each neighbour step of a row is
-one slice of a grid row, and the cells at a row's ends are fixed in one
-pass at the end.  No cell's neighbours are looked up one by one, no
-coordinate is looked up in a dict, and no torus cell is canonicalised.
+their node kinds and the domain's rows (``lattice.ball_rows``,
+``TorusGeometry.rows``): cell (a, b) has id ``base[a] + b``, and one
+grid-based adjacency builder (``_adjacency``) serves balls and tori with no
+per-cell neighbour lookup and no ``canon`` call.
 
 Finite instances come in two flavours: hex-distance balls of a given
 radius (edge effects at the rim) and tori holding M x M whole subnets of a
@@ -111,7 +109,7 @@ class Network:
     cell_coords: Sequence = field(default=(), repr=False)  # per Rx cell
     tx_cell: Sequence[int] = field(default=(), repr=False)  # Tx node -> Rx cell
     geometry: object | None = field(default=None, repr=False)
-    # (the _MARKED fields, params, rows) as a builder returned them; see ``as_built``
+    # (the _MARKED fields, params, rows, seats) as a builder returned them; see ``_marked``
     _mark: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -154,9 +152,10 @@ _MARKED = attrgetter("model", "tx_nodes", "rx_nodes", "interference", "tx_coop",
                      "tx_cell", "cell_coords")
 
 
-def _marked(net: Network, rows: list[Row] | None = None) -> Network:
-    """``net``, marked as its builder returns it, with the rows of a ball or torus."""
-    net._mark = (_MARKED(net), dict(net.params), None if rows is None else tuple(rows))
+def _marked(net: Network, rows: list[Row] | None = None, seats: tuple | None = None) -> Network:
+    """``net``, marked as its builder returns it, with the marked fields' objects, its
+    params and a ball's or torus's rows, with (their ``_pads``, a torus's Tx id grid)."""
+    net._mark = (_MARKED(net), dict(net.params), None if rows is None else tuple(rows), seats)
     return net
 
 
@@ -165,7 +164,7 @@ def _intact_mark(net: Network) -> tuple | None:
     the builder's; None otherwise."""
     if net._mark is None:
         return None
-    fields, params, _ = net._mark
+    fields, params = net._mark[:2]
     return net._mark if all(map(is_, fields, _MARKED(net))) and net.params == params else None
 
 
@@ -297,36 +296,30 @@ def _inner_run(los: list[int], his: list[int], r: int) -> tuple[int, int]:
             min(his[r] - 1, his[r - 1], his[r + 1] - 1))
 
 
-def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], ...],
-               nodes: tuple[int, ...], mt: int | None) -> tuple[tuple[int, ...], ...]:
-    """Adjacency of the nodes ``len(kinds) * cell + k`` over the cells of ``rows``: a ball's,
-    or a torus's of mt = tau * M if ``mt``.
+def _adjacency(rows: list[Row], pads: tuple, kinds: tuple[tuple[tuple[int, int, int], ...], ...],
+               nodes: tuple[int, ...], mt: int | None) -> tuple[tuple[tuple[int, ...], ...], list]:
+    """Adjacency of the nodes ``len(kinds) * cell + k`` over the cells of ``rows`` (with
+    their ``_pads``), a ball's or a torus's of mt = tau * M if ``mt``; and the grid of ids.
 
     Node ``k`` of a cell hears node ``k2`` of the cell (da, db) away for
-    each step (da, db, k2) of ``kinds[k]`` that stays in the domain; the
-    steps are unit hex steps, sorted, so the ids of a row's inner run
-    (``_inner_run``) come out sorted.  Each cell has a seat on a grid of
-    rows W cells wide, and the grid holds the ids of every kind, so each
-    step of a row is one slice of a grid row.  A ball's grid is its
-    bounding box with an empty row or column on every side.  A torus's
-    grid is the parallelogram domain (``lattice``), where each step of a
-    whole row is one rotation: a parallelogram row's tuples are one
-    ``zip``, and a domain row's are one slice of them.  The nodes outside
-    each row's inner run are fixed in one pass at the end.  On a ball their
-    empty seats are dropped.  On a torus they alone can have a wrapped
-    neighbour, so their ids are sorted, and deduplicated when mt == 1, the
-    one torus where two unit steps reach one cell.
+    each step (da, db, k2) of ``kinds[k]`` that stays in the domain, in the
+    order of the steps.  Each cell has a seat on a grid of rows W cells
+    wide that holds the ids of every kind, so each step of a row is one
+    slice of a grid row: a ball's grid is its bounding box with an empty
+    row or column on every side, a torus's the parallelogram domain
+    (``lattice``), where each step of a whole row is one rotation.  On a
+    ball the nodes outside each row's inner run drop their empty seats at
+    the end; on the torus of mt == 1, the one where two unit steps reach
+    one cell, every node keeps the first step to each cell.
     """
     nk = len(kinds)
-    los, his, bases = _pads(rows)
+    los, his, bases = pads
     if mt is None:
         W, a0, b0 = len(rows) + 2, rows[0][0] - 1, rows[0][1] - 1
         seat = lambda a, b: (a - a0, b - b0)
-        fix = partial(filter, partial(is_not, None))  # drop the empty seats
     else:
         W = 3 * mt
         seat = lambda a, b: (a % mt, (b - 2 * mt * (a // mt)) % W)  # (a, b) in the parallelogram
-        fix = sorted if mt > 1 else lambda nbrs: sorted(set(nbrs))
     grid = [[None] * (nk * W) for _ in range(W if mt is None else mt)]  # grid[p][nk * c + k]:
     for r, (a, lo, hi) in enumerate(rows, 1):                          # kind k at seat (p, c)
         (p, s), n = seat(a, lo), hi - lo + 1
@@ -344,18 +337,20 @@ def _adjacency(rows: list[Row], kinds: tuple[tuple[tuple[int, int, int], ...], .
                for steps in kinds]
         run = lambda k, p, s, n: tup[k][p][s:s + n]
     adj: list = [None] * len(nodes)
-    ends = []  # the nodes of the cells outside each row's inner run
+    ends = range(len(nodes)) if mt == 1 else []  # the nodes to fix at the end
+    fix = dict.fromkeys if mt else partial(filter, partial(is_not, None))  # duplicates, empty seats
     for r, (a, lo, hi) in enumerate(rows, 1):
         (p, s), n = seat(a, lo), hi - lo + 1
         first, stop = nk * (bases[r] + lo), nk * (bases[r] + hi + 1)
         for k in range(nk):
             adj[first + k:stop:nk] = run(k, p, s, n)
-        bl, bh = _inner_run(los, his, r)
-        ends += range(first, nk * (bases[r] + min(bl, hi + 1)))
-        ends += range(nk * (bases[r] + max(bh + 1, bl)), stop)
+        if mt is None:  # the nodes of the cells outside the row's inner run
+            bl, bh = _inner_run(los, his, r)
+            ends += range(first, nk * (bases[r] + min(bl, hi + 1)))
+            ends += range(nk * (bases[r] + max(bh + 1, bl)), stop)
     for x, nbrs in zip(ends, map(fix, map(adj.__getitem__, ends))):
         adj[x] = tuple(nbrs)
-    return tuple(adj)
+    return tuple(adj), grid
 
 
 def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], rows: list[Row],
@@ -369,8 +364,9 @@ def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], 
     ids = range(len(cells))
     rx_nodes = tuple(ids)
     tx_nodes = rx_nodes if nk == 1 else tuple(range(nk * len(cells)))
-    interference = _adjacency(rows, kinds, tx_nodes, mt)
-    rx_coop = interference if nk == 1 else _adjacency(rows, _HEX_STEPS, rx_nodes, mt)
+    pads = _pads(rows)
+    interference, grid = _adjacency(rows, pads, kinds, tx_nodes, mt)
+    rx_coop = interference if nk == 1 else _adjacency(rows, pads, _HEX_STEPS, rx_nodes, mt)[0]
     q_tx = sum(map(len, interference))
     return _marked(Network(
         model=model, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
@@ -378,7 +374,7 @@ def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], 
         q_tx=q_tx, q_rx=q_tx if nk == 1 else sum(map(len, rx_coop)), params=params,
         cell_coords=cells, geometry=geometry,
         tx_cell=ids if nk == 1 else tuple(chain.from_iterable(zip(*[rx_nodes] * nk))),
-    ), rows)
+    ), rows, (pads, mt and grid))
 
 
 def _ball(model: str, kinds, radius: int, L: int) -> Network:

@@ -19,55 +19,34 @@ One BFS over the active interference graph finds the components and, on the
 edges it already walks, any interference between two of them.  A second BFS
 per mastered component counts the cooperation hops from its master over the
 component's cells; ``message_ledger`` routes each cell's traffic from these
-hops alone.  Where a node is its own cell (``tx_cell`` is the identity range:
-Wyner, hex), that search marks the per-node lists directly; only the
-sectorized model maps sectors to cells, through scratch lists that are reset
-after each search.
+hops alone.  ``subnet_decompose`` returns them as one columnar ``Subnets``.
 
-``subnet_decompose`` returns one columnar ``Subnets``, which ``message_ledger``
-reads and requires (a list of views carries no association); indexing it
-builds a ``Subnet`` view on demand, with ``gamma`` in node order, and nothing
-keeps the views.
+A network that its builder returned unchanged (``topology.as_built``,
+``topology.builder_rows``) has its builder's graph, so only the association
+is checked before most of the walk is spared:
 
-A network that its builder returned unchanged has the graph its builder
-wrote: the builder's mark stands in for any proof of its structure, so only
-the association is checked before most of the walk is spared.  A line that
-``topology.as_built`` finds is solved by its period P (D + 2, or 2 without
-cooperation) when K >= 2P, the roles repeat with P, the whole runs of P - 1
-nodes have one master each, at one offset, and the walk of run 0 from node
-1 is the nodes 1..P-1.  The components are then the runs between the
-multiples of P, so ``_periodic_subnets`` repeats that walk's hops in every
-whole run and adds the shorter masterless tail run with its
-``partial-subnet`` warning.
+* A line of K >= 2P nodes, P = D + 2 (2 without cooperation), whose roles
+  repeat with P, whose whole runs of P - 1 nodes have one master each, at
+  one offset, and whose run 0 walks as the nodes 1..P-1: the whole runs
+  repeat run 0's hops, and the shorter tail run has no master.
+* A ball: the component of the master nearest the centre, the template, is
+  walked and must hold that master alone.  Every master whose territory
+  (the hex ball one step wider than the template, one b-span per row)
+  lies in the rows must match the template's roles and master flags there,
+  row segment by row segment; its subnet is then the template moved by one
+  id shift per row.  The walk covers the rest, the rim.
+* A torus: every subnet is a translate of the template.  The masters must
+  be the master lattice through its master, the roles must repeat with the
+  lattice's two generators (one compare per parallelogram row,
+  ``lattice``), and the translates must hold every active node; their
+  members are read off the torus's ids around the parallelogram domain.
 
-A ball or a torus, whose rows ``topology.builder_rows`` returns, is solved
-by its master lattice: ``_lattice_subnets`` walks one template, the
-component of the master nearest the middle of the domain, which must hold
-that master alone.  Its territory is the hex ball around its master one
-step wider than the component, so the component's neighbours lie in it.
-Every master whose territory lies in the domain's rows (one b-span per
-master row, O(1) per master) must match the template's roles and master
-flags there, row segment by row segment; its component and hops are then
-the template's, moved by a constant id shift per row.  The walk covers the
-rest, the rim, and skips these translates; any failed check takes the
-whole walk.  On a torus the rim is the subnets at the seam, where ids wrap:
-their territory leaves the domain's rows.  A torus of M <= 2 copies skips
-the proof at once, since at most one of its masters is clear of the seam.
-On a builder's graph a template with one master has no violation, and no
-rim edge reaches a translate, whose territory holds every neighbour with
-the template's roles.  Any other network or association takes the walk
-above, so the violations and their order are always the walk's.
-
-Both proofs set ``Subnets.translates`` (a line's whole runs are the
-translates of run 0, its tail the rim): ``validate`` then checks fast
-independence and the hop budget on the template and the rim alone, and
-again on every node only when that finds a violation, so that the
-violations come in node order.
-
-``validate`` is the one check of an association: it decomposes, then puts
-the fast-independence violations first and the hop-budget ones last.  A
-report records each failed check once, as a ``(node, code)`` violation, and
-reads its verdicts off the codes.
+Any failed check takes the whole walk, so the violations and their order
+are always the walk's.  ``validate``, the one check of an association, puts
+the fast-independence violations first and the hop-budget ones last; after
+a proof (``Subnets.translates``) it checks both on the template and the rim
+alone, and on every node only when that finds a violation.  A report reads
+its verdicts off its ``(node, code)`` violations.
 """
 
 from __future__ import annotations
@@ -78,11 +57,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 
 from .association import Association, Role, Scheme, valid_d
-from .lattice import Row, ball_rows, hex_distance
-from .topology import HEX, WYNER, Network, _pads, as_built, builder_rows
+from .lattice import Row, ball_rows, hex_distance, is_master
+from .topology import HEX, WYNER, Network, as_built, builder_rows
 
 
 @dataclass(slots=True)
@@ -98,21 +77,17 @@ class Subnets(Sequence):
 
     Component ``i`` is ``members[starts[i]:starts[i + 1]]`` (sorted) with
     master ``masters[i]`` (None when it has none).  ``hop[k]`` is node k's
-    hop count to its own master, None without a master or a path; members
-    are disjoint, so one per-node list serves every component.  A node's
-    hop is that of its cell, counted over the CoMP side's cooperation
-    graph within the component's cells.  ``assoc`` is the association the
-    columns were built from.  ``translates`` is set when a proof built the
-    columns (see the module docstring), to (template, copies, rim,
-    shared): component ``template`` and ``copies - 1`` others (a line's
-    whole runs, the subnets of a ball or torus whose territory lies in its
-    rows) are translates of one another, the components listed in ``rim``
-    are the others (a torus's rim is its seam subnets), and ``shared``
-    holds the template's Rx cells that also hold an active node of another
-    component (none on a line, a hex ball or a hex torus).  The template
-    and the rim are all that ``validate`` and ``message_ledger`` read.  It
-    is None after the general walk.  Indexing builds a ``Subnet`` view,
-    whose ``gamma`` lists the members in node order (not in BFS order).
+    hop count to its own master (its cell's, over the CoMP side's
+    cooperation graph within the component's cells), None without a master
+    or a path.  ``assoc`` is the association the columns were built from.
+    ``translates`` is None after the general walk, and (template, copies,
+    rim) after a proof (see the module docstring): component ``template``
+    and ``copies - 1`` others (a line's whole runs, the subnets of a ball
+    whose territory lies in its rows, every subnet of a torus) are
+    translates of one another, and those listed in ``rim`` are the others.
+    The template and the rim are all that ``validate`` and
+    ``message_ledger`` read.  Indexing builds a ``Subnet`` view, whose
+    ``gamma`` lists the members in node order (not in BFS order).
     """
 
     __slots__ = ("assoc", "members", "starts", "masters", "hop", "translates")
@@ -128,7 +103,7 @@ class Subnets(Sequence):
 
     def template_and_rim(self) -> tuple[list[int], list[int]]:
         """The template's members and the rim's members of proven columns."""
-        template, _, rim, _ = self.translates
+        template, _, rim = self.translates
         members, starts = self.members, self.starts
         return (members[starts[template]:starts[template + 1]],
                 list(chain.from_iterable(members[starts[j]:starts[j + 1]] for j in rim)))
@@ -216,10 +191,8 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     active neighbour outside the component being searched can only belong
     to an earlier one (a later one would have joined it), so every such
     edge is seen, from its later end.  These violations come last, in node
-    order, then adjacency order.  A builder's line whose roles repeat with
-    the period, and a builder's ball or torus whose interior repeats with
-    the master lattice, skip all or most of the walk (see the module
-    docstring).
+    order, then adjacency order.  A proof (see the module docstring) spares
+    a builder's network all or most of the walk.
     """
     _require_same_net(net, assoc)
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
@@ -234,16 +207,16 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     n = len(assoc.roles)
     hop: list[int | None] = [None] * n
     members, starts, masters = _walk(net, assoc, report, net.tx_nodes, [None] * n, hop,
-                                     set(assoc.masters))
+                                     sorted(set(assoc.masters)))
     return Subnets(assoc, members, starts, masters, hop), report
 
 
 def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
-          owner: list[int | None], hop: list[int | None], master_set: set) -> tuple:
+          owner: list[int | None], hop: list[int | None], master_ids: list[int]) -> tuple:
     """The walk over the components found from ``nodes``, in order, skipping the nodes
-    ``owner`` marks (an edge into one is a cross pair); fills ``owner`` and ``hop``,
-    adds violations, the cross pairs' last, and warnings to ``report``, and returns
-    the columns (members, starts, masters)."""
+    ``owner`` marks (an edge into one is a cross pair), with the sorted ``master_ids`` as
+    masters; fills ``owner`` and ``hop``, adds violations, the cross pairs' last, and
+    warnings to ``report``, and returns the columns (members, starts, masters)."""
     roles, silent = assoc.roles, Role.SILENT
     adj = net.interference
     members: list[int] = []
@@ -274,8 +247,9 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
     masters: list[int | None] = [None] * (len(starts) - 1)
     second: dict[int, int] = {}
     if own:  # a master is its own cell's only node
-        found = ((m, owner[m]) for m in sorted(master_set) if 0 <= m < len(owner))
+        found = ((m, owner[m]) for m in master_ids if 0 <= m < len(owner))
     else:
+        master_set = set(master_ids)
         found = sorted({(c, owner[k]) for k in members if (c := tx_cell[k]) in master_set})
     for m, i in found:
         if i is None or i in second:
@@ -293,7 +267,7 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
     else:
         cell_owner, cell_hop = [None] * len(coop), [None] * len(coop)
     cooperative = assoc.scheme.cooperative
-    for i, master in enumerate(masters if cooperative or master_set else ()):
+    for i, master in enumerate(masters if cooperative or master_ids else ()):
         comp = members[starts[i]:starts[i + 1]]
         if master is None:
             if i in second:
@@ -332,41 +306,111 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
 def _lattice_subnets(net: Network, assoc: Association, rows: tuple[Row, ...],
                      report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
     """The walk's ``Subnets`` and report on a builder's ball or torus of these rows, from
-    one template, its translates and the rim (see the module docstring), for a hexagonal
-    association with masters or a sectorized CoMP-Rx one; otherwise None."""
-    roles, silent, scheme = assoc.roles, Role.SILENT, assoc.scheme
+    one template, its translates and, on a ball, the rim (see the module docstring), for a
+    hexagonal association with masters or a sectorized CoMP-Rx one; otherwise None."""
+    roles, scheme = assoc.roles, assoc.scheme
     if not (assoc.masters and scheme.cooperative and len(roles) == len(net.tx_nodes)
             and (net.model == HEX or scheme.comp_side == "rx")):
         return None
-    if not net.has_rim and net.params["copies"] <= 2:
-        return None  # at most one master of the torus is clear of its seam: nothing to spare
-    los, his, bases = _pads(rows)
-    a0 = rows[0][0] - 1  # row a is at index a - a0 of los, his and bases
     n = len(net.rx_nodes)
     nk = len(net.tx_nodes) // n  # nodes per cell
-    master_set = set(assoc.masters)
-    if not (ms := sorted(m for m in master_set if 0 <= m < n)):
+    if not (ms := sorted(m for m in set(assoc.masters) if 0 <= m < n)):
         return None
+    (los, his, bases), grid = net._mark[3]
     coord = net.cell_coords
-    # the master nearest the centre, the lowest id of any tie: it lies no more rows away
-    # than some master's distance d, so only the masters of the d rows either side compete
-    rc = len(rows) // 2 + 1
-    centre = (rows[rc - 1][0], (los[rc] + his[rc]) // 2)
-    d = hex_distance(coord[ms[len(ms) // 2]], centre)
-    top, bottom = max(rc - d, 1), min(rc + d, len(rows))
-    near = ms[bisect_left(ms, bases[top] + los[top]):bisect_right(ms, bases[bottom] + his[bottom])]
-    t = min(near, key=lambda m: hex_distance(coord[m], centre))
-    owner: list[int | None] = [None] * len(roles)
-    hop: list[int | None] = [None] * len(roles)
-    scratch = ValidationReport()  # the template: one component from the master's nodes
-    tm, _, tmasters = _walk(net, assoc, scratch, range(nk * t, nk * t + nk), owner, hop,
-                            master_set)
+    t = ms[0]  # any master of a torus
+    if net.has_rim:  # the master nearest a ball's centre, the lowest id of any tie: it lies no
+        # more rows away than some master's distance d, so only the masters of those rows compete
+        rc = len(rows) // 2 + 1
+        centre = (rows[rc - 1][0], (los[rc] + his[rc]) // 2)
+        d = hex_distance(coord[ms[len(ms) // 2]], centre)
+        top, bot = max(rc - d, 1), min(rc + d, len(rows))
+        near = ms[bisect_left(ms, bases[top] + los[top]):bisect_right(ms, bases[bot] + his[bot])]
+        t = min(near, key=lambda m: hex_distance(coord[m], centre))
+    owner, hop = [None] * len(roles), [None] * len(roles)
+    tm, _, tmasters = _walk(net, assoc, ValidationReport(), range(nk * t, nk * t + nk), owner,
+                            hop, ms)
     if tmasters != [t]:
         return None
+    pieces = (_ball_translates(net, assoc, t, tm, ms, owner, hop, report) if net.has_rim
+              else _torus_translates(net, assoc, t, tm, ms, hop, grid))
+    if pieces is None:
+        return None
+    # every component, rim (0), translate (1) or template (2), in order of its lowest member
+    pieces.sort(key=itemgetter(0))
+    _, kind, mems, masters = zip(*pieces)
+    return Subnets(assoc, list(chain.from_iterable(mems)),
+                   array("q", accumulate(map(len, mems), initial=0)), list(masters), hop,
+                   (kind.index(2), kind.count(1) + 1,
+                    tuple(i for i, x in enumerate(kind) if not x))), report
+
+
+def _torus_translates(net: Network, assoc: Association, t: int, tm: list[int], ms: list[int],
+                      hop: list[int | None], grid: list) -> list | None:
+    """The (lowest member, 1 or 2 for the template t, members, master) of every subnet of a
+    builder's torus, ``tm`` moved by a master-lattice vector, with hops; None unless the
+    masters are that lattice, the roles repeat with it and the translates hold all."""
+    roles, coord, tau, M = assoc.roles, net.cell_coords, net.params["tau"], net.params["copies"]
+    nk, mt, P = len(net.tx_nodes) // len(net.rx_nodes), tau * M, 3 * tau * M
+    # a cell's place (a, b) in the parallelogram domain 0 <= a < mt, 0 <= b < P (``lattice``)
+    frame = lambda c: (c[0] % mt, (c[1] - 2 * mt * (c[0] // mt)) % P)
+    places = [frame(coord[m]) for m in ms]
+    ta, tb = frame(coord[t])
+    if len(ms) != M * M or not all(is_master((a - ta, b - tb), tau) for a, b in places):
+        return None
+    # the roles repeat with (0, 3 tau) along a parallelogram row, and row p + tau is row p
+    # turned by 2 tau (less 2 mt where it wraps): the master lattice's two generators
+    seated = [itemgetter(*g)(roles) for g in grid]
+    for p, row in enumerate(seated):
+        o = nk * ((2 * mt * (p + tau >= mt) - 2 * tau) % P)
+        if (row[nk * 3 * tau:] != row[:-nk * 3 * tau]
+                or seated[(p + tau) % mt] != (row + row)[o:o + nk * P]):
+            return None
+    if M * M * len(tm) != len(roles) - roles.count(Role.SILENT):
+        return None  # an active node outside every translate
+    rel = []  # (da, db, kind) of each member's node from t, the wrap with 2b - a and 2a - b
+    for k in tm:  # in [-P/2, P/2): the shortest when M >= 2, as members lie within tau of t
+        a, b = coord[k // nk]
+        u, v = 2 * (b - tb) - (a - ta), 2 * (a - ta) - (b - tb)
+        u, v = u - P * ((2 * u + P) // (2 * P)), v - P * ((2 * v + P) // (2 * P))
+        rel.append(((u + 2 * v) // 3, (2 * u + v) // 3, k % nk))
+    # the window, which holds every master's members: cells -ra <= a < mt + ra, -rb <= b < W - rb
+    ra, rb = max(abs(da) for da, _, _ in rel), max(abs(db) for _, db, _ in rel)
+    W, ids = P + 2 * rb, []
+    for a in range(-ra, mt + ra):
+        s = (-rb - 2 * mt * (a // mt)) % P
+        ids += (grid[a % mt] * (3 + 2 * rb // P))[nk * s:nk * (s + W)]
+    tpos = [nk * ((ta + da + ra) * W + tb + db + rb) + kind for da, db, kind in rel]
+    thop = [hop[k] for k in tm]
+    pieces = []
+    for (a, b), m in zip(places, ms):
+        mem = [ids[x + nk * ((a - ta) * W + b - tb)] for x in tpos]
+        for k, g in zip(mem, thop):
+            hop[k] = g
+        mem.sort()
+        pieces.append((mem[0], 2 if m == t else 1, mem, m))
+    return pieces
+
+
+def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms: list[int],
+                     owner: list[int | None], hop: list[int | None],
+                     report: ValidationReport) -> list | None:
+    """The (lowest member, 0 on the rim, 1, or 2 for the template t, members, master) of
+    every component of a builder's ball: a subnet whose territory lies in the rows is
+    ``tm`` moved, and the walk finds the rim; None if a territory's roles differ."""
+    roles, rows, ((los, his, bases), _) = assoc.roles, builder_rows(net), net._mark[3]
+    a0 = rows[0][0] - 1  # row a is at index a - a0 of los, his and bases
+    coord, nk = net.cell_coords, len(net.tx_nodes) // len(net.rx_nodes)
     tc = coord[t]
-    R = 1 + max(hex_distance(coord[k // nk], tc) for k in tm)
-    territory = ball_rows(R)  # rows (da, lo, hi) around a master
-    _, tlos, this = zip(*territory)
+    extents, i = [], 0  # (da, members, first db, last db) of each template row, from its ids
+    for r in range(coord[tm[0] // nk][0] - a0, coord[tm[-1] // nk][0] - a0 + 1):
+        j = bisect_left(tm, nk * (bases[r] + his[r] + 1), i)
+        extents.append((r + a0 - tc[0], j - i, tm[i] // nk - bases[r] - tc[1],
+                        tm[j - 1] // nk - bases[r] - tc[1]))
+        i = j
+    R = 1 + max(max(abs(da), abs(lo), abs(hi), abs(da - lo), abs(da - hi))
+                for da, _, lo, hi in extents)
+    _, tlos, this = zip(*ball_rows(R))  # the territory: rows (da, lo, hi) around a master
 
     def fits(a: int) -> range:
         """The b of the masters (a, b) whose territory lies in the domain's rows."""
@@ -386,9 +430,6 @@ def _lattice_subnets(net: Network, assoc: Association, rows: tuple[Row, ...],
     # the id range [x, y) of the cells in each row of the template's territory
     tsegs = [(x + tc[1] + lo, x + tc[1] + hi + 1) for x, lo, hi in zip(tbases, tlos, this)]
     tkeys = [key[nk * x:nk * y] for x, y in tsegs]
-
-    mrow = [coord[k // nk][0] - tc[0] + R for k in tm]  # each member's row in the territory
-    counts = list(map(mrow.count, range(2 * R + 1)))  # members per row, in id order
     thop = [hop[k] for k in tm]
 
     # the masters whose territory lies in the domain, in runs of one spacing along a row
@@ -417,8 +458,8 @@ def _lattice_subnets(net: Network, assoc: Association, rows: tuple[Row, ...],
                     or w and key[nk * (x + s):nk * (y + w)] != key[nk * x:nk * (y + w - s)]):
                 return None
         # the run's first translate: each template member moved by its row's shift
-        shifts = chain.from_iterable(map(repeat, map(mul, d, repeat(nk)), counts))
-        mem = list(map(add, tm, shifts))
+        mem = list(map(add, tm, chain.from_iterable(repeat(nk * d[da + R], c)
+                                                    for da, c, _, _ in extents)))
         for i in range(len(bs)):
             if i:  # the next master of the run, s further along the row
                 mem = list(map(add, mem, repeat(nk * s)))
@@ -428,20 +469,9 @@ def _lattice_subnets(net: Network, assoc: Association, rows: tuple[Row, ...],
             m = t + d[R] + i * s
             pieces.append((mem[0], 2 if m == t else 1, mem, m))
 
-    rim_set = master_set.difference([piece[3] for piece in pieces])
-    rm, rs, rmasters = _walk(net, assoc, report, net.tx_nodes, owner, hop, rim_set)
-
-    # every component, rim (0), translate (1) or template (2), in order of its lowest member
-    pieces += [(rm[rs[j]], 0, rm[rs[j]:rs[j + 1]], rmasters[j]) for j in range(len(rmasters))]
-    pieces.sort(key=itemgetter(0))
-    _, kind, mems, masters = zip(*pieces)
-    cells = {k // nk for k in tm}
-    others = {k for c in cells for k in range(nk * c, nk * c + nk)}.difference(tm)
-    shared = frozenset(k // nk for k in others if roles[k] is not silent)
-    return Subnets(assoc, list(chain.from_iterable(mems)),
-                   array("q", accumulate(map(len, mems), initial=0)), list(masters), hop,
-                   (kind.index(2), kind.count(1) + 1,
-                    tuple(i for i, x in enumerate(kind) if not x), shared)), report
+    rim = sorted(set(ms).difference([piece[3] for piece in pieces]))
+    rm, rs, rmasters = _walk(net, assoc, report, net.tx_nodes, owner, hop, rim)
+    return pieces + [(rm[rs[j]], 0, rm[rs[j]:rs[j + 1]], rmasters[j]) for j in range(len(rmasters))]
 
 
 def _periodic_subnets(net: Network, assoc: Association, K: int,
@@ -450,11 +480,9 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
     run 0, or None unless the roles and masters repeat with a period P, node P is
     silent and the walk from node 1 is the nodes 1..P-1.
 
-    Run ``j`` holds the nodes ``j * P + 1 .. j * P + P - 1``; the whole runs
-    have a master at one offset, and the tail run after the last whole one
-    (shorter than P - 1 nodes) has none.  The members are the int objects of
-    ``net.tx_nodes``, and every whole run repeats run 0's hops.  ``starts`` is a
-    ``range`` unless a tail run follows the whole ones.
+    Run ``j`` holds the nodes ``j * P + 1 .. j * P + P - 1``.  The members are the
+    int objects of ``net.tx_nodes``, and ``starts`` is a ``range`` unless a tail run
+    (shorter than P - 1 nodes, without a master) follows the whole ones.
     """
     roles, cooperative = assoc.roles, assoc.scheme.cooperative
     P = assoc.D + 2 if cooperative else 2
@@ -470,7 +498,7 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
         return None
     hop: list[int | None] = [None] * (P + 1)
     tm, _, _ = _walk(net, assoc, ValidationReport(), (1,), [None] * (P + 1), hop,
-                     set(assoc.masters[:1]))
+                     list(assoc.masters[:1]))
     if tm != list(range(1, P)):  # so nodes 1..P-1 are active
         return None
     whole = (K + 1) // P
@@ -487,7 +515,7 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
         masters.append(None)
         report.warnings.append(f"partial-subnet:{whole * P + 1}")
     return Subnets(assoc, members, starts, masters, hop,
-                   (0, whole, tuple(range(whole, len(masters))), frozenset())), report
+                   (0, whole, tuple(range(whole, len(masters))))), report
 
 
 def _over_budget(subnets: Subnets, budget: int, nodes) -> list[tuple[int, str]]:

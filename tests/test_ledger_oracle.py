@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 from dataclasses import fields, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate
 from unittest import mock
 
@@ -30,9 +30,10 @@ from mgnet import (HEX, SECTORED, WYNER, LoadReport, Network, Role, Scheme, Subn
                    build_sectored_hex_torus, build_wyner, check_params, loads, message_ledger,
                    subnet_decompose, validate, validation)
 from mgnet.association import scheme_tau
+from mgnet.lattice import NEIGHBOR_STEPS, hex_distance
 from mgnet.validation import hop_budget
 
-from test_loads import _oracle_networks, _raises, valid_range
+from test_loads import _oracle_networks, _raises, valid_range, walk_link_uses
 
 
 def ref_components(net, roles):
@@ -254,7 +255,7 @@ def assert_period_matches_walk(net, D, scheme):
     K, P = net.n_tx, D + 2 if scheme.cooperative else 2
     whole = (K + 1) // P
     tail = () if K % P in (0, P - 1) else (whole,)  # the runs after the last whole one
-    assert subnets.translates == ((0, whole, tail, frozenset()) if K >= 2 * P else None)
+    assert subnets.translates == ((0, whole, tail) if K >= 2 * P else None)
     assert walk.translates is None
     for col in COLUMNS:
         assert list(getattr(subnets, col)) == list(getattr(walk, col)), col
@@ -508,6 +509,7 @@ def test_ball_lattice_at_bench_scale(model, radius, D, scheme):
     assert tally.call_count == 1  # no link carries two subnets' messages
 
 
+@cache
 def _torus(model, tau, copies):
     return (build_hex_torus if model == HEX else build_sectored_hex_torus)(tau, copies, 3)
 
@@ -523,50 +525,92 @@ def _torus_cases(model):
 
 @pytest.mark.parametrize("model", [HEX, SECTORED])
 def test_torus_lattice_matches_walk(model):
-    cases = proven = 0
+    cases = 0
     for scheme, D, tau, copies in _torus_cases(model):
         net = _torus(model, tau, copies)
-        proven += assert_lattice_matches_walk(net, D, scheme, reference=tau * copies <= 4)
-        if copies <= 2:  # at most one master is clear of the seam: the walk, at once
-            assert validate(net, assign(net, D, scheme))[0].translates is None
+        # every cooperative torus is one orbit of its template: all its subnets are translates
+        assert assert_lattice_matches_walk(net, D, scheme, reference=tau * copies <= 4) == \
+            scheme.cooperative
+        if scheme.cooperative:
+            _, n, rim = validate(net, assign(net, D, scheme))[0].translates
+            assert (n, rim) == (copies * copies, ())
         cases += 1
     assert cases == (90 if model == HEX else 54)
-    assert proven >= (48 if model == HEX else 18)
+
+
+@pytest.mark.parametrize("model", [HEX, SECTORED])
+def test_torus_link_loads_repeat_with_the_master_lattice(model):
+    """Routes break ties by unit step, the same in every subnet, so the walk's load on each
+    link of a cooperative torus is that on the link moved by (tau, 2 tau) or (2 tau, tau),
+    wherever the seam falls."""
+    for scheme, D, tau, copies in _torus_cases(model):
+        if not scheme.cooperative:
+            continue
+        net = _torus(model, tau, copies)
+        assoc = assign(net, D, scheme)
+        _, tx_use, rx_use = loads._tally(net, assoc, _and_walk(validate, net, assoc)[0], None)
+        index = {c: i for i, c in enumerate(net.cell_coords)}
+        nk = len(net.tx_nodes) // len(net.rx_nodes)
+        for da, db in ((tau, 2 * tau), (2 * tau, tau)):
+            cell = [index[net.geometry.canon((a + da, b + db))] for a, b in net.cell_coords]
+            node = [nk * cell[k // nk] + k % nk for k in net.tx_nodes]
+            for adj, use, move in ((net.tx_coop, tx_use, node), (net.rx_coop, rx_use, cell)):
+                links = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs]
+                assert dict(zip(links, use)) == \
+                    {(move[u], move[v]): x for (u, v), x in zip(links, use)}, (D, scheme, copies)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.BOTH_COMP_RX, Scheme.BOTH_COMP_TX])
-@pytest.mark.parametrize("copies, translates, rim", [(4, 9, 7), (6, 25, 11)])
-def test_torus_lattice_at_bench_scale(scheme, copies, translates, rim):
+@pytest.mark.parametrize("copies, clear, cut", [(4, 9, 7), (6, 25, 11)])
+def test_torus_lattice_at_bench_scale(scheme, copies, clear, cut):
     net = build_hex_torus(4, copies, 2)
     assert assert_lattice_matches_walk(net, 8, scheme)
     subnets, _ = validate(net, assign(net, 8, scheme))
-    _, n, rim_subnets, shared = subnets.translates
-    assert (n, len(rim_subnets), shared) == (translates, rim, frozenset())
+    _, n, rim_subnets = subnets.translates
+    assert (n, rim_subnets) == (clear + cut, ())
+    assert all(k is net.tx_nodes[k] for k in subnets.members)  # the nodes' own int objects
+    # the seam cuts ``cut`` subnets: a member lies tau or more from its master's domain cell
+    coord = net.cell_coords
+    assert sum(max(hex_distance(coord[k], coord[s.master]) for k in s.members) >= 4
+               for s in subnets) == cut
 
 
 def test_torus_seam_sets_the_link_maximum():
-    """The seam subnets route differently: the template alone carries at most 9 messages
-    on an Rx link, a subnet that the seam cuts carries 10, and the ledger reports 10."""
+    """Where the seam falls no longer sets the link maximum: routes break ties by unit
+    step, so a subnet that the seam cuts routes like the template, which carries at most
+    9 messages on an Rx link, and so does the whole torus (10 when ties went by id)."""
     net = build_sectored_hex_torus(3, 4, 3)
     assoc = assign(net, 6, Scheme.BOTH_COMP_RX)
     subnets, _ = validate(net, assoc)
-    template, copies, rim, shared = subnets.translates
-    assert (copies, len(rim)) == (9, 7)
-    _, _, template_rx, _ = loads._tally(net, assoc, subnets, (template, copies, (), shared))
+    template, copies, rim = subnets.translates
+    assert (copies, rim) == (16, ())
+    _, _, template_rx = loads._tally(net, assoc, subnets, (template, 1, ()))
     assert max(template_rx) == 9
     walk, _ = _and_walk(validate, net, assoc)
     ledger = message_ledger(net, assoc, subnets)
     assert ledger == message_ledger(net, assoc, walk)
-    assert ledger.max_rx_link_load == 10
+    assert ledger.max_rx_link_load == 9
 
 
 def test_ball_ledger_counts_every_subnet_when_links_may_be_shared():
-    net, assoc = _ball_case(SECTORED, 12, 4)
-    subnets, _ = validate(net, assoc)
-    assert subnets.translates[3]  # a sectorized subnet shares layer cells with others
-    walk, _ = _and_walk(validate, net, assoc)
-    with mock.patch.object(loads, "_shares_links", return_value=True):
-        assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk)
+    """A sectorized cell may hold active sectors of two subnets, yet no link carries two
+    subnets' messages, so each link's load is one subnet's: a proof's ledger, which counts
+    the template alone, is the walk's on every sectorized builder ball and torus here."""
+    shared_cells = 0
+    for scheme in (Scheme.BOTH_COMP_RX, Scheme.SLOW_COMP_RX):
+        for D in valid_range(SECTORED, scheme, 8):
+            tau = scheme_tau(SECTORED, scheme, D)
+            for net in [*map(partial(_ball, SECTORED), range(13)),
+                        *(_torus(SECTORED, tau, copies) for copies in range(1, 5))]:
+                assoc = assign(net, D, scheme)
+                walk, _ = _and_walk(validate, net, assoc)
+                for links in zip(*(walk_link_uses(net, assoc, [sub]) for sub in walk)):  # Tx, Rx
+                    assert sum(map(len, links)) == len(set().union(*links)), (net.params, D)
+                cells = [{net.tx_cell[k] for k in sub.members} for sub in walk]
+                shared_cells += sum(map(len, cells)) - len(set().union(*cells))
+                proven, _ = validate(net, assoc)
+                assert message_ledger(net, assoc, proven) == message_ledger(net, assoc, walk)
+    assert shared_cells > 1000
 
 
 def _ball_case(model=HEX, radius=14, D=8, scheme=Scheme.BOTH_COMP_RX):
@@ -688,6 +732,53 @@ def test_ball_lattice_falls_back_to_the_walk(make, proven, violations):
     assert [(s.members, s.master, s.gamma) for s in subnets] == \
         [(s.members, s.master, s.gamma) for s in ref_subnets]
     assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
+
+
+def _torus_case(edit, scheme=Scheme.BOTH_COMP_RX):
+    """The hex torus of M = 3 copies of spacing 4 at D = 8, its association edited by
+    ``edit(net, assoc, at)``, where ``at(a, b)`` is the id of the cell (a, b) mod the torus."""
+    net = build_hex_torus(4, 3, 1)
+    index = {c: i for i, c in enumerate(net.cell_coords)}
+    assoc = assign(net, 8, scheme)
+    return net, edit(net, assoc, lambda a, b: index[net.geometry.canon((a, b))]) or assoc
+
+
+def _flip(cells):
+    def edit(net, assoc, at):
+        for a, b in cells:
+            assoc.roles[at(a, b)] = Role.FAST  # (1, 0) is slow, next to the fast master (0, 0)
+    return edit
+
+
+def _silenced_rings(net, assoc, at):
+    for m in assoc.masters:
+        a, b = net.cell_coords[m]
+        for da, db in NEIGHBOR_STEPS:
+            assoc.roles[at(a + da, b + db)] = Role.SILENT
+
+
+# the roles must repeat with both generators of the master lattice, (4, 8) and (0, 12) here
+@pytest.mark.parametrize("edit, proven", [
+    (_flip([(1, 0)]), False),
+    (_flip([(1 + 4 * k, 8 * k) for k in range(3)]), False),  # repeats with (4, 8) alone
+    (_flip([(1, 12 * k) for k in range(3)]), False),  # repeats with (0, 12) alone
+    (_silenced_rings, False),  # repeats, but each master is alone, away from its subnet
+    (lambda net, a, at: replace(a, masters=a.masters[:-1]), False),
+    (lambda net, a, at: replace(a, masters=tuple(sorted({*a.masters, at(5, 8)}))), False),
+    (lambda net, a, at: replace(a, masters=tuple(sorted(at(a + 1, b) for a, b in map(
+        net.cell_coords.__getitem__, a.masters)))), True),  # every master one step along
+], ids=["one-role", "roles-along-one-generator", "roles-along-the-other", "silenced-rings",
+        "dropped-master", "extra-master", "moved-masters"])
+def test_torus_lattice_falls_back_to_the_walk(edit, proven):
+    net, assoc = _torus_case(edit)
+    subnets, report = validate(net, assoc)
+    assert (subnets.translates is not None) == proven
+    walk, walk_report = _and_walk(validate, net, assoc)
+    for col in COLUMNS:
+        assert list(getattr(subnets, col)) == list(getattr(walk, col)), col
+    assert report == walk_report
+    assert proven or not report.ok
+    assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk)
 
 
 MARKED = ("model", "tx_nodes", "rx_nodes", "interference", "tx_coop", "rx_coop", "tx_cell",

@@ -184,24 +184,31 @@ def test_sectorized_torus_regular():
     assert net.q_tx == 4 * net.n_tx and net.q_rx == 6 * net.n_rx
 
 
+# each sector kind's partners in unit-step order: by cell offset, then by kind
+SECTOR_STEPS = {k: sorted(rule, key=lambda kd: (kd[1], SECTOR_KINDS.index(kd[0])))
+                for k, rule in SECTOR_RULE.items()}
+
+
 def reference_json(model, cells, cell_nbrs, cell_at, params, L):
     """``to_json_dict`` of a network on ``cells``, built over a coordinate dict.
 
     ``cell_nbrs(c, index)`` gives the ids of the cells next to cell ``c`` and
     ``cell_at(c, d, index)`` the id of the cell ``d`` away from it, or None.
+    A sector's partners are listed in unit-step order (``SECTOR_STEPS``).
     """
     index = {c: i for i, c in enumerate(cells)}
     pairs = lambda adj: [[i, j] for i in sorted(adj) for j in adj[i]]
-    cell_pairs = pairs({i: sorted(set(cell_nbrs(c, index))) for c, i in index.items()})
+    # a neighbour appears once, at its first step
+    cell_pairs = pairs({i: list(dict.fromkeys(cell_nbrs(c, index))) for c, i in index.items()})
     if model == HEX:
         nodes = [{"id": i, "coord": list(c)} for c, i in index.items()]
         tx_pairs = cell_pairs
     else:
         nodes = [{"id": 3 * i + j, "coord": list(c), "kind": k}
                  for c, i in index.items() for j, k in enumerate(SECTOR_KINDS)]
-        tx_pairs = pairs({3 * i + j: sorted({3 * n + SECTOR_KINDS.index(k2)
-                                             for k2, d in SECTOR_RULE[k]
-                                             if (n := cell_at(c, d, index)) is not None})
+        tx_pairs = pairs({3 * i + j: [3 * n + SECTOR_KINDS.index(k2)
+                                      for k2, d in SECTOR_STEPS[k]
+                                      if (n := cell_at(c, d, index)) is not None]
                           for c, i in index.items() for j, k in enumerate(SECTOR_KINDS)})
     return {"model": model, "L": L, "params": params,
             "nodes": nodes, "interference": tx_pairs, "tx_coop": tx_pairs,
@@ -209,11 +216,12 @@ def reference_json(model, cells, cell_nbrs, cell_at, params, L):
 
 
 def reference_torus_json(model, tau, copies, L):
-    """``to_json_dict`` of a torus built with ``canon`` on every neighbour step."""
+    """``to_json_dict`` of a torus built with ``canon`` on every neighbour step, each cell's
+    neighbours in unit-step order."""
     geo = TorusGeometry(tau, copies)
     at = lambda c, d, index: index[geo.canon((c[0] + d[0], c[1] + d[1]))]
     return reference_json(model, geo.cells(),
-                          lambda c, index: [at(c, d, index) for d in NEIGHBOR_STEPS], at,
+                          lambda c, index: [at(c, d, index) for d in sorted(NEIGHBOR_STEPS)], at,
                           {"tau": tau, "copies": copies}, L)
 
 
@@ -274,11 +282,12 @@ def reference_ball_json(model, radius, L):
 
 
 def reference_step_ball_json(model, radius, L):
-    """``to_json_dict`` of a ball: each cell's neighbours are its six unit steps looked up in
-    the coordinate dict, so it runs at the bench's radii."""
+    """``to_json_dict`` of a ball: each cell's neighbours are its six unit steps, in order,
+    looked up in the coordinate dict, so it runs at the bench's radii."""
     return reference_json(
         model, brute_ball(radius),
-        lambda c, index: [i for d in NEIGHBOR_STEPS if (i := ball_step(c, d, index)) is not None],
+        lambda c, index: [i for d in sorted(NEIGHBOR_STEPS)
+                          if (i := ball_step(c, d, index)) is not None],
         ball_step, {"radius": radius}, L)
 
 
@@ -361,7 +370,8 @@ def test_network_shape(make):
 
 
 # sha256 of json.dumps(..., sort_keys=True) of net.to_json_dict() (scheme None) and
-# of assoc.to_json_dict(), recorded when every per-node table was an int-keyed dict
+# of assoc.to_json_dict(), recorded when every per-node table was an int-keyed dict; the
+# two torus networks' again when torus neighbours came to be listed in unit-step order
 PIN_D = {"wyner": 4, "hex-ball": 8, "hex-torus": 8, "sectorized-ball": 4, "sectorized-torus": 4}
 JSON_PINS = {
     ("wyner", None): "20ca8929bda12378f58b6ecd57ec91119530db4bcf6b5dec1f32ec7251c8a696",
@@ -376,7 +386,7 @@ JSON_PINS = {
     ("hex-ball", "SLOW_COMP_RX"): "87dfa970f3287c2135fa881815aa36a2fa521bc150b72d8117129f2a21e4dcbe",
     ("hex-ball", "SLOW_COMP_TX"): "1e0fb1699e6894bde9d71f8520af92b7c42f4f3d25ffb6b922e27cae0acc4ed4",
     ("hex-ball", "NO_COOP"): "dc9bfe73d31fb1efe6f32f161c88909ae285b61fe103219ba1fce8a2a568b373",
-    ("hex-torus", None): "acefdf9d0769e8176a718079a3885329e4525ee43a2fa6bb7061586845f9eed9",
+    ("hex-torus", None): "807122929bf65d4e042f13747cd64c15d2b62ceef254a1310d7e8bc46ae9aeb3",
     ("hex-torus", "BOTH_COMP_RX"): "b659cb9dc6dcfcd15211720907bb54c469b8a1e18edbde5b1996cecc847d4724",
     ("hex-torus", "BOTH_COMP_TX"): "aeca64e1e1be7b22e66a821d51169d9ada27504341bd3983e73c410ef6380539",
     ("hex-torus", "NO_COOP"): "0d43782e918b508c31ad256a320dbb55310568b32304c42d0bf66d6d0e105cf5",
@@ -384,7 +394,7 @@ JSON_PINS = {
     ("sectorized-ball", "BOTH_COMP_RX"): "66ab6e225fe1a62a930f3e857113e3c402bc05120a73fa9fb31effc69f1f9437",
     ("sectorized-ball", "SLOW_COMP_RX"): "1ad3428b203fe639d7177315f191d29e4ccaaaac8205d01fbd29899846d74a20",
     ("sectorized-ball", "NO_COOP"): "89150c3c341b80264309409d19326e713e720a2a2dfea884dff623127aedb170",
-    ("sectorized-torus", None): "4a8e9f6cd71aa0cb6b2cd730600d1c8e955be338ae71fba3fc3777023f4959ad",
+    ("sectorized-torus", None): "af40f95be8d7196e55e7b24c0f078bc6ff1a831cffebcf3c5ad6ff202fcceacf",
     ("sectorized-torus", "BOTH_COMP_RX"): "8fc0deb802f1043103681976cc0fb5ada8cc9b4cf4ff95bf7268431fc8292ac7",
     ("sectorized-torus", "SLOW_COMP_RX"): "ac2dc0c0267294482adaa9911a0dd2b3b42ae2dcc0c8d53c2d31c8fedd30788e",
     ("sectorized-torus", "NO_COOP"): "5ad0b2a3469ebd926c15199e5d2d0880a05ae25ec42e6a6293da7a7d51c34ea6",
