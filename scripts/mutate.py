@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Mutation gate: each mutant is one exact source edit that named tests must catch.
 
-    python scripts/mutate.py
+    python scripts/mutate.py [NAME ...]
 
 Run from anywhere; the checkout is the parent of this script's directory.
+With no NAME every mutant runs; otherwise only the named ones, and an
+unknown name exits 2 with the list of valid names.
 Each mutant copies ``src/``, ``tests/`` and ``pyproject.toml`` into a fresh
 temporary directory, replaces its ``old`` text (which must occur exactly
 once in its file) by ``new``, and runs only its test ids there.  It is
@@ -16,6 +18,7 @@ already fails cannot kill a mutant.  Exit 0 when every mutant is killed,
 
 from __future__ import annotations
 
+import argparse
 import os
 import pathlib
 import shutil
@@ -44,6 +47,8 @@ CANON = "tests/test_topology.py::test_torus_builders_match_canon_on_every_step"
 BALL = "tests/test_topology.py::test_ball_builders_match_the_coordinate_dict"
 REPEAT = ORACLE + "test_torus_link_loads_repeat_with_the_master_lattice"
 FALLBACK = ORACLE + "test_torus_lattice_falls_back_to_the_walk"
+BALL_FALLBACK = ORACLE + "test_ball_lattice_falls_back_to_the_walk"
+DRAWN = ORACLE + "test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori"
 # the two layer rules of association._sector_silenced, with their sets filled in
 SECTOR_RULES = ('        return {{"{}"}}\n'
                 '    if abs(b) == tau and (a > 0) == (b > 0):\n'
@@ -140,6 +145,29 @@ MUTANTS = [
            "if len(ms) != M * M or not all(",
            "if not all(",
            (FALLBACK + "[dropped-master]",)),
+    Mutant("ball-first-territory-unchecked", "src/mgnet/validation.py",
+           "if (key[nk * x:nk * y] != tk\n",
+           "if (False\n",
+           (BALL_FALLBACK + "[interior-role]", DRAWN)),
+    Mutant("ball-run-period-unchecked", "src/mgnet/validation.py",
+           "or w and key[nk * (x + s):nk * (y + w)] != key[nk * x:nk * (y + w - s)]):",
+           "or False):",
+           (BALL_FALLBACK + "[later-interior-role]", BALL_FALLBACK + "[extra-rim-master]", DRAWN)),
+    Mutant("ball-master-flags-dropped", "src/mgnet/validation.py",
+           "key[nk * m] = (key[nk * m],)",
+           "pass",
+           (BALL_FALLBACK + "[extra-rim-master]",)),
+    # a territory one row past the rim reads the next row's ids: proofs are lost, not wrong
+    Mutant("ball-radius-test-loose", "src/mgnet/validation.py",
+           "+ R > radius:",
+           "+ R > radius + 1:",
+           (PROOF + "[sectorized-ball-deepcopy]",
+            ORACLE + "test_ball_lattice_at_bench_scale[SectorizedHexagonal-40-4-BothCompRx]")),
+    # a territory without its separator ring misses an edit there
+    Mutant("ball-territory-narrower", "src/mgnet/validation.py",
+           "R = 1 + max(",
+           "R = max(",
+           (BALL_FALLBACK + "[slow-separator]", DRAWN)),
 ]
 
 
@@ -188,6 +216,14 @@ def run(mutants: list[Mutant]) -> int:
 
 
 if __name__ == "__main__":
-    survivors = run(MUTANTS)
-    print(f"{survivors} of {len(MUTANTS)} mutants survived")
+    by_name = {m.name: m for m in MUTANTS}
+    parser = argparse.ArgumentParser(description="Run the mutation gate.")
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help="run only these mutants (default: all)")
+    names = parser.parse_args().names
+    if unknown := [n for n in names if n not in by_name]:
+        parser.error(f"unknown mutant {unknown[0]!r}; valid names: {', '.join(by_name)}")
+    mutants = [by_name[n] for n in dict.fromkeys(names)] or MUTANTS
+    survivors = run(mutants)
+    print(f"{survivors} of {len(mutants)} mutants survived")
     sys.exit(1 if survivors else 0)

@@ -28,7 +28,11 @@ periodic modulo that lattice.  ``assign`` therefore works them out once
 per residue class (3 * tau^2 of them, from ``lattice.nearest_rows``'s
 distances and displacements, with one ``nearest_masters`` call per base
 row) and fills them in per row: each row of cells is one slice of a
-repeated base row.
+repeated base row.  One rule (``_assign_lattice``) serves both models.
+Per model it reads two things, as data: a cell's node roles (its one
+role on hex, its three sector roles on sectorized) and the no-coop base
+row.  A base row holds its cells' node roles in id order, so one slice
+fills a row's nodes.
 """
 
 from __future__ import annotations
@@ -152,10 +156,10 @@ def scheme_tau(model: str, scheme: Scheme, D: int) -> int:
     return D // 2
 
 
-def _fill_rows(net: Network, tau: int, base: list[list]) -> tuple[list, list[int]]:
-    """The value per cell id, for a value periodic modulo the spacing-tau master lattice
-    whose value at (a, b) is ``base[a][b]`` on the base rows, filled a row at a time, and
-    the master ids.
+def _fill_rows(net: Network, tau: int, base: list[list], nk: int) -> tuple[list, list[int]]:
+    """The ``nk`` values per cell id, for values periodic modulo the spacing-tau master
+    lattice whose values at (a, b) are ``base[a][nk * b:nk * (b + 1)]`` on the base rows,
+    filled a row at a time, and the master ids.
 
     The master lattice is generated by (tau, 2 * tau) and (0, 3 * tau), so
     along a row values repeat with 3 * tau, and row a's values at b = 0, 1,
@@ -172,9 +176,9 @@ def _fill_rows(net: Network, tau: int, base: list[list]) -> tuple[list, list[int
     values: list = []
     masters: list[int] = []
     for a, lo, hi in rows:
-        start, n = len(values), hi - lo + 1
+        start, n = len(values) // nk, hi - lo + 1
         turn = (lo + tau * (a % t3 // tau)) % t3
-        values += base[a % tau][turn:turn + n]
+        values += base[a % tau][nk * turn:nk * (turn + n)]
         if a % tau == 0:
             masters += range(start + (2 * a - lo) % t3, start + n, t3)
     return values, masters
@@ -191,26 +195,11 @@ def _master_rows(net: Network, tau: int) -> list[list[tuple[int, Coord]]]:
     return rows
 
 
-def _assign_hex(net: Network, D: int, scheme: Scheme) -> Association:
-    if scheme is Scheme.NO_COOP:
-        # (a + b) % 3 == 0 is periodic modulo the spacing-1 master lattice: its base row
-        # (0, 0), (0, 1), (0, 2) needs no geometry, so a torus of any tau takes it
-        roles = _fill_rows(net, 1, [[Role.FAST, Role.SILENT, Role.SILENT]])[0]
-        return Association(net, scheme, D, roles, ())
-
-    tau = scheme_tau(HEX, scheme, D)
-
-    def role(dist: int, delta: Coord) -> Role:
-        if dist == tau:
-            return Role.SILENT
-        # a master's a + b is a multiple of 3 tau, so the cell's a + b is delta's mod 3
-        if scheme.mixed and (delta[0] + delta[1]) % 3 == 0:
-            return Role.FAST
-        return Role.SLOW
-
-    base = [[role(*near) for near in row] for row in _master_rows(net, tau)]
-    roles, masters = _fill_rows(net, tau, base)  # a hex cell is its own Tx node
-    return Association(net, scheme, D, roles, tuple(masters))
+def _hex_roles(scheme: Scheme, tau: int, dist: int, delta: Coord) -> tuple[Role]:
+    """A hex cell's one role, from its distance and displacement to a nearest master: a
+    master's a + b is a multiple of 3 tau, so the cell's a + b is delta's mod 3."""
+    fast = scheme.mixed and (delta[0] + delta[1]) % 3 == 0
+    return (Role.SILENT if dist == tau else Role.FAST if fast else Role.SLOW,)
 
 
 # Sector-role tables for the mixed sectorized scheme, in coordinates
@@ -242,33 +231,39 @@ def _sector_fast_kind(delta: Coord) -> str | None:
     return "E"
 
 
-def _assign_sectored(net: Network, D: int, scheme: Scheme) -> Association:
-    if scheme is Scheme.NO_COOP:  # the W sector of every cell is fast, the rest silent
-        # sector 3 * i + j is the SECTOR_KINDS[j] sector of cell i
-        roles = [Role.FAST if k == "W" else Role.SILENT for k in SECTOR_KINDS] \
-            * len(net.cell_coords)
-        return Association(net, scheme, D, roles, ())
+def _sector_roles(scheme: Scheme, tau: int, dist: int, delta: Coord) -> tuple[Role, ...]:
+    """A cell's sector roles in ``SECTOR_KINDS`` order, from its distance and displacement
+    to a nearest master (on the layer every nearest master gives one silenced set)."""
+    if dist < tau:
+        fast = scheme.mixed and _sector_fast_kind(delta)
+        return tuple(Role.FAST if k == fast else Role.SLOW for k in SECTOR_KINDS)
+    silenced, active = _sector_silenced(delta, tau), Role.FAST if scheme.mixed else Role.SLOW
+    return tuple(Role.SILENT if k in silenced else active for k in SECTOR_KINDS)
 
-    tau = scheme_tau(SECTORED, scheme, D)
-    active = Role.FAST if scheme.mixed else Role.SLOW
 
-    def sector_roles(dist: int, delta: Coord) -> tuple[Role, ...]:
-        """The cell's sector roles in ``SECTOR_KINDS`` order."""
-        if dist < tau:
-            fast = None if not scheme.mixed else _sector_fast_kind(delta)
-            return tuple(Role.FAST if k == fast else Role.SLOW for k in SECTOR_KINDS)
-        silenced = _sector_silenced(delta, tau)  # every nearest master agrees
-        return tuple(Role.SILENT if k in silenced else active for k in SECTOR_KINDS)
+# per hex-lattice model: a cell's node roles (node nk * i + j is entry j of cell i's) and the
+# no-coop base row of spacing 1, cells (0, 0), (0, 1), (0, 2): fast where (a + b) % 3 == 0 on
+# hex, in the W sector on sectorized; it needs no geometry, so a torus of any tau takes it
+_LATTICE_RULES = {
+    HEX: (_hex_roles, [Role.FAST, Role.SILENT, Role.SILENT]),
+    SECTORED: (_sector_roles, [Role.FAST if k == "W" else Role.SILENT for k in SECTOR_KINDS] * 3),
+}
 
-    base = [[sector_roles(*near) for near in row] for row in _master_rows(net, tau)]
-    per_cell, masters = _fill_rows(net, tau, base)
-    # sector 3 * i + j is the SECTOR_KINDS[j] sector of cell i
-    roles = list(chain.from_iterable(per_cell))
+
+def _assign_lattice(net: Network, D: int, scheme: Scheme) -> Association:
+    cell_roles, no_coop = _LATTICE_RULES[net.model]
+    nk = len(no_coop) // 3
+    if scheme is Scheme.NO_COOP:
+        return Association(net, scheme, D, _fill_rows(net, 1, [no_coop], nk)[0], ())
+    tau = scheme_tau(net.model, scheme, D)
+    base = [list(chain.from_iterable(cell_roles(scheme, tau, *near) for near in row))
+            for row in _master_rows(net, tau)]
+    roles, masters = _fill_rows(net, tau, base, nk)
     return Association(net, scheme, D, roles, tuple(masters))
 
 
 def assign(net: Network, D: int, scheme: Scheme) -> Association:
     """The one assignment entry point: check (model, scheme, D, L) once, run the model's rule."""
     check_params(net.model, scheme, D, net.L)
-    rule = {WYNER: _assign_wyner, HEX: _assign_hex, SECTORED: _assign_sectored}[net.model]
+    rule = {WYNER: _assign_wyner, HEX: _assign_lattice, SECTORED: _assign_lattice}[net.model]
     return rule(net, D, scheme)

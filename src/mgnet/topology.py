@@ -177,8 +177,8 @@ def as_built(net: Network) -> int | None:
 
 def builder_rows(net: Network) -> tuple[Row, ...] | None:
     """The rows (a, lo, hi) of a ball or torus exactly as its builder returned it, in
-    id order; None for any other network.  The master-lattice proof reads its domain
-    from them, and a torus's seam lies at their ends."""
+    id order; None for any other network.  ``association`` fills roles along them, a
+    master-lattice proof needs them, and a torus's seam lies at their ends."""
     mark = _intact_mark(net)
     return mark and mark[2]
 

@@ -29,12 +29,13 @@ is checked before most of the walk is spared:
   repeat with P, whose whole runs of P - 1 nodes have one master each, at
   one offset, and whose run 0 walks as the nodes 1..P-1: the whole runs
   repeat run 0's hops, and the shorter tail run has no master.
-* A ball: the component of the master nearest the centre, the template, is
-  walked and must hold that master alone.  Every master whose territory
-  (the hex ball one step wider than the template, one b-span per row)
-  lies in the rows must match the template's roles and master flags there,
-  row segment by row segment; its subnet is then the template moved by one
-  id shift per row.  The walk covers the rest, the rim.
+* A ball: the component of its centre cell (0, 0), the template, is
+  walked and must hold that cell alone as its master (every ``assign``
+  makes it one).  Every master m whose territory (the hex ball of radius R
+  one step wider than the template) lies in the ball, ``hex_distance(m,
+  (0, 0)) + R <= radius``, must match the template's roles and master
+  flags there, row segment by row segment; its subnet is then the template
+  moved by one id shift per row.  The walk covers the rest, the rim.
 * A torus: every subnet is a translate of the template.  The masters must
   be the master lattice through its master, the roles must repeat with the
   lattice's two generators (one compare per parallelogram row,
@@ -52,7 +53,7 @@ its verdicts off its ``(node, code)`` violations.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -60,7 +61,7 @@ from itertools import accumulate, chain, repeat
 from operator import add, itemgetter, sub
 
 from .association import Association, Role, Scheme, valid_d
-from .lattice import Row, ball_rows, hex_distance, is_master
+from .lattice import ball_rows, hex_distance, is_master
 from .topology import HEX, WYNER, Network, as_built, builder_rows
 
 
@@ -83,7 +84,7 @@ class Subnets(Sequence):
     ``translates`` is None after the general walk, and (template, copies,
     rim) after a proof (see the module docstring): component ``template``
     and ``copies - 1`` others (a line's whole runs, the subnets of a ball
-    whose territory lies in its rows, every subnet of a torus) are
+    whose territory lies in the ball, every subnet of a torus) are
     translates of one another, and those listed in ``rim`` are the others.
     The template and the rim are all that ``validate`` and
     ``message_ledger`` read.  Indexing builds a ``Subnet`` view, whose
@@ -196,8 +197,8 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     """
     _require_same_net(net, assoc)
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
-    if (rows := builder_rows(net)) is not None:
-        solved = _lattice_subnets(net, assoc, rows, report)
+    if builder_rows(net) is not None:
+        solved = _lattice_subnets(net, assoc, report)
     elif (K := as_built(net)) is not None:
         solved = _periodic_subnets(net, assoc, K, report)
     else:
@@ -303,11 +304,12 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
     return members, starts, masters
 
 
-def _lattice_subnets(net: Network, assoc: Association, rows: tuple[Row, ...],
+def _lattice_subnets(net: Network, assoc: Association,
                      report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
-    """The walk's ``Subnets`` and report on a builder's ball or torus of these rows, from
-    one template, its translates and, on a ball, the rim (see the module docstring), for a
-    hexagonal association with masters or a sectorized CoMP-Rx one; otherwise None."""
+    """The walk's ``Subnets`` and report on a builder's ball or torus, from one template
+    (the subnet of a ball's centre cell, of a torus's lowest master), its translates and,
+    on a ball, the rim (see the module docstring), for a hexagonal association with
+    masters or a sectorized CoMP-Rx one; otherwise None."""
     roles, scheme = assoc.roles, assoc.scheme
     if not (assoc.masters and scheme.cooperative and len(roles) == len(net.tx_nodes)
             and (net.model == HEX or scheme.comp_side == "rx")):
@@ -316,24 +318,14 @@ def _lattice_subnets(net: Network, assoc: Association, rows: tuple[Row, ...],
     nk = len(net.tx_nodes) // n  # nodes per cell
     if not (ms := sorted(m for m in set(assoc.masters) if 0 <= m < n)):
         return None
-    (los, his, bases), grid = net._mark[3]
-    coord = net.cell_coords
-    t = ms[0]  # any master of a torus
-    if net.has_rim:  # the master nearest a ball's centre, the lowest id of any tie: it lies no
-        # more rows away than some master's distance d, so only the masters of those rows compete
-        rc = len(rows) // 2 + 1
-        centre = (rows[rc - 1][0], (los[rc] + his[rc]) // 2)
-        d = hex_distance(coord[ms[len(ms) // 2]], centre)
-        top, bot = max(rc - d, 1), min(rc + d, len(rows))
-        near = ms[bisect_left(ms, bases[top] + los[top]):bisect_right(ms, bases[bot] + his[bot])]
-        t = min(near, key=lambda m: hex_distance(coord[m], centre))
+    t = n // 2 if net.has_rim else ms[0]  # a ball's centre cell (0, 0); any master of a torus
     owner, hop = [None] * len(roles), [None] * len(roles)
     tm, _, tmasters = _walk(net, assoc, ValidationReport(), range(nk * t, nk * t + nk), owner,
                             hop, ms)
     if tmasters != [t]:
         return None
     pieces = (_ball_translates(net, assoc, t, tm, ms, owner, hop, report) if net.has_rim
-              else _torus_translates(net, assoc, t, tm, ms, hop, grid))
+              else _torus_translates(net, assoc, t, tm, ms, hop, net._mark[3][1]))
     if pieces is None:
         return None
     # every component, rim (0), translate (1) or template (2), in order of its lowest member
@@ -396,51 +388,37 @@ def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms
                      owner: list[int | None], hop: list[int | None],
                      report: ValidationReport) -> list | None:
     """The (lowest member, 0 on the rim, 1, or 2 for the template t, members, master) of
-    every component of a builder's ball: a subnet whose territory lies in the rows is
+    every component of a builder's ball: a subnet whose territory lies in the ball is
     ``tm`` moved, and the walk finds the rim; None if a territory's roles differ."""
-    roles, rows, ((los, his, bases), _) = assoc.roles, builder_rows(net), net._mark[3]
-    a0 = rows[0][0] - 1  # row a is at index a - a0 of los, his and bases
+    roles, radius, ((_, his, bases), _) = assoc.roles, net.params["radius"], net._mark[3]
+    a0 = -radius - 1  # row a is at index a - a0 of his and bases: (a, b) has id bases[a - a0] + b
     coord, nk = net.cell_coords, len(net.tx_nodes) // len(net.rx_nodes)
-    tc = coord[t]
     extents, i = [], 0  # (da, members, first db, last db) of each template row, from its ids
     for r in range(coord[tm[0] // nk][0] - a0, coord[tm[-1] // nk][0] - a0 + 1):
         j = bisect_left(tm, nk * (bases[r] + his[r] + 1), i)
-        extents.append((r + a0 - tc[0], j - i, tm[i] // nk - bases[r] - tc[1],
-                        tm[j - 1] // nk - bases[r] - tc[1]))
+        extents.append((r + a0, j - i, tm[i] // nk - bases[r], tm[j - 1] // nk - bases[r]))
         i = j
     R = 1 + max(max(abs(da), abs(lo), abs(hi), abs(da - lo), abs(da - hi))
                 for da, _, lo, hi in extents)
-    _, tlos, this = zip(*ball_rows(R))  # the territory: rows (da, lo, hi) around a master
-
-    def fits(a: int) -> range:
-        """The b of the masters (a, b) whose territory lies in the domain's rows."""
-        r = a - a0
-        if not (R < r and r + R <= len(rows)):
-            return range(0)
-        return range(max(map(sub, los[r - R:r + R + 1], tlos)),
-                     min(map(sub, his[r - R:r + R + 1], this)) + 1)
-
-    if tc[1] not in fits(tc[0]):
+    if R > radius:  # the template's own territory leaves the ball
         return None
+    _, tlos, this = zip(*ball_rows(R))  # the territory: rows (da, lo, hi) around a master
 
     key = list(roles)  # the roles, with each master's first node wrapped as (role,)
     for m in ms:
         key[nk * m] = (key[nk * m],)
-    tbases = bases[tc[0] - a0 - R:tc[0] - a0 + R + 1]
+    tbases = bases[-a0 - R:R - a0 + 1]
     # the id range [x, y) of the cells in each row of the template's territory
-    tsegs = [(x + tc[1] + lo, x + tc[1] + hi + 1) for x, lo, hi in zip(tbases, tlos, this)]
+    tsegs = [(x + lo, x + hi + 1) for x, lo, hi in zip(tbases, tlos, this)]
     tkeys = [key[nk * x:nk * y] for x, y in tsegs]
     thop = [hop[k] for k in tm]
 
-    # the masters whose territory lies in the domain, in runs of one spacing along a row
+    # the masters whose territory lies in the ball, in runs of one spacing along a row
     runs: list[tuple[int, list[int]]] = []
-    span_a, span = None, range(0)
-    for m in ms:
-        a, b = coord[m]
-        if a != span_a:  # the masters come in id order, so row by row
-            span_a, span = a, fits(a)
-        if b not in span:
+    for m in ms:  # in id order, so row by row
+        if hex_distance(coord[m], (0, 0)) + R > radius:
             continue  # a rim master
+        a, b = coord[m]
         bs = runs[-1][1] if runs and runs[-1][0] == a else None
         if bs is not None and (len(bs) == 1 or b - bs[-1] == bs[1] - bs[0]):
             bs.append(b)
@@ -450,7 +428,7 @@ def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms
     for a, bs in runs:
         s, w = (bs[1] - bs[0] if len(bs) > 1 else 0), bs[-1] - bs[0]
         r = a - a0  # the cell id shift per territory row, from the template to master (a, bs[0])
-        d = list(map(add, map(sub, bases[r - R:r + R + 1], tbases), repeat(bs[0] - tc[1])))
+        d = list(map(add, map(sub, bases[r - R:r + R + 1], tbases), repeat(bs[0])))
         # the first territory is the template's, and the run's rows repeat with s
         for (x, y), tk, e in zip(tsegs, tkeys, d):
             x, y = x + e, y + e

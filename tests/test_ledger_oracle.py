@@ -23,7 +23,9 @@ from functools import cache, partial
 from itertools import accumulate
 from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from mgnet import (HEX, SECTORED, WYNER, LoadReport, Network, Role, Scheme, Subnet,
                    ValidationReport, assign, build_hex, build_hex_torus, build_sectored_hex,
@@ -33,7 +35,7 @@ from mgnet.association import scheme_tau
 from mgnet.lattice import NEIGHBOR_STEPS, hex_distance
 from mgnet.validation import hop_budget
 
-from test_loads import _oracle_networks, _raises, valid_range, walk_link_uses
+from test_loads import _oracle_networks, _raises, step_order, valid_range, walk_link_uses
 
 
 def ref_components(net, roles):
@@ -458,12 +460,17 @@ def test_line_period_falls_back_to_the_walk(make, violations, warnings):
     assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
 
 
-def assert_lattice_matches_walk(net, D, scheme, reference=True):
-    """The master-lattice path equals the walk on every column, report and ledger field.
+def assert_links_carry_one_subnet(net, assoc, subnets):
+    """No Tx or Rx link carries two subnets' messages, so each link's load is one subnet's
+    and a proof's ledger may count the template alone."""
+    steps = step_order(net)
+    for links in zip(*(walk_link_uses(net, assoc, [sub], steps) for sub in subnets)):  # Tx, Rx
+        assert sum(map(len, links)) == len(set().union(*links)), (net.params, assoc.D)
 
-    Returns whether the path was taken.
-    """
-    assoc = assign(net, D, scheme)
+
+def assert_proof_is_walk(net, assoc):
+    """Whatever path ``validate`` takes equals the walk on every column, report and ledger
+    field.  Returns whether a proof was taken."""
     subnets, report = validate(net, assoc)
     walk, walk_report = _and_walk(validate, net, assoc)
     assert walk.translates is None
@@ -472,9 +479,18 @@ def assert_lattice_matches_walk(net, D, scheme, reference=True):
     assert report == walk_report
     assert subnet_decompose(net, assoc)[1] == _and_walk(subnet_decompose, net, assoc)[1]
     assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk)
+    return subnets.translates is not None
+
+
+def assert_lattice_matches_walk(net, D, scheme, reference=True):
+    """The master-lattice path equals the walk on every column, report and ledger field.
+
+    Returns whether the path was taken.
+    """
+    proven = assert_proof_is_walk(net, assign(net, D, scheme))
     if reference:
         assert_matches_reference(net, D, scheme)
-    return subnets.translates is not None
+    return proven
 
 
 @cache
@@ -503,10 +519,7 @@ def test_ball_lattice_at_bench_scale(model, radius, D, scheme):
     net = (build_hex if model == HEX else build_sectored_hex)(radius, 2)
     assert assert_lattice_matches_walk(net, D, scheme) == scheme.cooperative
     assoc = assign(net, D, scheme)
-    subnets, _ = validate(net, assoc)
-    with mock.patch.object(loads, "_tally", wraps=loads._tally) as tally:
-        message_ledger(net, assoc, subnets)
-    assert tally.call_count == 1  # no link carries two subnets' messages
+    assert_links_carry_one_subnet(net, assoc, _and_walk(validate, net, assoc)[0])
 
 
 @cache
@@ -604,8 +617,7 @@ def test_ball_ledger_counts_every_subnet_when_links_may_be_shared():
                         *(_torus(SECTORED, tau, copies) for copies in range(1, 5))]:
                 assoc = assign(net, D, scheme)
                 walk, _ = _and_walk(validate, net, assoc)
-                for links in zip(*(walk_link_uses(net, assoc, [sub]) for sub in walk)):  # Tx, Rx
-                    assert sum(map(len, links)) == len(set().union(*links)), (net.params, D)
+                assert_links_carry_one_subnet(net, assoc, walk)
                 cells = [{net.tx_cell[k] for k in sub.members} for sub in walk]
                 shared_cells += sum(map(len, cells)) - len(set().union(*cells))
                 proven, _ = validate(net, assoc)
@@ -637,9 +649,15 @@ def _periodic_clash():
     return net, a
 
 
-def _dropped_master():
+def _dropped_master(cell=(4, 8)):
     net, a = _ball_case()
-    return net, replace(a, masters=tuple(m for m in a.masters if m != _cell(net, (4, 8))))
+    return net, replace(a, masters=tuple(m for m in a.masters if m != _cell(net, cell)))
+
+
+def _slow_separator():
+    net, a = _ball_case()
+    a.roles[_cell(net, (8, 8))] = Role.SLOW  # the silenced cell between (4, 8) and (8, 4)
+    return net, a
 
 
 def _extra_master(cell):
@@ -701,6 +719,10 @@ def _at(net, coord, kind=None):
     (_periodic_clash, True, lambda net: [
         (_at(net, (-12, -12)), f"fast-interference-from-{_at(net, (-11, -12))}")]),
     (_dropped_master, True, lambda net: []),
+    # the centre cell is the template: without its master the whole ball is walked
+    (lambda: _dropped_master((0, 0)), False, lambda net: []),
+    # joins two translates' subnets; a territory one step narrower (no separator) misses it
+    (_slow_separator, False, lambda net: [(_at(net, (8, 4)), "multi-master")]),
     (lambda: _extra_master((5, 8)), False, lambda net: [(_at(net, (5, 8)), "multi-master")]),
     # a rim master (its own territory leaves the ball) inside the translate at (4, 8)
     (lambda: _extra_master((4, 11)), False, lambda net: [(_at(net, (4, 11)), "multi-master")]),
@@ -714,8 +736,8 @@ def _at(net, coord, kind=None):
     (_cut_rx_link, False, lambda net: [(_at(net, (0, 2), "S"), "hop-budget-exceeded-3>2")]),
     (_long_ball_roles, False, lambda net: []),
 ], ids=["interior-role", "later-interior-role", "periodic-clash", "dropped-master",
-        "extra-master", "extra-rim-master", "replaced-tuple", "rim-edge-before", "rim-edge-after",
-        "cut-rx-link", "long-roles"])
+        "dropped-centre-master", "slow-separator", "extra-master", "extra-rim-master",
+        "replaced-tuple", "rim-edge-before", "rim-edge-after", "cut-rx-link", "long-roles"])
 def test_ball_lattice_falls_back_to_the_walk(make, proven, violations):
     net, assoc = make()
     assert net.has_rim
@@ -779,6 +801,39 @@ def test_torus_lattice_falls_back_to_the_walk(edit, proven):
     assert report == walk_report
     assert proven or not report.ok
     assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori(data):
+    """A builder's ball or torus with a cooperative association, at most one edit away
+    from ``assign``'s: whether or not a proof is taken, it is the walk."""
+    model = data.draw(st.sampled_from((HEX, SECTORED)), "model")
+    scheme = data.draw(st.sampled_from(  # the cooperative schemes the model runs
+        [s for s in Scheme if s.cooperative and valid_range(model, s, 2)]), "scheme")
+    D = data.draw(st.sampled_from(valid_range(model, scheme, 14 if model == HEX else 8)), "D")
+    L = data.draw(st.integers(1, 4), "L")
+    if data.draw(st.booleans(), "ball"):
+        net = (build_hex if model == HEX else build_sectored_hex)(
+            data.draw(st.integers(0, 20), "radius"), L)
+    else:
+        net = (build_hex_torus if model == HEX else build_sectored_hex_torus)(
+            scheme_tau(model, scheme, D), data.draw(st.integers(1, 4), "copies"), L)
+    assoc = assign(net, D, scheme)
+    edit = data.draw(st.sampled_from((None, "flip", "drop", "replace")), "edit")
+    if edit == "flip":
+        k = data.draw(st.sampled_from(net.tx_nodes), "node")
+        assoc.roles[k] = data.draw(st.sampled_from([r for r in Role if r is not assoc.roles[k]]),
+                                   "role")
+    elif edit == "drop":
+        m = data.draw(st.sampled_from(assoc.masters), "master")
+        assoc = replace(assoc, masters=tuple(x for x in assoc.masters if x != m))
+    elif edit == "replace":  # a copy of the network matches no mark, so it takes the walk
+        net = replace(net)
+        assoc = replace(assoc, net=net)
+    proven = assert_proof_is_walk(net, assoc)
+    assert not (proven and edit == "replace")
+    assert proven or net.has_rim or edit is not None  # every cooperative torus is proven
 
 
 MARKED = ("model", "tx_nodes", "rx_nodes", "interference", "tx_coop", "rx_coop", "tx_cell",

@@ -354,10 +354,11 @@ def step_order(net):
                       for da, db in sorted(NEIGHBOR_STEPS)]
 
 
-def walk_link_uses(net, assoc, subnets):
+def walk_link_uses(net, assoc, subnets, steps=None):
     """Per-path oracle: the messages of ``subnets`` per directed link (a, b), as two dicts
     (Tx, Rx).  Each slow member walks a shortest path to the master, taking at every hop
-    the first nearer linked cell in unit-step order (``step_order``).
+    the first nearer linked cell in unit-step order (``steps``, by default
+    ``step_order(net)``; a caller that asks subnet by subnet makes it once).
 
     A dict bumped once per message and hop, written independently of the
     edge-indexed counters of the library.
@@ -377,7 +378,7 @@ def walk_link_uses(net, assoc, subnets):
 
     tx_side = assoc.scheme.comp_side == "tx"
     coop, use = (net.tx_coop, tx_use) if tx_side else (net.rx_coop, rx_use)
-    steps = step_order(net)
+    steps = steps or step_order(net)
     for sub in subnets:
         if sub.master is None:
             continue
