@@ -2,7 +2,11 @@
 """Alternating benchmark pairs of two commits, summarised into one JSON file.
 
     python scripts/bench_pair.py BASE CHANGE --out BENCH_<n>.json \\
-        [--workload torus ...] [--pairs 10] [--seed 700] [--seconds 30] [--scratch DIR]
+        [--workload {torus,rim,query} ...] [--pairs 10] [--seed 700] [--seconds 30]
+        [--scratch DIR]
+
+Without ``--workload`` every workload runs: torus, rim and query, in that
+order; the option, given once or more, picks some of them.
 
 BASE and CHANGE are anything ``git archive`` takes (a commit, a branch, a
 tree id: ``git add -A && git write-tree`` names the staged work tree
@@ -33,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("torus", "rim", "query")
 
 
 def rev_parse(ref: str) -> str:
@@ -68,7 +73,9 @@ def run_once(where: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def spread(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """The median and quartiles of ``values``; all three are the value of a single run."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
     return {"median": median, "q1": q1, "q3": q3}
 
 
@@ -93,14 +100,15 @@ def main() -> int:
     ap.add_argument("base")
     ap.add_argument("change")
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--workload", action="append", choices=("torus", "rim", "query"))
+    ap.add_argument("--workload", action="append", choices=WORKLOADS,
+                    help="a workload to run (repeatable; default: all three)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=700)
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--scratch", type=Path)
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2, for quartiles")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
     scratch = args.scratch or Path(tempfile.mkdtemp(prefix="mgnet-bench-pair-"))
     sides = {}
     for side in ("base", "change"):
@@ -118,7 +126,7 @@ def main() -> int:
               "host": {"platform": platform.platform(), "python": platform.python_version(),
                        "cpus": os.cpu_count()},
               "workloads": {}}
-    for workload in args.workload or ["torus"]:
+    for workload in args.workload or WORKLOADS:
         runs = []
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")

@@ -49,6 +49,8 @@ REPEAT = ORACLE + "test_torus_link_loads_repeat_with_the_master_lattice"
 FALLBACK = ORACLE + "test_torus_lattice_falls_back_to_the_walk"
 BALL_FALLBACK = ORACLE + "test_ball_lattice_falls_back_to_the_walk"
 DRAWN = ORACLE + "test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori"
+SINGLETONS = ORACLE + "test_cooperation_free_proof_falls_back_to_the_walk"
+CELLS = "tests/test_topology.py::test_builder_cells_are_computed_like_the_tuple_of_their_rows"
 # the two layer rules of association._sector_silenced, with their sets filled in
 SECTOR_RULES = ('        return {{"{}"}}\n'
                 '    if abs(b) == tau and (a > 0) == (b > 0):\n'
@@ -168,6 +170,22 @@ MUTANTS = [
            "R = 1 + max(",
            "R = max(",
            (BALL_FALLBACK + "[slow-separator]", DRAWN)),
+    # two fast neighbours taken for two subnets
+    Mutant("singletons-hear-no-one", "src/mgnet/validation.py",
+           "or not set(members).isdisjoint(heard)):",
+           "):",
+           (SINGLETONS + "[hex-ball-silent-turned-fast]",
+            SINGLETONS + "[sectorized-torus-silent-turned-fast]")),
+    Mutant("singletons-take-slow-nodes", "src/mgnet/validation.py",
+           "or not all(map(is_, map(roles.__getitem__, members), fast))",
+           "or False",
+           (SINGLETONS + "[hex-ball-active-turned-slow]",
+            SINGLETONS + "[sectorized-torus-active-turned-slow]")),
+    # the first cell of each row read as one past the end of the row before
+    Mutant("row-cells-row-start-off-by-one", "src/mgnet/topology.py",
+           "r = bisect_right(self.starts, i) - 1",
+           "r = bisect_right(self.starts, i - 1) - 1",
+           (CELLS + "[hex-balls]", CELLS + "[sectorized-tori]")),
 ]
 
 

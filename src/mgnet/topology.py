@@ -31,8 +31,9 @@ while a torus's wrapped neighbours keep their step's place.  Equal
 relations share one object (``tx_coop is interference`` in every model).
 Hex and sectorized adjacency is a stored tuple.  A line's is computed, not
 stored: cell k hears k - 1 and k + 1, so ``_LineAdjacency`` returns that
-pair (clipped to 1..K) on access, and equals, hashes, indexes and slices
-like the tuple of tuples it stands for, which is never built.
+pair (clipped to 1..K) on access.  A ball's or torus's ``cell_coords`` are
+computed from its rows (``_RowCells``).  Both equal, hash, index and slice
+like the tuple they stand for, which is never built (``_Computed``).
 
 Every builder marks the ``Network`` it returns (``_marked``): ``as_built``
 and ``builder_rows`` tell in O(1) whether a network is still exactly a
@@ -57,14 +58,14 @@ oracles).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
-from operator import attrgetter, index, is_, is_not
+from itertools import accumulate, chain, repeat
+from operator import attrgetter, index, is_, is_not, sub
 
-from .lattice import (Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows,
-                      row_cells)
+from .lattice import Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows
 
 WYNER = "WynerLinear"
 HEX = "Hexagonal"
@@ -194,58 +195,103 @@ def _need_at_least(**sizes: tuple[int, int]) -> None:
             raise ValueError(f"{name}={value}: need {name} >= {least}")
 
 
-class _LineAdjacency(Sequence):
-    """The adjacency ``((), (2,), (1, 3), ..., (K - 1,))`` of cells 1..K on a line, computed
-    on access: immutable, and equal to that tuple in ``len``, items, slices, ``==`` and hash."""
+class _Computed(Sequence):
+    """A tuple computed on access (item i is ``_item(i)``) from the one argument in its first
+    slot: immutable, and equal to that tuple in items, slices, ``==``, hash and pickling."""
 
-    __slots__ = ("K",)
-
-    def __init__(self, K: int) -> None:
-        object.__setattr__(self, "K", K)
+    __slots__ = ()
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 
-    def __len__(self) -> int:
-        return self.K + 1
+    def __getitem__(self, i):
+        try:
+            i = range(len(self))[i]  # an index in range, or a range for a slice
+        except IndexError:
+            raise IndexError("tuple index out of range") from None
+        return tuple(map(self._item, i)) if i.__class__ is range else self._item(i)
 
-    def __getitem__(self, k):
-        K = self.K
-        if k.__class__ is not int:
-            if isinstance(k, slice):
-                return tuple(map(self.__getitem__, range(K + 1)[k]))
-            k = index(k)
-        if 1 < k < K:
-            return (k - 1, k + 1)
-        if k < 0:
-            k += K + 1
-        if not 0 <= k <= K:
-            raise IndexError("tuple index out of range")
-        return tuple(j for j in (k - 1, k + 1) if 0 < j <= K) if k else ()
-
-    def __iter__(self):
-        K = self.K
-        if K == 1:
-            return iter(((), ()))
-        return chain(((), (2,)), zip(range(1, K - 1), range(3, K + 1)), ((K - 1,),))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _LineAdjacency):
-            return self.K == other.K
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
+    def __eq__(self, other) -> bool:  # a tuple's == with a _Computed defers to this one
+        return tuple(self) == other if isinstance(other, (tuple, _Computed)) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(tuple(self))
 
     def __reduce__(self):
-        return _LineAdjacency, (self.K,)
+        return type(self), (getattr(self, self.__slots__[0]),)
 
     def __repr__(self) -> str:
-        return f"_LineAdjacency({self.K})"
+        return f"{type(self).__name__}({getattr(self, self.__slots__[0])!r})"
+
+
+class _LineAdjacency(_Computed):
+    """The adjacency ``((), (2,), (1, 3), ..., (K - 1,))`` of cells 1..K on a line."""
+
+    __slots__ = ("K",)
+
+    def __init__(self, K: int) -> None:
+        object.__setattr__(self, "K", K)
+
+    def __len__(self) -> int:
+        return self.K + 1
+
+    def __getitem__(self, k):
+        if k.__class__ is int and 1 < k < self.K:
+            return (k - 1, k + 1)
+        return super().__getitem__(k)
+
+    def _item(self, k: int) -> tuple[int, ...]:
+        return tuple(j for j in (k - 1, k + 1) if 0 < j <= self.K) if k else ()
+
+    def __iter__(self):  # cells 2..K - 1 zipped, 1 and K (if K > 1) clipped by _item
+        K = self.K
+        return chain(((), self._item(1)), zip(range(1, K - 1), range(3, K + 1)),
+                     map(self._item, range(max(K, 2), K + 1)))
+
+
+class _RowCells(_Computed):
+    """The cells ``lattice.row_cells(rows)`` of a ball's or torus's rows: cell i is (a, lo + i
+    - start) of the last row (a, lo, hi) whose first id ``start`` is at most i."""
+
+    __slots__ = ("rows", "starts")
+
+    def __init__(self, rows: tuple[Row, ...]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "starts", [0, *accumulate(hi - lo + 1 for _, lo, hi in rows)])
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, i):
+        if i.__class__ is int and 0 <= i < self.starts[-1]:
+            r = bisect_right(self.starts, i) - 1
+            return (self.rows[r][0], self.rows[r][1] + i - self.starts[r])
+        return super().__getitem__(i)
+
+    _item = __getitem__
+
+    def __iter__(self):
+        return chain.from_iterable(zip(repeat(a), range(lo, hi + 1)) for a, lo, hi in self.rows)
+
+    def index(self, cell, start: int = 0, stop: int | None = None) -> int:
+        """By row arithmetic for a tuple of two ints, as ``Sequence.index`` otherwise."""
+        try:
+            a, b = map(index, cell) if isinstance(cell, tuple) else ()
+        except (TypeError, ValueError):
+            return super().index(cell, start, stop)
+        rows, r = self.rows, a - self.rows[0][0]
+        if 0 <= r < len(rows) and rows[r][1] <= b <= rows[r][2]:
+            if (i := self.starts[r] + b - rows[r][1]) in range(len(self))[start:stop]:
+                return i
+        raise ValueError("tuple.index(x): x not in tuple")
+
+    def __contains__(self, cell) -> bool:
+        try:
+            return self.index(cell) >= 0
+        except ValueError:
+            return False
 
 
 def build_wyner(K: int, L: int) -> Network:
@@ -271,29 +317,12 @@ def build_wyner(K: int, L: int) -> Network:
 _NO_LO, _NO_HI = 1 << 62, -(1 << 62)
 
 
-def _pads(rows: list[Row]) -> tuple[list[int], list[int], list[int]]:
-    """(los, his, bases) of ``rows`` at index 1..len(rows), between two pad rows.
-
-    ``rows`` lists (a, lo, hi) in id order with consecutive a, so cell
-    (a, b) of row index r has id ``bases[r] + b``; no b lies in a pad row.
-    """
-    los, his, bases = [_NO_LO], [_NO_HI], [0]
-    n = 0
-    for _, lo, hi in rows:
-        los.append(lo)
-        his.append(hi)
-        bases.append(n - lo)
-        n += hi - lo + 1
-    los.append(_NO_LO)
-    his.append(_NO_HI)
-    bases.append(0)
-    return los, his, bases
-
-
-def _inner_run(los: list[int], his: list[int], r: int) -> tuple[int, int]:
-    """(bl, bh): row r's cells bl..bh are those whose six neighbours all lie in the domain."""
-    return (max(los[r] + 1, los[r - 1] + 1, los[r + 1]),
-            min(his[r] - 1, his[r - 1], his[r + 1] - 1))
+def _pads(rows: list[Row], starts: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(los, his, bases) of ``rows`` (first ids ``starts``) at 1..len(rows), between pad rows:
+    ``rows`` lists (a, lo, hi) in id order with consecutive a, so cell (a, b) of row index r
+    has id ``bases[r] + b``; no b lies in a pad row."""
+    _, los, his = zip(*rows)
+    return [_NO_LO, *los, _NO_LO], [_NO_HI, *his, _NO_HI], [0, *map(sub, starts, los), 0]
 
 
 def _adjacency(rows: list[Row], pads: tuple, kinds: tuple[tuple[tuple[int, int, int], ...], ...],
@@ -344,8 +373,9 @@ def _adjacency(rows: list[Row], pads: tuple, kinds: tuple[tuple[tuple[int, int, 
         first, stop = nk * (bases[r] + lo), nk * (bases[r] + hi + 1)
         for k in range(nk):
             adj[first + k:stop:nk] = run(k, p, s, n)
-        if mt is None:  # the nodes of the cells outside the row's inner run
-            bl, bh = _inner_run(los, his, r)
+        if mt is None:  # the nodes outside bl..bh, the cells whose six neighbours are in the ball
+            bl = max(los[r] + 1, los[r - 1] + 1, los[r + 1])
+            bh = min(his[r] - 1, his[r - 1], his[r + 1] - 1)
             ends += range(first, nk * (bases[r] + min(bl, hi + 1)))
             ends += range(nk * (bases[r] + max(bh + 1, bl)), stop)
     for x, nbrs in zip(ends, map(fix, map(adj.__getitem__, ends))):
@@ -359,12 +389,12 @@ def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], 
     of ``rows``, a ball's or (if ``mt``) a torus's: node ``len(kinds) * i + j`` is kind j of
     cell i.  With one kind a node is its own cell, and the cell-to-cell cooperation is the
     interference."""
-    cells = tuple(row_cells(rows))
+    cells = _RowCells(tuple(rows))
     nk = len(kinds)
     ids = range(len(cells))
     rx_nodes = tuple(ids)
     tx_nodes = rx_nodes if nk == 1 else tuple(range(nk * len(cells)))
-    pads = _pads(rows)
+    pads = _pads(rows, cells.starts)
     interference, grid = _adjacency(rows, pads, kinds, tx_nodes, mt)
     rx_coop = interference if nk == 1 else _adjacency(rows, pads, _HEX_STEPS, rx_nodes, mt)[0]
     q_tx = sum(map(len, interference))
@@ -374,7 +404,7 @@ def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], 
         q_tx=q_tx, q_rx=q_tx if nk == 1 else sum(map(len, rx_coop)), params=params,
         cell_coords=cells, geometry=geometry,
         tx_cell=ids if nk == 1 else tuple(chain.from_iterable(zip(*[rx_nodes] * nk))),
-    ), rows, (pads, mt and grid))
+    ), cells.rows, (pads, mt and grid))
 
 
 def _ball(model: str, kinds, radius: int, L: int) -> Network:

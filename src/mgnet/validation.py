@@ -41,6 +41,8 @@ is checked before most of the walk is spared:
   lattice's two generators (one compare per parallelogram row,
   ``lattice``), and the translates must hold every active node; their
   members are read off the torus's ids around the parallelogram domain.
+* A ball or torus without masters or cooperation, whose active nodes are all
+  fast and hear none of each other: each is a subnet, a translate of the first.
 
 Any failed check takes the whole walk, so the violations and their order
 are always the walk's.  ``validate``, the one check of an association, puts
@@ -57,8 +59,8 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain, repeat
-from operator import add, itemgetter, sub
+from itertools import accumulate, chain, compress, repeat
+from operator import add, is_, is_not, itemgetter, sub
 
 from .association import Association, Role, Scheme, valid_d
 from .lattice import ball_rows, hex_distance, is_master
@@ -197,8 +199,9 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     """
     _require_same_net(net, assoc)
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
-    if builder_rows(net) is not None:
-        solved = _lattice_subnets(net, assoc, report)
+    if builder_rows(net) is not None and len(assoc.roles) == len(net.tx_nodes):
+        solved = (_lattice_subnets if assoc.masters or assoc.scheme.cooperative
+                  else _singleton_subnets)(net, assoc, report)
     elif (K := as_built(net)) is not None:
         solved = _periodic_subnets(net, assoc, K, report)
     else:
@@ -311,7 +314,7 @@ def _lattice_subnets(net: Network, assoc: Association,
     on a ball, the rim (see the module docstring), for a hexagonal association with
     masters or a sectorized CoMP-Rx one; otherwise None."""
     roles, scheme = assoc.roles, assoc.scheme
-    if not (assoc.masters and scheme.cooperative and len(roles) == len(net.tx_nodes)
+    if not (assoc.masters and scheme.cooperative
             and (net.model == HEX or scheme.comp_side == "rx")):
         return None
     n = len(net.rx_nodes)
@@ -335,6 +338,20 @@ def _lattice_subnets(net: Network, assoc: Association,
                    array("q", accumulate(map(len, mems), initial=0)), list(masters), hop,
                    (kind.index(2), kind.count(1) + 1,
                     tuple(i for i, x in enumerate(kind) if not x))), report
+
+
+def _singleton_subnets(net: Network, assoc: Association,
+                       report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
+    """The walk's ``Subnets`` and report, from C-level passes, on a builder's ball or torus
+    without masters whose active nodes are fast and hear none: each is a subnet; else None."""
+    roles, fast = assoc.roles, repeat(Role.FAST)
+    members = list(compress(net.tx_nodes, map(is_not, roles, repeat(Role.SILENT))))
+    heard = chain.from_iterable(map(net.interference.__getitem__, members))
+    if (not (n := len(members)) or not all(map(is_, map(roles.__getitem__, members), fast))
+            or not set(members).isdisjoint(heard)):
+        return None
+    return Subnets(assoc, members, range(n + 1), [None] * n, [None] * len(roles),
+                   (0, n, ())), report
 
 
 def _torus_translates(net: Network, assoc: Association, t: int, tm: list[int], ms: list[int],
@@ -416,9 +433,9 @@ def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms
     # the masters whose territory lies in the ball, in runs of one spacing along a row
     runs: list[tuple[int, list[int]]] = []
     for m in ms:  # in id order, so row by row
-        if hex_distance(coord[m], (0, 0)) + R > radius:
-            continue  # a rim master
         a, b = coord[m]
+        if hex_distance((a, b), (0, 0)) + R > radius:
+            continue  # a rim master
         bs = runs[-1][1] if runs and runs[-1][0] == a else None
         if bs is not None and (len(bs) == 1 or b - bs[-1] == bs[1] - bs[0]):
             bs.append(b)

@@ -508,7 +508,7 @@ def test_ball_lattice_matches_walk_and_reference(model, radii, hi_d):
                 # the reference is slow: every radius near the least with a translate, then some
                 proven += assert_lattice_matches_walk(_ball(model, radius), D, scheme,
                                                       reference=radius < 10 or radius % 4 == 0)
-    assert proven >= (246 if model == HEX else 124)
+    assert proven >= (621 if model == HEX else 295)  # every no-coop ball among them
 
 
 @pytest.mark.parametrize("model, radius, D, scheme", [
@@ -517,7 +517,7 @@ def test_ball_lattice_matches_walk_and_reference(model, radii, hi_d):
 ], ids=lambda v: getattr(v, "value", v))
 def test_ball_lattice_at_bench_scale(model, radius, D, scheme):
     net = (build_hex if model == HEX else build_sectored_hex)(radius, 2)
-    assert assert_lattice_matches_walk(net, D, scheme) == scheme.cooperative
+    assert assert_lattice_matches_walk(net, D, scheme)
     assoc = assign(net, D, scheme)
     assert_links_carry_one_subnet(net, assoc, _and_walk(validate, net, assoc)[0])
 
@@ -541,12 +541,12 @@ def test_torus_lattice_matches_walk(model):
     cases = 0
     for scheme, D, tau, copies in _torus_cases(model):
         net = _torus(model, tau, copies)
-        # every cooperative torus is one orbit of its template: all its subnets are translates
-        assert assert_lattice_matches_walk(net, D, scheme, reference=tau * copies <= 4) == \
-            scheme.cooperative
-        if scheme.cooperative:
-            _, n, rim = validate(net, assign(net, D, scheme))[0].translates
-            assert (n, rim) == (copies * copies, ())
+        # every torus is one orbit of its template: all its subnets are translates
+        assert assert_lattice_matches_walk(net, D, scheme, reference=tau * copies <= 4)
+        subnets = validate(net, assign(net, D, scheme))[0]
+        _, n, rim = subnets.translates
+        # without cooperation each active node is a subnet
+        assert (n, rim) == (copies * copies if scheme.cooperative else len(subnets.members), ())
         cases += 1
     assert cases == (90 if model == HEX else 54)
 
@@ -803,14 +803,61 @@ def test_torus_lattice_falls_back_to_the_walk(edit, proven):
     assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk)
 
 
+def _no_coop_case(make, size):
+    net = make(*size, 1)
+    return net, assign(net, 0, Scheme.NO_COOP)
+
+
+def _silent_turned_fast(net, assoc):
+    roles = assoc.roles
+    k = next(k for k in net.tx_nodes[len(roles) // 2:]  # the first past the middle
+             if roles[k] is Role.SILENT and any(roles[j] is Role.FAST for j in net.interference[k]))
+    roles[k] = Role.FAST
+    return net, assoc
+
+
+def _active_turned_slow(net, assoc):
+    assoc.roles[assoc.roles.index(Role.FAST, len(assoc.roles) // 2)] = Role.SLOW
+    return net, assoc
+
+
+def _replaced_network(net, assoc):
+    net = replace(net)
+    return net, replace(assoc, net=net)
+
+
+@pytest.mark.parametrize("edit, ok", [(_silent_turned_fast, False), (_active_turned_slow, True),
+                                      (_replaced_network, True)],
+                         ids=["silent-turned-fast", "active-turned-slow", "replaced"])
+@pytest.mark.parametrize("make, size", [
+    (build_hex, (9,)), (build_sectored_hex, (7,)), (build_hex_torus, (2, 3)),
+    (build_sectored_hex_torus, (1, 4)),
+], ids=["hex-ball", "sectorized-ball", "hex-torus", "sectorized-torus"])
+def test_cooperation_free_proof_falls_back_to_the_walk(make, size, edit, ok):
+    """Without masters and cooperation a builder's ball or torus is proven without the walk,
+    unless an active node is not fast or hears another, or the network is a copy."""
+    net, assoc = _no_coop_case(make, size)
+    subnets, _ = validate(net, assoc)
+    assert subnets.translates == (0, len(subnets.members), ())
+    net, assoc = edit(net, assoc)
+    subnets, report = validate(net, assoc)
+    assert subnets.translates is None and report.ok == ok
+    assert_proof_is_walk(net, assoc)
+    ref_subnets, ref_report = ref_subnet_decompose(net, assoc)
+    assert subnet_decompose(net, assoc)[1] == ref_report
+    assert [(s.members, s.master, s.gamma) for s in subnets] == \
+        [(s.members, s.master, s.gamma) for s in ref_subnets]
+    assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori(data):
-    """A builder's ball or torus with a cooperative association, at most one edit away
+    """A builder's ball or torus with an association of any scheme, at most one edit away
     from ``assign``'s: whether or not a proof is taken, it is the walk."""
     model = data.draw(st.sampled_from((HEX, SECTORED)), "model")
-    scheme = data.draw(st.sampled_from(  # the cooperative schemes the model runs
-        [s for s in Scheme if s.cooperative and valid_range(model, s, 2)]), "scheme")
+    scheme = data.draw(st.sampled_from(  # the schemes the model runs
+        [s for s in Scheme if valid_range(model, s, 2)]), "scheme")
     D = data.draw(st.sampled_from(valid_range(model, scheme, 14 if model == HEX else 8)), "D")
     L = data.draw(st.integers(1, 4), "L")
     if data.draw(st.booleans(), "ball"):
@@ -818,22 +865,26 @@ def test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori(data):
             data.draw(st.integers(0, 20), "radius"), L)
     else:
         net = (build_hex_torus if model == HEX else build_sectored_hex_torus)(
-            scheme_tau(model, scheme, D), data.draw(st.integers(1, 4), "copies"), L)
+            max(1, scheme_tau(model, scheme, D)), data.draw(st.integers(1, 4), "copies"), L)
     assoc = assign(net, D, scheme)
     edit = data.draw(st.sampled_from((None, "flip", "drop", "replace")), "edit")
     if edit == "flip":
         k = data.draw(st.sampled_from(net.tx_nodes), "node")
         assoc.roles[k] = data.draw(st.sampled_from([r for r in Role if r is not assoc.roles[k]]),
                                    "role")
-    elif edit == "drop":
+    elif edit == "drop" and assoc.masters:
         m = data.draw(st.sampled_from(assoc.masters), "master")
         assoc = replace(assoc, masters=tuple(x for x in assoc.masters if x != m))
+    elif edit == "drop":  # no master to drop: one is added, so no cooperation-free proof
+        assoc = replace(assoc, masters=(data.draw(st.sampled_from(net.rx_nodes), "master"),))
     elif edit == "replace":  # a copy of the network matches no mark, so it takes the walk
         net = replace(net)
         assoc = replace(assoc, net=net)
     proven = assert_proof_is_walk(net, assoc)
     assert not (proven and edit == "replace")
-    assert proven or net.has_rim or edit is not None  # every cooperative torus is proven
+    # every torus is proven, and every ball without cooperation
+    assert proven or edit is not None or net.has_rim and scheme.cooperative
+    assert not (proven and edit == "drop" and not scheme.cooperative)
 
 
 MARKED = ("model", "tx_nodes", "rx_nodes", "interference", "tx_coop", "rx_coop", "tx_cell",

@@ -16,8 +16,9 @@ from hypothesis import given
 from mgnet import (HEX, SECTORED, WYNER, build_hex, build_hex_torus, build_sectored_hex,
                    build_sectored_hex_torus, build_wyner, hex_distance)
 from mgnet.association import Scheme, assign, check_params, scheme_tau
-from mgnet.lattice import NEIGHBOR_STEPS, TorusGeometry, ball
-from mgnet.topology import SECTOR_KINDS, SECTOR_RULE, _LineAdjacency, as_built
+from mgnet.lattice import NEIGHBOR_STEPS, TorusGeometry, ball, row_cells
+from mgnet.topology import (SECTOR_KINDS, SECTOR_RULE, _LineAdjacency, _RowCells, as_built,
+                            builder_rows)
 
 
 def brute_hexdist(c1, c2):
@@ -497,3 +498,55 @@ def test_line_adjacency_takes_index_items_and_compares_by_k(K):
     assert adj == _LineAdjacency(K) and not adj != _LineAdjacency(K)
     assert adj != _LineAdjacency(K + 1) and not adj == _LineAdjacency(K + 1)
     assert repr(adj) == f"_LineAdjacency({K})"
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (build_hex, [(r,) for r in range(13)]),
+    (build_sectored_hex, [(r,) for r in range(13)]),
+    (build_hex_torus, [(tau, M) for tau in (1, 2) for M in range(1, 5)]),
+    (build_sectored_hex_torus, [(tau, M) for tau in (1, 2) for M in range(1, 5)]),
+], ids=["hex-balls", "sectorized-balls", "hex-tori", "sectorized-tori"])
+def test_builder_cells_are_computed_like_the_tuple_of_their_rows(make, sizes):
+    for size in sizes:
+        net = make(*size, 1)
+        cells, ref = net.cell_coords, tuple(row_cells(builder_rows(net)))
+        assert isinstance(cells, _RowCells) and len(cells) == len(ref) == net.n_rx
+        assert all(cells[i] == ref[i] for i in range(-len(ref), len(ref)))
+        assert list(cells) == list(ref) and list(reversed(cells)) == list(reversed(ref))
+        n = len(ref)
+        for s in (slice(None), slice(1, None), slice(None, None, -1), slice(-3, None),
+                  slice(2, -2, 3), slice(5, 1, -2), slice(n - 1, n + 5), slice(-n - 9, 2)):
+            assert cells[s] == ref[s]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError, match="^tuple index out of range$"):
+                cells[bad]
+        assert cells[False] == ref[False] and cells[-True] == ref[-True]
+        assert all(cells.index(c) == i and c in cells for i, c in enumerate(ref))
+        a0, lo, hi = ref[0][0], min(b for _, b in ref), max(b for _, b in ref)
+        outside = [(a, b) for a in range(a0 - 2, ref[-1][0] + 3) for b in range(lo - 2, hi + 3)
+                   if (a, b) not in ref]
+        for c in [*outside, (0.5, 0), (1.0, 1.0), (0, 0, 0), [0, 0], "ab", 7, None]:
+            assert (c in cells) == (c in ref), c
+            assert cells.count(c) == ref.count(c)
+            if c in ref:
+                assert cells.index(c) == ref.index(c)
+            else:
+                with pytest.raises(ValueError):
+                    cells.index(c)
+        last = ref[-1]
+        assert cells.index(last, n - 1) == n - 1 and cells.index(last, -1) == n - 1
+        with pytest.raises(ValueError):
+            cells.index(last, 0, n - 1)
+        assert cells == ref and ref == cells and not cells != ref and not ref != cells
+        assert cells != ref[:-1] and ref[:-1] != cells and cells != list(ref)
+        assert cells == _RowCells(tuple(builder_rows(net))) and hash(cells) == hash(ref)
+        twin = pickle.loads(pickle.dumps(cells))
+        assert type(twin) is _RowCells and twin == ref and twin.rows == cells.rows
+        for name in ("rows", "starts", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(cells, name, ())
+        with pytest.raises(AttributeError):
+            del cells.rows
+        with pytest.raises(TypeError):
+            cells[0] = (0, 0)
+        assert cells == ref
