@@ -147,29 +147,29 @@ MUTANTS = [
            "if len(ms) != M * M or not all(",
            "if not all(",
            (FALLBACK + "[dropped-master]",)),
-    Mutant("ball-first-territory-unchecked", "src/mgnet/validation.py",
-           "if (key[nk * x:nk * y] != tk\n",
-           "if (False\n",
-           (BALL_FALLBACK + "[interior-role]", DRAWN)),
-    Mutant("ball-run-period-unchecked", "src/mgnet/validation.py",
-           "or w and key[nk * (x + s):nk * (y + w)] != key[nk * x:nk * (y + w - s)]):",
-           "or False):",
-           (BALL_FALLBACK + "[later-interior-role]", BALL_FALLBACK + "[extra-rim-master]", DRAWN)),
+    Mutant("ball-row-repeat-2tau-unchecked", "src/mgnet/validation.py",
+           "for s in (2 * tau, -tau):",
+           "for s in (-tau,):",
+           (BALL_FALLBACK + "[roles-along-the-other]",)),
+    Mutant("ball-row-repeat-minus-tau-unchecked", "src/mgnet/validation.py",
+           "for s in (2 * tau, -tau):",
+           "for s in (2 * tau,):",
+           (BALL_FALLBACK + "[roles-along-one-generator]",)),
+    # a row pair without common cells read as a slice to the end: small balls lose proofs
+    Mutant("ball-row-pair-unclamped", "src/mgnet/validation.py",
+           "y = max(x, nk * (bases[r] + min(his[r], his[r + tau] - s) + 1))",
+           "y = nk * (bases[r] + min(his[r], his[r + tau] - s) + 1)",
+           (ORACLE + "test_ball_lattice_matches_walk_and_reference[hex]",)),
     Mutant("ball-master-flags-dropped", "src/mgnet/validation.py",
            "key[nk * m] = (key[nk * m],)",
            "pass",
            (BALL_FALLBACK + "[extra-rim-master]",)),
-    # a territory one row past the rim reads the next row's ids: proofs are lost, not wrong
-    Mutant("ball-radius-test-loose", "src/mgnet/validation.py",
-           "+ R > radius:",
-           "+ R > radius + 1:",
-           (PROOF + "[sectorized-ball-deepcopy]",
-            ORACLE + "test_ball_lattice_at_bench_scale[SectorizedHexagonal-40-4-BothCompRx]")),
-    # a territory without its separator ring misses an edit there
-    Mutant("ball-territory-narrower", "src/mgnet/validation.py",
-           "R = 1 + max(",
-           "R = max(",
-           (BALL_FALLBACK + "[slow-separator]", DRAWN)),
+    # a translate one step past the reach leaves the ball and reads other rows' ids
+    Mutant("ball-reach-wider", "src/mgnet/validation.py",
+           "reach, thop, pieces = radius - R,",
+           "reach, thop, pieces = radius - R + 1,",
+           (BALL_FALLBACK + "[periodic-clash]",
+            ORACLE + "test_ball_lattice_matches_walk_and_reference[sectorized]")),
     # two fast neighbours taken for two subnets
     Mutant("singletons-hear-no-one", "src/mgnet/validation.py",
            "or not set(members).isdisjoint(heard)):",

@@ -31,11 +31,10 @@ is checked before most of the walk is spared:
   repeat run 0's hops, and the shorter tail run has no master.
 * A ball: the component of its centre cell (0, 0), the template, is
   walked and must hold that cell alone as its master (every ``assign``
-  makes it one).  Every master m whose territory (the hex ball of radius R
-  one step wider than the template) lies in the ball, ``hex_distance(m,
-  (0, 0)) + R <= radius``, must match the template's roles and master
-  flags there, row segment by row segment; its subnet is then the template
-  moved by one id shift per row.  The walk covers the rest, the rim.
+  makes it one).  The roles and master flags must repeat with the master
+  lattice's (tau, 2 tau) and (tau, -tau) (two compares per row pair); each
+  lattice point within radius - R of the centre, R the template's extent,
+  holds the template moved by one id shift per row.  The walk covers the rim.
 * A torus: every subnet is a translate of the template.  The masters must
   be the master lattice through its master, the roles must repeat with the
   lattice's two generators (one compare per parallelogram row,
@@ -55,15 +54,14 @@ its verdicts off its ``(node, code)`` violations.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain, compress, repeat
-from operator import add, is_, is_not, itemgetter, sub
+from itertools import accumulate, chain, compress, groupby, repeat
+from operator import add, is_, is_not, itemgetter
 
-from .association import Association, Role, Scheme, valid_d
-from .lattice import ball_rows, hex_distance, is_master
+from .association import Association, Role, Scheme, scheme_tau, valid_d
+from .lattice import is_master
 from .topology import HEX, WYNER, Network, as_built, builder_rows
 
 
@@ -86,7 +84,7 @@ class Subnets(Sequence):
     ``translates`` is None after the general walk, and (template, copies,
     rim) after a proof (see the module docstring): component ``template``
     and ``copies - 1`` others (a line's whole runs, the subnets of a ball
-    whose territory lies in the ball, every subnet of a torus) are
+    at the master-lattice points in its reach, every subnet of a torus) are
     translates of one another, and those listed in ``rim`` are the others.
     The template and the rim are all that ``validate`` and
     ``message_ledger`` read.  Indexing builds a ``Subnet`` view, whose
@@ -405,63 +403,49 @@ def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms
                      owner: list[int | None], hop: list[int | None],
                      report: ValidationReport) -> list | None:
     """The (lowest member, 0 on the rim, 1, or 2 for the template t, members, master) of
-    every component of a builder's ball: a subnet whose territory lies in the ball is
-    ``tm`` moved, and the walk finds the rim; None if a territory's roles differ."""
-    roles, radius, ((_, his, bases), _) = assoc.roles, net.params["radius"], net._mark[3]
-    a0 = -radius - 1  # row a is at index a - a0 of his and bases: (a, b) has id bases[a - a0] + b
-    coord, nk = net.cell_coords, len(net.tx_nodes) // len(net.rx_nodes)
-    extents, i = [], 0  # (da, members, first db, last db) of each template row, from its ids
-    for r in range(coord[tm[0] // nk][0] - a0, coord[tm[-1] // nk][0] - a0 + 1):
-        j = bisect_left(tm, nk * (bases[r] + his[r] + 1), i)
-        extents.append((r + a0, j - i, tm[i] // nk - bases[r], tm[j - 1] // nk - bases[r]))
-        i = j
-    R = 1 + max(max(abs(da), abs(lo), abs(hi), abs(da - lo), abs(da - hi))
-                for da, _, lo, hi in extents)
-    if R > radius:  # the template's own territory leaves the ball
-        return None
-    _, tlos, this = zip(*ball_rows(R))  # the territory: rows (da, lo, hi) around a master
+    every component of a builder's ball: ``tm`` moved by each master-lattice vector m with
+    |m| <= radius - R (|.| the hex norm, R the largest |x| of a member), and the rim, which
+    the walk finds; None unless the roles and master flags repeat with (tau, 2 tau) and
+    (tau, -tau) wherever both cells lie in the ball.
 
+    These and (2 tau, tau), their sum, are the lattice's shortest vectors; for radius >=
+    2 tau a cell between the ends of a (2 tau, tau) step lies in the ball, so it repeats
+    too (a smaller ball has no translate but the template).  m is a sum of two adjacent
+    shortest vectors, counted nonnegatively, and each step adds at least tau to the norm
+    of the partial sum: from a member x the path x -> x + m through them stays in the
+    ball, and from a cell y of the separator ring (|y| = R + 1) every point but the last
+    lies within R + 1 + |m| - tau <= radius.  So each translate has the template's roles
+    and a ring that is silent or outside the ball: it is a component with one master.
+    """
+    roles, radius, ((los, his, bases), _) = assoc.roles, net.params["radius"], net._mark[3]
+    a0 = -radius - 1  # row a is at index a - a0 of los, his, bases: (a, b) has id bases[a - a0] + b
+    tau, nk = scheme_tau(net.model, assoc.scheme, assoc.D), len(net.tx_nodes) // len(net.rx_nodes)
     key = list(roles)  # the roles, with each master's first node wrapped as (role,)
     for m in ms:
         key[nk * m] = (key[nk * m],)
-    tbases = bases[-a0 - R:R - a0 + 1]
-    # the id range [x, y) of the cells in each row of the template's territory
-    tsegs = [(x + lo, x + hi + 1) for x, lo, hi in zip(tbases, tlos, this)]
-    tkeys = [key[nk * x:nk * y] for x, y in tsegs]
-    thop = [hop[k] for k in tm]
-
-    # the masters whose territory lies in the ball, in runs of one spacing along a row
-    runs: list[tuple[int, list[int]]] = []
-    for m in ms:  # in id order, so row by row
-        a, b = coord[m]
-        if hex_distance((a, b), (0, 0)) + R > radius:
-            continue  # a rim master
-        bs = runs[-1][1] if runs and runs[-1][0] == a else None
-        if bs is not None and (len(bs) == 1 or b - bs[-1] == bs[1] - bs[0]):
-            bs.append(b)
-        else:
-            runs.append((a, [b]))
-    pieces = []
-    for a, bs in runs:
-        s, w = (bs[1] - bs[0] if len(bs) > 1 else 0), bs[-1] - bs[0]
-        r = a - a0  # the cell id shift per territory row, from the template to master (a, bs[0])
-        d = list(map(add, map(sub, bases[r - R:r + R + 1], tbases), repeat(bs[0])))
-        # the first territory is the template's, and the run's rows repeat with s
-        for (x, y), tk, e in zip(tsegs, tkeys, d):
-            x, y = x + e, y + e
-            if (key[nk * x:nk * y] != tk
-                    or w and key[nk * (x + s):nk * (y + w)] != key[nk * x:nk * (y + w - s)]):
+    for r in range(1, len(bases) - 1 - tau):  # rows a and a + tau
+        for s in (2 * tau, -tau):  # [x, y): the nodes of each (a, b) with (a + tau, b + s), if any
+            x = nk * (bases[r] + max(los[r], los[r + tau] - s))
+            y = max(x, nk * (bases[r] + min(his[r], his[r + tau] - s) + 1))
+            d = nk * (bases[r + tau] + s - bases[r])
+            if key[x:y] != key[x + d:y + d]:
                 return None
-        # the run's first translate: each template member moved by its row's shift
-        mem = list(map(add, tm, chain.from_iterable(repeat(nk * d[da + R], c)
-                                                    for da, c, _, _ in extents)))
-        for i in range(len(bs)):
-            if i:  # the next master of the run, s further along the row
-                mem = list(map(add, mem, repeat(nk * s)))
+
+    cells = [net.cell_coords[k // nk] for k in tm]
+    R = max(max(abs(a), abs(b), abs(a - b)) for a, b in cells)  # the members' extent
+    rows = [(a - a0, len(list(g))) for a, g in groupby(cells, itemgetter(0))]  # (index, members)
+    reach, thop, pieces = radius - R, [hop[k] for k in tm], []
+    for a in range(-(reach // tau) * tau, reach + 1, tau):  # the lattice points a row at a time
+        # the template moved to row a, each member by its row's id shift; then along it by b
+        moved = list(map(add, tm, chain.from_iterable(repeat(nk * (bases[r + a] - bases[r]), c)
+                                                       for r, c in rows)))
+        lo = max(-reach, a - reach)
+        for b in range(lo + (2 * a - lo) % (3 * tau), min(reach, a + reach) + 1, 3 * tau):
+            mem = list(map(add, moved, repeat(nk * b)))
             for k, g in zip(mem, thop):
                 owner[k] = -1
                 hop[k] = g
-            m = t + d[R] + i * s
+            m = bases[a - a0] + b
             pieces.append((mem[0], 2 if m == t else 1, mem, m))
 
     rim = sorted(set(ms).difference([piece[3] for piece in pieces]))
