@@ -51,6 +51,9 @@ BALL_FALLBACK = ORACLE + "test_ball_lattice_falls_back_to_the_walk"
 DRAWN = ORACLE + "test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori"
 SINGLETONS = ORACLE + "test_cooperation_free_proof_falls_back_to_the_walk"
 CELLS = "tests/test_topology.py::test_builder_cells_are_computed_like_the_tuple_of_their_rows"
+POLYLINE = "tests/test_regions.py::test_boundary_polyline_equals_its_fraction_key_definition"
+BUDGETS = "tests/test_cli.py::test_budgets_are_read_by_the_fraction_rule"
+JSON = "tests/test_cli.py::test_json_writer_equals_json_dumps_indent_2"
 # the two layer rules of association._sector_silenced, with their sets filled in
 SECTOR_RULES = ('        return {{"{}"}}\n'
                 '    if abs(b) == tau and (a > 0) == (b > 0):\n'
@@ -150,11 +153,11 @@ MUTANTS = [
     Mutant("ball-row-repeat-2tau-unchecked", "src/mgnet/validation.py",
            "for s in (2 * tau, -tau):",
            "for s in (-tau,):",
-           (BALL_FALLBACK + "[roles-along-the-other]",)),
+           (BALL_FALLBACK + "[roles-along-the-other]", DRAWN)),
     Mutant("ball-row-repeat-minus-tau-unchecked", "src/mgnet/validation.py",
            "for s in (2 * tau, -tau):",
            "for s in (2 * tau,):",
-           (BALL_FALLBACK + "[roles-along-one-generator]",)),
+           (BALL_FALLBACK + "[roles-along-one-generator]", DRAWN)),
     # a row pair without common cells read as a slice to the end: small balls lose proofs
     Mutant("ball-row-pair-unclamped", "src/mgnet/validation.py",
            "y = max(x, nk * (bases[r] + min(his[r], his[r + tau] - s) + 1))",
@@ -186,6 +189,25 @@ MUTANTS = [
            "r = bisect_right(self.starts, i) - 1",
            "r = bisect_right(self.starts, i - 1) - 1",
            (CELLS + "[hex-balls]", CELLS + "[sectorized-tori]")),
+    # vertices sharing s_f listed from the lowest s_s up
+    Mutant("polyline-key-sign-flipped", "src/mgnet/regions.py",
+           "-p.s_s.numerator * (scale // p.s_s.denominator)",
+           "p.s_s.numerator * (scale // p.s_s.denominator)",
+           (POLYLINE,)),
+    # the two-int read of p/0 raises ZeroDivisionError, which would reach main's message
+    Mutant("prelog-zero-denominator-uncaught", "src/mgnet/cli.py",
+           "    except (ValueError, ZeroDivisionError):\n        pass",
+           "    except ValueError:\n        pass",
+           (BUDGETS,)),
+    # int() reads ' 4', '+4' and '-4', which Fraction(text) refuses after a '/'
+    Mutant("prelog-any-denominator-read-as-int", "src/mgnet/cli.py",
+           "if p.isdecimal() and q.isdecimal():",
+           "if p.isdecimal() and q:",
+           (BUDGETS,)),
+    Mutant("json-ratio-template-den-first", "src/mgnet/cli.py",
+           '"num": {n},{newline}  "den": {d}',
+           '"den": {d},{newline}  "num": {n}',
+           (JSON,)),
 ]
 
 

@@ -2,7 +2,9 @@
 
 Subcommands: region, validate, loads, closed-form, figure, sweep.
 Rationals are accepted as 'p/q' strings and emitted exactly; CSV renders a
-decimal when possible plus the exact numerator/denominator columns.
+decimal when possible plus the exact numerator/denominator columns.  A budget
+of two decimal digit strings p/q is read as ``Fraction(int(p), int(q))``, any
+other text as ``Fraction(text)``, which accepts the same values.
 
 Exit codes: 0 success, 2 invalid parameters (the message names the violated
 precondition, or the flag whose value is unusable or not taken), 3 `validate`
@@ -11,10 +13,11 @@ closed form on a torus (`--tiling`) or a line of whole D+2 periods (`--K`),
 1 internal failure.
 
 `main` may be called any number of times in one process; every call parses
-once and writes JSON in one pass (`dumps_indent2`). A known command with exact
-`--flag value` pairs is read from its parser's Actions into argparse's
-namespace; any other argv goes to the parsers `make_parser` builds once.
-`sweep` reads `association.valid_d`, so its cost follows the valid D in its range.
+once and writes JSON in one pass (`dumps_indent2`, a ``{"num": int, "den": int}``
+object as one string). A known command with exact `--flag value` pairs is read
+from its parser's Actions into argparse's namespace; any other argv goes to the
+parsers `make_parser` builds once. `sweep` reads `association.valid_d`, so its
+cost follows the valid D in its range.
 """
 
 from __future__ import annotations
@@ -83,7 +86,10 @@ def dumps_indent2(obj) -> str:
 
 
 def _write_json(o, newline: str, put) -> None:
-    if isinstance(o, str):
+    if (type(o) is dict and [*o] == ["num", "den"]  # ``ratio_to_json``'s keys, in order
+            and type(n := o["num"]) is int is type(d := o["den"])):
+        put(f'{{{newline}  "num": {n},{newline}  "den": {d}{newline}}}')
+    elif isinstance(o, str):
         put(_quote(o))
     elif o is None or o is True or o is False:
         put("null" if o is None else "true" if o else "false")
@@ -118,6 +124,9 @@ def _emit(args, text: str) -> None:
 
 def _prelog(flag: str, text: str) -> Fraction:
     try:
+        p, _, q = text.partition("/")
+        if p.isdecimal() and q.isdecimal():  # Fraction(int(p), 0) raises as Fraction(text) does
+            return Fraction(int(p), int(q))
         if (value := Fraction(text)) >= 0:
             return value
     except (ValueError, ZeroDivisionError):

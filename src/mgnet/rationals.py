@@ -3,7 +3,7 @@
 All multiplexing gains and cooperation prelogs in this package are
 ``fractions.Fraction`` values end to end; floats only ever appear in CSV
 output, and even there the exact numerator/denominator pair is kept in
-trailing columns.
+trailing columns; ``ratio_to_csv`` writes a value of denominator 1 as ``str(num)``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ def ratio_from_json(obj: dict) -> Fraction:
 def ratio_to_csv(x: Fraction | int) -> str:
     """Exact decimal when the denominator divides a power of 10, else 12 significant digits."""
     num, den = _num_den(x)
-    rest, twos, fives = den, 0, 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
+    if den == 1:
+        return str(num)
+    twos = (den & -den).bit_length() - 1  # the trailing zero bits
+    rest, fives = den >> twos, 0
     while rest % 5 == 0:
         rest //= 5
         fives += 1
@@ -40,8 +40,6 @@ def ratio_to_csv(x: Fraction | int) -> str:
         return f"{num / den:.12g}"  # float(Fraction) divides the same ints
     digits = max(twos, fives)
     scaled = num * 10**digits // den
-    if digits == 0:
-        return str(scaled)
     sign = "-" if scaled < 0 else ""
     s = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{s[:-digits]}.{s[-digits:]}"

@@ -222,10 +222,10 @@ def achievable_region(model: str, D: int, L: int,
     return _hull_region(pts, w * scale)
 
 
-_ORIGIN = MgPoint(Fraction(0), Fraction(0))
-
-
 def boundary_polyline(region: MgRegion) -> list[MgPoint]:
-    """Upper-right boundary from the vertical-axis intercept down to (s_f_max, 0)."""
-    pts = [p for p in region.vertices if p != _ORIGIN]
-    return sorted(pts, key=lambda p: (p.s_f, -p.s_s))
+    """Upper-right boundary from the vertical-axis intercept down to (s_f_max, 0): the
+    vertices but the origin by s_f up, then s_s down, as integers over one denominator."""
+    pts = [p for p in region.vertices if p.s_f.numerator or p.s_s.numerator]
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    return sorted(pts, key=lambda p: (p.s_f.numerator * (scale // p.s_f.denominator),
+                                      -p.s_s.numerator * (scale // p.s_s.denominator)))

@@ -269,6 +269,45 @@ def test_bad_prelog_budgets_are_named(capsys, budgets, named):
     assert err == f"error: {named}: need a nonnegative rational p/q\n"
 
 
+def _budget_by_fraction(text):
+    """The budget rule: ``Fraction(text)`` if it reads as a nonnegative value, else None."""
+    try:
+        value = F(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return value if value >= 0 else None
+
+
+decimal_digits = st.text("0123456789", min_size=1, max_size=6)
+budget_texts = st.one_of(
+    st.builds("{}/{}".format, decimal_digits, decimal_digits),
+    st.builds("{}/0".format, decimal_digits), st.builds("0/{}".format, decimal_digits),
+    # signs, spaces, points, underscores, a tab and Arabic-Indic digits, anywhere
+    st.text("0123456789/+-. _\t٣٤", min_size=1, max_size=8),
+    st.sampled_from(["1.5", "3", "1e3", "1_0/3", "3/1_0", "٣/4", "3/٤", "+3/4",
+                     "-3/4", "3/-4", "3/+4", " 3/4 ", "3 /4", "3/ 4", "0/0", "00/000", "-0/7",
+                     "1/2/3", "1" * 4301 + "/3", "3/" + "1" * 4301, "1" * 4300 + "/7"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(budget_texts)
+def test_budgets_are_read_by_the_fraction_rule(text):
+    """A budget is accepted with the value ``Fraction(text)`` gives, or refused with the
+    same exit-2 message, whichever way the CLI reads it."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["region", "--model", "wyner", "--D", "6", "--L", "3",
+                     f"--mu-tx={text}", "--mu-rx", "1"])
+    value = _budget_by_fraction(text)
+    if value is None:
+        assert (code, out.getvalue(), err.getvalue()) == \
+            (2, "", f"error: --mu-tx={text}: need a nonnegative rational p/q\n")
+    else:
+        assert (code, err.getvalue()) == (0, "")
+        assert ratio_from_json(json.loads(out.getvalue())["mu_tx"]) == value
+
+
 @pytest.mark.parametrize("argv", [
     ("figure", "--which", "fig8"),
     ("sweep", "--model", "wyner", "--L", "3", "--D", "2..10"),  # opens its file lazily
@@ -574,8 +613,24 @@ def test_csv_rendering_rules():
 
 json_strings = st.text() | st.sampled_from(
     ['"', "\\", '\\"', "\x00\x01\x1f\x7f", "\n\r\t\b\f", "é ü", "  ", "\U0001f600", ""])
-json_leaves = (st.none() | st.booleans() | st.integers()
-               | st.integers(min_value=-10**40, max_value=10**40) | json_strings)
+json_ints = (st.integers() | st.integers(min_value=-10**40, max_value=10**40)
+             | st.integers(10**40, 10**60) | st.integers(-10**60, -10**40))
+
+
+def _ratio_shaped(num, den, reverse, extra):
+    """A dict with ``ratio_to_json``'s keys, maybe in reverse order, maybe with a third
+    (position, key, value) item."""
+    items = [("num", num), ("den", den)][::-1 if reverse else 1]
+    if extra is not None:
+        items.insert(extra[0], extra[1:])
+    return dict(items)
+
+
+# int and bool values (the writer's one-string template takes exact ints only), and others
+ratio_values = json_ints | st.booleans() | st.none() | st.floats()
+json_ratios = st.builds(_ratio_shaped, ratio_values, ratio_values, st.booleans(),
+                        st.none() | st.tuples(st.integers(0, 2), json_strings, ratio_values))
+json_leaves = st.none() | st.booleans() | json_ints | json_strings | json_ratios
 json_trees = st.recursive(
     json_leaves,
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
@@ -590,7 +645,10 @@ def test_json_writer_equals_json_dumps_indent_2(obj):
 
 
 @pytest.mark.parametrize("obj", [{}, [], (), {"a": {}, "b": [], "c": [{}, [[]]]},
-                                 1.5, float("nan"), -(10**400), True])
+                                 1.5, float("nan"), -(10**400), True,
+                                 {"num": 3, "den": 8}, {"den": 8, "num": 3},
+                                 [{"num": -(10**50), "den": 1}, {"num": True, "den": 2}],
+                                 {"x": {"num": 0, "den": 1, "y": None}}])
 def test_json_writer_edge_values(obj):
     assert dumps_indent2(obj) == json.dumps(obj, indent=2)
 
@@ -678,9 +736,10 @@ def test_help_exits_0(capsys, argv, usage):
 
 
 # sha256 of `mgnet --help` and of each `mgnet <command> --help` at 80 columns (Python 3.11),
-# recorded when `make_parser` added every subcommand's options one by one
+# recorded when `make_parser` added every subcommand's options one by one; the top-level
+# text is the module docstring, re-recorded when it came to name the ratio fast paths
 HELP_PINS = {
-    "mgnet": "1fab70ef802c72dac7cbf8781bec59bf3f9cbab8259b257ce371d5473e37292f",
+    "mgnet": "a4119ba3329de4f60447881c9f43634638c788b2f1511a373a76df62895cad4b",
     "closed-form": "0e52b006af5a0266fc1cdd38bb6e5a112eedf356e9702852c31adc8c5207031d",
     "figure": "ed34ded0183204489b2d90eeb16cadfb609200a935283e891053dbc71924709e",
     "loads": "f24799f8a3946e8dbf5f59b17a035acfeab4ab19c6f83a768cef435dafd32a81",

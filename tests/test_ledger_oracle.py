@@ -883,23 +883,29 @@ def test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori(data):
         [s for s in Scheme if valid_range(model, s, 2)]), "scheme")
     D = data.draw(st.sampled_from(valid_range(model, scheme, 14 if model == HEX else 8)), "D")
     L = data.draw(st.integers(1, 4), "L")
-    if data.draw(st.booleans(), "ball"):
-        net = (build_hex if model == HEX else build_sectored_hex)(
-            data.draw(st.integers(0, 20), "radius"), L)
+    tau = max(1, scheme_tau(model, scheme, D))
+    edit = data.draw(st.sampled_from((None, "flip", "drop", "replace", "orbit")), "edit")
+    # an orbit on a ball is drawn on one with translates, of radius 3 tau >= 2 tau + R (every
+    # template's extent R is at most tau), and often through the template around the centre:
+    # there a role repeated along one generator alone differs along the other
+    if ball := data.draw(st.booleans(), "ball"):
+        radius = st.integers(3 * tau, 3 * tau + 4) if edit == "orbit" else st.integers(0, 20)
+        net = (build_hex if model == HEX else build_sectored_hex)(data.draw(radius, "radius"), L)
     else:
         net = (build_hex_torus if model == HEX else build_sectored_hex_torus)(
-            max(1, scheme_tau(model, scheme, D)), data.draw(st.integers(1, 4), "copies"), L)
-    assoc = assign(net, D, scheme)
-    edit = data.draw(st.sampled_from((None, "flip", "drop", "replace", "orbit")), "edit")
+            tau, data.draw(st.integers(1, 4), "copies"), L)
+    assoc, nk = assign(net, D, scheme), len(net.tx_nodes) // len(net.rx_nodes)
     if edit in ("flip", "orbit"):
-        k = data.draw(st.sampled_from(net.tx_nodes), "node")
+        nodes = st.sampled_from(net.tx_nodes)
+        if ball and edit == "orbit":
+            nodes |= st.sampled_from([k for k in net.tx_nodes
+                                      if hex_distance(net.cell_coords[k // nk], (0, 0)) < tau])
+        k = data.draw(nodes, "node")
         role = data.draw(st.sampled_from([r for r in Role if r is not assoc.roles[k]]), "role")
         assoc.roles[k] = role
     if edit == "orbit":  # the role at k's images under one master-lattice vector too
-        tau = max(1, scheme_tau(model, scheme, D))
         va, vb = data.draw(st.sampled_from(
             [(tau, 2 * tau), (tau, -tau), (2 * tau, tau), (0, 3 * tau)]), "vector")
-        nk = len(net.tx_nodes) // len(net.rx_nodes)
         a, b = net.cell_coords[k // nk]
         for j in range(-20, 21):
             cell = (a + j * va, b + j * vb)

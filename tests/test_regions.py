@@ -8,11 +8,11 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from mgnet import (HEX, SECTORED, WYNER, HalfPlane, MgPoint, MgRegion, Scheme,
-                   achievable_region, check_params, contains, convex_hull,
-                   is_subset, outer_bound_wyner, outer_polygon_wyner,
+                   achievable_region, boundary_polyline, check_params, contains,
+                   convex_hull, is_subset, outer_bound_wyner, outer_polygon_wyner,
                    region_subset)
 from mgnet.loads import formulas
 from mgnet.regions import _MIXED, _SLOW_ONLY, _cross, _scaled_formulas, _share
@@ -468,3 +468,29 @@ def test_shares_equal_oracle_alphas(mu_tx, mu_rx):
 def test_outer_bound_rejects_bad_d_or_l(call):
     with pytest.raises(ValueError, match="D=-|L=0"):
         call()
+
+
+def _fraction_polyline(region):
+    """``boundary_polyline`` by its definition, kept as an oracle: the vertices but the
+    origin, sorted by the Fraction key (s_f, -s_s)."""
+    return sorted((p for p in region.vertices if p != (0, 0)), key=lambda p: (p.s_f, -p.s_s))
+
+
+# few distinct coordinates: the origin, shared s_f (vertical edges), single points, segments
+coarse = st.tuples(st.integers(-3, 3), st.integers(1, 3)).map(lambda t: F(*t))
+hull_regions = st.one_of(st.lists(st.tuples(coarse, coarse), min_size=1, max_size=8),
+                         point_lists).map(lambda pts: convex_hull([MgPoint(*p) for p in pts]))
+achieved_regions = st.builds(
+    lambda model_d, L, mu_tx, mu_rx: achievable_region(*model_d, L, mu_tx, mu_rx),
+    st.sampled_from([(WYNER, 2), (WYNER, 6), (WYNER, 10), (HEX, 2), (HEX, 8), (HEX, 14),
+                     (SECTORED, 2), (SECTORED, 4)]), st.integers(1, 5), budgets, budgets)
+
+
+@example(MgRegion((MgPoint(F(0), F(0)),)))
+@example(MgRegion((MgPoint(F(1, 2), F(1, 3)),)))
+@example(convex_hull([MgPoint(F(1), F(1)), MgPoint(F(1), F(3))]))
+@example(convex_hull([MgPoint(F(x), F(y)) for x in (1, 2) for y in (1, 3)]))
+@example(outer_polygon_wyner(6, 3))
+@given(hull_regions | achieved_regions)
+def test_boundary_polyline_equals_its_fraction_key_definition(region):
+    assert boundary_polyline(region) == _fraction_polyline(region)
