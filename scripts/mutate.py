@@ -12,8 +12,10 @@ once in its file) by ``new``, and runs only its test ids there.  It is
 killed when pytest reports a failed test (exit code 1); any other exit,
 such as an id that no longer exists, counts as a survivor.  The same ids
 first run on an unmutated copy and must pass there, so that a test that
-already fails cannot kill a mutant.  Exit 0 when every mutant is killed,
-1 otherwise.  Plain Python and pytest only.
+already fails cannot kill a mutant.  When that run fails, or a mutant's
+exits with anything but 0 or 1, pytest's last lines and failure summary
+(``-rf``) are printed.  Exit 0 when every mutant is killed, 1 otherwise.
+Plain Python and pytest only.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ BALL_FALLBACK = ORACLE + "test_ball_lattice_falls_back_to_the_walk"
 DRAWN = ORACLE + "test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori"
 SINGLETONS = ORACLE + "test_cooperation_free_proof_falls_back_to_the_walk"
 CELLS = "tests/test_topology.py::test_builder_cells_are_computed_like_the_tuple_of_their_rows"
+GRID = "tests/test_topology.py::test_builder_adjacency_is_computed_like_the_stored_tuple"
+BENCH_BALLS = "tests/test_topology.py::test_bench_balls_match_the_unit_step_dict"
 POLYLINE = "tests/test_regions.py::test_boundary_polyline_equals_its_fraction_key_definition"
 BUDGETS = "tests/test_cli.py::test_budgets_are_read_by_the_fraction_rule"
 JSON = "tests/test_cli.py::test_json_writer_equals_json_dumps_indent_2"
@@ -114,17 +118,36 @@ MUTANTS = [
             TORI + "[SectorizedHexagonal-build_sectored_hex_torus-4-2]")),
     # torus neighbours listed by id, as before they were listed by unit step
     Mutant("torus-tuples-id-sorted", "src/mgnet/topology.py",
-           "if mt == 1 else []  # the nodes to fix at the end\n    fix = dict.fromkeys if mt",
-           "if mt else []  # the nodes to fix at the end\n    fix = sorted if mt",
+           "    if mt == 1:  # the duplicates\n        adj = map(tuple, map(dict.fromkeys, adj))",
+           "    adj = map(tuple, map(sorted, adj))",
            (REPEAT + "[Hexagonal]", REPEAT + "[SectorizedHexagonal]", CANON + "[5-3]")),
+    # a ball iterated: the nodes at the row ends keep their empty seats
     Mutant("ball-row-ends-keep-empty-cells", "src/mgnet/topology.py",
-           "else partial(filter, partial(is_not, None))",
-           "else list",
+           "empty = partial(filter, partial(is_not, None))",
+           "empty = tuple",
            (BALL + "[1]", BALL + "[8]")),
     Mutant("ball-pad-column-dropped", "src/mgnet/topology.py",
            "rows[0][1] - 1",
            "rows[0][1]",
-           (BALL + "[1]", BALL + "[8]")),
+           (BALL + "[1]", BALL + "[8]", GRID + "[hex-balls]")),
+    # a ball's item read on its own: the first node of each row read at the row before's offset
+    Mutant("ball-item-row-offset-off-by-one", "src/mgnet/topology.py",
+           "flat, f = self.flat, self.offs[bisect_right(self.nstarts, x)] + x",
+           "flat, f = self.flat, self.offs[bisect_right(self.nstarts, x - 1)] + x",
+           (GRID + "[hex-balls]", GRID + "[sectorized-balls]")),
+    Mutant("ball-item-keeps-empty-seats", "src/mgnet/topology.py",
+           "if (j := flat[f + d]) is not None])",
+           "if (j := flat[f + d]) is not 0.5])",
+           (GRID + "[hex-balls]", GRID + "[sectorized-balls]")),
+    # a ball's link count without the clip at the end of row r + da
+    Mutant("ball-links-upper-clip-dropped", "src/mgnet/topology.py",
+           "(w := (hi if hi < hi2 else hi2) - (lo if lo > lo2 else lo2) + 1)",
+           "(w := hi - (lo if lo > lo2 else lo2) + 1)",
+           (GRID + "[hex-balls]", BALL + "[2]", BENCH_BALLS + "[build_sectored_hex-40]")),
+    Mutant("ball-links-lower-clip-dropped", "src/mgnet/topology.py",
+           "(w := (hi if hi < hi2 else hi2) - (lo if lo > lo2 else lo2) + 1)",
+           "(w := (hi if hi < hi2 else hi2) - lo + 1)",
+           (GRID + "[sectorized-balls]", BALL + "[2]")),
     Mutant("torus-seam-shift-halved", "src/mgnet/topology.py",
            "(b - 2 * mt * (a // mt)) % W)",
            "(b - mt * (a // mt)) % W)",
@@ -139,7 +162,7 @@ MUTANTS = [
            "if (False\n                or seated",
            (FALLBACK + "[roles-along-one-generator]",)),
     Mutant("torus-row-turn-unchecked", "src/mgnet/validation.py",
-           "or seated[(p + tau) % mt] != (row + row)[o:o + nk * P]):",
+           "or seated[(p + tau) % mt] != (row + row)[o:o + nk * 3 * mt]):",
            "or False):",
            (FALLBACK + "[roles-along-the-other]",)),
     Mutant("torus-coverage-unchecked", "src/mgnet/validation.py",
@@ -173,17 +196,29 @@ MUTANTS = [
            "reach, thop, pieces = radius - R + 1,",
            (BALL_FALLBACK + "[periodic-clash]",
             ORACLE + "test_ball_lattice_matches_walk_and_reference[sectorized]")),
-    # two fast neighbours taken for two subnets
-    Mutant("singletons-hear-no-one", "src/mgnet/validation.py",
-           "or not set(members).isdisjoint(heard)):",
-           "):",
-           (SINGLETONS + "[hex-ball-silent-turned-fast]",
-            SINGLETONS + "[sectorized-torus-silent-turned-fast]")),
-    Mutant("singletons-take-slow-nodes", "src/mgnet/validation.py",
-           "or not all(map(is_, map(roles.__getitem__, members), fast))",
-           "or False",
-           (SINGLETONS + "[hex-ball-active-turned-slow]",
-            SINGLETONS + "[sectorized-torus-active-turned-slow]")),
+    # cooperation-free roles that repeat: two fast neighbours taken for two subnets
+    Mutant("cooperation-free-hears-no-one-unchecked", "src/mgnet/validation.py",
+           "roles[x] is Role.FAST and all(roles[j] is silent for j in net.interference[x])",
+           "roles[x] is Role.FAST",
+           (SINGLETONS + "[hex-ball-class-turned-fast]",
+            SINGLETONS + "[sectorized-torus-class-turned-fast]")),
+    Mutant("cooperation-free-takes-slow-nodes", "src/mgnet/validation.py",
+           "roles[x] is Role.FAST and all(",
+           "all(",
+           (SINGLETONS + "[hex-ball-class-turned-slow]",
+            SINGLETONS + "[sectorized-torus-class-turned-slow]")),
+    # a role flipped far from the centre cell, found only by the spacing-1 repeat
+    Mutant("cooperation-free-repeat-unchecked", "src/mgnet/validation.py",
+           "if not (_repeats(net, roles, 1, nk)",
+           "if not (True",
+           (SINGLETONS + "[hex-ball-last-silent-turned-fast]",
+            SINGLETONS + "[sectorized-torus-last-silent-turned-fast]", DRAWN)),
+    # only the centre cell's nodes read: the active classes around a silent one go unchecked
+    Mutant("cooperation-free-reads-one-cell", "src/mgnet/validation.py",
+           "for c in (t, *net.rx_coop[t]) for k in range(nk)]",
+           "for c in (t,) for k in range(nk)]",
+           (SINGLETONS + "[hex-ball-fast-and-silent-swapped]",
+            SINGLETONS + "[hex-torus-fast-and-silent-swapped]")),
     # the first cell of each row read as one past the end of the row before
     Mutant("row-cells-row-start-off-by-one", "src/mgnet/topology.py",
            "r = bisect_right(self.starts, i) - 1",
@@ -218,12 +253,17 @@ def _copy(into: pathlib.Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
 
 
-def _pytest(where: pathlib.Path, tests) -> int:
-    """pytest's exit code for ``tests`` run in the copy at ``where``."""
+def _pytest(where: pathlib.Path, tests, expected: tuple[int, ...]) -> int:
+    """pytest's exit code for ``tests`` run in the copy at ``where``.  Its output is
+    dropped unless the code is not one of ``expected``: then its last lines, with the
+    failure summary (``-rf``), are printed."""
     env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                           *tests], cwd=where, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p",
+                           "no:cacheprovider", *tests], cwd=where, env=env, capture_output=True,
+                          text=True)
+    if proc.returncode not in expected:
+        print("".join(proc.stdout.splitlines(keepends=True)[-30:]) + proc.stderr, end="")
+    return proc.returncode
 
 
 def run(mutants: list[Mutant]) -> int:
@@ -232,7 +272,7 @@ def run(mutants: list[Mutant]) -> int:
         clean = pathlib.Path(tmp, "clean")
         _copy(clean)
         ids = list(dict.fromkeys(t for m in mutants for t in m.tests))
-        if (code := _pytest(clean, ids)) != 0:
+        if (code := _pytest(clean, ids, (0,))) != 0:
             print(f"the mutants' tests do not pass unmutated (pytest exit {code})")
             return len(mutants)
         survivors = 0
@@ -247,7 +287,7 @@ def run(mutants: list[Mutant]) -> int:
                 continue
             source.write_text(text.replace(m.old, m.new))
             t0 = time.perf_counter()
-            code = _pytest(where, m.tests)
+            code = _pytest(where, m.tests, (0, 1))
             verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
             print(f"{m.name}: {verdict} in {time.perf_counter() - t0:.1f} s")
             survivors += code != 1

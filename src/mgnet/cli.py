@@ -127,7 +127,8 @@ def _prelog(flag: str, text: str) -> Fraction:
         p, _, q = text.partition("/")
         if p.isdecimal() and q.isdecimal():  # Fraction(int(p), 0) raises as Fraction(text) does
             return Fraction(int(p), int(q))
-        if (value := Fraction(text)) >= 0:
+        # str(value) raises past Python's int string limit, as the JSON echo would ("1e5000")
+        if (value := Fraction(text)) >= 0 and str(value):
             return value
     except (ValueError, ZeroDivisionError):
         pass

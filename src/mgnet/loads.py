@@ -49,7 +49,7 @@ from itertools import accumulate
 
 from .association import Association, Role, Scheme, check_params, valid_d
 from .rationals import ratio_to_json
-from .topology import HEX, SECTORED, WYNER, Network
+from .topology import HEX, SECTORED, WYNER, Network, every_list
 from .validation import Subnets, _require_same_net
 
 
@@ -239,8 +239,9 @@ def _tally(net: Network, assoc: Association, subnets: Subnets,
     """(counts, tx_use, rx_use) of every node and subnet once (``t`` None), or of
     the template's nodes and subnet ``copies`` times and of the rim's once (``t`` is
     ``Subnets.translates``)."""
-    tx_adj, rx_adj = net.tx_coop, net.rx_coop
-    if t is None:
+    adjs = net.interference, net.tx_coop, net.rx_coop
+    if t is None:  # every node: each adjacency's lists at once
+        adjs = tuple(map(every_list, adjs))
         # precancel and fast-share messages run between a fast and a slow node
         nodes = net.tx_nodes if Role.SLOW in assoc.roles else ()
         parts, numbered = [(1, nodes, range(len(subnets)))], None
@@ -249,6 +250,7 @@ def _tally(net: Network, assoc: Association, subnets: Subnets,
         template, rim = subnets.template_and_rim()
         parts = [(copies, template, (i,)), (1, rim, rim_subnets)][:2 if rim_subnets else 1]
         numbered = template + rim  # a message runs between two cells of its own subnet
+    _, tx_adj, rx_adj = adjs
     tx_off = _edge_offsets(tx_adj, numbered)
     rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(
         rx_adj, numbered and dict.fromkeys(map(net.tx_cell.__getitem__, numbered)))
@@ -257,26 +259,27 @@ def _tally(net: Network, assoc: Association, subnets: Subnets,
     cells = ([None] * n, [0] * n, [None] * n)  # _count's per-cell scratch, made once
     counts = [0] * 5
     for times, nodes, indices in parts:
-        part = _count(net, assoc, subnets, nodes, indices, (tx_off, rx_off, tx_use, rx_use),
-                      cells)
+        part = _count(net, assoc, subnets, nodes, indices, adjs,
+                      (tx_off, rx_off, tx_use, rx_use), cells)
         counts = [c + times * x for c, x in zip(counts, part)]
     return counts, tx_use, rx_use
 
 
-def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices,
+def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices, adjs: tuple,
            links: tuple[list[int], ...],
            cells: tuple[list, list[int], list]) -> tuple[int, int, int, int, int]:
     """(precancel, fast_share, fanin, fast_master_saved, q_dedup) of the fast
-    nodes among ``nodes`` and of the subnets ``indices``; each message also
-    lands on its link in ``links`` = (tx_off, rx_off, tx_use, rx_use).  The
+    nodes among ``nodes`` and of the subnets ``indices``, over ``adjs`` = the
+    network's (interference, tx_coop, rx_coop); each message also lands on its
+    link in ``links`` = (tx_off, rx_off, tx_use, rx_use).  The
     per-cell scratch ``cells`` = (shared_by, below, level) serves calls on
     disjoint ``nodes``: below and level are 0 and None again after each subnet."""
     roles = assoc.roles
     scheme = assoc.scheme
     D = assoc.D
-    tx_adj, rx_adj = net.tx_coop, net.rx_coop
+    interference, tx_adj, rx_adj = adjs
     tx_off, rx_off, tx_use, rx_use = links
-    interference, tx_cell = net.interference, net.tx_cell
+    tx_cell = net.tx_cell
     fast, slow = Role.FAST, Role.SLOW
     shared_by, below, level = cells
 

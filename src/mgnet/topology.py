@@ -29,11 +29,14 @@ unit-step order (``_HEX_STEPS``, ``_SECTOR_STEPS``; the lower cell first on
 a line), which a translation keeps: on a line and a ball this is id order,
 while a torus's wrapped neighbours keep their step's place.  Equal
 relations share one object (``tx_coop is interference`` in every model).
-Hex and sectorized adjacency is a stored tuple.  A line's is computed, not
-stored: cell k hears k - 1 and k + 1, so ``_LineAdjacency`` returns that
-pair (clipped to 1..K) on access.  A ball's or torus's ``cell_coords`` are
-computed from its rows (``_RowCells``).  Both equal, hash, index and slice
-like the tuple they stand for, which is never built (``_Computed``).
+A torus's adjacency is a stored tuple.  A line's is computed, not stored:
+cell k hears k - 1 and k + 1, so ``_LineAdjacency`` returns that pair
+(clipped to 1..K) on access.  A ball's is computed from its padded id grid
+(``_GridAdjacency``): an item on its first access, which stores it, and
+every item at once, a row at a time, when it is iterated or handed to a
+reader of every node (``every_list``).  A ball's or torus's ``cell_coords``
+are computed from its rows (``_RowCells``).  All three equal, hash, index
+and slice like the tuple they stand for (``_Computed``).
 
 Every builder marks the ``Network`` it returns (``_marked``): ``as_built``
 and ``builder_rows`` tell in O(1) whether a network is still exactly a
@@ -46,9 +49,10 @@ a hand-made ``Network`` matches no mark.
 
 Hex and sectorized networks are written once, by ``_from_rows``, from
 their node kinds and the domain's rows (``lattice.ball_rows``,
-``TorusGeometry.rows``): cell (a, b) has id ``base[a] + b``, and one
-grid-based adjacency builder (``_adjacency``) serves balls and tori with no
-per-cell neighbour lookup and no ``canon`` call.
+``TorusGeometry.rows``): cell (a, b) has id ``base[a] + b``, and a ball's
+or a torus's adjacency is read off a grid of ids, with no per-cell
+neighbour lookup and no ``canon`` call.  A ball's link counts ``q_tx`` and
+``q_rx`` come from its rows alone (``_links``).
 
 Finite instances come in two flavours: hex-distance balls of a given
 radius (edge effects at the rim) and tori holding M x M whole subnets of a
@@ -326,61 +330,136 @@ def _pads(rows: list[Row], starts: list[int]) -> tuple[list[int], list[int], lis
 
 
 def _adjacency(rows: list[Row], pads: tuple, kinds: tuple[tuple[tuple[int, int, int], ...], ...],
-               nodes: tuple[int, ...], mt: int | None) -> tuple[tuple[tuple[int, ...], ...], list]:
+               nodes: tuple[int, ...], mt: int) -> tuple[tuple[tuple[int, ...], ...], list]:
     """Adjacency of the nodes ``len(kinds) * cell + k`` over the cells of ``rows`` (with
-    their ``_pads``), a ball's or a torus's of mt = tau * M if ``mt``; and the grid of ids.
+    their ``_pads``), a torus's of mt = tau * M; and the grid of ids.
 
     Node ``k`` of a cell hears node ``k2`` of the cell (da, db) away for
-    each step (da, db, k2) of ``kinds[k]`` that stays in the domain, in the
-    order of the steps.  Each cell has a seat on a grid of rows W cells
-    wide that holds the ids of every kind, so each step of a row is one
-    slice of a grid row: a ball's grid is its bounding box with an empty
-    row or column on every side, a torus's the parallelogram domain
-    (``lattice``), where each step of a whole row is one rotation.  On a
-    ball the nodes outside each row's inner run drop their empty seats at
-    the end; on the torus of mt == 1, the one where two unit steps reach
-    one cell, every node keeps the first step to each cell.
+    each step (da, db, k2) of ``kinds[k]``, in the order of the steps.  Each
+    cell has a seat on the parallelogram domain (``lattice``), a grid of mt
+    rows 3 mt cells wide that holds the ids of every kind, so each step of a
+    whole row is one rotation of a grid row.  On the torus of mt == 1, the one
+    where two unit steps reach one cell, every node keeps the first step to
+    each cell.
     """
-    nk = len(kinds)
-    los, his, bases = pads
-    if mt is None:
-        W, a0, b0 = len(rows) + 2, rows[0][0] - 1, rows[0][1] - 1
-        seat = lambda a, b: (a - a0, b - b0)
-    else:
-        W = 3 * mt
-        seat = lambda a, b: (a % mt, (b - 2 * mt * (a // mt)) % W)  # (a, b) in the parallelogram
-    grid = [[None] * (nk * W) for _ in range(W if mt is None else mt)]  # grid[p][nk * c + k]:
-    for r, (a, lo, hi) in enumerate(rows, 1):                          # kind k at seat (p, c)
+    nk, W = len(kinds), 3 * mt
+    _, _, bases = pads
+    seat = lambda a, b: (a % mt, (b - 2 * mt * (a // mt)) % W)  # (a, b) in the parallelogram
+    grid = [[None] * (nk * W) for _ in range(mt)]  # grid[p][nk * c + k]: kind k at seat (p, c)
+    for r, (a, lo, hi) in enumerate(rows, 1):
         (p, s), n = seat(a, lo), hi - lo + 1
         ids = nodes[nk * (bases[r] + lo):nk * (bases[r] + hi + 1)]
         grid[p][nk * s:nk * (s + n)] = ids[:nk * (W - s)]
         grid[p][:nk * max(s + n - W, 0)] = ids[nk * (W - s):]
-    if mt is None:
-        run = lambda k, p, s, n: zip(*[grid[p + da][nk * (s + db) + k2:nk * (s + db + n):nk]
-                                       for da, db, k2 in kinds[k]])
-    else:
-        # tup[k][p]: the tuples of kind k along parallelogram row p, doubled; step (da, db, k2)
-        # of cell (p, b) is cell b + t of parallelogram row q, where (q, t) = seat(p + da, db)
-        tup = [[list(zip(*[grid[q][nk * t + k2::nk] + grid[q][k2:nk * t:nk] for da, db, k2 in steps
-                           for q, t in [seat(p + da, db)]])) * 2 for p in range(mt)]
-               for steps in kinds]
-        run = lambda k, p, s, n: tup[k][p][s:s + n]
+    # tup[k][p]: the tuples of kind k along parallelogram row p, doubled; step (da, db, k2)
+    # of cell (p, b) is cell b + t of parallelogram row q, where (q, t) = seat(p + da, db)
+    tup = [[list(zip(*[grid[q][nk * t + k2::nk] + grid[q][k2:nk * t:nk] for da, db, k2 in steps
+                       for q, t in [seat(p + da, db)]])) * 2 for p in range(mt)]
+           for steps in kinds]
     adj: list = [None] * len(nodes)
-    ends = range(len(nodes)) if mt == 1 else []  # the nodes to fix at the end
-    fix = dict.fromkeys if mt else partial(filter, partial(is_not, None))  # duplicates, empty seats
     for r, (a, lo, hi) in enumerate(rows, 1):
         (p, s), n = seat(a, lo), hi - lo + 1
         first, stop = nk * (bases[r] + lo), nk * (bases[r] + hi + 1)
         for k in range(nk):
-            adj[first + k:stop:nk] = run(k, p, s, n)
-        if mt is None:  # the nodes outside bl..bh, the cells whose six neighbours are in the ball
-            bl = max(los[r] + 1, los[r - 1] + 1, los[r + 1])
-            bh = min(his[r] - 1, his[r - 1], his[r + 1] - 1)
-            ends += range(first, nk * (bases[r] + min(bl, hi + 1)))
-            ends += range(nk * (bases[r] + max(bh + 1, bl)), stop)
-    for x, nbrs in zip(ends, map(fix, map(adj.__getitem__, ends))):
-        adj[x] = tuple(nbrs)
+            adj[first + k:stop:nk] = tup[k][p][s:s + n]
+    if mt == 1:  # the duplicates
+        adj = map(tuple, map(dict.fromkeys, adj))
     return tuple(adj), grid
+
+
+class _GridAdjacency(_Computed):
+    """A ball's adjacency, from ``(rows, pads, kinds, nodes)``: item x is the nodes at the
+    steps (da, db, k2) of ``kinds[x % nk]`` from node x, in step order, less empty seats.
+
+    A flat list holds the ids of every kind on the ball's bounding box with an
+    empty row and column on every side, W cells square: node x of row r sits at
+    ``offs[r] + x``, and each step is one offset from there.  An item is stored
+    when first read.  ``lists`` (and iteration) computes every item, a row at a
+    time: a step of a row is one slice of the flat list, and the nodes outside
+    the row's inner run drop their empty seats.
+    """
+
+    __slots__ = ("args", "flat", "nstarts", "offs", "steps", "memo")
+
+    def __init__(self, args: tuple) -> None:
+        rows, (_, _, bases), kinds, nodes = args
+        nk, W, b0 = len(kinds), len(rows) + 2, rows[0][1] - 1
+        nstarts = [0, *accumulate(nk * (hi - lo + 1) for _, lo, hi in rows)]  # rows' first nodes
+        offs = [0, *(nk * (r * W - b0 - bases[r]) for r in range(1, len(rows) + 1))]
+        flat = [None] * (nk * W * W)  # kind k of cell (a, b) of row r at nk * (r * W + b - b0) + k
+        for r in range(1, len(rows) + 1):
+            flat[offs[r] + nstarts[r - 1]:offs[r] + nstarts[r]] = nodes[nstarts[r - 1]:nstarts[r]]
+        steps = [[nk * (da * W + db) + k2 - k for da, db, k2 in ks] for k, ks in enumerate(kinds)]
+        for name, value in zip(self.__slots__, (args, flat, nstarts, offs, steps,
+                                                [None] * len(nodes))):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.memo)
+
+    def __getitem__(self, x):
+        try:
+            nbrs = self.memo[x]
+        except IndexError:
+            raise IndexError("tuple index out of range") from None
+        if nbrs.__class__ is tuple:
+            return nbrs
+        if x.__class__ is not int or x < 0:  # a slice, a negative index, a bool
+            return super().__getitem__(x)
+        flat, f = self.flat, self.offs[bisect_right(self.nstarts, x)] + x
+        nbrs = self.memo[x] = tuple([j for d in self.steps[x % len(self.steps)]
+                                     if (j := flat[f + d]) is not None])
+        return nbrs
+
+    _item = __getitem__
+
+    def lists(self) -> tuple[tuple[int, ...], ...]:
+        """Every item, computed at once and stored."""
+        if self.memo.__class__ is tuple:
+            return self.memo
+        rows, (los, his, _), _, _ = self.args
+        flat, nstarts, offs, memo, nk = self.flat, self.nstarts, self.offs, self.memo, len(self.steps)
+        ends = []  # the nodes to fix at the end
+        for r, (_, lo, hi) in enumerate(rows, 1):
+            first, stop = nstarts[r - 1], nstarts[r]
+            for k, steps in enumerate(self.steps):
+                f = offs[r] + first + k
+                memo[first + k:stop:nk] = zip(*[flat[f + d:f + d + stop - first:nk] for d in steps])
+            # the nodes outside bl..bh, the cells whose six neighbours are in the ball
+            bl = max(lo + 1, los[r - 1] + 1, los[r + 1])
+            bh = min(hi - 1, his[r - 1], his[r + 1] - 1)
+            ends += range(first, first + nk * (min(bl, hi + 1) - lo))
+            ends += range(first + nk * (max(bh + 1, bl) - lo), stop)
+        empty = partial(filter, partial(is_not, None))
+        for x, nbrs in zip(ends, map(empty, map(memo.__getitem__, ends))):
+            memo[x] = tuple(nbrs)
+        object.__setattr__(self, "memo", tuple(memo))
+        return self.memo
+
+    def __iter__(self):
+        return iter(self.lists())
+
+
+def every_list(adj: Sequence) -> Sequence:
+    """``adj`` for a reader of every node: a ball's adjacency computes all its items at once."""
+    return adj.lists() if adj.__class__ is _GridAdjacency else adj
+
+
+def _links(pads: tuple, *kinds: tuple[tuple[tuple[int, int, int], ...], ...]) -> list[int]:
+    """The number of neighbours each of ``kinds`` gives the nodes of a ball's rows (with
+    their ``_pads``): the sum over its steps (da, db, k2) of the cells b of each row r with
+    b + db in row r + da, one interval intersection per row."""
+    los, his, _ = pads
+    cells = {}  # per step (da, db): the cells it keeps in the ball
+    for da, db in {(da, db) for steps in chain(*kinds) for da, db, _ in steps}:
+        n = 0
+        for lo, hi, lo2, hi2 in zip(los[1:-1], his[1:-1], los[1 + da:len(los) - 1 + da],
+                                    his[1 + da:len(his) - 1 + da]):
+            lo2, hi2 = lo2 - db, hi2 - db
+            if (w := (hi if hi < hi2 else hi2) - (lo if lo > lo2 else lo2) + 1) > 0:
+                n += w
+        cells[da, db] = n
+    return [sum(cells[da, db] for steps in ks for da, db, _ in steps) for ks in kinds]
 
 
 def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], rows: list[Row],
@@ -388,23 +467,29 @@ def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], 
     """The marked network of ``kinds`` (``_HEX_STEPS`` or ``_SECTOR_STEPS``) over the cells
     of ``rows``, a ball's or (if ``mt``) a torus's: node ``len(kinds) * i + j`` is kind j of
     cell i.  With one kind a node is its own cell, and the cell-to-cell cooperation is the
-    interference."""
+    interference.  A ball's adjacency is computed, a torus's stored."""
     cells = _RowCells(tuple(rows))
     nk = len(kinds)
     ids = range(len(cells))
     rx_nodes = tuple(ids)
     tx_nodes = rx_nodes if nk == 1 else tuple(range(nk * len(cells)))
     pads = _pads(rows, cells.starts)
-    interference, grid = _adjacency(rows, pads, kinds, tx_nodes, mt)
-    rx_coop = interference if nk == 1 else _adjacency(rows, pads, _HEX_STEPS, rx_nodes, mt)[0]
-    q_tx = sum(map(len, interference))
+    if mt is None:
+        interference, grid = _GridAdjacency((cells.rows, pads, kinds, tx_nodes)), None
+        rx_coop = interference if nk == 1 else _GridAdjacency((cells.rows, pads, _HEX_STEPS,
+                                                               rx_nodes))
+        q_tx, q_rx = _links(pads, kinds, _HEX_STEPS)
+    else:
+        interference, grid = _adjacency(rows, pads, kinds, tx_nodes, mt)
+        rx_coop = interference if nk == 1 else _adjacency(rows, pads, _HEX_STEPS, rx_nodes, mt)[0]
+        q_tx = sum(map(len, interference))
+        q_rx = q_tx if nk == 1 else sum(map(len, rx_coop))
     return _marked(Network(
         model=model, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
         interference=interference, tx_coop=interference, rx_coop=rx_coop,
-        q_tx=q_tx, q_rx=q_tx if nk == 1 else sum(map(len, rx_coop)), params=params,
-        cell_coords=cells, geometry=geometry,
+        q_tx=q_tx, q_rx=q_rx, params=params, cell_coords=cells, geometry=geometry,
         tx_cell=ids if nk == 1 else tuple(chain.from_iterable(zip(*[rx_nodes] * nk))),
-    ), cells.rows, (pads, mt and grid))
+    ), cells.rows, (pads, grid))
 
 
 def _ball(model: str, kinds, radius: int, L: int) -> Network:

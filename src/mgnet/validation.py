@@ -40,8 +40,18 @@ is checked before most of the walk is spared:
   lattice's two generators (one compare per parallelogram row,
   ``lattice``), and the translates must hold every active node; their
   members are read off the torus's ids around the parallelogram domain.
-* A ball or torus without masters or cooperation, whose active nodes are all
-  fast and hear none of each other: each is a subnet, a translate of the first.
+* A ball or torus without masters or cooperation: each active node is a
+  subnet, a translate of the first, if the roles repeat with the lattice of
+  spacing 1, whose classes are a + b mod 3 (the compares above), and the
+  active nodes of the centre cell t (any cell of a torus) and its
+  neighbours, which meet every class, are fast and hear only silent nodes.
+  Repeating roles depend on the class and node kind alone: on a ball, (a, b)
+  and (a, b + 3) are joined through (a + 1, b + 2), or (a - 1, b + 1) on
+  the top row, and each row reaches the next, as every row of a ball of
+  radius >= 2 has three cells or more.  So each active node and its
+  neighbours have the roles of a checked node and its neighbours, which lie
+  in the ball when its radius is at least 2; a smaller ball is t and its
+  neighbours.
 
 Any failed check takes the whole walk, so the violations and their order
 are always the walk's.  ``validate``, the one check of an association, puts
@@ -54,15 +64,16 @@ its verdicts off its ``(node, code)`` violations.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, groupby, repeat
-from operator import add, is_, is_not, itemgetter
+from operator import add, is_not, itemgetter
 
 from .association import Association, Role, Scheme, scheme_tau, valid_d
 from .lattice import is_master
-from .topology import HEX, WYNER, Network, as_built, builder_rows
+from .topology import HEX, WYNER, Network, as_built, builder_rows, every_list
 
 
 @dataclass(slots=True)
@@ -180,6 +191,8 @@ def _require_same_net(net: Network, assoc: Association) -> None:
 def _fast_violations(net: Network, assoc: Association, nodes) -> list[tuple[int, str]]:
     """The fast-interference violations of the fast nodes among ``nodes``."""
     roles, fast, adj = assoc.roles, Role.FAST, net.interference
+    if nodes is net.tx_nodes:
+        adj = every_list(adj)
     return [(k, f"fast-interference-from-{j}") for k in nodes if roles[k] is fast
             for j in adj[k] if roles[j] is fast]
 
@@ -199,7 +212,7 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
     if builder_rows(net) is not None and len(assoc.roles) == len(net.tx_nodes):
         solved = (_lattice_subnets if assoc.masters or assoc.scheme.cooperative
-                  else _singleton_subnets)(net, assoc, report)
+                  else _cooperation_free)(net, assoc, report)
     elif (K := as_built(net)) is not None:
         solved = _periodic_subnets(net, assoc, K, report)
     else:
@@ -208,19 +221,23 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
         return solved
     n = len(assoc.roles)
     hop: list[int | None] = [None] * n
-    members, starts, masters = _walk(net, assoc, report, net.tx_nodes, [None] * n, hop,
+    members, starts, masters = _walk(net, assoc, report, None, [None] * n, hop,
                                      sorted(set(assoc.masters)))
     return Subnets(assoc, members, starts, masters, hop), report
 
 
 def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
           owner: list[int | None], hop: list[int | None], master_ids: list[int]) -> tuple:
-    """The walk over the components found from ``nodes``, in order, skipping the nodes
-    ``owner`` marks (an edge into one is a cross pair), with the sorted ``master_ids`` as
-    masters; fills ``owner`` and ``hop``, adds violations, the cross pairs' last, and
-    warnings to ``report``, and returns the columns (members, starts, masters)."""
+    """The walk over the components found from ``nodes`` (None: every node, whose lists it
+    computes at once), in order, skipping the nodes ``owner`` marks (an edge into one is a
+    cross pair), with the sorted ``master_ids`` as masters; fills ``owner`` and ``hop``, adds
+    violations, the cross pairs' last, and warnings to ``report``, and returns the columns
+    (members, starts, masters)."""
     roles, silent = assoc.roles, Role.SILENT
-    adj = net.interference
+    # hops run over the cells of the CoMP side, within the component's cells
+    adj, coop = net.interference, net.tx_coop if assoc.scheme.comp_side == "tx" else net.rx_coop
+    if nodes is None:
+        nodes, adj, coop = net.tx_nodes, every_list(adj), every_list(coop)
     members: list[int] = []
     starts = array("q", [0])
     cross = []
@@ -262,8 +279,6 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
             second[i] = m
             masters[i] = None
 
-    # hops run over the cells of the CoMP side, within the component's cells
-    coop = net.tx_coop if assoc.scheme.comp_side == "tx" else net.rx_coop
     if own:  # a cell is its node: the search marks the per-node lists
         cell_owner, cell_hop = owner, hop
     else:
@@ -326,7 +341,7 @@ def _lattice_subnets(net: Network, assoc: Association,
     if tmasters != [t]:
         return None
     pieces = (_ball_translates(net, assoc, t, tm, ms, owner, hop, report) if net.has_rim
-              else _torus_translates(net, assoc, t, tm, ms, hop, net._mark[3][1]))
+              else _torus_translates(net, assoc, t, tm, ms, hop))
     if pieces is None:
         return None
     # every component, rim (0), translate (1) or template (2), in order of its lowest member
@@ -338,22 +353,55 @@ def _lattice_subnets(net: Network, assoc: Association,
                     tuple(i for i, x in enumerate(kind) if not x))), report
 
 
-def _singleton_subnets(net: Network, assoc: Association,
-                       report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
-    """The walk's ``Subnets`` and report, from C-level passes, on a builder's ball or torus
-    without masters whose active nodes are fast and hear none: each is a subnet; else None."""
-    roles, fast = assoc.roles, repeat(Role.FAST)
-    members = list(compress(net.tx_nodes, map(is_not, roles, repeat(Role.SILENT))))
-    heard = chain.from_iterable(map(net.interference.__getitem__, members))
-    if (not (n := len(members)) or not all(map(is_, map(roles.__getitem__, members), fast))
-            or not set(members).isdisjoint(heard)):
+def _cooperation_free(net: Network, assoc: Association,
+                      report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
+    """The walk's ``Subnets`` and report on a builder's ball or torus without masters, each
+    active node a subnet, by the lattice rule of spacing 1 (see the module docstring); None
+    unless the roles repeat with it and the active nodes of the cell t (a ball's centre) and
+    its neighbours are fast and hear only silent nodes."""
+    roles, silent, n = assoc.roles, Role.SILENT, len(net.rx_nodes)
+    nk, t = len(roles) // n, n // 2
+    near = [nk * c + k for c in (t, *net.rx_coop[t]) for k in range(nk)]
+    if not (_repeats(net, roles, 1, nk)
+            and all(roles[x] is Role.FAST and all(roles[j] is silent for j in net.interference[x])
+                    for x in near if roles[x] is not silent)):
         return None
-    return Subnets(assoc, members, range(n + 1), [None] * n, [None] * len(roles),
-                   (0, n, ())), report
+    members = list(compress(net.tx_nodes, map(is_not, roles, repeat(silent))))
+    if not (m := len(members)):
+        return None
+    return Subnets(assoc, members, range(m + 1), [None] * m, [None] * len(roles),
+                   (0, m, ())), report
+
+
+def _repeats(net: Network, key: list, tau: int, nk: int) -> bool:
+    """Whether ``key``, a value per node of a builder's ball or torus, repeats with the master
+    lattice of spacing tau: on a ball with (tau, 2 tau) and (tau, -tau) wherever both cells
+    lie in it (two compares per row pair); on a torus along each parallelogram row with (0, 3
+    tau), and from row p to row p + tau turned by 2 tau, less 2 mt where it wraps (one compare
+    each, ``lattice``)."""
+    pads, grid = net._mark[3]
+    if net.has_rim:
+        los, his, bases = pads
+        for r in range(1, len(bases) - 1 - tau):  # rows a and a + tau
+            for s in (2 * tau, -tau):  # [x, y): the nodes of each (a, b) with (a + tau, b + s), if any
+                x = nk * (bases[r] + max(los[r], los[r + tau] - s))
+                y = max(x, nk * (bases[r] + min(his[r], his[r + tau] - s) + 1))
+                d = nk * (bases[r + tau] + s - bases[r])
+                if key[x:y] != key[x + d:y + d]:
+                    return False
+        return True
+    mt = len(grid)
+    seated = [itemgetter(*g)(key) for g in grid]
+    for p, row in enumerate(seated):
+        o = nk * ((2 * mt * (p + tau >= mt) - 2 * tau) % (3 * mt))
+        if (row[nk * 3 * tau:] != row[:-nk * 3 * tau]
+                or seated[(p + tau) % mt] != (row + row)[o:o + nk * 3 * mt]):
+            return False
+    return True
 
 
 def _torus_translates(net: Network, assoc: Association, t: int, tm: list[int], ms: list[int],
-                      hop: list[int | None], grid: list) -> list | None:
+                      hop: list[int | None]) -> list | None:
     """The (lowest member, 1 or 2 for the template t, members, master) of every subnet of a
     builder's torus, ``tm`` moved by a master-lattice vector, with hops; None unless the
     masters are that lattice, the roles repeat with it and the translates hold all."""
@@ -365,25 +413,21 @@ def _torus_translates(net: Network, assoc: Association, t: int, tm: list[int], m
     ta, tb = frame(coord[t])
     if len(ms) != M * M or not all(is_master((a - ta, b - tb), tau) for a, b in places):
         return None
-    # the roles repeat with (0, 3 tau) along a parallelogram row, and row p + tau is row p
-    # turned by 2 tau (less 2 mt where it wraps): the master lattice's two generators
-    seated = [itemgetter(*g)(roles) for g in grid]
-    for p, row in enumerate(seated):
-        o = nk * ((2 * mt * (p + tau >= mt) - 2 * tau) % P)
-        if (row[nk * 3 * tau:] != row[:-nk * 3 * tau]
-                or seated[(p + tau) % mt] != (row + row)[o:o + nk * P]):
-            return None
+    if not _repeats(net, roles, tau, nk):  # the master lattice's two generators
+        return None
     if M * M * len(tm) != len(roles) - roles.count(Role.SILENT):
         return None  # an active node outside every translate
     rel = []  # (da, db, kind) of each member's node from t, the wrap with 2b - a and 2a - b
+    rows, starts = coord.rows, coord.starts
     for k in tm:  # in [-P/2, P/2): the shortest when M >= 2, as members lie within tau of t
-        a, b = coord[k // nk]
+        a, lo, _ = rows[r := bisect_right(starts, k // nk) - 1]  # cell k // nk is (a, b)
+        b = lo + k // nk - starts[r]
         u, v = 2 * (b - tb) - (a - ta), 2 * (a - ta) - (b - tb)
         u, v = u - P * ((2 * u + P) // (2 * P)), v - P * ((2 * v + P) // (2 * P))
         rel.append(((u + 2 * v) // 3, (2 * u + v) // 3, k % nk))
     # the window, which holds every master's members: cells -ra <= a < mt + ra, -rb <= b < W - rb
     ra, rb = max(abs(da) for da, _, _ in rel), max(abs(db) for _, db, _ in rel)
-    W, ids = P + 2 * rb, []
+    W, ids, grid = P + 2 * rb, [], net._mark[3][1]
     for a in range(-ra, mt + ra):
         s = (-rb - 2 * mt * (a // mt)) % P
         ids += (grid[a % mt] * (3 + 2 * rb // P))[nk * s:nk * (s + W)]
@@ -417,19 +461,14 @@ def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms
     lies within R + 1 + |m| - tau <= radius.  So each translate has the template's roles
     and a ring that is silent or outside the ball: it is a component with one master.
     """
-    roles, radius, ((los, his, bases), _) = assoc.roles, net.params["radius"], net._mark[3]
+    roles, radius, ((_, _, bases), _) = assoc.roles, net.params["radius"], net._mark[3]
     a0 = -radius - 1  # row a is at index a - a0 of los, his, bases: (a, b) has id bases[a - a0] + b
     tau, nk = scheme_tau(net.model, assoc.scheme, assoc.D), len(net.tx_nodes) // len(net.rx_nodes)
     key = list(roles)  # the roles, with each master's first node wrapped as (role,)
     for m in ms:
         key[nk * m] = (key[nk * m],)
-    for r in range(1, len(bases) - 1 - tau):  # rows a and a + tau
-        for s in (2 * tau, -tau):  # [x, y): the nodes of each (a, b) with (a + tau, b + s), if any
-            x = nk * (bases[r] + max(los[r], los[r + tau] - s))
-            y = max(x, nk * (bases[r] + min(his[r], his[r + tau] - s) + 1))
-            d = nk * (bases[r + tau] + s - bases[r])
-            if key[x:y] != key[x + d:y + d]:
-                return None
+    if not _repeats(net, key, tau, nk):
+        return None
 
     cells = [net.cell_coords[k // nk] for k in tm]
     R = max(max(abs(a), abs(b), abs(a - b)) for a, b in cells)  # the members' extent

@@ -270,9 +270,11 @@ def test_bad_prelog_budgets_are_named(capsys, budgets, named):
 
 
 def _budget_by_fraction(text):
-    """The budget rule: ``Fraction(text)`` if it reads as a nonnegative value, else None."""
+    """The budget rule: ``Fraction(text)`` if it reads as a nonnegative value whose terms
+    Python can write in decimal (within its int string limit), else None."""
     try:
         value = F(text)
+        str(value.numerator), str(value.denominator)
     except (ValueError, ZeroDivisionError):
         return None
     return value if value >= 0 else None
@@ -286,7 +288,8 @@ budget_texts = st.one_of(
     st.text("0123456789/+-. _\t٣٤", min_size=1, max_size=8),
     st.sampled_from(["1.5", "3", "1e3", "1_0/3", "3/1_0", "٣/4", "3/٤", "+3/4",
                      "-3/4", "3/-4", "3/+4", " 3/4 ", "3 /4", "3/ 4", "0/0", "00/000", "-0/7",
-                     "1/2/3", "1" * 4301 + "/3", "3/" + "1" * 4301, "1" * 4300 + "/7"]),
+                     "1/2/3", "1" * 4301 + "/3", "3/" + "1" * 4301, "1" * 4300 + "/7",
+                     "1e5000", "1e-5000", "1e4299", "2.5e-4299"]),
 )
 
 
@@ -306,6 +309,18 @@ def test_budgets_are_read_by_the_fraction_rule(text):
     else:
         assert (code, err.getvalue()) == (0, "")
         assert ratio_from_json(json.loads(out.getvalue())["mu_tx"]) == value
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("flag, text", [("--mu-tx", "1e5000"), ("--mu-rx", "1e-5000"),
+                                        ("--mu-tx", "2.5e4300")])
+def test_budgets_past_the_int_string_limit_are_refused_in_both_formats(capsys, fmt, flag, text):
+    """A budget whose terms Python cannot write in decimal is refused, naming its flag,
+    whether or not the output would echo it (JSON does, CSV does not)."""
+    budgets = {"--mu-tx": "1", "--mu-rx": "1", flag: text}
+    code, out, err = run(capsys, "region", "--model", "wyner", "--D", "6", "--L", "3",
+                         *(x for pair in budgets.items() for x in pair), "--format", fmt)
+    assert (code, out, err) == (2, "", f"error: {flag}={text}: need a nonnegative rational p/q\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -249,6 +249,24 @@ def _and_walk(fn, net, assoc):
         return fn(net, assoc)
 
 
+@pytest.mark.parametrize("make, radius, D", [(build_hex, 9, 8), (build_sectored_hex, 7, 4)],
+                         ids=["hex-ball", "sectorized-ball"])
+def test_readers_of_every_node_compute_a_balls_lists_at_once(make, radius, D):
+    """The walk, the fast-interference check over every node, the ledger of walked columns,
+    ``to_json_dict``, ``==`` and ``hash`` read a ball's adjacency a row at a time, at C level,
+    never one item at a time."""
+    net, twin = make(radius, 1), make(radius, 1)
+    assoc, twin_assoc = assign(net, D, Scheme.BOTH_COMP_RX), assign(twin, D, Scheme.BOTH_COMP_RX)
+    ledger = ref_message_ledger(twin, twin_assoc, ref_subnet_decompose(twin, twin_assoc)[0])
+    with mock.patch.object(type(net.interference), "__getitem__", side_effect=AssertionError):
+        walk, report = _and_walk(validate, net, assoc)
+        assert message_ledger(net, assoc, walk) == ledger
+        assert net.to_json_dict() == twin.to_json_dict()
+        assert net.interference == twin.interference and twin.rx_coop == net.rx_coop
+        assert hash(net.interference) == hash(twin.interference) == hash(tuple(net.interference))
+    assert report.ok and walk.translates is None
+
+
 def assert_period_matches_walk(net, D, scheme):
     """The period path equals the walk on every column, report and ledger field."""
     assoc = assign(net, D, scheme)
@@ -831,11 +849,36 @@ def _no_coop_case(make, size):
     return net, assign(net, 0, Scheme.NO_COOP)
 
 
-def _silent_turned_fast(net, assoc):
+def _silent_turned_fast(net, assoc, nodes=lambda net: net.tx_nodes[net.n_tx // 2:]):
+    """The first of ``nodes`` (those past the middle) that is silent and hears a fast node,
+    turned fast."""
     roles = assoc.roles
-    k = next(k for k in net.tx_nodes[len(roles) // 2:]  # the first past the middle
+    k = next(k for k in nodes(net)
              if roles[k] is Role.SILENT and any(roles[j] is Role.FAST for j in net.interference[k]))
     roles[k] = Role.FAST
+    return net, assoc
+
+
+def _class_turned(role, active):
+    """Every node of the class of the spacing-1 lattice, cells (a, b) with one a + b mod 3 and
+    one node kind, of the first active (or silent) node, turned to ``role``: the roles still
+    repeat."""
+    def edit(net, assoc):
+        nk, roles = len(net.tx_nodes) // len(net.rx_nodes), assoc.roles
+        key = lambda x: (sum(net.cell_coords[x // nk]) % 3, x % nk)
+        turned = key(next(x for x in net.tx_nodes if (roles[x] is not Role.SILENT) == active))
+        for x in net.tx_nodes:
+            if key(x) == turned:
+                roles[x] = role
+        return net, assoc
+    return edit
+
+
+def _fast_and_silent_swapped(net, assoc):
+    """Each fast node silent, each silent node fast: on hex the centre cell's class is
+    silent, and the cells of the other two hear each other."""
+    swap = {Role.FAST: Role.SILENT, Role.SILENT: Role.FAST}
+    assoc.roles[:] = [swap[r] for r in assoc.roles]
     return net, assoc
 
 
@@ -849,16 +892,23 @@ def _replaced_network(net, assoc):
     return net, replace(assoc, net=net)
 
 
-@pytest.mark.parametrize("edit, ok", [(_silent_turned_fast, False), (_active_turned_slow, True),
-                                      (_replaced_network, True)],
-                         ids=["silent-turned-fast", "active-turned-slow", "replaced"])
+@pytest.mark.parametrize("edit, ok", [
+    (_silent_turned_fast, False), (_active_turned_slow, True), (_replaced_network, True),
+    # far from the cells that the proof reads: only the roles' repeat finds it
+    (partial(_silent_turned_fast, nodes=lambda net: net.tx_nodes[::-1]), False),
+    # the roles repeat: the nodes around the centre cell must be fast and hear only silent ones
+    (_class_turned(Role.FAST, active=False), False), (_class_turned(Role.SLOW, active=True), True),
+    (_fast_and_silent_swapped, False),
+], ids=["silent-turned-fast", "active-turned-slow", "replaced", "last-silent-turned-fast",
+        "class-turned-fast", "class-turned-slow", "fast-and-silent-swapped"])
 @pytest.mark.parametrize("make, size", [
     (build_hex, (9,)), (build_sectored_hex, (7,)), (build_hex_torus, (2, 3)),
     (build_sectored_hex_torus, (1, 4)),
 ], ids=["hex-ball", "sectorized-ball", "hex-torus", "sectorized-torus"])
 def test_cooperation_free_proof_falls_back_to_the_walk(make, size, edit, ok):
     """Without masters and cooperation a builder's ball or torus is proven without the walk,
-    unless an active node is not fast or hears another, or the network is a copy."""
+    unless an active node is not fast or hears another, the roles do not repeat with the
+    spacing-1 lattice, or the network is a copy."""
     net, assoc = _no_coop_case(make, size)
     subnets, _ = validate(net, assoc)
     assert subnets.translates == (0, len(subnets.members), ())
@@ -876,14 +926,15 @@ def test_cooperation_free_proof_falls_back_to_the_walk(make, size, edit, ok):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori(data):
-    """A builder's ball or torus with an association of any scheme, at most one edit away
-    from ``assign``'s: whether or not a proof is taken, it is the walk."""
+    """A builder's ball or torus with an association of any scheme, no-coop included, at
+    most one edit away from ``assign``'s: whether or not a proof is taken, it is the walk."""
     model = data.draw(st.sampled_from((HEX, SECTORED)), "model")
     scheme = data.draw(st.sampled_from(  # the schemes the model runs
         [s for s in Scheme if valid_range(model, s, 2)]), "scheme")
     D = data.draw(st.sampled_from(valid_range(model, scheme, 14 if model == HEX else 8)), "D")
     L = data.draw(st.integers(1, 4), "L")
-    tau = max(1, scheme_tau(model, scheme, D))
+    # the spacing of the roles' lattice; no-coop roles repeat with 1, on a torus of any spacing
+    tau = scheme_tau(model, scheme, D) if scheme.cooperative else 1
     edit = data.draw(st.sampled_from((None, "flip", "drop", "replace", "orbit")), "edit")
     # an orbit on a ball is drawn on one with translates, of radius 3 tau >= 2 tau + R (every
     # template's extent R is at most tau), and often through the template around the centre:
@@ -892,8 +943,9 @@ def test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori(data):
         radius = st.integers(3 * tau, 3 * tau + 4) if edit == "orbit" else st.integers(0, 20)
         net = (build_hex if model == HEX else build_sectored_hex)(data.draw(radius, "radius"), L)
     else:
+        spacing = tau if scheme.cooperative else data.draw(st.integers(1, 4), "spacing")
         net = (build_hex_torus if model == HEX else build_sectored_hex_torus)(
-            tau, data.draw(st.integers(1, 4), "copies"), L)
+            spacing, data.draw(st.integers(1, 4), "copies"), L)
     assoc, nk = assign(net, D, scheme), len(net.tx_nodes) // len(net.rx_nodes)
     if edit in ("flip", "orbit"):
         nodes = st.sampled_from(net.tx_nodes)

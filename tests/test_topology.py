@@ -17,7 +17,8 @@ from mgnet import (HEX, SECTORED, WYNER, build_hex, build_hex_torus, build_secto
                    build_sectored_hex_torus, build_wyner, hex_distance)
 from mgnet.association import Scheme, assign, check_params, scheme_tau
 from mgnet.lattice import NEIGHBOR_STEPS, TorusGeometry, ball, row_cells
-from mgnet.topology import (SECTOR_KINDS, SECTOR_RULE, _LineAdjacency, _RowCells, as_built,
+from mgnet.topology import (SECTOR_KINDS, SECTOR_RULE, _GridAdjacency, _LineAdjacency, _RowCells,
+                            as_built,
                             builder_rows)
 
 
@@ -550,3 +551,67 @@ def test_builder_cells_are_computed_like_the_tuple_of_their_rows(make, sizes):
         with pytest.raises(TypeError):
             cells[0] = (0, 0)
         assert cells == ref
+
+
+def stored_ball_adjacency(model, radius):
+    """(interference, rx_coop) of a ball as the tuples its builder once stored: each node's
+    neighbours at its unit steps, in order, looked up in the coordinate dict."""
+    index = {c: i for i, c in enumerate(brute_ball(radius))}
+    cells = [tuple(j for d in sorted(NEIGHBOR_STEPS) if (j := ball_step(c, d, index)) is not None)
+             for c in index]
+    if model == HEX:
+        return tuple(cells), tuple(cells)
+    sectors = tuple(tuple(3 * j + SECTOR_KINDS.index(k2) for k2, d in SECTOR_STEPS[k]
+                          if (j := ball_step(c, d, index)) is not None)
+                    for c in index for k in SECTOR_KINDS)
+    return sectors, tuple(cells)
+
+
+# every ball of radius 0..12, and the rim workload's: hex radius 60, sectorized radius 40
+@pytest.mark.parametrize("make, radii", [(build_hex, [*range(13), 60]),
+                                         (build_sectored_hex, [*range(13), 40])],
+                         ids=["hex-balls", "sectorized-balls"])
+def test_builder_adjacency_is_computed_like_the_stored_tuple(make, radii):
+    for radius in radii:
+        refs = dict(zip(("interference", "rx_coop"), stored_ball_adjacency(make(0, 1).model,
+                                                                          radius)))
+        for name, ref in refs.items():
+            n = len(ref)
+            net = make(radius, 1)  # fresh: items are computed one at a time
+            adj = getattr(net, name)
+            nodes = net.tx_nodes if name == "interference" else net.rx_nodes
+            assert isinstance(adj, _GridAdjacency) and len(adj) == n
+            assert net.tx_coop is net.interference and (net.rx_coop is adj) == (n == net.n_rx)
+            assert all(adj[i] == ref[i] for i in range(-n, n))
+            assert all(j is nodes[j] for i in range(n) for j in adj[i])
+            for s in (slice(None), slice(1, None), slice(None, None, -1), slice(-3, None),
+                      slice(2, -2, 3), slice(5, 1, -2), slice(n - 1, n + 5), slice(-n - 9, 2)):
+                assert adj[s] == ref[s]
+            for bad in (n, -n - 1):
+                with pytest.raises(IndexError, match="^tuple index out of range$"):
+                    adj[bad]
+            assert adj[False] == ref[False] and adj[-True] == ref[-True]
+            twin = make(radius, 1)  # fresh, half its items computed first: iteration does the rest
+            other = getattr(twin, name)
+            assert [other[i] for i in range(0, n, 2)] == list(ref[::2])
+            assert list(other) == list(ref) and list(reversed(other)) == list(reversed(ref))
+            nodes = twin.tx_nodes if name == "interference" else twin.rx_nodes
+            assert all(j is nodes[j] for nbrs in other for j in nbrs)
+            for a, b in ((adj, ref), (other, ref), (adj, other)):
+                assert a == b and b == a and not a != b and not b != a
+            assert hash(adj) == hash(ref) == hash(getattr(make(radius, 1), name))
+            assert adj != ref[:-1] and ref[:-1] != adj and adj != list(ref)
+            assert adj[s] == ref[s] and all(adj[i] == ref[i] for i in range(-n, n))  # stored
+            assert (net.q_tx if name == "interference" else net.q_rx) == sum(map(len, tuple(adj)))
+            for copied in (copy.deepcopy(twin), pickle.loads(pickle.dumps(twin))):
+                assert builder_rows(copied) == builder_rows(twin) is not None
+                assert type(getattr(copied, name)) is _GridAdjacency
+                assert getattr(copied, name) == ref
+            for slot in ("args", "flat", "memo", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(adj, slot, ())
+            with pytest.raises(AttributeError):
+                del adj.memo
+            with pytest.raises(TypeError):
+                adj[0] = ()
+            assert adj == ref
