@@ -116,10 +116,12 @@ MUTANTS = [
            "far = t3",
            ("tests/test_lattice.py::test_nearest_rows_match_the_plane_scan",
             TORI + "[SectorizedHexagonal-build_sectored_hex_torus-4-2]")),
-    # torus neighbours listed by id, as before they were listed by unit step
+    # torus neighbours listed by id, as before they were listed by unit step, when every
+    # item is computed at once
     Mutant("torus-tuples-id-sorted", "src/mgnet/topology.py",
-           "    if mt == 1:  # the duplicates\n        adj = map(tuple, map(dict.fromkeys, adj))",
-           "    adj = map(tuple, map(sorted, adj))",
+           "memo[first + k:stop:nk] = zip(*[flat[f + d:f + d + stop - first:nk] for d in steps])",
+           "memo[first + k:stop:nk] = map(tuple, map(sorted, zip(*[\n"
+           "                    flat[f + d:f + d + stop - first:nk] for d in steps])))",
            (REPEAT + "[Hexagonal]", REPEAT + "[SectorizedHexagonal]", CANON + "[5-3]")),
     # a ball iterated: the nodes at the row ends keep their empty seats
     Mutant("ball-row-ends-keep-empty-cells", "src/mgnet/topology.py",
@@ -149,9 +151,19 @@ MUTANTS = [
            "(w := (hi if hi < hi2 else hi2) - lo + 1)",
            (GRID + "[sectorized-balls]", BALL + "[2]")),
     Mutant("torus-seam-shift-halved", "src/mgnet/topology.py",
-           "(b - 2 * mt * (a // mt)) % W)",
-           "(b - mt * (a // mt)) % W)",
+           "(b - 2 * mt * (a // mt)) % P)",
+           "(b - mt * (a // mt)) % P)",
            (CANON + "[1-1]", CANON + "[7-2]")),
+    # the margin rows above and below the parallelogram turned the other way at the seam
+    Mutant("torus-margin-row-turned-backwards", "src/mgnet/topology.py",
+           "o = nk * ((-2 * mt * (q // mt) - 1) % P)",
+           "o = nk * ((2 * mt * (q // mt) - 1) % P)",
+           (CANON + "[2-2]", GRID + "[hex-tori]", GRID + "[sectorized-tori]")),
+    # on the three-cell torus, a cold item keeps a second step to a cell it already holds
+    Mutant("three-cell-torus-keeps-duplicates", "src/mgnet/topology.py",
+           "{(*seat(da, db), k2): (da, db, k2) for da, db, k2 in ks[::-1]}",
+           "{(da, db, k2): (da, db, k2) for da, db, k2 in ks[::-1]}",
+           (GRID + "[hex-tori]", GRID + "[sectorized-tori]", CANON + "[1-1]")),
     Mutant("torus-window-loses-its-wrap", "src/mgnet/validation.py",
            "(grid[a % mt] * (3 + 2 * rb // P))",
            "(grid[a % mt] * (1 + 2 * rb // P))",

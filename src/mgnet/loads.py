@@ -291,6 +291,7 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices, a
                 continue
             src = tx_cell[k]
             shared_by[src] = k  # a fast node shares once per neighbouring cell, never with its own
+            cell_links = rx_adj[src]
             for j in interference[k]:
                 if roles[j] is not slow:
                     continue
@@ -300,7 +301,7 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices, a
                 if shared_by[c] != k:
                     shared_by[c] = k
                     fast_share += 1
-                    rx_use[rx_off[src] + rx_adj[src].index(c)] += 1
+                    rx_use[rx_off[src] + cell_links.index(c)] += 1
     except ValueError:  # ``index`` found no link for the message from j to k: name it
         graph, u, v = ("tx_coop", j, k) if k not in tx_adj[j] else ("rx_coop", src, tx_cell[j])
         raise ValueError(f"fast node {k} hears slow node {j}, but {graph} has no link "
@@ -354,14 +355,14 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices, a
             below[c] = 0
             if g < 0:  # the master
                 continue
-            for p in coop[c]:
-                if level[p] == g and c in coop[p]:
+            for i, p in enumerate(coop[c]):
+                if level[p] == g and c in (back := coop[p]):
                     break
             else:
                 raise ValueError(f"cell {c} has no link both ways in {side}_coop to a cell "
                                  f"one hop nearer master {master}")
-            use[off[c] + coop[c].index(p)] += n
-            use[off[p] + coop[p].index(c)] += n
+            use[off[c] + i] += n
+            use[off[p] + back.index(c)] += n
             below[p] += n
     return precancel, fast_share, fanin, fast_master_saved, q_dedup
 

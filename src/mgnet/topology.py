@@ -29,14 +29,14 @@ unit-step order (``_HEX_STEPS``, ``_SECTOR_STEPS``; the lower cell first on
 a line), which a translation keeps: on a line and a ball this is id order,
 while a torus's wrapped neighbours keep their step's place.  Equal
 relations share one object (``tx_coop is interference`` in every model).
-A torus's adjacency is a stored tuple.  A line's is computed, not stored:
-cell k hears k - 1 and k + 1, so ``_LineAdjacency`` returns that pair
-(clipped to 1..K) on access.  A ball's is computed from its padded id grid
-(``_GridAdjacency``): an item on its first access, which stores it, and
-every item at once, a row at a time, when it is iterated or handed to a
-reader of every node (``every_list``).  A ball's or torus's ``cell_coords``
-are computed from its rows (``_RowCells``).  All three equal, hash, index
-and slice like the tuple they stand for (``_Computed``).
+Adjacency is computed, not stored.  A line's cell k hears k - 1 and k + 1,
+so ``_LineAdjacency`` returns that pair (clipped to 1..K) on access.  A
+ball's or torus's is read off one flat grid of its ids (``_GridAdjacency``):
+an item on its first access, which stores it, and every item at once, a
+row at a time, when it is iterated or handed to a reader of every node
+(``every_list``).  Its ``cell_coords`` are computed from its rows
+(``_RowCells``).  All three equal, hash, index and slice like the tuple
+they stand for (``_Computed``).
 
 Every builder marks the ``Network`` it returns (``_marked``): ``as_built``
 and ``builder_rows`` tell in O(1) whether a network is still exactly a
@@ -49,10 +49,9 @@ a hand-made ``Network`` matches no mark.
 
 Hex and sectorized networks are written once, by ``_from_rows``, from
 their node kinds and the domain's rows (``lattice.ball_rows``,
-``TorusGeometry.rows``): cell (a, b) has id ``base[a] + b``, and a ball's
-or a torus's adjacency is read off a grid of ids, with no per-cell
-neighbour lookup and no ``canon`` call.  A ball's link counts ``q_tx`` and
-``q_rx`` come from its rows alone (``_links``).
+``TorusGeometry.rows``): cell (a, b) has id ``base[a] + b``, with no
+per-cell neighbour lookup and no ``canon`` call.  The link counts ``q_tx``
+and ``q_rx`` come from a ball's rows (``_links``) and a torus's steps.
 
 Finite instances come in two flavours: hex-distance balls of a given
 radius (edge effects at the rim) and tori holding M x M whole subnets of a
@@ -104,7 +103,7 @@ class Network:
     L: int
     tx_nodes: tuple[int, ...]
     rx_nodes: tuple[int, ...]
-    # I_k: tx nodes heard at node k's receiver unit; a tuple, or a line's computed adjacency
+    # I_k: tx nodes heard at node k's receiver unit, computed on access (see above)
     interference: Sequence[tuple[int, ...]]
     tx_coop: Sequence[tuple[int, ...]]
     rx_coop: Sequence[tuple[int, ...]]  # per Rx cell
@@ -114,7 +113,7 @@ class Network:
     cell_coords: Sequence = field(default=(), repr=False)  # per Rx cell
     tx_cell: Sequence[int] = field(default=(), repr=False)  # Tx node -> Rx cell
     geometry: object | None = field(default=None, repr=False)
-    # (the _MARKED fields, params, rows, seats) as a builder returned them; see ``_marked``
+    # (the _MARKED fields, params, rows, pads) as a builder returned them; see ``_marked``
     _mark: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -157,10 +156,10 @@ _MARKED = attrgetter("model", "tx_nodes", "rx_nodes", "interference", "tx_coop",
                      "tx_cell", "cell_coords")
 
 
-def _marked(net: Network, rows: list[Row] | None = None, seats: tuple | None = None) -> Network:
+def _marked(net: Network, rows: list[Row] | None = None, pads: tuple | None = None) -> Network:
     """``net``, marked as its builder returns it, with the marked fields' objects, its
-    params and a ball's or torus's rows, with (their ``_pads``, a torus's Tx id grid)."""
-    net._mark = (_MARKED(net), dict(net.params), None if rows is None else tuple(rows), seats)
+    params and a ball's or torus's rows, with their ``_pads``."""
+    net._mark = (_MARKED(net), dict(net.params), None if rows is None else tuple(rows), pads)
     return net
 
 
@@ -329,66 +328,50 @@ def _pads(rows: list[Row], starts: list[int]) -> tuple[list[int], list[int], lis
     return [_NO_LO, *los, _NO_LO], [_NO_HI, *his, _NO_HI], [0, *map(sub, starts, los), 0]
 
 
-def _adjacency(rows: list[Row], pads: tuple, kinds: tuple[tuple[tuple[int, int, int], ...], ...],
-               nodes: tuple[int, ...], mt: int) -> tuple[tuple[tuple[int, ...], ...], list]:
-    """Adjacency of the nodes ``len(kinds) * cell + k`` over the cells of ``rows`` (with
-    their ``_pads``), a torus's of mt = tau * M; and the grid of ids.
-
-    Node ``k`` of a cell hears node ``k2`` of the cell (da, db) away for
-    each step (da, db, k2) of ``kinds[k]``, in the order of the steps.  Each
-    cell has a seat on the parallelogram domain (``lattice``), a grid of mt
-    rows 3 mt cells wide that holds the ids of every kind, so each step of a
-    whole row is one rotation of a grid row.  On the torus of mt == 1, the one
-    where two unit steps reach one cell, every node keeps the first step to
-    each cell.
-    """
-    nk, W = len(kinds), 3 * mt
-    _, _, bases = pads
-    seat = lambda a, b: (a % mt, (b - 2 * mt * (a // mt)) % W)  # (a, b) in the parallelogram
-    grid = [[None] * (nk * W) for _ in range(mt)]  # grid[p][nk * c + k]: kind k at seat (p, c)
-    for r, (a, lo, hi) in enumerate(rows, 1):
-        (p, s), n = seat(a, lo), hi - lo + 1
-        ids = nodes[nk * (bases[r] + lo):nk * (bases[r] + hi + 1)]
-        grid[p][nk * s:nk * (s + n)] = ids[:nk * (W - s)]
-        grid[p][:nk * max(s + n - W, 0)] = ids[nk * (W - s):]
-    # tup[k][p]: the tuples of kind k along parallelogram row p, doubled; step (da, db, k2)
-    # of cell (p, b) is cell b + t of parallelogram row q, where (q, t) = seat(p + da, db)
-    tup = [[list(zip(*[grid[q][nk * t + k2::nk] + grid[q][k2:nk * t:nk] for da, db, k2 in steps
-                       for q, t in [seat(p + da, db)]])) * 2 for p in range(mt)]
-           for steps in kinds]
-    adj: list = [None] * len(nodes)
-    for r, (a, lo, hi) in enumerate(rows, 1):
-        (p, s), n = seat(a, lo), hi - lo + 1
-        first, stop = nk * (bases[r] + lo), nk * (bases[r] + hi + 1)
-        for k in range(nk):
-            adj[first + k:stop:nk] = tup[k][p][s:s + n]
-    if mt == 1:  # the duplicates
-        adj = map(tuple, map(dict.fromkeys, adj))
-    return tuple(adj), grid
-
-
 class _GridAdjacency(_Computed):
-    """A ball's adjacency, from ``(rows, pads, kinds, nodes)``: item x is the nodes at the
-    steps (da, db, k2) of ``kinds[x % nk]`` from node x, in step order, less empty seats.
+    """A ball's or torus's adjacency, from ``(rows, pads, kinds, nodes, mt)`` (mt = tau * M on
+    a torus, None on a ball): item x is the nodes at the steps (da, db, k2) of
+    ``kinds[x % nk]`` from node x, in step order, less empty seats.
 
-    A flat list holds the ids of every kind on the ball's bounding box with an
-    empty row and column on every side, W cells square: node x of row r sits at
-    ``offs[r] + x``, and each step is one offset from there.  An item is stored
-    when first read.  ``lists`` (and iteration) computes every item, a row at a
-    time: a step of a row is one slice of the flat list, and the nodes outside
-    the row's inner run drop their empty seats.
+    A flat list holds the ids of every kind, W cells to a row: node x of row r
+    sits at ``offs[r] + x``, and each step is one offset from there.  A ball's
+    is its bounding box with an empty row and column on every side.  A torus's
+    is its parallelogram domain (``lattice``), each row twice between margin
+    columns, and margin rows turned at the seam, so no seat is empty; on the
+    torus of mt == 1 a step to the cell of an earlier step is dropped.  An item
+    is stored when first read.  ``lists`` (and iteration) computes every item, a
+    row at a time: a step of a row is one slice of the flat list, and on a ball
+    the nodes outside the row's inner run drop their empty seats.
     """
 
     __slots__ = ("args", "flat", "nstarts", "offs", "steps", "memo")
 
     def __init__(self, args: tuple) -> None:
-        rows, (_, _, bases), kinds, nodes = args
-        nk, W, b0 = len(kinds), len(rows) + 2, rows[0][1] - 1
+        rows, _, kinds, nodes, mt = args
+        nk = len(kinds)
         nstarts = [0, *accumulate(nk * (hi - lo + 1) for _, lo, hi in rows)]  # rows' first nodes
-        offs = [0, *(nk * (r * W - b0 - bases[r]) for r in range(1, len(rows) + 1))]
-        flat = [None] * (nk * W * W)  # kind k of cell (a, b) of row r at nk * (r * W + b - b0) + k
-        for r in range(1, len(rows) + 1):
-            flat[offs[r] + nstarts[r - 1]:offs[r] + nstarts[r]] = nodes[nstarts[r - 1]:nstarts[r]]
+        if mt is None:  # row r's first cell (a, lo) at seat (r, lo - b0)
+            W, b0 = len(rows) + 2, rows[0][1] - 1
+            seats = [(r, lo - b0) for r, (_, lo, _) in enumerate(rows, 1)]
+            flat = [None] * (nk * W * W)
+            for (q, c), i, j in zip(seats, nstarts, nstarts[1:]):
+                flat[nk * (q * W + c):nk * (q * W + c) + j - i] = nodes[i:j]
+        else:  # row (a, lo, hi) from seat s of parallelogram row p on, at seat (p + 1, s + 1)
+            P, W = 3 * mt, 6 * mt + 2
+            seat = lambda a, b: (a % mt, (b - 2 * mt * (a // mt)) % P)
+            # the first step to each cell, in step order: the steps are sorted
+            kinds = [sorted({(*seat(da, db), k2): (da, db, k2) for da, db, k2 in ks[::-1]}.values())
+                     for ks in kinds]
+            grid, seats, flat = [[None] * (nk * P) for _ in range(mt)], [], []
+            for (a, lo, _), i, j in zip(rows, nstarts, nstarts[1:]):
+                p, s = seat(a, lo)
+                grid[p][nk * s:nk * s + j - i] = nodes[i:j][:nk * (P - s)]
+                grid[p][:max(nk * s + j - i - nk * P, 0)] = nodes[i:j][nk * (P - s):]
+                seats.append((p + 1, s + 1))
+            for q in range(-1, mt + 1):  # row q is row q % mt, turned by 2 mt at each seam
+                o = nk * ((-2 * mt * (q // mt) - 1) % P)
+                flat += (grid[q % mt] * 4)[o:o + nk * W]
+        offs = [0, *(nk * (q * W + c) - i for (q, c), i in zip(seats, nstarts))]
         steps = [[nk * (da * W + db) + k2 - k for da, db, k2 in ks] for k, ks in enumerate(kinds)]
         for name, value in zip(self.__slots__, (args, flat, nstarts, offs, steps,
                                                 [None] * len(nodes))):
@@ -417,7 +400,7 @@ class _GridAdjacency(_Computed):
         """Every item, computed at once and stored."""
         if self.memo.__class__ is tuple:
             return self.memo
-        rows, (los, his, _), _, _ = self.args
+        rows, (los, his, _), _, _, mt = self.args
         flat, nstarts, offs, memo, nk = self.flat, self.nstarts, self.offs, self.memo, len(self.steps)
         ends = []  # the nodes to fix at the end
         for r, (_, lo, hi) in enumerate(rows, 1):
@@ -425,11 +408,11 @@ class _GridAdjacency(_Computed):
             for k, steps in enumerate(self.steps):
                 f = offs[r] + first + k
                 memo[first + k:stop:nk] = zip(*[flat[f + d:f + d + stop - first:nk] for d in steps])
-            # the nodes outside bl..bh, the cells whose six neighbours are in the ball
-            bl = max(lo + 1, los[r - 1] + 1, los[r + 1])
-            bh = min(hi - 1, his[r - 1], his[r + 1] - 1)
-            ends += range(first, first + nk * (min(bl, hi + 1) - lo))
-            ends += range(first + nk * (max(bh + 1, bl) - lo), stop)
+            if mt is None:  # a ball: the nodes outside bl..bh, the cells whose neighbours it holds
+                bl = max(lo + 1, los[r - 1] + 1, los[r + 1])
+                bh = min(hi - 1, his[r - 1], his[r + 1] - 1)
+                ends += range(first, first + nk * (min(bl, hi + 1) - lo))
+                ends += range(first + nk * (max(bh + 1, bl) - lo), stop)
         empty = partial(filter, partial(is_not, None))
         for x, nbrs in zip(ends, map(empty, map(memo.__getitem__, ends))):
             memo[x] = tuple(nbrs)
@@ -439,9 +422,15 @@ class _GridAdjacency(_Computed):
     def __iter__(self):
         return iter(self.lists())
 
+    def parallelogram(self) -> list[list[int]]:
+        """A torus's ids along each row of its parallelogram domain, seat by seat."""
+        mt, nk, flat = self.args[4], len(self.steps), self.flat
+        w = len(flat) // (mt + 2)  # row p + 1 of the flat list: row p twice, between margins
+        return [flat[w * p + nk:w * p + nk + 3 * mt * nk] for p in range(1, mt + 1)]
+
 
 def every_list(adj: Sequence) -> Sequence:
-    """``adj`` for a reader of every node: a ball's adjacency computes all its items at once."""
+    """``adj`` for a reader of every node: a ball's or torus's computes all its items at once."""
     return adj.lists() if adj.__class__ is _GridAdjacency else adj
 
 
@@ -467,29 +456,24 @@ def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], 
     """The marked network of ``kinds`` (``_HEX_STEPS`` or ``_SECTOR_STEPS``) over the cells
     of ``rows``, a ball's or (if ``mt``) a torus's: node ``len(kinds) * i + j`` is kind j of
     cell i.  With one kind a node is its own cell, and the cell-to-cell cooperation is the
-    interference.  A ball's adjacency is computed, a torus's stored."""
+    interference."""
     cells = _RowCells(tuple(rows))
     nk = len(kinds)
     ids = range(len(cells))
     rx_nodes = tuple(ids)
     tx_nodes = rx_nodes if nk == 1 else tuple(range(nk * len(cells)))
     pads = _pads(rows, cells.starts)
-    if mt is None:
-        interference, grid = _GridAdjacency((cells.rows, pads, kinds, tx_nodes)), None
-        rx_coop = interference if nk == 1 else _GridAdjacency((cells.rows, pads, _HEX_STEPS,
-                                                               rx_nodes))
-        q_tx, q_rx = _links(pads, kinds, _HEX_STEPS)
-    else:
-        interference, grid = _adjacency(rows, pads, kinds, tx_nodes, mt)
-        rx_coop = interference if nk == 1 else _adjacency(rows, pads, _HEX_STEPS, rx_nodes, mt)[0]
-        q_tx = sum(map(len, interference))
-        q_rx = q_tx if nk == 1 else sum(map(len, rx_coop))
+    interference = _GridAdjacency((cells.rows, pads, kinds, tx_nodes, mt))
+    rx_coop = interference if nk == 1 else _GridAdjacency((cells.rows, pads, _HEX_STEPS, rx_nodes,
+                                                           mt))
+    q_tx, q_rx = _links(pads, kinds, _HEX_STEPS) if mt is None else (
+        len(cells) * sum(map(len, adj.steps)) for adj in (interference, rx_coop))
     return _marked(Network(
         model=model, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
         interference=interference, tx_coop=interference, rx_coop=rx_coop,
         q_tx=q_tx, q_rx=q_rx, params=params, cell_coords=cells, geometry=geometry,
         tx_cell=ids if nk == 1 else tuple(chain.from_iterable(zip(*[rx_nodes] * nk))),
-    ), cells.rows, (pads, grid))
+    ), cells.rows, pads)
 
 
 def _ball(model: str, kinds, radius: int, L: int) -> Network:

@@ -379,9 +379,8 @@ def _repeats(net: Network, key: list, tau: int, nk: int) -> bool:
     lie in it (two compares per row pair); on a torus along each parallelogram row with (0, 3
     tau), and from row p to row p + tau turned by 2 tau, less 2 mt where it wraps (one compare
     each, ``lattice``)."""
-    pads, grid = net._mark[3]
     if net.has_rim:
-        los, his, bases = pads
+        los, his, bases = net._mark[3]
         for r in range(1, len(bases) - 1 - tau):  # rows a and a + tau
             for s in (2 * tau, -tau):  # [x, y): the nodes of each (a, b) with (a + tau, b + s), if any
                 x = nk * (bases[r] + max(los[r], los[r + tau] - s))
@@ -390,8 +389,8 @@ def _repeats(net: Network, key: list, tau: int, nk: int) -> bool:
                 if key[x:y] != key[x + d:y + d]:
                     return False
         return True
-    mt = len(grid)
-    seated = [itemgetter(*g)(key) for g in grid]
+    seated = [itemgetter(*g)(key) for g in net.interference.parallelogram()]
+    mt = len(seated)
     for p, row in enumerate(seated):
         o = nk * ((2 * mt * (p + tau >= mt) - 2 * tau) % (3 * mt))
         if (row[nk * 3 * tau:] != row[:-nk * 3 * tau]
@@ -427,7 +426,7 @@ def _torus_translates(net: Network, assoc: Association, t: int, tm: list[int], m
         rel.append(((u + 2 * v) // 3, (2 * u + v) // 3, k % nk))
     # the window, which holds every master's members: cells -ra <= a < mt + ra, -rb <= b < W - rb
     ra, rb = max(abs(da) for da, _, _ in rel), max(abs(db) for _, db, _ in rel)
-    W, ids, grid = P + 2 * rb, [], net._mark[3][1]
+    W, ids, grid = P + 2 * rb, [], net.interference.parallelogram()
     for a in range(-ra, mt + ra):
         s = (-rb - 2 * mt * (a // mt)) % P
         ids += (grid[a % mt] * (3 + 2 * rb // P))[nk * s:nk * (s + W)]
@@ -461,7 +460,7 @@ def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms
     lies within R + 1 + |m| - tau <= radius.  So each translate has the template's roles
     and a ring that is silent or outside the ball: it is a component with one master.
     """
-    roles, radius, ((_, _, bases), _) = assoc.roles, net.params["radius"], net._mark[3]
+    roles, radius, (_, _, bases) = assoc.roles, net.params["radius"], net._mark[3]
     a0 = -radius - 1  # row a is at index a - a0 of los, his, bases: (a, b) has id bases[a - a0] + b
     tau, nk = scheme_tau(net.model, assoc.scheme, assoc.D), len(net.tx_nodes) // len(net.rx_nodes)
     key = list(roles)  # the roles, with each master's first node wrapped as (role,)

@@ -217,11 +217,15 @@ def reference_json(model, cells, cell_nbrs, cell_at, params, L):
             "rx_coop": cell_pairs, "q_tx": len(tx_pairs), "q_rx": len(cell_pairs)}
 
 
+def torus_step(geo):
+    return lambda c, d, index: index[geo.canon((c[0] + d[0], c[1] + d[1]))]
+
+
 def reference_torus_json(model, tau, copies, L):
     """``to_json_dict`` of a torus built with ``canon`` on every neighbour step, each cell's
     neighbours in unit-step order."""
     geo = TorusGeometry(tau, copies)
-    at = lambda c, d, index: index[geo.canon((c[0] + d[0], c[1] + d[1]))]
+    at = torus_step(geo)
     return reference_json(model, geo.cells(),
                           lambda c, index: [at(c, d, index) for d in sorted(NEIGHBOR_STEPS)], at,
                           {"tau": tau, "copies": copies}, L)
@@ -553,34 +557,44 @@ def test_builder_cells_are_computed_like_the_tuple_of_their_rows(make, sizes):
         assert cells == ref
 
 
-def stored_ball_adjacency(model, radius):
-    """(interference, rx_coop) of a ball as the tuples its builder once stored: each node's
-    neighbours at its unit steps, in order, looked up in the coordinate dict."""
-    index = {c: i for i, c in enumerate(brute_ball(radius))}
-    cells = [tuple(j for d in sorted(NEIGHBOR_STEPS) if (j := ball_step(c, d, index)) is not None)
-             for c in index]
+def stored_adjacency(model, size):
+    """(interference, rx_coop) of a ball (size (radius,)) or a torus (size (tau, copies)) as
+    the tuples a builder once stored: each node's neighbours at its unit steps, in order,
+    looked up in the coordinate dict or reached by ``canon``, the first step to a node kept."""
+    geo = len(size) == 2 and TorusGeometry(*size)
+    cells, step = (geo.cells(), torus_step(geo)) if geo else (brute_ball(*size), ball_step)
+    index = {c: i for i, c in enumerate(cells)}
+    first = lambda nbrs: tuple(dict.fromkeys(j for j in nbrs if j is not None))
+    cells = tuple(first(step(c, d, index) for d in sorted(NEIGHBOR_STEPS)) for c in index)
     if model == HEX:
-        return tuple(cells), tuple(cells)
-    sectors = tuple(tuple(3 * j + SECTOR_KINDS.index(k2) for k2, d in SECTOR_STEPS[k]
-                          if (j := ball_step(c, d, index)) is not None)
+        return cells, cells
+    sectors = tuple(first(3 * j + SECTOR_KINDS.index(k2) for k2, d in SECTOR_STEPS[k]
+                          if (j := step(c, d, index)) is not None)
                     for c in index for k in SECTOR_KINDS)
-    return sectors, tuple(cells)
+    return sectors, cells
 
 
-# every ball of radius 0..12, and the rim workload's: hex radius 60, sectorized radius 40
-@pytest.mark.parametrize("make, radii", [(build_hex, [*range(13), 60]),
-                                         (build_sectored_hex, [*range(13), 40])],
-                         ids=["hex-balls", "sectorized-balls"])
-def test_builder_adjacency_is_computed_like_the_stored_tuple(make, radii):
-    for radius in radii:
-        refs = dict(zip(("interference", "rx_coop"), stored_ball_adjacency(make(0, 1).model,
-                                                                          radius)))
+TORUS_SIZES = [(1, 1), (1, 2), (2, 1), (3, 2), (4, 6), (2, 6)]  # the bench's (4, 6) and (2, 6)
+
+
+# every ball of radius 0..12, and the rim workload's: hex radius 60, sectorized radius 40;
+# tori from the three-cell one, where two steps reach one cell, to the torus workload's largest
+@pytest.mark.parametrize("make, sizes", [(build_hex, [(r,) for r in [*range(13), 60]]),
+                                         (build_sectored_hex, [(r,) for r in [*range(13), 40]]),
+                                         (build_hex_torus, TORUS_SIZES),
+                                         (build_sectored_hex_torus, TORUS_SIZES)],
+                         ids=["hex-balls", "sectorized-balls", "hex-tori", "sectorized-tori"])
+def test_builder_adjacency_is_computed_like_the_stored_tuple(make, sizes):
+    for size in sizes:
+        refs = dict(zip(("interference", "rx_coop"), stored_adjacency(make(*size, 1).model,
+                                                                      size)))
         for name, ref in refs.items():
             n = len(ref)
-            net = make(radius, 1)  # fresh: items are computed one at a time
+            net = make(*size, 1)  # fresh: items are computed one at a time
             adj = getattr(net, name)
             nodes = net.tx_nodes if name == "interference" else net.rx_nodes
             assert isinstance(adj, _GridAdjacency) and len(adj) == n
+            assert adj.memo == [None] * n  # the build, q_tx and q_rx included, computed none
             assert net.tx_coop is net.interference and (net.rx_coop is adj) == (n == net.n_rx)
             assert all(adj[i] == ref[i] for i in range(-n, n))
             assert all(j is nodes[j] for i in range(n) for j in adj[i])
@@ -591,7 +605,7 @@ def test_builder_adjacency_is_computed_like_the_stored_tuple(make, radii):
                 with pytest.raises(IndexError, match="^tuple index out of range$"):
                     adj[bad]
             assert adj[False] == ref[False] and adj[-True] == ref[-True]
-            twin = make(radius, 1)  # fresh, half its items computed first: iteration does the rest
+            twin = make(*size, 1)  # fresh, half its items computed first: iteration does the rest
             other = getattr(twin, name)
             assert [other[i] for i in range(0, n, 2)] == list(ref[::2])
             assert list(other) == list(ref) and list(reversed(other)) == list(reversed(ref))
@@ -599,7 +613,7 @@ def test_builder_adjacency_is_computed_like_the_stored_tuple(make, radii):
             assert all(j is nodes[j] for nbrs in other for j in nbrs)
             for a, b in ((adj, ref), (other, ref), (adj, other)):
                 assert a == b and b == a and not a != b and not b != a
-            assert hash(adj) == hash(ref) == hash(getattr(make(radius, 1), name))
+            assert hash(adj) == hash(ref) == hash(getattr(make(*size, 1), name))
             assert adj != ref[:-1] and ref[:-1] != adj and adj != list(ref)
             assert adj[s] == ref[s] and all(adj[i] == ref[i] for i in range(-n, n))  # stored
             assert (net.q_tx if name == "interference" else net.q_rx) == sum(map(len, tuple(adj)))
