@@ -6,9 +6,10 @@
 Run from anywhere; the checkout is the parent of this script's directory.
 With no NAME every mutant runs; otherwise only the named ones, and an
 unknown name exits 2 with the list of valid names.
-Each mutant copies ``src/``, ``tests/`` and ``pyproject.toml`` into a fresh
-temporary directory, replaces its ``old`` text (which must occur exactly
-once in its file) by ``new``, and runs only its test ids there.  It is
+Each mutant copies ``src/``, ``tests/``, ``out/`` (the committed CSVs that
+some tests compare with) and ``pyproject.toml`` into a fresh temporary
+directory, replaces its ``old`` text (which must occur exactly once in its
+file) by ``new``, and runs only its test ids there.  It is
 killed when pytest reports a failed test (exit code 1); any other exit,
 such as an id that no longer exists, counts as a survivor.  The same ids
 first run on an unmutated copy and must pass there, so that a test that
@@ -58,6 +59,8 @@ BENCH_BALLS = "tests/test_topology.py::test_bench_balls_match_the_unit_step_dict
 POLYLINE = "tests/test_regions.py::test_boundary_polyline_equals_its_fraction_key_definition"
 BUDGETS = "tests/test_cli.py::test_budgets_are_read_by_the_fraction_rule"
 JSON = "tests/test_cli.py::test_json_writer_equals_json_dumps_indent_2"
+REGION_TEXT = "tests/test_cli.py::test_region_text_equals_the_fraction_api"
+FIGURE_TEXT = "tests/test_cli.py::test_figure_text_equals_build_figure_and_the_committed_csv"
 # the two layer rules of association._sector_silenced, with their sets filled in
 SECTOR_RULES = ('        return {{"{}"}}\n'
                 '    if abs(b) == tau and (a > 0) == (b > 0):\n'
@@ -236,11 +239,30 @@ MUTANTS = [
            "r = bisect_right(self.starts, i) - 1",
            "r = bisect_right(self.starts, i - 1) - 1",
            (CELLS + "[hex-balls]", CELLS + "[sectorized-tori]")),
-    # vertices sharing s_f listed from the lowest s_s up
+    # vertices sharing s_f listed from the lowest s_s up, by the library and by the CLI
     Mutant("polyline-key-sign-flipped", "src/mgnet/regions.py",
-           "-p.s_s.numerator * (scale // p.s_s.denominator)",
-           "p.s_s.numerator * (scale // p.s_s.denominator)",
+           "key=lambda p: (p.s_f, -p.s_s))",
+           "key=lambda p: (p.s_f, p.s_s))",
            (POLYLINE,)),
+    Mutant("csv-order-key-sign-flipped", "src/mgnet/regions.py",
+           "key=lambda p: (p[0], -p[1]))",
+           "key=lambda p: (p[0], p[1]))",
+           (REGION_TEXT + "[wyner-csv]", FIGURE_TEXT + "[fig5a]")),
+    # a vertex's s_s written over the hull's common denominator, not in lowest terms
+    Mutant("region-text-s_s-unreduced", "src/mgnet/cli.py",
+           "y // (h := math.gcd(y, den)), den // h)",
+           "y, den)",
+           (REGION_TEXT + "[hex-json]", REGION_TEXT + "[hex-csv]", FIGURE_TEXT + "[fig8]")),
+    Mutant("region-json-mu-tx-from-rx", "src/mgnet/cli.py",
+           "{_ratio_json(*tx, a)}",
+           "{_ratio_json(*rx, a)}",
+           (REGION_TEXT + "[sectorized-json]",
+            "tests/test_cli.py::test_json_commands_print_json_dumps_indent_2[region]")),
+    # a budget of two digit strings echoed as it was typed (6/8), not in lowest terms
+    Mutant("prelog-pair-unreduced", "src/mgnet/cli.py",
+           "return n // g, d // g",
+           "return n, d",
+           (REGION_TEXT + "[wyner-json]",)),
     # the two-int read of p/0 raises ZeroDivisionError, which would reach main's message
     Mutant("prelog-zero-denominator-uncaught", "src/mgnet/cli.py",
            "    except (ValueError, ZeroDivisionError):\n        pass",
@@ -248,8 +270,8 @@ MUTANTS = [
            (BUDGETS,)),
     # int() reads ' 4', '+4' and '-4', which Fraction(text) refuses after a '/'
     Mutant("prelog-any-denominator-read-as-int", "src/mgnet/cli.py",
-           "if p.isdecimal() and q.isdecimal():",
-           "if p.isdecimal() and q:",
+           "if p.isdecimal() and q.isdecimal() and (d := int(q)):",
+           "if p.isdecimal() and q and (d := int(q)):",
            (BUDGETS,)),
     Mutant("json-ratio-template-den-first", "src/mgnet/cli.py",
            '"num": {n},{newline}  "den": {d}',
@@ -260,7 +282,7 @@ MUTANTS = [
 
 def _copy(into: pathlib.Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "out"):
         shutil.copytree(ROOT / name, into / name, ignore=skip)
     shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
 

@@ -3,8 +3,8 @@
 Subcommands: region, validate, loads, closed-form, figure, sweep.
 Rationals are accepted as 'p/q' strings and emitted exactly; CSV renders a
 decimal when possible plus the exact numerator/denominator columns.  A budget
-of two decimal digit strings p/q is read as ``Fraction(int(p), int(q))``, any
-other text as ``Fraction(text)``, which accepts the same values.
+is the lowest-terms pair of ``Fraction(text)``, read by ``int`` when p and q
+are decimal digit strings.
 
 Exit codes: 0 success, 2 invalid parameters (the message names the violated
 precondition, or the flag whose value is unusable or not taken), 3 `validate`
@@ -13,9 +13,11 @@ closed form on a torus (`--tiling`) or a line of whole D+2 periods (`--K`),
 1 internal failure.
 
 `main` may be called any number of times in one process; every call parses
-once and writes JSON in one pass (`dumps_indent2`, a ``{"num": int, "den": int}``
-object as one string). A known command with exact `--flag value` pairs is read
-from its parser's Actions into argparse's namespace; any other argv goes to the
+once. `region` and `figure` write text straight from the integer hull's pairs
+(`regions._region_pairs`), one gcd per coordinate, the other commands JSON in
+one pass (`dumps_indent2`); each ``{"num": int, "den": int}`` object is one
+string. A known command with exact `--flag value` pairs is read from its
+parser's Actions into argparse's namespace; any other argv goes to the
 parsers `make_parser` builds once. `sweep` reads `association.valid_d`, so its
 cost follows the valid D in its range.
 """
@@ -26,7 +28,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -34,10 +35,11 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .association import SCHEME_ALIASES, Scheme, assign, check_params, scheme_tau, valid_d
-from .figures import FIGURES, build_figure
+from .figures import FIGURES, figure_series
 from .loads import closed_form, finite_prelogs, formulas, message_ledger
-from .rationals import ratio_to_csv, ratio_to_json
-from .regions import achievable_region, boundary_polyline
+from .rationals import pair_to_csv, ratio_to_csv, ratio_to_json
+# achievable_region is not called here; perfbench/selfcheck.py reads it as mgnet.cli's
+from .regions import _polyline, _region_pairs, achievable_region  # noqa: F401
 from .topology import (HEX, SECTORED, WYNER, build_hex, build_hex_torus,
                        build_sectored_hex, build_sectored_hex_torus,
                        build_wyner)
@@ -88,7 +90,7 @@ def dumps_indent2(obj) -> str:
 def _write_json(o, newline: str, put) -> None:
     if (type(o) is dict and [*o] == ["num", "den"]  # ``ratio_to_json``'s keys, in order
             and type(n := o["num"]) is int is type(d := o["den"])):
-        put(f'{{{newline}  "num": {n},{newline}  "den": {d}{newline}}}')
+        put(_ratio_json(n, d, newline))
     elif isinstance(o, str):
         put(_quote(o))
     elif o is None or o is True or o is False:
@@ -107,6 +109,11 @@ def _write_json(o, newline: str, put) -> None:
         put(json.dumps(o))
 
 
+def _ratio_json(n: int, d: int, newline: str) -> str:
+    """``{"num": n, "den": d}`` as ``json.dumps(..., indent=2)`` writes it at ``newline``."""
+    return f'{{{newline}  "num": {n},{newline}  "den": {d}{newline}}}'
+
+
 def _open_out(path: str):
     try:
         return open(path, "w")
@@ -122,40 +129,47 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _prelog(flag: str, text: str) -> Fraction:
+def _prelog(flag: str, text: str) -> tuple[int, int]:
+    """A budget as its lowest-terms pair (num, den), the value ``Fraction(text)`` reads."""
     try:
         p, _, q = text.partition("/")
-        if p.isdecimal() and q.isdecimal():  # Fraction(int(p), 0) raises as Fraction(text) does
-            return Fraction(int(p), int(q))
+        if p.isdecimal() and q.isdecimal() and (d := int(q)):  # p/0: Fraction(text) raises
+            g = math.gcd(n := int(p), d)
+            return n // g, d // g
         # str(value) raises past Python's int string limit, as the JSON echo would ("1e5000")
         if (value := Fraction(text)) >= 0 and str(value):
-            return value
+            return value.as_integer_ratio()
     except (ValueError, ZeroDivisionError):
         pass
     raise ValueError(f"{flag}={text}: need a nonnegative rational p/q")
 
 
-def _polyline_csv(series: list[tuple[str, list]]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["series", "point", "s_f", "s_s", "s_f_num", "s_f_den", "s_s_num", "s_s_den"])
-    for label, pts in series:
-        for i, p in enumerate(pts):
-            w.writerow([label, i, ratio_to_csv(p.s_f), ratio_to_csv(p.s_s),
-                        p.s_f.numerator, p.s_f.denominator,
-                        p.s_s.numerator, p.s_s.denominator])
-    return buf.getvalue()
+def _lowest(pairs, den: int):
+    """Each pair (x, y) over ``den`` as (x_num, x_den, y_num, y_den), in lowest terms."""
+    return ((x // (g := math.gcd(x, den)), den // g, y // (h := math.gcd(y, den)), den // h)
+            for x, y in pairs)
+
+
+def _series_csv(series) -> str:
+    """CSV of (label, pairs, den) polylines; no label in use needs csv.writer's quotes."""
+    return "series,point,s_f,s_s,s_f_num,s_f_den,s_s_num,s_s_den\n" + "".join(
+        f"{label},{i},{pair_to_csv(xn, xd)},{pair_to_csv(yn, yd)},{xn},{xd},{yn},{yd}\n"
+        for label, pairs, den in series for i, (xn, xd, yn, yd) in enumerate(_lowest(pairs, den)))
 
 
 def cmd_region(args) -> int:
     model = MODELS[args.model]
-    mu_tx, mu_rx = _prelog("--mu-tx", args.mu_tx), _prelog("--mu-rx", args.mu_rx)
-    region = achievable_region(model, args.D, args.L, mu_tx, mu_rx)
+    tx, rx = _prelog("--mu-tx", args.mu_tx), _prelog("--mu-rx", args.mu_rx)
+    pairs, den = _region_pairs(model, args.D, args.L, tx, rx)
     if args.format == "csv":
-        _emit(args, _polyline_csv([("region", boundary_polyline(region))]))
-    else:
-        _emit(args, dumps_indent2(region.to_json_dict(model, args.D, args.L, mu_tx, mu_rx))
-              + "\n")
+        _emit(args, _series_csv([("region", _polyline(pairs), den)]))
+        return 0
+    a, b, v = "\n  ", "\n    ", "\n      "  # the indents of dumps_indent2(to_json_dict(...))
+    vertices = f",{b}".join(f"[{v}{_ratio_json(xn, xd, v)},{v}{_ratio_json(yn, yd, v)}{b}]"
+                            for xn, xd, yn, yd in _lowest(pairs, den))
+    _emit(args, f'{{{a}"model": {_quote(model)},{a}"D": {args.D},{a}"L": {args.L},{a}"mu_tx": '
+          f'{_ratio_json(*tx, a)},{a}"mu_rx": {_ratio_json(*rx, a)},{a}"vertices": '
+          f'[{b}{vertices}{a}]\n}}\n')
     return 0
 
 
@@ -203,8 +217,7 @@ def cmd_closed_form(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    series = build_figure(args.which)
-    _emit(args, _polyline_csv(series))
+    _emit(args, _series_csv(figure_series(args.which)))
     return 0
 
 

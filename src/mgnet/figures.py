@@ -5,14 +5,14 @@ achievable region, or the linear outer bound).  Legend thresholds are the
 exact rational prelog requirements; the two small-budget curves of the
 D=10 linear figure are computed at D=6 because cutting the conferencing
 budget down to 6 rounds beats time-sharing a 10-round scheme there.
+``figure_series`` yields integer pairs; ``build_figure`` is its Fraction view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as F
 
-from .regions import (MgPoint, achievable_region, boundary_polyline,
-                      outer_polygon_wyner)
+from .regions import MgPoint, _outer_pairs, _polyline, _region_pairs, _view
 from .topology import HEX, SECTORED, WYNER
 
 # (label, mu_tx, mu_rx, D override) per series; None marks the outer bound.
@@ -65,16 +65,17 @@ FIGURES: dict[str, dict] = {
 }
 
 
-def build_figure(name: str) -> list[tuple[str, list[MgPoint]]]:
+def figure_series(name: str):
+    """Each series as (label, pairs, den): its ``boundary_polyline`` as pairs over den."""
     if name not in FIGURES:
         raise ValueError(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
     spec = FIGURES[name]
-    out = []
-    for label, mu_tx, mu_rx, d_override in spec["series"]:
-        d = d_override if d_override is not None else spec["D"]
-        if mu_tx is None:
-            region = outer_polygon_wyner(d, spec["L"])
-        else:
-            region = achievable_region(spec["model"], d, spec["L"], mu_tx, mu_rx)
-        out.append((label, boundary_polyline(region)))
-    return out
+    for label, mu_tx, mu_rx, d in spec["series"]:
+        d, L = spec["D"] if d is None else d, spec["L"]
+        pairs, den = _outer_pairs(d, L) if mu_tx is None else _region_pairs(
+            spec["model"], d, L, mu_tx.as_integer_ratio(), mu_rx.as_integer_ratio())
+        yield label, _polyline(pairs), den
+
+
+def build_figure(name: str) -> list[tuple[str, list[MgPoint]]]:
+    return [(label, list(_view(pairs, den).vertices)) for label, pairs, den in figure_series(name)]

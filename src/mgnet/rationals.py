@@ -27,8 +27,11 @@ def ratio_from_json(obj: dict) -> Fraction:
 
 
 def ratio_to_csv(x: Fraction | int) -> str:
-    """Exact decimal when the denominator divides a power of 10, else 12 significant digits."""
-    num, den = _num_den(x)
+    return pair_to_csv(*_num_den(x))
+
+
+def pair_to_csv(num: int, den: int) -> str:
+    """Lowest-terms num/den: exact decimal when den divides a power of 10, else 12 digits."""
     if den == 1:
         return str(num)
     twos = (den & -den).bit_length() - 1  # the trailing zero bits

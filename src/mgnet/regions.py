@@ -13,10 +13,10 @@ m < 1 with a slow-only share of 1 it adds (0, s_max) and the knee
 (m s_f, m s_s + (1 - m) s_max).  The one per-model choice is a: the hex
 slow-only point is scaled by the slow-only share, every other model's by m.
 
-A region is assembled in integers: the ``formulas`` table is scaled once
-to numerators over their lcm Q (cached per model, D and L), each share is
-an integer pair, and every candidate point is an integer pair over one
-common denominator.  Fractions are made only for the hull vertices.
+One integer hull serves the library and the command line: ``_region_pairs``
+scales ``formulas`` once to numerators over their lcm Q (cached per model, D
+and L) and hulls integer pairs over one denominator.  ``achievable_region``,
+``convex_hull`` and ``outer_polygon_wyner`` are Fraction views of such hulls.
 
 All geometry is exact rational arithmetic; no tolerances anywhere.
 """
@@ -79,34 +79,33 @@ def _chain(order, xy: list[tuple[int, int]]) -> list[int]:
     return kept
 
 
-def _hull_region(xy: list[tuple[int, int]], den: int) -> MgRegion:
-    """Hull of integer points, each read as (x/den, y/den).
-
-    Integers over one positive denominator keep the lexicographic order and
-    every cross-product sign of the rationals they stand for, so this is the
-    exact rational hull; Fractions are made only for its vertices.
-    """
+def _hull(xy: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Hull vertices of integer points, counter-clockwise from the lexicographic minimum;
+    the exact hull of the points read as (x/den, y/den) too, for one den > 0 keeps the
+    lexicographic order and every cross-product sign of the rationals they stand for."""
     pts = sorted(set(xy))
     if len(pts) > 2:
         idx = range(len(pts))
         hull = _chain(idx, pts)[:-1] + _chain(reversed(idx), pts)[:-1]
         # fewer than 3 kept means all points are collinear
         pts = [pts[i] for i in hull] if len(hull) >= 3 else [pts[0], pts[-1]]
-    return MgRegion(tuple(MgPoint(Fraction(x, den), Fraction(y, den)) for x, y in pts))
+    return pts
+
+
+def _view(pairs: list[tuple[int, int]], den: int) -> MgRegion:
+    """The region whose vertices are ``pairs`` read as (x/den, y/den)."""
+    return MgRegion(tuple(MgPoint(Fraction(x, den), Fraction(y, den)) for x, y in pairs))
 
 
 def convex_hull(points: list[MgPoint]) -> MgRegion:
-    """Monotone-chain hull; collinear boundary points are dropped.
-
-    Every point is scaled by the lcm of all denominators and the hull is
-    taken on those integers (``_hull_region``).
-    """
+    """Monotone-chain hull (``_hull`` of the points scaled by the lcm of all their
+    denominators); collinear boundary points are dropped."""
     if not points:
         raise ValueError("need at least one point")
     pts = [(Fraction(x), Fraction(y)) for x, y in points]
     scale = math.lcm(*(c.denominator for p in pts for c in p))
-    return _hull_region([(x.numerator * (scale // x.denominator),
-                          y.numerator * (scale // y.denominator)) for x, y in pts], scale)
+    return _view(_hull([(x.numerator * (scale // x.denominator),
+                         y.numerator * (scale // y.denominator)) for x, y in pts]), scale)
 
 
 def contains(region: MgRegion, p: MgPoint) -> bool:
@@ -142,12 +141,15 @@ def outer_bound_wyner(D: int, L: int) -> list[HalfPlane]:
     ]
 
 
-def outer_polygon_wyner(D: int, L: int) -> MgRegion:
+def _outer_pairs(D: int, L: int) -> tuple[list[tuple[int, int]], int]:
+    """``outer_polygon_wyner`` as hull pairs over 2(D+2)."""
     check_params(WYNER, Scheme.NO_COOP, D, L)
-    F = Fraction
-    c = F(L * (D + 1), D + 2)
-    return convex_hull([MgPoint(F(0), F(0)), MgPoint(F(0), c),
-                        MgPoint(F(L, 2), c - F(L, 2)), MgPoint(F(L, 2), F(0))])
+    c, h = 2 * L * (D + 1), L * (D + 2)
+    return _hull([(0, 0), (0, c), (h, c - h), (h, 0)]), 2 * (D + 2)
+
+
+def outer_polygon_wyner(D: int, L: int) -> MgRegion:
+    return _view(*_outer_pairs(D, L))
 
 
 # Each scheme's variants as the (tx, rx) requirement columns of their
@@ -193,15 +195,13 @@ def _share(table: tuple[int, dict[str, int]], variants,
     return best_p, best_q
 
 
-def achievable_region(model: str, D: int, L: int,
-                      mu_tx: Fraction, mu_rx: Fraction) -> MgRegion:
-    """Convex hull of all scheme blends affordable at prelog budgets (mu_tx, mu_rx)."""
-    if mu_tx < 0 or mu_rx < 0:
+def _region_pairs(model: str, D: int, L: int, tx: tuple, rx: tuple) -> tuple[list, int]:
+    """``achievable_region`` of budget pairs (n, d), d > 0, as hull pairs over den: (pairs, den)."""
+    if tx[0] < 0 or rx[0] < 0:
         raise ValueError("prelogs must be nonnegative")
     check_params(model, Scheme.BOTH_COMP_RX, D, L)
     table = _scaled_formulas(model, D, L)
     scale, f = table
-    tx, rx = mu_tx.as_integer_ratio(), mu_rx.as_integer_ratio()
     s_nc, s_max = f["s_nocoop"], f["s_max"]
     s_f, s_s = f["s_f_both"], f["s_s_both"]
     mp, mq = _share(table, _MIXED, tx, rx)
@@ -219,13 +219,21 @@ def achievable_region(model: str, D: int, L: int,
         pts.append((0, (s_f + s_s) * w))
     elif slow_only[0] == slow_only[1]:
         pts += [(0, s_max * w), (mp * s_f * aq, (mp * s_s + (mq - mp) * s_max) * aq)]
-    return _hull_region(pts, w * scale)
+    return _hull(pts), w * scale
+
+
+def achievable_region(model: str, D: int, L: int,
+                      mu_tx: Fraction, mu_rx: Fraction) -> MgRegion:
+    """Convex hull of all scheme blends affordable at prelog budgets (mu_tx, mu_rx)."""
+    return _view(*_region_pairs(model, D, L, mu_tx.as_integer_ratio(), mu_rx.as_integer_ratio()))
+
+
+def _polyline(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``boundary_polyline`` of a hull given as pairs over one denominator."""
+    return sorted((p for p in pairs if p[0] or p[1]), key=lambda p: (p[0], -p[1]))
 
 
 def boundary_polyline(region: MgRegion) -> list[MgPoint]:
     """Upper-right boundary from the vertical-axis intercept down to (s_f_max, 0): the
-    vertices but the origin by s_f up, then s_s down, as integers over one denominator."""
-    pts = [p for p in region.vertices if p.s_f.numerator or p.s_s.numerator]
-    scale = math.lcm(*(c.denominator for p in pts for c in p))
-    return sorted(pts, key=lambda p: (p.s_f.numerator * (scale // p.s_f.denominator),
-                                      -p.s_s.numerator * (scale // p.s_s.denominator)))
+    vertices but the origin by s_f up, then s_s down."""
+    return sorted((p for p in region.vertices if p.s_f or p.s_s), key=lambda p: (p.s_f, -p.s_s))

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from mgnet import (HEX, SECTORED, WYNER, HalfPlane, MgPoint, MgRegion, Scheme,
                    achievable_region, boundary_polyline, check_params, contains,
@@ -491,6 +491,7 @@ achieved_regions = st.builds(
 @example(convex_hull([MgPoint(F(1), F(1)), MgPoint(F(1), F(3))]))
 @example(convex_hull([MgPoint(F(x), F(y)) for x in (1, 2) for y in (1, 3)]))
 @example(outer_polygon_wyner(6, 3))
+@settings(derandomize=True)
 @given(hull_regions | achieved_regions)
 def test_boundary_polyline_equals_its_fraction_key_definition(region):
     assert boundary_polyline(region) == _fraction_polyline(region)
