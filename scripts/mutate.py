@@ -101,6 +101,12 @@ MUTANTS = [
            "len(roles) == K + 1 and roles[1 + P:] == roles[1:-P])",
            "len(roles) == K + 1)",
            (ORACLE + "test_line_period_falls_back_to_the_walk[mutated-roles]",)),
+    # a walked ledger numbers the cells' ids, not the sectors': a sector past them has no link
+    Mutant("walked-ledger-numbers-rx-nodes", "src/mgnet/loads.py",
+           "parts, numbered = [(1, nodes, range(len(subnets)))], net.tx_nodes",
+           "parts, numbered = [(1, nodes, range(len(subnets)))], net.rx_nodes",
+           (ORACLE + "test_walked_ledger_numbers_every_link_of_a_sectorized_ball[5-4]",
+            ORACLE + "test_walked_ledger_numbers_every_link_of_a_sectorized_ball[7-8]")),
     Mutant("hex-hop-window-widened", "src/mgnet/loads.py",
            "1 <= (hop[k] or 0) <= D // 2 - 2",
            "1 <= (hop[k] or 0) <= D // 2 - 1",
@@ -119,21 +125,17 @@ MUTANTS = [
            "far = t3",
            ("tests/test_lattice.py::test_nearest_rows_match_the_plane_scan",
             TORI + "[SectorizedHexagonal-build_sectored_hex_torus-4-2]")),
-    # torus neighbours listed by id, as before they were listed by unit step, when every
-    # item is computed at once
+    # torus neighbours listed by id, as before they were listed by unit step
     Mutant("torus-tuples-id-sorted", "src/mgnet/topology.py",
-           "memo[first + k:stop:nk] = zip(*[flat[f + d:f + d + stop - first:nk] for d in steps])",
-           "memo[first + k:stop:nk] = map(tuple, map(sorted, zip(*[\n"
-           "                    flat[f + d:f + d + stop - first:nk] for d in steps])))",
+           "tuple([j for d in self.steps[x % len(self.steps)]\n"
+           "                                     if (j := flat[f + d]) is not None])",
+           "tuple(sorted([j for d in self.steps[x % len(self.steps)]\n"
+           "                                     if (j := flat[f + d]) is not None]))",
            (REPEAT + "[Hexagonal]", REPEAT + "[SectorizedHexagonal]", CANON + "[5-3]")),
-    # a ball iterated: the nodes at the row ends keep their empty seats
-    Mutant("ball-row-ends-keep-empty-cells", "src/mgnet/topology.py",
-           "empty = partial(filter, partial(is_not, None))",
-           "empty = tuple",
-           (BALL + "[1]", BALL + "[8]")),
-    Mutant("ball-pad-column-dropped", "src/mgnet/topology.py",
-           "rows[0][1] - 1",
-           "rows[0][1]",
+    # a ball's grid only as wide as the ball: a step off a row's end reads the next row's cell
+    Mutant("ball-pad-columns-dropped", "src/mgnet/topology.py",
+           "W, b0 = len(rows) + 2, rows[0][1] - 1",
+           "W, b0 = len(rows), rows[0][1]",
            (BALL + "[1]", BALL + "[8]", GRID + "[hex-balls]")),
     # a ball's item read on its own: the first node of each row read at the row before's offset
     Mutant("ball-item-row-offset-off-by-one", "src/mgnet/topology.py",

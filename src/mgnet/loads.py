@@ -30,7 +30,8 @@ the master that links to it both ways.  Columns a proof built
 subnet, once, times the number of translates, plus the rim's nodes and
 subnets; only the links of these cells are numbered.  On a builder's
 network no link carries two subnets' messages, so each link maximum is the
-template's or the rim's.  Every other ``Subnets`` is counted node by node.
+template's or the rim's.  Every other ``Subnets`` is counted node by node,
+over the links of every Tx node and cell.
 A maximum is read only from link counts that a message reached: precancels
 and Tx-side routes load the Tx links, fast shares and Rx-side routes the
 Rx links.
@@ -45,11 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import accumulate
 
 from .association import Association, Role, Scheme, check_params, valid_d
 from .rationals import ratio_to_json
-from .topology import HEX, SECTORED, WYNER, Network, every_list
+from .topology import HEX, SECTORED, WYNER, Network
 from .validation import Subnets, _require_same_net
 
 
@@ -238,13 +238,13 @@ def _tally(net: Network, assoc: Association, subnets: Subnets,
            t: tuple | None) -> tuple[list[int], list[int], list[int]]:
     """(counts, tx_use, rx_use) of every node and subnet once (``t`` None), or of
     the template's nodes and subnet ``copies`` times and of the rim's once (``t`` is
-    ``Subnets.translates``)."""
+    ``Subnets.translates``).  Links get a counter if they leave a numbered node (every Tx
+    node, or the template's and the rim's) or its cell."""
     adjs = net.interference, net.tx_coop, net.rx_coop
-    if t is None:  # every node: each adjacency's lists at once
-        adjs = tuple(map(every_list, adjs))
+    if t is None:
         # precancel and fast-share messages run between a fast and a slow node
         nodes = net.tx_nodes if Role.SLOW in assoc.roles else ()
-        parts, numbered = [(1, nodes, range(len(subnets)))], None
+        parts, numbered = [(1, nodes, range(len(subnets)))], net.tx_nodes
     else:
         i, copies, rim_subnets = t
         template, rim = subnets.template_and_rim()
@@ -253,7 +253,7 @@ def _tally(net: Network, assoc: Association, subnets: Subnets,
     _, tx_adj, rx_adj = adjs
     tx_off = _edge_offsets(tx_adj, numbered)
     rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(
-        rx_adj, numbered and dict.fromkeys(map(net.tx_cell.__getitem__, numbered)))
+        rx_adj, dict.fromkeys(map(net.tx_cell.__getitem__, numbered)))
     tx_use, rx_use = [0] * tx_off[-1], [0] * rx_off[-1]
     n = len(rx_adj)
     cells = ([None] * n, [0] * n, [None] * n)  # _count's per-cell scratch, made once
@@ -378,14 +378,9 @@ def finite_prelogs(report: LoadReport, net: Network) -> tuple[Fraction, Fraction
     return out[0], out[1]
 
 
-def _edge_offsets(adj: tuple[tuple[int, ...], ...], nodes=None) -> list[int] | dict[int, int]:
-    """Directed edge u -> adj[u][i] has index offsets[u] + i; offsets[-1] is the edge count.
-
-    Given ``nodes``, only their edges are numbered, in that order, and the
-    offsets are a dict of these nodes (and -1).
-    """
-    if nodes is None:
-        return list(accumulate(map(len, adj), initial=0))
+def _edge_offsets(adj: tuple[tuple[int, ...], ...], nodes) -> dict[int, int]:
+    """Directed edge u -> adj[u][i] of each of ``nodes`` has index offsets[u] + i, numbered in
+    the order of ``nodes``; offsets[-1] is their edge count."""
     off = {}
     total = 0
     for u in nodes:

@@ -31,12 +31,11 @@ while a torus's wrapped neighbours keep their step's place.  Equal
 relations share one object (``tx_coop is interference`` in every model).
 Adjacency is computed, not stored.  A line's cell k hears k - 1 and k + 1,
 so ``_LineAdjacency`` returns that pair (clipped to 1..K) on access.  A
-ball's or torus's is read off one flat grid of its ids (``_GridAdjacency``):
-an item on its first access, which stores it, and every item at once, a
-row at a time, when it is iterated or handed to a reader of every node
-(``every_list``).  Its ``cell_coords`` are computed from its rows
-(``_RowCells``).  All three equal, hash, index and slice like the tuple
-they stand for (``_Computed``).
+ball's or torus's is read off one flat grid of its ids (``_GridAdjacency``),
+an item on its first access, which stores it.  Its ``cell_coords`` are
+computed from its rows (``_RowCells``).  All three equal, hash, index,
+slice and iterate like the tuple they stand for (``_Computed``), reading
+one item at a time.
 
 Every builder marks the ``Network`` it returns (``_marked``): ``as_built``
 and ``builder_rows`` tell in O(1) whether a network is still exactly a
@@ -64,9 +63,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import accumulate, chain, repeat
-from operator import attrgetter, index, is_, is_not, sub
+from itertools import accumulate, chain
+from operator import attrgetter, index, is_, sub
 
 from .lattice import Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows
 
@@ -248,11 +246,6 @@ class _LineAdjacency(_Computed):
     def _item(self, k: int) -> tuple[int, ...]:
         return tuple(j for j in (k - 1, k + 1) if 0 < j <= self.K) if k else ()
 
-    def __iter__(self):  # cells 2..K - 1 zipped, 1 and K (if K > 1) clipped by _item
-        K = self.K
-        return chain(((), self._item(1)), zip(range(1, K - 1), range(3, K + 1)),
-                     map(self._item, range(max(K, 2), K + 1)))
-
 
 class _RowCells(_Computed):
     """The cells ``lattice.row_cells(rows)`` of a ball's or torus's rows: cell i is (a, lo + i
@@ -274,9 +267,6 @@ class _RowCells(_Computed):
         return super().__getitem__(i)
 
     _item = __getitem__
-
-    def __iter__(self):
-        return chain.from_iterable(zip(repeat(a), range(lo, hi + 1)) for a, lo, hi in self.rows)
 
     def index(self, cell, start: int = 0, stop: int | None = None) -> int:
         """By row arithmetic for a tuple of two ints, as ``Sequence.index`` otherwise."""
@@ -329,7 +319,7 @@ def _pads(rows: list[Row], starts: list[int]) -> tuple[list[int], list[int], lis
 
 
 class _GridAdjacency(_Computed):
-    """A ball's or torus's adjacency, from ``(rows, pads, kinds, nodes, mt)`` (mt = tau * M on
+    """A ball's or torus's adjacency, from ``(rows, kinds, nodes, mt)`` (mt = tau * M on
     a torus, None on a ball): item x is the nodes at the steps (da, db, k2) of
     ``kinds[x % nk]`` from node x, in step order, less empty seats.
 
@@ -339,15 +329,13 @@ class _GridAdjacency(_Computed):
     is its parallelogram domain (``lattice``), each row twice between margin
     columns, and margin rows turned at the seam, so no seat is empty; on the
     torus of mt == 1 a step to the cell of an earlier step is dropped.  An item
-    is stored when first read.  ``lists`` (and iteration) computes every item, a
-    row at a time: a step of a row is one slice of the flat list, and on a ball
-    the nodes outside the row's inner run drop their empty seats.
+    is stored when first read.
     """
 
     __slots__ = ("args", "flat", "nstarts", "offs", "steps", "memo")
 
     def __init__(self, args: tuple) -> None:
-        rows, _, kinds, nodes, mt = args
+        rows, kinds, nodes, mt = args
         nk = len(kinds)
         nstarts = [0, *accumulate(nk * (hi - lo + 1) for _, lo, hi in rows)]  # rows' first nodes
         if mt is None:  # row r's first cell (a, lo) at seat (r, lo - b0)
@@ -396,42 +384,11 @@ class _GridAdjacency(_Computed):
 
     _item = __getitem__
 
-    def lists(self) -> tuple[tuple[int, ...], ...]:
-        """Every item, computed at once and stored."""
-        if self.memo.__class__ is tuple:
-            return self.memo
-        rows, (los, his, _), _, _, mt = self.args
-        flat, nstarts, offs, memo, nk = self.flat, self.nstarts, self.offs, self.memo, len(self.steps)
-        ends = []  # the nodes to fix at the end
-        for r, (_, lo, hi) in enumerate(rows, 1):
-            first, stop = nstarts[r - 1], nstarts[r]
-            for k, steps in enumerate(self.steps):
-                f = offs[r] + first + k
-                memo[first + k:stop:nk] = zip(*[flat[f + d:f + d + stop - first:nk] for d in steps])
-            if mt is None:  # a ball: the nodes outside bl..bh, the cells whose neighbours it holds
-                bl = max(lo + 1, los[r - 1] + 1, los[r + 1])
-                bh = min(hi - 1, his[r - 1], his[r + 1] - 1)
-                ends += range(first, first + nk * (min(bl, hi + 1) - lo))
-                ends += range(first + nk * (max(bh + 1, bl) - lo), stop)
-        empty = partial(filter, partial(is_not, None))
-        for x, nbrs in zip(ends, map(empty, map(memo.__getitem__, ends))):
-            memo[x] = tuple(nbrs)
-        object.__setattr__(self, "memo", tuple(memo))
-        return self.memo
-
-    def __iter__(self):
-        return iter(self.lists())
-
     def parallelogram(self) -> list[list[int]]:
         """A torus's ids along each row of its parallelogram domain, seat by seat."""
-        mt, nk, flat = self.args[4], len(self.steps), self.flat
+        mt, nk, flat = self.args[3], len(self.steps), self.flat
         w = len(flat) // (mt + 2)  # row p + 1 of the flat list: row p twice, between margins
         return [flat[w * p + nk:w * p + nk + 3 * mt * nk] for p in range(1, mt + 1)]
-
-
-def every_list(adj: Sequence) -> Sequence:
-    """``adj`` for a reader of every node: a ball's or torus's computes all its items at once."""
-    return adj.lists() if adj.__class__ is _GridAdjacency else adj
 
 
 def _links(pads: tuple, *kinds: tuple[tuple[tuple[int, int, int], ...], ...]) -> list[int]:
@@ -463,9 +420,8 @@ def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], 
     rx_nodes = tuple(ids)
     tx_nodes = rx_nodes if nk == 1 else tuple(range(nk * len(cells)))
     pads = _pads(rows, cells.starts)
-    interference = _GridAdjacency((cells.rows, pads, kinds, tx_nodes, mt))
-    rx_coop = interference if nk == 1 else _GridAdjacency((cells.rows, pads, _HEX_STEPS, rx_nodes,
-                                                           mt))
+    interference = _GridAdjacency((cells.rows, kinds, tx_nodes, mt))
+    rx_coop = interference if nk == 1 else _GridAdjacency((cells.rows, _HEX_STEPS, rx_nodes, mt))
     q_tx, q_rx = _links(pads, kinds, _HEX_STEPS) if mt is None else (
         len(cells) * sum(map(len, adj.steps)) for adj in (interference, rx_coop))
     return _marked(Network(

@@ -73,7 +73,7 @@ from operator import add, is_not, itemgetter
 
 from .association import Association, Role, Scheme, scheme_tau, valid_d
 from .lattice import is_master
-from .topology import HEX, WYNER, Network, as_built, builder_rows, every_list
+from .topology import HEX, WYNER, Network, as_built, builder_rows
 
 
 @dataclass(slots=True)
@@ -191,8 +191,6 @@ def _require_same_net(net: Network, assoc: Association) -> None:
 def _fast_violations(net: Network, assoc: Association, nodes) -> list[tuple[int, str]]:
     """The fast-interference violations of the fast nodes among ``nodes``."""
     roles, fast, adj = assoc.roles, Role.FAST, net.interference
-    if nodes is net.tx_nodes:
-        adj = every_list(adj)
     return [(k, f"fast-interference-from-{j}") for k in nodes if roles[k] is fast
             for j in adj[k] if roles[j] is fast]
 
@@ -221,23 +219,20 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
         return solved
     n = len(assoc.roles)
     hop: list[int | None] = [None] * n
-    members, starts, masters = _walk(net, assoc, report, None, [None] * n, hop,
+    members, starts, masters = _walk(net, assoc, report, net.tx_nodes, [None] * n, hop,
                                      sorted(set(assoc.masters)))
     return Subnets(assoc, members, starts, masters, hop), report
 
 
 def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
           owner: list[int | None], hop: list[int | None], master_ids: list[int]) -> tuple:
-    """The walk over the components found from ``nodes`` (None: every node, whose lists it
-    computes at once), in order, skipping the nodes ``owner`` marks (an edge into one is a
-    cross pair), with the sorted ``master_ids`` as masters; fills ``owner`` and ``hop``, adds
-    violations, the cross pairs' last, and warnings to ``report``, and returns the columns
-    (members, starts, masters)."""
+    """The walk over the components found from ``nodes``, in order, skipping the nodes
+    ``owner`` marks (an edge into one is a cross pair), with the sorted ``master_ids`` as
+    masters; fills ``owner`` and ``hop``, adds violations, the cross pairs' last, and
+    warnings to ``report``, and returns the columns (members, starts, masters)."""
     roles, silent = assoc.roles, Role.SILENT
     # hops run over the cells of the CoMP side, within the component's cells
     adj, coop = net.interference, net.tx_coop if assoc.scheme.comp_side == "tx" else net.rx_coop
-    if nodes is None:
-        nodes, adj, coop = net.tx_nodes, every_list(adj), every_list(coop)
     members: list[int] = []
     starts = array("q", [0])
     cross = []

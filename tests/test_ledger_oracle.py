@@ -21,6 +21,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate
+from operator import is_
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -251,20 +252,37 @@ def _and_walk(fn, net, assoc):
 
 @pytest.mark.parametrize("make, radius, D", [(build_hex, 9, 8), (build_sectored_hex, 7, 4)],
                          ids=["hex-ball", "sectorized-ball"])
-def test_readers_of_every_node_compute_a_balls_lists_at_once(make, radius, D):
+def test_readers_of_every_node_store_every_item_of_a_ball(make, radius, D):
     """The walk, the fast-interference check over every node, the ledger of walked columns,
-    ``to_json_dict``, ``==`` and ``hash`` read a ball's adjacency a row at a time, at C level,
-    never one item at a time."""
+    ``to_json_dict``, ``==`` and ``hash`` read a ball's adjacency an item at a time, and
+    store each item: afterwards every item is stored, and reading it again yields the
+    stored tuple itself."""
     net, twin = make(radius, 1), make(radius, 1)
     assoc, twin_assoc = assign(net, D, Scheme.BOTH_COMP_RX), assign(twin, D, Scheme.BOTH_COMP_RX)
     ledger = ref_message_ledger(twin, twin_assoc, ref_subnet_decompose(twin, twin_assoc)[0])
-    with mock.patch.object(type(net.interference), "__getitem__", side_effect=AssertionError):
-        walk, report = _and_walk(validate, net, assoc)
-        assert message_ledger(net, assoc, walk) == ledger
-        assert net.to_json_dict() == twin.to_json_dict()
-        assert net.interference == twin.interference and twin.rx_coop == net.rx_coop
-        assert hash(net.interference) == hash(twin.interference) == hash(tuple(net.interference))
+    walk, report = _and_walk(validate, net, assoc)
+    assert message_ledger(net, assoc, walk) == ledger
+    assert net.to_json_dict() == twin.to_json_dict()
+    assert net.interference == twin.interference and twin.rx_coop == net.rx_coop
+    assert hash(net.interference) == hash(twin.interference) == hash(tuple(net.interference))
+    for adj in (net.interference, net.rx_coop, twin.interference, twin.rx_coop):
+        assert None not in adj.memo and all(map(is_, adj, adj.memo))
     assert report.ok and walk.translates is None
+
+
+@pytest.mark.parametrize("radius, D", [(5, 4), (7, 8)])
+def test_walked_ledger_numbers_every_link_of_a_sectorized_ball(radius, D):
+    """A walked ledger numbers the links of every Tx node and every cell, each node's in
+    adjacency order: one counter per directed link, holding the per-path walk's count."""
+    net = build_sectored_hex(radius, 1)
+    assoc = assign(net, D, Scheme.BOTH_COMP_RX)
+    walk, report = _and_walk(validate, net, assoc)
+    _, tx_use, rx_use = loads._tally(net, assoc, walk, None)
+    assert (len(tx_use), len(rx_use)) == (net.q_tx, net.q_rx) and report.ok
+    for adj, nodes, use, ref in zip((net.tx_coop, net.rx_coop), (net.tx_nodes, net.rx_nodes),
+                                    (tx_use, rx_use), walk_link_uses(net, assoc, walk)):
+        links = dict(zip(((u, v) for u in nodes for v in adj[u]), use))
+        assert {link: n for link, n in links.items() if n} == ref and ref
 
 
 def assert_period_matches_walk(net, D, scheme):
