@@ -58,7 +58,7 @@ GRID = "tests/test_topology.py::test_builder_adjacency_is_computed_like_the_stor
 BENCH_BALLS = "tests/test_topology.py::test_bench_balls_match_the_unit_step_dict"
 POLYLINE = "tests/test_regions.py::test_boundary_polyline_equals_its_fraction_key_definition"
 BUDGETS = "tests/test_cli.py::test_budgets_are_read_by_the_fraction_rule"
-JSON = "tests/test_cli.py::test_json_writer_equals_json_dumps_indent_2"
+CLOSED_FORM_TEXT = "tests/test_cli.py::test_closed_form_text_equals_the_fraction_api"
 REGION_TEXT = "tests/test_cli.py::test_region_text_equals_the_fraction_api"
 FIGURE_TEXT = "tests/test_cli.py::test_figure_text_equals_build_figure_and_the_committed_csv"
 # the two layer rules of association._sector_silenced, with their sets filled in
@@ -134,7 +134,7 @@ MUTANTS = [
            (REPEAT + "[Hexagonal]", REPEAT + "[SectorizedHexagonal]", CANON + "[5-3]")),
     # a ball's grid only as wide as the ball: a step off a row's end reads the next row's cell
     Mutant("ball-pad-columns-dropped", "src/mgnet/topology.py",
-           "W, b0 = len(rows) + 2, rows[0][1] - 1",
+           "W, b0 = len(rows) + 1, rows[0][1]",
            "W, b0 = len(rows), rows[0][1]",
            (BALL + "[1]", BALL + "[8]", GRID + "[hex-balls]")),
     # a ball's item read on its own: the first node of each row read at the row before's offset
@@ -278,7 +278,12 @@ MUTANTS = [
     Mutant("json-ratio-template-den-first", "src/mgnet/cli.py",
            '"num": {n},{newline}  "den": {d}',
            '"den": {d},{newline}  "num": {n}',
-           (JSON,)),
+           (CLOSED_FORM_TEXT, REGION_TEXT + "[hex-json]")),
+    # closed-form's D and L written as JSON strings
+    Mutant("closed-form-int-quoted", "src/mgnet/cli.py",
+           'f"{v}" if type(v) is int',
+           """f'"{v}"' if type(v) is int""",
+           (CLOSED_FORM_TEXT + "[wyner]",)),
 ]
 
 

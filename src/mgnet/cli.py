@@ -14,12 +14,13 @@ closed form on a torus (`--tiling`) or a line of whole D+2 periods (`--K`),
 
 `main` may be called any number of times in one process; every call parses
 once. `region` and `figure` write text straight from the integer hull's pairs
-(`regions._region_pairs`), one gcd per coordinate, the other commands JSON in
-one pass (`dumps_indent2`); each ``{"num": int, "den": int}`` object is one
-string. A known command with exact `--flag value` pairs is read from its
-parser's Actions into argparse's namespace; any other argv goes to the
-parsers `make_parser` builds once. `sweep` reads `association.valid_d`, so its
-cost follows the valid D in its range.
+(`regions._region_pairs`), one gcd per coordinate, and `closed-form` writes its
+flat object in one pass; there each ``{"num": int, "den": int}`` object is one
+string. `validate` and `loads` print ``json.dumps(..., indent=2)``. A known
+command with exact `--flag value` pairs is read from its parser's Actions into
+argparse's namespace; any other argv goes to the parsers `make_parser` builds
+once. `sweep` reads `association.valid_d`, so its cost follows the valid D in
+its range.
 """
 
 from __future__ import annotations
@@ -79,39 +80,17 @@ def _build_network(args, scheme: Scheme):
     return builder(args.radius, args.L)
 
 
-def dumps_indent2(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2)`` with str dict keys, built in one list
-    (the stdlib's encoder is generator-based pure Python whenever indent is set)."""
-    chunks: list[str] = []
-    _write_json(obj, "\n", chunks.append)
-    return "".join(chunks)
-
-
-def _write_json(o, newline: str, put) -> None:
-    if (type(o) is dict and [*o] == ["num", "den"]  # ``ratio_to_json``'s keys, in order
-            and type(n := o["num"]) is int is type(d := o["den"])):
-        put(_ratio_json(n, d, newline))
-    elif isinstance(o, str):
-        put(_quote(o))
-    elif o is None or o is True or o is False:
-        put("null" if o is None else "true" if o else "false")
-    elif isinstance(o, int):
-        put(int.__repr__(o))
-    elif isinstance(o, (dict, list, tuple)) and o:
-        is_dict, inner = isinstance(o, dict), newline + "  "
-        sep = ("{" if is_dict else "[") + inner
-        for item in (o.items() if is_dict else o):
-            put(sep + _quote(item[0]) + ": " if is_dict else sep)
-            _write_json(item[1] if is_dict else item, inner, put)
-            sep = "," + inner
-        put(newline + ("}" if is_dict else "]"))
-    else:  # empty containers, floats; other types raise as json.dumps does
-        put(json.dumps(o))
-
-
 def _ratio_json(n: int, d: int, newline: str) -> str:
     """``{"num": n, "den": d}`` as ``json.dumps(..., indent=2)`` writes it at ``newline``."""
     return f'{{{newline}  "num": {n},{newline}  "den": {d}{newline}}}'
+
+
+def _flat_json(obj: dict) -> str:
+    """``json.dumps(obj, indent=2)`` of a dict of str, int and ``ratio_to_json`` values."""
+    a = "\n  "
+    return "{" + ",".join(f"{a}{_quote(k)}: " + (
+        _quote(v) if type(v) is str else f"{v}" if type(v) is int
+        else _ratio_json(v["num"], v["den"], a)) for k, v in obj.items()) + "\n}"
 
 
 def _open_out(path: str):
@@ -164,7 +143,7 @@ def cmd_region(args) -> int:
     if args.format == "csv":
         _emit(args, _series_csv([("region", _polyline(pairs), den)]))
         return 0
-    a, b, v = "\n  ", "\n    ", "\n      "  # the indents of dumps_indent2(to_json_dict(...))
+    a, b, v = "\n  ", "\n    ", "\n      "  # json.dumps's indents, depth 1 to 3
     vertices = f",{b}".join(f"[{v}{_ratio_json(xn, xd, v)},{v}{_ratio_json(yn, yd, v)}{b}]"
                             for xn, xd, yn, yd in _lowest(pairs, den))
     _emit(args, f'{{{a}"model": {_quote(model)},{a}"D": {args.D},{a}"L": {args.L},{a}"mu_tx": '
@@ -186,7 +165,7 @@ def cmd_validate(args) -> int:
     out = report.to_json_dict()
     out["n_subnets"] = len(subnets)
     out["masters"] = subnets.masters
-    _emit(args, dumps_indent2(out) + "\n")
+    _emit(args, json.dumps(out, indent=2) + "\n")
     return 0 if report.ok else 3
 
 
@@ -203,7 +182,7 @@ def cmd_loads(args) -> int:
         "finite": {"mu_tx": ratio_to_json(fin_tx), "mu_rx": ratio_to_json(fin_rx)},
         "exact_match": ledger.mu_tx == cf.mu_tx and ledger.mu_rx == cf.mu_rx,
     }
-    _emit(args, dumps_indent2(out) + "\n")
+    _emit(args, json.dumps(out, indent=2) + "\n")
     # a torus or a line of whole (D+2)-cell periods has no edge effects; other rims do
     periodic = not net.has_rim or (net.model == WYNER and args.K % (args.D + 2) == 0)
     return 3 if periodic and not out["exact_match"] else 0
@@ -212,7 +191,7 @@ def cmd_loads(args) -> int:
 def cmd_closed_form(args) -> int:
     scheme = SCHEME_ALIASES[args.scheme]
     cf = closed_form(MODELS[args.model], scheme, args.D, args.L)
-    _emit(args, dumps_indent2(cf.to_json_dict()) + "\n")
+    _emit(args, _flat_json(cf.to_json_dict()) + "\n")
     return 0
 
 

@@ -199,7 +199,6 @@ def _region_pairs(model: str, D: int, L: int, tx: tuple, rx: tuple) -> tuple[lis
     """``achievable_region`` of budget pairs (n, d), d > 0, as hull pairs over den: (pairs, den)."""
     if tx[0] < 0 or rx[0] < 0:
         raise ValueError("prelogs must be nonnegative")
-    check_params(model, Scheme.BOTH_COMP_RX, D, L)
     table = _scaled_formulas(model, D, L)
     scale, f = table
     s_nc, s_max = f["s_nocoop"], f["s_max"]

@@ -325,11 +325,12 @@ class _GridAdjacency(_Computed):
 
     A flat list holds the ids of every kind, W cells to a row: node x of row r
     sits at ``offs[r] + x``, and each step is one offset from there.  A ball's
-    is its bounding box with an empty row and column on every side.  A torus's
-    is its parallelogram domain (``lattice``), each row twice between margin
-    columns, and margin rows turned at the seam, so no seat is empty; on the
-    torus of mt == 1 a step to the cell of an earlier step is dropped.  An item
-    is stored when first read.
+    is its bounding box with an empty row above and below and one empty column
+    at the right, which is also the seat left of the next row's first column.
+    A torus's is its parallelogram domain (``lattice``), each row twice between
+    margin columns, and margin rows turned at the seam, so no seat is empty; on
+    the torus of mt == 1 a step to the cell of an earlier step is dropped.  An
+    item is stored when first read.
     """
 
     __slots__ = ("args", "flat", "nstarts", "offs", "steps", "memo")
@@ -339,9 +340,9 @@ class _GridAdjacency(_Computed):
         nk = len(kinds)
         nstarts = [0, *accumulate(nk * (hi - lo + 1) for _, lo, hi in rows)]  # rows' first nodes
         if mt is None:  # row r's first cell (a, lo) at seat (r, lo - b0)
-            W, b0 = len(rows) + 2, rows[0][1] - 1
+            W, b0 = len(rows) + 1, rows[0][1]
             seats = [(r, lo - b0) for r, (_, lo, _) in enumerate(rows, 1)]
-            flat = [None] * (nk * W * W)
+            flat = [None] * (nk * W * (len(rows) + 2))
             for (q, c), i, j in zip(seats, nstarts, nstarts[1:]):
                 flat[nk * (q * W + c):nk * (q * W + c) + j - i] = nodes[i:j]
         else:  # row (a, lo, hi) from seat s of parallelogram row p on, at seat (p + 1, s + 1)

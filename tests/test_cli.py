@@ -20,7 +20,7 @@ from test_loads import valid_range
 from test_topology import FIVE_NETWORKS, PIN_D, _pinned_schemes
 
 from mgnet.association import SCHEME_ALIASES, Scheme, check_params
-from mgnet.cli import _SWEEP_COLUMNS, MODELS, dumps_indent2, main, make_parser, parse_args
+from mgnet.cli import _SWEEP_COLUMNS, MODELS, main, make_parser, parse_args
 from mgnet.loads import formulas
 from mgnet.rationals import ratio_from_json, ratio_to_csv
 from mgnet.topology import WYNER
@@ -625,56 +625,7 @@ def test_csv_rendering_rules():
     assert ratio_to_csv(F(47, 24)) == "1.95833333333"
 
 
-# --- one-pass JSON writer -------------------------------------------------
-
-json_strings = st.text() | st.sampled_from(
-    ['"', "\\", '\\"', "\x00\x01\x1f\x7f", "\n\r\t\b\f", "é ü", "  ", "\U0001f600", ""])
-json_ints = (st.integers() | st.integers(min_value=-10**40, max_value=10**40)
-             | st.integers(10**40, 10**60) | st.integers(-10**60, -10**40))
-
-
-def _ratio_shaped(num, den, reverse, extra):
-    """A dict with ``ratio_to_json``'s keys, maybe in reverse order, maybe with a third
-    (position, key, value) item."""
-    items = [("num", num), ("den", den)][::-1 if reverse else 1]
-    if extra is not None:
-        items.insert(extra[0], extra[1:])
-    return dict(items)
-
-
-# int and bool values (the writer's one-string template takes exact ints only), and others
-ratio_values = json_ints | st.booleans() | st.none() | st.floats()
-json_ratios = st.builds(_ratio_shaped, ratio_values, ratio_values, st.booleans(),
-                        st.none() | st.tuples(st.integers(0, 2), json_strings, ratio_values))
-json_leaves = st.none() | st.booleans() | json_ints | json_strings | json_ratios
-json_trees = st.recursive(
-    json_leaves,
-    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
-                  | st.dictionaries(json_strings, kids, max_size=4)),
-    max_leaves=40)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(json_trees)
-def test_json_writer_equals_json_dumps_indent_2(obj):
-    assert dumps_indent2(obj) == json.dumps(obj, indent=2)
-
-
-@pytest.mark.parametrize("obj", [{}, [], (), {"a": {}, "b": [], "c": [{}, [[]]]},
-                                 1.5, float("nan"), -(10**400), True,
-                                 {"num": 3, "den": 8}, {"den": 8, "num": 3},
-                                 [{"num": -(10**50), "den": 1}, {"num": True, "den": 2}],
-                                 {"x": {"num": 0, "den": 1, "y": None}}])
-def test_json_writer_edge_values(obj):
-    assert dumps_indent2(obj) == json.dumps(obj, indent=2)
-
-
-def test_json_writer_rejects_what_json_dumps_rejects():
-    with pytest.raises(TypeError):
-        json.dumps({"x": F(1, 2)}, indent=2)
-    with pytest.raises(TypeError):
-        dumps_indent2({"x": F(1, 2)})
-
+# --- JSON output -------------------------------------------------------
 
 JSON_COMMANDS = {
     "region": ("region", "--model", "hex", "--D", "8", "--L", "3",
@@ -688,22 +639,61 @@ JSON_COMMANDS = {
 }
 
 
+def _json_reference(argv):
+    """The dict a JSON command prints, built from the library API, not from `mgnet.cli`."""
+    from mgnet.association import assign, scheme_tau
+    from mgnet.loads import closed_form, finite_prelogs, message_ledger
+    from mgnet.rationals import ratio_to_json
+    from mgnet.topology import build_hex_torus, build_wyner
+    from mgnet.validation import validate
+    if argv[0] == "closed-form":
+        return closed_form(MODELS["sectorized"], Scheme.SLOW_COMP_RX, 4, 3).to_json_dict()
+    if argv[0] == "validate":
+        net = build_wyner(16, 1)
+        subnets, report = validate(net, assign(net, 6, Scheme.BOTH_COMP_RX))
+        return {**report.to_json_dict(), "n_subnets": len(subnets), "masters": subnets.masters}
+    net = build_hex_torus(scheme_tau(MODELS["hex"], Scheme.BOTH_COMP_RX, 8), 2, 3)
+    assoc = assign(net, 8, Scheme.BOTH_COMP_RX)
+    ledger = message_ledger(net, assoc, validate(net, assoc)[0])
+    cf = closed_form(MODELS["hex"], Scheme.BOTH_COMP_RX, 8, 3)
+    fin_tx, fin_rx = finite_prelogs(ledger, net)
+    return {"ledger": ledger.to_json_dict(), "closed_form": cf.to_json_dict(),
+            "finite": {"mu_tx": ratio_to_json(fin_tx), "mu_rx": ratio_to_json(fin_rx)},
+            "exact_match": ledger.mu_tx == cf.mu_tx and ledger.mu_rx == cf.mu_rx}
+
+
 @pytest.mark.parametrize("argv", JSON_COMMANDS.values(), ids=JSON_COMMANDS.keys())
-def test_json_commands_print_json_dumps_indent_2(capsys, monkeypatch, argv):
-    import mgnet.cli
-    if argv[0] == "region":  # written from the hull's integer pairs, not by dumps_indent2
+def test_json_commands_print_json_dumps_indent_2(capsys, argv):
+    if argv[0] == "region":
         assert run(capsys, *argv) == _region_reference("hex", 8, 3, "5/8", "7/4", "json")
         return
-    written = []
+    assert run(capsys, *argv) == (0, json.dumps(_json_reference(argv), indent=2) + "\n", "")
 
-    def recording(obj):
-        written.append(obj)
-        return dumps_indent2(obj)
 
-    monkeypatch.setattr(mgnet.cli, "dumps_indent2", recording)
-    code, out, _ = run(capsys, *argv)
-    assert code == 0 and len(written) == 1
-    assert out == json.dumps(written[0], indent=2) + "\n"
+def _closed_form_reference(model, scheme, D, L):
+    """(exit code, stdout, stderr) of ``mgnet closed-form`` by the Fraction API."""
+    from mgnet.loads import closed_form
+    try:
+        return 0, json.dumps(closed_form(model, scheme, D, L).to_json_dict(), indent=2) + "\n", ""
+    except ValueError as exc:  # a value past Python's int string limit
+        return 2, "", f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_closed_form_text_equals_the_fraction_api(capsys, model):
+    """Every valid scheme, D <= 30, L in 1..5 and 4290 digits; and a 4300-digit L, which
+    takes some values past the int string limit, so both paths refuse it alike."""
+    alias = {v: k for k, v in SCHEME_ALIASES.items()}
+    codes = set()
+    for scheme in Scheme:
+        for D in valid_range(MODELS[model], scheme, 30):
+            for L in (*range(1, 6), "9" * 4290, "9" * 4300):
+                argv = ["closed-form", "--model", model, "--D", str(D), "--L", str(L),
+                        "--scheme", alias[scheme]]
+                got = run(capsys, *argv)
+                assert got == _closed_form_reference(MODELS[model], scheme, D, int(L)), argv[:7]
+                codes.add(got[0])
+    assert codes == {0, 2}
 
 
 # --- dispatch: one parse with the subcommand's own parser -----------------
@@ -756,10 +746,11 @@ def test_help_exits_0(capsys, argv, usage):
 
 # sha256 of `mgnet --help` and of each `mgnet <command> --help` at 80 columns (Python 3.11),
 # recorded when `make_parser` added every subcommand's options one by one; the top-level
-# text is the module docstring, re-recorded when it came to name the ratio fast paths and
-# again when region and figure text came to be written from the integer hull's pairs
+# text is the module docstring, re-recorded when it came to name the ratio fast paths, when
+# region and figure text came to be written from the integer hull's pairs, and when the
+# general JSON writer gave way to json.dumps and closed-form's flat writer
 HELP_PINS = {
-    "mgnet": "d6bdd33dadb2cdaf4cbc3d7d4c5156fe468112e08c66ffc20e5234564df62ebe",
+    "mgnet": "e8b3d61ffc7beb4acf90d0e4242c6bcfd6efd287592da16f7d0bccb4baa6061a",
     "closed-form": "0e52b006af5a0266fc1cdd38bb6e5a112eedf356e9702852c31adc8c5207031d",
     "figure": "ed34ded0183204489b2d90eeb16cadfb609200a935283e891053dbc71924709e",
     "loads": "f24799f8a3946e8dbf5f59b17a035acfeab4ab19c6f83a768cef435dafd32a81",
