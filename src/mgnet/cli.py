@@ -86,7 +86,7 @@ def _ratio_json(n: int, d: int, newline: str) -> str:
 
 
 def _flat_json(obj: dict) -> str:
-    """``json.dumps(obj, indent=2)`` of a dict of str, int and ``ratio_to_json`` values."""
+    """``json.dumps(obj, indent=2)`` of a nonempty dict of str, int and ``ratio_to_json`` values."""
     a = "\n  "
     return "{" + ",".join(f"{a}{_quote(k)}: " + (
         _quote(v) if type(v) is str else f"{v}" if type(v) is int

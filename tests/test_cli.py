@@ -20,7 +20,7 @@ from test_loads import valid_range
 from test_topology import FIVE_NETWORKS, PIN_D, _pinned_schemes
 
 from mgnet.association import SCHEME_ALIASES, Scheme, check_params
-from mgnet.cli import _SWEEP_COLUMNS, MODELS, main, make_parser, parse_args
+from mgnet.cli import _SWEEP_COLUMNS, MODELS, _flat_json, main, make_parser, parse_args
 from mgnet.loads import formulas
 from mgnet.rationals import ratio_from_json, ratio_to_csv
 from mgnet.topology import WYNER
@@ -623,6 +623,44 @@ def test_csv_rendering_rules():
     assert ratio_to_csv(F(-7, 4)) == "-1.75"
     assert ratio_to_csv(F(1, 3)) == "0.333333333333"
     assert ratio_to_csv(F(47, 24)) == "1.95833333333"
+
+
+# --- closed-form's flat JSON writer -----------------------------------------
+
+json_strings = st.text() | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x01\x1f\x7f", "\n\r\t\b\f", "é ü", "  ", "\U0001f600", ""])
+json_ints = (st.integers() | st.integers(min_value=-10**40, max_value=10**40)
+             | st.integers(10**40, 10**60) | st.integers(-10**60, -10**40))
+json_ratios = st.builds(lambda num, den: {"num": num, "den": den}, json_ints, json_ints)
+flat_dicts = st.dictionaries(json_strings, json_strings | json_ints | json_ratios,
+                             min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(flat_dicts)
+def test_json_writer_equals_json_dumps_indent_2(obj):
+    assert _flat_json(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{"a": "b"}, {"": ""}, {'"\\': '\\"'},
+                                 {"\x00\x1f\x7f": "\n\r\t\b\f"},
+                                 {"é ü": "\U0001f600"}, {"n": 0, "m": -1},
+                                 {"big": -(10**400)}, {"z": 1, "a": 2},
+                                 {"r": {"num": 3, "den": 8}},
+                                 {"r": {"num": -(10**50), "den": 10**60}},
+                                 {"den": {"num": 0, "den": 1}, "num": 3},
+                                 {"s": "x", "r": {"num": 7, "den": 2}, "i": 7}])
+def test_json_writer_edge_values(obj):
+    assert _flat_json(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_rejects_what_json_dumps_rejects():
+    for obj, error in [({"x": F(1, 2)}, TypeError), ({"x": 10**4300}, ValueError),
+                       ({"x": {"num": 10**4300, "den": 1}}, ValueError)]:
+        with pytest.raises(error):
+            json.dumps(obj, indent=2)
+        with pytest.raises(error):
+            _flat_json(obj)
 
 
 # --- JSON output -------------------------------------------------------
