@@ -52,6 +52,8 @@ REPEAT = ORACLE + "test_torus_link_loads_repeat_with_the_master_lattice"
 FALLBACK = ORACLE + "test_torus_lattice_falls_back_to_the_walk"
 BALL_FALLBACK = ORACLE + "test_ball_lattice_falls_back_to_the_walk"
 DRAWN = ORACLE + "test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori"
+EDGES = ORACLE + "test_line_proof_columns_at_the_proofs_edges"
+SCRATCH = ORACLE + "test_ledger_scratch_ends_at_the_last_numbered_cell"
 SINGLETONS = ORACLE + "test_cooperation_free_proof_falls_back_to_the_walk"
 CELLS = "tests/test_topology.py::test_builder_cells_are_computed_like_the_tuple_of_their_rows"
 GRID = "tests/test_topology.py::test_builder_adjacency_is_computed_like_the_stored_tuple"
@@ -101,6 +103,29 @@ MUTANTS = [
            "len(roles) == K + 1 and roles[1 + P:] == roles[1:-P])",
            "len(roles) == K + 1)",
            (ORACLE + "test_line_period_falls_back_to_the_walk[mutated-roles]",)),
+    # a proven line's computed columns: run j's first member, the tail's hops, a slice's cut
+    Mutant("line-run-offset-dropped", "src/mgnet/validation.py",
+           "return i + i // (self.args[0] - 1) + 1",
+           "return i + i // (self.args[0] - 1) + 0",
+           (EDGES + "[BothCompRx]", EDGES + "[NoCoop]")),
+    Mutant("line-tail-hops-repeated", "src/mgnet/validation.py",
+           "zip(self.__slots__, (args, run, P, (K + 1) // P * P))",
+           "zip(self.__slots__, (args, run, P, K + 1))",
+           (EDGES + "[SlowOnlyCompRx]",)),
+    Mutant("line-slice-cut-misplaced", "src/mgnet/validation.py",
+           "del nodes[-lo % P::P]",
+           "del nodes[lo % P::P]",
+           (EDGES + "[BothCompTx]",)),
+    # the ledger's scratch: it must hold the last numbered cell, and a neighbour past it
+    # is not reached
+    Mutant("ledger-scratch-short", "src/mgnet/loads.py",
+           "n = max(rx_off) + 1",
+           "n = max(rx_off)",
+           (EDGES + "[SlowOnlyCompTx]", SCRATCH)),
+    Mutant("ledger-scratch-end-unguarded", "src/mgnet/loads.py",
+           "except IndexError:  # a cell past the scratch",
+           "except KeyError:  # a cell past the scratch",
+           (SCRATCH,)),
     # a walked ledger numbers the cells' ids, not the sectors': a sector past them has no link
     Mutant("walked-ledger-numbers-rx-nodes", "src/mgnet/loads.py",
            "parts, numbered = [(1, nodes, range(len(subnets)))], net.tx_nodes",

@@ -135,12 +135,13 @@ class Association:
 
 def _assign_wyner(net: Network, D: int, scheme: Scheme) -> Association:
     K = net.n_tx
-    # slot 0 is no node; odd nodes are fast where any are, every period-th silent
-    roles: list[Role | None] = [Role.SLOW] * (K + 1)
-    if scheme.mixed or scheme is Scheme.NO_COOP:
-        roles[1::2] = [Role.FAST] * ((K + 1) // 2)
+    # every period-th node silent, odd nodes fast where any are: the period is even, so
+    # one period, repeated, holds both rules; slot 0 is no node
     period = 2 if scheme is Scheme.NO_COOP else D + 2
-    roles[::period] = [Role.SILENT] * (K // period + 1)
+    odd = Role.FAST if scheme.mixed or scheme is Scheme.NO_COOP else Role.SLOW
+    roles: list[Role | None] = [Role.SILENT, *[odd, Role.SLOW] * (period // 2 - 1), odd]
+    roles *= K // period + 1
+    del roles[K + 1:]
     roles[0] = None
     if scheme is Scheme.NO_COOP:
         return Association(net, scheme, D, roles, ())

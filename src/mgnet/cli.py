@@ -221,12 +221,13 @@ def cmd_sweep(args) -> int:
         w = None
         for d in ds[first::step // math.gcd(step, ds.step)]:
             f = formulas(model, d, args.L)
+            names = [k for k in _SWEEP_COLUMNS if k in f]
+            row = [d] + [ratio_to_csv(f[n]) for n in names]  # before the header: L may be refused
             if w is None:
                 out = stack.enter_context(_open_out(args.out)) if args.out else sys.stdout
                 w = csv.writer(out, lineterminator="\n")
-                names = [k for k in _SWEEP_COLUMNS if k in f]
                 w.writerow(["D"] + names)
-            w.writerow([d] + [ratio_to_csv(f[n]) for n in names])
+            w.writerow(row)
     if w is None:
         raise ValueError("no valid D in the sweep range for this model")
     return 0
@@ -340,7 +341,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        # a value past a float's range (a CSV decimal) is L-fold; past Python's int string
+        # limit it is in these commands, while region's vertices also take the budgets' terms
+        if isinstance(exc, OverflowError) or (args.func in (cmd_loads, cmd_closed_form, cmd_sweep)
+                                              and "integer string conversion" in str(exc)):
+            exc = f"--L: a value it scales is too large to write ({exc})"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

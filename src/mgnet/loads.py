@@ -28,7 +28,8 @@ its adjacency (unit-step order, which a translation keeps) one hop nearer
 the master that links to it both ways.  Columns a proof built
 (``Subnets.translates``) are counted from the template's fast nodes and
 subnet, once, times the number of translates, plus the rim's nodes and
-subnets; only the links of these cells are numbered.  On a builder's
+subnets; only the links of these cells are numbered, and the per-cell
+scratch ends at the last of them.  On a builder's
 network no link carries two subnets' messages, so each link maximum is the
 template's or the rim's.  Every other ``Subnets`` is counted node by node,
 over the links of every Tx node and cell.
@@ -239,7 +240,8 @@ def _tally(net: Network, assoc: Association, subnets: Subnets,
     """(counts, tx_use, rx_use) of every node and subnet once (``t`` None), or of
     the template's nodes and subnet ``copies`` times and of the rim's once (``t`` is
     ``Subnets.translates``).  Links get a counter if they leave a numbered node (every Tx
-    node, or the template's and the rim's) or its cell."""
+    node, or the template's and the rim's) or its cell.  The per-cell scratch runs up to
+    the last numbered cell: P slots, not K + 1, on a proven line without a tail run."""
     adjs = net.interference, net.tx_coop, net.rx_coop
     if t is None:
         # precancel and fast-share messages run between a fast and a slow node
@@ -255,7 +257,7 @@ def _tally(net: Network, assoc: Association, subnets: Subnets,
     rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(
         rx_adj, dict.fromkeys(map(net.tx_cell.__getitem__, numbered)))
     tx_use, rx_use = [0] * tx_off[-1], [0] * rx_off[-1]
-    n = len(rx_adj)
+    n = max(rx_off) + 1  # up to the last numbered cell: a message runs between two of them
     cells = ([None] * n, [0] * n, [None] * n)  # _count's per-cell scratch, made once
     counts = [0] * 5
     for times, nodes, indices in parts:
@@ -273,7 +275,8 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices, a
     network's (interference, tx_coop, rx_coop); each message also lands on its
     link in ``links`` = (tx_off, rx_off, tx_use, rx_use).  The
     per-cell scratch ``cells`` = (shared_by, below, level) serves calls on
-    disjoint ``nodes``: below and level are 0 and None again after each subnet."""
+    disjoint ``nodes``: below and level are 0 and None again after each subnet.
+    It holds every numbered cell; a neighbour past it is a cell no route reaches."""
     roles = assoc.roles
     scheme = assoc.scheme
     D = assoc.D
@@ -356,7 +359,12 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices, a
             if g < 0:  # the master
                 continue
             for i, p in enumerate(coop[c]):
-                if level[p] == g and c in (back := coop[p]):
+                try:
+                    if level[p] != g:
+                        continue
+                except IndexError:  # a cell past the scratch is not numbered, so not reached
+                    continue
+                if c in (back := coop[p]):
                     break
             else:
                 raise ValueError(f"cell {c} has no link both ways in {side}_coop to a cell "

@@ -18,7 +18,8 @@ Node ids are dense: every per-node table (``interference``, ``tx_coop``,
 ``tx_cell``; ``rx_coop`` and ``cell_coords`` per Rx cell) is a sequence
 indexed by the id itself.  Hex and sectorized ids run 0..n-1.
 Wyner keeps the 1-based cell numbers 1..K of the paper, so its tables carry
-an unused slot 0 (empty adjacency, no role) that is never in ``tx_nodes``.
+an unused slot 0 (empty adjacency, no role) that is never in ``tx_nodes``,
+the ``range`` 1..K.
 A Tx node's Rx cell is one lookup in ``tx_cell``: the identity range for
 Wyner and hex, where a node is its own cell; in the sectorized model sector
 ``3 * i + j`` is the ``SECTOR_KINDS[j]`` sector of cell ``i`` and ``tx_cell``
@@ -99,8 +100,8 @@ class Network:
 
     model: str
     L: int
-    tx_nodes: tuple[int, ...]
-    rx_nodes: tuple[int, ...]
+    tx_nodes: Sequence[int]
+    rx_nodes: Sequence[int]
     # I_k: tx nodes heard at node k's receiver unit, computed on access (see above)
     interference: Sequence[tuple[int, ...]]
     tx_coop: Sequence[tuple[int, ...]]
@@ -197,10 +198,12 @@ def _need_at_least(**sizes: tuple[int, int]) -> None:
 
 
 class _Computed(Sequence):
-    """A tuple computed on access (item i is ``_item(i)``) from the one argument in its first
-    slot: immutable, and equal to that tuple in items, slices, ``==``, hash and pickling."""
+    """A tuple (a list if ``_kind`` is list) computed on access (item i is ``_item(i)``) from
+    the one argument in its first slot: immutable, and equal to that tuple in items, slices,
+    ``==``, hash and pickling."""
 
     __slots__ = ()
+    _kind = tuple
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -211,11 +214,12 @@ class _Computed(Sequence):
         try:
             i = range(len(self))[i]  # an index in range, or a range for a slice
         except IndexError:
-            raise IndexError("tuple index out of range") from None
-        return tuple(map(self._item, i)) if i.__class__ is range else self._item(i)
+            raise IndexError(f"{self._kind.__name__} index out of range") from None
+        return self._kind(map(self._item, i)) if i.__class__ is range else self._item(i)
 
-    def __eq__(self, other) -> bool:  # a tuple's == with a _Computed defers to this one
-        return tuple(self) == other if isinstance(other, (tuple, _Computed)) else NotImplemented
+    def __eq__(self, other) -> bool:  # a tuple's or list's == with a _Computed defers to it
+        kind = self._kind
+        return kind(self) == other if isinstance(other, (kind, _Computed)) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(tuple(self))
@@ -295,7 +299,7 @@ def build_wyner(K: int, L: int) -> Network:
     """
     _need_at_least(K=(K, 1), L=(L, 1))
     ids = range(K + 1)
-    nodes = tuple(ids[1:])
+    nodes = ids[1:]
     adj = _LineAdjacency(K)
     q = 2 * K - 2
     return _marked(Network(

@@ -28,7 +28,8 @@ is checked before most of the walk is spared:
 * A line of K >= 2P nodes, P = D + 2 (2 without cooperation), whose roles
   repeat with P, whose whole runs of P - 1 nodes have one master each, at
   one offset, and whose run 0 walks as the nodes 1..P-1: the whole runs
-  repeat run 0's hops, and the shorter tail run has no master.
+  repeat run 0's hops, and the shorter tail run has no master.  Its members
+  and hops are computed from P, K and run 0's hops, not listed.
 * A ball: the component of its centre cell (0, 0), the template, is
   walked and must hold that cell alone as its master (every ``assign``
   makes it one).  The roles and master flags must repeat with the master
@@ -73,7 +74,7 @@ from operator import add, is_not, itemgetter
 
 from .association import Association, Role, Scheme, scheme_tau, valid_d
 from .lattice import is_master
-from .topology import HEX, WYNER, Network, as_built, builder_rows
+from .topology import HEX, WYNER, Network, _Computed, as_built, builder_rows
 
 
 @dataclass(slots=True)
@@ -91,7 +92,9 @@ class Subnets(Sequence):
     master ``masters[i]`` (None when it has none).  ``hop[k]`` is node k's
     hop count to its own master (its cell's, over the CoMP side's
     cooperation graph within the component's cells), None without a master
-    or a path.  ``assoc`` is the association the columns were built from.
+    or a path.  ``members`` and ``hop`` are lists indexed by position and id,
+    or, on a proven line, computed sequences that index, slice (to lists) and
+    compare like them.  ``assoc`` is the association the columns were built from.
     ``translates`` is None after the general walk, and (template, copies,
     rim) after a proof (see the module docstring): component ``template``
     and ``copies - 1`` others (a line's whole runs, the subnets of a ball
@@ -104,8 +107,8 @@ class Subnets(Sequence):
 
     __slots__ = ("assoc", "members", "starts", "masters", "hop", "translates")
 
-    def __init__(self, assoc: Association, members: list[int], starts: Sequence[int],
-                 masters: list[int | None], hop: list[int | None],
+    def __init__(self, assoc: Association, members: Sequence[int], starts: Sequence[int],
+                 masters: list[int | None], hop: Sequence[int | None],
                  translates: tuple | None = None) -> None:
         self.assoc, self.members, self.starts, self.masters = assoc, members, starts, masters
         self.hop, self.translates = hop, translates
@@ -125,9 +128,10 @@ class Subnets(Sequence):
         ``gamma`` in node order."""
         i = range(len(self.masters))[i]  # negative indices; IndexError past the end
         comp = self.members[self.starts[i]:self.starts[i + 1]]
-        hop, roles = self.hop, self.assoc.roles
+        roles = self.assoc.roles
         return Subnet(tuple(comp), self.masters[i],
-                      {k: hop[k] for k in comp if hop[k] is not None},
+                      {k: g for k, g in zip(comp, map(self.hop.__getitem__, comp))
+                       if g is not None},
                       tuple([k for k in comp if roles[k] is Role.SLOW]))
 
 
@@ -492,8 +496,9 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
     run 0, or None unless the roles and masters repeat with a period P, node P is
     silent and the walk from node 1 is the nodes 1..P-1.
 
-    Run ``j`` holds the nodes ``j * P + 1 .. j * P + P - 1``.  The members are the
-    int objects of ``net.tx_nodes``, and ``starts`` is a ``range`` unless a tail run
+    Run ``j`` holds the nodes ``j * P + 1 .. j * P + P - 1``.  The members and hops are
+    computed from P, K and run 0's hops (``_RunMembers``, ``_RunHops``), so beyond the
+    roles compare nothing here is K long; ``starts`` is a ``range`` unless a tail run
     (shorter than P - 1 nodes, without a master) follows the whole ones.
     """
     roles, cooperative = assoc.roles, assoc.scheme.cooperative
@@ -515,19 +520,72 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
         return None
     whole = (K + 1) // P
     n = whole * (P - 1)  # members of the whole runs
-    members = list(net.tx_nodes)
-    del members[P - 1::P]  # the silent multiples of P; the tail run follows the whole ones
+    members = _RunMembers((P, K))
     starts: Sequence[int] = range(0, n + 1, P - 1)
     masters: list[int | None] = list(assoc.masters) or [None] * whole
-    hop = [None, *hop[1:P]] * whole
-    hop += [None] * (K + 1 - len(hop))  # the last silent node and the tail run
     if len(members) > n:  # the tail run, clipped by the rim
         starts = array("q", starts)
         starts.append(len(members))
         masters.append(None)
         report.warnings.append(f"partial-subnet:{whole * P + 1}")
-    return Subnets(assoc, members, starts, masters, hop,
+    return Subnets(assoc, members, starts, masters, _RunHops(((None, *hop[1:P]), K)),
                    (0, whole, tuple(range(whole, len(masters))))), report
+
+
+class _RunMembers(_Computed):
+    """Column ``members`` of a proven line, from (P, K): the nodes 1..K but the silent
+    multiples of P, so that item i is node j P + r + 1 of run j = i // (P - 1), r = i %
+    (P - 1), that is i + j + 1; the tail run follows the whole ones.  Slices are lists,
+    a step-1 slice cut from the nodes between its ends."""
+
+    __slots__ = ("args",)
+    _kind = list
+
+    def __init__(self, args: tuple[int, int]) -> None:
+        object.__setattr__(self, "args", args)
+
+    def __len__(self) -> int:
+        P, K = self.args
+        return K - K // P
+
+    def __getitem__(self, i):
+        if i.__class__ is slice:
+            P, K = self.args
+            if (r := range(K - K // P)[i]).step == 1 and r:
+                lo, hi = self._item(r.start), self._item(r[-1])
+                nodes = list(range(lo, hi + 1))
+                del nodes[-lo % P::P]  # the silent multiples of P
+                return nodes
+        return super().__getitem__(i)
+
+    def _item(self, i: int) -> int:
+        return i + i // (self.args[0] - 1) + 1
+
+
+class _RunHops(_Computed):
+    """Column ``hop`` of a proven line, from (run, K), ``run`` the hops of nodes 0..P-1
+    (None at node 0): node k of a whole run has run 0's hop ``run[k % P]``, None on the
+    silent multiples of P, and the last silent node and the tail run, from ``whole * P``
+    on, have none.  Slices are lists."""
+
+    __slots__ = ("args", "run", "P", "end")
+    _kind = list
+
+    def __init__(self, args: tuple[tuple, int]) -> None:
+        run, K = args
+        P = len(run)
+        for name, value in zip(self.__slots__, (args, run, P, (K + 1) // P * P)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return self.args[1] + 1
+
+    def __getitem__(self, k):
+        if k.__class__ is int and 0 <= k <= self.args[1]:
+            return self.run[k % self.P] if k < self.end else None
+        return super().__getitem__(k)
+
+    _item = __getitem__
 
 
 def _over_budget(subnets: Subnets, budget: int, nodes) -> list[tuple[int, str]]:

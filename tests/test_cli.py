@@ -324,6 +324,26 @@ def test_budgets_past_the_int_string_limit_are_refused_in_both_formats(capsys, f
     assert (code, out, err) == (2, "", f"error: {flag}={text}: need a nonnegative rational p/q\n")
 
 
+@pytest.mark.parametrize("argv, L, reason", [
+    (("closed-form", "--model", "wyner", "--D", "6", "--scheme", "both-rx"), "9" * 4300,
+     "integer string conversion"),
+    (("sweep", "--model", "wyner", "--D", "2..6"), "9" * 4300, "integer string conversion"),
+    (("loads", "--model", "wyner", "--K", "16", "--D", "6", "--scheme", "both-rx"), "9" * 4300,
+     "integer string conversion"),
+    (("sweep", "--model", "wyner", "--D", "4..4"), "1" + "0" * 400, "too large for a float"),
+    (("region", "--model", "wyner", "--D", "4", "--mu-tx", "1", "--mu-rx", "1", "--format",
+      "csv"), "1" + "0" * 400, "too large for a float"),
+], ids=["closed-form", "sweep", "loads", "sweep-csv-float", "region-csv-float"])
+def test_an_l_whose_values_cannot_be_written_is_named(capsys, argv, L, reason):
+    """An L that argparse reads, but whose L-fold values pass Python's int string limit
+    (4300 digits) or, written as a CSV decimal, a float's range, exits 2 naming --L, with
+    nothing written."""
+    code, out, err = run(capsys, *argv, "--L", L)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --L: a value it scales is too large to write (")
+    assert reason in err
+
+
 @pytest.mark.parametrize("argv", [
     ("figure", "--which", "fig8"),
     ("sweep", "--model", "wyner", "--L", "3", "--D", "2..10"),  # opens its file lazily

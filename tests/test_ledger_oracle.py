@@ -333,6 +333,45 @@ def test_line_period_at_bench_scale(scheme, K):
     assert_period_matches_walk(build_wyner(K, 2), 6, scheme)
 
 
+def _edge_lines(scheme):
+    """(D, P, K) of lines where the line proof starts to apply, K = 2P - 1 (walked) and 2P,
+    and of one line at each tail length, K + 1 = 0..P-1 mod P."""
+    for D in (2, 6) if scheme.cooperative else (0,):
+        P = D + 2 if scheme.cooperative else 2
+        for K in (2 * P - 1, 2 * P, *range(3 * P - 1, 4 * P - 1)):
+            yield D, P, K
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=[s.value for s in Scheme])
+def test_line_proof_columns_at_the_proofs_edges(scheme):
+    """The proof's computed columns equal the walk's lists item by item, by negative
+    index and by slice (a list wherever the walk's column is one), and so do the
+    ``Subnet`` views and the ledger."""
+    for D, P, K in _edge_lines(scheme):
+        net = build_wyner(K, 2)
+        assoc = assign(net, D, scheme)
+        subnets, report = subnet_decompose(net, assoc)
+        walk, walk_report = _and_walk(subnet_decompose, net, assoc)
+        assert (subnets.translates is not None) == (K >= 2 * P), (D, K)
+        assert walk.translates is None
+        for col in COLUMNS:
+            got, ref = getattr(subnets, col), getattr(walk, col)
+            n = len(ref)
+            assert len(got) == n and (got == ref or col == "starts"), (D, K, col)
+            assert [got[i] for i in range(-n, n)] == [ref[i] for i in range(-n, n)], (D, K, col)
+            for bad in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    got[bad]
+            ends = (None, 0, 1, D, D + 1, D + 2, n // 2, n - 1, n + 3, -1, -D - 2, -n - 3)
+            for s in (slice(a, b, step) for a in ends for b in ends
+                      for step in (None, 2, -1, -3, D + 2)):
+                part = got[s]
+                assert list(part) == list(ref[s]), (D, K, col, s)
+                assert isinstance(part, list) == isinstance(ref[s], list), (D, K, col, s)
+        assert list(subnets) == list(walk) and report == walk_report, (D, K)
+        assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk), (D, K)
+
+
 def _mutated_roles():
     net = build_wyner(16, 1)
     a = assign(net, 6, Scheme.BOTH_COMP_RX)
@@ -1078,6 +1117,22 @@ def test_only_a_network_as_its_builder_returned_it_takes_a_proof(make, D, how):
     ref_subnets, ref_report = ref_subnet_decompose(net, assoc)
     assert subnet_decompose(net, assoc)[1] == ref_report
     assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
+
+
+def test_ledger_scratch_ends_at_the_last_numbered_cell():
+    """The ledger's per-cell scratch stops at the last cell it numbers; a route's parent
+    search that meets a neighbour past it (here each cell lists its higher neighbour
+    first) reads that cell as one the route does not reach."""
+    line = build_wyner(15, 1)  # two whole runs of period 8
+    net = replace(line, rx_coop=tuple(nbrs[::-1] for nbrs in line.rx_coop))
+    assoc = assign(net, 6, Scheme.SLOW_COMP_RX)
+    walk, report = validate(net, assoc)
+    assert report.ok and walk.translates is None
+    # the walk's columns, read as a proof would give them: run 1 a translate of run 0
+    proven = validation.Subnets(assoc, walk.members, walk.starts, walk.masters, walk.hop,
+                                (0, 2, ()))
+    assert message_ledger(net, assoc, proven) == message_ledger(net, assoc, walk) == \
+        ref_message_ledger(net, assoc, ref_subnet_decompose(net, assoc)[0])
 
 
 def test_ledger_names_a_missing_link():

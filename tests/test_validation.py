@@ -13,7 +13,7 @@ import mgnet
 from mgnet import (HEX, Association, Network, Role, Scheme, Subnet, Subnets, ValidationReport,
                    assign, build_hex, build_hex_torus, build_sectored_hex,
                    build_sectored_hex_torus, build_wyner, check_round_split,
-                   subnet_decompose, validate)
+                   message_ledger, subnet_decompose, validate)
 from mgnet.validation import hop_budget
 
 
@@ -276,6 +276,39 @@ def test_no_coop_subnets_memory_per_subnet():
         tracemalloc.stop()
     assert len(subnets) == 50_000
     assert kept <= 90 * len(subnets), f"{kept / len(subnets):.0f} bytes per subnet"
+
+
+def test_proven_line_subnets_memory_per_subnet():
+    """A proven line's members and hops are computed: what a decomposition keeps grows
+    with its subnets (the masters), not with its nodes."""
+    net = build_wyner(100_000, 1)
+    a = assign(net, 6, Scheme.BOTH_COMP_RX)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        subnets, _ = subnet_decompose(net, a)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert subnets.translates == (0, 12_500, ()) and len(subnets) == 12_500
+    assert kept <= 90 * len(subnets), f"{kept / len(subnets):.0f} bytes per subnet"
+
+
+def test_proven_line_ledger_memory():
+    """The ledger of a proven line without a tail numbers run 0 alone, so its per-cell
+    scratch stops there: its peak stays below one list of K + 1 slots (800 kB)."""
+    net = build_wyner(100_000, 1)
+    a = assign(net, 6, Scheme.BOTH_COMP_RX)
+    subnets, _ = subnet_decompose(net, a)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ledger = message_ledger(net, a, subnets)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert subnets.translates == (0, 12_500, ()) and ledger.n_subnets == 12_500
+    assert peak < 100_000, f"{peak} bytes at the peak"
 
 
 def test_package_exports_no_modules():
