@@ -57,6 +57,7 @@ SCRATCH = ORACLE + "test_ledger_scratch_ends_at_the_last_numbered_cell"
 SINGLETONS = ORACLE + "test_cooperation_free_proof_falls_back_to_the_walk"
 CELLS = "tests/test_topology.py::test_builder_cells_are_computed_like_the_tuple_of_their_rows"
 GRID = "tests/test_topology.py::test_builder_adjacency_is_computed_like_the_stored_tuple"
+LINE = "tests/test_topology.py::test_wyner_adjacency_is_computed_like_the_stored_tuple"
 BENCH_BALLS = "tests/test_topology.py::test_bench_balls_match_the_unit_step_dict"
 POLYLINE = "tests/test_regions.py::test_boundary_polyline_equals_its_fraction_key_definition"
 BUDGETS = "tests/test_cli.py::test_budgets_are_read_by_the_fraction_rule"
@@ -103,19 +104,25 @@ MUTANTS = [
            "len(roles) == K + 1 and roles[1 + P:] == roles[1:-P])",
            "len(roles) == K + 1)",
            (ORACLE + "test_line_period_falls_back_to_the_walk[mutated-roles]",)),
-    # a proven line's computed columns: run j's first member, the tail's hops, a slice's cut
+    # a proven line's computed columns: run j's first member, the tail's hops
     Mutant("line-run-offset-dropped", "src/mgnet/validation.py",
            "return i + i // (self.args[0] - 1) + 1",
            "return i + i // (self.args[0] - 1) + 0",
            (EDGES + "[BothCompRx]", EDGES + "[NoCoop]")),
     Mutant("line-tail-hops-repeated", "src/mgnet/validation.py",
-           "zip(self.__slots__, (args, run, P, (K + 1) // P * P))",
-           "zip(self.__slots__, (args, run, P, K + 1))",
+           "super().__init__(args, run, P, (K + 1) // P * P)",
+           "super().__init__(args, run, P, K + 1)",
            (EDGES + "[SlowOnlyCompRx]",)),
-    Mutant("line-slice-cut-misplaced", "src/mgnet/validation.py",
-           "del nodes[-lo % P::P]",
-           "del nodes[lo % P::P]",
-           (EDGES + "[BothCompTx]",)),
+    # the one item rule of computed sequences: an index past the end is refused, and a
+    # line's last cell is not an interior one
+    Mutant("computed-item-bound-inclusive", "src/mgnet/topology.py",
+           "if i.__class__ is int and 0 <= i < len(self):",
+           "if i.__class__ is int and 0 <= i <= len(self):",
+           (CELLS + "[hex-balls]", CELLS + "[sectorized-tori]", LINE + "[7]")),
+    Mutant("line-item-interior-widened", "src/mgnet/topology.py",
+           "(k - 1, k + 1) if 1 < k < self.K else",
+           "(k - 1, k + 1) if 1 < k <= self.K else",
+           (LINE + "[2]", LINE + "[7]")),
     # the ledger's scratch: it must hold the last numbered cell, and a neighbour past it
     # is not reached
     Mutant("ledger-scratch-short", "src/mgnet/loads.py",

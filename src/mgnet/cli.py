@@ -343,10 +343,13 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # a value past a float's range (a CSV decimal) is L-fold; past Python's int string
-        # limit it is in these commands, while region's vertices also take the budgets' terms
-        if isinstance(exc, OverflowError) or (args.func in (cmd_loads, cmd_closed_form, cmd_sweep)
-                                              and "integer string conversion" in str(exc)):
+        # limit it is in these commands, and a region vertex also takes the budgets' terms
+        big = "integer string conversion" in str(exc)
+        if isinstance(exc, OverflowError) or big and args.func in (cmd_loads, cmd_closed_form,
+                                                                   cmd_sweep):
             exc = f"--L: a value it scales is too large to write ({exc})"
+        elif big and args.func is cmd_region:
+            exc = f"--L, --mu-tx, --mu-rx: a vertex they set is too large to write ({exc})"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -65,7 +65,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from operator import attrgetter, index, is_, sub
+from operator import attrgetter, is_, sub
 
 from .lattice import Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows
 
@@ -198,12 +198,18 @@ def _need_at_least(**sizes: tuple[int, int]) -> None:
 
 
 class _Computed(Sequence):
-    """A tuple (a list if ``_kind`` is list) computed on access (item i is ``_item(i)``) from
-    the one argument in its first slot: immutable, and equal to that tuple in items, slices,
-    ``==``, hash and pickling."""
+    """A tuple (a list if ``_kind`` is list) computed on access from the one argument in
+    its first slot: immutable, and equal to that tuple in items, slices, ``==``, hash and
+    pickling.  ``__getitem__`` takes an int i in range straight to ``_item(i)``, anything
+    else by ``range``'s rules; ``index``, ``in`` and iteration read item by item, as
+    ``Sequence``'s do.  ``__init__`` fills ``__slots__`` in order."""
 
     __slots__ = ()
     _kind = tuple
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -211,6 +217,8 @@ class _Computed(Sequence):
     __delattr__ = __setattr__
 
     def __getitem__(self, i):
+        if i.__class__ is int and 0 <= i < len(self):
+            return self._item(i)
         try:
             i = range(len(self))[i]  # an index in range, or a range for a slice
         except IndexError:
@@ -236,19 +244,12 @@ class _LineAdjacency(_Computed):
 
     __slots__ = ("K",)
 
-    def __init__(self, K: int) -> None:
-        object.__setattr__(self, "K", K)
-
     def __len__(self) -> int:
         return self.K + 1
 
-    def __getitem__(self, k):
-        if k.__class__ is int and 1 < k < self.K:
-            return (k - 1, k + 1)
-        return super().__getitem__(k)
-
     def _item(self, k: int) -> tuple[int, ...]:
-        return tuple(j for j in (k - 1, k + 1) if 0 < j <= self.K) if k else ()
+        return ((k - 1, k + 1) if 1 < k < self.K else
+                tuple(j for j in (k - 1, k + 1) if 0 < j <= self.K) if k else ())
 
 
 class _RowCells(_Computed):
@@ -258,37 +259,14 @@ class _RowCells(_Computed):
     __slots__ = ("rows", "starts")
 
     def __init__(self, rows: tuple[Row, ...]) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "starts", [0, *accumulate(hi - lo + 1 for _, lo, hi in rows)])
+        super().__init__(rows, [0, *accumulate(hi - lo + 1 for _, lo, hi in rows)])
 
     def __len__(self) -> int:
         return self.starts[-1]
 
-    def __getitem__(self, i):
-        if i.__class__ is int and 0 <= i < self.starts[-1]:
-            r = bisect_right(self.starts, i) - 1
-            return (self.rows[r][0], self.rows[r][1] + i - self.starts[r])
-        return super().__getitem__(i)
-
-    _item = __getitem__
-
-    def index(self, cell, start: int = 0, stop: int | None = None) -> int:
-        """By row arithmetic for a tuple of two ints, as ``Sequence.index`` otherwise."""
-        try:
-            a, b = map(index, cell) if isinstance(cell, tuple) else ()
-        except (TypeError, ValueError):
-            return super().index(cell, start, stop)
-        rows, r = self.rows, a - self.rows[0][0]
-        if 0 <= r < len(rows) and rows[r][1] <= b <= rows[r][2]:
-            if (i := self.starts[r] + b - rows[r][1]) in range(len(self))[start:stop]:
-                return i
-        raise ValueError("tuple.index(x): x not in tuple")
-
-    def __contains__(self, cell) -> bool:
-        try:
-            return self.index(cell) >= 0
-        except ValueError:
-            return False
+    def _item(self, i: int) -> Coord:
+        r = bisect_right(self.starts, i) - 1
+        return (self.rows[r][0], self.rows[r][1] + i - self.starts[r])
 
 
 def build_wyner(K: int, L: int) -> Network:
@@ -366,9 +344,7 @@ class _GridAdjacency(_Computed):
                 flat += (grid[q % mt] * 4)[o:o + nk * W]
         offs = [0, *(nk * (q * W + c) - i for (q, c), i in zip(seats, nstarts))]
         steps = [[nk * (da * W + db) + k2 - k for da, db, k2 in ks] for k, ks in enumerate(kinds)]
-        for name, value in zip(self.__slots__, (args, flat, nstarts, offs, steps,
-                                                [None] * len(nodes))):
-            object.__setattr__(self, name, value)
+        super().__init__(args, flat, nstarts, offs, steps, [None] * len(nodes))
 
     def __len__(self) -> int:
         return len(self.memo)

@@ -535,28 +535,14 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
 class _RunMembers(_Computed):
     """Column ``members`` of a proven line, from (P, K): the nodes 1..K but the silent
     multiples of P, so that item i is node j P + r + 1 of run j = i // (P - 1), r = i %
-    (P - 1), that is i + j + 1; the tail run follows the whole ones.  Slices are lists,
-    a step-1 slice cut from the nodes between its ends."""
+    (P - 1), that is i + j + 1; the tail run follows the whole ones.  Slices are lists."""
 
     __slots__ = ("args",)
     _kind = list
 
-    def __init__(self, args: tuple[int, int]) -> None:
-        object.__setattr__(self, "args", args)
-
     def __len__(self) -> int:
         P, K = self.args
         return K - K // P
-
-    def __getitem__(self, i):
-        if i.__class__ is slice:
-            P, K = self.args
-            if (r := range(K - K // P)[i]).step == 1 and r:
-                lo, hi = self._item(r.start), self._item(r[-1])
-                nodes = list(range(lo, hi + 1))
-                del nodes[-lo % P::P]  # the silent multiples of P
-                return nodes
-        return super().__getitem__(i)
 
     def _item(self, i: int) -> int:
         return i + i // (self.args[0] - 1) + 1
@@ -574,18 +560,13 @@ class _RunHops(_Computed):
     def __init__(self, args: tuple[tuple, int]) -> None:
         run, K = args
         P = len(run)
-        for name, value in zip(self.__slots__, (args, run, P, (K + 1) // P * P)):
-            object.__setattr__(self, name, value)
+        super().__init__(args, run, P, (K + 1) // P * P)
 
     def __len__(self) -> int:
         return self.args[1] + 1
 
-    def __getitem__(self, k):
-        if k.__class__ is int and 0 <= k <= self.args[1]:
-            return self.run[k % self.P] if k < self.end else None
-        return super().__getitem__(k)
-
-    _item = __getitem__
+    def _item(self, k: int) -> int | None:
+        return self.run[k % self.P] if k < self.end else None
 
 
 def _over_budget(subnets: Subnets, budget: int, nodes) -> list[tuple[int, str]]:

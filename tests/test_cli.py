@@ -344,6 +344,22 @@ def test_an_l_whose_values_cannot_be_written_is_named(capsys, argv, L, reason):
     assert reason in err
 
 
+_REGION_VERTEX_TOO_LARGE = "error: --L, --mu-tx, --mu-rx: a vertex they set is too large to write ("
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ("--model", "hex", "--D", "8", "--L", "3", "--mu-tx", "1/" + "9" * 4299, "--mu-rx", "7/2"),
+    ("--model", "wyner", "--D", "6", "--L", "9" * 4300, "--mu-tx", "100", "--mu-rx", "100"),
+], ids=["hex-mu-tx", "wyner-L"])
+def test_a_region_vertex_that_cannot_be_written_names_its_flags(capsys, argv, fmt):
+    """Budgets and an L that are read, but that give a region vertex past Python's int
+    string limit, exit 2 naming --L, --mu-tx and --mu-rx, with nothing written."""
+    code, out, err = run(capsys, "region", *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith(_REGION_VERTEX_TOO_LARGE) and "integer string conversion" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("figure", "--which", "fig8"),
     ("sweep", "--model", "wyner", "--L", "3", "--D", "2..10"),  # opens its file lazily
@@ -1014,7 +1030,7 @@ def _region_reference(model, D, L, tx_text, rx_text, fmt):
         doc = region.to_json_dict(MODELS[model], D, L, mu_tx, mu_rx)
         return 0, json.dumps(doc, indent=2) + "\n", ""
     except ValueError as exc:  # a vertex past Python's int string limit
-        return 2, "", f"error: {exc}\n"
+        return 2, "", f"{_REGION_VERTEX_TOO_LARGE}{exc})\n"
 
 
 def _budget_texts(model, D, L):
