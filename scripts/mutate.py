@@ -54,6 +54,8 @@ BALL_FALLBACK = ORACLE + "test_ball_lattice_falls_back_to_the_walk"
 DRAWN = ORACLE + "test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori"
 EDGES = ORACLE + "test_line_proof_columns_at_the_proofs_edges"
 SCRATCH = ORACLE + "test_ledger_scratch_ends_at_the_last_numbered_cell"
+CHUNKS = ORACLE + "test_line_period_chunk_edges"
+SMALL_BALLS = ORACLE + "test_balls_too_small_for_whole_base_rows_are_proven"
 SINGLETONS = ORACLE + "test_cooperation_free_proof_falls_back_to_the_walk"
 CELLS = "tests/test_topology.py::test_builder_cells_are_computed_like_the_tuple_of_their_rows"
 GRID = "tests/test_topology.py::test_builder_adjacency_is_computed_like_the_stored_tuple"
@@ -100,10 +102,25 @@ MUTANTS = [
            '"tx_cell", "cell_coords")',
            '"tx_cell")',
            (PROOF + "[line-cell_coords]", PROOF + "[hex-ball-cell_coords]")),
-    Mutant("line-roles-period-unchecked", "src/mgnet/validation.py",
-           "len(roles) == K + 1 and roles[1 + P:] == roles[1:-P])",
-           "len(roles) == K + 1)",
-           (ORACLE + "test_line_period_falls_back_to_the_walk[mutated-roles]",)),
+    # the line's roles against their first chunk of C: the first chunk's own repeat with P,
+    # the later whole chunks, and the last one cut to its length
+    Mutant("line-first-chunk-unchecked", "src/mgnet/validation.py",
+           "len(roles) == K + 1 and first[P:] == first[:-P]",
+           "len(roles) == K + 1",
+           (ORACLE + "test_line_period_falls_back_to_the_walk[mutated-roles]",
+            CHUNKS + "[P2]", CHUNKS + "[P8]")),
+    Mutant("line-chunk-of-no-period", "src/mgnet/validation.py",
+           "C = P * (4096 // P or 1)",
+           "C = P * (4096 // P)",
+           (ORACLE + "test_line_period_longer_than_a_chunk",)),
+    Mutant("line-whole-chunks-unchecked", "src/mgnet/validation.py",
+           "and all(roles[x:x + C] == first for x in range(1 + C, end, C))",
+           "and all(True for x in range(1 + C, end, C))",
+           (CHUNKS + "[P4]",)),
+    Mutant("line-last-chunk-uncut", "src/mgnet/validation.py",
+           "and roles[end:] == first[:K + 1 - end]):",
+           "and roles[end:] == first):",
+           (CHUNKS + "[P8]", ORACLE + "test_line_period_at_bench_scale[BothCompRx]")),
     # a proven line's computed columns: run j's first member, the tail's hops
     Mutant("line-run-offset-dropped", "src/mgnet/validation.py",
            "return i + i // (self.args[0] - 1) + 1",
@@ -222,22 +239,16 @@ MUTANTS = [
            "if len(ms) != M * M or not all(",
            "if not all(",
            (FALLBACK + "[dropped-master]",)),
-    Mutant("ball-row-repeat-2tau-unchecked", "src/mgnet/validation.py",
-           "for s in (2 * tau, -tau):",
-           "for s in (-tau,):",
-           (BALL_FALLBACK + "[roles-along-the-other]", DRAWN)),
-    Mutant("ball-row-repeat-minus-tau-unchecked", "src/mgnet/validation.py",
-           "for s in (2 * tau, -tau):",
-           "for s in (2 * tau,):",
-           (BALL_FALLBACK + "[roles-along-one-generator]", DRAWN)),
-    # a row pair without common cells read as a slice to the end: small balls lose proofs
-    Mutant("ball-row-pair-unclamped", "src/mgnet/validation.py",
-           "y = max(x, nk * (bases[r] + min(his[r], his[r + tau] - s) + 1))",
-           "y = nk * (bases[r] + min(his[r], his[r + tau] - s) + 1)",
-           (ORACLE + "test_ball_lattice_matches_walk_and_reference[hex]",)),
-    Mutant("ball-master-flags-dropped", "src/mgnet/validation.py",
-           "key[nk * m] = (key[nk * m],)",
-           "pass",
+    # the base rows read off a ball's roles at the positions the fill gives the cells
+    Mutant("ball-base-turn-reversed", "src/mgnet/validation.py",
+           "j, y = (b + turn) % t3, x + nk * (b - lo)",
+           "j, y = (b - turn) % t3, x + nk * (b - lo)",
+           (SMALL_BALLS + "[Hexagonal-BothCompRx-14]",
+            SMALL_BALLS + "[SectorizedHexagonal-SlowOnlyCompRx-8]",
+            ORACLE + "test_ball_lattice_matches_walk_and_reference[hex]")),
+    Mutant("ball-masters-compare-dropped", "src/mgnet/validation.py",
+           "if _ball_fill(net, roles, tau, nk) != (roles, ms):",
+           "if _ball_fill(net, roles, tau, nk)[0] != roles:",
            (BALL_FALLBACK + "[extra-rim-master]",)),
     # a translate one step past the reach leaves the ball and reads other rows' ids
     Mutant("ball-reach-wider", "src/mgnet/validation.py",

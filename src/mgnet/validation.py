@@ -26,16 +26,19 @@ A network that its builder returned unchanged (``topology.as_built``,
 is checked before most of the walk is spared:
 
 * A line of K >= 2P nodes, P = D + 2 (2 without cooperation), whose roles
-  repeat with P, whose whole runs of P - 1 nodes have one master each, at
-  one offset, and whose run 0 walks as the nodes 1..P-1: the whole runs
-  repeat run 0's hops, and the shorter tail run has no master.  Its members
-  and hops are computed from P, K and run 0's hops, not listed.
+  are the periodic extension of their own first period (one compare per
+  chunk of P * (4096 // P) roles), whose whole runs of P - 1 nodes have
+  one master each, at one offset, and whose run 0 walks as the nodes
+  1..P-1: the whole runs repeat run 0's hops, and the shorter tail run has
+  no master.  Its members and hops are computed from P, K and run 0's
+  hops, not listed.
 * A ball: the component of its centre cell (0, 0), the template, is
   walked and must hold that cell alone as its master (every ``assign``
-  makes it one).  The roles and master flags must repeat with the master
-  lattice's (tau, 2 tau) and (tau, -tau) (two compares per row pair); each
-  lattice point within radius - R of the centre, R the template's extent,
-  holds the template moved by one id shift per row.  The walk covers the rim.
+  makes it one).  The roles and masters must be the master lattice's fill
+  (``association._fill_rows``) of base rows read off the roles themselves
+  (``_ball_fill``); each lattice point within radius - R of the centre, R
+  the template's extent, holds the template moved by one id shift per row.
+  The walk covers the rim.
 * A torus: every subnet is a translate of the template.  The masters must
   be the master lattice through its master, the roles must repeat with the
   lattice's two generators (one compare per parallelogram row,
@@ -43,16 +46,13 @@ is checked before most of the walk is spared:
   members are read off the torus's ids around the parallelogram domain.
 * A ball or torus without masters or cooperation: each active node is a
   subnet, a translate of the first, if the roles repeat with the lattice of
-  spacing 1, whose classes are a + b mod 3 (the compares above), and the
-  active nodes of the centre cell t (any cell of a torus) and its
-  neighbours, which meet every class, are fast and hear only silent nodes.
-  Repeating roles depend on the class and node kind alone: on a ball, (a, b)
-  and (a, b + 3) are joined through (a + 1, b + 2), or (a - 1, b + 1) on
-  the top row, and each row reaches the next, as every row of a ball of
-  radius >= 2 has three cells or more.  So each active node and its
-  neighbours have the roles of a checked node and its neighbours, which lie
-  in the ball when its radius is at least 2; a smaller ball is t and its
-  neighbours.
+  spacing 1, whose classes are a + b mod 3 (the fill and the compares
+  above), and the active nodes of the centre cell t (any cell of a torus)
+  and its neighbours, which meet every class, are fast and hear only silent
+  nodes.  Repeating roles depend on the class and node kind alone, so each
+  active node and its neighbours have the roles of a checked node and its
+  neighbours, which lie in the ball when its radius is at least 2; a
+  smaller ball is t and its neighbours.
 
 Any failed check takes the whole walk, so the violations and their order
 are always the walk's.  ``validate``, the one check of an association, puts
@@ -72,7 +72,7 @@ from functools import partial
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import add, is_not, itemgetter
 
-from .association import Association, Role, Scheme, scheme_tau, valid_d
+from .association import Association, Role, Scheme, _fill_rows, scheme_tau, valid_d
 from .lattice import is_master
 from .topology import HEX, WYNER, Network, _Computed, as_built, builder_rows
 
@@ -372,22 +372,40 @@ def _cooperation_free(net: Network, assoc: Association,
                    (0, m, ())), report
 
 
+def _ball_fill(net: Network, key: list, tau: int, nk: int) -> tuple[list, list[int]]:
+    """``association._fill_rows`` of the tau base rows of 3 tau cells read off ``key``, a
+    value per node of a builder's ball: ``key`` repeats with the master lattice of
+    spacing tau exactly when it is the first list, and the master flags when the masters
+    are the second.
+
+    Base row c, position j, is the value of any cell (a, b) with a % tau == c and (b +
+    tau * (a % 3 tau // tau)) % 3 tau == j, the cells the fill gives it; the rows of each
+    class are read in order until every position is seen.  A position no cell of the ball
+    holds is never filled."""
+    t3 = 3 * tau
+    base = [[None] * (nk * t3) for _ in range(tau)]
+    unseen = [set(range(t3)) for _ in range(tau)]
+    x = 0  # the first node of row a
+    for a, lo, hi in builder_rows(net):
+        row, left, turn = base[a % tau], unseen[a % tau], tau * (a % t3 // tau)
+        for b in range(lo, min(hi, lo + t3 - 1) + 1) if left else ():
+            j, y = (b + turn) % t3, x + nk * (b - lo)
+            row[nk * j:nk * j + nk] = key[y:y + nk]
+            left.discard(j)
+        if not any(unseen):
+            break
+        x += nk * (hi - lo + 1)
+    return _fill_rows(net, tau, base, nk)
+
+
 def _repeats(net: Network, key: list, tau: int, nk: int) -> bool:
     """Whether ``key``, a value per node of a builder's ball or torus, repeats with the master
-    lattice of spacing tau: on a ball with (tau, 2 tau) and (tau, -tau) wherever both cells
-    lie in it (two compares per row pair); on a torus along each parallelogram row with (0, 3
-    tau), and from row p to row p + tau turned by 2 tau, less 2 mt where it wraps (one compare
-    each, ``lattice``)."""
+    lattice of spacing tau: on a ball, whether it is the fill of its own base rows
+    (``_ball_fill``); on a torus along each parallelogram row with (0, 3 tau), and from row p
+    to row p + tau turned by 2 tau, less 2 mt where it wraps (one compare each,
+    ``lattice``)."""
     if net.has_rim:
-        los, his, bases = net._mark[3]
-        for r in range(1, len(bases) - 1 - tau):  # rows a and a + tau
-            for s in (2 * tau, -tau):  # [x, y): the nodes of each (a, b) with (a + tau, b + s), if any
-                x = nk * (bases[r] + max(los[r], los[r + tau] - s))
-                y = max(x, nk * (bases[r] + min(his[r], his[r + tau] - s) + 1))
-                d = nk * (bases[r + tau] + s - bases[r])
-                if key[x:y] != key[x + d:y + d]:
-                    return False
-        return True
+        return _ball_fill(net, key, tau, nk)[0] == key
     seated = [itemgetter(*g)(key) for g in net.interference.parallelogram()]
     mt = len(seated)
     for p, row in enumerate(seated):
@@ -447,25 +465,21 @@ def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms
     """The (lowest member, 0 on the rim, 1, or 2 for the template t, members, master) of
     every component of a builder's ball: ``tm`` moved by each master-lattice vector m with
     |m| <= radius - R (|.| the hex norm, R the largest |x| of a member), and the rim, which
-    the walk finds; None unless the roles and master flags repeat with (tau, 2 tau) and
-    (tau, -tau) wherever both cells lie in the ball.
+    the walk finds; None unless the roles and the masters are the lattice's fill of the
+    base rows read off the roles (``_ball_fill``).
 
-    These and (2 tau, tau), their sum, are the lattice's shortest vectors; for radius >=
-    2 tau a cell between the ends of a (2 tau, tau) step lies in the ball, so it repeats
-    too (a smaller ball has no translate but the template).  m is a sum of two adjacent
-    shortest vectors, counted nonnegatively, and each step adds at least tau to the norm
-    of the partial sum: from a member x the path x -> x + m through them stays in the
-    ball, and from a cell y of the separator ring (|y| = R + 1) every point but the last
-    lies within R + 1 + |m| - tau <= radius.  So each translate has the template's roles
-    and a ring that is silent or outside the ball: it is a component with one master.
+    Then the roles on the ball are periodic modulo the lattice, and a master sits at every
+    lattice point and nowhere else.  A member x moves to x + m, with |x + m| <= R + |m| <=
+    radius, so it lies in the ball and has x's role.  When m != 0, R < radius, so each
+    neighbour y of a member lies in the ball; one that is not a member is silent, as the
+    template's walk stopped there, and y + m is silent too or outside the ball.  So each
+    translate has the template's roles, hops and silent border: it is a component with
+    one master.
     """
     roles, radius, (_, _, bases) = assoc.roles, net.params["radius"], net._mark[3]
     a0 = -radius - 1  # row a is at index a - a0 of los, his, bases: (a, b) has id bases[a - a0] + b
     tau, nk = scheme_tau(net.model, assoc.scheme, assoc.D), len(net.tx_nodes) // len(net.rx_nodes)
-    key = list(roles)  # the roles, with each master's first node wrapped as (role,)
-    for m in ms:
-        key[nk * m] = (key[nk * m],)
-    if not _repeats(net, key, tau, nk):
+    if _ball_fill(net, roles, tau, nk) != (roles, ms):
         return None
 
     cells = [net.cell_coords[k // nk] for k in tm]
@@ -496,14 +510,21 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
     run 0, or None unless the roles and masters repeat with a period P, node P is
     silent and the walk from node 1 is the nodes 1..P-1.
 
-    Run ``j`` holds the nodes ``j * P + 1 .. j * P + P - 1``.  The members and hops are
-    computed from P, K and run 0's hops (``_RunMembers``, ``_RunHops``), so beyond the
-    roles compare nothing here is K long; ``starts`` is a ``range`` unless a tail run
-    (shorter than P - 1 nodes, without a master) follows the whole ones.
+    The roles 1..K must be the periodic extension of their own first period: the first
+    C = P * (4096 // P) of them repeat with P, and every later chunk of C, the last cut
+    short, equals them (one C-speed compare per chunk, none K long).  Run ``j`` holds
+    the nodes ``j * P + 1 .. j * P + P - 1``.  The members and hops are computed from P,
+    K and run 0's hops (``_RunMembers``, ``_RunHops``), so nothing here is K long;
+    ``starts`` is a ``range`` unless a tail run (shorter than P - 1 nodes, without a
+    master) follows the whole ones.
     """
     roles, cooperative = assoc.roles, assoc.scheme.cooperative
     P = assoc.D + 2 if cooperative else 2
-    if not (K >= 2 * P and len(roles) == K + 1 and roles[1 + P:] == roles[1:-P]):
+    C = P * (4096 // P or 1)  # a whole number of periods, at least one
+    first, end = roles[1:1 + C], 1 + K // C * C  # the chunks from x < end are whole
+    if not (K >= 2 * P and len(roles) == K + 1 and first[P:] == first[:-P]
+            and all(roles[x:x + C] == first for x in range(1 + C, end, C))
+            and roles[end:] == first[:K + 1 - end]):
         return None
     if cooperative:  # one master per whole run, all at one offset
         m0 = assoc.masters[0] if assoc.masters else 0

@@ -17,6 +17,7 @@ after its builder returned it takes the walk.
 from __future__ import annotations
 
 import copy
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cache, partial
@@ -370,6 +371,64 @@ def test_line_proof_columns_at_the_proofs_edges(scheme):
                 assert isinstance(part, list) == isinstance(ref[s], list), (D, K, col, s)
         assert list(subnets) == list(walk) and report == walk_report, (D, K)
         assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk), (D, K)
+
+
+def _chunk_flips(C, P, K):
+    """The nodes at which one flipped role tests the line proof's chunked compare: inside
+    the first chunk (nodes 1..C), the first and last nodes of the second, one in the last
+    partial chunk and node K."""
+    end = 1 + K // C * C  # the first node of the last partial chunk, K + 1 if none
+    flips = {P + 2, K, *(k for k in (C + 1, 2 * C) if k <= K)}
+    if end <= K:
+        flips.add((end + K) // 2)
+    return sorted(flips)
+
+
+@pytest.mark.parametrize("P, scheme", [(2, Scheme.NO_COOP), (4, Scheme.SLOW_COMP_TX),
+                                       (8, Scheme.BOTH_COMP_RX)], ids=["P2", "P4", "P8"])
+def test_line_period_chunk_edges(P, scheme):
+    """The roles are compared with their first C = P * (4096 // P) in chunks of C, the
+    last cut short, and the first chunk with itself shifted by P: a line whose roles
+    repeat is proven, and one flipped role anywhere, in the first chunk alone too, takes
+    the walk, with the walk's columns, report and ledger."""
+    C = P * (4096 // P)
+    for K in (C - 1, C, C + 1, 2 * C + P - 1, 3 * C):
+        net = build_wyner(K, 1)
+        assoc = assign(net, P - 2, scheme)
+        assert subnet_decompose(net, assoc)[0].translates is not None, K
+        for k in _chunk_flips(C, P, K):
+            flipped = replace(assoc, roles=assoc.roles[:])
+            flipped.roles[k] = Role.SLOW if flipped.roles[k] is Role.SILENT else Role.SILENT
+            subnets, report = subnet_decompose(net, flipped)
+            walk, walk_report = _and_walk(subnet_decompose, net, flipped)
+            assert subnets.translates is None, (K, k)
+            for col in COLUMNS:
+                assert getattr(subnets, col) == getattr(walk, col), (K, k, col)
+            assert report == walk_report, (K, k)
+            assert message_ledger(net, flipped, subnets) == \
+                message_ledger(net, flipped, walk), (K, k)
+
+
+def test_line_period_longer_than_a_chunk():
+    """A period longer than 4096 roles is compared one period to a chunk."""
+    D = 4100  # P = 4102
+    for K in (2 * D + 4, 3 * D + 7):
+        assert_period_matches_walk(build_wyner(K, 1), D, Scheme.SLOW_COMP_RX)
+
+
+def test_proven_line_validate_peak_memory():
+    """A proven K = 1e5 line's decomposition holds no K-long list: its roles compare reads
+    chunks of 4096, and its columns are computed."""
+    net = build_wyner(100_000, 3)
+    assoc = assign(net, 6, Scheme.BOTH_COMP_RX)
+    tracemalloc.start()
+    try:
+        subnets, report = subnet_decompose(net, assoc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert subnets.translates is not None and report.ok
+    assert peak <= 800_000, peak
 
 
 def _mutated_roles():
@@ -852,6 +911,48 @@ def test_ball_lattice_falls_back_to_the_walk(make, proven, violations):
     assert [(s.members, s.master, s.gamma) for s in subnets] == \
         [(s.members, s.master, s.gamma) for s in ref_subnets]
     assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
+
+
+@pytest.mark.parametrize("model, scheme, D", [
+    (HEX, Scheme.BOTH_COMP_RX, 14), (HEX, Scheme.SLOW_COMP_TX, 8),
+    (SECTORED, Scheme.SLOW_COMP_RX, 8),
+], ids=lambda v: getattr(v, "value", v))
+def test_balls_too_small_for_whole_base_rows_are_proven(model, scheme, D):
+    """A ball of radius below 3 tau - 1 holds no row a with the cells (a, 0..3 tau - 1),
+    so its base rows are read from the cells of several rows of each class: every such
+    ball is proven (the template and the rim; the sectorized one of radius 0 has no
+    template) and equals the walk and the reference."""
+    tau = scheme_tau(model, scheme, D)
+    for radius in range(model == SECTORED, 3 * tau - 1):
+        assert assert_lattice_matches_walk(_ball(model, radius), D, scheme,
+                                           reference=radius < 8), radius
+
+
+def _base_cells(net, tau):
+    """The first cell, in id order, at each position (c, j) of the base rows: the cells
+    (a, b) with a % tau == c and (b + tau * (a % 3 tau // tau)) % 3 tau == j."""
+    t3, first = 3 * tau, {}
+    for i, (a, b) in enumerate(net.cell_coords):
+        first.setdefault((a % tau, (b + tau * (a % t3 // tau)) % t3), i)
+    return first
+
+
+@pytest.mark.parametrize("model, radius, D", [(HEX, 14, 8), (SECTORED, 12, 4)],
+                         ids=["hex", "sectorized"])
+def test_ball_role_flipped_where_the_base_is_read_falls_back(model, radius, D):
+    """A role flipped at the first cell of a base-row position, which the proof reads the
+    base from, gives the fill the flipped role at each of that cell's twins, whose roles
+    differ: the ball takes the walk, with the walk's columns, report and ledger."""
+    tau = scheme_tau(model, Scheme.BOTH_COMP_RX, D)
+    net = _ball_case(model, radius, D)[0]
+    nk = len(net.tx_nodes) // len(net.rx_nodes)
+    cells = _base_cells(net, tau)
+    assert len(cells) == 3 * tau * tau
+    for (c, j), cell in cells.items():
+        assoc = assign(net, D, Scheme.BOTH_COMP_RX)
+        x = nk * cell + (c + j) % nk
+        assoc.roles[x] = Role.SLOW if assoc.roles[x] is Role.SILENT else Role.SILENT
+        assert not assert_proof_is_walk(net, assoc), (c, j)
 
 
 def _torus_case(edit, scheme=Scheme.BOTH_COMP_RX):
