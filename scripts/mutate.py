@@ -47,6 +47,7 @@ PROOF = ORACLE + "test_only_a_network_as_its_builder_returned_it_takes_a_proof"
 BALLS = "tests/test_association.py::test_assign_matches_per_cell_path_on_balls"
 TORI = "tests/test_association.py::test_assign_matches_per_cell_path_on_tori"
 CANON = "tests/test_topology.py::test_torus_builders_match_canon_on_every_step"
+CANON_STEP = "tests/test_lattice.py::test_one_step_canon_matches_iterative_wrap"
 BALL = "tests/test_topology.py::test_ball_builders_match_the_coordinate_dict"
 REPEAT = ORACLE + "test_torus_link_loads_repeat_with_the_master_lattice"
 FALLBACK = ORACLE + "test_torus_lattice_falls_back_to_the_walk"
@@ -204,23 +205,34 @@ MUTANTS = [
            "(w := (hi if hi < hi2 else hi2) - (lo if lo > lo2 else lo2) + 1)",
            "(w := (hi if hi < hi2 else hi2) - lo + 1)",
            (GRID + "[sectorized-balls]", BALL + "[2]")),
-    Mutant("torus-seam-shift-halved", "src/mgnet/topology.py",
-           "(b - 2 * mt * (a // mt)) % P)",
-           "(b - mt * (a // mt)) % P)",
-           (CANON + "[1-1]", CANON + "[7-2]")),
+    # the one torus frame, which the builder's three-cell step dedupe reads too
+    Mutant("torus-seam-shift-halved", "src/mgnet/lattice.py",
+           "(b - 2 * mt * (a // mt)) % (3 * mt))",
+           "(b - mt * (a // mt)) % (3 * mt))",
+           (CANON + "[1-1]", CANON_STEP + "[1-1]", CANON_STEP + "[3-2]")),
+    Mutant("canon-seam-turn-dropped", "src/mgnet/lattice.py",
+           "(b - 2 * mt * (a // mt)) % (3 * mt))",
+           "b % (3 * mt))",
+           (CANON_STEP + "[1-1]", CANON_STEP + "[3-2]", CANON_STEP + "[5-3]")),
     # the margin rows above and below the parallelogram turned the other way at the seam
     Mutant("torus-margin-row-turned-backwards", "src/mgnet/topology.py",
-           "o = nk * ((-2 * mt * (q // mt) - 1) % P)",
-           "o = nk * ((2 * mt * (q // mt) - 1) % P)",
+           "o, x = nk * ((-2 * mt * (q // mt) - 1) % P)",
+           "o, x = nk * ((2 * mt * (q // mt) - 1) % P)",
            (CANON + "[2-2]", GRID + "[hex-tori]", GRID + "[sectorized-tori]")),
     # on the three-cell torus, a cold item keeps a second step to a cell it already holds
     Mutant("three-cell-torus-keeps-duplicates", "src/mgnet/topology.py",
-           "{(*seat(da, db), k2): (da, db, k2) for da, db, k2 in ks[::-1]}",
-           "{(da, db, k2): (da, db, k2) for da, db, k2 in ks[::-1]}",
+           "{(*torus_canon((da, db), mt), k2): (da, db, k2)",
+           "{(da, db, k2): (da, db, k2)",
            (GRID + "[hex-tori]", GRID + "[sectorized-tori]", CANON + "[1-1]")),
     Mutant("torus-window-loses-its-wrap", "src/mgnet/validation.py",
-           "(grid[a % mt] * (3 + 2 * rb // P))",
-           "(grid[a % mt] * (1 + 2 * rb // P))",
+           "(nodes[x:x + nk * P] * (3 + 2 * rb // P))",
+           "(nodes[x:x + nk * P] * (1 + 2 * rb // P))",
+           (ORACLE + "test_torus_lattice_matches_walk[Hexagonal]",
+            ORACLE + "test_torus_lattice_matches_walk[SectorizedHexagonal]")),
+    # the proof's window rows past the seam turned by mt, not 2 mt
+    Mutant("torus-window-seam-shift-halved", "src/mgnet/validation.py",
+           "s, x = (-rb - 2 * mt * (a // mt)) % P",
+           "s, x = (-rb - mt * (a // mt)) % P",
            (ORACLE + "test_torus_lattice_matches_walk[Hexagonal]",
             ORACLE + "test_torus_lattice_matches_walk[SectorizedHexagonal]")),
     Mutant("torus-row-period-unchecked", "src/mgnet/validation.py",

@@ -25,17 +25,13 @@ roles once per residue class (3 * tau^2 classes; (2b - a, 2a - b) mod
 0 <= a < tau, 0 <= b < 3 * tau, by row arithmetic instead of one scan each.
 
 A torus of M copies of spacing tau identifies cells that differ by
-(i + 2j, 2i + j) * tau * M.  With P = 3 * tau * M, its canonical cells are
-the fundamental domain { 0 <= 2b - a < P, 0 <= 2a - b < P }.  Both finite
-domains are runs of rows (a, lo, hi), one per a: ``ball_rows`` and
-``TorusGeometry.rows`` give their bounds and ``row_cells`` (behind ``ball``
-and ``cells()``) expands them in (a, b) order.
-
-``canon`` reaches the torus domain in one exact step: subtracting
-(m + 2n, 2m + n) * tau * M lowers 2b - a by m * P and 2a - b by n * P, so
-m = (2b - a) // P and n = (2a - b) // P land every point in the domain.
-As (mt, 2 * mt) and (0, P) are torus vectors (mt = tau * M), cell (a, b) is
-also (a % mt, (b - 2 * mt * (a // mt)) % P) of the mt-by-P parallelogram domain.
+(i + 2j, 2i + j) * tau * M.  With mt = tau * M and P = 3 * mt, (mt, 2 * mt)
+and (0, P) generate those vectors (their Hermite normal form), so its cells are
+the parallelogram 0 <= a < mt, 0 <= b < P, which ``torus_canon`` reaches in one
+step: b turns by 2 * mt each time a crosses the seam.  Both finite domains are
+runs of rows (a, lo, hi), one per a: ``ball_rows`` and ``TorusGeometry.rows``
+give their bounds and ``row_cells`` (behind ``ball`` and ``cells()``) expands
+them in (a, b) order: torus cell (a, b) is the (a * P + b)-th.
 """
 
 from __future__ import annotations
@@ -68,6 +64,12 @@ def ball_rows(radius: int) -> list[Row]:
 def ball(radius: int) -> list[Coord]:
     """All cells within hex distance ``radius`` of the origin, row-major order."""
     return row_cells(ball_rows(radius))
+
+
+def torus_canon(c: Coord, mt: int) -> Coord:
+    """The cell of the torus of mt = tau * M's parallelogram that is ``c`` (module docstring)."""
+    a, b = c
+    return (a % mt, (b - 2 * mt * (a // mt)) % (3 * mt))
 
 
 def is_master(c: Coord, tau: int) -> bool:
@@ -144,22 +146,15 @@ class TorusGeometry:
         return 3 * self.tau * self.copies
 
     def canon(self, c: Coord) -> Coord:
-        """The representative of ``c`` in the fundamental domain."""
-        mt = self.tau * self.copies
-        P = 3 * mt
-        a, b = c
-        m = (2 * b - a) // P
-        n = (2 * a - b) // P
-        return (a - (m + 2 * n) * mt, b - (2 * m + n) * mt)
+        """The representative of ``c`` in the parallelogram domain (``torus_canon``)."""
+        return torus_canon(c, self.tau * self.copies)
 
     def rows(self) -> list[Row]:
-        """Rows of the fundamental domain, a = 0 .. period - 1."""
-        P = self.period
-        return [(a, max((a + 1) // 2, 2 * a - P + 1), min(2 * a, (P + a - 1) // 2))
-                for a in range(P)]
+        """Rows of the parallelogram domain: a = 0 .. tau * copies - 1, b = 0 .. period - 1."""
+        return [(a, 0, self.period - 1) for a in range(self.tau * self.copies)]
 
     def cells(self) -> list[Coord]:
-        """The fundamental domain, sorted by (a, b)."""
+        """The parallelogram domain, sorted by (a, b)."""
         out = row_cells(self.rows())
         assert len(out) == 3 * self.copies**2 * self.tau**2
         return out

@@ -67,7 +67,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import attrgetter, is_, sub
 
-from .lattice import Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows
+from .lattice import (Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows,
+                      torus_canon)
 
 WYNER = "WynerLinear"
 HEX = "Hexagonal"
@@ -309,10 +310,10 @@ class _GridAdjacency(_Computed):
     sits at ``offs[r] + x``, and each step is one offset from there.  A ball's
     is its bounding box with an empty row above and below and one empty column
     at the right, which is also the seat left of the next row's first column.
-    A torus's is its parallelogram domain (``lattice``), each row twice between
-    margin columns, and margin rows turned at the seam, so no seat is empty; on
-    the torus of mt == 1 a step to the cell of an earlier step is dropped.  An
-    item is stored when first read.
+    A torus's is its rows of ids (``lattice``), each twice between margin
+    columns, and margin rows turned at the seam, so no seat is empty; on the
+    torus of mt == 1 a step to the cell of an earlier step is dropped.  An item
+    is stored when first read.
     """
 
     __slots__ = ("args", "flat", "nstarts", "offs", "steps", "memo")
@@ -327,21 +328,15 @@ class _GridAdjacency(_Computed):
             flat = [None] * (nk * W * (len(rows) + 2))
             for (q, c), i, j in zip(seats, nstarts, nstarts[1:]):
                 flat[nk * (q * W + c):nk * (q * W + c) + j - i] = nodes[i:j]
-        else:  # row (a, lo, hi) from seat s of parallelogram row p on, at seat (p + 1, s + 1)
+        else:  # row a, ids nk * P * a .., at seat (a + 1, 1)
             P, W = 3 * mt, 6 * mt + 2
-            seat = lambda a, b: (a % mt, (b - 2 * mt * (a // mt)) % P)
             # the first step to each cell, in step order: the steps are sorted
-            kinds = [sorted({(*seat(da, db), k2): (da, db, k2) for da, db, k2 in ks[::-1]}.values())
-                     for ks in kinds]
-            grid, seats, flat = [[None] * (nk * P) for _ in range(mt)], [], []
-            for (a, lo, _), i, j in zip(rows, nstarts, nstarts[1:]):
-                p, s = seat(a, lo)
-                grid[p][nk * s:nk * s + j - i] = nodes[i:j][:nk * (P - s)]
-                grid[p][:max(nk * s + j - i - nk * P, 0)] = nodes[i:j][nk * (P - s):]
-                seats.append((p + 1, s + 1))
+            kinds = [sorted({(*torus_canon((da, db), mt), k2): (da, db, k2)
+                             for da, db, k2 in ks[::-1]}.values()) for ks in kinds]
+            seats, flat = [(a + 1, 1) for a in range(mt)], []
             for q in range(-1, mt + 1):  # row q is row q % mt, turned by 2 mt at each seam
-                o = nk * ((-2 * mt * (q // mt) - 1) % P)
-                flat += (grid[q % mt] * 4)[o:o + nk * W]
+                o, x = nk * ((-2 * mt * (q // mt) - 1) % P), nk * P * (q % mt)
+                flat += (nodes[x:x + nk * P] * 4)[o:o + nk * W]
         offs = [0, *(nk * (q * W + c) - i for (q, c), i in zip(seats, nstarts))]
         steps = [[nk * (da * W + db) + k2 - k for da, db, k2 in ks] for k, ks in enumerate(kinds)]
         super().__init__(args, flat, nstarts, offs, steps, [None] * len(nodes))
@@ -364,12 +359,6 @@ class _GridAdjacency(_Computed):
         return nbrs
 
     _item = __getitem__
-
-    def parallelogram(self) -> list[list[int]]:
-        """A torus's ids along each row of its parallelogram domain, seat by seat."""
-        mt, nk, flat = self.args[3], len(self.steps), self.flat
-        w = len(flat) // (mt + 2)  # row p + 1 of the flat list: row p twice, between margins
-        return [flat[w * p + nk:w * p + nk + 3 * mt * nk] for p in range(1, mt + 1)]
 
 
 def _links(pads: tuple, *kinds: tuple[tuple[tuple[int, int, int], ...], ...]) -> list[int]:

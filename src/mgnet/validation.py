@@ -41,9 +41,10 @@ is checked before most of the walk is spared:
   The walk covers the rim.
 * A torus: every subnet is a translate of the template.  The masters must
   be the master lattice through its master, the roles must repeat with the
-  lattice's two generators (one compare per parallelogram row,
-  ``lattice``), and the translates must hold every active node; their
-  members are read off the torus's ids around the parallelogram domain.
+  lattice's two generators (one compare per row of ids, a row of the
+  parallelogram domain, ``lattice``), and the translates must hold every
+  active node; their members are read off a window of those rows around
+  the domain, turned at the seam.
 * A ball or torus without masters or cooperation: each active node is a
   subnet, a translate of the first, if the roles repeat with the lattice of
   spacing 1, whose classes are a + b mod 3 (the fill and the compares
@@ -65,7 +66,6 @@ its verdicts off its ``(node, code)`` violations.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -401,13 +401,13 @@ def _ball_fill(net: Network, key: list, tau: int, nk: int) -> tuple[list, list[i
 def _repeats(net: Network, key: list, tau: int, nk: int) -> bool:
     """Whether ``key``, a value per node of a builder's ball or torus, repeats with the master
     lattice of spacing tau: on a ball, whether it is the fill of its own base rows
-    (``_ball_fill``); on a torus along each parallelogram row with (0, 3 tau), and from row p
-    to row p + tau turned by 2 tau, less 2 mt where it wraps (one compare each,
-    ``lattice``)."""
+    (``_ball_fill``); on a torus along each row of ids (a parallelogram row, ``lattice``) with
+    (0, 3 tau), and from row p to row p + tau turned by 2 tau, less 2 mt where it wraps (one
+    compare each)."""
     if net.has_rim:
         return _ball_fill(net, key, tau, nk)[0] == key
-    seated = [itemgetter(*g)(key) for g in net.interference.parallelogram()]
-    mt = len(seated)
+    mt = net.params["tau"] * net.params["copies"]
+    seated = [key[x:x + nk * 3 * mt] for x in range(0, len(key), nk * 3 * mt)]  # the rows
     for p, row in enumerate(seated):
         o = nk * ((2 * mt * (p + tau >= mt) - 2 * tau) % (3 * mt))
         if (row[nk * 3 * tau:] != row[:-nk * 3 * tau]
@@ -421,12 +421,10 @@ def _torus_translates(net: Network, assoc: Association, t: int, tm: list[int], m
     """The (lowest member, 1 or 2 for the template t, members, master) of every subnet of a
     builder's torus, ``tm`` moved by a master-lattice vector, with hops; None unless the
     masters are that lattice, the roles repeat with it and the translates hold all."""
-    roles, coord, tau, M = assoc.roles, net.cell_coords, net.params["tau"], net.params["copies"]
+    roles, tau, M = assoc.roles, net.params["tau"], net.params["copies"]
     nk, mt, P = len(net.tx_nodes) // len(net.rx_nodes), tau * M, 3 * tau * M
-    # a cell's place (a, b) in the parallelogram domain 0 <= a < mt, 0 <= b < P (``lattice``)
-    frame = lambda c: (c[0] % mt, (c[1] - 2 * mt * (c[0] // mt)) % P)
-    places = [frame(coord[m]) for m in ms]
-    ta, tb = frame(coord[t])
+    places = [divmod(m, P) for m in ms]  # cell i is (a, b) = divmod(i, P) (``lattice``)
+    ta, tb = divmod(t, P)
     if len(ms) != M * M or not all(is_master((a - ta, b - tb), tau) for a, b in places):
         return None
     if not _repeats(net, roles, tau, nk):  # the master lattice's two generators
@@ -434,19 +432,17 @@ def _torus_translates(net: Network, assoc: Association, t: int, tm: list[int], m
     if M * M * len(tm) != len(roles) - roles.count(Role.SILENT):
         return None  # an active node outside every translate
     rel = []  # (da, db, kind) of each member's node from t, the wrap with 2b - a and 2a - b
-    rows, starts = coord.rows, coord.starts
     for k in tm:  # in [-P/2, P/2): the shortest when M >= 2, as members lie within tau of t
-        a, lo, _ = rows[r := bisect_right(starts, k // nk) - 1]  # cell k // nk is (a, b)
-        b = lo + k // nk - starts[r]
+        a, b = divmod(k // nk, P)
         u, v = 2 * (b - tb) - (a - ta), 2 * (a - ta) - (b - tb)
         u, v = u - P * ((2 * u + P) // (2 * P)), v - P * ((2 * v + P) // (2 * P))
         rel.append(((u + 2 * v) // 3, (2 * u + v) // 3, k % nk))
     # the window, which holds every master's members: cells -ra <= a < mt + ra, -rb <= b < W - rb
     ra, rb = max(abs(da) for da, _, _ in rel), max(abs(db) for _, db, _ in rel)
-    W, ids, grid = P + 2 * rb, [], net.interference.parallelogram()
+    W, ids, nodes = P + 2 * rb, [], net.tx_nodes
     for a in range(-ra, mt + ra):
-        s = (-rb - 2 * mt * (a // mt)) % P
-        ids += (grid[a % mt] * (3 + 2 * rb // P))[nk * s:nk * (s + W)]
+        s, x = (-rb - 2 * mt * (a // mt)) % P, nk * P * (a % mt)
+        ids += (nodes[x:x + nk * P] * (3 + 2 * rb // P))[nk * s:nk * (s + W)]
     tpos = [nk * ((ta + da + ra) * W + tb + db + rb) + kind for da, db, kind in rel]
     thop = [hop[k] for k in tm]
     pieces = []

@@ -19,11 +19,13 @@ from hypothesis import given, settings
 from test_loads import valid_range
 from test_topology import FIVE_NETWORKS, PIN_D, _pinned_schemes
 
-from mgnet.association import SCHEME_ALIASES, Scheme, check_params
+from mgnet import build_hex_torus, build_sectored_hex_torus
+from mgnet.association import SCHEME_ALIASES, Scheme, check_params, scheme_tau
 from mgnet.cli import _SWEEP_COLUMNS, MODELS, _flat_json, main, make_parser, parse_args
+from mgnet.lattice import is_master
 from mgnet.loads import formulas
 from mgnet.rationals import ratio_from_json, ratio_to_csv
-from mgnet.topology import WYNER
+from mgnet.topology import WYNER, builder_rows
 
 
 def run(capsys, *argv):
@@ -403,6 +405,29 @@ def test_loads_hex_tiling(capsys):
     doc = json.loads(out)
     assert doc["exact_match"] is True
     assert ratio_from_json(doc["ledger"]["mu_rx"]) == F(7, 4)
+
+
+@pytest.mark.parametrize("model", ["hex", "sectorized"])
+def test_torus_cells_are_numbered_along_the_parallelogram(capsys, model):
+    """On every torus with tau <= 5 and M <= 3, cell i is (a, b) = divmod(i, 3 tau M): the
+    rows are the mt-by-3mt parallelogram's (mt = tau M), and the masters `validate` prints
+    for each cooperative scheme and D of that tau are the parallelogram's lattice points."""
+    build = build_hex_torus if model == "hex" else build_sectored_hex_torus
+    runs = [(alias, D, scheme_tau(MODELS[model], scheme, D))
+            for alias, scheme in sorted(SCHEME_ALIASES.items()) if scheme.cooperative
+            for D in valid_range(MODELS[model], scheme, 10)]
+    assert {tau for *_, tau in runs} == ({1, 2, 4, 5} if model == "hex" else {1, 2, 3, 4, 5})
+    for tau in range(1, 6):
+        for M in (1, 2, 3):
+            mt, P = tau * M, 3 * tau * M
+            net = build(tau, M, 1)
+            assert list(net.cell_coords) == [divmod(i, P) for i in range(mt * P)]
+            assert builder_rows(net) == tuple((a, 0, P - 1) for a in range(mt))
+            points = [a * P + b for a in range(mt) for b in range(P) if is_master((a, b), tau)]
+            for alias, D in ((alias, D) for alias, D, t in runs if t == tau):
+                code, out, _ = run(capsys, "validate", "--model", model, "--D", str(D),
+                                   "--scheme", alias, "--tiling", f"{M}x{M}")
+                assert code == 0 and sorted(json.loads(out)["masters"]) == points
 
 
 def test_loads_torus_mismatch_exits_3(capsys, monkeypatch):

@@ -79,7 +79,9 @@ def test_ball_rows_match_the_filtered_square(radius):
 
 
 def old_canon(geo: TorusGeometry, c):
-    """The iterative wrap that ``canon`` replaced, kept as its reference."""
+    """The iterative wrap into the fundamental domain { 0 <= 2b - a < P, 0 <= 2a - b < P },
+    written apart from ``canon``: two cells are one torus cell exactly when their wraps are
+    equal, so the tests take it as the definition of torus identity."""
     mt = geo.tau * geo.copies
     P = 3 * mt
     a, b = c
@@ -94,29 +96,33 @@ def old_canon(geo: TorusGeometry, c):
 
 
 def in_domain(geo: TorusGeometry, c):
-    P = geo.period
-    return 0 <= 2 * c[1] - c[0] < P and 0 <= 2 * c[0] - c[1] < P
+    """Whether ``c`` lies in the tau * M by P parallelogram."""
+    return 0 <= c[0] < geo.tau * geo.copies and 0 <= c[1] < geo.period
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3, 4])
 @pytest.mark.parametrize("tau", [1, 2, 3, 4, 5, 6])
 def test_torus_cells_are_the_canonical_square(tau, copies):
+    # the cells are the parallelogram, one of each torus class, and canon keeps each
     geo = TorusGeometry(tau, copies)
     P = geo.period
-    old = sorted({old_canon(geo, (a, b)) for a in range(P) for b in range(P)})
-    assert geo.cells() == old
-    assert all(in_domain(geo, c) and geo.canon(c) == c for c in old)
+    assert geo.cells() == [(a, b) for a in range(tau * copies) for b in range(P)]
+    old = {old_canon(geo, (a, b)) for a in range(P) for b in range(P)}
+    assert sorted(old_canon(geo, c) for c in geo.cells()) == sorted(old)
+    assert all(in_domain(geo, c) and geo.canon(c) == c for c in geo.cells())
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3])
 @pytest.mark.parametrize("tau", [1, 2, 3, 5])
 def test_one_step_canon_matches_iterative_wrap(tau, copies):
-    # points up to 5 periods away on either side, on a stride coprime to P
+    # points up to 5 periods away on either side, on a stride coprime to P: canon lands in
+    # the parallelogram, keeps what it lands on, and is one-to-one with the iterative wrap
     geo = TorusGeometry(tau, copies)
     R = 5 * geo.period
+    to_new, to_old = {}, {}
     for a in range(-R, R + 1, 7):
         for b in range(-R, R + 1, 5):
-            c = geo.canon((a, b))
-            assert c == old_canon(geo, (a, b)), (a, b)
-            assert in_domain(geo, c)
+            c, old = geo.canon((a, b)), old_canon(geo, (a, b))
+            assert in_domain(geo, c), (a, b)
             assert geo.canon(c) == c
+            assert to_new.setdefault(old, c) == c and to_old.setdefault(c, old) == old, (a, b)

@@ -716,7 +716,7 @@ def test_torus_link_loads_repeat_with_the_master_lattice(model):
 
 
 @pytest.mark.parametrize("scheme", [Scheme.BOTH_COMP_RX, Scheme.BOTH_COMP_TX])
-@pytest.mark.parametrize("copies, clear, cut", [(4, 9, 7), (6, 25, 11)])
+@pytest.mark.parametrize("copies, clear, cut", [(4, 11, 5), (6, 29, 7)])
 def test_torus_lattice_at_bench_scale(scheme, copies, clear, cut):
     net = build_hex_torus(4, copies, 2)
     assert assert_lattice_matches_walk(net, 8, scheme)
