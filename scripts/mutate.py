@@ -58,6 +58,7 @@ SCRATCH = ORACLE + "test_ledger_scratch_ends_at_the_last_numbered_cell"
 CHUNKS = ORACLE + "test_line_period_chunk_edges"
 SMALL_BALLS = ORACLE + "test_balls_too_small_for_whole_base_rows_are_proven"
 SINGLETONS = ORACLE + "test_cooperation_free_proof_falls_back_to_the_walk"
+PLANE_TORI = "tests/test_loads.py::test_finite_prelogs_equal_the_plane_prelogs_on_tori"
 CELLS = "tests/test_topology.py::test_builder_cells_are_computed_like_the_tuple_of_their_rows"
 GRID = "tests/test_topology.py::test_builder_adjacency_is_computed_like_the_stored_tuple"
 LINE = "tests/test_topology.py::test_wyner_adjacency_is_computed_like_the_stored_tuple"
@@ -196,15 +197,18 @@ MUTANTS = [
            "if (j := flat[f + d]) is not None])",
            "if (j := flat[f + d]) is not 0.5])",
            (GRID + "[hex-balls]", GRID + "[sectorized-balls]")),
-    # a ball's link count without the clip at the end of row r + da
-    Mutant("ball-links-upper-clip-dropped", "src/mgnet/topology.py",
-           "(w := (hi if hi < hi2 else hi2) - (lo if lo > lo2 else lo2) + 1)",
-           "(w := hi - (lo if lo > lo2 else lo2) + 1)",
-           (GRID + "[hex-balls]", BALL + "[2]", BENCH_BALLS + "[build_sectored_hex-40]")),
-    Mutant("ball-links-lower-clip-dropped", "src/mgnet/topology.py",
-           "(w := (hi if hi < hi2 else hi2) - (lo if lo > lo2 else lo2) + 1)",
-           "(w := (hi if hi < hi2 else hi2) - lo + 1)",
-           (GRID + "[sectorized-balls]", BALL + "[2]")),
+    # a ball's link count with one cell too few leaving it per step, 2r and not 2r + 1
+    Mutant("ball-links-keep-one-cell-too-many", "src/mgnet/topology.py",
+           'keep = len(cells) - (0 if mt else 2 * params["radius"] + 1)',
+           'keep = len(cells) - (0 if mt else 2 * params["radius"])',
+           (GRID + "[hex-balls]", GRID + "[sectorized-balls]", BALL + "[2]",
+            BENCH_BALLS + "[build_sectored_hex-40]")),
+    # the sectorized plane's Tx density read as the cells' 6, not the sectors' 4
+    Mutant("plane-links-sector-tx-six", "src/mgnet/topology.py",
+           "SECTORED: (len(_SECTOR_STEPS[0]), len(_HEX_STEPS[0]))",
+           "SECTORED: (len(_HEX_STEPS[0]), len(_HEX_STEPS[0]))",
+           ("tests/test_loads.py::test_sectorized_oracle_equivalence[BothCompRx-4]",
+            PLANE_TORI + "[SectorizedHexagonal-SlowOnlyCompRx-2-2]")),
     # the one torus frame, which the builder's three-cell step dedupe reads too
     Mutant("torus-seam-shift-halved", "src/mgnet/lattice.py",
            "(b - 2 * mt * (a // mt)) % (3 * mt))",

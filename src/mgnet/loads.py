@@ -37,10 +37,12 @@ A maximum is read only from link counts that a message reached: precancels
 and Tx-side routes load the Tx links, fast shares and Rx-side routes the
 Rx links.
 
-Average prelogs divide by the idealised directed-link totals (2 per node
-in the linear model, 6 per cell in the hexagonal models, 4 per sector /
-6 per cell in the sectorized one); `finite_prelogs` divides by the actual
-finite link counts instead.  On a whole-subnet torus both coincide.
+Average prelogs divide by the idealised directed-link totals, the plane's
+``topology.PLANE_LINKS`` per Tx node and per Rx cell; `finite_prelogs`
+divides by the actual finite link counts instead.  Both coincide on a
+whole-subnet torus with tau * M >= 2.  On the three-cell torus (tau * M = 1)
+two steps reach one cell and the builder keeps one link, so a cell keeps 2
+of its 6 cell-to-cell links, and a prelog over them is 3 times the plane's.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from fractions import Fraction
 
 from .association import Association, Role, Scheme, check_params, valid_d
 from .rationals import ratio_to_json
-from .topology import HEX, SECTORED, WYNER, Network
+from .topology import HEX, PLANE_LINKS, SECTORED, WYNER, Network
 from .validation import Subnets, _require_same_net
 
 
@@ -182,14 +184,6 @@ def subnet_sizes(model: str, scheme: Scheme, D: int) -> tuple[int, int]:
     return (3 * (D + 2) ** 2 // 4, 1 + 3 * D * (D + 2) // 4)
 
 
-def _asymptotic_denominators(net: Network) -> tuple[int, int]:
-    if net.model == WYNER:
-        return 2 * net.n_tx, 2 * net.n_rx
-    if net.model == HEX:
-        return 6 * net.n_tx, 6 * net.n_rx
-    return 4 * net.n_tx, 6 * net.n_rx
-
-
 def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadReport:
     """Count every cooperation message of the scheme on this finite network.
 
@@ -220,7 +214,8 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
     max_tx = max(tx_use) if precancel or side == "tx" and fanin else 0
     max_rx = max(rx_use) if fast_share or side == "rx" and fanin else 0
 
-    den_tx, den_rx = _asymptotic_denominators(net)
+    per_tx, per_rx = PLANE_LINKS[net.model]
+    den_tx, den_rx = per_tx * net.n_tx, per_rx * net.n_rx
     mu_tx = Fraction(L * tx_total, den_tx) if den_tx else Fraction(0)
     mu_rx = Fraction(L * rx_total, den_rx) if den_rx else Fraction(0)
     return LoadReport(

@@ -50,8 +50,9 @@ a hand-made ``Network`` matches no mark.
 Hex and sectorized networks are written once, by ``_from_rows``, from
 their node kinds and the domain's rows (``lattice.ball_rows``,
 ``TorusGeometry.rows``): cell (a, b) has id ``base[a] + b``, with no
-per-cell neighbour lookup and no ``canon`` call.  The link counts ``q_tx``
-and ``q_rx`` come from a ball's rows (``_links``) and a torus's steps.
+per-cell neighbour lookup and no ``canon`` call.  ``q_tx`` and ``q_rx`` are the
+steps per cell times the cells that keep a step: a unit step leaves a radius-r
+ball from 2r + 1 cells, and no torus cell (a torus's steps are deduplicated).
 
 Finite instances come in two flavours: hex-distance balls of a given
 radius (edge effects at the rim) and tori holding M x M whole subnets of a
@@ -65,7 +66,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from operator import attrgetter, is_, sub
+from operator import attrgetter, is_
 
 from .lattice import (Coord, NEIGHBOR_STEPS, PlaneGeometry, Row, TorusGeometry, ball_rows,
                       torus_canon)
@@ -94,6 +95,10 @@ _SECTOR_STEPS = tuple(tuple(sorted((da, db, SECTOR_KINDS.index(k2))
                                    for k2, (da, db) in SECTOR_RULE[k]))
                       for k in SECTOR_KINDS)
 
+# Directed links per Tx node and per Rx cell on the unbounded line or plane (``loads``).
+PLANE_LINKS = {WYNER: (2, 2), HEX: (len(_HEX_STEPS[0]),) * 2,
+               SECTORED: (len(_SECTOR_STEPS[0]), len(_HEX_STEPS[0]))}
+
 
 @dataclass
 class Network:
@@ -113,7 +118,7 @@ class Network:
     cell_coords: Sequence = field(default=(), repr=False)  # per Rx cell
     tx_cell: Sequence[int] = field(default=(), repr=False)  # Tx node -> Rx cell
     geometry: object | None = field(default=None, repr=False)
-    # (the _MARKED fields, params, rows, pads) as a builder returned them; see ``_marked``
+    # (the _MARKED fields, params, rows) as a builder returned them; see ``_marked``
     _mark: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -156,10 +161,10 @@ _MARKED = attrgetter("model", "tx_nodes", "rx_nodes", "interference", "tx_coop",
                      "tx_cell", "cell_coords")
 
 
-def _marked(net: Network, rows: list[Row] | None = None, pads: tuple | None = None) -> Network:
+def _marked(net: Network, rows: list[Row] | None = None) -> Network:
     """``net``, marked as its builder returns it, with the marked fields' objects, its
-    params and a ball's or torus's rows, with their ``_pads``."""
-    net._mark = (_MARKED(net), dict(net.params), None if rows is None else tuple(rows), pads)
+    params and a ball's or torus's rows."""
+    net._mark = (_MARKED(net), dict(net.params), None if rows is None else tuple(rows))
     return net
 
 
@@ -289,18 +294,6 @@ def build_wyner(K: int, L: int) -> Network:
     ))
 
 
-# Bounds of the pad rows beyond either end of a domain: no b lies in them.
-_NO_LO, _NO_HI = 1 << 62, -(1 << 62)
-
-
-def _pads(rows: list[Row], starts: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """(los, his, bases) of ``rows`` (first ids ``starts``) at 1..len(rows), between pad rows:
-    ``rows`` lists (a, lo, hi) in id order with consecutive a, so cell (a, b) of row index r
-    has id ``bases[r] + b``; no b lies in a pad row."""
-    _, los, his = zip(*rows)
-    return [_NO_LO, *los, _NO_LO], [_NO_HI, *his, _NO_HI], [0, *map(sub, starts, los), 0]
-
-
 class _GridAdjacency(_Computed):
     """A ball's or torus's adjacency, from ``(rows, kinds, nodes, mt)`` (mt = tau * M on
     a torus, None on a ball): item x is the nodes at the steps (da, db, k2) of
@@ -361,23 +354,6 @@ class _GridAdjacency(_Computed):
     _item = __getitem__
 
 
-def _links(pads: tuple, *kinds: tuple[tuple[tuple[int, int, int], ...], ...]) -> list[int]:
-    """The number of neighbours each of ``kinds`` gives the nodes of a ball's rows (with
-    their ``_pads``): the sum over its steps (da, db, k2) of the cells b of each row r with
-    b + db in row r + da, one interval intersection per row."""
-    los, his, _ = pads
-    cells = {}  # per step (da, db): the cells it keeps in the ball
-    for da, db in {(da, db) for steps in chain(*kinds) for da, db, _ in steps}:
-        n = 0
-        for lo, hi, lo2, hi2 in zip(los[1:-1], his[1:-1], los[1 + da:len(los) - 1 + da],
-                                    his[1 + da:len(his) - 1 + da]):
-            lo2, hi2 = lo2 - db, hi2 - db
-            if (w := (hi if hi < hi2 else hi2) - (lo if lo > lo2 else lo2) + 1) > 0:
-                n += w
-        cells[da, db] = n
-    return [sum(cells[da, db] for steps in ks for da, db, _ in steps) for ks in kinds]
-
-
 def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], rows: list[Row],
                L: int, mt: int | None, params: dict, geometry) -> Network:
     """The marked network of ``kinds`` (``_HEX_STEPS`` or ``_SECTOR_STEPS``) over the cells
@@ -389,17 +365,18 @@ def _from_rows(model: str, kinds: tuple[tuple[tuple[int, int, int], ...], ...], 
     ids = range(len(cells))
     rx_nodes = tuple(ids)
     tx_nodes = rx_nodes if nk == 1 else tuple(range(nk * len(cells)))
-    pads = _pads(rows, cells.starts)
     interference = _GridAdjacency((cells.rows, kinds, tx_nodes, mt))
     rx_coop = interference if nk == 1 else _GridAdjacency((cells.rows, _HEX_STEPS, rx_nodes, mt))
-    q_tx, q_rx = _links(pads, kinds, _HEX_STEPS) if mt is None else (
-        len(cells) * sum(map(len, adj.steps)) for adj in (interference, rx_coop))
+    # a unit step leaves a radius-r ball from the r + 1 cells of the side it crosses (so (1, 0)
+    # leaves row r whole) and r cells of the next side; it leaves no torus cell
+    keep = len(cells) - (0 if mt else 2 * params["radius"] + 1)
+    q_tx, q_rx = (keep * sum(map(len, adj.steps)) for adj in (interference, rx_coop))
     return _marked(Network(
         model=model, L=L, tx_nodes=tx_nodes, rx_nodes=rx_nodes,
         interference=interference, tx_coop=interference, rx_coop=rx_coop,
         q_tx=q_tx, q_rx=q_rx, params=params, cell_coords=cells, geometry=geometry,
         tx_cell=ids if nk == 1 else tuple(chain.from_iterable(zip(*[rx_nodes] * nk))),
-    ), cells.rows, pads)
+    ), cells.rows)
 
 
 def _ball(model: str, kinds, radius: int, L: int) -> Network:

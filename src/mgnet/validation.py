@@ -471,16 +471,19 @@ def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms
     template's walk stopped there, and y + m is silent too or outside the ball.  So each
     translate has the template's roles, hops and silent border: it is a component with
     one master.
+
+    Cell (a, b) has id ``bases[a + radius] + b``: the first ids less the lo of the rows
+    a = -radius .. radius of ``builder_rows``, in id order.
     """
-    roles, radius, (_, _, bases) = assoc.roles, net.params["radius"], net._mark[3]
-    a0 = -radius - 1  # row a is at index a - a0 of los, his, bases: (a, b) has id bases[a - a0] + b
+    roles, radius = assoc.roles, net.params["radius"]
     tau, nk = scheme_tau(net.model, assoc.scheme, assoc.D), len(net.tx_nodes) // len(net.rx_nodes)
     if _ball_fill(net, roles, tau, nk) != (roles, ms):
         return None
+    bases = [s - lo for s, (_, lo, _) in zip(net.cell_coords.starts, builder_rows(net))]
 
     cells = [net.cell_coords[k // nk] for k in tm]
     R = max(max(abs(a), abs(b), abs(a - b)) for a, b in cells)  # the members' extent
-    rows = [(a - a0, len(list(g))) for a, g in groupby(cells, itemgetter(0))]  # (index, members)
+    rows = [(a + radius, len(list(g))) for a, g in groupby(cells, itemgetter(0))]  # (index, count)
     reach, thop, pieces = radius - R, [hop[k] for k in tm], []
     for a in range(-(reach // tau) * tau, reach + 1, tau):  # the lattice points a row at a time
         # the template moved to row a, each member by its row's id shift; then along it by b
@@ -492,7 +495,7 @@ def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms
             for k, g in zip(mem, thop):
                 owner[k] = -1
                 hop[k] = g
-            m = bases[a - a0] + b
+            m = bases[a + radius] + b
             pieces.append((mem[0], 2 if m == t else 1, mem, m))
 
     rim = sorted(set(ms).difference([piece[3] for piece in pieces]))

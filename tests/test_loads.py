@@ -17,6 +17,7 @@ from mgnet import (HEX, SECTORED, WYNER, Role, Scheme, achievable_region,
                    subnet_sizes, valid_d, validate)
 from mgnet.association import scheme_tau
 from mgnet.lattice import NEIGHBOR_STEPS
+from mgnet.topology import PLANE_LINKS
 
 ALL_SCHEMES = list(Scheme)
 SECTOR_SCHEMES = [Scheme.BOTH_COMP_RX, Scheme.SLOW_COMP_RX, Scheme.NO_COOP]
@@ -594,3 +595,35 @@ def test_ledger_invariants_and_closed_form_every_case():
     assert {case for (case, _), b in broken.items() if b} == {KNOWN_NEGATIVE}
     assert broken[KNOWN_NEGATIVE, 1] == broken[KNOWN_NEGATIVE, 2] == \
         ["tx_message_total", "q_dedup > min(precancel_msgs, fanout_msgs)"]
+
+
+def _plane_prelog_tori():
+    for model in (HEX, SECTORED):
+        for scheme in ALL_SCHEMES:
+            for D in valid_range(model, scheme, 26)[:2]:
+                for M in (2, 3):
+                    yield model, scheme, D, M
+
+
+@pytest.mark.parametrize("model, scheme, D, M", list(_plane_prelog_tori()))
+def test_finite_prelogs_equal_the_plane_prelogs_on_tori(model, scheme, D, M):
+    """On a torus of M x M whole subnets with tau * M >= 2 every cell keeps every step to
+    a cell of its own, so the builder's link counts are ``PLANE_LINKS``' densities and the
+    finite prelogs are the asymptotic ones."""
+    tau = max(1, scheme_tau(model, scheme, D))  # no-coop has no master lattice
+    net = _sweep_torus(model, tau, M, 3)
+    per_tx, per_rx = PLANE_LINKS[model]
+    assert (net.q_tx, net.q_rx) == (per_tx * net.n_tx, per_rx * net.n_rx)
+    led, _, _ = ledger_for(net, D, scheme)
+    assert finite_prelogs(led, net) == (led.mu_tx, led.mu_rx)
+
+
+def test_three_cell_sectorized_torus_has_larger_finite_rx_prelogs():
+    """On the three-cell torus (tau * M = 1) two steps reach one cell and the builder
+    keeps one link: a cell keeps 2 of its 6 cell-to-cell links."""
+    net = build_sectored_hex_torus(1, 1, 3)
+    assert net.q_rx == 6  # the plane gives 6 * 3 = 18
+    led, _, _ = ledger_for(net, 2, Scheme.BOTH_COMP_RX)
+    assert (led.mu_rx, finite_prelogs(led, net)[1]) == (F(1, 2), F(3, 2))
+    led, _, _ = ledger_for(net, 2, Scheme.SLOW_COMP_RX)
+    assert (led.mu_rx, finite_prelogs(led, net)[1]) == (F(1), F(3))
