@@ -52,6 +52,7 @@ BALL = "tests/test_topology.py::test_ball_builders_match_the_coordinate_dict"
 REPEAT = ORACLE + "test_torus_link_loads_repeat_with_the_master_lattice"
 FALLBACK = ORACLE + "test_torus_lattice_falls_back_to_the_walk"
 BALL_FALLBACK = ORACLE + "test_ball_lattice_falls_back_to_the_walk"
+TORUS_BASE = ORACLE + "test_torus_role_flipped_where_the_base_is_read_falls_back"
 DRAWN = ORACLE + "test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori"
 EDGES = ORACLE + "test_line_proof_columns_at_the_proofs_edges"
 SCRATCH = ORACLE + "test_ledger_scratch_ends_at_the_last_numbered_cell"
@@ -220,41 +221,34 @@ MUTANTS = [
            (CANON_STEP + "[1-1]", CANON_STEP + "[3-2]", CANON_STEP + "[5-3]")),
     # the margin rows above and below the parallelogram turned the other way at the seam
     Mutant("torus-margin-row-turned-backwards", "src/mgnet/topology.py",
-           "o, x = nk * ((-2 * mt * (q // mt) - 1) % P)",
-           "o, x = nk * ((2 * mt * (q // mt) - 1) % P)",
+           "a, b = torus_canon((q, -1), mt)",
+           "a, b = torus_canon((q, 4 * mt * (q // mt) - 1), mt)",
            (CANON + "[2-2]", GRID + "[hex-tori]", GRID + "[sectorized-tori]")),
     # on the three-cell torus, a cold item keeps a second step to a cell it already holds
     Mutant("three-cell-torus-keeps-duplicates", "src/mgnet/topology.py",
            "{(*torus_canon((da, db), mt), k2): (da, db, k2)",
            "{(da, db, k2): (da, db, k2)",
            (GRID + "[hex-tori]", GRID + "[sectorized-tori]", CANON + "[1-1]")),
-    Mutant("torus-window-loses-its-wrap", "src/mgnet/validation.py",
-           "(nodes[x:x + nk * P] * (3 + 2 * rb // P))",
-           "(nodes[x:x + nk * P] * (1 + 2 * rb // P))",
+    # a translate's members moved across the seam without its turn
+    Mutant("torus-ids-seam-turn-dropped", "src/mgnet/lattice.py",
+           "(b + sb - 2 * mt * ((a + sa) // mt)) % P",
+           "(b + sb) % P",
            (ORACLE + "test_torus_lattice_matches_walk[Hexagonal]",
             ORACLE + "test_torus_lattice_matches_walk[SectorizedHexagonal]")),
-    # the proof's window rows past the seam turned by mt, not 2 mt
-    Mutant("torus-window-seam-shift-halved", "src/mgnet/validation.py",
-           "s, x = (-rb - 2 * mt * (a // mt)) % P",
-           "s, x = (-rb - mt * (a // mt)) % P",
-           (ORACLE + "test_torus_lattice_matches_walk[Hexagonal]",
-            ORACLE + "test_torus_lattice_matches_walk[SectorizedHexagonal]")),
-    Mutant("torus-row-period-unchecked", "src/mgnet/validation.py",
-           "if (row[nk * 3 * tau:] != row[:-nk * 3 * tau]\n                or seated",
-           "if (False\n                or seated",
-           (FALLBACK + "[roles-along-one-generator]",)),
-    Mutant("torus-row-turn-unchecked", "src/mgnet/validation.py",
-           "or seated[(p + tau) % mt] != (row + row)[o:o + nk * 3 * mt]):",
-           "or False):",
-           (FALLBACK + "[roles-along-the-other]",)),
+    # the base rows read off a torus's roles one cell along each row
+    Mutant("torus-base-read-one-cell-late", "src/mgnet/validation.py",
+           "key[nk * P * c:nk * P * c + nk * t3]",
+           "key[nk * P * c + nk:nk * P * c + nk * t3]",
+           (FALLBACK, ORACLE + "test_torus_lattice_matches_walk[Hexagonal]",
+            ORACLE + "test_torus_lattice_matches_walk[SectorizedHexagonal]", TORUS_BASE)),
+    Mutant("torus-masters-compare-dropped", "src/mgnet/validation.py",
+           "3 * tau * M\n    if _lattice_fill(net, roles, tau, nk) != (roles, ms):",
+           "3 * tau * M\n    if _lattice_fill(net, roles, tau, nk)[0] != roles:",
+           (FALLBACK,)),
     Mutant("torus-coverage-unchecked", "src/mgnet/validation.py",
            "if M * M * len(tm) != len(roles) - roles.count(Role.SILENT):",
            "if False:",
            (FALLBACK + "[silenced-rings]",)),
-    Mutant("torus-master-count-unchecked", "src/mgnet/validation.py",
-           "if len(ms) != M * M or not all(",
-           "if not all(",
-           (FALLBACK + "[dropped-master]",)),
     # the base rows read off a ball's roles at the positions the fill gives the cells
     Mutant("ball-base-turn-reversed", "src/mgnet/validation.py",
            "j, y = (b + turn) % t3, x + nk * (b - lo)",
@@ -263,8 +257,8 @@ MUTANTS = [
             SMALL_BALLS + "[SectorizedHexagonal-SlowOnlyCompRx-8]",
             ORACLE + "test_ball_lattice_matches_walk_and_reference[hex]")),
     Mutant("ball-masters-compare-dropped", "src/mgnet/validation.py",
-           "if _ball_fill(net, roles, tau, nk) != (roles, ms):",
-           "if _ball_fill(net, roles, tau, nk)[0] != roles:",
+           "len(net.rx_nodes)\n    if _lattice_fill(net, roles, tau, nk) != (roles, ms):",
+           "len(net.rx_nodes)\n    if _lattice_fill(net, roles, tau, nk)[0] != roles:",
            (BALL_FALLBACK + "[extra-rim-master]",)),
     # a translate one step past the reach leaves the ball and reads other rows' ids
     Mutant("ball-reach-wider", "src/mgnet/validation.py",
@@ -285,7 +279,7 @@ MUTANTS = [
             SINGLETONS + "[sectorized-torus-class-turned-slow]")),
     # a role flipped far from the centre cell, found only by the spacing-1 repeat
     Mutant("cooperation-free-repeat-unchecked", "src/mgnet/validation.py",
-           "if not (_repeats(net, roles, 1, nk)",
+           "if not (_lattice_fill(net, roles, 1, nk)[0] == roles",
            "if not (True",
            (SINGLETONS + "[hex-ball-last-silent-turned-fast]",
             SINGLETONS + "[sectorized-torus-last-silent-turned-fast]", DRAWN)),

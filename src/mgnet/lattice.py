@@ -28,7 +28,8 @@ A torus of M copies of spacing tau identifies cells that differ by
 (i + 2j, 2i + j) * tau * M.  With mt = tau * M and P = 3 * mt, (mt, 2 * mt)
 and (0, P) generate those vectors (their Hermite normal form), so its cells are
 the parallelogram 0 <= a < mt, 0 <= b < P, which ``torus_canon`` reaches in one
-step: b turns by 2 * mt each time a crosses the seam.  Both finite domains are
+step: b turns by 2 * mt each time a crosses the seam.  ``torus_ids`` is its list
+form, the ids of cells moved by one shift.  Both finite domains are
 runs of rows (a, lo, hi), one per a: ``ball_rows`` and ``TorusGeometry.rows``
 give their bounds and ``row_cells`` (behind ``ball`` and ``cells()``) expands
 them in (a, b) order: torus cell (a, b) is the (a * P + b)-th.
@@ -70,6 +71,12 @@ def torus_canon(c: Coord, mt: int) -> Coord:
     """The cell of the torus of mt = tau * M's parallelogram that is ``c`` (module docstring)."""
     a, b = c
     return (a % mt, (b - 2 * mt * (a // mt)) % (3 * mt))
+
+
+def torus_ids(cells: list[Coord], mt: int, shift: Coord) -> list[int]:
+    """The id a * 3 * mt + b of ``torus_canon`` of each of ``cells`` moved by ``shift``."""
+    (sa, sb), P = shift, 3 * mt
+    return [(a + sa) % mt * P + (b + sb - 2 * mt * ((a + sa) // mt)) % P for a, b in cells]
 
 
 def is_master(c: Coord, tau: int) -> bool:

@@ -327,9 +327,9 @@ class _GridAdjacency(_Computed):
             kinds = [sorted({(*torus_canon((da, db), mt), k2): (da, db, k2)
                              for da, db, k2 in ks[::-1]}.values()) for ks in kinds]
             seats, flat = [(a + 1, 1) for a in range(mt)], []
-            for q in range(-1, mt + 1):  # row q is row q % mt, turned by 2 mt at each seam
-                o, x = nk * ((-2 * mt * (q // mt) - 1) % P), nk * P * (q % mt)
-                flat += (nodes[x:x + nk * P] * 4)[o:o + nk * W]
+            for q in range(-1, mt + 1):  # row q from its cell (q, -1), turned at the seam
+                a, b = torus_canon((q, -1), mt)
+                flat += (nodes[nk * P * a:nk * P * (a + 1)] * 4)[nk * b:nk * (b + W)]
         offs = [0, *(nk * (q * W + c) - i for (q, c), i in zip(seats, nstarts))]
         steps = [[nk * (da * W + db) + k2 - k for da, db, k2 in ks] for k, ks in enumerate(kinds)]
         super().__init__(args, flat, nstarts, offs, steps, [None] * len(nodes))

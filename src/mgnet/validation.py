@@ -36,24 +36,24 @@ is checked before most of the walk is spared:
   walked and must hold that cell alone as its master (every ``assign``
   makes it one).  The roles and masters must be the master lattice's fill
   (``association._fill_rows``) of base rows read off the roles themselves
-  (``_ball_fill``); each lattice point within radius - R of the centre, R
+  (``_lattice_fill``); each lattice point within radius - R of the centre, R
   the template's extent, holds the template moved by one id shift per row.
   The walk covers the rim.
-* A torus: every subnet is a translate of the template.  The masters must
-  be the master lattice through its master, the roles must repeat with the
-  lattice's two generators (one compare per row of ids, a row of the
-  parallelogram domain, ``lattice``), and the translates must hold every
-  active node; their members are read off a window of those rows around
-  the domain, turned at the seam.
+* A torus: every subnet is a translate of the template, the subnet of the
+  master at id 0.  The roles and masters must be the fill of base rows read
+  off the roles, as on a ball (on a torus the starts of its first rows of
+  ids, ``lattice``), and the translates must hold every active node; their
+  members are the template's cells moved by each master's place
+  (``lattice.torus_ids``).
 * A ball or torus without masters or cooperation: each active node is a
   subnet, a translate of the first, if the roles repeat with the lattice of
-  spacing 1, whose classes are a + b mod 3 (the fill and the compares
-  above), and the active nodes of the centre cell t (any cell of a torus)
-  and its neighbours, which meet every class, are fast and hear only silent
-  nodes.  Repeating roles depend on the class and node kind alone, so each
-  active node and its neighbours have the roles of a checked node and its
-  neighbours, which lie in the ball when its radius is at least 2; a
-  smaller ball is t and its neighbours.
+  spacing 1, whose classes are a + b mod 3 (the roles are the fill of
+  their own base row), and the active nodes of the centre cell t (any cell
+  of a torus) and its neighbours, which meet every class, are fast and hear
+  only silent nodes.  Repeating roles depend on the class and node kind
+  alone, so each active node and its neighbours have the roles of a checked
+  node and its neighbours, which lie in the ball when its radius is at
+  least 2; a smaller ball is t and its neighbours.
 
 Any failed check takes the whole walk, so the violations and their order
 are always the walk's.  ``validate``, the one check of an association, puts
@@ -73,7 +73,7 @@ from itertools import accumulate, chain, compress, groupby, repeat
 from operator import add, is_not, itemgetter
 
 from .association import Association, Role, Scheme, _fill_rows, scheme_tau, valid_d
-from .lattice import is_master
+from .lattice import torus_ids
 from .topology import HEX, WYNER, Network, _Computed, as_built, builder_rows
 
 
@@ -333,7 +333,7 @@ def _lattice_subnets(net: Network, assoc: Association,
     nk = len(net.tx_nodes) // n  # nodes per cell
     if not (ms := sorted(m for m in set(assoc.masters) if 0 <= m < n)):
         return None
-    t = n // 2 if net.has_rim else ms[0]  # a ball's centre cell (0, 0); any master of a torus
+    t = n // 2 if net.has_rim else ms[0]  # a ball's centre cell (0, 0); the fill's 0 on a torus
     owner, hop = [None] * len(roles), [None] * len(roles)
     tm, _, tmasters = _walk(net, assoc, ValidationReport(), range(nk * t, nk * t + nk), owner,
                             hop, ms)
@@ -361,7 +361,7 @@ def _cooperation_free(net: Network, assoc: Association,
     roles, silent, n = assoc.roles, Role.SILENT, len(net.rx_nodes)
     nk, t = len(roles) // n, n // 2
     near = [nk * c + k for c in (t, *net.rx_coop[t]) for k in range(nk)]
-    if not (_repeats(net, roles, 1, nk)
+    if not (_lattice_fill(net, roles, 1, nk)[0] == roles
             and all(roles[x] is Role.FAST and all(roles[j] is silent for j in net.interference[x])
                     for x in near if roles[x] is not silent)):
         return None
@@ -372,17 +372,21 @@ def _cooperation_free(net: Network, assoc: Association,
                    (0, m, ())), report
 
 
-def _ball_fill(net: Network, key: list, tau: int, nk: int) -> tuple[list, list[int]]:
+def _lattice_fill(net: Network, key: list, tau: int, nk: int) -> tuple[list, list[int]]:
     """``association._fill_rows`` of the tau base rows of 3 tau cells read off ``key``, a
-    value per node of a builder's ball: ``key`` repeats with the master lattice of
+    value per node of a builder's ball or torus: ``key`` repeats with the master lattice of
     spacing tau exactly when it is the first list, and the master flags when the masters
     are the second.
 
     Base row c, position j, is the value of any cell (a, b) with a % tau == c and (b +
-    tau * (a % 3 tau // tau)) % 3 tau == j, the cells the fill gives it; the rows of each
-    class are read in order until every position is seen.  A position no cell of the ball
-    holds is never filled."""
+    tau * (a % 3 tau // tau)) % 3 tau == j, the cells the fill gives it.  On a torus these
+    include the cells (c, j) that start row c of ids, read as one slice.  On a ball the
+    rows of each class are read in order until every position is seen; a position no cell
+    of the ball holds is never filled."""
     t3 = 3 * tau
+    if not net.has_rim:
+        P = 3 * net.params["tau"] * net.params["copies"]
+        return _fill_rows(net, tau, [key[nk * P * c:nk * P * c + nk * t3] for c in range(tau)], nk)
     base = [[None] * (nk * t3) for _ in range(tau)]
     unseen = [set(range(t3)) for _ in range(tau)]
     x = 0  # the first node of row a
@@ -398,56 +402,25 @@ def _ball_fill(net: Network, key: list, tau: int, nk: int) -> tuple[list, list[i
     return _fill_rows(net, tau, base, nk)
 
 
-def _repeats(net: Network, key: list, tau: int, nk: int) -> bool:
-    """Whether ``key``, a value per node of a builder's ball or torus, repeats with the master
-    lattice of spacing tau: on a ball, whether it is the fill of its own base rows
-    (``_ball_fill``); on a torus along each row of ids (a parallelogram row, ``lattice``) with
-    (0, 3 tau), and from row p to row p + tau turned by 2 tau, less 2 mt where it wraps (one
-    compare each)."""
-    if net.has_rim:
-        return _ball_fill(net, key, tau, nk)[0] == key
-    mt = net.params["tau"] * net.params["copies"]
-    seated = [key[x:x + nk * 3 * mt] for x in range(0, len(key), nk * 3 * mt)]  # the rows
-    for p, row in enumerate(seated):
-        o = nk * ((2 * mt * (p + tau >= mt) - 2 * tau) % (3 * mt))
-        if (row[nk * 3 * tau:] != row[:-nk * 3 * tau]
-                or seated[(p + tau) % mt] != (row + row)[o:o + nk * 3 * mt]):
-            return False
-    return True
-
-
 def _torus_translates(net: Network, assoc: Association, t: int, tm: list[int], ms: list[int],
                       hop: list[int | None]) -> list | None:
     """The (lowest member, 1 or 2 for the template t, members, master) of every subnet of a
     builder's torus, ``tm`` moved by a master-lattice vector, with hops; None unless the
-    masters are that lattice, the roles repeat with it and the translates hold all."""
+    roles and the masters are the lattice's fill of the base rows read off the roles
+    (``_lattice_fill``) and the translates hold every active node.
+
+    The fill puts a master at id 0, so t is 0, and the template moved to master m has its
+    members' cells moved by m's place ``divmod(m, P)`` (``lattice.torus_ids``)."""
     roles, tau, M = assoc.roles, net.params["tau"], net.params["copies"]
     nk, mt, P = len(net.tx_nodes) // len(net.rx_nodes), tau * M, 3 * tau * M
-    places = [divmod(m, P) for m in ms]  # cell i is (a, b) = divmod(i, P) (``lattice``)
-    ta, tb = divmod(t, P)
-    if len(ms) != M * M or not all(is_master((a - ta, b - tb), tau) for a, b in places):
-        return None
-    if not _repeats(net, roles, tau, nk):  # the master lattice's two generators
+    if _lattice_fill(net, roles, tau, nk) != (roles, ms):
         return None
     if M * M * len(tm) != len(roles) - roles.count(Role.SILENT):
         return None  # an active node outside every translate
-    rel = []  # (da, db, kind) of each member's node from t, the wrap with 2b - a and 2a - b
-    for k in tm:  # in [-P/2, P/2): the shortest when M >= 2, as members lie within tau of t
-        a, b = divmod(k // nk, P)
-        u, v = 2 * (b - tb) - (a - ta), 2 * (a - ta) - (b - tb)
-        u, v = u - P * ((2 * u + P) // (2 * P)), v - P * ((2 * v + P) // (2 * P))
-        rel.append(((u + 2 * v) // 3, (2 * u + v) // 3, k % nk))
-    # the window, which holds every master's members: cells -ra <= a < mt + ra, -rb <= b < W - rb
-    ra, rb = max(abs(da) for da, _, _ in rel), max(abs(db) for _, db, _ in rel)
-    W, ids, nodes = P + 2 * rb, [], net.tx_nodes
-    for a in range(-ra, mt + ra):
-        s, x = (-rb - 2 * mt * (a // mt)) % P, nk * P * (a % mt)
-        ids += (nodes[x:x + nk * P] * (3 + 2 * rb // P))[nk * s:nk * (s + W)]
-    tpos = [nk * ((ta + da + ra) * W + tb + db + rb) + kind for da, db, kind in rel]
-    thop = [hop[k] for k in tm]
-    pieces = []
-    for (a, b), m in zip(places, ms):
-        mem = [ids[x + nk * ((a - ta) * W + b - tb)] for x in tpos]
+    cells, kinds = [divmod(k // nk, P) for k in tm], [k % nk for k in tm]
+    thop, nodes, pieces = [hop[k] for k in tm], net.tx_nodes, []
+    for m in ms:
+        mem = [nodes[nk * i + kind] for i, kind in zip(torus_ids(cells, mt, divmod(m, P)), kinds)]
         for k, g in zip(mem, thop):
             hop[k] = g
         mem.sort()
@@ -462,7 +435,7 @@ def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms
     every component of a builder's ball: ``tm`` moved by each master-lattice vector m with
     |m| <= radius - R (|.| the hex norm, R the largest |x| of a member), and the rim, which
     the walk finds; None unless the roles and the masters are the lattice's fill of the
-    base rows read off the roles (``_ball_fill``).
+    base rows read off the roles (``_lattice_fill``).
 
     Then the roles on the ball are periodic modulo the lattice, and a master sits at every
     lattice point and nowhere else.  A member x moves to x + m, with |x + m| <= R + |m| <=
@@ -477,7 +450,7 @@ def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms
     """
     roles, radius = assoc.roles, net.params["radius"]
     tau, nk = scheme_tau(net.model, assoc.scheme, assoc.D), len(net.tx_nodes) // len(net.rx_nodes)
-    if _ball_fill(net, roles, tau, nk) != (roles, ms):
+    if _lattice_fill(net, roles, tau, nk) != (roles, ms):
         return None
     bases = [s - lo for s, (_, lo, _) in zip(net.cell_coords.starts, builder_rows(net))]
 

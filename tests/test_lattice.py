@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from mgnet.lattice import (PlaneGeometry, TorusGeometry, _nearest_on_plane, ball, hex_distance,
-                           is_master, nearest_rows)
+                           is_master, nearest_rows, torus_canon, torus_ids)
 
 
 def brute_torus_nearest(geo: TorusGeometry, masters, c):
@@ -126,3 +128,17 @@ def test_one_step_canon_matches_iterative_wrap(tau, copies):
             assert in_domain(geo, c), (a, b)
             assert geo.canon(c) == c
             assert to_new.setdefault(old, c) == c and to_old.setdefault(c, old) == old, (a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mt=st.integers(1, 6), seams=st.integers(-4, 4), rest=st.integers(0, 5),
+       sb=st.integers(-40, 40),
+       cells=st.lists(st.tuples(st.integers(-20, 20), st.integers(-60, 60)), max_size=6))
+@example(mt=1, seams=2, rest=0, sb=0, cells=[(0, 0), (0, 2)])
+@example(mt=4, seams=-3, rest=3, sb=-30, cells=[(3, 11), (-1, -1), (0, 0)])
+@example(mt=6, seams=4, rest=5, sb=37, cells=[(5, 17), (-7, 0)])
+def test_torus_ids_are_canon_of_each_moved_cell(mt, seams, rest, sb, cells):
+    # a shift crossing up to four seams either way, the last part of one (rest < mt) included
+    shift, P = (seams * mt + rest % mt, sb), 3 * mt
+    moved = [torus_canon((a + shift[0], b + shift[1]), mt) for a, b in cells]
+    assert torus_ids(cells, mt, shift) == [a * P + b for a, b in moved]

@@ -987,7 +987,8 @@ def _silenced_rings(net, assoc, at):
     (lambda net, a, at: replace(a, masters=a.masters[:-1]), False),
     (lambda net, a, at: replace(a, masters=tuple(sorted({*a.masters, at(5, 8)}))), False),
     (lambda net, a, at: replace(a, masters=tuple(sorted(at(a + 1, b) for a, b in map(
-        net.cell_coords.__getitem__, a.masters)))), True),  # every master one step along
+        net.cell_coords.__getitem__, a.masters)))), False),  # every master one step along:
+    # the roles repeat, but the masters are not the fill's, so the torus takes the walk
 ], ids=["one-role", "roles-along-one-generator", "roles-along-the-other", "silenced-rings",
         "dropped-master", "extra-master", "moved-masters"])
 def test_torus_lattice_falls_back_to_the_walk(edit, proven):
@@ -1000,6 +1001,26 @@ def test_torus_lattice_falls_back_to_the_walk(edit, proven):
     assert report == walk_report
     assert proven or not report.ok
     assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk)
+
+
+@pytest.mark.parametrize("model, tau, copies, D", [(HEX, 4, 3, 8), (SECTORED, 2, 3, 4)],
+                         ids=["hex", "sectorized"])
+def test_torus_role_flipped_where_the_base_is_read_falls_back(model, tau, copies, D):
+    """A role flipped at a base-row position (c, j), c < tau and j < 3 tau, the start of
+    torus row c that the proof reads the base from, or at one twin of it outside the base,
+    leaves the roles the fill of no base rows: the torus takes the walk, with the walk's
+    columns, report and ledger."""
+    net = _torus(model, tau, copies)
+    nk, P = len(net.tx_nodes) // len(net.rx_nodes), 3 * tau * copies
+    assert assert_proof_is_walk(net, assign(net, D, Scheme.BOTH_COMP_RX))
+    # base cell (1, 2) moved by (copies - 1) * (tau, 2 tau), a master-lattice vector
+    twin = net.geometry.canon((1 + tau * (copies - 1), 2 + 2 * tau * (copies - 1)))
+    assert twin[0] >= tau
+    for c, j in [*((c, j) for c in range(tau) for j in range(3 * tau)), twin]:
+        assoc = assign(net, D, Scheme.BOTH_COMP_RX)
+        x = nk * (c * P + j) + (c + j) % nk
+        assoc.roles[x] = Role.SLOW if assoc.roles[x] is Role.SILENT else Role.SILENT
+        assert not assert_proof_is_walk(net, assoc), (c, j)
 
 
 def _no_coop_case(make, size):
