@@ -54,6 +54,7 @@ FALLBACK = ORACLE + "test_torus_lattice_falls_back_to_the_walk"
 BALL_FALLBACK = ORACLE + "test_ball_lattice_falls_back_to_the_walk"
 TORUS_BASE = ORACLE + "test_torus_role_flipped_where_the_base_is_read_falls_back"
 DRAWN = ORACLE + "test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori"
+BENCH_SCALE = ORACLE + "test_ball_lattice_at_bench_scale"
 EDGES = ORACLE + "test_line_proof_columns_at_the_proofs_edges"
 SCRATCH = ORACLE + "test_ledger_scratch_ends_at_the_last_numbered_cell"
 CHUNKS = ORACLE + "test_line_period_chunk_edges"
@@ -242,8 +243,9 @@ MUTANTS = [
            (FALLBACK, ORACLE + "test_torus_lattice_matches_walk[Hexagonal]",
             ORACLE + "test_torus_lattice_matches_walk[SectorizedHexagonal]", TORUS_BASE)),
     Mutant("torus-masters-compare-dropped", "src/mgnet/validation.py",
-           "3 * tau * M\n    if _lattice_fill(net, roles, tau, nk) != (roles, ms):",
-           "3 * tau * M\n    if _lattice_fill(net, roles, tau, nk)[0] != roles:",
+           "3 * tau * M\n    if (_lattice_fill(net, rows, roles, tau, nk), _fill_masters(rows, tau))"
+           " != (roles, ms):",
+           "3 * tau * M\n    if _lattice_fill(net, rows, roles, tau, nk) != roles:",
            (FALLBACK,)),
     Mutant("torus-coverage-unchecked", "src/mgnet/validation.py",
            "if M * M * len(tm) != len(roles) - roles.count(Role.SILENT):",
@@ -257,15 +259,29 @@ MUTANTS = [
             SMALL_BALLS + "[SectorizedHexagonal-SlowOnlyCompRx-8]",
             ORACLE + "test_ball_lattice_matches_walk_and_reference[hex]")),
     Mutant("ball-masters-compare-dropped", "src/mgnet/validation.py",
-           "len(net.rx_nodes)\n    if _lattice_fill(net, roles, tau, nk) != (roles, ms):",
-           "len(net.rx_nodes)\n    if _lattice_fill(net, roles, tau, nk)[0] != roles:",
+           "len(net.rx_nodes)\n    if (_lattice_fill(net, rows, roles, tau, nk), _fill_masters(rows, tau))"
+           " != (roles, ms):",
+           "len(net.rx_nodes)\n    if _lattice_fill(net, rows, roles, tau, nk) != roles:",
            (BALL_FALLBACK + "[extra-rim-master]",)),
     # a translate one step past the reach leaves the ball and reads other rows' ids
     Mutant("ball-reach-wider", "src/mgnet/validation.py",
-           "reach, thop, pieces = radius - R,",
-           "reach, thop, pieces = radius - R + 1,",
+           "t3, inner, outer = 3 * tau, radius - R, radius + R",
+           "t3, inner, outer = 3 * tau, radius - R + 1, radius + R",
            (BALL_FALLBACK + "[periodic-clash]",
             ORACLE + "test_ball_lattice_matches_walk_and_reference[sectorized]")),
+    # a rim class's side distance clamped to [-R, R]: a point that keeps no member joins the
+    # class of the points that keep one row, and its copies are counted
+    Mutant("rim-class-clamp-too-tight", "src/mgnet/validation.py",
+           "side = [min(max(radius - v, -R - 1), R) for v in range(-o, o + 1)]",
+           "side = [min(max(radius - v, -R), R) for v in range(-o, o + 1)]",
+           (BENCH_SCALE + "[Hexagonal-60-8-BothCompRx]",
+            BENCH_SCALE + "[SectorizedHexagonal-40-4-BothCompRx]")),
+    # the ledger counts each rim class's representative once, not times its copies
+    Mutant("rim-class-copies-counted-once", "src/mgnet/loads.py",
+           "for reps, n in (((i,), copies), *classes)]",
+           "for reps, n in (((i,), copies), *((reps, 1) for reps, _ in classes))]",
+           (BENCH_SCALE + "[Hexagonal-60-8-BothCompTx]",
+            BENCH_SCALE + "[SectorizedHexagonal-40-4-SlowOnlyCompRx]")),
     # cooperation-free roles that repeat: two fast neighbours taken for two subnets
     Mutant("cooperation-free-hears-no-one-unchecked", "src/mgnet/validation.py",
            "roles[x] is Role.FAST and all(roles[j] is silent for j in net.interference[x])",
@@ -279,7 +295,7 @@ MUTANTS = [
             SINGLETONS + "[sectorized-torus-class-turned-slow]")),
     # a role flipped far from the centre cell, found only by the spacing-1 repeat
     Mutant("cooperation-free-repeat-unchecked", "src/mgnet/validation.py",
-           "if not (_lattice_fill(net, roles, 1, nk)[0] == roles",
+           "if not (_lattice_fill(net, rows, roles, 1, nk) == roles",
            "if not (True",
            (SINGLETONS + "[hex-ball-last-silent-turned-fast]",
             SINGLETONS + "[sectorized-torus-last-silent-turned-fast]", DRAWN)),

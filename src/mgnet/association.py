@@ -38,10 +38,11 @@ fills a row's nodes.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 
-from .lattice import Coord, nearest_rows
+from .lattice import Coord, Row, nearest_rows
 from .topology import (HEX, SECTOR_KINDS, SECTORED, WYNER, Network, _need_at_least,
                        builder_rows)
 
@@ -157,32 +158,38 @@ def scheme_tau(model: str, scheme: Scheme, D: int) -> int:
     return D // 2
 
 
-def _fill_rows(net: Network, tau: int, base: list[list], nk: int) -> tuple[list, list[int]]:
+def _fill_rows(rows: Sequence[Row], tau: int, base: list[list], nk: int) -> list:
     """The ``nk`` values per cell id, for values periodic modulo the spacing-tau master
     lattice whose values at (a, b) are ``base[a][nk * b:nk * (b + 1)]`` on the base rows,
-    filled a row at a time, and the master ids.
+    filled along ``rows`` (a, lo, hi), in id order, a row at a time.
 
     The master lattice is generated by (tau, 2 * tau) and (0, 3 * tau), so
     along a row values repeat with 3 * tau, and row a's values at b = 0, 1,
     ... are base row a mod tau's rotated left by tau * ((a mod 3 * tau) div
     tau).  The tau base rows of 3 * tau cells, (0, 0) .. (tau - 1, 3 * tau -
     1), are the 3 * tau^2 classes; every row is one slice of its base row
-    repeated.  Masters sit on the rows a = 0 mod tau, at b = 2a mod 3 * tau.
-    A network without ``builder_rows`` is read as one-cell rows (a, b, b).
+    repeated.
     """
     t3 = 3 * tau
-    rows = builder_rows(net) or [(a, b, b) for a, b in net.cell_coords]
     repeats = max((hi - lo for _, lo, hi in rows), default=0) // t3 + 2
     base = [row * repeats for row in base]
     values: list = []
-    masters: list[int] = []
     for a, lo, hi in rows:
-        start, n = len(values) // nk, hi - lo + 1
         turn = (lo + tau * (a % t3 // tau)) % t3
-        values += base[a % tau][nk * turn:nk * (turn + n)]
+        values += base[a % tau][nk * turn:nk * (turn + hi - lo + 1)]
+    return values
+
+
+def _fill_masters(rows: Sequence[Row], tau: int) -> list[int]:
+    """The cell ids of the spacing-tau master lattice along ``rows``, as ``_fill_rows``
+    numbers them: the cells of the rows a = 0 mod tau at b = 2a mod 3 * tau."""
+    t3, start, masters = 3 * tau, 0, []
+    for a, lo, hi in rows:
+        n = hi - lo + 1
         if a % tau == 0:
             masters += range(start + (2 * a - lo) % t3, start + n, t3)
-    return values, masters
+        start += n
+    return masters
 
 
 def _master_rows(net: Network, tau: int) -> list[list[tuple[int, Coord]]]:
@@ -254,13 +261,14 @@ _LATTICE_RULES = {
 def _assign_lattice(net: Network, D: int, scheme: Scheme) -> Association:
     cell_roles, no_coop = _LATTICE_RULES[net.model]
     nk = len(no_coop) // 3
+    rows = builder_rows(net) or [(a, b, b) for a, b in net.cell_coords]  # else one-cell rows
     if scheme is Scheme.NO_COOP:
-        return Association(net, scheme, D, _fill_rows(net, 1, [no_coop], nk)[0], ())
+        return Association(net, scheme, D, _fill_rows(rows, 1, [no_coop], nk), ())
     tau = scheme_tau(net.model, scheme, D)
     base = [list(chain.from_iterable(cell_roles(scheme, tau, *near) for near in row))
             for row in _master_rows(net, tau)]
-    roles, masters = _fill_rows(net, tau, base, nk)
-    return Association(net, scheme, D, roles, tuple(masters))
+    return Association(net, scheme, D, _fill_rows(rows, tau, base, nk),
+                       tuple(_fill_masters(rows, tau)))
 
 
 def assign(net: Network, D: int, scheme: Scheme) -> Association:

@@ -27,12 +27,14 @@ first, and each sends its subtree's count to its parent, the first cell in
 its adjacency (unit-step order, which a translation keeps) one hop nearer
 the master that links to it both ways.  Columns a proof built
 (``Subnets.translates``) are counted from the template's fast nodes and
-subnet, once, times the number of translates, plus the rim's nodes and
-subnets; only the links of these cells are numbered, and the per-cell
-scratch ends at the last of them.  On a builder's
-network no link carries two subnets' messages, so each link maximum is the
-template's or the rim's.  Every other ``Subnets`` is counted node by node,
-over the links of every Tx node and cell.
+subnet, once, times the number of translates, plus each rim class's
+representative's nodes and subnets, once, times its number of copies; only
+the links of these cells are numbered, and the per-cell scratch ends at the
+last of them.  On a builder's network no link carries two subnets'
+messages, and a copy loads its links as its representative does, so each
+link maximum is the template's or a representative's.  Every other
+``Subnets`` is counted node by node, over the links of every Tx node and
+cell.
 A maximum is read only from link counts that a message reached: precancels
 and Tx-side routes load the Tx links, fast shares and Rx-side routes the
 Rx links.
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
 
 from .association import Association, Role, Scheme, check_params, valid_d
 from .rationals import ratio_to_json
@@ -233,20 +236,22 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
 def _tally(net: Network, assoc: Association, subnets: Subnets,
            t: tuple | None) -> tuple[list[int], list[int], list[int]]:
     """(counts, tx_use, rx_use) of every node and subnet once (``t`` None), or of
-    the template's nodes and subnet ``copies`` times and of the rim's once (``t`` is
+    the template's nodes and subnet ``copies`` times and of each rim class's
+    representative's nodes and subnets times its number of copies (``t`` is
     ``Subnets.translates``).  Links get a counter if they leave a numbered node (every Tx
-    node, or the template's and the rim's) or its cell.  The per-cell scratch runs up to
-    the last numbered cell: P slots, not K + 1, on a proven line without a tail run."""
+    node, or the template's and the representatives') or its cell.  The per-cell scratch
+    runs up to the last numbered cell: P slots, not K + 1, on a proven line without a tail
+    run."""
     adjs = net.interference, net.tx_coop, net.rx_coop
     if t is None:
         # precancel and fast-share messages run between a fast and a slow node
         nodes = net.tx_nodes if Role.SLOW in assoc.roles else ()
         parts, numbered = [(1, nodes, range(len(subnets)))], net.tx_nodes
     else:
-        i, copies, rim_subnets = t
-        template, rim = subnets.template_and_rim()
-        parts = [(copies, template, (i,)), (1, rim, rim_subnets)][:2 if rim_subnets else 1]
-        numbered = template + rim  # a message runs between two cells of its own subnet
+        i, copies, classes = t
+        parts = [(n, subnets.members_of(reps), reps) for reps, n in (((i,), copies), *classes)]
+        # a message runs between two cells of its own subnet
+        numbered = list(chain.from_iterable(nodes for _, nodes, _ in parts))
     _, tx_adj, rx_adj = adjs
     tx_off = _edge_offsets(tx_adj, numbered)
     rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(

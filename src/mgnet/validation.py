@@ -38,7 +38,10 @@ is checked before most of the walk is spared:
   (``association._fill_rows``) of base rows read off the roles themselves
   (``_lattice_fill``); each lattice point within radius - R of the centre, R
   the template's extent, holds the template moved by one id shift per row.
-  The walk covers the rim.
+  The rim is the translates that the ball cuts, in classes of one cut
+  pattern: one walk from one representative per class finds its pieces,
+  every other copy is those moved, and the translates must hold every
+  active node.  A ball that the template spans (R = radius) walks its rim.
 * A torus: every subnet is a translate of the template, the subnet of the
   master at id 0.  The roles and masters must be the fill of base rows read
   off the roles, as on a ball (on a torus the starts of its first rows of
@@ -55,12 +58,17 @@ is checked before most of the walk is spared:
   node and its neighbours, which lie in the ball when its radius is at
   least 2; a smaller ball is t and its neighbours.
 
+After a ball's or torus's master-lattice proof, ``hop`` is the fill of the
+template's hops, one per lattice class of its members (None on the silent
+classes), overwritten on a ball's rim pieces; a ball that its template spans
+keeps the hops of its walks.
+
 Any failed check takes the whole walk, so the violations and their order
 are always the walk's.  ``validate``, the one check of an association, puts
 the fast-independence violations first and the hop-budget ones last; after
 a proof (``Subnets.translates``) it checks both on the template and the rim
-alone, and on every node only when that finds a violation.  A report reads
-its verdicts off its ``(node, code)`` violations.
+classes' representatives alone, and on every node only when that finds a
+violation.  A report reads its verdicts off its ``(node, code)`` violations.
 """
 
 from __future__ import annotations
@@ -72,8 +80,9 @@ from functools import partial
 from itertools import accumulate, chain, compress, groupby, repeat
 from operator import add, is_not, itemgetter
 
-from .association import Association, Role, Scheme, _fill_rows, scheme_tau, valid_d
-from .lattice import torus_ids
+from .association import (Association, Role, Scheme, _fill_masters, _fill_rows, scheme_tau,
+                          valid_d)
+from .lattice import Row, torus_ids
 from .topology import HEX, WYNER, Network, _Computed, as_built, builder_rows
 
 
@@ -96,12 +105,15 @@ class Subnets(Sequence):
     or, on a proven line, computed sequences that index, slice (to lists) and
     compare like them.  ``assoc`` is the association the columns were built from.
     ``translates`` is None after the general walk, and (template, copies,
-    rim) after a proof (see the module docstring): component ``template``
+    classes) after a proof (see the module docstring): component ``template``
     and ``copies - 1`` others (a line's whole runs, the subnets of a ball
     at the master-lattice points in its reach, every subnet of a torus) are
-    translates of one another, and those listed in ``rim`` are the others.
-    The template and the rim are all that ``validate`` and
-    ``message_ledger`` read.  Indexing builds a ``Subnet`` view, whose
+    translates of one another.  Each rim class is (indices, n): the
+    components ``indices`` of its representative, whose pieces each of its
+    ``n`` copies repeats moved (a ball's cut translates of one pattern; a
+    line's tail run, or the walked rim of a small ball, is one class of one
+    copy).  The template and the representatives are all that ``validate``
+    and ``message_ledger`` read.  Indexing builds a ``Subnet`` view, whose
     ``gamma`` lists the members in node order (not in BFS order).
     """
 
@@ -116,12 +128,10 @@ class Subnets(Sequence):
     def __len__(self) -> int:
         return len(self.masters)
 
-    def template_and_rim(self) -> tuple[list[int], list[int]]:
-        """The template's members and the rim's members of proven columns."""
-        template, _, rim = self.translates
+    def members_of(self, indices) -> list[int]:
+        """The members of the components ``indices``, in that order."""
         members, starts = self.members, self.starts
-        return (members[starts[template]:starts[template + 1]],
-                list(chain.from_iterable(members[starts[j]:starts[j + 1]] for j in rim)))
+        return list(chain.from_iterable(members[starts[j]:starts[j + 1]] for j in indices))
 
     def __getitem__(self, i: int) -> Subnet:
         """A ``Subnet`` view of component ``i``, built on each call, with
@@ -212,9 +222,9 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
     """
     _require_same_net(net, assoc)
     report = ValidationReport(hop_budget=hop_budget(assoc.scheme, assoc.D))
-    if builder_rows(net) is not None and len(assoc.roles) == len(net.tx_nodes):
+    if (rows := builder_rows(net)) is not None and len(assoc.roles) == len(net.tx_nodes):
         solved = (_lattice_subnets if assoc.masters or assoc.scheme.cooperative
-                  else _cooperation_free)(net, assoc, report)
+                  else _cooperation_free)(net, assoc, rows, report)
     elif (K := as_built(net)) is not None:
         solved = _periodic_subnets(net, assoc, K, report)
     else:
@@ -319,11 +329,12 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
     return members, starts, masters
 
 
-def _lattice_subnets(net: Network, assoc: Association,
+def _lattice_subnets(net: Network, assoc: Association, rows: tuple[Row, ...],
                      report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
-    """The walk's ``Subnets`` and report on a builder's ball or torus, from one template
+    """The walk's ``Subnets`` and report on a builder's ball or torus of ``rows``
+    (``builder_rows``), from one template
     (the subnet of a ball's centre cell, of a torus's lowest master), its translates and,
-    on a ball, the rim (see the module docstring), for a hexagonal association with
+    on a ball, its rim classes (see the module docstring), for a hexagonal association with
     masters or a sectorized CoMP-Rx one; otherwise None."""
     roles, scheme = assoc.roles, assoc.scheme
     if not (assoc.masters and scheme.cooperative
@@ -339,20 +350,22 @@ def _lattice_subnets(net: Network, assoc: Association,
                             hop, ms)
     if tmasters != [t]:
         return None
-    pieces = (_ball_translates(net, assoc, t, tm, ms, owner, hop, report) if net.has_rim
-              else _torus_translates(net, assoc, t, tm, ms, hop))
-    if pieces is None:
+    found = (_ball_translates(net, assoc, rows, t, tm, ms, owner, hop, report) if net.has_rim
+             else _torus_translates(net, assoc, rows, tm, ms, hop))
+    if found is None:
         return None
-    # every component, rim (0), translate (1) or template (2), in order of its lowest member
+    # every component, in order of its lowest member; a class by its pieces' lowest members
+    pieces, copies, hop, classes = found
     pieces.sort(key=itemgetter(0))
-    _, kind, mems, masters = zip(*pieces)
+    firsts, mems, masters = zip(*pieces)
+    at = dict(zip(firsts, range(len(firsts))))
     return Subnets(assoc, list(chain.from_iterable(mems)),
                    array("q", accumulate(map(len, mems), initial=0)), list(masters), hop,
-                   (kind.index(2), kind.count(1) + 1,
-                    tuple(i for i, x in enumerate(kind) if not x))), report
+                   (at[tm[0]], copies,
+                    tuple((tuple(map(at.__getitem__, reps)), k) for reps, k in classes))), report
 
 
-def _cooperation_free(net: Network, assoc: Association,
+def _cooperation_free(net: Network, assoc: Association, rows: tuple[Row, ...],
                       report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
     """The walk's ``Subnets`` and report on a builder's ball or torus without masters, each
     active node a subnet, by the lattice rule of spacing 1 (see the module docstring); None
@@ -361,7 +374,7 @@ def _cooperation_free(net: Network, assoc: Association,
     roles, silent, n = assoc.roles, Role.SILENT, len(net.rx_nodes)
     nk, t = len(roles) // n, n // 2
     near = [nk * c + k for c in (t, *net.rx_coop[t]) for k in range(nk)]
-    if not (_lattice_fill(net, roles, 1, nk)[0] == roles
+    if not (_lattice_fill(net, rows, roles, 1, nk) == roles
             and all(roles[x] is Role.FAST and all(roles[j] is silent for j in net.interference[x])
                     for x in near if roles[x] is not silent)):
         return None
@@ -372,11 +385,10 @@ def _cooperation_free(net: Network, assoc: Association,
                    (0, m, ())), report
 
 
-def _lattice_fill(net: Network, key: list, tau: int, nk: int) -> tuple[list, list[int]]:
-    """``association._fill_rows`` of the tau base rows of 3 tau cells read off ``key``, a
-    value per node of a builder's ball or torus: ``key`` repeats with the master lattice of
-    spacing tau exactly when it is the first list, and the master flags when the masters
-    are the second.
+def _lattice_fill(net: Network, rows: tuple[Row, ...], key: list, tau: int, nk: int) -> list:
+    """``association._fill_rows`` along ``rows`` of the tau base rows of 3 tau cells read
+    off ``key``, a value per node of a builder's ball or torus of ``rows``: ``key`` repeats
+    with the master lattice of spacing tau exactly when it is this fill.
 
     Base row c, position j, is the value of any cell (a, b) with a % tau == c and (b +
     tau * (a % 3 tau // tau)) % 3 tau == j, the cells the fill gives it.  On a torus these
@@ -386,11 +398,11 @@ def _lattice_fill(net: Network, key: list, tau: int, nk: int) -> tuple[list, lis
     t3 = 3 * tau
     if not net.has_rim:
         P = 3 * net.params["tau"] * net.params["copies"]
-        return _fill_rows(net, tau, [key[nk * P * c:nk * P * c + nk * t3] for c in range(tau)], nk)
+        return _fill_rows(rows, tau, [key[nk * P * c:nk * P * c + nk * t3] for c in range(tau)], nk)
     base = [[None] * (nk * t3) for _ in range(tau)]
     unseen = [set(range(t3)) for _ in range(tau)]
     x = 0  # the first node of row a
-    for a, lo, hi in builder_rows(net):
+    for a, lo, hi in rows:
         row, left, turn = base[a % tau], unseen[a % tau], tau * (a % t3 // tau)
         for b in range(lo, min(hi, lo + t3 - 1) + 1) if left else ():
             j, y = (b + turn) % t3, x + nk * (b - lo)
@@ -399,81 +411,165 @@ def _lattice_fill(net: Network, key: list, tau: int, nk: int) -> tuple[list, lis
         if not any(unseen):
             break
         x += nk * (hi - lo + 1)
-    return _fill_rows(net, tau, base, nk)
+    return _fill_rows(rows, tau, base, nk)
 
 
-def _torus_translates(net: Network, assoc: Association, t: int, tm: list[int], ms: list[int],
-                      hop: list[int | None]) -> list | None:
-    """The (lowest member, 1 or 2 for the template t, members, master) of every subnet of a
-    builder's torus, ``tm`` moved by a master-lattice vector, with hops; None unless the
-    roles and the masters are the lattice's fill of the base rows read off the roles
-    (``_lattice_fill``) and the translates hold every active node.
+def _template_fill(rows: tuple[Row, ...], tau: int, nk: int, tm: list[int], cells: list,
+                   hop: list) -> list:
+    """``association._fill_rows`` of the hops of the template's members ``tm``, in
+    ``cells``, at their classes and None at every other class: the hop of each translate's
+    members, as the template's members are one per class of the active nodes."""
+    t3 = 3 * tau
+    base = [[None] * (nk * t3) for _ in range(tau)]
+    for k, (a, b) in zip(tm, cells):
+        base[a % tau][nk * ((b + tau * (a % t3 // tau)) % t3) + k % nk] = hop[k]
+    return _fill_rows(rows, tau, base, nk)
 
-    The fill puts a master at id 0, so t is 0, and the template moved to master m has its
-    members' cells moved by m's place ``divmod(m, P)`` (``lattice.torus_ids``)."""
+
+def _torus_translates(net: Network, assoc: Association, rows: tuple[Row, ...], tm: list[int],
+                      ms: list[int], hop: list[int | None]) -> tuple | None:
+    """(pieces, copies, hop, classes) of a builder's torus, as ``_ball_translates``: every
+    subnet is ``tm`` moved by a master-lattice vector, and there are no rim classes; None
+    unless the roles and the masters are the lattice's fill of the base rows read off the
+    roles (``_lattice_fill``) and the translates hold every active node.
+
+    The fill puts a master at id 0, the template's, and the template moved to master m
+    has its members' cells moved by m's place ``divmod(m, P)`` (``lattice.torus_ids``)."""
     roles, tau, M = assoc.roles, net.params["tau"], net.params["copies"]
     nk, mt, P = len(net.tx_nodes) // len(net.rx_nodes), tau * M, 3 * tau * M
-    if _lattice_fill(net, roles, tau, nk) != (roles, ms):
+    if (_lattice_fill(net, rows, roles, tau, nk), _fill_masters(rows, tau)) != (roles, ms):
         return None
     if M * M * len(tm) != len(roles) - roles.count(Role.SILENT):
         return None  # an active node outside every translate
     cells, kinds = [divmod(k // nk, P) for k in tm], [k % nk for k in tm]
-    thop, nodes, pieces = [hop[k] for k in tm], net.tx_nodes, []
+    nodes, pieces = net.tx_nodes, []
     for m in ms:
         mem = [nodes[nk * i + kind] for i, kind in zip(torus_ids(cells, mt, divmod(m, P)), kinds)]
-        for k, g in zip(mem, thop):
-            hop[k] = g
         mem.sort()
-        pieces.append((mem[0], 2 if m == t else 1, mem, m))
-    return pieces
+        pieces.append((mem[0], mem, m))
+    return pieces, len(pieces), _template_fill(rows, tau, nk, tm, cells, hop), ()
 
 
-def _ball_translates(net: Network, assoc: Association, t: int, tm: list[int], ms: list[int],
-                     owner: list[int | None], hop: list[int | None],
-                     report: ValidationReport) -> list | None:
-    """The (lowest member, 0 on the rim, 1, or 2 for the template t, members, master) of
-    every component of a builder's ball: ``tm`` moved by each master-lattice vector m with
-    |m| <= radius - R (|.| the hex norm, R the largest |x| of a member), and the rim, which
-    the walk finds; None unless the roles and the masters are the lattice's fill of the
-    base rows read off the roles (``_lattice_fill``).
+def _ball_lattice(tm: list[int], cells: list, bases: list[int], radius: int, R: int,
+                 tau: int, nk: int) -> tuple[list, dict]:
+    """The whole translates of the template ``tm``, whose members lie in ``cells`` within R
+    of the centre, on a ball of ``radius`` > R, each as (lowest member, members, master),
+    and every other lattice point (a, b) with |a|, |b| <= radius + R, by its key: its six
+    side distances radius -+ a, radius -+ b and radius -+ (a - b), each clamped to [-R - 1,
+    R] (``_ball_translates``).  Cell (a, b) has id ``bases[a + radius] + b``."""
+    t3, inner, outer = 3 * tau, radius - R, radius + R
+    trows = [(a + radius, len(list(g))) for a, g in groupby(cells, itemgetter(0))]  # (index, count)
+    o = 2 * outer  # side[o + v] is radius - v clamped, for v = +-a, +-b, +-(a - b)
+    side = [min(max(radius - v, -R - 1), R) for v in range(-o, o + 1)]
+    pieces, cut = [], {}
+    for a in range(-(outer // tau) * tau, outer + 1, tau):  # the lattice points a row at a time
+        lo = max(-inner, a - inner)
+        hi = min(inner, a + inner) if abs(a) <= inner else lo - 1  # the whole translates' b
+        if lo <= hi:  # the template moved to row a, each member by its row's id shift, then by b
+            moved = list(map(add, tm, chain.from_iterable(
+                repeat(nk * (bases[r + a] - bases[r]), c) for r, c in trows)))
+            whole = range(lo + (2 * a - lo) % t3, hi + 1, t3)
+            mems = [[k + x for k in moved]
+                    for x in range(nk * whole.start, nk * whole.stop, nk * t3)]
+            pieces += zip([mem[0] for mem in mems], mems, [bases[a + radius] + b for b in whole])
+        for b in range(-outer + (2 * a + outer) % t3, outer + 1, t3):
+            if not lo <= b <= hi:
+                cut.setdefault((side[o + a], side[o - a], side[o + b], side[o - b],
+                                side[o + a - b], side[o - a + b]), []).append((a, b))
+    return pieces, cut
+
+
+def _ball_translates(net: Network, assoc: Association, rows: tuple[Row, ...], t: int,
+                     tm: list[int], ms: list[int], owner: list[int | None],
+                     hop: list[int | None], report: ValidationReport) -> tuple | None:
+    """(pieces, copies, hop, classes) of a builder's ball: the (lowest member, members,
+    master) of every component, the number of whole translates among them, the column
+    ``hop``, and the rim classes, each (its representative's pieces' lowest members, its
+    number of copies); None unless the roles and the masters are the lattice's fill of the
+    base rows read off the roles (``_lattice_fill``) and the rim is proven or walked.
 
     Then the roles on the ball are periodic modulo the lattice, and a master sits at every
-    lattice point and nowhere else.  A member x moves to x + m, with |x + m| <= R + |m| <=
-    radius, so it lies in the ball and has x's role.  When m != 0, R < radius, so each
-    neighbour y of a member lies in the ball; one that is not a member is silent, as the
-    template's walk stopped there, and y + m is silent too or outside the ball.  So each
-    translate has the template's roles, hops and silent border: it is a component with
-    one master.
+    lattice point and nowhere else.  Let R be the largest |x| of a member x of the template
+    (|.| the hex norm).  When R < radius, each neighbour of a member lies in the ball, and
+    one that is not a member is silent, as the template's walk stopped there: on the plane
+    of these roles the template is a component with one master, and so is its translate by
+    each lattice vector m.  The ball's edges are the plane's among its cells, so each
+    component of the ball is a piece of one translate cut by the ball, to its members x + m
+    with |x + m| <= radius, once the translates hold every active node (a count).  Nothing
+    is cut when |m| <= radius - R.  Otherwise the cut is fixed by m = (a, b)'s six side
+    distances radius -+ a, radius -+ b and radius -+ (a - b), each clamped to [-R - 1, R]:
+    a member's coordinates lie in [-R, R], so R keeps every member on that side and -R - 1
+    none.  The lattice points with |a|, |b| <= radius + R fall into classes of equal clamped
+    distances.  One walk from the cut members of each class's first point, its
+    representative, finds the class's pieces, masters and hops, and every other copy is
+    these moved by one id shift per row.  A violation in that walk, or a piece that reaches
+    past its cut, takes the whole walk.  When R is the radius the template is the one
+    translate, and the walk finds the rest: one class of one copy.
 
-    Cell (a, b) has id ``bases[a + radius] + b``: the first ids less the lo of the rows
-    a = -radius .. radius of ``builder_rows``, in id order.
+    ``hop`` is the template's hops filled by lattice class (``_template_fill``), overwritten
+    on the rim pieces.  Cell (a, b) has id ``bases[a + radius] + b``: the first ids less the
+    lo of the ``rows`` a = -radius .. radius, in id order.
     """
     roles, radius = assoc.roles, net.params["radius"]
     tau, nk = scheme_tau(net.model, assoc.scheme, assoc.D), len(net.tx_nodes) // len(net.rx_nodes)
-    if _lattice_fill(net, roles, tau, nk) != (roles, ms):
+    if (_lattice_fill(net, rows, roles, tau, nk), _fill_masters(rows, tau)) != (roles, ms):
         return None
-    bases = [s - lo for s, (_, lo, _) in zip(net.cell_coords.starts, builder_rows(net))]
-
     cells = [net.cell_coords[k // nk] for k in tm]
     R = max(max(abs(a), abs(b), abs(a - b)) for a, b in cells)  # the members' extent
-    rows = [(a + radius, len(list(g))) for a, g in groupby(cells, itemgetter(0))]  # (index, count)
-    reach, thop, pieces = radius - R, [hop[k] for k in tm], []
-    for a in range(-(reach // tau) * tau, reach + 1, tau):  # the lattice points a row at a time
-        # the template moved to row a, each member by its row's id shift; then along it by b
-        moved = list(map(add, tm, chain.from_iterable(repeat(nk * (bases[r + a] - bases[r]), c)
-                                                       for r, c in rows)))
-        lo = max(-reach, a - reach)
-        for b in range(lo + (2 * a - lo) % (3 * tau), min(reach, a + reach) + 1, 3 * tau):
-            mem = list(map(add, moved, repeat(nk * b)))
-            for k, g in zip(mem, thop):
-                owner[k] = -1
-                hop[k] = g
-            m = bases[a + radius] + b
-            pieces.append((mem[0], 2 if m == t else 1, mem, m))
+    for k in tm:  # an edge into the template is a cross pair of the walks below
+        owner[k] = -1
+    if R == radius:  # the template reaches the rim: the walk finds the rest
+        rm, rs, rmasters = _walk(net, assoc, report, net.tx_nodes, owner, hop,
+                                 [m for m in ms if m != t])
+        rim = [(rm[rs[j]], rm[rs[j]:rs[j + 1]], rmasters[j]) for j in range(len(rmasters))]
+        return [(tm[0], tm, t), *rim], 1, hop, [([piece[0] for piece in rim], 1)] if rim else []
 
-    rim = sorted(set(ms).difference([piece[3] for piece in pieces]))
-    rm, rs, rmasters = _walk(net, assoc, report, net.tx_nodes, owner, hop, rim)
-    return pieces + [(rm[rs[j]], 0, rm[rs[j]:rs[j + 1]], rmasters[j]) for j in range(len(rmasters))]
+    bases = [s - lo for s, (_, lo, _) in zip(net.cell_coords.starts, rows)]
+    pieces, cut = _ball_lattice(tm, cells, bases, radius, R, tau, nk)
+    copies = len(pieces)
+
+    # each class's representative, its first point: its kept members, each with its row
+    coords = [(x, y, x - y, k % nk) for k, (x, y) in zip(tm, cells)]
+    reps, nodes, masters, covered = [], [], [], copies * len(tm)
+    for (x1, x0, y1, y0, d1, d0), points in cut.items():  # kept: -x0 <= x <= x1, ...
+        (a, b), kept = points[0], {}
+        for x, y, d, kind in coords:
+            if -x0 <= x <= x1 and -y0 <= y <= y1 and -d0 <= d <= d1:
+                kept[nk * (bases[x + a + radius] + y + b) + kind] = x + a + radius
+        if kept:
+            reps.append((points, kept))
+            nodes += kept
+            covered += len(kept) * len(points)
+            if -x0 <= 0 <= x1 and -y0 <= 0 <= y1 and -d0 <= 0 <= d1:  # the master's cell
+                masters.append(bases[a + radius] + b)
+    if covered != len(roles) - roles.count(Role.SILENT):
+        return None  # an active node outside every translate
+    walked = ValidationReport()
+    rm, rs, rmasters = _walk(net, assoc, walked, nodes, owner, hop, sorted(masters))
+    if walked.violations or len(rm) != len(nodes):
+        return None
+
+    # a class's pieces are the components from its first node's on; each moves to every point
+    column = _template_fill(rows, tau, nk, tm, cells, hop)
+    first = [owner[next(iter(kept))] for _, kept in reps] + [len(rmasters)]
+    classes, partial = [], []
+    for (points, row), j0, j1 in zip(reps, first, first[1:]):
+        a0, b0 = points[0]
+        for j in range(j0, j1):
+            mem = rm[rs[j]:rs[j + 1]]
+            g, master = [hop[k] for k in mem], rmasters[j]
+            runs = [(r, len(list(run))) for r, run in groupby(mem, row.__getitem__)]
+            for a, b in points:  # the piece moved by (a - a0, b - b0), the representative's too
+                copy = list(map(add, mem, chain.from_iterable(
+                    repeat(nk * (bases[r + a - a0] - bases[r] + b - b0), c) for r, c in runs)))
+                for k, x in zip(copy, g):
+                    column[k] = x
+                if master is None:
+                    partial.append(copy[0])
+                pieces.append((copy[0], copy, None if master is None else bases[a + radius] + b))
+        classes.append(([rm[rs[j]] for j in range(j0, j1)], len(points)))
+    report.warnings += [f"partial-subnet:{k}" for k in sorted(partial)]
+    return pieces, copies, column, classes
 
 
 def _periodic_subnets(net: Network, assoc: Association, K: int,
@@ -522,7 +618,7 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
         masters.append(None)
         report.warnings.append(f"partial-subnet:{whole * P + 1}")
     return Subnets(assoc, members, starts, masters, _RunHops(((None, *hop[1:P]), K)),
-                   (0, whole, tuple(range(whole, len(masters))))), report
+                   (0, whole, (((whole,), 1),) if len(masters) > whole else ())), report
 
 
 class _RunMembers(_Computed):
@@ -572,8 +668,8 @@ def _over_budget(subnets: Subnets, budget: int, nodes) -> list[tuple[int, str]]:
 
 def _proven_first(proven, every, check) -> list[tuple[int, str]]:
     """``check``'s violations over ``every``, or over the ``proven`` columns' template
-    and rim members (if not None) when that finds none: a check that finds nothing
-    there finds nothing in the translates either."""
+    and representatives' members (if not None) when that finds none: a check that finds
+    nothing there finds nothing in their copies either."""
     if proven is not None and not (found := check(proven)):
         return found
     return check(every)
@@ -584,7 +680,8 @@ def validate(net: Network, assoc: Association) -> tuple[Subnets, ValidationRepor
     violations first, the hop-budget ones last.  A proof the decomposition found spares
     both checks the translates."""
     subnets, report = subnet_decompose(net, assoc)
-    proven = subnets.translates and list(chain.from_iterable(subnets.template_and_rim()))
+    proven = (t := subnets.translates) and subnets.members_of(
+        [t[0], *chain.from_iterable(reps for reps, _ in t[2])])
     report.violations[:0] = _proven_first(proven, net.tx_nodes,
                                           partial(_fast_violations, net, assoc))
     report.violations += _proven_first(proven, subnets.members,

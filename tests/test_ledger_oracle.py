@@ -34,7 +34,7 @@ from mgnet import (HEX, SECTORED, WYNER, LoadReport, Network, Role, Scheme, Subn
                    build_sectored_hex_torus, build_wyner, check_params, loads, message_ledger,
                    subnet_decompose, validate, validation)
 from mgnet.association import scheme_tau
-from mgnet.lattice import NEIGHBOR_STEPS, hex_distance
+from mgnet.lattice import NEIGHBOR_STEPS, ball, hex_distance, is_master
 from mgnet.validation import hop_budget
 
 from test_loads import _oracle_networks, _raises, step_order, valid_range, walk_link_uses
@@ -293,7 +293,8 @@ def assert_period_matches_walk(net, D, scheme):
     walk, walk_report = _and_walk(subnet_decompose, net, assoc)
     K, P = net.n_tx, D + 2 if scheme.cooperative else 2
     whole = (K + 1) // P
-    tail = () if K % P in (0, P - 1) else (whole,)  # the runs after the last whole one
+    # the runs after the last whole one: the tail run, a class of one copy
+    tail = () if K % P in (0, P - 1) else (((whole,), 1),)
     assert subnets.translates == ((0, whole, tail) if K >= 2 * P else None)
     assert walk.translates is None
     for col in COLUMNS:
@@ -656,12 +657,31 @@ def test_ball_lattice_at_bench_scale(model, radius, D, scheme):
     assert assert_lattice_matches_walk(net, D, scheme)
     assoc = assign(net, D, scheme)
     # the translates are the master-lattice points within radius - R of the centre, R the
-    # template members' extent (3 on these hex balls, 2 on the sectorized); the rim the rest
-    _, copies, rim = validate(net, assoc)[0].translates
+    # template members' extent (3 on these hex balls, 2 on the sectorized); the rim the rest,
+    # the pieces of the cut translates, in classes of one cut up to translation
+    subnets = validate(net, assoc)[0]
+    walk = _and_walk(validate, net, assoc)[0]
+    template, copies, classes = subnets.translates
     if scheme.cooperative:
-        assert (copies, len(rim)) == ((379, 117) if model == SECTORED
-                                      else (211, 30) if scheme.mixed else (133, 24))
-    assert_links_carry_one_subnet(net, assoc, _and_walk(validate, net, assoc)[0])
+        cut, pieces = sum(n for _, n in classes), sum(len(reps) * n for reps, n in classes)
+        assert (copies, len(classes), cut, pieces) == (
+            (379, 15, 81, 117) if model == SECTORED
+            else (211, 12, 30, 30) if scheme.mixed else (133, 12, 24, 24))
+        assert copies + pieces == len(walk)
+        # the same counts from the plane's lattice points and the template's cells
+        nk = len(net.tx_nodes) // len(net.rx_nodes)
+        cells = {(net.cell_coords[k // nk], k % nk)
+                 for k in subnets.members[subnets.starts[template]:subnets.starts[template + 1]]}
+        R = max(hex_distance(x, (0, 0)) for x, _ in cells)
+        whole, shapes = 0, []
+        for m in ball(radius + R):
+            if is_master(m, scheme_tau(model, scheme, D)):
+                kept = frozenset((x, k) for x, k in cells
+                                 if hex_distance((x[0] + m[0], x[1] + m[1]), (0, 0)) <= radius)
+                whole += hex_distance(m, (0, 0)) <= radius - R
+                shapes += [kept] if kept and hex_distance(m, (0, 0)) > radius - R else []
+        assert (whole, len(set(shapes)), len(shapes)) == (copies, len(classes), cut)
+    assert_links_carry_one_subnet(net, assoc, walk)
 
 
 @cache
@@ -807,6 +827,14 @@ def _extra_master(cell):
     return net, replace(a, masters=tuple(sorted({*a.masters, _cell(net, cell)})))
 
 
+def _silenced_ball_rings():
+    net, a = _ball_case()
+    for m in a.masters:  # the roles repeat, but each master is alone, away from its subnet
+        for nbr in net.interference[m]:
+            a.roles[nbr] = Role.SILENT
+    return net, a
+
+
 def _replaced_tuple():
     net, _ = _ball_case()
     adj = list(net.interference)
@@ -877,6 +905,8 @@ def _at(net, coord, kind=None):
     (lambda: _extra_master((5, 8)), False, lambda net: [(_at(net, (5, 8)), "multi-master")]),
     # a rim master inside the translate at (4, 8)
     (lambda: _extra_master((4, 11)), False, lambda net: [(_at(net, (4, 11)), "multi-master")]),
+    # the translates hold the masters alone: the count of active nodes finds the others
+    (_silenced_ball_rings, False, lambda net: []),
     (_replaced_tuple, False, lambda net: [
         (_at(net, (1, 1)), f"cross-subnet-interference-{_at(net, (-4, -8))}")]),
     # the rim component is searched first and takes in the central subnet, with its master
@@ -893,6 +923,7 @@ def _at(net, coord, kind=None):
         (_at(net, (-4, 4)), f"fast-interference-from-{_at(net, (-3, 4))}")]),
 ], ids=["interior-role", "later-interior-role", "periodic-clash", "dropped-master",
         "dropped-centre-master", "slow-separator", "extra-master", "extra-rim-master",
+        "silenced-rings",
         "replaced-tuple", "rim-edge-before", "rim-edge-after", "cut-rx-link", "long-roles",
         "roles-along-one-generator", "roles-along-the-other"])
 def test_ball_lattice_falls_back_to_the_walk(make, proven, violations):
@@ -911,6 +942,39 @@ def test_ball_lattice_falls_back_to_the_walk(make, proven, violations):
     assert [(s.members, s.master, s.gamma) for s in subnets] == \
         [(s.members, s.master, s.gamma) for s in ref_subnets]
     assert message_ledger(net, assoc, subnets) == ref_message_ledger(net, assoc, ref_subnets)
+
+
+def _rim_copy(net, subnets, near):
+    """The lowest member of the rim piece nearest the cell ``near`` that is no class's
+    representative: a piece of a cut translate other than its class's first."""
+    template, _, classes = subnets.translates
+    members, starts, nk = subnets.members, subnets.starts, len(net.tx_nodes) // len(net.rx_nodes)
+    size, reps = starts[template + 1] - starts[template], {j for ix, _ in classes for j in ix}
+    copies = [members[starts[j]] for j in range(len(subnets))
+              if starts[j + 1] - starts[j] != size and j not in reps]
+    return min(copies, key=lambda k: hex_distance(net.cell_coords[k // nk], near))
+
+
+@pytest.mark.parametrize("edit", ["flip", "master"])
+@pytest.mark.parametrize("where", ["side", "corner"])
+@pytest.mark.parametrize("model, radius, D", [(HEX, 20, 8), (SECTORED, 12, 4)],
+                         ids=["hex", "sectorized"])
+def test_ball_rim_copy_edited_falls_back(model, radius, D, where, edit):
+    """One copy of a rim class, not its representative, near a side or a corner of the
+    ball, with one role flipped or a master added: the ball takes the walk, with the walk's
+    columns, report and ledger."""
+    net = _ball(model, radius)
+    assoc = assign(net, D, Scheme.BOTH_COMP_RX)
+    subnets = validate(net, assoc)[0]
+    assert subnets.translates[2]  # proven, with rim classes
+    k = _rim_copy(net, subnets, (radius, radius // 2) if where == "side" else (radius, 0))
+    if edit == "flip":
+        assoc.roles[k] = Role.SLOW if assoc.roles[k] is Role.FAST else Role.FAST
+    else:
+        cell = net.tx_cell[k]
+        assert cell not in assoc.masters
+        assoc = replace(assoc, masters=tuple(sorted({*assoc.masters, cell})))
+    assert not assert_proof_is_walk(net, assoc)
 
 
 @pytest.mark.parametrize("model, scheme, D", [
