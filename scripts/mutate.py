@@ -242,15 +242,16 @@ MUTANTS = [
            "key[nk * P * c + nk:nk * P * c + nk * t3]",
            (FALLBACK, ORACLE + "test_torus_lattice_matches_walk[Hexagonal]",
             ORACLE + "test_torus_lattice_matches_walk[SectorizedHexagonal]", TORUS_BASE)),
-    Mutant("torus-masters-compare-dropped", "src/mgnet/validation.py",
-           "3 * tau * M\n    if (_lattice_fill(net, rows, roles, tau, nk), _fill_masters(rows, tau))"
+    # the one fill compare and coverage count of a ball's and a torus's proof
+    Mutant("lattice-masters-compare-dropped", "src/mgnet/validation.py",
+           "    if (_lattice_fill(net, rows, roles, tau, nk), _fill_masters(rows, tau))"
            " != (roles, ms):",
-           "3 * tau * M\n    if _lattice_fill(net, rows, roles, tau, nk) != roles:",
-           (FALLBACK,)),
-    Mutant("torus-coverage-unchecked", "src/mgnet/validation.py",
-           "if M * M * len(tm) != len(roles) - roles.count(Role.SILENT):",
+           "    if _lattice_fill(net, rows, roles, tau, nk) != roles:",
+           (FALLBACK, BALL_FALLBACK + "[extra-rim-master]")),
+    Mutant("lattice-coverage-unchecked", "src/mgnet/validation.py",
+           "if starts[-1] != len(roles) - roles.count(Role.SILENT):",
            "if False:",
-           (FALLBACK + "[silenced-rings]",)),
+           (FALLBACK + "[silenced-rings]", BALL_FALLBACK + "[silenced-rings]")),
     # the base rows read off a ball's roles at the positions the fill gives the cells
     Mutant("ball-base-turn-reversed", "src/mgnet/validation.py",
            "j, y = (b + turn) % t3, x + nk * (b - lo)",
@@ -258,11 +259,12 @@ MUTANTS = [
            (SMALL_BALLS + "[Hexagonal-BothCompRx-14]",
             SMALL_BALLS + "[SectorizedHexagonal-SlowOnlyCompRx-8]",
             ORACLE + "test_ball_lattice_matches_walk_and_reference[hex]")),
-    Mutant("ball-masters-compare-dropped", "src/mgnet/validation.py",
-           "len(net.rx_nodes)\n    if (_lattice_fill(net, rows, roles, tau, nk), _fill_masters(rows, tau))"
-           " != (roles, ms):",
-           "len(net.rx_nodes)\n    if _lattice_fill(net, rows, roles, tau, nk) != roles:",
-           (BALL_FALLBACK + "[extra-rim-master]",)),
+    # a ball that its template spans keeps the template's fill on its walked rim
+    Mutant("spanning-ball-rim-hops-dropped", "src/mgnet/validation.py",
+           "        column[:] = hop\n",
+           "",
+           (SMALL_BALLS + "[SectorizedHexagonal-SlowOnlyCompRx-8]",
+            ORACLE + "test_ball_lattice_matches_walk_and_reference[sectorized]")),
     # a translate one step past the reach leaves the ball and reads other rows' ids
     Mutant("ball-reach-wider", "src/mgnet/validation.py",
            "t3, inner, outer = 3 * tau, radius - R, radius + R",
@@ -278,8 +280,8 @@ MUTANTS = [
             BENCH_SCALE + "[SectorizedHexagonal-40-4-BothCompRx]")),
     # the ledger counts each rim class's representative once, not times its copies
     Mutant("rim-class-copies-counted-once", "src/mgnet/loads.py",
-           "for reps, n in (((i,), copies), *classes)]",
-           "for reps, n in (((i,), copies), *((reps, 1) for reps, _ in classes))]",
+           "for reps, n in t]",
+           "for reps, n in t[:1] + tuple((reps, 1) for reps, _ in t[1:])]",
            (BENCH_SCALE + "[Hexagonal-60-8-BothCompTx]",
             BENCH_SCALE + "[SectorizedHexagonal-40-4-SlowOnlyCompRx]")),
     # cooperation-free roles that repeat: two fast neighbours taken for two subnets

@@ -26,13 +26,12 @@ shortest-path tree, from the hops alone: a subnet's cells are walked leaves
 first, and each sends its subtree's count to its parent, the first cell in
 its adjacency (unit-step order, which a translation keeps) one hop nearer
 the master that links to it both ways.  Columns a proof built
-(``Subnets.translates``) are counted from the template's fast nodes and
-subnet, once, times the number of translates, plus each rim class's
-representative's nodes and subnets, once, times its number of copies; only
-the links of these cells are numbered, and the per-cell scratch ends at the
-last of them.  On a builder's network no link carries two subnets'
-messages, and a copy loads its links as its representative does, so each
-link maximum is the template's or a representative's.  Every other
+(``Subnets.translates``, a list of classes, the template's first) are counted
+from each class's representative's nodes and subnets, once, times its number
+of copies; only the links of these cells are numbered, and the per-cell
+scratch ends at the last of them.  On a builder's network no link carries
+two subnets' messages, and a copy loads its links as its representative
+does, so each link maximum is a representative's.  Every other
 ``Subnets`` is counted node by node, over the links of every Tx node and
 cell.
 A maximum is read only from link counts that a message reached: precancels
@@ -235,21 +234,19 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
 
 def _tally(net: Network, assoc: Association, subnets: Subnets,
            t: tuple | None) -> tuple[list[int], list[int], list[int]]:
-    """(counts, tx_use, rx_use) of every node and subnet once (``t`` None), or of
-    the template's nodes and subnet ``copies`` times and of each rim class's
-    representative's nodes and subnets times its number of copies (``t`` is
-    ``Subnets.translates``).  Links get a counter if they leave a numbered node (every Tx
-    node, or the template's and the representatives') or its cell.  The per-cell scratch
-    runs up to the last numbered cell: P slots, not K + 1, on a proven line without a tail
-    run."""
+    """(counts, tx_use, rx_use) of every node and subnet once (``t`` None), or of each
+    class's representative's nodes and subnets times its number of copies (``t`` is
+    ``Subnets.translates``, the template's class first).  Links get a counter if they
+    leave a numbered node (every Tx node, or the representatives') or its cell.  The
+    per-cell scratch runs up to the last numbered cell: P slots, not K + 1, on a proven
+    line without a tail run."""
     adjs = net.interference, net.tx_coop, net.rx_coop
     if t is None:
         # precancel and fast-share messages run between a fast and a slow node
         nodes = net.tx_nodes if Role.SLOW in assoc.roles else ()
         parts, numbered = [(1, nodes, range(len(subnets)))], net.tx_nodes
     else:
-        i, copies, classes = t
-        parts = [(n, subnets.members_of(reps), reps) for reps, n in (((i,), copies), *classes)]
+        parts = [(n, subnets.members_of(reps), reps) for reps, n in t]
         # a message runs between two cells of its own subnet
         numbered = list(chain.from_iterable(nodes for _, nodes, _ in parts))
     _, tx_adj, rx_adj = adjs

@@ -32,22 +32,22 @@ is checked before most of the walk is spared:
   1..P-1: the whole runs repeat run 0's hops, and the shorter tail run has
   no master.  Its members and hops are computed from P, K and run 0's
   hops, not listed.
-* A ball: the component of its centre cell (0, 0), the template, is
-  walked and must hold that cell alone as its master (every ``assign``
-  makes it one).  The roles and masters must be the master lattice's fill
-  (``association._fill_rows``) of base rows read off the roles themselves
-  (``_lattice_fill``); each lattice point within radius - R of the centre, R
-  the template's extent, holds the template moved by one id shift per row.
-  The rim is the translates that the ball cuts, in classes of one cut
-  pattern: one walk from one representative per class finds its pieces,
-  every other copy is those moved, and the translates must hold every
-  active node.  A ball that the template spans (R = radius) walks its rim.
-* A torus: every subnet is a translate of the template, the subnet of the
-  master at id 0.  The roles and masters must be the fill of base rows read
-  off the roles, as on a ball (on a torus the starts of its first rows of
-  ids, ``lattice``), and the translates must hold every active node; their
-  members are the template's cells moved by each master's place
-  (``lattice.torus_ids``).
+* A ball or torus with masters (``_lattice_subnets``): the roles and masters
+  must be the master lattice's fill (``association._fill_rows``) of base
+  rows read off the roles themselves (``_lattice_fill``; on a torus the
+  starts of its first rows of ids, ``lattice``).  The template, the component
+  of a ball's centre cell (0, 0) or of a torus's master at id 0, is walked
+  and must hold that cell alone as its master (every ``assign`` makes it
+  one), and the translates must hold every active node.  ``hop`` is the fill
+  of the template's hops, one per lattice class of its members (None on the
+  silent classes).  On a torus every subnet is a translate of the template,
+  its cells moved by each master's place (``lattice.torus_ids``).  On a ball
+  each lattice point within radius - R of the centre, R the template's
+  extent, holds the template moved by one id shift per row.  The rim is the
+  translates that the ball cuts, in classes of one cut pattern: one walk
+  from one representative per class finds its pieces, every other copy is
+  those moved, and their hops overwrite the fill.  A ball that the template
+  spans (R = radius) walks its rim and keeps the hops of its walks.
 * A ball or torus without masters or cooperation: each active node is a
   subnet, a translate of the first, if the roles repeat with the lattice of
   spacing 1, whose classes are a + b mod 3 (the roles are the fill of
@@ -58,17 +58,13 @@ is checked before most of the walk is spared:
   node and its neighbours, which lie in the ball when its radius is at
   least 2; a smaller ball is t and its neighbours.
 
-After a ball's or torus's master-lattice proof, ``hop`` is the fill of the
-template's hops, one per lattice class of its members (None on the silent
-classes), overwritten on a ball's rim pieces; a ball that its template spans
-keeps the hops of its walks.
-
 Any failed check takes the whole walk, so the violations and their order
 are always the walk's.  ``validate``, the one check of an association, puts
 the fast-independence violations first and the hop-budget ones last; after
-a proof (``Subnets.translates``) it checks both on the template and the rim
-classes' representatives alone, and on every node only when that finds a
-violation.  A report reads its verdicts off its ``(node, code)`` violations.
+a proof (``Subnets.translates``) it checks both on the classes'
+representatives alone, the template first, and on every node only when that
+finds a violation.  A report reads its verdicts off its ``(node, code)``
+violations.
 """
 
 from __future__ import annotations
@@ -104,17 +100,16 @@ class Subnets(Sequence):
     or a path.  ``members`` and ``hop`` are lists indexed by position and id,
     or, on a proven line, computed sequences that index, slice (to lists) and
     compare like them.  ``assoc`` is the association the columns were built from.
-    ``translates`` is None after the general walk, and (template, copies,
-    classes) after a proof (see the module docstring): component ``template``
-    and ``copies - 1`` others (a line's whole runs, the subnets of a ball
-    at the master-lattice points in its reach, every subnet of a torus) are
-    translates of one another.  Each rim class is (indices, n): the
-    components ``indices`` of its representative, whose pieces each of its
-    ``n`` copies repeats moved (a ball's cut translates of one pattern; a
-    line's tail run, or the walked rim of a small ball, is one class of one
-    copy).  The template and the representatives are all that ``validate``
-    and ``message_ledger`` read.  Indexing builds a ``Subnet`` view, whose
-    ``gamma`` lists the members in node order (not in BFS order).
+    ``translates`` is None after the general walk, and after a proof (see the
+    module docstring) a tuple of classes (indices, n): the components ``indices``
+    of a representative, whose pieces each of the class's ``n`` copies repeats
+    moved.  The template's class, ((template,), copies), comes first: a line's
+    whole runs, the subnets of a ball at the master-lattice points in its reach,
+    every subnet of a torus, each active node without cooperation.  A ball's cut
+    translates of one pattern are a class; a line's tail run, or the walked rim
+    of a small ball, is one class of one copy.  The representatives are all that
+    ``validate`` and ``message_ledger`` read.  Indexing builds a ``Subnet`` view,
+    whose ``gamma`` lists the members in node order (not in BFS order).
     """
 
     __slots__ = ("assoc", "members", "starts", "masters", "hop", "translates")
@@ -231,6 +226,7 @@ def subnet_decompose(net: Network, assoc: Association) -> tuple[Subnets, Validat
         solved = None
     if solved is not None:
         return solved
+    report = ValidationReport(report.hop_budget)  # without a failed proof's warnings
     n = len(assoc.roles)
     hop: list[int | None] = [None] * n
     members, starts, masters = _walk(net, assoc, report, net.tx_nodes, [None] * n, hop,
@@ -332,37 +328,49 @@ def _walk(net: Network, assoc: Association, report: ValidationReport, nodes,
 def _lattice_subnets(net: Network, assoc: Association, rows: tuple[Row, ...],
                      report: ValidationReport) -> tuple[Subnets, ValidationReport] | None:
     """The walk's ``Subnets`` and report on a builder's ball or torus of ``rows``
-    (``builder_rows``), from one template
-    (the subnet of a ball's centre cell, of a torus's lowest master), its translates and,
-    on a ball, its rim classes (see the module docstring), for a hexagonal association with
-    masters or a sectorized CoMP-Rx one; otherwise None."""
+    (``builder_rows``), for a hexagonal association with masters or a sectorized CoMP-Rx
+    one, from one template, the subnet of a ball's centre cell or of a torus's master at id
+    0; otherwise None.  The roles and the masters must be the lattice's fill of the base
+    rows read off the roles (``_lattice_fill``), the template must hold its cell's master
+    alone, and the pieces that ``_ball_translates`` or ``_torus_translates`` finds must
+    hold every active node (see the module docstring).  ``hop`` starts as the template's
+    hops filled by lattice class (``_template_fill``)."""
     roles, scheme = assoc.roles, assoc.scheme
     if not (assoc.masters and scheme.cooperative
             and (net.model == HEX or scheme.comp_side == "rx")):
         return None
     n = len(net.rx_nodes)
     nk = len(net.tx_nodes) // n  # nodes per cell
-    if not (ms := sorted(m for m in set(assoc.masters) if 0 <= m < n)):
+    tau = scheme_tau(net.model, scheme, assoc.D) if net.has_rim else net.params["tau"]
+    ms = sorted(m for m in set(assoc.masters) if 0 <= m < n)
+    if (_lattice_fill(net, rows, roles, tau, nk), _fill_masters(rows, tau)) != (roles, ms):
         return None
-    t = n // 2 if net.has_rim else ms[0]  # a ball's centre cell (0, 0); the fill's 0 on a torus
+    t = n // 2 if net.has_rim else 0  # a ball's centre cell (0, 0); the fill's 0 on a torus
     owner, hop = [None] * len(roles), [None] * len(roles)
     tm, _, tmasters = _walk(net, assoc, ValidationReport(), range(nk * t, nk * t + nk), owner,
                             hop, ms)
     if tmasters != [t]:
         return None
-    found = (_ball_translates(net, assoc, rows, t, tm, ms, owner, hop, report) if net.has_rim
-             else _torus_translates(net, assoc, rows, tm, ms, hop))
+    if net.has_rim:
+        cells = [net.cell_coords[k // nk] for k in tm]
+    else:  # a torus cell's place: 3 tau M ids per row
+        P = 3 * tau * net.params["copies"]
+        cells = [divmod(k // nk, P) for k in tm]
+    column = _template_fill(rows, tau, nk, tm, cells, hop)
+    found = (_ball_translates(net, assoc, rows, t, tau, tm, cells, ms, owner, hop, column, report)
+             if net.has_rim else _torus_translates(net, tm, cells, ms))
     if found is None:
         return None
     # every component, in order of its lowest member; a class by its pieces' lowest members
-    pieces, copies, hop, classes = found
+    pieces, classes = found
     pieces.sort(key=itemgetter(0))
     firsts, mems, masters = zip(*pieces)
+    starts = array("q", accumulate(map(len, mems), initial=0))
+    if starts[-1] != len(roles) - roles.count(Role.SILENT):
+        return None  # an active node outside every translate
     at = dict(zip(firsts, range(len(firsts))))
-    return Subnets(assoc, list(chain.from_iterable(mems)),
-                   array("q", accumulate(map(len, mems), initial=0)), list(masters), hop,
-                   (at[tm[0]], copies,
-                    tuple((tuple(map(at.__getitem__, reps)), k) for reps, k in classes))), report
+    return Subnets(assoc, list(chain.from_iterable(mems)), starts, list(masters), column,
+                   tuple((tuple(map(at.__getitem__, reps)), k) for reps, k in classes)), report
 
 
 def _cooperation_free(net: Network, assoc: Association, rows: tuple[Row, ...],
@@ -382,7 +390,7 @@ def _cooperation_free(net: Network, assoc: Association, rows: tuple[Row, ...],
     if not (m := len(members)):
         return None
     return Subnets(assoc, members, range(m + 1), [None] * m, [None] * len(roles),
-                   (0, m, ())), report
+                   (((0,), m),)), report
 
 
 def _lattice_fill(net: Network, rows: tuple[Row, ...], key: list, tau: int, nk: int) -> list:
@@ -426,28 +434,19 @@ def _template_fill(rows: tuple[Row, ...], tau: int, nk: int, tm: list[int], cell
     return _fill_rows(rows, tau, base, nk)
 
 
-def _torus_translates(net: Network, assoc: Association, rows: tuple[Row, ...], tm: list[int],
-                      ms: list[int], hop: list[int | None]) -> tuple | None:
-    """(pieces, copies, hop, classes) of a builder's torus, as ``_ball_translates``: every
-    subnet is ``tm`` moved by a master-lattice vector, and there are no rim classes; None
-    unless the roles and the masters are the lattice's fill of the base rows read off the
-    roles (``_lattice_fill``) and the translates hold every active node.
-
-    The fill puts a master at id 0, the template's, and the template moved to master m
-    has its members' cells moved by m's place ``divmod(m, P)`` (``lattice.torus_ids``)."""
-    roles, tau, M = assoc.roles, net.params["tau"], net.params["copies"]
-    nk, mt, P = len(net.tx_nodes) // len(net.rx_nodes), tau * M, 3 * tau * M
-    if (_lattice_fill(net, rows, roles, tau, nk), _fill_masters(rows, tau)) != (roles, ms):
-        return None
-    if M * M * len(tm) != len(roles) - roles.count(Role.SILENT):
-        return None  # an active node outside every translate
-    cells, kinds = [divmod(k // nk, P) for k in tm], [k % nk for k in tm]
-    nodes, pieces = net.tx_nodes, []
+def _torus_translates(net: Network, tm: list[int], cells: list, ms: list[int]) -> tuple:
+    """(pieces, classes) of a builder's torus, as ``_ball_translates``: every subnet is the
+    template ``tm``, whose members lie in ``cells``, moved to one of the masters ``ms``, and
+    the template's class is the one class.  The template moved to master m has its members'
+    cells moved by m's place ``divmod(m, 3 tau M)`` (``lattice.torus_ids``)."""
+    nk, mt = len(net.tx_nodes) // len(net.rx_nodes), net.params["tau"] * net.params["copies"]
+    nodes, kinds, pieces = net.tx_nodes, [k % nk for k in tm], []
     for m in ms:
-        mem = [nodes[nk * i + kind] for i, kind in zip(torus_ids(cells, mt, divmod(m, P)), kinds)]
+        mem = [nodes[nk * i + kind]
+               for i, kind in zip(torus_ids(cells, mt, divmod(m, 3 * mt)), kinds)]
         mem.sort()
         pieces.append((mem[0], mem, m))
-    return pieces, len(pieces), _template_fill(rows, tau, nk, tm, cells, hop), ()
+    return pieces, [([tm[0]], len(pieces))]
 
 
 def _ball_lattice(tm: list[int], cells: list, bases: list[int], radius: int, R: int,
@@ -480,57 +479,55 @@ def _ball_lattice(tm: list[int], cells: list, bases: list[int], radius: int, R: 
 
 
 def _ball_translates(net: Network, assoc: Association, rows: tuple[Row, ...], t: int,
-                     tm: list[int], ms: list[int], owner: list[int | None],
-                     hop: list[int | None], report: ValidationReport) -> tuple | None:
-    """(pieces, copies, hop, classes) of a builder's ball: the (lowest member, members,
-    master) of every component, the number of whole translates among them, the column
-    ``hop``, and the rim classes, each (its representative's pieces' lowest members, its
-    number of copies); None unless the roles and the masters are the lattice's fill of the
-    base rows read off the roles (``_lattice_fill``) and the rim is proven or walked.
+                     tau: int, tm: list[int], cells: list, ms: list[int],
+                     owner: list[int | None], hop: list[int | None], column: list,
+                     report: ValidationReport) -> tuple | None:
+    """(pieces, classes) of a builder's ball whose roles and masters are the lattice's fill:
+    the (lowest member, members, master) of every component, and its classes, each (its
+    representative's pieces' lowest members, its number of copies), the template's first;
+    None unless the rim is proven.
 
-    Then the roles on the ball are periodic modulo the lattice, and a master sits at every
+    So the roles on the ball are periodic modulo the lattice, and a master sits at every
     lattice point and nowhere else.  Let R be the largest |x| of a member x of the template
-    (|.| the hex norm).  When R < radius, each neighbour of a member lies in the ball, and
-    one that is not a member is silent, as the template's walk stopped there: on the plane
-    of these roles the template is a component with one master, and so is its translate by
-    each lattice vector m.  The ball's edges are the plane's among its cells, so each
-    component of the ball is a piece of one translate cut by the ball, to its members x + m
-    with |x + m| <= radius, once the translates hold every active node (a count).  Nothing
-    is cut when |m| <= radius - R.  Otherwise the cut is fixed by m = (a, b)'s six side
-    distances radius -+ a, radius -+ b and radius -+ (a - b), each clamped to [-R - 1, R]:
-    a member's coordinates lie in [-R, R], so R keeps every member on that side and -R - 1
-    none.  The lattice points with |a|, |b| <= radius + R fall into classes of equal clamped
-    distances.  One walk from the cut members of each class's first point, its
-    representative, finds the class's pieces, masters and hops, and every other copy is
-    these moved by one id shift per row.  A violation in that walk, or a piece that reaches
-    past its cut, takes the whole walk.  When R is the radius the template is the one
-    translate, and the walk finds the rest: one class of one copy.
+    ``tm``, whose cells are ``cells`` (|.| the hex norm).  When R < radius, each neighbour
+    of a member lies in the ball, and one that is not a member is silent, as the template's
+    walk stopped there: on the plane of these roles the template is a component with one
+    master, and so is its translate by each lattice vector m.  The ball's edges are the
+    plane's among its cells, so each component of the ball is a piece of one translate cut
+    by the ball, to its members x + m with |x + m| <= radius, once the translates hold every
+    active node (``_lattice_subnets`` counts them).  Nothing is cut when |m| <= radius - R.
+    Otherwise the cut is fixed by m = (a, b)'s six side distances radius -+ a, radius -+ b
+    and radius -+ (a - b), each clamped to [-R - 1, R]: a member's coordinates lie in [-R,
+    R], so R keeps every member on that side and -R - 1 none.  The lattice points with |a|,
+    |b| <= radius + R fall into classes of equal clamped distances.  One walk from the cut
+    members of each class's first point, its representative, finds the class's pieces,
+    masters and hops, and every other copy is these moved by one id shift per row.  A
+    violation in that walk, or a piece that reaches past its cut, takes the whole walk.
+    When R is the radius the template is the one translate, and the walk finds the rest:
+    one class of one copy.
 
-    ``hop`` is the template's hops filled by lattice class (``_template_fill``), overwritten
-    on the rim pieces.  Cell (a, b) has id ``bases[a + radius] + b``: the first ids less the
-    lo of the ``rows`` a = -radius .. radius, in id order.
+    The rim pieces' hops are written into ``column``, the template's hops filled by lattice
+    class; a ball that its template spans takes the walks' ``hop``.  Cell (a, b) has id
+    ``bases[a + radius] + b``: the first ids less the lo of the ``rows`` a = -radius ..
+    radius, in id order.
     """
-    roles, radius = assoc.roles, net.params["radius"]
-    tau, nk = scheme_tau(net.model, assoc.scheme, assoc.D), len(net.tx_nodes) // len(net.rx_nodes)
-    if (_lattice_fill(net, rows, roles, tau, nk), _fill_masters(rows, tau)) != (roles, ms):
-        return None
-    cells = [net.cell_coords[k // nk] for k in tm]
+    radius, nk = net.params["radius"], len(net.tx_nodes) // len(net.rx_nodes)
     R = max(max(abs(a), abs(b), abs(a - b)) for a, b in cells)  # the members' extent
     for k in tm:  # an edge into the template is a cross pair of the walks below
         owner[k] = -1
     if R == radius:  # the template reaches the rim: the walk finds the rest
         rm, rs, rmasters = _walk(net, assoc, report, net.tx_nodes, owner, hop,
                                  [m for m in ms if m != t])
+        column[:] = hop
         rim = [(rm[rs[j]], rm[rs[j]:rs[j + 1]], rmasters[j]) for j in range(len(rmasters))]
-        return [(tm[0], tm, t), *rim], 1, hop, [([piece[0] for piece in rim], 1)] if rim else []
+        return [(tm[0], tm, t), *rim], [([tm[0]], 1)] + [([p[0] for p in rim], 1)] * bool(rim)
 
     bases = [s - lo for s, (_, lo, _) in zip(net.cell_coords.starts, rows)]
     pieces, cut = _ball_lattice(tm, cells, bases, radius, R, tau, nk)
-    copies = len(pieces)
 
     # each class's representative, its first point: its kept members, each with its row
     coords = [(x, y, x - y, k % nk) for k, (x, y) in zip(tm, cells)]
-    reps, nodes, masters, covered = [], [], [], copies * len(tm)
+    reps, nodes, masters, classes = [], [], [], [([tm[0]], len(pieces))]
     for (x1, x0, y1, y0, d1, d0), points in cut.items():  # kept: -x0 <= x <= x1, ...
         (a, b), kept = points[0], {}
         for x, y, d, kind in coords:
@@ -539,20 +536,16 @@ def _ball_translates(net: Network, assoc: Association, rows: tuple[Row, ...], t:
         if kept:
             reps.append((points, kept))
             nodes += kept
-            covered += len(kept) * len(points)
             if -x0 <= 0 <= x1 and -y0 <= 0 <= y1 and -d0 <= 0 <= d1:  # the master's cell
                 masters.append(bases[a + radius] + b)
-    if covered != len(roles) - roles.count(Role.SILENT):
-        return None  # an active node outside every translate
     walked = ValidationReport()
     rm, rs, rmasters = _walk(net, assoc, walked, nodes, owner, hop, sorted(masters))
     if walked.violations or len(rm) != len(nodes):
         return None
 
     # a class's pieces are the components from its first node's on; each moves to every point
-    column = _template_fill(rows, tau, nk, tm, cells, hop)
     first = [owner[next(iter(kept))] for _, kept in reps] + [len(rmasters)]
-    classes, partial = [], []
+    partial = []
     for (points, row), j0, j1 in zip(reps, first, first[1:]):
         a0, b0 = points[0]
         for j in range(j0, j1):
@@ -569,7 +562,7 @@ def _ball_translates(net: Network, assoc: Association, rows: tuple[Row, ...], t:
                 pieces.append((copy[0], copy, None if master is None else bases[a + radius] + b))
         classes.append(([rm[rs[j]] for j in range(j0, j1)], len(points)))
     report.warnings += [f"partial-subnet:{k}" for k in sorted(partial)]
-    return pieces, copies, column, classes
+    return pieces, classes
 
 
 def _periodic_subnets(net: Network, assoc: Association, K: int,
@@ -618,7 +611,7 @@ def _periodic_subnets(net: Network, assoc: Association, K: int,
         masters.append(None)
         report.warnings.append(f"partial-subnet:{whole * P + 1}")
     return Subnets(assoc, members, starts, masters, _RunHops(((None, *hop[1:P]), K)),
-                   (0, whole, (((whole,), 1),) if len(masters) > whole else ())), report
+                   (((0,), whole), ((whole,), 1))[:1 + (len(masters) > whole)]), report
 
 
 class _RunMembers(_Computed):
@@ -681,7 +674,7 @@ def validate(net: Network, assoc: Association) -> tuple[Subnets, ValidationRepor
     both checks the translates."""
     subnets, report = subnet_decompose(net, assoc)
     proven = (t := subnets.translates) and subnets.members_of(
-        [t[0], *chain.from_iterable(reps for reps, _ in t[2])])
+        chain.from_iterable(reps for reps, _ in t))
     report.violations[:0] = _proven_first(proven, net.tx_nodes,
                                           partial(_fast_violations, net, assoc))
     report.violations += _proven_first(proven, subnets.members,

@@ -22,7 +22,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate
-from operator import is_
+from operator import is_, sub
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -295,7 +295,7 @@ def assert_period_matches_walk(net, D, scheme):
     whole = (K + 1) // P
     # the runs after the last whole one: the tail run, a class of one copy
     tail = () if K % P in (0, P - 1) else (((whole,), 1),)
-    assert subnets.translates == ((0, whole, tail) if K >= 2 * P else None)
+    assert subnets.translates == ((((0,), whole), *tail) if K >= 2 * P else None)
     assert walk.translates is None
     for col in COLUMNS:
         assert list(getattr(subnets, col)) == list(getattr(walk, col)), col
@@ -614,6 +614,15 @@ def assert_proof_is_walk(net, assoc):
     assert report == walk_report
     assert subnet_decompose(net, assoc)[1] == _and_walk(subnet_decompose, net, assoc)[1]
     assert message_ledger(net, assoc, subnets) == message_ledger(net, assoc, walk)
+    if (classes := subnets.translates) is not None:
+        # one class list, the template's first: one representative, with at least as many
+        # components of its size as it has copies; the copies of every class's
+        # representatives hold each member once, and the members are the active nodes
+        ((template,), copies), starts = classes[0], subnets.starts
+        sizes = list(map(sub, starts[1:], starts))
+        assert type(classes) is tuple and sizes.count(sizes[template]) >= copies
+        assert sum(n * len(subnets.members_of(reps)) for reps, n in classes) == \
+            len(subnets.members) == sum(assoc.roles[k] is not Role.SILENT for k in net.tx_nodes)
     return subnets.translates is not None
 
 
@@ -661,7 +670,7 @@ def test_ball_lattice_at_bench_scale(model, radius, D, scheme):
     # the pieces of the cut translates, in classes of one cut up to translation
     subnets = validate(net, assoc)[0]
     walk = _and_walk(validate, net, assoc)[0]
-    template, copies, classes = subnets.translates
+    ((template,), copies), *classes = subnets.translates
     if scheme.cooperative:
         cut, pieces = sum(n for _, n in classes), sum(len(reps) * n for reps, n in classes)
         assert (copies, len(classes), cut, pieces) == (
@@ -706,9 +715,9 @@ def test_torus_lattice_matches_walk(model):
         # every torus is one orbit of its template: all its subnets are translates
         assert assert_lattice_matches_walk(net, D, scheme, reference=tau * copies <= 4)
         subnets = validate(net, assign(net, D, scheme))[0]
-        _, n, rim = subnets.translates
+        (_, n), *rim = subnets.translates
         # without cooperation each active node is a subnet
-        assert (n, rim) == (copies * copies if scheme.cooperative else len(subnets.members), ())
+        assert (n, rim) == (copies * copies if scheme.cooperative else len(subnets.members), [])
         cases += 1
     assert cases == (90 if model == HEX else 54)
 
@@ -741,8 +750,8 @@ def test_torus_lattice_at_bench_scale(scheme, copies, clear, cut):
     net = build_hex_torus(4, copies, 2)
     assert assert_lattice_matches_walk(net, 8, scheme)
     subnets, _ = validate(net, assign(net, 8, scheme))
-    _, n, rim_subnets = subnets.translates
-    assert (n, rim_subnets) == (clear + cut, ())
+    (_, n), *rim_subnets = subnets.translates
+    assert (n, rim_subnets) == (clear + cut, [])
     assert all(k is net.tx_nodes[k] for k in subnets.members)  # the nodes' own int objects
     # the seam cuts ``cut`` subnets: a member lies tau or more from its master's domain cell
     coord = net.cell_coords
@@ -757,9 +766,9 @@ def test_torus_seam_sets_the_link_maximum():
     net = build_sectored_hex_torus(3, 4, 3)
     assoc = assign(net, 6, Scheme.BOTH_COMP_RX)
     subnets, _ = validate(net, assoc)
-    template, copies, rim = subnets.translates
-    assert (copies, rim) == (16, ())
-    _, _, template_rx = loads._tally(net, assoc, subnets, (template, 1, ()))
+    ((template,), copies), *rim = subnets.translates
+    assert (copies, rim) == (16, [])
+    _, _, template_rx = loads._tally(net, assoc, subnets, (((template,), 1),))
     assert max(template_rx) == 9
     walk, _ = _and_walk(validate, net, assoc)
     ledger = message_ledger(net, assoc, subnets)
@@ -947,7 +956,7 @@ def test_ball_lattice_falls_back_to_the_walk(make, proven, violations):
 def _rim_copy(net, subnets, near):
     """The lowest member of the rim piece nearest the cell ``near`` that is no class's
     representative: a piece of a cut translate other than its class's first."""
-    template, _, classes = subnets.translates
+    ((template,), _), *classes = subnets.translates
     members, starts, nk = subnets.members, subnets.starts, len(net.tx_nodes) // len(net.rx_nodes)
     size, reps = starts[template + 1] - starts[template], {j for ix, _ in classes for j in ix}
     copies = [members[starts[j]] for j in range(len(subnets))
@@ -966,7 +975,7 @@ def test_ball_rim_copy_edited_falls_back(model, radius, D, where, edit):
     net = _ball(model, radius)
     assoc = assign(net, D, Scheme.BOTH_COMP_RX)
     subnets = validate(net, assoc)[0]
-    assert subnets.translates[2]  # proven, with rim classes
+    assert subnets.translates[1:]  # proven, with rim classes
     k = _rim_copy(net, subnets, (radius, radius // 2) if where == "side" else (radius, 0))
     if edit == "flip":
         assoc.roles[k] = Role.SLOW if assoc.roles[k] is Role.FAST else Role.FAST
@@ -1042,6 +1051,13 @@ def _silenced_rings(net, assoc, at):
             assoc.roles[at(a + da, b + db)] = Role.SILENT
 
 
+def _one_master_moved(net, assoc, at):
+    """The last master one step along: as many masters as translates, and the template's
+    at id 0, but one is not the fill's."""
+    a, b = net.cell_coords[assoc.masters[-1]]
+    return replace(assoc, masters=tuple(sorted((*assoc.masters[:-1], at(a + 1, b)))))
+
+
 # the roles must repeat with both generators of the master lattice, (4, 8) and (0, 12) here
 @pytest.mark.parametrize("edit, proven", [
     (_flip([(1, 0)]), False),
@@ -1053,8 +1069,9 @@ def _silenced_rings(net, assoc, at):
     (lambda net, a, at: replace(a, masters=tuple(sorted(at(a + 1, b) for a, b in map(
         net.cell_coords.__getitem__, a.masters)))), False),  # every master one step along:
     # the roles repeat, but the masters are not the fill's, so the torus takes the walk
+    (_one_master_moved, False),
 ], ids=["one-role", "roles-along-one-generator", "roles-along-the-other", "silenced-rings",
-        "dropped-master", "extra-master", "moved-masters"])
+        "dropped-master", "extra-master", "moved-masters", "one-master-moved"])
 def test_torus_lattice_falls_back_to_the_walk(edit, proven):
     net, assoc = _torus_case(edit)
     subnets, report = validate(net, assoc)
@@ -1154,7 +1171,7 @@ def test_cooperation_free_proof_falls_back_to_the_walk(make, size, edit, ok):
     spacing-1 lattice, or the network is a copy."""
     net, assoc = _no_coop_case(make, size)
     subnets, _ = validate(net, assoc)
-    assert subnets.translates == (0, len(subnets.members), ())
+    assert subnets.translates == (((0,), len(subnets.members)),)
     net, assoc = edit(net, assoc)
     subnets, report = validate(net, assoc)
     assert subnets.translates is None and report.ok == ok
@@ -1316,7 +1333,7 @@ def test_ledger_scratch_ends_at_the_last_numbered_cell():
     assert report.ok and walk.translates is None
     # the walk's columns, read as a proof would give them: run 1 a translate of run 0
     proven = validation.Subnets(assoc, walk.members, walk.starts, walk.masters, walk.hop,
-                                (0, 2, ()))
+                                (((0,), 2),))
     assert message_ledger(net, assoc, proven) == message_ledger(net, assoc, walk) == \
         ref_message_ledger(net, assoc, ref_subnet_decompose(net, assoc)[0])
 

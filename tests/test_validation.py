@@ -290,7 +290,7 @@ def test_proven_line_subnets_memory_per_subnet():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert subnets.translates == (0, 12_500, ()) and len(subnets) == 12_500
+    assert subnets.translates == (((0,), 12_500),) and len(subnets) == 12_500
     assert kept <= 90 * len(subnets), f"{kept / len(subnets):.0f} bytes per subnet"
 
 
@@ -307,7 +307,7 @@ def test_proven_line_ledger_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert subnets.translates == (0, 12_500, ()) and ledger.n_subnets == 12_500
+    assert subnets.translates == (((0,), 12_500),) and ledger.n_subnets == 12_500
     assert peak < 100_000, f"{peak} bytes at the peak"
 
 
