@@ -57,6 +57,7 @@ DRAWN = ORACLE + "test_lattice_proof_equals_the_walk_on_drawn_balls_and_tori"
 BENCH_SCALE = ORACLE + "test_ball_lattice_at_bench_scale"
 EDGES = ORACLE + "test_line_proof_columns_at_the_proofs_edges"
 SCRATCH = ORACLE + "test_ledger_scratch_ends_at_the_last_numbered_cell"
+MISSING_LINK = ORACLE + "test_ledger_names_a_missing_link"
 CHUNKS = ORACLE + "test_line_period_chunk_edges"
 SMALL_BALLS = ORACLE + "test_balls_too_small_for_whole_base_rows_are_proven"
 SINGLETONS = ORACLE + "test_cooperation_free_proof_falls_back_to_the_walk"
@@ -144,22 +145,31 @@ MUTANTS = [
            "(k - 1, k + 1) if 1 < k < self.K else",
            "(k - 1, k + 1) if 1 < k <= self.K else",
            (LINE + "[2]", LINE + "[7]")),
-    # the ledger's scratch: it must hold the last numbered cell, and a neighbour past it
-    # is not reached
+    # the ledger's scratch: it must hold the cell of every counted node, and a neighbour
+    # past it is not reached
     Mutant("ledger-scratch-short", "src/mgnet/loads.py",
-           "n = max(rx_off) + 1",
-           "n = max(rx_off)",
+           "default=-1) + 1",
+           "default=-1)",
            (EDGES + "[SlowOnlyCompTx]", SCRATCH)),
     Mutant("ledger-scratch-end-unguarded", "src/mgnet/loads.py",
            "except IndexError:  # a cell past the scratch",
            "except KeyError:  # a cell past the scratch",
            (SCRATCH,)),
-    # a walked ledger numbers the cells' ids, not the sectors': a sector past them has no link
-    Mutant("walked-ledger-numbers-rx-nodes", "src/mgnet/loads.py",
-           "parts, numbered = [(1, nodes, range(len(subnets)))], net.tx_nodes",
-           "parts, numbered = [(1, nodes, range(len(subnets)))], net.rx_nodes",
+    # a walked ledger is one part, of every subnet: not its first alone, as if a template
+    Mutant("walked-ledger-routes-one-subnet", "src/mgnet/loads.py",
+           "[(1, subnets.members, range(len(subnets)))]",
+           "[(1, subnets.members, range(1))]",
            (ORACLE + "test_walked_ledger_numbers_every_link_of_a_sectorized_ball[5-4]",
             ORACLE + "test_walked_ledger_numbers_every_link_of_a_sectorized_ball[7-8]")),
+    # a message between nodes that its graph does not link: counted, not named
+    Mutant("ledger-tx-link-unchecked", "src/mgnet/loads.py",
+           "if k not in tx_adj[j] or share and c not in rx_adj[src]:",
+           "if share and c not in rx_adj[src]:",
+           (MISSING_LINK,)),
+    Mutant("ledger-rx-link-unchecked", "src/mgnet/loads.py",
+           "if k not in tx_adj[j] or share and c not in rx_adj[src]:",
+           "if k not in tx_adj[j]:",
+           (MISSING_LINK,)),
     Mutant("hex-hop-window-widened", "src/mgnet/loads.py",
            "1 <= (hop[k] or 0) <= D // 2 - 2",
            "1 <= (hop[k] or 0) <= D // 2 - 1",
@@ -312,15 +322,12 @@ MUTANTS = [
            "r = bisect_right(self.starts, i) - 1",
            "r = bisect_right(self.starts, i - 1) - 1",
            (CELLS + "[hex-balls]", CELLS + "[sectorized-tori]")),
-    # vertices sharing s_f listed from the lowest s_s up, by the library and by the CLI
+    # vertices sharing s_f listed from the lowest s_s up, by the library and by the CLI,
+    # which read the one boundary rule
     Mutant("polyline-key-sign-flipped", "src/mgnet/regions.py",
-           "key=lambda p: (p.s_f, -p.s_s))",
-           "key=lambda p: (p.s_f, p.s_s))",
-           (POLYLINE,)),
-    Mutant("csv-order-key-sign-flipped", "src/mgnet/regions.py",
            "key=lambda p: (p[0], -p[1]))",
            "key=lambda p: (p[0], p[1]))",
-           (REGION_TEXT + "[wyner-csv]", FIGURE_TEXT + "[fig5a]")),
+           (POLYLINE, REGION_TEXT + "[wyner-csv]", FIGURE_TEXT + "[fig5a]")),
     # a vertex's s_s written over the hull's common denominator, not in lowest terms
     Mutant("region-text-s_s-unreduced", "src/mgnet/cli.py",
            "y // (h := math.gcd(y, den)), den // h)",

@@ -25,18 +25,16 @@ the per-subnet loop routes the fan-in and fan-out up each subnet's
 shortest-path tree, from the hops alone: a subnet's cells are walked leaves
 first, and each sends its subtree's count to its parent, the first cell in
 its adjacency (unit-step order, which a translation keeps) one hop nearer
-the master that links to it both ways.  Columns a proof built
-(``Subnets.translates``, a list of classes, the template's first) are counted
-from each class's representative's nodes and subnets, once, times its number
-of copies; only the links of these cells are numbered, and the per-cell
-scratch ends at the last of them.  On a builder's network no link carries
-two subnets' messages, and a copy loads its links as its representative
-does, so each link maximum is a representative's.  Every other
-``Subnets`` is counted node by node, over the links of every Tx node and
-cell.
-A maximum is read only from link counts that a message reached: precancels
-and Tx-side routes load the Tx links, fast shares and Rx-side routes the
-Rx links.
+the master that links to it both ways.  A link's load is kept under its
+directed link (u, v), once a message reaches it: precancels and Tx-side
+routes load the Tx links, fast shares and Rx-side routes the Rx links.
+Columns a proof built (``Subnets.translates``, a list of classes, the
+template's first) are counted from each class's representative's nodes and
+subnets, once, times its number of copies.  On a builder's network no link
+carries two subnets' messages, and a copy loads its links as its
+representative does, so each link maximum is a representative's.  Every
+other ``Subnets`` is one part: all its members and subnets, once.  The
+per-cell scratch ends at the last cell of the nodes counted.
 
 Average prelogs divide by the idealised directed-link totals, the plane's
 ``topology.PLANE_LINKS`` per Tx node and per Rx cell; `finite_prelogs`
@@ -191,13 +189,14 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
 
     ``subnets`` is what ``subnet_decompose`` returned for this association
     (another association's raises ValueError).  The per-link maxima are
-    informational: counters are flat lists indexed by directed edge (see
-    ``_edge_offsets``) of the Tx cooperation graph, which carries the
-    precancelation, and of the Rx cooperation graph, which carries the fast
-    shares.  Quantization traffic follows the module docstring's
-    shortest-path tree (a cell with no parent raises ValueError naming it),
-    each slow member crossing every uplink of its path once in and once out;
-    the CoMP-transmission dedup savings are not modelled on the links.
+    informational: the largest count on a directed link of the Tx cooperation
+    graph, which carries the precancelation, and of the Rx cooperation graph,
+    which carries the fast shares.  A message between nodes with no such
+    link raises ValueError naming it.  Quantization traffic follows the
+    module docstring's shortest-path tree (a cell with no parent raises
+    ValueError naming it), each slow member crossing every uplink of its path
+    once in and once out; the CoMP-transmission dedup savings are not
+    modelled on the links.
     """
     _require_same_net(net, assoc)
     if getattr(subnets, "assoc", None) is not assoc:
@@ -212,9 +211,7 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
     side = scheme.comp_side
     tx_total = precancel + (fanin + fanout - q_dedup if side == "tx" else 0)
     rx_total = fast_share + (fanin + fanout - fast_master_saved if side == "rx" else 0)
-    # only precancels and Tx-side routes load Tx links; fast shares and Rx-side routes Rx links
-    max_tx = max(tx_use) if precancel or side == "tx" and fanin else 0
-    max_rx = max(rx_use) if fast_share or side == "rx" and fanin else 0
+    max_tx, max_rx = (max(use.values(), default=0) for use in (tx_use, rx_use))
 
     per_tx, per_rx = PLANE_LINKS[net.model]
     den_tx, den_rx = per_tx * net.n_tx, per_rx * net.n_rx
@@ -233,85 +230,73 @@ def message_ledger(net: Network, assoc: Association, subnets: Subnets) -> LoadRe
 
 
 def _tally(net: Network, assoc: Association, subnets: Subnets,
-           t: tuple | None) -> tuple[list[int], list[int], list[int]]:
+           t: tuple | None) -> tuple[list[int], dict, dict]:
     """(counts, tx_use, rx_use) of every node and subnet once (``t`` None), or of each
     class's representative's nodes and subnets times its number of copies (``t`` is
-    ``Subnets.translates``, the template's class first).  Links get a counter if they
-    leave a numbered node (every Tx node, or the representatives') or its cell.  The
-    per-cell scratch runs up to the last numbered cell: P slots, not K + 1, on a proven
-    line without a tail run."""
-    adjs = net.interference, net.tx_coop, net.rx_coop
-    if t is None:
-        # precancel and fast-share messages run between a fast and a slow node
-        nodes = net.tx_nodes if Role.SLOW in assoc.roles else ()
-        parts, numbered = [(1, nodes, range(len(subnets)))], net.tx_nodes
-    else:
-        parts = [(n, subnets.members_of(reps), reps) for reps, n in t]
-        # a message runs between two cells of its own subnet
-        numbered = list(chain.from_iterable(nodes for _, nodes, _ in parts))
-    _, tx_adj, rx_adj = adjs
-    tx_off = _edge_offsets(tx_adj, numbered)
-    rx_off = tx_off if rx_adj is tx_adj else _edge_offsets(
-        rx_adj, dict.fromkeys(map(net.tx_cell.__getitem__, numbered)))
-    tx_use, rx_use = [0] * tx_off[-1], [0] * rx_off[-1]
-    n = max(rx_off) + 1  # up to the last numbered cell: a message runs between two of them
+    ``Subnets.translates``, the template's class first); tx_use and rx_use map each
+    directed link (u, v) that a message reached to its count, a representative's once.
+    The per-cell scratch runs up to the last counted cell: P slots, not K + 1, on a
+    proven line without a tail run."""
+    parts = ([(1, subnets.members, range(len(subnets)))] if t is None else
+             [(n, subnets.members_of(reps), reps) for reps, n in t])
+    # a message runs between two cells of counted nodes
+    n = max(map(net.tx_cell.__getitem__, chain.from_iterable(nodes for _, nodes, _ in parts)),
+            default=-1) + 1
     cells = ([None] * n, [0] * n, [None] * n)  # _count's per-cell scratch, made once
+    adjs = net.interference, net.tx_coop, net.rx_coop
+    links = {}, {}
     counts = [0] * 5
     for times, nodes, indices in parts:
-        part = _count(net, assoc, subnets, nodes, indices, adjs,
-                      (tx_off, rx_off, tx_use, rx_use), cells)
+        part = _count(net, assoc, subnets, nodes, indices, adjs, links, cells)
         counts = [c + times * x for c, x in zip(counts, part)]
-    return counts, tx_use, rx_use
+    return counts, *links
 
 
 def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices, adjs: tuple,
-           links: tuple[list[int], ...],
+           links: tuple[dict, dict],
            cells: tuple[list, list[int], list]) -> tuple[int, int, int, int, int]:
     """(precancel, fast_share, fanin, fast_master_saved, q_dedup) of the fast
     nodes among ``nodes`` and of the subnets ``indices``, over ``adjs`` = the
-    network's (interference, tx_coop, rx_coop); each message also lands on its
-    link in ``links`` = (tx_off, rx_off, tx_use, rx_use).  The
+    network's (interference, tx_coop, rx_coop); each message also adds 1 to its
+    link's count in ``links`` = (tx_use, rx_use), keyed (u, v).  The
     per-cell scratch ``cells`` = (shared_by, below, level) serves calls on
     disjoint ``nodes``: below and level are 0 and None again after each subnet.
-    It holds every numbered cell; a neighbour past it is a cell no route reaches."""
+    It holds the cell of every counted node; a neighbour past it is a cell no
+    route reaches."""
     roles = assoc.roles
     scheme = assoc.scheme
     D = assoc.D
     interference, tx_adj, rx_adj = adjs
-    tx_off, rx_off, tx_use, rx_use = links
+    tx_use, rx_use = links
     tx_cell = net.tx_cell
     fast, slow = Role.FAST, Role.SLOW
     shared_by, below, level = cells
 
     precancel = 0
     fast_share = 0
-    try:
-        for k in nodes:
-            if roles[k] is not fast:
+    for k in nodes:
+        if roles[k] is not fast:
+            continue
+        src = tx_cell[k]
+        shared_by[src] = k  # a fast node shares once per neighbouring cell, never with its own
+        for j in interference[k]:
+            if roles[j] is not slow:
                 continue
-            src = tx_cell[k]
-            shared_by[src] = k  # a fast node shares once per neighbouring cell, never with its own
-            cell_links = rx_adj[src]
-            for j in interference[k]:
-                if roles[j] is not slow:
-                    continue
-                precancel += 1
-                tx_use[tx_off[j] + tx_adj[j].index(k)] += 1
-                c = tx_cell[j]
-                if shared_by[c] != k:
-                    shared_by[c] = k
-                    fast_share += 1
-                    rx_use[rx_off[src] + cell_links.index(c)] += 1
-    except ValueError:  # ``index`` found no link for the message from j to k: name it
-        graph, u, v = ("tx_coop", j, k) if k not in tx_adj[j] else ("rx_coop", src, tx_cell[j])
-        raise ValueError(f"fast node {k} hears slow node {j}, but {graph} has no link "
-                         f"{u} -> {v}") from None
+            c = tx_cell[j]
+            share = shared_by[c] != k
+            if k not in tx_adj[j] or share and c not in rx_adj[src]:
+                graph, u, v = ("rx_coop", src, c) if k in tx_adj[j] else ("tx_coop", j, k)
+                raise ValueError(f"fast node {k} hears slow node {j}, but {graph} has no link "
+                                 f"{u} -> {v}")
+            precancel += 1
+            tx_use[j, k] = tx_use.get((j, k), 0) + 1
+            if share:
+                shared_by[c] = k
+                fast_share += 1
+                rx_use[src, c] = rx_use.get((src, c), 0) + 1
 
     side = scheme.comp_side
-    if side == "tx":
-        coop, off, use = tx_adj, tx_off, tx_use
-    else:
-        coop, off, use = rx_adj, rx_off, rx_use
+    coop, use = (tx_adj, tx_use) if side == "tx" else (rx_adj, rx_use)
     wyner = net.model == WYNER
     fast_master_saves = scheme is Scheme.BOTH_COMP_RX and wyner
     members, starts, masters, hop = subnets.members, subnets.starts, subnets.masters, subnets.hop
@@ -355,19 +340,19 @@ def _count(net: Network, assoc: Association, subnets: Subnets, nodes, indices, a
             below[c] = 0
             if g < 0:  # the master
                 continue
-            for i, p in enumerate(coop[c]):
+            for p in coop[c]:
                 try:
                     if level[p] != g:
                         continue
-                except IndexError:  # a cell past the scratch is not numbered, so not reached
+                except IndexError:  # a cell past the scratch holds no counted node
                     continue
-                if c in (back := coop[p]):
+                if c in coop[p]:
                     break
             else:
                 raise ValueError(f"cell {c} has no link both ways in {side}_coop to a cell "
                                  f"one hop nearer master {master}")
-            use[off[c] + i] += n
-            use[off[p] + back.index(c)] += n
+            use[c, p] = use.get((c, p), 0) + n
+            use[p, c] = use.get((p, c), 0) + n
             below[p] += n
     return precancel, fast_share, fanin, fast_master_saved, q_dedup
 
@@ -382,14 +367,3 @@ def finite_prelogs(report: LoadReport, net: Network) -> tuple[Fraction, Fraction
         out.append(Fraction(report.L * total, q) if q else Fraction(0))
     return out[0], out[1]
 
-
-def _edge_offsets(adj: tuple[tuple[int, ...], ...], nodes) -> dict[int, int]:
-    """Directed edge u -> adj[u][i] of each of ``nodes`` has index offsets[u] + i, numbered in
-    the order of ``nodes``; offsets[-1] is their edge count."""
-    off = {}
-    total = 0
-    for u in nodes:
-        off[u] = total
-        total += len(adj[u])
-    off[-1] = total
-    return off

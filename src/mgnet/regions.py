@@ -227,12 +227,12 @@ def achievable_region(model: str, D: int, L: int,
     return _view(*_region_pairs(model, D, L, mu_tx.as_integer_ratio(), mu_rx.as_integer_ratio()))
 
 
-def _polyline(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """``boundary_polyline`` of a hull given as pairs over one denominator."""
+def _polyline(pairs: tuple | list) -> list:
+    """``boundary_polyline`` of hull vertices (s_f, s_s): points, or ints over one den."""
     return sorted((p for p in pairs if p[0] or p[1]), key=lambda p: (p[0], -p[1]))
 
 
 def boundary_polyline(region: MgRegion) -> list[MgPoint]:
     """Upper-right boundary from the vertical-axis intercept down to (s_f_max, 0): the
     vertices but the origin by s_f up, then s_s down."""
-    return sorted((p for p in region.vertices if p.s_f or p.s_s), key=lambda p: (p.s_f, -p.s_s))
+    return _polyline(region.vertices)

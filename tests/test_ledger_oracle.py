@@ -273,17 +273,18 @@ def test_readers_of_every_node_store_every_item_of_a_ball(make, radius, D):
 
 @pytest.mark.parametrize("radius, D", [(5, 4), (7, 8)])
 def test_walked_ledger_numbers_every_link_of_a_sectorized_ball(radius, D):
-    """A walked ledger numbers the links of every Tx node and every cell, each node's in
-    adjacency order: one counter per directed link, holding the per-path walk's count."""
+    """A walked ledger counts the messages on the links of every Tx node and every cell:
+    each directed link (u, v) that a message reached holds the per-path walk's count, and
+    is a link of its graph."""
     net = build_sectored_hex(radius, 1)
     assoc = assign(net, D, Scheme.BOTH_COMP_RX)
     walk, report = _and_walk(validate, net, assoc)
     _, tx_use, rx_use = loads._tally(net, assoc, walk, None)
-    assert (len(tx_use), len(rx_use)) == (net.q_tx, net.q_rx) and report.ok
-    for adj, nodes, use, ref in zip((net.tx_coop, net.rx_coop), (net.tx_nodes, net.rx_nodes),
-                                    (tx_use, rx_use), walk_link_uses(net, assoc, walk)):
-        links = dict(zip(((u, v) for u in nodes for v in adj[u]), use))
-        assert {link: n for link, n in links.items() if n} == ref and ref
+    assert report.ok
+    for adj, use, ref in zip((net.tx_coop, net.rx_coop), (tx_use, rx_use),
+                             walk_link_uses(net, assoc, walk)):
+        assert use == ref and ref
+        assert all(v in adj[u] for u, v in use)
 
 
 def assert_period_matches_walk(net, D, scheme):
@@ -738,10 +739,9 @@ def test_torus_link_loads_repeat_with_the_master_lattice(model):
         for da, db in ((tau, 2 * tau), (2 * tau, tau)):
             cell = [index[net.geometry.canon((a + da, b + db))] for a, b in net.cell_coords]
             node = [nk * cell[k // nk] + k % nk for k in net.tx_nodes]
-            for adj, use, move in ((net.tx_coop, tx_use, node), (net.rx_coop, rx_use, cell)):
-                links = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs]
-                assert dict(zip(links, use)) == \
-                    {(move[u], move[v]): x for (u, v), x in zip(links, use)}, (D, scheme, copies)
+            for use, move in ((tx_use, node), (rx_use, cell)):
+                assert use == {(move[u], move[v]): x for (u, v), x in use.items()}, \
+                    (D, scheme, copies)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.BOTH_COMP_RX, Scheme.BOTH_COMP_TX])
@@ -769,7 +769,7 @@ def test_torus_seam_sets_the_link_maximum():
     ((template,), copies), *rim = subnets.translates
     assert (copies, rim) == (16, [])
     _, _, template_rx = loads._tally(net, assoc, subnets, (((template,), 1),))
-    assert max(template_rx) == 9
+    assert max(template_rx.values()) == 9
     walk, _ = _and_walk(validate, net, assoc)
     ledger = message_ledger(net, assoc, subnets)
     assert ledger == message_ledger(net, assoc, walk)
@@ -794,6 +794,36 @@ def test_ball_ledger_counts_every_subnet_when_links_may_be_shared():
                 proven, _ = validate(net, assoc)
                 assert message_ledger(net, assoc, proven) == message_ledger(net, assoc, walk)
     assert shared_cells > 1000
+
+
+@pytest.mark.parametrize("model, make", [
+    (WYNER, lambda: build_wyner(1000, 1)),
+    (HEX, lambda: build_hex(20, 1)),
+    (SECTORED, lambda: build_sectored_hex(12, 1)),
+    (HEX, lambda: build_hex_torus(4, 2, 1)),
+    (SECTORED, lambda: build_sectored_hex_torus(2, 3, 1)),
+], ids=["wyner-1000", "hex-ball-20", "sectorized-ball-12", "hex-torus-4-2",
+        "sectorized-torus-2-3"])
+def test_proven_link_loads_are_the_representatives_walk(model, make):
+    """A proof's ledger counts each class's representatives once on the links: its link
+    maps are the per-path walk's over the representatives, link by link, on a proven
+    line, ball and torus of every scheme, the cooperation-free proof's too."""
+    net = make()
+    D = {WYNER: 6, HEX: 8, SECTORED: 4}[model]
+    proofs = 0
+    for scheme in Scheme:
+        tau = net.params.get("tau")
+        if _raises(check_params, model, scheme, D, 1) or \
+                tau not in (None, scheme_tau(model, scheme, D)):
+            continue  # a scheme that does not run at D, or a torus of another spacing
+        assoc = assign(net, D, scheme)
+        subnets, report = validate(net, assoc)
+        assert report.ok and subnets.translates, scheme
+        reps = [subnets[i] for indices, _ in subnets.translates for i in indices]
+        _, *uses = loads._tally(net, assoc, subnets, subnets.translates)
+        assert uses == list(walk_link_uses(net, assoc, reps)), scheme
+        proofs += 1
+    assert proofs >= 3
 
 
 def _ball_case(model=HEX, radius=14, D=8, scheme=Scheme.BOTH_COMP_RX):
@@ -1323,9 +1353,9 @@ def test_only_a_network_as_its_builder_returned_it_takes_a_proof(make, D, how):
 
 
 def test_ledger_scratch_ends_at_the_last_numbered_cell():
-    """The ledger's per-cell scratch stops at the last cell it numbers; a route's parent
-    search that meets a neighbour past it (here each cell lists its higher neighbour
-    first) reads that cell as one the route does not reach."""
+    """The ledger's per-cell scratch stops at the last cell of the nodes it counts; a
+    route's parent search that meets a neighbour past it (here each cell lists its higher
+    neighbour first) reads that cell as one the route does not reach."""
     line = build_wyner(15, 1)  # two whole runs of period 8
     net = replace(line, rx_coop=tuple(nbrs[::-1] for nbrs in line.rx_coop))
     assoc = assign(net, 6, Scheme.SLOW_COMP_RX)

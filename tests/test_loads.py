@@ -362,7 +362,7 @@ def walk_link_uses(net, assoc, subnets, steps=None):
     ``step_order(net)``; a caller that asks subnet by subnet makes it once).
 
     A dict bumped once per message and hop, written independently of the
-    edge-indexed counters of the library.
+    library's per-link counts.
     """
     roles = assoc.roles
     tx_use, rx_use = {}, {}
@@ -429,8 +429,8 @@ def test_link_loads_match_per_path_walk(model):
         (precancel, fast_share, fanin, _, _), tx_use, rx_use = \
             loads._tally(net, assoc, subnets, None)
         side = scheme.comp_side
-        assert sum(tx_use) == precancel + (2 * fanin if side == "tx" else 0)
-        assert sum(rx_use) == fast_share + (2 * fanin if side == "rx" else 0)
+        assert sum(tx_use.values()) == precancel + (2 * fanin if side == "tx" else 0)
+        assert sum(rx_use.values()) == fast_share + (2 * fanin if side == "rx" else 0)
         cases += 1
     assert cases > 100
 
